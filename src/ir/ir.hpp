@@ -20,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "ir/builtins.hpp"
+
 namespace ac::ir {
 
 enum class TypeKind : std::uint8_t { I64, F64 };
@@ -129,9 +131,11 @@ struct Instr {
   int t_false = -1;
 
   // Call.
-  std::string callee;
+  std::string callee;             // callee name, as traced
   std::vector<Opnd> args;
   bool is_builtin = false;
+  Builtin builtin{};              // is_builtin: which one
+  int callee_index = -1;          // otherwise: index into Module::functions
 };
 
 struct Function {

@@ -103,7 +103,13 @@ class FunctionVerifier {
         break;
       case IKind::Call: {
         for (const auto& a : in.args) check_use(a);
-        if (!in.is_builtin && !m_.find_function(in.callee)) fail("call to unknown function " + in.callee);
+        if (in.is_builtin) {
+          if (builtin_name(in.builtin) != in.callee) fail("call to unknown builtin " + in.callee);
+        } else if (in.callee_index < 0 ||
+                   static_cast<std::size_t>(in.callee_index) >= m_.functions.size() ||
+                   m_.functions[static_cast<std::size_t>(in.callee_index)].name != in.callee) {
+          fail("call to unknown function " + in.callee);
+        }
         if (in.dst >= 0) define(in.dst);
         break;
       }

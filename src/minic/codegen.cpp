@@ -7,19 +7,13 @@
 
 namespace ac::minic {
 
-const Builtin* find_builtin(const std::string& name) {
-  static const std::map<std::string, Builtin> table = {
-      {"print_int", {Ty::Void, {Ty::Int}}},
-      {"print_float", {Ty::Void, {Ty::Double}}},
-      {"sqrt", {Ty::Double, {Ty::Double}}},
-      {"fabs", {Ty::Double, {Ty::Double}}},
-      {"pow", {Ty::Double, {Ty::Double, Ty::Double}}},
-      {"exp", {Ty::Double, {Ty::Double}}},
-      {"log", {Ty::Double, {Ty::Double}}},
-      {"sin", {Ty::Double, {Ty::Double}}},
-      {"cos", {Ty::Double, {Ty::Double}}},
-      {"floor", {Ty::Double, {Ty::Double}}},
-      {"timer", {Ty::Double, {}}},
+const BuiltinSig* find_builtin(const std::string& name) {
+  // The list's type names, as spelled in AC_BUILTINS_LIST.
+  constexpr Ty Void = Ty::Void, Int = Ty::Int, Double = Ty::Double;
+  static const std::map<std::string, BuiltinSig> table = {
+#define AC_BUILTIN_SIG(Id, name, ret, ...) {#name, {ir::Builtin::Id, ret, {__VA_ARGS__}}},
+      AC_BUILTINS_LIST(AC_BUILTIN_SIG)
+#undef AC_BUILTIN_SIG
   };
   auto it = table.find(name);
   return it == table.end() ? nullptr : &it->second;
@@ -505,12 +499,14 @@ class FuncCodegen {
   }
 
   TypedVal gen_call(const Expr& e) {
-    const Builtin* builtin = find_builtin(e.name);
+    const BuiltinSig* builtin = find_builtin(e.name);
     const FuncDecl* user = nullptr;
+    int user_index = -1;
     if (!builtin) {
-      for (const auto& f : prog_.functions) {
-        if (f.name == e.name) {
-          user = &f;
+      for (std::size_t i = 0; i < prog_.functions.size(); ++i) {
+        if (prog_.functions[i].name == e.name) {
+          user = &prog_.functions[i];
+          user_index = static_cast<int>(i);
           break;
         }
       }
@@ -528,6 +524,8 @@ class FuncCodegen {
     call.line = e.line;
     call.callee = e.name;
     call.is_builtin = builtin != nullptr;
+    if (builtin) call.builtin = builtin->id;
+    call.callee_index = user_index;  // module functions follow prog_.functions order
 
     for (std::size_t i = 0; i < e.args.size(); ++i) {
       TypedVal arg = gen_expr(*e.args[i]);

@@ -6,6 +6,7 @@
 // instruction mix the paper's analysis consumes (Table I).
 #pragma once
 
+#include "ir/builtins.hpp"
 #include "ir/ir.hpp"
 #include "minic/ast.hpp"
 
@@ -15,13 +16,14 @@ namespace ac::minic {
 /// (undeclared identifiers, type errors, arity mismatches, bad subscripts).
 ir::Module codegen(const Program& prog);
 
-struct Builtin {
+struct BuiltinSig {
+  ir::Builtin id;
   Ty ret;
   std::vector<Ty> params;
 };
 
-/// Builtin table (print_int, print_float, sqrt, fabs, pow, exp, log, sin,
-/// cos, floor, timer). Returns nullptr for unknown names.
-const Builtin* find_builtin(const std::string& name);
+/// MiniC signature of a builtin of ir/builtins.hpp; nullptr for any other
+/// name.
+const BuiltinSig* find_builtin(const std::string& name);
 
 }  // namespace ac::minic

@@ -92,6 +92,15 @@ Frame RemoteSink::expect(FrameType want) {
 
 void RemoteSink::append(const trace::TraceRecord& rec) {
   staging_.append(rec);
+  after_append();
+}
+
+void RemoteSink::append(const trace::RecordView& rec) {
+  staging_.append(rec);
+  after_append();
+}
+
+void RemoteSink::after_append() {
   ++total_records_;
   if (staging_.size() >= opts_.chunk_records) send_staged_chunk();
 }

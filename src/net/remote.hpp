@@ -91,6 +91,7 @@ class RemoteSink final : public trace::TraceSink {
   RemoteSink& operator=(const RemoteSink&) = delete;
 
   void append(const trace::TraceRecord& rec) override;
+  void append(const trace::RecordView& rec) override;
   std::uint64_t count() const override { return total_records_; }
   /// Wire bytes shipped so far (frame headers + encoded containers).
   std::uint64_t bytes() const override { return wire_bytes_; }
@@ -115,6 +116,7 @@ class RemoteSink final : public trace::TraceSink {
 
  private:
   void send_frame(FrameType type, std::string_view payload);
+  void after_append();
   void send_staged_chunk();
   Frame expect(FrameType want);
 

@@ -1,11 +1,24 @@
 #include "trace/buffer.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 
 #include "support/error.hpp"
 #include "support/strings.hpp"
 
 namespace ac::trace {
+
+namespace {
+
+/// Make room for `extra` more elements. An exact-fit reserve would copy the
+/// whole array on every append, so grow by at least half the capacity.
+template <class T>
+void grow(std::vector<T>& vec, std::size_t extra) {
+  const std::size_t need = vec.size() + extra;
+  if (need > vec.capacity()) vec.reserve(std::max(need, vec.capacity() + vec.capacity() / 2));
+}
+
+}  // namespace
 
 void pack_record(const TraceRecord& r, SymbolPool& pool, std::vector<PackedRecord>& records,
                  std::vector<PackedOperand>& operands) {
@@ -54,26 +67,58 @@ TraceRecord RecordView::materialize() const {
 }
 
 std::string RecordView::to_text() const {
-  // Must stay byte-identical to TraceRecord::to_text() — the round-trip
-  // property tests pin this.
-  std::string out = strf("0,%d,%.*s,%.*s,%d,%" PRIu64 "\n", rec_->line,
-                         static_cast<int>(func().size()), func().data(),
-                         static_cast<int>(bb().size()), bb().data(),
-                         static_cast<int>(rec_->opcode), rec_->dyn_id);
+  std::string out;
+  append_text(out);
+  return out;
+}
+
+void RecordView::append_text(std::string& out) const {
+  // Must stay byte-identical to TraceRecord::append_text() — the round-trip
+  // property tests and the golden trace digests pin this.
+  appendf(out, "0,%d,%.*s,%.*s,%d,%" PRIu64 "\n", rec_->line,
+          static_cast<int>(func().size()), func().data(), static_cast<int>(bb().size()),
+          bb().data(), static_cast<int>(rec_->opcode), rec_->dyn_id);
   for (const PackedOperand* op = ops_; op != operands_end(); ++op) {
-    std::string slot;
     switch (op->slot()) {
-      case OperandSlot::Input: slot = strf("%d", op->index); break;
-      case OperandSlot::Callee: slot = "0"; break;
-      case OperandSlot::Param: slot = "f"; break;
-      case OperandSlot::Result: slot = "r"; break;
+      case OperandSlot::Input: appendf(out, "%d", op->index); break;
+      case OperandSlot::Callee: out += '0'; break;
+      case OperandSlot::Param: out += 'f'; break;
+      case OperandSlot::Result: out += 'r'; break;
     }
     const std::string_view nm = name(*op);
-    out += strf("%s,%d,%s,%d,%.*s\n", slot.c_str(), op->bits,
-                value_to_text(op->value()).c_str(), op->is_reg() ? 1 : 0,
-                nm.empty() ? 1 : static_cast<int>(nm.size()), nm.empty() ? " " : nm.data());
+    appendf(out, ",%d,%s,%d,%.*s\n", op->bits, value_to_text(op->value()).c_str(),
+            op->is_reg() ? 1 : 0, nm.empty() ? 1 : static_cast<int>(nm.size()),
+            nm.empty() ? " " : nm.data());
   }
-  return out;
+}
+
+void TraceBuffer::append(const RecordView& rec) {
+  const SymbolPool& src = rec.pool();
+  if (view_remap_src_ != src.uid() || view_remap_dst_ != pool_.uid()) {
+    view_remap_.clear();
+    view_remap_src_ = src.uid();
+    view_remap_dst_ = pool_.uid();
+  }
+  const auto map = [&](std::uint32_t id) {
+    if (id >= src.size()) return SymbolPool::npos;  // npos/absent: unnamed
+    if (id >= view_remap_.size()) view_remap_.resize(src.size(), SymbolPool::npos);
+    std::uint32_t& mapped = view_remap_[id];
+    if (mapped == SymbolPool::npos) mapped = pool_.intern(src.view(id));
+    return mapped;
+  };
+  PackedRecord packed = rec.packed();
+  packed.func = map(packed.func);
+  packed.bb = map(packed.bb);
+  if (operands_.size() + packed.op_count > 0xffffffffull) {
+    throw TraceFormatError("trace exceeds the 4G-operand TraceBuffer capacity");
+  }
+  packed.op_offset = static_cast<std::uint32_t>(operands_.size());
+  for (const PackedOperand* op = rec.operands_begin(); op != rec.operands_end(); ++op) {
+    PackedOperand copy = *op;
+    copy.name = map(copy.name);
+    operands_.push_back(copy);
+  }
+  records_.push_back(packed);
 }
 
 void TraceBuffer::append_buffer(const TraceBuffer& other) {
@@ -89,12 +134,12 @@ void TraceBuffer::append_remapped(const TraceBuffer& other,
     throw TraceFormatError("trace exceeds the 4G-operand TraceBuffer capacity");
   }
   const auto op_base = static_cast<std::uint32_t>(operands_.size());
-  operands_.reserve(operands_.size() + other.operands_.size());
+  grow(operands_, other.operands_.size());
   for (PackedOperand op : other.operands_) {
     op.name = remap_id(op.name);
     operands_.push_back(op);
   }
-  records_.reserve(records_.size() + other.records_.size());
+  grow(records_, other.records_.size());
   for (PackedRecord rec : other.records_) {
     rec.func = remap_id(rec.func);
     rec.bb = remap_id(rec.bb);

@@ -60,6 +60,12 @@ struct PackedOperand {
     return 0;
   }
 
+  /// Replace the dynamic value, keeping slot, is_reg, index and name.
+  void set_value(const Value& v) {
+    raw = raw_of(v);
+    flags = static_cast<std::uint8_t>((flags & ~0x0cu) | (static_cast<unsigned>(v.kind) << 2));
+  }
+
   static std::uint8_t pack_flags(OperandSlot slot, ValueKind kind, bool is_reg) {
     return static_cast<std::uint8_t>(static_cast<unsigned>(slot) |
                                      (static_cast<unsigned>(kind) << 2) |
@@ -148,6 +154,8 @@ class RecordView {
   /// Render as an LLVM-Tracer text block; byte-identical to
   /// materialize().to_text() without the intermediate record.
   std::string to_text() const;
+  /// Same bytes appended to `out` (TraceRecord::append_text for views).
+  void append_text(std::string& out) const;
 
  private:
   const SymbolPool* pool_;
@@ -188,6 +196,12 @@ class TraceBuffer {
   /// Intern + append one legacy record.
   void append(const TraceRecord& rec) { pack_record(rec, pool_, records_, operands_); }
 
+  /// Append a record viewed over another pool (the VM's trace templates),
+  /// translating its ids through a cached source->this remap table. Misses
+  /// are interned in pack_record's order (func, bb, operand names), so the
+  /// pool and the records come out identical to append(rec.materialize()).
+  void append(const RecordView& rec);
+
   /// Bulk-append `other`'s records, remapping its pool ids into this pool
   /// (the parallel-parse merge step). Thread-safe on the pool side; array
   /// appends are single-writer.
@@ -195,6 +209,7 @@ class TraceBuffer {
 
   /// Same, with the pool-id remap already computed (pool().merge(other.pool())
   /// may run concurrently from workers; the array concatenation happens here).
+  /// The arrays grow geometrically, so k appends reallocate O(log k) times.
   void append_remapped(const TraceBuffer& other, const std::vector<std::uint32_t>& remap);
 
   /// Compatibility shims.
@@ -218,6 +233,11 @@ class TraceBuffer {
   SymbolPool pool_;
   std::vector<PackedRecord> records_;
   std::vector<PackedOperand> operands_;
+  // append(RecordView) cache: source id -> id in pool_ (npos = not yet
+  // mapped), valid for the pool pair named by the two uids.
+  std::vector<std::uint32_t> view_remap_;
+  std::uint64_t view_remap_src_ = 0;
+  std::uint64_t view_remap_dst_ = 0;
 };
 
 }  // namespace ac::trace

@@ -1,6 +1,13 @@
 #include "trace/pool.hpp"
 
+#include <atomic>
+
 namespace ac::trace {
+
+std::uint64_t SymbolPool::next_uid() {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
 
 std::uint32_t SymbolPool::intern(std::string_view s) {
   if (s.empty()) return npos;

@@ -47,21 +47,35 @@ class SymbolPool {
   SymbolPool() = default;
   SymbolPool(const SymbolPool& other) { copy_from(other); }
   SymbolPool& operator=(const SymbolPool& other) {
-    if (this != &other) copy_from(other);
+    if (this != &other) {
+      copy_from(other);
+      uid_ = next_uid();
+    }
     return *this;
   }
   SymbolPool(SymbolPool&& other) noexcept
       : arena_(std::move(other.arena_)),
         refs_(std::move(other.refs_)),
-        index_(std::move(other.index_)) {}
+        index_(std::move(other.index_)) {
+    other.uid_ = next_uid();
+  }
   SymbolPool& operator=(SymbolPool&& other) noexcept {
     if (this != &other) {
       arena_ = std::move(other.arena_);
       refs_ = std::move(other.refs_);
       index_ = std::move(other.index_);
+      uid_ = next_uid();
+      other.uid_ = next_uid();
     }
     return *this;
   }
+
+  /// Identity of this pool's id space: unique per pool object, and renewed
+  /// whenever the contents are replaced wholesale (assignment, move-from).
+  /// While it is unchanged every id handed out stays valid, so an id-remap
+  /// cache keyed on it can never mistake one pool for another — even a new
+  /// pool at a dead one's address.
+  std::uint64_t uid() const { return uid_; }
 
   /// Get-or-create the id of `s`. Ids are dense, assigned in first-seen
   /// order, and stable for the pool's lifetime. The empty string interns to
@@ -109,7 +123,9 @@ class SymbolPool {
   };
 
   void copy_from(const SymbolPool& other);
+  static std::uint64_t next_uid();
 
+  std::uint64_t uid_ = next_uid();
   std::string arena_;
   std::vector<Ref> refs_;
   std::unordered_map<std::string, std::uint32_t, Hash, std::equal_to<>> index_;

@@ -305,19 +305,8 @@ TraceBuffer read_trace_buffer_parallel(std::string_view text, int num_threads,
                   1);
           reserved = true;
         }
-        // If the extrapolation undershot (chunk 0 sparser than the rest), grow
-        // geometrically here — append_remapped's own reserve is exact-fit,
-        // which would otherwise reallocate the whole arrays on every
-        // remaining chunk.
-        const auto grow = [](auto& vec, std::size_t need) {
-          if (need > vec.capacity()) {
-            vec.reserve(std::max(need, vec.capacity() + vec.capacity() / 2));
-          }
-        };
         {
           AC_SPAN("parse.splice");
-          grow(out.records(), out.records().size() + partial[c].records().size());
-          grow(out.operands(), out.operands().size() + partial[c].operands().size());
           out.append_remapped(partial[c], remaps[c]);
         }
         partial[c] = TraceBuffer();  // release chunk memory as it is consumed

@@ -6,10 +6,6 @@
 
 namespace ac::trace {
 
-namespace {
-constexpr std::size_t kFlushThreshold = 1 << 20;  // 1 MiB write batches
-}
-
 TraceFormat parse_trace_format(const std::string& name) {
   if (name == "text") return TraceFormat::Text;
   if (name == "mctb") return TraceFormat::Mctb;
@@ -35,12 +31,16 @@ FileSink::~FileSink() {
   }
 }
 
+// Both overloads format straight into the batch buffer — no per-record
+// temporary string between the record and the 1 MiB write batches.
 void FileSink::append(const TraceRecord& rec) {
-  // Formats straight into the batch buffer — no per-record temporary string
-  // between the record and the 1 MiB write batches.
   rec.append_text(buffer_);
-  ++count_;
-  if (buffer_.size() >= kFlushThreshold) flush();
+  after_append();
+}
+
+void FileSink::append(const RecordView& rec) {
+  rec.append_text(buffer_);
+  after_append();
 }
 
 void FileSink::flush() {

@@ -1,6 +1,7 @@
-// Trace sinks. The VM emits TraceRecords through this interface; benchmarks
-// stream to a file (measuring trace size / generation time for Table II),
-// while tests and the fast analysis path keep records in memory.
+// Trace sinks. The VM emits RecordViews over its own symbol pool through this
+// interface (parsers and replays may append owning TraceRecords instead);
+// benchmarks stream to a file (measuring trace size / generation time for
+// Table II), while tests and the fast analysis path keep records in memory.
 #pragma once
 
 #include <cstdio>
@@ -27,6 +28,10 @@ class TraceSink {
  public:
   virtual ~TraceSink() = default;
   virtual void append(const TraceRecord& rec) = 0;
+  /// The VM's emission path: a packed record over the emitter's pool, valid
+  /// only for the duration of the call. By default it is materialized into
+  /// a TraceRecord; the interning and file sinks take it directly.
+  virtual void append(const RecordView& rec) { append(rec.materialize()); }
   /// Number of records written so far.
   virtual std::uint64_t count() const = 0;
   /// Make the stream durable and release resources early (otherwise the
@@ -41,6 +46,7 @@ class TraceSink {
 class NullSink final : public TraceSink {
  public:
   void append(const TraceRecord&) override { ++count_; }
+  void append(const RecordView&) override { ++count_; }
   std::uint64_t count() const override { return count_; }
 
  private:
@@ -50,6 +56,7 @@ class NullSink final : public TraceSink {
 /// Collects records in memory; the zero-copy input for the analysis.
 class MemorySink final : public TraceSink {
  public:
+  using TraceSink::append;
   void append(const TraceRecord& rec) override {
     records_.push_back(rec);
   }
@@ -68,6 +75,7 @@ class MemorySink final : public TraceSink {
 class BufferSink final : public TraceSink {
  public:
   void append(const TraceRecord& rec) override { buffer_.append(rec); }
+  void append(const RecordView& rec) override { buffer_.append(rec); }
   std::uint64_t count() const override { return buffer_.size(); }
 
   TraceBuffer& buffer() { return buffer_; }
@@ -85,6 +93,7 @@ class CallbackSink final : public TraceSink {
  public:
   using Fn = std::function<void(const TraceRecord&)>;
   explicit CallbackSink(Fn fn) : fn_(std::move(fn)) {}
+  using TraceSink::append;
 
   void append(const TraceRecord& rec) override {
     fn_(rec);
@@ -106,6 +115,7 @@ class FileSink final : public TraceSink {
   FileSink& operator=(const FileSink&) = delete;
 
   void append(const TraceRecord& rec) override;
+  void append(const RecordView& rec) override;
   std::uint64_t count() const override { return count_; }
 
   /// Bytes written so far (trace size column of Table II).
@@ -121,6 +131,11 @@ class FileSink final : public TraceSink {
   std::uint64_t bytes_ = 0;
 
   void flush();
+  void after_append() {
+    ++count_;
+    if (buffer_.size() >= kFlushThreshold) flush();
+  }
+  static constexpr std::size_t kFlushThreshold = 1 << 20;  // 1 MiB write batches
 };
 
 /// Writes the binary MCTB container (trace/mctb.hpp): records are interned
@@ -139,6 +154,7 @@ class MctbFileSink final : public TraceSink {
   MctbFileSink& operator=(const MctbFileSink&) = delete;
 
   void append(const TraceRecord& rec) override { buffer_.append(rec); }
+  void append(const RecordView& rec) override { buffer_.append(rec); }
   std::uint64_t count() const override { return buffer_.size(); }
 
   /// Container bytes written (0 until close()).

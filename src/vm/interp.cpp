@@ -10,8 +10,7 @@
 namespace ac::vm {
 
 using trace::Opcode;
-using trace::Operand;
-using trace::TraceRecord;
+using trace::OperandSlot;
 
 namespace {
 
@@ -34,29 +33,93 @@ Interpreter::Interpreter(const ir::Module& module) : module_(module) {
   for (const auto& g : module_.globals) {
     global_addr_.push_back(arena_.alloc_global(static_cast<std::uint64_t>(g.bytes())));
   }
+  // Site ids: each function's instructions, then its argument-binding
+  // stores; the global Allocas after all functions.
+  site_base_.reserve(module_.functions.size());
+  for (const auto& fn : module_.functions) {
+    site_base_.push_back(num_sites_);
+    num_sites_ += fn.instrs.size() + static_cast<std::size_t>(fn.num_params);
+  }
+  num_sites_ += module_.globals.size();
 }
 
-void Interpreter::emit(TraceRecord rec) {
-  rec.dyn_id = dyn_id_++;
+// ---------------------------------------------------------------------------
+// Trace emission
+// ---------------------------------------------------------------------------
+
+void Interpreter::step() {
   ++result_.steps;
   if (result_.steps > opts_->max_steps) throw VmError("step limit exceeded (runaway program?)");
-  if (opts_->sink) opts_->sink->append(rec);
+}
+
+void Interpreter::trace_begin(std::size_t site, std::string_view func, int line, Opcode opcode) {
+  site_ = &sites_[site];
+  building_ = !site_->built;
+  if (building_) {
+    // First traced execution: intern in pack_record's order — func, bb, then
+    // the operand names as trace_operand adds them.
+    trace::PackedRecord& rec = site_->rec;
+    rec.func = pool_.intern(func);
+    rec.bb = pool_.intern(strf("%d:0", line));
+    rec.line = line;
+    rec.opcode = opcode;
+    rec.op_offset = static_cast<std::uint32_t>(site_ops_.size());
+    rec.op_count = 0;
+  }
+  scratch_ops_.clear();
+}
+
+void Interpreter::trace_operand(OperandSlot slot, int index, bool is_reg,
+                                const OperandName& name, const Value& v) {
+  if (building_) {
+    trace::PackedOperand op;
+    op.name = name.number < 0 ? pool_.intern(name.text)
+                              : pool_.intern(strf("%s%ld", name.prefix, name.number));
+    op.index = index;
+    op.flags = trace::PackedOperand::pack_flags(slot, trace::ValueKind::Int, is_reg);
+    site_ops_.push_back(op);
+    ++site_->rec.op_count;
+  }
+  trace::PackedOperand op = site_ops_[site_->rec.op_offset + scratch_ops_.size()];
+  op.set_value(v);
+  scratch_ops_.push_back(op);
+}
+
+void Interpreter::trace_opnd(const Frame& f, const ir::Opnd& o, int index, const Value& v) {
+  const bool is_reg = o.kind == ir::Opnd::Kind::Reg || o.kind == ir::Opnd::Kind::Var;
+  trace_input(index, v, is_reg, opnd_name(f, o));
+}
+
+void Interpreter::trace_end() {
+  site_->built = true;
+  trace::PackedRecord rec = site_->rec;
+  rec.dyn_id = result_.steps - 1;
+  rec.op_offset = 0;
+  sink_->append(trace::RecordView(pool_, rec, scratch_ops_.data()));
+}
+
+Interpreter::OperandName Interpreter::opnd_name(const Frame& f, const ir::Opnd& o) const {
+  switch (o.kind) {
+    case ir::Opnd::Kind::Reg: return reg_name(o.reg);
+    case ir::Opnd::Kind::Var:
+      return {o.var_is_global ? module_.global(o.var_slot).name : f.fn->local(o.var_slot).name};
+    default: return {};
+  }
 }
 
 void Interpreter::emit_global_allocas() {
   // Globals appear in the trace as Alloca records in a synthetic "<global>"
   // function so the analysis can build its address map for them (the paper's
   // FT workaround depends on globals being visible; see DESIGN.md).
+  const std::size_t base = num_sites_ - module_.globals.size();
   for (std::size_t i = 0; i < module_.globals.size(); ++i) {
     const ir::VarInfo& g = module_.globals[i];
-    TraceRecord rec;
-    rec.line = g.decl_line;
-    rec.func = "<global>";
-    rec.bb = strf("%d:0", g.decl_line);
-    rec.opcode = Opcode::Alloca;
-    rec.operands.push_back(Operand::input(1, Value::make_int(g.bytes()), false, ""));
-    rec.operands.push_back(Operand::result(Value::make_addr(global_addr_[i]), g.name));
-    emit(std::move(rec));
+    step();
+    if (!sink_) continue;
+    trace_begin(base + i, "<global>", g.decl_line, Opcode::Alloca);
+    trace_input(1, Value::make_int(g.bytes()), false, {});
+    trace_result(Value::make_addr(global_addr_[i]), {g.name});
+    trace_end();
   }
 }
 
@@ -79,32 +142,16 @@ Value Interpreter::eval(const Frame& f, const ir::Opnd& o) const {
   throw VmError("evaluating empty operand");
 }
 
-std::string Interpreter::opnd_reg_name(const ir::Opnd& o) const {
-  switch (o.kind) {
-    case ir::Opnd::Kind::Reg: return strf("%d", o.reg);
-    case ir::Opnd::Kind::Var: {
-      const Frame& f = frames_.back();
-      return o.var_is_global ? module_.global(o.var_slot).name : f.fn->local(o.var_slot).name;
-    }
-    default: return "";
-  }
-}
-
-Operand Interpreter::opnd_to_trace(const Frame& f, const ir::Opnd& o, int index) const {
-  const Value v = eval(f, o);
-  const bool is_reg = o.kind == ir::Opnd::Kind::Reg || o.kind == ir::Opnd::Kind::Var;
-  return Operand::input(index, v, is_reg, opnd_reg_name(o));
-}
-
 // ---------------------------------------------------------------------------
 // Frame management
 // ---------------------------------------------------------------------------
 
 void Interpreter::push_frame(const ir::Function& fn, const std::vector<Value>& args,
-                             const std::vector<std::string>& arg_names, int pending_dst) {
+                             int pending_dst) {
   if (frames_.size() > 512) throw VmError("call stack overflow");
   Frame fr;
   fr.fn = &fn;
+  fr.site_base = site_base_[static_cast<std::size_t>(&fn - module_.functions.data())];
   fr.slot_addr.assign(fn.locals.size(), 0);
   fr.regs.assign(static_cast<std::size_t>(fn.num_regs), Value{});
   fr.pc = 0;
@@ -128,15 +175,12 @@ void Interpreter::push_frame(const ir::Function& fn, const std::vector<Value>& a
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::uint64_t addr = f.slot_addr[i];
     arena_.write(addr, args[i]);
-    TraceRecord rec;
-    rec.line = fn.decl_line;
-    rec.func = fn.name;
-    rec.bb = strf("%d:0", fn.decl_line);
-    rec.opcode = Opcode::Store;
-    rec.operands.push_back(Operand::input(1, args[i], true, arg_names[i]));
-    rec.operands.push_back(
-        Operand::input(2, Value::make_addr(addr), true, fn.locals[i].name));
-    emit(std::move(rec));
+    step();
+    if (!sink_) continue;
+    trace_begin(f.site_base + fn.instrs.size() + i, fn.name, fn.decl_line, Opcode::Store);
+    trace_input(1, args[i], true, {{}, "arg", static_cast<long>(i + 1)});
+    trace_input(2, Value::make_addr(addr), true, {fn.locals[i].name});
+    trace_end();
   }
 }
 
@@ -161,14 +205,12 @@ void Interpreter::exec_alloca(const ir::Instr& in) {
   f.slot_addr[static_cast<std::size_t>(in.var_slot)] = addr;
   result_.peak_memory = std::max(result_.peak_memory, arena_.peak_bytes());
 
-  TraceRecord rec;
-  rec.line = in.line;
-  rec.func = f.fn->name;
-  rec.bb = strf("%d:0", in.line);
-  rec.opcode = Opcode::Alloca;
-  rec.operands.push_back(Operand::input(1, Value::make_int(v.bytes()), false, ""));
-  rec.operands.push_back(Operand::result(Value::make_addr(addr), v.name));
-  emit(std::move(rec));
+  step();
+  if (!sink_) return;
+  trace_begin(instr_site(f, in), f.fn->name, in.line, Opcode::Alloca);
+  trace_input(1, Value::make_int(v.bytes()), false, {});
+  trace_result(Value::make_addr(addr), {v.name});
+  trace_end();
 }
 
 void Interpreter::exec_load(const ir::Instr& in) {
@@ -178,14 +220,12 @@ void Interpreter::exec_load(const ir::Instr& in) {
   const Value v = arena_.read(ptr.addr);
   f.regs.at(static_cast<std::size_t>(in.dst)) = v;
 
-  TraceRecord rec;
-  rec.line = in.line;
-  rec.func = f.fn->name;
-  rec.bb = strf("%d:0", in.line);
-  rec.opcode = Opcode::Load;
-  rec.operands.push_back(opnd_to_trace(f, in.a, 1));
-  rec.operands.push_back(Operand::result(v, strf("%d", in.dst)));
-  emit(std::move(rec));
+  step();
+  if (!sink_) return;
+  trace_begin(instr_site(f, in), f.fn->name, in.line, Opcode::Load);
+  trace_opnd(f, in.a, 1, ptr);
+  trace_result(v, reg_name(in.dst));
+  trace_end();
 }
 
 void Interpreter::exec_store(const ir::Instr& in) {
@@ -195,14 +235,12 @@ void Interpreter::exec_store(const ir::Instr& in) {
   if (!ptr.is_addr()) throw VmError("store through a non-pointer value");
   arena_.write(ptr.addr, v);
 
-  TraceRecord rec;
-  rec.line = in.line;
-  rec.func = f.fn->name;
-  rec.bb = strf("%d:0", in.line);
-  rec.opcode = Opcode::Store;
-  rec.operands.push_back(opnd_to_trace(f, in.a, 1));
-  rec.operands.push_back(opnd_to_trace(f, in.b, 2));
-  emit(std::move(rec));
+  step();
+  if (!sink_) return;
+  trace_begin(instr_site(f, in), f.fn->name, in.line, Opcode::Store);
+  trace_opnd(f, in.a, 1, v);
+  trace_opnd(f, in.b, 2, ptr);
+  trace_end();
 }
 
 void Interpreter::exec_gep(const ir::Instr& in) {
@@ -210,31 +248,27 @@ void Interpreter::exec_gep(const ir::Instr& in) {
   const Value base = eval(f, in.base);
   if (!base.is_addr()) throw VmError("gep on a non-pointer base");
   std::int64_t elem_offset = 0;
-  std::vector<Value> idx_values;
-  idx_values.reserve(in.indices.size());
   for (std::size_t i = 0; i < in.indices.size(); ++i) {
     const Value idx = eval(f, in.indices[i]);
     if (!idx.is_int()) throw VmError("non-integer array subscript");
-    idx_values.push_back(idx);
     elem_offset += idx.i * in.strides[i];
   }
   const std::uint64_t addr =
       base.addr + static_cast<std::uint64_t>(elem_offset) * kCellBytes;
   f.regs.at(static_cast<std::size_t>(in.dst)) = Value::make_addr(addr);
 
-  TraceRecord rec;
-  rec.line = in.line;
-  rec.func = f.fn->name;
-  rec.bb = strf("%d:0", in.line);
-  rec.opcode = Opcode::GetElementPtr;
-  rec.operands.push_back(opnd_to_trace(f, in.base, 1));
-  for (std::size_t i = 0; i < idx_values.size(); ++i) {
-    rec.operands.push_back(Operand::input(static_cast<int>(i) + 2, idx_values[i],
-                                          in.indices[i].kind == ir::Opnd::Kind::Reg,
-                                          opnd_reg_name(in.indices[i])));
+  step();
+  if (!sink_) return;
+  trace_begin(instr_site(f, in), f.fn->name, in.line, Opcode::GetElementPtr);
+  trace_opnd(f, in.base, 1, base);
+  for (std::size_t i = 0; i < in.indices.size(); ++i) {
+    // Re-evaluated rather than kept: operands are side-effect free, and
+    // untraced runs then need no index vector.
+    trace_input(static_cast<int>(i) + 2, eval(f, in.indices[i]),
+                in.indices[i].kind == ir::Opnd::Kind::Reg, opnd_name(f, in.indices[i]));
   }
-  rec.operands.push_back(Operand::result(Value::make_addr(addr), strf("%d", in.dst)));
-  emit(std::move(rec));
+  trace_result(Value::make_addr(addr), reg_name(in.dst));
+  trace_end();
 }
 
 void Interpreter::exec_bin(const ir::Instr& in) {
@@ -291,15 +325,13 @@ void Interpreter::exec_bin(const ir::Instr& in) {
   }
   f.regs.at(static_cast<std::size_t>(in.dst)) = out;
 
-  TraceRecord rec;
-  rec.line = in.line;
-  rec.func = f.fn->name;
-  rec.bb = strf("%d:0", in.line);
-  rec.opcode = bin_opcode(in.bin, in.is_float);
-  rec.operands.push_back(opnd_to_trace(f, in.a, 1));
-  rec.operands.push_back(opnd_to_trace(f, in.b, 2));
-  rec.operands.push_back(Operand::result(out, strf("%d", in.dst)));
-  emit(std::move(rec));
+  step();
+  if (!sink_) return;
+  trace_begin(instr_site(f, in), f.fn->name, in.line, bin_opcode(in.bin, in.is_float));
+  trace_opnd(f, in.a, 1, a);
+  trace_opnd(f, in.b, 2, b);
+  trace_result(out, reg_name(in.dst));
+  trace_end();
 }
 
 void Interpreter::exec_cast(const ir::Instr& in) {
@@ -313,43 +345,39 @@ void Interpreter::exec_cast(const ir::Instr& in) {
   }
   f.regs.at(static_cast<std::size_t>(in.dst)) = out;
 
-  TraceRecord rec;
-  rec.line = in.line;
-  rec.func = f.fn->name;
-  rec.bb = strf("%d:0", in.line);
-  rec.opcode = in.cast == ir::CastKind::SiToFp ? Opcode::SIToFP : Opcode::FPToSI;
-  rec.operands.push_back(opnd_to_trace(f, in.a, 1));
-  rec.operands.push_back(Operand::result(out, strf("%d", in.dst)));
-  emit(std::move(rec));
+  step();
+  if (!sink_) return;
+  trace_begin(instr_site(f, in), f.fn->name, in.line,
+              in.cast == ir::CastKind::SiToFp ? Opcode::SIToFP : Opcode::FPToSI);
+  trace_opnd(f, in.a, 1, a);
+  trace_result(out, reg_name(in.dst));
+  trace_end();
 }
 
 void Interpreter::exec_br(const ir::Instr& in) {
   Frame& f = top();
 
   if (in.kind == ir::IKind::Jmp) {
-    TraceRecord rec;
-    rec.line = in.line;
-    rec.func = f.fn->name;
-    rec.bb = strf("%d:0", in.line);
-    rec.opcode = Opcode::Br;
-    emit(std::move(rec));
+    step();
+    if (sink_) {
+      trace_begin(instr_site(f, in), f.fn->name, in.line, Opcode::Br);
+      trace_end();
+    }
     f.pc = in.t_true;
     return;
   }
 
   // Conditional branch at the MCL header line == an iteration boundary.
-  const bool is_header = opts_->mcl && f.fn->name == opts_->mcl->function &&
-                         in.line == opts_->mcl->begin_line;
+  const bool is_header = f.fn == mcl_fn_ && in.line == mcl_line_;
   if (is_header) on_header_evaluation();
 
   const Value cond = eval(f, in.a);
-  TraceRecord rec;
-  rec.line = in.line;
-  rec.func = f.fn->name;
-  rec.bb = strf("%d:0", in.line);
-  rec.opcode = Opcode::Br;
-  rec.operands.push_back(opnd_to_trace(f, in.a, 1));
-  emit(std::move(rec));
+  step();
+  if (sink_) {
+    trace_begin(instr_site(f, in), f.fn->name, in.line, Opcode::Br);
+    trace_opnd(f, in.a, 1, cond);
+    trace_end();
+  }
 
   const bool taken =
       cond.is_float() ? cond.f != 0.0 : (cond.is_addr() ? cond.addr != 0 : cond.i != 0);
@@ -360,109 +388,104 @@ void Interpreter::exec_br(const ir::Instr& in) {
 void Interpreter::exec_call(const ir::Instr& in) {
   Frame& f = top();
   std::vector<Value> args;
-  std::vector<std::string> arg_names;
   args.reserve(in.args.size());
-  for (const auto& a : in.args) {
-    args.push_back(eval(f, a));
-    arg_names.push_back(opnd_reg_name(a));
-  }
+  for (const auto& a : in.args) args.push_back(eval(f, a));
 
-  TraceRecord rec;
-  rec.line = in.line;
-  rec.func = f.fn->name;
-  rec.bb = strf("%d:0", in.line);
-  rec.opcode = Opcode::Call;
-  rec.operands.push_back(Operand::callee(in.callee));
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    rec.operands.push_back(Operand::input(static_cast<int>(i) + 1, args[i],
-                                          in.args[i].kind != ir::Opnd::Kind::ImmI &&
-                                              in.args[i].kind != ir::Opnd::Kind::ImmF,
-                                          arg_names[i]));
-  }
+  // Callee row plus one input row per argument — the head both call forms
+  // of Fig. 6 share.
+  const auto trace_head = [&] {
+    trace_begin(instr_site(f, in), f.fn->name, in.line, Opcode::Call);
+    trace_operand(OperandSlot::Callee, 0, false, {in.callee}, Value::make_addr(0));
+    for (std::size_t i = 0; i < args.size(); ++i) {
+      const ir::Opnd& a = in.args[i];
+      trace_input(static_cast<int>(i) + 1, args[i],
+                  a.kind != ir::Opnd::Kind::ImmI && a.kind != ir::Opnd::Kind::ImmF,
+                  opnd_name(f, a));
+    }
+  };
 
   if (in.is_builtin) {
-    bool has_result = false;
-    const Value ret = run_builtin(in.callee, args, has_result);
-    if (has_result) {
+    const std::optional<Value> ret = run_builtin(in, args);
+    if (ret) {
       AC_CHECK(in.dst >= 0, "builtin result dropped");
-      f.regs.at(static_cast<std::size_t>(in.dst)) = ret;
-      rec.operands.push_back(Operand::result(ret, strf("%d", in.dst)));
+      f.regs.at(static_cast<std::size_t>(in.dst)) = *ret;
     }
-    emit(std::move(rec));
+    step();
+    if (!sink_) return;
+    trace_head();
+    if (ret) trace_result(*ret, reg_name(in.dst));
+    trace_end();
     return;
   }
 
-  const ir::Function* callee = module_.find_function(in.callee);
-  AC_CHECK(callee != nullptr, "call to unknown function " + in.callee);
+  AC_CHECK(in.callee_index >= 0 &&
+               static_cast<std::size_t>(in.callee_index) < module_.functions.size(),
+           "call to unknown function " + in.callee);
+  const ir::Function& callee = module_.functions[static_cast<std::size_t>(in.callee_index)];
 
   // Call form 2 (Fig. 6(b)): argument operands followed by parameter
   // indicator rows binding each argument value to the formal parameter name,
   // plus a result placeholder naming the destination register (see DESIGN.md).
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    rec.operands.push_back(Operand::param(args[i], callee->locals[i].name));
+  step();
+  if (sink_) {
+    trace_head();
+    for (std::size_t i = 0; i < args.size(); ++i) {
+      trace_operand(OperandSlot::Param, 0, true, {callee.locals[i].name}, args[i]);
+    }
+    if (in.dst >= 0) trace_result(Value::make_int(0), reg_name(in.dst));
+    trace_end();
   }
-  if (in.dst >= 0) {
-    rec.operands.push_back(Operand::result(Value::make_int(0), strf("%d", in.dst)));
-  }
-  emit(std::move(rec));
 
-  // Rename arguments for the callee's binding stores: inside the callee the
-  // incoming values are registers arg1..argN.
-  std::vector<std::string> incoming;
-  for (std::size_t i = 0; i < args.size(); ++i) incoming.push_back(strf("arg%zu", i + 1));
-  push_frame(*callee, args, incoming, in.dst);
+  // Inside the callee the incoming values are registers arg1..argN (the
+  // binding stores push_frame traces).
+  push_frame(callee, args, in.dst);
 }
 
-Value Interpreter::run_builtin(const std::string& name, const std::vector<Value>& args,
-                               bool& has_result) {
-  has_result = true;
+std::optional<Value> Interpreter::run_builtin(const ir::Instr& in,
+                                              const std::vector<Value>& args) {
   auto f1 = [&](double (*fn)(double)) { return Value::make_float(fn(args.at(0).as_f64())); };
-  if (name == "sqrt") return f1(std::sqrt);
-  if (name == "fabs") return f1(std::fabs);
-  if (name == "exp") return f1(std::exp);
-  if (name == "log") return f1(std::log);
-  if (name == "sin") return f1(std::sin);
-  if (name == "cos") return f1(std::cos);
-  if (name == "floor") return f1(std::floor);
-  if (name == "pow") return Value::make_float(std::pow(args.at(0).as_f64(), args.at(1).as_f64()));
-  if (name == "timer") {
-    // Deterministic monotonically increasing pseudo-time, so benchmarks that
-    // accumulate timers (HPCCG's t1..t3, miniAMR's timer block) reproduce
-    // bit-identical traces on every run.
-    timer_counter_ += 0.001;
-    return Value::make_float(timer_counter_);
+  switch (in.builtin) {
+    case ir::Builtin::Sqrt: return f1(std::sqrt);
+    case ir::Builtin::Fabs: return f1(std::fabs);
+    case ir::Builtin::Exp: return f1(std::exp);
+    case ir::Builtin::Log: return f1(std::log);
+    case ir::Builtin::Sin: return f1(std::sin);
+    case ir::Builtin::Cos: return f1(std::cos);
+    case ir::Builtin::Floor: return f1(std::floor);
+    case ir::Builtin::Pow:
+      return Value::make_float(std::pow(args.at(0).as_f64(), args.at(1).as_f64()));
+    case ir::Builtin::Timer:
+      // Deterministic monotonically increasing pseudo-time, so benchmarks that
+      // accumulate timers (HPCCG's t1..t3, miniAMR's timer block) reproduce
+      // bit-identical traces on every run.
+      timer_counter_ += 0.001;
+      return Value::make_float(timer_counter_);
+    case ir::Builtin::PrintInt:
+      result_.output += strf("%" PRId64 "\n", args.at(0).as_i64());
+      return std::nullopt;
+    case ir::Builtin::PrintFloat:
+      result_.output += strf("%.6f\n", args.at(0).as_f64());
+      return std::nullopt;
   }
-  if (name == "print_int") {
-    result_.output += strf("%" PRId64 "\n", args.at(0).as_i64());
-    has_result = false;
-    return Value{};
-  }
-  if (name == "print_float") {
-    result_.output += strf("%.6f\n", args.at(0).as_f64());
-    has_result = false;
-    return Value{};
-  }
-  throw VmError("unknown builtin: " + name);
+  throw VmError("unknown builtin: " + in.callee);
 }
 
 void Interpreter::exec_ret(const ir::Instr& in) {
   Frame& f = top();
-  TraceRecord rec;
-  rec.line = in.line;
-  rec.func = f.fn->name;
-  rec.bb = strf("%d:0", in.line);
-  rec.opcode = Opcode::Ret;
-
-  if (!in.a.is_none()) {
-    const Value v = eval(f, in.a);
-    rec.operands.push_back(opnd_to_trace(f, in.a, 1));
-    emit(std::move(rec));
-    if (frames_.size() == 1) result_.exit_code = v.as_i64();
-    pop_frame(&v);
-  } else {
-    emit(std::move(rec));
-    pop_frame(nullptr);
+  const bool has_value = !in.a.is_none();
+  const Value v = has_value ? eval(f, in.a) : Value{};
+  step();
+  if (sink_) {
+    trace_begin(instr_site(f, in), f.fn->name, in.line, Opcode::Ret);
+    if (has_value) trace_opnd(f, in.a, 1, v);
+    trace_end();
   }
+  if (!has_value) {
+    pop_frame(nullptr);
+    return;
+  }
+  if (frames_.size() == 1) result_.exit_code = v.as_i64();
+  pop_frame(&v);
 }
 
 void Interpreter::exec_instr(const ir::Instr& in) {
@@ -590,12 +613,16 @@ RunResult Interpreter::run(const RunOptions& opts) {
   AC_SPAN("vm.run");
   opts_ = &opts;
   result_ = RunResult{};
+  sink_ = opts.sink;
+  if (sink_) sites_.assign(num_sites_, SiteTemplate{});
+  mcl_fn_ = opts.mcl ? module_.find_function(opts.mcl->function) : nullptr;
+  mcl_line_ = opts.mcl ? opts.mcl->begin_line : 0;
   const ir::Function* main_fn = module_.find_function("main");
   if (!main_fn) throw VmError("module has no main()");
   if (main_fn->num_params != 0) throw VmError("main() must take no parameters");
 
   emit_global_allocas();
-  push_frame(*main_fn, {}, {}, -1);
+  push_frame(*main_fn, {}, -1);
 
   try {
     while (!frames_.empty()) {
@@ -609,9 +636,8 @@ RunResult Interpreter::run(const RunOptions& opts) {
       // the condition loads, so the restored induction value governs whether
       // the loop body runs at all. This is the paper's "reading checkpoints
       // ... right before the main computation loop" insertion point (§II-B).
-      if (opts_->restore && !restored_ && opts_->mcl && f.fn->name == opts_->mcl->function &&
-          in.line == opts_->mcl->begin_line && in.kind != ir::IKind::Store &&
-          in.kind != ir::IKind::Alloca) {
+      if (opts_->restore && !restored_ && f.fn == mcl_fn_ && in.line == mcl_line_ &&
+          in.kind != ir::IKind::Store && in.kind != ir::IKind::Alloca) {
         apply_restore(*opts_->restore);
         restored_ = true;
       }

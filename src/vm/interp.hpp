@@ -1,6 +1,16 @@
 // The tracing interpreter: executes a mini-IR module and emits a dynamic
 // instruction execution trace in the LLVM-Tracer block format.
 //
+// Emission model: every static record site — one per (function,
+// instruction), one per (function, parameter) for the argument-binding
+// stores, one per global Alloca — gets a template on its first traced
+// execution. The template holds the record's static part (func and bb ids,
+// opcode, each operand's slot, index, is_reg flag and name id), interned into
+// the interpreter's SymbolPool in pack_record's order. Every later execution
+// copies the template into a reused scratch record, fills in the operand
+// values and dyn_id, and hands the sink a RecordView. Without a sink nothing
+// of a record is built: the dispatch loop only counts steps.
+//
 // Besides plain execution it provides the three capabilities the paper's
 // validation methodology needs (§VI-B):
 //   * main-computation-loop (MCL) iteration tracking — a conditional branch
@@ -101,6 +111,7 @@ class Interpreter {
  private:
   struct Frame {
     const ir::Function* fn = nullptr;
+    std::size_t site_base = 0;  // trace site id of fn's first instruction
     std::vector<std::uint64_t> slot_addr;
     std::vector<Value> regs;
     int pc = 0;
@@ -114,8 +125,9 @@ class Interpreter {
   std::vector<Frame> frames_;
   const RunOptions* opts_ = nullptr;
   RunResult result_;
-  std::uint64_t dyn_id_ = 0;
   double timer_counter_ = 0.0;
+  const ir::Function* mcl_fn_ = nullptr;  // MCL host function, resolved once per run
+  int mcl_line_ = 0;
   int iteration_ = 0;      // completed header evaluations
   bool restored_ = false;
   // Engine registrations bound once at the first iteration boundary — the
@@ -123,18 +135,57 @@ class Interpreter {
   std::vector<ckpt::ProtectedRegion> engine_regions_;
   bool engine_regions_bound_ = false;
 
+  // Trace emission (see the file comment).
+  struct SiteTemplate {
+    trace::PackedRecord rec;  // op_offset/op_count index site_ops_
+    bool built = false;
+  };
+  /// A trace operand name: `text`, or `prefix` + `number` when number >= 0
+  /// ("7" for register 7, "arg2"). Formatted only when a template is built.
+  struct OperandName {
+    std::string_view text;
+    const char* prefix = "";
+    long number = -1;
+  };
+  static OperandName reg_name(int reg) { return {{}, "", reg}; }
+
+  trace::TraceSink* sink_ = nullptr;  // opts_->sink
+  trace::SymbolPool pool_;
+  std::vector<std::size_t> site_base_;  // per function: its first site id
+  std::size_t num_sites_ = 0;           // globals' sites come last
+  std::vector<SiteTemplate> sites_;
+  std::vector<trace::PackedOperand> site_ops_;
+  SiteTemplate* site_ = nullptr;  // the record being emitted
+  bool building_ = false;         // ... on its site's first traced execution
+  std::vector<trace::PackedOperand> scratch_ops_;
+
   Frame& top() { return frames_.back(); }
 
-  void emit(trace::TraceRecord rec);
+  /// Count one dynamic instruction (dyn_id == steps - 1); enforces max_steps.
+  void step();
+  std::size_t instr_site(const Frame& f, const ir::Instr& in) const {
+    return f.site_base + static_cast<std::size_t>(&in - f.fn->instrs.data());
+  }
+  void trace_begin(std::size_t site, std::string_view func, int line, trace::Opcode opcode);
+  void trace_operand(trace::OperandSlot slot, int index, bool is_reg, const OperandName& name,
+                     const Value& v);
+  void trace_input(int index, const Value& v, bool is_reg, const OperandName& name) {
+    trace_operand(trace::OperandSlot::Input, index, is_reg, name, v);
+  }
+  void trace_result(const Value& v, const OperandName& name) {
+    trace_operand(trace::OperandSlot::Result, 0, true, name, v);
+  }
+  /// An IR operand as input `index`: registers and variables are named.
+  void trace_opnd(const Frame& f, const ir::Opnd& o, int index, const Value& v);
+  void trace_end();
+  OperandName opnd_name(const Frame& f, const ir::Opnd& o) const;
+
   void emit_global_allocas();
 
   Value eval(const Frame& f, const ir::Opnd& o) const;
   std::uint64_t slot_address(const Frame& f, int slot, bool is_global) const;
-  std::string opnd_reg_name(const ir::Opnd& o) const;
-  trace::Operand opnd_to_trace(const Frame& f, const ir::Opnd& o, int index) const;
 
-  void push_frame(const ir::Function& fn, const std::vector<Value>& args,
-                  const std::vector<std::string>& arg_names, int pending_dst);
+  void push_frame(const ir::Function& fn, const std::vector<Value>& args, int pending_dst);
   void pop_frame(const Value* ret_value);
 
   void exec_instr(const ir::Instr& in);
@@ -148,7 +199,8 @@ class Interpreter {
   void exec_call(const ir::Instr& in);
   void exec_ret(const ir::Instr& in);
 
-  Value run_builtin(const std::string& name, const std::vector<Value>& args, bool& has_result);
+  /// The builtin's result, or nullopt for the print builtins.
+  std::optional<Value> run_builtin(const ir::Instr& in, const std::vector<Value>& args);
 
   // MCL instrumentation at a conditional header-line branch.
   void on_header_evaluation();

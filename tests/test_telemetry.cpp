@@ -244,11 +244,19 @@ TEST(TelemetryPipeline, ParseAndClassifyMetricsPinToGroundTruth) {
 }
 
 TEST(TelemetryPipeline, VmInstructionCounterMatchesRunResult) {
+  // Untraced runs build no records but count every instruction all the same.
   TelemetryReset guard;
-  const vm::RunResult run = test::run_source(test::fig4_source());
-  EXPECT_GT(run.steps, 0u);
+  const vm::RunResult untraced = test::run_source(test::fig4_source());
+  EXPECT_GT(untraced.steps, 0u);
   EXPECT_EQ(metrics().counter_value("vm.instructions"),
-            static_cast<std::uint64_t>(run.steps));
+            static_cast<std::uint64_t>(untraced.steps));
+
+  trace::NullSink sink;
+  const vm::RunResult traced = test::run_source(test::fig4_source(), &sink);
+  EXPECT_EQ(traced.steps, untraced.steps);
+  EXPECT_EQ(sink.count(), traced.steps);
+  EXPECT_EQ(metrics().counter_value("vm.instructions"),
+            static_cast<std::uint64_t>(untraced.steps + traced.steps));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // output across all 14 mini-app traces, serial and parallel.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <thread>
 
 #include "analysis/session.hpp"
@@ -170,6 +171,71 @@ TEST(TraceBuffer, AppendBufferRemapsSymbols) {
   EXPECT_EQ(a.view(0).func(), "kernel");
   EXPECT_EQ(a.view(1).func(), "other_fn");
   EXPECT_EQ(a.view(1).to_text(), other.to_text());
+}
+
+TEST(TraceBuffer, ViewAppendMatchesMaterializedAppend) {
+  // Views over foreign pools — including a second source pool living at a
+  // dead one's address — must land exactly like their materialized records:
+  // same records, same operands, same pool ids in the same order.
+  std::vector<TraceRecord> recs;
+  for (int i = 0; i < 6; ++i) {
+    TraceRecord r = sample_record();
+    r.dyn_id = static_cast<std::uint64_t>(i);
+    r.func = i % 2 ? "kernel" : "other_fn";
+    r.operands[i % 3].name = strf("n%d", i % 4);
+    r.operands[(i + 1) % 3].name.clear();
+    recs.push_back(r);
+  }
+  TraceBuffer via_view, via_record;
+  std::optional<TraceBuffer> source;
+  for (int pass = 0; pass < 2; ++pass) {
+    source.emplace();
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+      // The second source interns in reverse order: a different id space.
+      source->append(recs[pass == 0 ? i : recs.size() - 1 - i]);
+    }
+    for (std::size_t i = 0; i < source->size(); ++i) {
+      via_view.append(source->view(i));
+      via_record.append(source->view(i).materialize());
+    }
+    source.reset();
+  }
+  ASSERT_EQ(via_view.size(), via_record.size());
+  ASSERT_EQ(via_view.pool().size(), via_record.pool().size());
+  for (std::uint32_t id = 0; id < via_view.pool().size(); ++id) {
+    EXPECT_EQ(via_view.pool().view(id), via_record.pool().view(id));
+  }
+  ASSERT_EQ(via_view.operands().size(), via_record.operands().size());
+  for (std::size_t i = 0; i < via_view.operands().size(); ++i) {
+    EXPECT_EQ(via_view.operands()[i].name, via_record.operands()[i].name);
+    EXPECT_EQ(via_view.operands()[i].raw, via_record.operands()[i].raw);
+    EXPECT_EQ(via_view.operands()[i].flags, via_record.operands()[i].flags);
+  }
+  for (std::size_t i = 0; i < via_view.size(); ++i) {
+    EXPECT_EQ(via_view.records()[i].func, via_record.records()[i].func);
+    EXPECT_EQ(via_view.view(i).to_text(), via_record.view(i).to_text());
+  }
+}
+
+TEST(TraceBuffer, ChunkAppendsReallocateLogarithmically) {
+  // A daemon connection appends one decoded chunk per frame; exact-fit
+  // growth would copy the whole accumulated buffer on every chunk.
+  TraceBuffer chunk;
+  for (int i = 0; i < 10; ++i) chunk.append(sample_record());
+  TraceBuffer merged;
+  constexpr int kChunks = 1000;
+  int record_reallocs = 0, operand_reallocs = 0;
+  for (int k = 0; k < kChunks; ++k) {
+    const std::size_t rec_cap = merged.records().capacity();
+    const std::size_t op_cap = merged.operands().capacity();
+    merged.append_buffer(chunk);
+    record_reallocs += merged.records().capacity() != rec_cap;
+    operand_reallocs += merged.operands().capacity() != op_cap;
+  }
+  EXPECT_EQ(merged.size(), 10u * kChunks);
+  // log_1.5(1000) ~ 17.
+  EXPECT_LE(record_reallocs, 20);
+  EXPECT_LE(operand_reallocs, 20);
 }
 
 // --- parser equivalence -----------------------------------------------------

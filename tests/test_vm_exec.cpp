@@ -177,6 +177,42 @@ int main() {
   EXPECT_EQ(r.output, "4.000000\n2.500000\n1024.000000\n3.000000\n");
 }
 
+TEST(VmExec, UnknownBuiltinIsATypedError) {
+  ir::Module module = minic::compile("int main() { print_int(1); return 0; }");
+  ir::Instr* call = nullptr;
+  for (auto& in : module.functions[0].instrs) {
+    if (in.kind == ir::IKind::Call) call = &in;
+  }
+  ASSERT_NE(call, nullptr);
+  ASSERT_TRUE(call->is_builtin);
+  EXPECT_EQ(call->builtin, ir::Builtin::PrintInt);
+  call->builtin = static_cast<ir::Builtin>(ir::kNumBuiltins);  // no such builtin
+  EXPECT_THROW(ir::verify_module(module), Error);
+  const auto expect_vm_error = [&](trace::TraceSink* sink) {
+    RunOptions opts;
+    opts.sink = sink;
+    try {
+      run_module(module, opts);
+      ADD_FAILURE() << "unknown builtin executed";
+    } catch (const VmError& e) {
+      EXPECT_STREQ(e.what(), "vm: unknown builtin: print_int");
+    }
+  };
+  expect_vm_error(nullptr);
+  trace::NullSink traced;
+  expect_vm_error(&traced);
+}
+
+TEST(VmExec, BuiltinListNamesEveryBuiltin) {
+  for (std::size_t i = 0; i < ir::kNumBuiltins; ++i) {
+    const auto b = static_cast<ir::Builtin>(i);
+    ASSERT_FALSE(ir::builtin_name(b).empty());
+    EXPECT_EQ(ir::find_builtin(ir::builtin_name(b)), b);
+  }
+  EXPECT_EQ(ir::find_builtin("printf"), std::nullopt);
+  EXPECT_THROW(minic::compile("int main() { printf(1); return 0; }"), CompileError);
+}
+
 TEST(VmExec, DeterministicTimer) {
   auto a = run_source("int main() { print_float(timer()); print_float(timer()); return 0; }");
   auto b = run_source("int main() { print_float(timer()); print_float(timer()); return 0; }");

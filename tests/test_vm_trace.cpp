@@ -1,9 +1,18 @@
 // The VM's emitted trace must follow the LLVM-Tracer block conventions the
 // paper's figures document: -O0 Load/Store shapes, Alloca records with the
 // variable name on the result row, both Call forms of Fig. 6, and
-// argument-binding stores inside callees.
+// argument-binding stores inside callees. Every sink must reproduce the
+// golden per-app digests, and untraced runs must execute like traced ones.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <map>
+
+#include "apps/app.hpp"
+#include "support/crc32.hpp"
+#include "support/error.hpp"
+#include "support/strings.hpp"
+#include "trace/mctb.hpp"
 #include "trace/reader.hpp"
 #include "trace/writer.hpp"
 #include "vm/interp.hpp"
@@ -196,6 +205,158 @@ int main() {
     EXPECT_EQ(parsed[i].func, recs[i].func);
     EXPECT_EQ(parsed[i].line, recs[i].line);
     EXPECT_EQ(parsed[i].operands.size(), recs[i].operands.size());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Golden digests: every sink must reproduce the same trace bytes and the same
+// symbol-pool order for all 14 apps, pinned by tests/golden/vm_trace_digests.txt.
+// ---------------------------------------------------------------------------
+
+struct TraceDigest {
+  std::uint64_t records = 0;
+  std::uint64_t operands = 0;
+  std::uint64_t symbols = 0;
+  std::uint32_t text_crc = 0;
+  std::uint32_t pool_crc = 0;
+  std::uint64_t steps = 0;
+  std::uint32_t output_crc = 0;
+
+  std::string line(const std::string& app) const {
+    return strf("%s records=%llu operands=%llu symbols=%llu text_crc=%08x pool_crc=%08x "
+                "steps=%llu output_crc=%08x",
+                app.c_str(), static_cast<unsigned long long>(records),
+                static_cast<unsigned long long>(operands),
+                static_cast<unsigned long long>(symbols), text_crc, pool_crc,
+                static_cast<unsigned long long>(steps), output_crc);
+  }
+};
+
+std::uint32_t crc_of(std::string_view s, std::uint32_t seed = 0) {
+  return crc32(s.data(), s.size(), seed);
+}
+
+/// Records, operands, text and pool digests of an interned buffer.
+TraceDigest digest_buffer(const trace::TraceBuffer& buf) {
+  TraceDigest d;
+  d.records = buf.size();
+  d.operands = buf.operands().size();
+  d.symbols = buf.pool().size();
+  for (std::size_t i = 0; i < buf.size(); ++i) d.text_crc = crc_of(buf.view(i).to_text(), d.text_crc);
+  for (std::uint32_t id = 0; id < buf.pool().size(); ++id) {
+    d.pool_crc = crc_of(buf.pool().view(id), d.pool_crc);
+    d.pool_crc = crc_of(std::string_view("\0", 1), d.pool_crc);
+  }
+  return d;
+}
+
+void set_run(TraceDigest& d, const RunResult& run) {
+  d.steps = run.steps;
+  d.output_crc = crc_of(run.output);
+}
+
+RunResult run_app(const ir::Module& module, trace::TraceSink* sink) {
+  RunOptions opts;
+  opts.sink = sink;
+  return run_module(module, opts);
+}
+
+std::map<std::string, std::string> load_golden() {
+  std::ifstream in(std::string(AC_TEST_SOURCE_DIR) + "/golden/vm_trace_digests.txt");
+  std::map<std::string, std::string> out;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    out[line.substr(0, line.find(' '))] = line;
+  }
+  return out;
+}
+
+TEST(VmTraceGolden, EverySinkMatchesTheDigests) {
+  const auto golden = load_golden();
+  std::string computed;  // the full file, printed on any mismatch
+  for (const apps::App& app : apps::registry()) {
+    SCOPED_TRACE(app.name);
+    const ir::Module module = minic::compile(app.source());
+
+    trace::BufferSink buffer_sink;
+    const RunResult buffered_run = run_app(module, &buffer_sink);
+    TraceDigest buffered = digest_buffer(buffer_sink.buffer());
+    set_run(buffered, buffered_run);
+    const std::string want = buffered.line(app.name);
+    computed += want + "\n";
+    const auto it = golden.find(app.name);
+    EXPECT_TRUE(it != golden.end() && it->second == want) << want;
+
+    // Text file: the same bytes the buffer renders.
+    const std::string text_path = testing::TempDir() + "/ac_golden_" + app.name + ".trace";
+    {
+      trace::FileSink file_sink(text_path);
+      run_app(module, &file_sink);
+      file_sink.close();
+      EXPECT_EQ(file_sink.count(), buffered.records);
+    }
+    EXPECT_EQ(crc_of(trace::read_file_bytes(text_path)), buffered.text_crc);
+    std::remove(text_path.c_str());
+
+    // MCTB container, read back.
+    const std::string mctb_path = testing::TempDir() + "/ac_golden_" + app.name + ".mctb";
+    RunResult mctb_run;
+    {
+      trace::MctbFileSink mctb_sink(mctb_path);
+      mctb_run = run_app(module, &mctb_sink);
+      mctb_sink.close();
+    }
+    TraceDigest mctb = digest_buffer(trace::read_mctb(trace::read_file_bytes(mctb_path)));
+    set_run(mctb, mctb_run);
+    EXPECT_EQ(mctb.line(app.name), want);
+    std::remove(mctb_path.c_str());
+
+    // Owning records, packed afterwards.
+    MemorySink memory_sink;
+    const RunResult run = run_app(module, &memory_sink);
+    trace::TraceBuffer packed;
+    for (const TraceRecord& r : memory_sink.records()) packed.append(r);
+    TraceDigest memory = digest_buffer(packed);
+    set_run(memory, run);
+    std::uint32_t record_text_crc = 0;
+    for (const TraceRecord& r : memory_sink.records()) record_text_crc = crc_of(r.to_text(), record_text_crc);
+    EXPECT_EQ(record_text_crc, buffered.text_crc);
+    EXPECT_EQ(memory.line(app.name), want);
+  }
+  if (HasFailure()) std::printf("computed digests:\n%s", computed.c_str());
+}
+
+// Untraced runs build no records, but must execute exactly the same program.
+TEST(VmTraceUntraced, MatchesTracedRunOnAllApps) {
+  for (const apps::App& app : apps::registry()) {
+    SCOPED_TRACE(app.name);
+    const ir::Module module = minic::compile(app.source());
+    const analysis::MclRegion region = app.mcl();
+    RunOptions opts;
+    opts.mcl = MclRegion{region.function, region.begin_line, region.end_line};
+
+    const RunResult untraced = run_module(module, opts);
+    trace::BufferSink sink;
+    opts.sink = &sink;
+    const RunResult traced = run_module(module, opts);
+    EXPECT_EQ(untraced.steps, traced.steps);
+    EXPECT_EQ(untraced.output, traced.output);
+    EXPECT_EQ(untraced.exit_code, traced.exit_code);
+    EXPECT_EQ(untraced.iterations_started, traced.iterations_started);
+    EXPECT_GT(untraced.iterations_started, 1);
+    EXPECT_EQ(untraced.peak_memory, traced.peak_memory);
+    EXPECT_EQ(sink.count(), traced.steps);
+
+    // The step limit fires at the same instruction in both modes; the
+    // record that crossed it is never emitted.
+    opts.max_steps = traced.steps / 2;
+    opts.sink = nullptr;
+    EXPECT_THROW(run_module(module, opts), VmError);
+    trace::BufferSink limited;
+    opts.sink = &limited;
+    EXPECT_THROW(run_module(module, opts), VmError);
+    EXPECT_EQ(limited.count(), opts.max_steps);
   }
 }
 
