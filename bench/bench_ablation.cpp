@@ -3,7 +3,7 @@
 //      literal name+address matching with callee bypass (§V-B): shows the
 //      FT-style global-variable blind spot the paper worked around manually.
 //   B. Pipeline variants — in-memory batch, trace file (serial parse), trace
-//      file (OpenMP parse), and the streaming two-pass mode (§IX future
+//      file (parallel parse), and the streaming two-pass mode (§IX future
 //      work): same verdicts, different costs.
 //   C. Complete-DDG construction on/off — the DDG is for reporting; the
 //      event stream alone carries classification.
@@ -37,7 +37,7 @@ int main() {
   TextTable mli_table({"Name", "MLI (address)", "MLI (paper)", "Verdicts agree"});
   for (const auto& app : apps::registry()) {
     const apps::AnalysisRun addr = apps::analyze_app(app);
-    analysis::AutoCheckOptions paper;
+    analysis::AnalysisOptions paper;
     paper.mli_mode = analysis::MliMode::PaperNameMatch;
     const apps::AnalysisRun named = apps::analyze_app(app, {}, paper);
     const bool agree = verdicts(addr.report) == verdicts(named.report);
@@ -62,10 +62,9 @@ int main() {
         apps::analyze_app_via_file(app, params, "/tmp/ac_ablation_cg.trace");
     const double file_s = t.seconds();
 
-    // Ablate only the §V-A parallel read (read_threads, not threads, so the
-    // sharded classification stays off and the variants differ in one knob).
+    // Ablate only the §V-A parallel read: the variants differ in one knob.
     analysis::AnalysisOptions par;
-    par.read_threads = analysis::default_thread_count();
+    par.threads = analysis::default_thread_count();
     t.reset();
     const apps::FileAnalysisRun file_parallel =
         apps::analyze_app_via_file(app, params, "/tmp/ac_ablation_cg_p.trace", par);
@@ -83,7 +82,7 @@ int main() {
     table.add_row({"in-memory batch", strf("%.3f", batch_s), "records held in RAM"});
     table.add_row({"trace file, serial parse", strf("%.3f", file_s),
                    strf("%s on disk", human_bytes(file_serial.trace_bytes).c_str())});
-    table.add_row({"trace file, OpenMP parse", strf("%.3f", file_p), "paper V.A optimization"});
+    table.add_row({"trace file, parallel parse", strf("%.3f", file_p), "paper V.A optimization"});
     table.add_row({"streaming (2 VM passes)", strf("%.3f", stream_s),
                    "no trace materialized (paper IX)"});
     std::printf("%sAll variants produce identical verdicts: %s\n\n", table.render().c_str(),
@@ -94,8 +93,8 @@ int main() {
   std::printf("=== C. Complete-DDG construction cost (CG, Table II input) ===\n\n");
   {
     const apps::App& app = apps::find_app("CG");
-    analysis::AutoCheckOptions with_ddg;
-    analysis::AutoCheckOptions without_ddg;
+    analysis::AnalysisOptions with_ddg;
+    analysis::AnalysisOptions without_ddg;
     without_ddg.build_ddg = false;
     const apps::AnalysisRun a = apps::analyze_app(app, app.table2_params, with_ddg);
     const apps::AnalysisRun b = apps::analyze_app(app, app.table2_params, without_ddg);

@@ -54,7 +54,7 @@ int main() {
   const ir::Module module = minic::compile(kFig4);
   const analysis::MclRegion region = analysis::find_mcl_region(kFig4);
 
-  trace::MemorySink sink;
+  trace::BufferSink sink;
   vm::RunOptions ropts;
   ropts.sink = &sink;
   const vm::RunResult rr = vm::run_module(module, ropts);
@@ -63,31 +63,35 @@ int main() {
               rr.output.c_str(), static_cast<unsigned long long>(rr.steps));
 
   std::printf("--- Fig. 1-style trace blocks (first Load and first Mul inside foo) ---\n");
+  const trace::TraceBuffer& trace = sink.buffer();
   int shown_load = 0, shown_mul = 0, shown_call1 = 0, shown_call2 = 0, shown_alloca = 0;
-  for (const auto& rec : sink.records()) {
-    if (rec.func == "foo" && rec.opcode == trace::Opcode::Load && shown_load++ == 0) {
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const trace::RecordView rec = trace.view(i);
+    if (rec.func() == "foo" && rec.opcode() == trace::Opcode::Load && shown_load++ == 0) {
       std::printf("%s", rec.to_text().c_str());
     }
-    if (rec.func == "foo" && rec.opcode == trace::Opcode::Mul && shown_mul++ == 0) {
+    if (rec.func() == "foo" && rec.opcode() == trace::Opcode::Mul && shown_mul++ == 0) {
       std::printf("%s", rec.to_text().c_str());
     }
   }
   std::printf("\n--- Fig. 6-style records: Call form 2 (foo), Alloca (sum), Call form 1 (print) ---\n");
-  for (const auto& rec : sink.records()) {
-    if (rec.opcode == trace::Opcode::Call && rec.is_call_with_body() && shown_call2++ == 0) {
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const trace::RecordView rec = trace.view(i);
+    // Call form 2 carries parameter-indicator rows (its body follows).
+    const bool call_with_body = rec.find(trace::OperandSlot::Param) != nullptr;
+    if (rec.opcode() == trace::Opcode::Call && call_with_body && shown_call2++ == 0) {
       std::printf("%s", rec.to_text().c_str());
     }
-    if (rec.opcode == trace::Opcode::Alloca && rec.find(trace::OperandSlot::Result)->name == "sum" &&
-        shown_alloca++ == 0) {
+    if (rec.opcode() == trace::Opcode::Alloca &&
+        rec.name(*rec.find(trace::OperandSlot::Result)) == "sum" && shown_alloca++ == 0) {
       std::printf("%s", rec.to_text().c_str());
     }
-    if (rec.opcode == trace::Opcode::Call && !rec.is_call_with_body() && shown_call1++ == 0) {
+    if (rec.opcode() == trace::Opcode::Call && !call_with_body && shown_call1++ == 0) {
       std::printf("%s", rec.to_text().c_str());
     }
   }
 
-  const analysis::Report report =
-      analysis::Session().records(sink.records()).region(region).run();
+  const analysis::Report report = analysis::Session().buffer(sink.take()).region(region).run();
 
   std::printf("\n--- MLI variables (pre-processing, Fig. 3) ---\n  ");
   for (const auto& m : report.pre.mli) std::printf("%s ", m.name.c_str());

@@ -1,34 +1,28 @@
 // Analysis micro/throughput benchmark for the interned trace representation:
-// legacy (owning TraceRecord) parse vs the zero-copy TraceBuffer parse
-// (serial and parallel), end-to-end analysis on both representations, and
-// the sharded classification with LPT event-balanced shards — plus exact
-// representation-byte accounting and subprocess peak-RSS probes on the
-// largest selected trace.
+// the zero-copy text parse (serial and parallel), the MCTB binary container
+// (write, serial and parallel decode), end-to-end analysis and classification
+// alone — plus representation-byte accounting and subprocess peak-RSS probes
+// on the largest selected trace.
 //
-//   bench_micro [--smoke] [--scale N] [--json PATH] [--check BASELINE.json]
+//   bench_micro [--smoke] [--scale N | --sweep] [--json PATH] [--check]
 //
 // --smoke   3-app subset at unit-test knobs (CI); full mode runs all 14
 //           mini-apps at their Table II knobs.
 // --json    emit the machine-readable BENCH_analysis.json trajectory record
 //           (app, bytes, wall-ns, peak-RSS per app).
-// --check   regression gate: the parse+classify speedup of the interned path
-//           over the legacy path (measured in this same process, so the
-//           number is machine-independent) must stay within 25% of the
-//           checked-in baseline's. Also gates the streaming MCTB decode
-//           (throughput >= 0.85x buffered; subprocess peak RSS <= 70% of the
-//           materializing pipeline on the probed app — both skipped with a
-//           note when the container is too small to be signal), the SIMD
-//           codec kernels against their forced-scalar references
-//           (shuffle/unshuffle >= 1.2x, zigzag >= 0.75x; skipped under
-//           AC_NO_SIMD=1 where dispatch is scalar), and bounds the
-//           disabled-telemetry cost: per-span price x spans actually
-//           executed must stay <= 2% of the parse+classify wall. Exit 1 on
-//           regression.
+// --check   regression gates, all same-process ratios so they transfer
+//           across machines: MCTB decode must beat the text parse by >= 2x
+//           on every measured app, the SIMD codec kernels must hold their
+//           floors against the forced-scalar references (shuffle/unshuffle
+//           >= 1.2x, zigzag >= 0.75x; skipped under AC_NO_SIMD=1 where
+//           dispatch is scalar), and the disabled-telemetry cost — per-span
+//           price x spans actually executed — must stay <= 2% of the
+//           parse+classify wall. Exit 1 on regression.
 // --profile / --metrics  export the telemetry recorded while benchmarking
 //           (Chrome-trace JSON / metrics JSON).
 //
-// Verdicts are asserted bit-identical between the legacy-records path, the
-// buffer path, and the sharded buffer path on every measured app.
+// Verdicts are asserted identical between the text-parsed and the
+// MCTB-decoded buffer on every measured app.
 #include <sys/resource.h>
 #include <unistd.h>
 
@@ -63,71 +57,39 @@ long peak_rss_kb() {
   return ru.ru_maxrss;
 }
 
-/// Heap bytes behind a std::string (libstdc++ SSO buffer is 15 chars).
-std::uint64_t string_heap_bytes(const std::string& s) {
-  return s.capacity() > 15 ? s.capacity() + 1 : 0;
-}
-
-/// Exact resident footprint of the legacy representation.
-std::uint64_t legacy_rep_bytes(const std::vector<trace::TraceRecord>& recs) {
-  std::uint64_t total = recs.capacity() * sizeof(trace::TraceRecord);
-  for (const auto& r : recs) {
-    total += string_heap_bytes(r.func) + string_heap_bytes(r.bb);
-    total += r.operands.capacity() * sizeof(trace::Operand);
-    for (const auto& op : r.operands) total += string_heap_bytes(op.name);
-  }
-  return total;
-}
-
 struct AppBench {
   std::string app;
   std::uint64_t text_bytes = 0;
   std::uint64_t records = 0;
   std::uint64_t operands = 0;
-  double legacy_parse_s = 0;
   double buffer_parse_s = 0;
   double parallel_parse_s = 0;
-  double legacy_analyze_s = 0;  // records-path Session (conversion + analysis)
-  double buffer_analyze_s = 0;  // buffer-path Session
+  double buffer_analyze_s = 0;  // Session over the parsed buffer
   double classify_s = 0;
-  double classify_sharded_s = 0;
-  double classify_pipelined_s = 0;
-  std::uint64_t legacy_bytes = 0;
   std::uint64_t buffer_bytes = 0;
-  std::uint64_t mctb_bytes = 0;   // MCTB container size (rle+lz sections)
-  double mctb_write_s = 0;        // TraceBuffer -> container serialization
-  double mctb_parse_s = 0;        // container -> TraceBuffer, serial buffered
-  double mctb_stream_parse_s = 0;  // same through the streaming decode mode
+  std::uint64_t mctb_bytes = 0;      // MCTB container size (rle+lz sections)
+  double mctb_write_s = 0;           // TraceBuffer -> container serialization
+  double mctb_parse_s = 0;           // container -> TraceBuffer, serial
   double mctb_parallel_parse_s = 0;  // same on 4 workers
   std::uint64_t mctb_raw_bytes = 0;  // raw-codec container (the RSS probe file)
-  long rss_legacy_kb = 0;  // only probed on the largest app
-  long rss_buffer_kb = 0;
-  long rss_mctb_buffered_kb = 0;   // decode after materializing the container
-  long rss_mctb_streaming_kb = 0;  // FileSource streaming decode (mmap+madvise)
+  long rss_buffer_kb = 0;  // only probed on the largest app: text FileSource
+  long rss_mctb_kb = 0;    // MCTB FileSource (mmap + madvise behind the frontier)
 
-  double speedup() const {
-    const double den = buffer_parse_s + buffer_analyze_s;
-    return den > 0 ? (legacy_parse_s + legacy_analyze_s) / den : 0;
-  }
   /// Binary-vs-text parse speedup (both produce the same TraceBuffer).
   double mctb_parse_speedup() const {
     return mctb_parse_s > 0 ? buffer_parse_s / mctb_parse_s : 0;
   }
-  /// Streaming-vs-buffered MCTB decode ratio (>1 = streaming is faster).
-  double mctb_stream_speedup() const {
-    return mctb_stream_parse_s > 0 ? mctb_parse_s / mctb_stream_parse_s : 0;
-  }
 };
 
-/// Run `self --rss-probe MODE --trace PATH` and return the child's peak RSS.
+/// Run `self --rss-probe --trace PATH` and return the child's peak RSS.
 /// (/proc/self/exe must be resolved here: inside popen's shell, "self" would
 /// be the shell.)
-long probe_rss(const char* mode, const std::string& trace_path) {
+long probe_rss(const std::string& trace_path) {
   char exe[4096];
   const ssize_t n = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
   if (n <= 0) return 0;
   exe[n] = '\0';
-  const std::string cmd = strf("%s --rss-probe %s --trace %s", exe, mode, trace_path.c_str());
+  const std::string cmd = strf("%s --rss-probe --trace %s", exe, trace_path.c_str());
   std::FILE* p = ::popen(cmd.c_str(), "r");
   if (!p) return 0;
   char line[128];
@@ -139,27 +101,12 @@ long probe_rss(const char* mode, const std::string& trace_path) {
   return kb;
 }
 
-int rss_probe_main(const std::string& mode, const std::string& path) {
-  if (mode == "legacy") {
-    const auto recs = trace::read_trace_file(path);
-    std::printf("RSS_KB=%ld RECORDS=%zu\n", peak_rss_kb(), recs.size());
-  } else if (mode == "mctb-buffered") {
-    // The materializing pipeline: the whole container in a heap string, then
-    // the buffered decode with fresh per-chunk temporaries.
-    const std::string bytes = trace::read_file_bytes(path);
-    const trace::TraceBuffer buf = trace::read_mctb(bytes, 1);
-    std::printf("RSS_KB=%ld RECORDS=%zu\n", peak_rss_kb(), buf.size());
-  } else if (mode == "mctb-streaming") {
-    // The FileSource default: mmap'd container, streaming decode with reused
-    // scratch, consumed pages madvised away behind the in-order frontier.
-    trace::FileSource src(path);
-    const auto& buf = src.buffer();
-    std::printf("RSS_KB=%ld RECORDS=%zu\n", peak_rss_kb(), buf.size());
-  } else {
-    trace::FileSource src(path);
-    const auto& buf = src.buffer();
-    std::printf("RSS_KB=%ld RECORDS=%zu\n", peak_rss_kb(), buf.size());
-  }
+/// Read `path` through a FileSource (text or MCTB, auto-detected) in a fresh
+/// process and report its peak RSS.
+int rss_probe_main(const std::string& path) {
+  trace::FileSource src(path);
+  const auto& buf = src.buffer();
+  std::printf("RSS_KB=%ld RECORDS=%zu\n", peak_rss_kb(), buf.size());
   return 0;
 }
 
@@ -167,19 +114,23 @@ bool verdicts_equal(const analysis::Report& a, const analysis::Report& b) {
   return a.verdicts.critical == b.verdicts.critical && a.verdicts.all_mli == b.verdicts.all_mli;
 }
 
-AppBench bench_app(const apps::App& app, const apps::Params& params, bool probe_largest) {
-  AppBench out;
-  out.app = app.name;
-
-  // Trace generation (VM) — excluded from every measurement.
-  trace::MemorySink sink;
+/// The LLVM-Tracer text of one traced run of `app` (trace generation is
+/// excluded from every measurement).
+std::string trace_text(const apps::App& app, const apps::Params& params) {
+  trace::BufferSink sink;
   const ir::Module module = minic::compile(app.source(params));
   vm::RunOptions ropts;
   ropts.sink = &sink;
   vm::run_module(module, ropts);
-  const std::vector<trace::TraceRecord> records = std::move(sink.records());
   std::string text;
-  for (const auto& r : records) text += r.to_text();
+  for (std::size_t i = 0; i < sink.buffer().size(); ++i) sink.buffer().view(i).append_text(text);
+  return text;
+}
+
+AppBench bench_app(const apps::App& app, const apps::Params& params, bool probe_largest) {
+  AppBench out;
+  out.app = app.name;
+  const std::string text = trace_text(app, params);
   out.text_bytes = text.size();
   const analysis::MclRegion region = app.mcl();
 
@@ -198,23 +149,8 @@ AppBench bench_app(const apps::App& app, const apps::Params& params, bool probe_
   const int reps = text.size() < (8u << 20) ? 3 : 1;
   auto best_of = [&](auto&& fn) { return best_of_n(reps, fn); };
 
-  // Parse: legacy owning records vs zero-copy interned buffer. The legacy
-  // representation (~1 GiB on CoMD) is measured, analyzed and released before
-  // the interned/MCTB measurements run, so those aren't timed under the
-  // legacy path's memory pressure.
   analysis::AnalysisOptions opts;
   opts.build_ddg = false;
-  analysis::Report legacy_report;
-  {
-    std::vector<trace::TraceRecord> legacy_recs;
-    out.legacy_parse_s = best_of([&] { legacy_recs = trace::read_trace_text(text); });
-    out.legacy_bytes = legacy_rep_bytes(legacy_recs);
-    // End-to-end analysis through the Session on the records path (re-interns
-    // per repetition, exactly what a legacy caller pays).
-    out.legacy_analyze_s = best_of([&] {
-      legacy_report = analysis::Session().records(legacy_recs).region(region).options(opts).run();
-    });
-  }
 
   trace::TraceBuffer buf;
   out.buffer_parse_s = best_of([&] { buf = trace::read_trace_buffer(text); });
@@ -233,54 +169,40 @@ AppBench bench_app(const apps::App& app, const apps::Params& params, bool probe_
   trace::TraceBuffer mctb_buf;
   // The container is 14-60x smaller than the text, so a trace past the text
   // best-of threshold can still decode in single-digit milliseconds; rep the
-  // decode timings on the container size or the streaming/buffered ratio
-  // gate flaps on one-shot samples.
+  // decode timings on the container size or the decode-vs-parse gate flaps
+  // on one-shot samples.
   const int decode_reps = mctb.size() < (8u << 20) ? 3 : 1;
-  out.mctb_parse_s = best_of_n(decode_reps, [&] { mctb_buf = trace::read_mctb(mctb, 1); });
-  out.mctb_stream_parse_s = best_of_n(decode_reps, [&] {
-    trace::MctbReadOptions sropts;
-    sropts.num_threads = 1;
-    sropts.streaming = true;
-    mctb_buf = trace::read_mctb(mctb, sropts);
-  });
-  out.mctb_parallel_parse_s =
-      best_of_n(decode_reps, [&] { mctb_buf = trace::read_mctb(mctb, 4); });
+  const auto decode = [&](int threads) {
+    trace::MctbReadOptions ropts;
+    ropts.num_threads = threads;
+    mctb_buf = trace::read_mctb(mctb, ropts);
+  };
+  out.mctb_parse_s = best_of_n(decode_reps, [&] { decode(1); });
+  out.mctb_parallel_parse_s = best_of_n(decode_reps, [&] { decode(4); });
   if (mctb_buf.size() != buf.size() || mctb_buf.operands().size() != buf.operands().size()) {
     std::fprintf(stderr, "bench_micro: MCTB round-trip SIZE MISMATCH on %s\n", app.name.c_str());
     std::exit(1);
   }
 
-  // One Session per repetition over the same borrowed buffer source so the
-  // parse isn't re-paid inside the analyze measurement.
+  // One Session per repetition over the same buffer source so the parse
+  // isn't re-paid inside the analyze measurement.
   auto source = std::make_shared<trace::MemorySource>(std::move(par_buf));
-  source->buffer();  // materialize outside the timed region
   analysis::Report buffer_report;
   out.buffer_analyze_s = best_of([&] {
     buffer_report = analysis::Session().source(source).region(region).options(opts).run();
   });
 
-  // Classification alone, sequential vs LPT-sharded on 4 workers.
+  // Classification alone.
   auto pre = analysis::preprocess(buf, region);
   analysis::DepOptions dopts;
   dopts.build_ddg = false;
   auto dep = analysis::dep_analysis(buf, pre, region, dopts);
-  analysis::ClassifyResult seq_verdicts, shard_verdicts, pipe_verdicts;
-  out.classify_s = best_of([&] { seq_verdicts = analysis::classify(dep, pre); });
-  out.classify_sharded_s =
-      best_of([&] { shard_verdicts = analysis::classify_sharded(dep, pre, 4); });
-  out.classify_pipelined_s =
-      best_of([&] { pipe_verdicts = analysis::classify_pipelined(dep, pre, 4); });
+  out.classify_s = best_of([&] { (void)analysis::classify(dep, pre); });
 
-  // The MCTB-decoded buffer must produce bit-identical verdicts too.
-  analysis::Report mctb_report =
+  // The MCTB-decoded buffer must produce identical verdicts.
+  const analysis::Report mctb_report =
       analysis::Session().buffer(std::move(mctb_buf)).region(region).options(opts).run();
-
-  if (!verdicts_equal(legacy_report, buffer_report) ||
-      !verdicts_equal(buffer_report, mctb_report) ||
-      seq_verdicts.critical != shard_verdicts.critical ||
-      seq_verdicts.all_mli != shard_verdicts.all_mli ||
-      seq_verdicts.critical != pipe_verdicts.critical ||
-      seq_verdicts.all_mli != pipe_verdicts.all_mli) {
+  if (!verdicts_equal(buffer_report, mctb_report)) {
     std::fprintf(stderr, "bench_micro: VERDICT MISMATCH on %s\n", app.name.c_str());
     std::exit(1);
   }
@@ -291,21 +213,17 @@ AppBench bench_app(const apps::App& app, const apps::Params& params, bool probe_
     if (f) {
       std::fwrite(text.data(), 1, text.size(), f);
       std::fclose(f);
-      out.rss_legacy_kb = probe_rss("legacy", path);
-      out.rss_buffer_kb = probe_rss("buffer", path);
+      out.rss_buffer_kb = probe_rss(path);
       std::remove(path.c_str());
     }
-    // Decode-side MCTB probes use a raw-codec container (the documented
-    // fastest-parse configuration): under rle+lz the file is 10-60x smaller
-    // than the decoded arrays, so holding it in memory costs almost nothing
-    // and the probe would measure noise instead of the materialization tax.
+    // The MCTB probe uses a raw-codec container (the documented
+    // fastest-parse configuration), the largest the decoder has to stream.
     const std::string mpath = "/tmp/ac_bench_micro_" + app.name + ".mctb";
     try {
       trace::MctbOptions raw_opts;
       raw_opts.codec = CodecChain{};
       out.mctb_raw_bytes = trace::write_mctb_file(buf, mpath, raw_opts);
-      out.rss_mctb_buffered_kb = probe_rss("mctb-buffered", mpath);
-      out.rss_mctb_streaming_kb = probe_rss("mctb-streaming", mpath);
+      out.rss_mctb_kb = probe_rss(mpath);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "bench_micro: mctb rss probe failed: %s\n", e.what());
     }
@@ -322,30 +240,20 @@ void app_json(JsonWriter& w, const AppBench& r) {
   w.field("text_bytes", r.text_bytes);
   w.field("records", r.records);
   w.field("operands", r.operands);
-  w.raw_field("legacy_parse_ns", strf("%.0f", r.legacy_parse_s * 1e9));
   w.raw_field("buffer_parse_ns", strf("%.0f", r.buffer_parse_s * 1e9));
   w.raw_field("parallel_parse_ns", strf("%.0f", r.parallel_parse_s * 1e9));
   w.field("mctb_bytes", r.mctb_bytes);
   w.raw_field("mctb_write_ns", strf("%.0f", r.mctb_write_s * 1e9));
   w.raw_field("mctb_parse_ns", strf("%.0f", r.mctb_parse_s * 1e9));
-  w.raw_field("mctb_stream_parse_ns", strf("%.0f", r.mctb_stream_parse_s * 1e9));
   w.raw_field("mctb_parallel_parse_ns", strf("%.0f", r.mctb_parallel_parse_s * 1e9));
   w.raw_field("speedup_mctb_parse", strf("%.3f", r.mctb_parse_speedup()));
-  w.raw_field("speedup_mctb_stream", strf("%.3f", r.mctb_stream_speedup()));
-  w.raw_field("legacy_analyze_ns", strf("%.0f", r.legacy_analyze_s * 1e9));
   w.raw_field("buffer_analyze_ns", strf("%.0f", r.buffer_analyze_s * 1e9));
   w.raw_field("classify_ns", strf("%.0f", r.classify_s * 1e9));
-  w.raw_field("classify_sharded_ns", strf("%.0f", r.classify_sharded_s * 1e9));
-  w.raw_field("classify_pipelined_ns", strf("%.0f", r.classify_pipelined_s * 1e9));
-  w.field("legacy_rep_bytes", r.legacy_bytes);
   w.field("buffer_rep_bytes", r.buffer_bytes);
-  w.field("peak_rss_legacy_kb", r.rss_legacy_kb);
   w.field("peak_rss_buffer_kb", r.rss_buffer_kb);
   w.field("mctb_raw_bytes", r.mctb_raw_bytes);
-  w.field("peak_rss_mctb_buffered_kb", r.rss_mctb_buffered_kb);
-  w.field("peak_rss_mctb_streaming_kb", r.rss_mctb_streaming_kb);
+  w.field("peak_rss_mctb_kb", r.rss_mctb_kb);
   w.raw_field("wall_ns", strf("%.0f", (r.buffer_parse_s + r.buffer_analyze_s) * 1e9));
-  w.raw_field("speedup_parse_classify", strf("%.3f", r.speedup()));
   w.end_object();
 }
 
@@ -360,8 +268,8 @@ std::string to_json(const std::vector<std::pair<int, std::vector<AppBench>>>& gr
   w.field("bench", "analysis");
   kernel_json(w, kernels);
   if (groups.size() == 1) {
-    // Single-scale mode keeps the historical shape (the --check baseline and
-    // external consumers parse it).
+    // Single-scale mode keeps the historical shape (external consumers parse
+    // it).
     w.field("scale", groups[0].first);
     w.key("apps").begin_array();
     for (const auto& r : groups[0].second) app_json(w, r);
@@ -384,18 +292,6 @@ std::string to_json(const std::vector<std::pair<int, std::vector<AppBench>>>& gr
   return out;
 }
 
-/// Minimal extraction of "speedup_parse_classify" per app from a baseline
-/// JSON produced by --json (no general JSON parser needed for our own file).
-double baseline_speedup(const std::string& json, const std::string& app) {
-  const std::string needle = "\"app\": \"" + app + "\"";
-  const std::size_t at = json.find(needle);
-  if (at == std::string::npos) return 0;
-  const std::string key = "\"speedup_parse_classify\": ";
-  const std::size_t kat = json.find(key, at);
-  if (kat == std::string::npos) return 0;
-  return std::atof(json.c_str() + kat + key.size());
-}
-
 /// Disabled-telemetry overhead gate: the documented contract is that with
 /// telemetry off every AC_SPAN costs one relaxed atomic load. This bounds the
 /// aggregate: (per-span disabled cost) x (spans the parse+classify path
@@ -416,13 +312,7 @@ bool telemetry_overhead_ok(const apps::App& app, const apps::Params& params) {
 
   // Trace once (untimed), then run the instrumented parse+classify path
   // twice: enabled to count the spans it emits, disabled to time it.
-  trace::MemorySink sink;
-  const ir::Module module = minic::compile(app.source(params));
-  vm::RunOptions ropts;
-  ropts.sink = &sink;
-  vm::run_module(module, ropts);
-  std::string text;
-  for (const auto& r : sink.records()) text += r.to_text();
+  const std::string text = trace_text(app, params);
   const analysis::MclRegion region = app.mcl();
 
   const auto parse_classify = [&] {
@@ -431,7 +321,7 @@ bool telemetry_overhead_ok(const apps::App& app, const apps::Params& params) {
     analysis::DepOptions dopts;
     dopts.build_ddg = false;
     auto dep = analysis::dep_analysis(buf, pre, region, dopts);
-    (void)analysis::classify_sharded(dep, pre, 4);
+    (void)analysis::classify(dep, pre);
   };
 
   tel.reset();
@@ -555,8 +445,10 @@ void kernel_json(JsonWriter& w, const KernelBench& kb) {
 int main(int argc, char** argv) {
   bool smoke = false;
   bool sweep = false;
+  bool check = false;
+  bool probe = false;
   int scale = 1;
-  std::string json_path, check_path, probe_mode, probe_trace;
+  std::string json_path, probe_trace;
   std::string profile_path, metrics_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -577,9 +469,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--json") {
       json_path = next();
     } else if (arg == "--check") {
-      check_path = next();
+      check = true;
     } else if (arg == "--rss-probe") {
-      probe_mode = next();
+      probe = true;
     } else if (arg == "--trace") {
       probe_trace = next();
     } else if (arg == "--profile") {
@@ -589,20 +481,20 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: bench_micro [--smoke] [--scale N | --sweep] [--json PATH] "
-                   "[--check BASELINE] [--profile TRACE.json] [--metrics METRICS.json]\n");
+                   "[--check] [--profile TRACE.json] [--metrics METRICS.json]\n");
       return 2;
     }
   }
-  if (!probe_mode.empty()) return rss_probe_main(probe_mode, probe_trace);
+  if (probe) return rss_probe_main(probe_trace);
   if (!profile_path.empty() || !metrics_path.empty()) telemetry::telemetry().enable();
-  if (sweep && !check_path.empty()) {
-    // The baseline is measured at a single scale; silently gating only one
-    // sweep group would imply coverage the check doesn't have.
+  if (sweep && check) {
+    // The gates run on one result group; silently gating only one sweep
+    // group would imply coverage the check doesn't have.
     std::fprintf(stderr, "bench_micro: --check cannot be combined with --sweep\n");
     return 2;
   }
 
-  std::printf("=== bench_micro: legacy vs interned vs MCTB trace representation%s ===\n\n",
+  std::printf("=== bench_micro: text vs MCTB trace representation%s ===\n\n",
               smoke ? " (smoke subset)" : "");
 
   // --sweep: the linearity-curve profile, one result group per scale.
@@ -635,48 +527,30 @@ int main(int argc, char** argv) {
     }
 
     if (sweep) std::printf("--- scale %d ---\n", sc);
-    TextTable table({"App", "Trace", "MCTB", "Records", "Parse(legacy)", "Parse(buf)",
-                     "Parse(mctb)", "Parse(stream)", "MCTB speedup", "Analyze(buf)", "Speedup",
-                     "Rep ratio"});
+    TextTable table({"App", "Trace", "MCTB", "Records", "Parse(buf)", "Parse(par)",
+                     "Parse(mctb)", "MCTB speedup", "Analyze(buf)", "Classify", "Rep bytes"});
     for (const auto& r : results) {
       table.add_row({r.app, human_bytes(r.text_bytes), human_bytes(r.mctb_bytes),
                      strf("%llu", (unsigned long long)r.records),
-                     strf("%.3fs", r.legacy_parse_s), strf("%.3fs", r.buffer_parse_s),
-                     strf("%.3fs", r.mctb_parse_s), strf("%.3fs", r.mctb_stream_parse_s),
-                     strf("%.1fx", r.mctb_parse_speedup()),
-                     strf("%.3fs", r.buffer_analyze_s), strf("%.2fx", r.speedup()),
-                     strf("%.1fx", r.buffer_bytes
-                                       ? (double)r.legacy_bytes / (double)r.buffer_bytes
-                                       : 0.0)});
+                     strf("%.3fs", r.buffer_parse_s), strf("%.3fs", r.parallel_parse_s),
+                     strf("%.3fs", r.mctb_parse_s), strf("%.1fx", r.mctb_parse_speedup()),
+                     strf("%.3fs", r.buffer_analyze_s), strf("%.4fs", r.classify_s),
+                     human_bytes(r.buffer_bytes)});
     }
     std::printf("%s\n", table.render().c_str());
 
-    const AppBench& big = results[largest];
     if (!sweep) {
+      const AppBench& big = results[largest];
       std::printf("Largest trace: %s (%s text, %s MCTB, %.1fx smaller on disk). "
-                  "Peak RSS parsing it in a fresh process:\n"
-                  "  legacy representation %s, interned buffer %s (%.1fx lower)\n",
+                  "Peak RSS reading it through a FileSource in a fresh process: text %s, "
+                  "raw-codec MCTB (%s) %s\n\n",
                   big.app.c_str(), human_bytes(big.text_bytes).c_str(),
                   human_bytes(big.mctb_bytes).c_str(),
                   big.mctb_bytes ? (double)big.text_bytes / (double)big.mctb_bytes : 0.0,
-                  human_bytes((std::uint64_t)big.rss_legacy_kb * 1024).c_str(),
                   human_bytes((std::uint64_t)big.rss_buffer_kb * 1024).c_str(),
-                  big.rss_buffer_kb ? (double)big.rss_legacy_kb / (double)big.rss_buffer_kb
-                                    : 0.0);
-      if (big.rss_mctb_buffered_kb > 0) {
-        std::printf("MCTB decode of the same trace (raw-codec container, %s): "
-                    "buffered (materialized bytes) %s, streaming FileSource %s "
-                    "(%.0f%% lower)\n",
-                    human_bytes(big.mctb_raw_bytes).c_str(),
-                    human_bytes((std::uint64_t)big.rss_mctb_buffered_kb * 1024).c_str(),
-                    human_bytes((std::uint64_t)big.rss_mctb_streaming_kb * 1024).c_str(),
-                    100.0 * (1.0 - (double)big.rss_mctb_streaming_kb /
-                                       (double)big.rss_mctb_buffered_kb));
-      }
+                  human_bytes(big.mctb_raw_bytes).c_str(),
+                  human_bytes((std::uint64_t)big.rss_mctb_kb * 1024).c_str());
     }
-    std::printf("Classify sequential %.4fs vs LPT-sharded(4) %.4fs vs pipelined(4) %.4fs "
-                "on %s\n\n", big.classify_s, big.classify_sharded_s, big.classify_pipelined_s,
-                big.app.c_str());
     groups.emplace_back(sc, std::move(results));
   }
   const std::vector<AppBench>& results = groups[0].second;
@@ -711,73 +585,15 @@ int main(int argc, char** argv) {
     std::printf("metrics written to %s\n", metrics_path.c_str());
   }
 
-  if (!check_path.empty()) {
-    std::string baseline;
-    try {
-      baseline = trace::read_file_bytes(check_path);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "bench_micro: cannot read baseline: %s\n", e.what());
-      return 1;
-    }
-    int checked = 0;
+  if (check) {
     bool regressed = false;
-    for (const auto& r : results) {
-      const double want = baseline_speedup(baseline, r.app);
-      if (want <= 0) continue;
-      ++checked;
-      // The speedup is a same-process ratio, so it transfers across machines;
-      // >25% of it lost means the interned parse+classify path regressed.
-      const bool bad = r.speedup() < 0.75 * want;
-      std::printf("check %-8s speedup %.2fx vs baseline %.2fx -> %s\n", r.app.c_str(),
-                  r.speedup(), want, bad ? "REGRESSED" : "ok");
-      regressed = regressed || bad;
-    }
-    if (checked == 0) {
-      std::fprintf(stderr, "bench_micro: baseline has no overlapping apps\n");
-      return 1;
-    }
     // The binary-format gate: the whole point of MCTB is that parse stops
     // being text decoding, so its decode must beat the zero-copy text parse
-    // by >=2x on every measured app (another same-process ratio).
+    // by >=2x on every measured app.
     for (const auto& r : results) {
       const bool bad = r.mctb_parse_speedup() < 2.0;
       std::printf("check %-8s mctb parse %.2fx text parse -> %s\n", r.app.c_str(),
                   r.mctb_parse_speedup(), bad ? "TOO SLOW (< 2x)" : "ok");
-      regressed = regressed || bad;
-    }
-    // Streaming-decode gates. Throughput: the streaming mode must not fall
-    // behind buffered (0.85x floor — low-MiB containers pay the streaming
-    // path's fixed per-chunk bookkeeping against millisecond decodes, and
-    // measure 0.91x-1.03x; the win streaming buys there is memory, not
-    // speed); only containers big enough to time meaningfully count. RSS:
-    // on the probed (largest) app,
-    // the streaming FileSource path must cut decode-side peak RSS by >= 30%
-    // against the materializing pipeline — the zero-materialization claim —
-    // once the container is large enough for RSS to be signal, not noise.
-    for (const auto& r : results) {
-      if (r.mctb_bytes < (1u << 20)) {
-        std::printf("check %-8s mctb streaming parse skipped (container %s < 1 MiB)\n",
-                    r.app.c_str(), human_bytes(r.mctb_bytes).c_str());
-        continue;
-      }
-      const bool bad = r.mctb_stream_speedup() < 0.85;
-      std::printf("check %-8s mctb streaming parse %.2fx buffered -> %s\n", r.app.c_str(),
-                  r.mctb_stream_speedup(), bad ? "TOO SLOW (< 0.85x)" : "ok");
-      regressed = regressed || bad;
-    }
-    for (const auto& r : results) {
-      if (r.rss_mctb_buffered_kb <= 0) continue;  // not the probed app
-      if (r.mctb_raw_bytes < (64u << 20)) {
-        // Below this the probe child's fixed overhead (runtime, code, symbol
-        // pool) drowns the materialization tax and the ratio is noise.
-        std::printf("check %-8s mctb streaming rss skipped (container %s < 64 MiB)\n",
-                    r.app.c_str(), human_bytes(r.mctb_raw_bytes).c_str());
-        continue;
-      }
-      const double ratio = (double)r.rss_mctb_streaming_kb / (double)r.rss_mctb_buffered_kb;
-      const bool bad = ratio > 0.70;
-      std::printf("check %-8s mctb streaming rss %.0f%% of buffered -> %s\n", r.app.c_str(),
-                  ratio * 100, bad ? "TOO HIGH (> 70%)" : "ok");
       regressed = regressed || bad;
     }
     // SIMD kernel gates. The shuffle pair must actually pay for its intrinsic
@@ -818,18 +634,13 @@ int main(int argc, char** argv) {
       }
     }
     if (regressed) {
-      std::printf("FAIL: parse+classify regressed >25%% against %s, MCTB parse fell "
-                  "under 2x text parse, streaming MCTB decode regressed (throughput "
-                  "< 0.85x buffered or peak RSS > 70%% of buffered), a SIMD kernel "
-                  "fell under its scalar floor, or disabled telemetry cost exceeded "
-                  "2%%\n",
-                  check_path.c_str());
+      std::printf("FAIL: MCTB parse fell under 2x text parse, a SIMD kernel fell under its "
+                  "scalar floor, or disabled telemetry cost exceeded 2%%\n");
       return 1;
     }
-    std::printf("parse+classify speedup within 25%% of baseline, MCTB parse >= 2x text "
-                "parse, streaming decode at/above buffered throughput and RSS floors, "
-                "SIMD kernels at/above scalar floors, disabled telemetry <= 2%% "
-                "(%d app(s) checked)\n", checked);
+    std::printf("MCTB parse >= 2x text parse, SIMD kernels at/above scalar floors, disabled "
+                "telemetry <= 2%% (%zu app(s) checked)\n",
+                results.size());
   }
   return 0;
 }

@@ -12,7 +12,6 @@
 //
 // Build & run:  ./examples/bsp_exchange
 #include <cstdio>
-#include <utility>
 
 #include "analysis/session.hpp"
 #include "minic/compiler.hpp"
@@ -63,13 +62,13 @@ int main() {
 )";
 
   const ac::ir::Module module = ac::minic::compile(source);
-  ac::trace::MemorySink trace;
+  ac::trace::BufferSink trace;
   ac::vm::RunOptions opts;
   opts.sink = &trace;
   ac::vm::run_module(module, opts);
 
   const ac::analysis::Report report = ac::analysis::Session()
-                                          .records(std::move(trace.records()))
+                                          .buffer(trace.take())
                                           .region_from_markers(source)
                                           .run();
 

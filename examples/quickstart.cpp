@@ -64,10 +64,9 @@ int main() {
 
   // 3. Analyze through the Session pipeline. The MCL region comes from the
   //    source markers here; in general the user supplies the host function
-  //    and start/end line numbers. The same Session accepts a .file() trace,
-  //    legacy .records(), or a .live() execution, and
-  //    options({.threads = N}) parallelizes both the read and the
-  //    classification stage.
+  //    and start/end line numbers. The same Session accepts a .file() trace
+  //    (options({.threads = N}) parallelizes its read) or a .live()
+  //    execution.
   const ac::analysis::Report report = ac::analysis::Session()
                                           .buffer(trace.take())
                                           .region_from_markers(source)

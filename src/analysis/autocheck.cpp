@@ -1,6 +1,5 @@
 #include "analysis/autocheck.hpp"
 
-#include "analysis/session.hpp"
 #include "support/json.hpp"
 #include "support/strings.hpp"
 
@@ -103,19 +102,6 @@ std::string Report::render_events(std::size_t max_events) const {
     ++n;
   }
   return out;
-}
-
-// The legacy facade, as thin wrappers over the Session pipeline (no behavior
-// change: same phases, same timing attribution, same verdicts).
-
-Report analyze_records(const std::vector<trace::TraceRecord>& records, const MclRegion& region,
-                       const AutoCheckOptions& opts) {
-  return Session().records(records).region(region).options(opts).run();
-}
-
-Report analyze_file(const std::string& path, const MclRegion& region,
-                    const AutoCheckOptions& opts) {
-  return Session().file(path).region(region).options(opts).run();
 }
 
 }  // namespace ac::analysis

@@ -1,11 +1,7 @@
-// AutoCheck facade (paper Fig. 2): pre-processing -> data dependency analysis
-// -> identification of critical variables, with the per-phase wall-clock
-// breakdown that Table III reports.
-//
-// The entry points below are thin wrappers over the unified pipeline in
-// analysis/session.hpp (Session + TraceSource + ReportSink); new code should
-// use Session directly — it adds pluggable sources/sinks and the parallel
-// sharded classification behind AnalysisOptions::threads.
+// The AutoCheck report (paper Fig. 2): what pre-processing -> data dependency
+// analysis -> identification of critical variables produces, with the
+// per-phase wall-clock breakdown that Table III reports. The pipeline that
+// fills it is analysis/session.hpp (Session / SessionStream).
 #pragma once
 
 #include <string>
@@ -17,21 +13,6 @@
 #include "analysis/region.hpp"
 
 namespace ac::analysis {
-
-struct AnalysisOptions;  // session.hpp
-
-/// Legacy options, superseded by AnalysisOptions (session.hpp), into which
-/// they convert implicitly.
-struct AutoCheckOptions {
-  MliMode mli_mode = MliMode::AddressResolved;
-  bool build_ddg = true;
-  /// analyze_file() only: parse the trace with the §V-A OpenMP optimization.
-  bool parallel_read = false;
-  int read_threads = 0;  // 0 = runtime default; honored with or without parallel_read
-
-  /// Upgrade to the Session pipeline's options (defined in session.cpp).
-  operator AnalysisOptions() const;  // NOLINT(google-explicit-constructor)
-};
 
 struct Timings {
   double preprocessing = 0;  // trace parse (file path) + partition + MLI
@@ -65,14 +46,5 @@ struct Report {
   /// The Fig. 5(e) view: "1: s-Write; 2: s-Read; ..." (first `max_events`).
   std::string render_events(std::size_t max_events = 64) const;
 };
-
-/// Analyze an in-memory record stream.
-Report analyze_records(const std::vector<trace::TraceRecord>& records, const MclRegion& region,
-                       const AutoCheckOptions& opts = {});
-
-/// Analyze a trace file; parsing is attributed to the pre-processing phase
-/// (it dominates, as the paper observes).
-Report analyze_file(const std::string& path, const MclRegion& region,
-                    const AutoCheckOptions& opts = {});
 
 }  // namespace ac::analysis

@@ -60,14 +60,10 @@ struct DepResult {
 DepResult dep_analysis(const trace::TraceBuffer& buf, PreprocessResult& pre,
                        const MclRegion& region, const DepOptions& opts = {});
 
-/// Legacy batch entry point over owning records (wraps the streaming class).
-DepResult dep_analysis(const std::vector<trace::TraceRecord>& records, PreprocessResult& pre,
-                       const MclRegion& region, const DepOptions& opts = {});
-
 /// Incremental dependency analysis: feed records one at a time (second pass
 /// of the streaming pipeline; requires a finished PreprocessResult so the
-/// loop partition is known). dep_analysis() wraps this class, so batch and
-/// streaming results are identical by construction.
+/// loop partition is known). It runs the same replay dep_analysis() runs, so
+/// batch and streaming results are identical by construction.
 class DepAnalyzer {
  public:
   DepAnalyzer(PreprocessResult& pre, const MclRegion& region, const DepOptions& opts = {});

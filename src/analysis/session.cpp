@@ -14,35 +14,6 @@ namespace ac::analysis {
 
 // --- options ---------------------------------------------------------------
 
-AutoCheckOptions::operator AnalysisOptions() const {
-  AnalysisOptions out;
-  out.mli_mode = mli_mode;
-  out.build_ddg = build_ddg;
-  if (parallel_read) {
-    out.read_threads = read_threads > 0 ? read_threads : default_thread_count();
-  } else if (read_threads > 1) {
-    // The old facade silently ignored read_threads without parallel_read.
-    out.read_threads = read_threads;
-  }
-  return out;
-}
-
-namespace {
-
-/// The Session's classification dispatch. Both parallel variants are
-/// bit-identical to classify(); they differ only in overhead shape: the
-/// pipelined producer/consumer overlaps extraction with scanning but spawns
-/// mailboxes and two worker groups, which small event streams never
-/// amortize — there the one-sweep-per-worker barrier path is cheaper.
-ClassifyResult classify_parallel(const DepResult& dep, const PreprocessResult& pre,
-                                 int threads) {
-  constexpr std::size_t kPipelineThreshold = std::size_t{1} << 20;
-  return dep.events.size() >= kPipelineThreshold ? classify_pipelined(dep, pre, threads)
-                                                 : classify_sharded(dep, pre, threads);
-}
-
-}  // namespace
-
 int default_thread_count() {
   const unsigned n = std::thread::hardware_concurrency();
   return n > 0 ? static_cast<int>(n) : 1;
@@ -140,14 +111,6 @@ Session& Session::buffer(trace::TraceBuffer&& buf) {
   return source(std::make_shared<trace::MemorySource>(std::move(buf)));
 }
 
-Session& Session::records(const std::vector<trace::TraceRecord>& recs) {
-  return source(std::make_shared<trace::MemorySource>(recs));
-}
-
-Session& Session::records(std::vector<trace::TraceRecord>&& recs) {
-  return source(std::make_shared<trace::MemorySource>(std::move(recs)));
-}
-
 Session& Session::live(trace::LiveSource::Generator gen) {
   return source(std::make_shared<trace::LiveSource>(std::move(gen)));
 }
@@ -181,7 +144,7 @@ Report Session::run() {
   // Left enabled after the run so the caller can export what was recorded.
   if (opts_.telemetry) telemetry::telemetry().enable();
   AC_SPAN("analysis.session");
-  source_->set_read_threads(opts_.effective_read_threads());
+  source_->set_read_threads(opts_.threads);
 
   Report report = source_->live() ? run_live() : run_batch();
 
@@ -218,8 +181,7 @@ Report Session::run_batch() {
   report.timings.dep_analysis = timer.seconds();
 
   timer.reset();
-  report.verdicts = classify_parallel(report.dep, report.pre,
-                                      opts_.effective_analysis_threads());
+  report.verdicts = classify(report.dep, report.pre);
   if (opts_.build_ddg) report.contracted = report.dep.complete.contract();
   report.timings.identify = timer.seconds();
   return report;
@@ -283,8 +245,7 @@ Report SessionStream::finish() {
   pass_timer_live_ = false;
   WallTimer t;
   report_.dep = analyzer_->finish();
-  report_.verdicts = classify_parallel(report_.dep, report_.pre,
-                                       opts_.effective_analysis_threads());
+  report_.verdicts = classify(report_.dep, report_.pre);
   if (opts_.build_ddg) report_.contracted = report_.dep.complete.contract();
   report_.timings.preprocessing = pass1_seconds_;
   report_.timings.dep_analysis = pass2_seconds_;

@@ -7,18 +7,11 @@
 //    live execution)  dep analysis ->          Protect() emission,
 //                     classification)          CheckpointEngine)
 //
-// replacing the four parallel entry surfaces that grew around the facade
-// (analyze_records / analyze_file / StreamingAutoCheck / hand-rolled
-// read-then-analyze loops). Every capability is available from every source:
-// the §V-A parallel trace read, the §IX trace-file-free streaming mode, and
-// the parallel classification this module adds — the event stream is
-// partitioned per variable after dependency analysis and classified
-// concurrently (the pipelined producer/consumer path, classify_pipelined:
-// extraction chunks stream into per-shard scanners with no barrier), with
-// verdicts bit-identical to the sequential path.
-//
-// The legacy entry points are thin wrappers over Session; new code should use
-// Session directly:
+// It is the one entry point from a trace to a Report. A file source gets the
+// §V-A parallel trace read under AnalysisOptions::threads; a live source runs
+// the §IX trace-file-free two-pass mode (SessionStream). Everything after the
+// read — pre-processing, dependency analysis, classification — is one
+// sequential pass, the same for every source:
 //
 //   auto report = analysis::Session()
 //                     .file("app.trace")
@@ -43,32 +36,21 @@ class CheckpointEngine;
 
 namespace ac::analysis {
 
-/// Pipeline configuration, subsuming the legacy AutoCheckOptions (which
-/// converts implicitly via its operator AnalysisOptions). One knob drives all
-/// parallelism: `threads > 1` alone enables both the parallel trace read and
-/// the sharded parallel classification; the per-stage overrides exist for
-/// asymmetric budgets. An aggregate, so designated initializers work:
+/// Pipeline configuration. An aggregate, so designated initializers work:
 /// `options({.threads = 4})`.
 struct AnalysisOptions {
   MliMode mli_mode = MliMode::AddressResolved;
   bool build_ddg = true;
 
-  /// Worker budget for the whole pipeline. 1 = fully sequential.
+  /// Worker budget for the trace read (a file source parses in parallel when
+  /// > 1). The analysis itself is sequential.
   int threads = 1;
-  /// Per-stage overrides; 0 = follow `threads`.
-  int read_threads = 0;
-  int analysis_threads = 0;
 
   /// Enable the process-wide telemetry layer (support/telemetry.hpp) for this
   /// run: Session::run() turns span recording on before the pipeline and
   /// leaves it on so the caller can export (--profile/--metrics). Off, every
   /// AC_SPAN in the pipeline is a single relaxed atomic load.
   bool telemetry = false;
-
-  int effective_read_threads() const { return read_threads > 0 ? read_threads : threads; }
-  int effective_analysis_threads() const {
-    return analysis_threads > 0 ? analysis_threads : threads;
-  }
 };
 
 /// Runtime default worker count (hardware concurrency, at least 1).
@@ -185,11 +167,6 @@ class Session {
   Session& file(const std::string& path);
   /// An interned trace buffer (zero-copy; e.g. from trace::BufferSink).
   Session& buffer(trace::TraceBuffer&& buf);
-  /// Borrowed legacy in-memory records (caller keeps them alive across run();
-  /// interned into a buffer on first use).
-  Session& records(const std::vector<trace::TraceRecord>& recs);
-  /// Owned legacy in-memory records (interned immediately).
-  Session& records(std::vector<trace::TraceRecord>&& recs);
   /// Live instrumented execution; the generator is run once per pass.
   Session& live(trace::LiveSource::Generator gen);
 
@@ -205,7 +182,7 @@ class Session {
   const AnalysisOptions& analysis_options() const { return opts_; }
 
   /// Run the pipeline: read -> preprocess/MLI -> dependency analysis ->
-  /// (sharded) classification -> sinks. Live sources run the two-pass
+  /// classification -> sinks. Live sources run the two-pass
   /// streaming pipeline; batch sources the single-pass one. Throws ac::Error
   /// when no source is set or the region is invalid.
   Report run();
@@ -223,8 +200,7 @@ class Session {
 /// Push-based incremental session: the live two-pass pipeline with explicit
 /// pass boundaries, for callers that drive record emission themselves (an
 /// instrumented execution that cannot be wrapped in a LiveSource generator).
-/// Session's live path and the legacy StreamingAutoCheck are both built on
-/// this class. Timing attribution is whole-pass wall clock, from a pass's
+/// Session's live path is built on this class. Timing attribution is whole-pass wall clock, from a pass's
 /// first record to its seal (the driving execution included, caller idle
 /// time between passes excluded): preprocessing = pass 1, dep_analysis =
 /// pass 2, identify = classification.
@@ -240,8 +216,8 @@ class SessionStream {
   /// Throws if pass 1 was not finished.
   void pass2_add(const trace::TraceRecord& rec);
 
-  /// Classification (sharded per options) + DDG contraction; returns the
-  /// same Report as the batch pipeline on the materialized trace.
+  /// Classification + DDG contraction; returns the same Report as the batch
+  /// pipeline on the materialized trace.
   Report finish();
 
  private:

@@ -20,9 +20,9 @@ namespace ac::apps {
 
 /// Compile + trace + analyze one benchmark instance. All three analyze_*
 /// flavors run the analysis::Session pipeline — over a MemorySource, a
-/// LiveSource, or a FileSource respectively — so every capability
-/// (AnalysisOptions::threads parallelism included) is available from each.
-/// Legacy AutoCheckOptions convert implicitly at every opts parameter.
+/// LiveSource, or a FileSource respectively — so they differ only in where
+/// the trace comes from (AnalysisOptions::threads is the FileSource read
+/// budget).
 struct AnalysisRun {
   ir::Module module;
   analysis::MclRegion region;
@@ -34,8 +34,8 @@ struct AnalysisRun {
 AnalysisRun analyze_app(const App& app, const Params& params = {},
                         const analysis::AnalysisOptions& opts = {});
 
-/// Trace-file-free analysis (paper §IX future work, see
-/// analysis/streaming.hpp): the VM feeds the analyzer directly, executing the
+/// Trace-file-free analysis (paper §IX future work, see SessionStream in
+/// analysis/session.hpp): the VM feeds the analyzer directly, executing the
 /// deterministic program twice — pass 1 identifies the MLI variables, pass 2
 /// runs the dependency analysis. No trace is ever materialized, in memory or
 /// on disk. Timings: preprocessing = pass 1 (execution + MLI), dep_analysis =

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -25,14 +26,13 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: harness <APP|all> [options]\n"
-               "  --analyze            analysis-only profile: trace + sequential vs sharded\n"
-               "                       classification (verdicts must be bit-identical)\n"
+               "  --analyze            analysis-only profile: trace + analyze each app; the\n"
+               "                       verdicts must be the paper's Table II verdicts\n"
                "  --scale N            multiply each app's iteration knobs by N (with\n"
                "                       --analyze; default 1 = Table II laptop scale)\n"
-               "  --threads T          worker budget for the sharded run (default 4)\n"
+               "  --threads T          worker budget for trace-file reads (default 4)\n"
                "  --trace-format F     with --analyze: route the trace through a file in\n"
-               "                       format F (text | mctb) and read it back — verdicts\n"
-               "                       must match the in-memory run bit-for-bit\n"
+               "                       format F (text | mctb) and read it back\n"
                "  --ckpt-engine        validate C/R through the CheckpointEngine\n"
                "  --fail-at-iter N     inject a fail-stop at iteration N (default 5)\n"
                "  --dir DIR            checkpoint directory (default /tmp)\n"
@@ -99,78 +99,81 @@ void parse_codec_spec(ac::ckpt::EngineConfig& cfg, const std::string& spec) {
   }
 }
 
+/// Paper §VII: the variables to checkpoint, with their dependency types, do
+/// not change with the input size — so at any --scale the verdicts must be
+/// the app's Table II row.
+bool matches_paper(const ac::apps::App& app, const ac::analysis::ClassifyResult& verdicts) {
+  std::map<std::string, ac::analysis::DepType> want, got;
+  for (const auto& e : app.expected) want[e.name] = e.type;
+  for (const auto& cv : verdicts.critical) got[cv.name] = cv.type;
+  return want == got;
+}
+
+/// Print the table and the verdict line shared by both --analyze profiles.
+int finish_analyze(const ac::TextTable& table, int failures, std::size_t apps, int scale) {
+  std::printf("%s\n", table.render().c_str());
+  if (failures) {
+    std::printf("%d app(s) FAILED (verdicts differ from Table II or analysis threw)\n",
+                failures);
+    return 1;
+  }
+  std::printf("all %zu app(s): verdicts match Table II at scale %d\n", apps, scale);
+  return 0;
+}
+
 /// The `--scale` workload profile: compile each app at its Table II knobs
-/// with the iteration knobs multiplied by `scale`, trace it, and run the
-/// analysis twice — sequential and sharded onto `threads` workers. The two
-/// verdict sets must be bit-identical; timings show the speedup on
-/// bigger-than-seed inputs.
-int run_analyze(const std::vector<ac::apps::App>& apps, int scale, int threads) {
-  std::printf("=== analysis profile: --scale %d (Table II iteration knobs x%d), "
-              "%d worker(s) ===\n\n", scale, scale, threads);
-  ac::TextTable table({"App", "Records", "MLI", "#Crit", "Pre s", "Dep s", "Id s", "Id(x1) s",
-                       "Verdicts"});
+/// with the iteration knobs multiplied by `scale`, trace it into memory and
+/// analyze it; timings show how each phase grows on bigger-than-seed inputs.
+int run_analyze(const std::vector<ac::apps::App>& apps, int scale) {
+  std::printf("=== analysis profile: --scale %d (Table II iteration knobs x%d) ===\n\n", scale,
+              scale);
+  ac::TextTable table({"App", "Records", "MLI", "#Crit", "Pre s", "Dep s", "Id s", "Verdicts"});
   int failures = 0;
   for (const auto& app : apps) {
     try {
       const ac::apps::Params params = app.scaled_params(app.table2_params, scale);
-      ac::analysis::AnalysisOptions seq;
-      seq.build_ddg = false;
-      const ac::apps::AnalysisRun serial = ac::apps::analyze_app(app, params, seq);
-      ac::analysis::AnalysisOptions par = seq;
-      par.threads = threads;
-      const ac::apps::AnalysisRun sharded = ac::apps::analyze_app(app, params, par);
-      const bool match =
-          serial.report.verdicts.critical == sharded.report.verdicts.critical &&
-          serial.report.verdicts.all_mli == sharded.report.verdicts.all_mli;
+      ac::analysis::AnalysisOptions opts;
+      opts.build_ddg = false;
+      const ac::apps::AnalysisRun run = ac::apps::analyze_app(app, params, opts);
+      const bool match = matches_paper(app, run.report.verdicts);
       if (!match) ++failures;
-      table.add_row({app.name, ac::strf("%llu", (unsigned long long)sharded.trace_records),
-                     ac::strf("%zu", sharded.report.pre.mli.size()),
-                     ac::strf("%zu", sharded.report.verdicts.critical.size()),
-                     ac::strf("%.3f", sharded.report.timings.preprocessing),
-                     ac::strf("%.3f", sharded.report.timings.dep_analysis),
-                     ac::strf("%.3f", sharded.report.timings.identify),
-                     ac::strf("%.3f", serial.report.timings.identify),
+      table.add_row({app.name, ac::strf("%llu", (unsigned long long)run.trace_records),
+                     ac::strf("%zu", run.report.pre.mli.size()),
+                     ac::strf("%zu", run.report.verdicts.critical.size()),
+                     ac::strf("%.3f", run.report.timings.preprocessing),
+                     ac::strf("%.3f", run.report.timings.dep_analysis),
+                     ac::strf("%.3f", run.report.timings.identify),
                      match ? "MATCH" : "DIVERGED"});
     } catch (const std::exception& e) {
       ++failures;
       std::fprintf(stderr, "harness: %s: %s\n", app.name.c_str(), e.what());
     }
   }
-  std::printf("%s\n", table.render().c_str());
-  if (failures) {
-    std::printf("%d app(s) FAILED (sharded verdicts diverged or analysis threw)\n", failures);
-    return 1;
-  }
-  std::printf("all %zu app(s): sharded verdicts bit-identical to sequential at scale %d\n",
-              apps.size(), scale);
-  return 0;
+  return finish_analyze(table, failures, apps.size(), scale);
 }
 
-/// The `--analyze --trace-format F` profile: same verdict-identity check as
-/// run_analyze, but the trace goes through a file in the chosen on-disk
-/// format and is read back through the auto-detecting FileSource — the
-/// paper's file-based workflow, now measurable per format.
+/// The `--analyze --trace-format F` profile: the trace goes through a file in
+/// the chosen on-disk format and is read back through the auto-detecting
+/// FileSource on `threads` workers — the paper's file-based workflow,
+/// measurable per format.
 int run_analyze_file(const std::vector<ac::apps::App>& apps, int scale, int threads,
                      ac::trace::TraceFormat format) {
-  std::printf("=== analysis profile via %s trace files: --scale %d, %d worker(s) ===\n\n",
+  std::printf("=== analysis profile via %s trace files: --scale %d, %d read worker(s) ===\n\n",
               ac::trace::trace_format_name(format), scale, threads);
   ac::TextTable table({"App", "Records", "Trace", "Gen s", "Read s", "Id s", "Verdicts"});
   int failures = 0;
   for (const auto& app : apps) {
     try {
       const ac::apps::Params params = app.scaled_params(app.table2_params, scale);
-      ac::analysis::AnalysisOptions seq;
-      seq.build_ddg = false;
-      const ac::apps::AnalysisRun serial = ac::apps::analyze_app(app, params, seq);
-      ac::analysis::AnalysisOptions par = seq;
-      par.threads = threads;
+      ac::analysis::AnalysisOptions opts;
+      opts.build_ddg = false;
+      opts.threads = threads;
       const std::string path =
           "/tmp/ac_harness_" + app.name + "." + ac::trace::trace_format_name(format);
       const ac::apps::FileAnalysisRun fr =
-          ac::apps::analyze_app_via_file(app, params, path, par, format);
+          ac::apps::analyze_app_via_file(app, params, path, opts, format);
       std::remove(path.c_str());
-      const bool match = serial.report.verdicts.critical == fr.report.verdicts.critical &&
-                         serial.report.verdicts.all_mli == fr.report.verdicts.all_mli;
+      const bool match = matches_paper(app, fr.report.verdicts);
       if (!match) ++failures;
       table.add_row({app.name, ac::strf("%llu", (unsigned long long)fr.trace_records),
                      ac::human_bytes(fr.trace_bytes),
@@ -183,22 +186,15 @@ int run_analyze_file(const std::vector<ac::apps::App>& apps, int scale, int thre
       std::fprintf(stderr, "harness: %s: %s\n", app.name.c_str(), e.what());
     }
   }
-  std::printf("%s\n", table.render().c_str());
-  if (failures) {
-    std::printf("%d app(s) FAILED (file-path verdicts diverged or analysis threw)\n", failures);
-    return 1;
-  }
-  std::printf("all %zu app(s): %s-file verdicts bit-identical to the in-memory run\n",
-              apps.size(), ac::trace::trace_format_name(format));
-  return 0;
+  return finish_analyze(table, failures, apps.size(), scale);
 }
 
 /// The `--analyze --profile/--metrics` flow: one end-to-end pass per app that
 /// exercises every instrumented layer — VM trace generation, text-trace file
-/// parse (serial or parallel), MCTB encode + decode, threaded classification,
-/// and an engine-backed C/R round — then exports whatever the span rings and
+/// parse (serial or parallel), MCTB encode + decode, classification, and an
+/// engine-backed C/R round — then exports whatever the span rings and
 /// the registry recorded. Unlike run_analyze, this path optimizes for profile
-/// coverage, not for the verdict-identity table.
+/// coverage, not for the verdict table.
 int run_profile(const std::vector<ac::apps::App>& apps, int scale, int threads,
                 const ac::ckpt::EngineConfig& cfg, int fail_at) {
   namespace tel = ac::telemetry;
@@ -214,7 +210,7 @@ int run_profile(const std::vector<ac::apps::App>& apps, int scale, int threads,
     opts.threads = threads;
     opts.telemetry = true;
 
-    // VM trace -> text file -> (parallel) parse -> threaded classify.
+    // VM trace -> text file -> (parallel) parse -> classify.
     const std::string text_path = "/tmp/ac_profile_" + app.name + ".text";
     const ac::apps::FileAnalysisRun text_run = ac::apps::analyze_app_via_file(
         app, params, text_path, opts, ac::trace::TraceFormat::Text);
@@ -392,7 +388,7 @@ int main(int argc, char** argv) {
       rc = run_profile(apps, scale, threads, cfg, fail_at);
     } else {
       rc = have_trace_format ? run_analyze_file(apps, scale, threads, trace_format)
-                             : run_analyze(apps, scale, threads);
+                             : run_analyze(apps, scale);
     }
     const int export_rc = export_telemetry(profile_path, metrics_path);
     return rc ? rc : export_rc;

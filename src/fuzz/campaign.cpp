@@ -289,12 +289,8 @@ int decode_child(int fd, const CorpusEntry& e, const AppContext& ctx,
   if (!e.fault.empty()) fault::arm_from_spec(e.fault);
   try {
     if (e.kind == "mctb") {
-      // Streaming mode: mutation campaigns exercise the same decode path the
-      // FileSource default takes (error identity with buffered is pinned in
-      // test_mctb.cpp, so findings transfer both ways).
       trace::MctbReadOptions ropts;
       ropts.num_threads = 1;
-      ropts.streaming = true;
       const trace::TraceBuffer decoded = trace::read_mctb(bytes, ropts);
       if (trace::mctb_to_bytes(decoded, canonical_mctb_options(decoded.size())) ==
           ctx.canonical_mctb) {
@@ -319,7 +315,6 @@ int decode_child(int fd, const CorpusEntry& e, const AppContext& ctx,
       if (f->type == net::FrameType::TraceChunk) {
         trace::MctbReadOptions ropts;
         ropts.num_threads = 1;
-        ropts.streaming = true;
         const trace::TraceBuffer decoded = trace::read_mctb(f->payload, ropts);
         if (trace::mctb_to_bytes(decoded, canonical_mctb_options(decoded.size())) !=
             ctx.canonical_mctb) {

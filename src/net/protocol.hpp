@@ -27,9 +27,7 @@
 //                    trigger a giant allocation
 //
 // A TraceChunk payload is a complete, self-contained MCTB container
-// (trace/mctb.hpp) holding the next run of records: chunk boundaries map 1:1
-// onto the extraction chunks classify_pipelined already consumes, and decode
-// reuses the full MCTB validation matrix (magic/version/bounds/section CRCs/
+// (trace/mctb.hpp) holding the next run of records, and decode reuses the full MCTB validation matrix (magic/version/bounds/section CRCs/
 // codec ids/opcodes/symbol ids/flags) — a malformed chunk is a clean
 // ProtocolError/TraceFormatError and a torn-down connection, never UB and
 // never a dead daemon.

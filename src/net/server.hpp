@@ -41,8 +41,6 @@ struct ServerOptions {
   /// Listen address; port 0 binds an ephemeral port (see Server::port()).
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
-  /// AnalysisOptions::threads for each connection's Session runs.
-  int analysis_threads = 1;
   /// Bounded per-connection frame queue (the backpressure knob): the poll
   /// thread stops reading a connection whose queue is full.
   std::size_t queue_depth = 8;

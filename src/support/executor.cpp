@@ -22,11 +22,6 @@ bool FailState::failed() const {
   return error_ != nullptr;
 }
 
-std::size_t FailState::failed_chunk() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return chunk_;
-}
-
 void FailState::rethrow_if_failed() const {
   std::exception_ptr e;
   {
@@ -74,10 +69,8 @@ int resolve_threads(int threads, std::size_t n) {
 
 void run_chunks(std::size_t n, const ExecutorOptions& opts,
                 const std::function<void(std::size_t)>& task,
-                const std::function<void(std::size_t)>& on_ready,
-                FailState* shared_fail) {
-  FailState local;
-  FailState& fail = shared_fail ? *shared_fail : local;
+                const std::function<void(std::size_t)>& on_ready) {
+  FailState fail;
   const int threads = resolve_threads(opts.threads, n);
 
   if (threads <= 1) {
@@ -92,7 +85,7 @@ void run_chunks(std::size_t n, const ExecutorOptions& opts,
         fail.capture(c);
       }
     }
-    if (!shared_fail) fail.rethrow_if_failed();
+    fail.rethrow_if_failed();
     return;
   }
 
@@ -180,7 +173,7 @@ void run_chunks(std::size_t n, const ExecutorOptions& opts,
   }
 
   pool.join();
-  if (!shared_fail) fail.rethrow_if_failed();
+  fail.rethrow_if_failed();
 }
 
 }  // namespace ac

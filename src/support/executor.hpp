@@ -1,10 +1,8 @@
-// One executor under every parallel path (the ROADMAP "one executor" item):
-// the producer/consumer text reader, MCTB parallel decode, and the pipelined
-// classifier all used to carry hand-rolled worker pools whose error and
-// wakeup logic drifted independently — each stashed `e.what()` in a string
-// and rethrew as a fixed type (erasing CodecError vs TraceFormatError vs
-// bad_alloc and double-prefixing messages), and none stopped claiming work
-// after a failure. This header is the single implementation of that logic:
+// One executor under every parallel path: the producer/consumer text reader
+// and the MCTB parallel decode. A parallel error keeps its original type and
+// message (CodecError vs TraceFormatError vs bad_alloc), and no chunk is
+// claimed after a failure. This header is the single implementation of that
+// logic:
 //
 //   FailState     first-error capture as std::exception_ptr (the lowest
 //                 failing chunk index wins, which makes the parallel error
@@ -40,9 +38,9 @@
 
 namespace ac {
 
-/// Shared first-error + cancellation state for one parallel region. May be
-/// shared across stages (e.g. extractors and scanners) so any stage's failure
-/// cancels all of them and exactly one exception survives to the caller.
+/// First-error + cancellation state for one parallel region: any worker's
+/// failure cancels the rest, and exactly one exception survives to the
+/// caller.
 class FailState {
  public:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
@@ -60,8 +58,6 @@ class FailState {
   bool cancelled() const noexcept { return cancelled_.load(std::memory_order_acquire); }
 
   bool failed() const;
-  /// Index of the winning captured chunk, npos when none (or unindexed).
-  std::size_t failed_chunk() const;
   /// Rethrow the captured exception with its original type; no-op when clean.
   void rethrow_if_failed() const;
 
@@ -75,7 +71,7 @@ class FailState {
 /// RAII thread group bound to a FailState: an exception escaping a worker is
 /// captured (and cancels the region) instead of terminating the process.
 /// join() never throws — the caller rethrows via fail.rethrow_if_failed()
-/// once every stage sharing the state has been joined.
+/// once the group has been joined.
 class WorkerGroup {
  public:
   explicit WorkerGroup(FailState& fail) : fail_(fail) {}
@@ -110,15 +106,10 @@ struct ExecutorOptions {
 /// Run task(0..n-1) across a transient worker pool. If `on_ready` is given it
 /// runs on the *calling* thread, strictly in chunk order, as chunks finish —
 /// overlapping with workers still parsing later chunks. The first failure
-/// (from task or on_ready) cancels all unclaimed chunks.
-///
-/// With `shared_fail` == nullptr the first error is rethrown here with its
-/// original type. With an external FailState the error (and cancellation) is
-/// left in it for the caller to rethrow after joining the other stages that
-/// share it; a region already cancelled runs nothing.
+/// (from task or on_ready) cancels all unclaimed chunks and is rethrown here
+/// with its original type.
 void run_chunks(std::size_t n, const ExecutorOptions& opts,
                 const std::function<void(std::size_t)>& task,
-                const std::function<void(std::size_t)>& on_ready = {},
-                FailState* shared_fail = nullptr);
+                const std::function<void(std::size_t)>& on_ready = {});
 
 }  // namespace ac

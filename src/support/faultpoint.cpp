@@ -216,7 +216,7 @@ const std::vector<PointInfo>& catalog() {
        "mctb.cpp encode_container(): per section on the streaming file-writer path"},
       {"mctb.decode.section", "mctb.cpp decode_payload(): per decoded section"},
       {"mctb.stream.decode_slot",
-       "mctb.cpp read_mctb(): per chunk slot in streaming decode mode"},
+       "mctb.cpp read_mctb(): per chunk slot of the decode"},
       {"ckpt.archive.append", "engine.cpp persist(): L3 frame fwrite byte count (short-write site)"},
       {"exec.chunk.claim", "executor.cpp run_chunks(): after a worker claims a chunk"},
       {"net.write", "socket.cpp write_all(): before the send loop"},

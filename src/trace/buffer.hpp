@@ -1,6 +1,6 @@
 // Compact, interned, structure-of-arrays trace representation.
 //
-// The legacy TraceRecord spends the analysis hot path in the allocator: every
+// An owning TraceRecord spends the analysis hot path in the allocator: every
 // record owns two std::strings plus a std::vector<Operand> whose operands
 // each own a name string (~100+ heap bytes and 3+ allocations per record).
 // TraceBuffer stores the same information as three flat arrays —
@@ -12,8 +12,9 @@
 //
 // — so a parsed trace is a handful of large allocations, replay is a linear
 // scan, and name equality is an integer compare. RecordView is the zero-cost
-// cursor the analysis consumes; materialize() is the compatibility shim back
-// to TraceRecord (to_text() and the legacy public API are byte-identical).
+// cursor the analysis consumes; materialize() rebuilds a TraceRecord where an
+// owning copy is needed (the live analysis path and the tests), and to_text()
+// renders the same bytes TraceRecord::to_text() does.
 #pragma once
 
 #include <bit>
@@ -149,7 +150,7 @@ class RecordView {
   const SymbolPool& pool() const { return *pool_; }
   const PackedRecord& packed() const { return *rec_; }
 
-  /// Compatibility shim: rebuild the owning-string TraceRecord.
+  /// Rebuild the owning-string TraceRecord.
   TraceRecord materialize() const;
   /// Render as an LLVM-Tracer text block; byte-identical to
   /// materialize().to_text() without the intermediate record.
@@ -193,7 +194,7 @@ class TraceBuffer {
     operands_.reserve(operands);
   }
 
-  /// Intern + append one legacy record.
+  /// Intern + append one owning record.
   void append(const TraceRecord& rec) { pack_record(rec, pool_, records_, operands_); }
 
   /// Append a record viewed over another pool (the VM's trace templates),
@@ -212,9 +213,8 @@ class TraceBuffer {
   /// The arrays grow geometrically, so k appends reallocate O(log k) times.
   void append_remapped(const TraceBuffer& other, const std::vector<std::uint32_t>& remap);
 
-  /// Compatibility shims.
+  /// Rebuild record `i` as an owning TraceRecord.
   TraceRecord materialize(std::size_t i) const { return view(i).materialize(); }
-  std::vector<TraceRecord> materialize_all() const;
 
   /// Resident footprint of the representation (arrays + arena), for the
   /// memory-accounting columns of bench_micro.

@@ -1,12 +1,10 @@
 #include "trace/reader.hpp"
 
+#include <sys/stat.h>
+
 #include <cstdio>
 #include <thread>
 #include <utility>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include "support/error.hpp"
 #include "support/executor.hpp"
@@ -17,21 +15,6 @@ namespace ac::trace {
 
 namespace {
 
-std::vector<std::string_view> split_lines(std::string_view text) {
-  std::vector<std::string_view> lines;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    std::size_t pos = text.find('\n', start);
-    if (pos == std::string_view::npos) {
-      lines.push_back(text.substr(start));
-      break;
-    }
-    lines.push_back(text.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return lines;
-}
-
 bool is_block_header(std::string_view line) {
   if (!starts_with(line, "0,")) return false;
   // Headers have 6 fields; callee operand lines ("0,bits,value,is_reg,name")
@@ -39,20 +22,6 @@ bool is_block_header(std::string_view line) {
   int commas = 0;
   for (char c : line) commas += (c == ',');
   return commas >= 5;
-}
-
-std::vector<TraceRecord> parse_lines(const std::vector<std::string_view>& lines) {
-  std::vector<TraceRecord> records;
-  records.reserve(lines.size() / 4 + 1);
-  std::size_t pos = 0;
-  while (pos < lines.size()) {
-    if (trim(lines[pos]).empty()) {
-      ++pos;
-      continue;
-    }
-    records.push_back(parse_block(lines, pos));
-  }
-  return records;
 }
 
 // --- zero-copy TraceBuffer parse -------------------------------------------
@@ -77,8 +46,8 @@ struct LineCursor {
 };
 
 /// First six comma-separated fields plus the total field count (enough to
-/// parse headers and operand lines and to apply the legacy header/operand
-/// disambiguation, without a per-line vector).
+/// parse headers and operand lines and to tell them apart, without a
+/// per-line vector).
 struct Fields {
   std::string_view v[6];
   std::size_t count = 0;
@@ -98,8 +67,8 @@ void split_fields(std::string_view line, Fields& out) {
   }
 }
 
-/// Append every block of `text` to `buf`. Same grammar, same disambiguation
-/// and same rejection behavior as the legacy parse_block() path.
+/// Append every block of `text` to `buf`. Throws TraceFormatError on a
+/// malformed header or operand line.
 void parse_text_into(std::string_view text, TraceBuffer& buf) {
   SymbolPool& pool = buf.pool();
   std::vector<PackedRecord>& records = buf.records();
@@ -138,7 +107,7 @@ void parse_text_into(std::string_view text, TraceBuffer& buf) {
       if (trim(line).empty()) continue;
       split_fields(line, f);
       // A new block starts with "0," and >= 6 fields; callee operand lines
-      // ("0,bits,value,is_reg,name") have 5 (cf. parse_block).
+      // ("0,bits,value,is_reg,name") have 5.
       if (trim(f.v[0]) == "0" && f.count >= 6) break;
       if (f.count < 5) {
         throw TraceFormatError("operand line needs 5 fields: '" + std::string(line) + "'");
@@ -315,91 +284,23 @@ TraceBuffer read_trace_buffer_parallel(std::string_view text, int num_threads,
   return out;
 }
 
-std::vector<TraceRecord> read_trace_text(std::string_view text) {
-  return parse_lines(split_lines(text));
-}
-
 std::string read_file_bytes(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (!f) throw Error("cannot open file: " + path);
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  std::string data(size > 0 ? static_cast<std::size_t>(size) : 0, '\0');
-  if (size > 0 && std::fread(data.data(), 1, data.size(), f) != data.size()) {
+  // fopen succeeds on a directory, whose seek-to-end "size" is garbage: only
+  // a regular file's size is trusted.
+  struct stat st{};
+  if (::fstat(::fileno(f), &st) != 0 || !S_ISREG(st.st_mode)) {
+    std::fclose(f);
+    throw Error("not a regular file: " + path);
+  }
+  std::string data(static_cast<std::size_t>(st.st_size), '\0');
+  if (!data.empty() && std::fread(data.data(), 1, data.size(), f) != data.size()) {
     std::fclose(f);
     throw Error("short read from file: " + path);
   }
   std::fclose(f);
   return data;
-}
-
-std::vector<TraceRecord> read_trace_file(const std::string& path) {
-  const std::string data = read_file_bytes(path);
-  return read_trace_text(data);
-}
-
-std::vector<TraceRecord> read_trace_text_parallel(std::string_view text, int num_threads) {
-#ifndef _OPENMP
-  (void)num_threads;
-  return read_trace_text(text);
-#else
-  const std::vector<std::string_view> lines = split_lines(text);
-  if (lines.size() < 4096) return parse_lines(lines);
-
-  int threads = num_threads > 0 ? num_threads : omp_get_max_threads();
-  if (threads < 1) threads = 1;
-  if (threads > 256) threads = 256;  // a runaway request must not exhaust thread stacks
-  const std::size_t want_chunks = static_cast<std::size_t>(threads) * 4;
-
-  // Partition at block-header boundaries so no instruction block is split
-  // across sub-streams (paper §V-A).
-  std::vector<std::pair<std::size_t, std::size_t>> chunks;  // [begin,end) line ranges
-  const std::size_t target = lines.size() / want_chunks + 1;
-  std::size_t begin = 0;
-  while (begin < lines.size()) {
-    std::size_t end = begin + target;
-    if (end >= lines.size()) {
-      end = lines.size();
-    } else {
-      while (end < lines.size() && !is_block_header(lines[end])) ++end;
-    }
-    chunks.emplace_back(begin, end);
-    begin = end;
-  }
-
-  // OpenMP cannot propagate exceptions out of a parallel region, so trap them
-  // into a FailState: lowest-chunk-wins keeps the error identical to the
-  // serial parse, and the cancellation flag skips remaining iterations.
-  std::vector<std::vector<TraceRecord>> partial(chunks.size());
-  FailState fail;
-#pragma omp parallel for schedule(dynamic) num_threads(threads)
-  for (std::size_t c = 0; c < chunks.size(); ++c) {
-    if (fail.cancelled()) continue;
-    try {
-      std::vector<std::string_view> sub(lines.begin() + static_cast<std::ptrdiff_t>(chunks[c].first),
-                                        lines.begin() + static_cast<std::ptrdiff_t>(chunks[c].second));
-      partial[c] = parse_lines(sub);
-    } catch (...) {
-      fail.capture(c);
-    }
-  }
-  fail.rethrow_if_failed();
-
-  std::size_t total = 0;
-  for (const auto& p : partial) total += p.size();
-  std::vector<TraceRecord> records;
-  records.reserve(total);
-  for (auto& p : partial) {
-    for (auto& r : p) records.push_back(std::move(r));
-  }
-  return records;
-#endif
-}
-
-std::vector<TraceRecord> read_trace_file_parallel(const std::string& path, int num_threads) {
-  const std::string data = read_file_bytes(path);
-  return read_trace_text_parallel(data, num_threads);
 }
 
 }  // namespace ac::trace

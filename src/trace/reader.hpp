@@ -11,19 +11,15 @@
 //    while later chunks still parse (pipelined — no concat barrier).
 //
 // Binary MCTB traces are parsed by trace/mctb.hpp; FileSource sniffs the
-// magic and dispatches.
-//
-// The legacy std::vector<TraceRecord> readers below them are kept as the
-// reference implementation: the round-trip property tests pin the TraceBuffer
-// parse to be record-for-record identical to them.
+// magic and dispatches. Both parses are pinned by golden data
+// (tests/golden/vm_trace_digests.txt) and by the writer fixpoint: the text
+// re-rendered from a parsed buffer is byte-identical to its input.
 #pragma once
 
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "trace/buffer.hpp"
-#include "trace/record.hpp"
 
 namespace ac::trace {
 
@@ -48,20 +44,8 @@ TraceBuffer read_trace_buffer(std::string_view text, const ParseProgress& progre
 TraceBuffer read_trace_buffer_parallel(std::string_view text, int num_threads = 0,
                                        const ParseProgress& progress = {});
 
-/// Parse a whole trace held in memory.
-std::vector<TraceRecord> read_trace_text(std::string_view text);
-
-/// Load `path` and parse sequentially.
-std::vector<TraceRecord> read_trace_file(const std::string& path);
-
-/// Load `path` and parse with OpenMP workers (falls back to serial when built
-/// without OpenMP or when the file is small). `num_threads` 0 = runtime default.
-std::vector<TraceRecord> read_trace_file_parallel(const std::string& path, int num_threads = 0);
-
-/// Parallel parse of in-memory text (exposed for tests/benchmarks).
-std::vector<TraceRecord> read_trace_text_parallel(std::string_view text, int num_threads = 0);
-
-/// Slurp a file (shared by readers and tests).
+/// Slurp a regular file. Throws ac::Error when `path` cannot be opened, is
+/// not a regular file (a directory, a pipe), or the read comes up short.
 std::string read_file_bytes(const std::string& path);
 
 }  // namespace ac::trace

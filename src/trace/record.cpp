@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 
-#include "support/error.hpp"
 #include "support/strings.hpp"
 
 namespace ac::trace {
@@ -112,69 +111,6 @@ void TraceRecord::append_text(std::string& out) const {
     appendf(out, ",%d,%s,%d,%s\n", op.bits, value_to_text(op.value).c_str(),
             op.is_reg ? 1 : 0, op.name.empty() ? " " : op.name.c_str());
   }
-}
-
-namespace {
-
-Operand parse_operand_line(std::string_view text) {
-  auto fields = split_view(text, ',');
-  if (fields.size() < 5) throw TraceFormatError("operand line needs 5 fields: '" + std::string(text) + "'");
-  Operand op;
-  std::string_view slot = trim(fields[0]);
-  if (slot == "r") {
-    op.slot = OperandSlot::Result;
-  } else if (slot == "f") {
-    op.slot = OperandSlot::Param;
-  } else if (slot == "0") {
-    op.slot = OperandSlot::Callee;
-  } else {
-    op.slot = OperandSlot::Input;
-    op.index = static_cast<int>(parse_i64(slot));
-    if (op.index <= 0) throw TraceFormatError("bad operand index in '" + std::string(text) + "'");
-  }
-  op.bits = static_cast<int>(parse_i64(fields[1]));
-  op.value = value_from_text(fields[2]);
-  op.is_reg = parse_i64(fields[3]) != 0;
-  std::string_view name = trim(fields[4]);
-  op.name = std::string(name);
-  return op;
-}
-
-}  // namespace
-
-TraceRecord parse_block(const std::vector<std::string_view>& lines, std::size_t& pos) {
-  if (pos >= lines.size()) throw TraceFormatError("block start past end of input");
-  auto header = split_view(lines[pos], ',');
-  if (header.size() < 6 || trim(header[0]) != "0") {
-    throw TraceFormatError("bad block header: '" + std::string(lines[pos]) + "'");
-  }
-  TraceRecord rec;
-  rec.line = static_cast<std::int32_t>(parse_i64(header[1]));
-  rec.func = std::string(trim(header[2]));
-  rec.bb = std::string(trim(header[3]));
-  const int opnum = static_cast<int>(parse_i64(header[4]));
-  if (!is_known_opcode(opnum)) {
-    throw TraceFormatError(strf("unknown opcode %d at dyn record '%s'", opnum,
-                                std::string(lines[pos]).c_str()));
-  }
-  rec.opcode = static_cast<Opcode>(opnum);
-  rec.dyn_id = static_cast<std::uint64_t>(parse_i64(header[5]));
-  ++pos;
-  while (pos < lines.size()) {
-    std::string_view l = lines[pos];
-    if (trim(l).empty()) {
-      ++pos;
-      continue;
-    }
-    // A new block starts with "0," followed by a source line number; operand
-    // lines never start with "0," except the callee slot, which we disambiguate
-    // by field count (headers have 6 fields; callee operand lines have 5).
-    auto fields = split_view(l, ',');
-    if (trim(fields[0]) == "0" && fields.size() >= 6) break;
-    rec.operands.push_back(parse_operand_line(l));
-    ++pos;
-  }
-  return rec;
 }
 
 }  // namespace ac::trace

@@ -67,8 +67,4 @@ struct TraceRecord {
   void append_text(std::string& out) const;
 };
 
-/// Parse one block starting at `lines[pos]`; advances pos past the block.
-/// Throws TraceFormatError on malformed input.
-TraceRecord parse_block(const std::vector<std::string_view>& lines, std::size_t& pos);
-
 }  // namespace ac::trace

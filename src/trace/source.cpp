@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <utility>
 
 #include "support/error.hpp"
@@ -15,17 +16,9 @@
 
 namespace ac::trace {
 
-const std::vector<TraceRecord>& TraceSource::records() {
-  if (!materialized_valid_) {
-    materialized_ = buffer().materialize_all();
-    materialized_valid_ = true;
-  }
-  return materialized_;
-}
-
 void TraceSource::for_each(const std::function<void(const TraceRecord&)>& fn) {
-  // One materialized record at a time — a pass never holds the whole legacy
-  // representation.
+  // One materialized record at a time — a pass never holds the whole trace
+  // as owning records.
   const TraceBuffer& buf = buffer();
   for (std::size_t i = 0; i < buf.size(); ++i) fn(buf.materialize(i));
 }
@@ -33,24 +26,31 @@ void TraceSource::for_each(const std::function<void(const TraceRecord&)>& fn) {
 namespace {
 
 /// Read-only mmap of a whole file; falls back to a heap copy when mapping is
-/// unavailable (empty file, non-regular file, exotic filesystem). Either way
-/// view() is valid until destruction; the parse interns every name into the
-/// buffer's pool, so the mapping is dropped as soon as parsing finishes.
+/// unavailable (empty file, pipe, exotic filesystem). Either way view() is
+/// valid until destruction; the parse interns every name into the buffer's
+/// pool, so the mapping is dropped as soon as parsing finishes.
 class MappedFile {
  public:
   explicit MappedFile(const std::string& path) {
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0) throw Error("cannot open file: " + path);
     struct stat st{};
-    if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) && st.st_size > 0) {
+    if (::fstat(fd, &st) != 0 || S_ISDIR(st.st_mode)) {
+      ::close(fd);
+      throw Error("not a readable trace file: " + path);
+    }
+    if (S_ISREG(st.st_mode) && st.st_size > 0) {
       void* p = ::mmap(nullptr, static_cast<std::size_t>(st.st_size), PROT_READ, MAP_PRIVATE, fd, 0);
       if (p != MAP_FAILED) {
         map_ = p;
         size_ = static_cast<std::size_t>(st.st_size);
       }
     }
+    // The fallback drains the descriptor already open: re-opening a FIFO by
+    // path would block waiting for a second writer.
+    const bool ok = map_ || read_to_eof(fd);
     ::close(fd);
-    if (!map_) fallback_ = read_file_bytes(path);
+    if (!ok) throw Error("read error on trace file: " + path);
   }
   ~MappedFile() {
     if (map_) ::munmap(map_, size_);
@@ -77,6 +77,21 @@ class MappedFile {
   }
 
  private:
+  /// Append everything `fd` yields to fallback_; false on a read error.
+  bool read_to_eof(int fd) {
+    char chunk[64 * 1024];
+    for (;;) {
+      const ssize_t n = ::read(fd, chunk, sizeof chunk);
+      if (n > 0) {
+        fallback_.append(chunk, static_cast<std::size_t>(n));
+      } else if (n == 0) {
+        return true;
+      } else if (errno != EINTR) {
+        return false;
+      }
+    }
+  }
+
   void* map_ = nullptr;
   std::size_t size_ = 0;
   std::string fallback_;
@@ -101,13 +116,11 @@ const TraceBuffer& FileSource::buffer() {
     consumed.set_max(static_cast<std::int64_t>(end));
   };
   if (is_mctb(file.view())) {
-    // Binary container: a validated chunked read instead of text decoding.
-    // Streaming mode is the file-backed default — per-worker scratch arenas
-    // instead of per-chunk temporaries, with consumed payload pages released
-    // behind the in-order frontier exactly like the text path.
+    // Binary container: a validated chunked read instead of text decoding,
+    // with consumed payload pages released behind the in-order frontier
+    // exactly like the text path.
     MctbReadOptions mopts;
     mopts.num_threads = read_threads_ > 1 ? read_threads_ : 1;
-    mopts.streaming = true;
     mopts.progress = release;
     buffer_ = read_mctb(file.view(), mopts);
     format_ = "mctb";
@@ -121,46 +134,7 @@ const TraceBuffer& FileSource::buffer() {
   return buffer_;
 }
 
-namespace {
-
-void intern_records(const std::vector<TraceRecord>& records, TraceBuffer& buf) {
-  std::size_t operand_total = 0;
-  for (const TraceRecord& rec : records) operand_total += rec.operands.size();
-  buf.reserve(records.size(), operand_total);
-  for (const TraceRecord& rec : records) buf.append(rec);
-}
-
-}  // namespace
-
-MemorySource::MemorySource(std::vector<TraceRecord>&& records) {
-  // Owned legacy records: intern them immediately and drop the per-record
-  // heap representation — callers handing over ownership want the compact
-  // form, not a second copy.
-  intern_records(records, buffer_);
-  loaded_ = true;
-  records.clear();
-}
-
-const TraceBuffer& MemorySource::buffer() {
-  if (!loaded_) {
-    intern_records(*borrowed_, buffer_);
-    loaded_ = true;
-  }
-  return buffer_;
-}
-
-const std::vector<TraceRecord>& MemorySource::records() {
-  // Borrowed records stay zero-copy; otherwise fall back to the shim cache.
-  if (borrowed_) return *borrowed_;
-  return TraceSource::records();
-}
-
 const TraceBuffer& LiveSource::buffer() {
-  throw Error("LiveSource: a live trace stream cannot be materialized; "
-              "use for_each() (the Session runs its two-pass pipeline)");
-}
-
-const std::vector<TraceRecord>& LiveSource::records() {
   throw Error("LiveSource: a live trace stream cannot be materialized; "
               "use for_each() (the Session runs its two-pass pipeline)");
 }

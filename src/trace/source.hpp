@@ -7,17 +7,14 @@
 // that re-produces the stream on demand (the paper's §IX future work).
 // analysis::Session consumes any of them through this one interface.
 //
-// The native materialized form is the interned SoA TraceBuffer
-// (trace/buffer.hpp): buffer() is what the analysis pipeline replays.
-// records() remains as the legacy-compatibility shim — it materializes
-// owning TraceRecords from the buffer on first use and caches them; new
-// TraceSource implementations only have to produce a buffer.
+// The one materialized form is the interned SoA TraceBuffer
+// (trace/buffer.hpp): buffer() is what the analysis pipeline replays, and a
+// TraceSource implementation only has to produce it.
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "trace/buffer.hpp"
 #include "trace/record.hpp"
@@ -45,10 +42,6 @@ class TraceSource {
   /// buffer. Throws ac::Error for live sources.
   virtual const TraceBuffer& buffer() = 0;
 
-  /// Legacy materialization: owning TraceRecords, rebuilt from buffer() and
-  /// cached. Throws ac::Error for live sources.
-  virtual const std::vector<TraceRecord>& records();
-
   /// One ordered pass over the stream, callable repeatedly (passes are
   /// identical). Batch sources replay buffer() record views materialized one
   /// at a time; live sources re-execute.
@@ -61,16 +54,12 @@ class TraceSource {
 
   /// Records produced by the most recent materialization or pass.
   virtual std::uint64_t record_count() const = 0;
-
- protected:
-  /// Shim cache behind records().
-  std::vector<TraceRecord> materialized_;
-  bool materialized_valid_ = false;
 };
 
 /// A trace file — the LLVM-Tracer text block format or the binary MCTB
 /// container (trace/mctb.hpp), auto-detected by the magic bytes. The file is
-/// mmap()ed (with a buffered-read fallback) and materialized zero-copy into
+/// mmap()ed (with a read-to-EOF fallback for pipes and other non-regular
+/// files) and materialized zero-copy into
 /// the interned buffer on first access: text parses serially or with the
 /// §V-A block-aligned pipelined parallel decomposition when the read-thread
 /// budget exceeds one; MCTB goes through the validating chunked binary read
@@ -101,30 +90,17 @@ class FileSource final : public TraceSource {
   TraceBuffer buffer_;
 };
 
-/// A stream already in memory: an interned TraceBuffer (zero-copy when
-/// moved in), or legacy TraceRecords — borrowed from the caller (who keeps
-/// them alive for the Session's duration) or owned — which are interned into
-/// a buffer on first use.
+/// A stream already in memory: an interned TraceBuffer, moved in.
 class MemorySource final : public TraceSource {
  public:
-  /// Native: take ownership of an interned buffer.
-  explicit MemorySource(TraceBuffer&& buffer) : buffer_(std::move(buffer)), loaded_(true) {}
-  /// Borrow legacy records: the vector must outlive this source.
-  explicit MemorySource(const std::vector<TraceRecord>& records) : borrowed_(&records) {}
-  /// Own legacy records.
-  explicit MemorySource(std::vector<TraceRecord>&& records);
+  explicit MemorySource(TraceBuffer&& buffer) : buffer_(std::move(buffer)) {}
 
   std::string describe() const override { return "memory"; }
-  const TraceBuffer& buffer() override;
-  const std::vector<TraceRecord>& records() override;
-  std::uint64_t record_count() const override {
-    return borrowed_ ? borrowed_->size() : buffer_.size();
-  }
+  const TraceBuffer& buffer() override { return buffer_; }
+  std::uint64_t record_count() const override { return buffer_.size(); }
 
  private:
   TraceBuffer buffer_;
-  bool loaded_ = false;
-  const std::vector<TraceRecord>* borrowed_ = nullptr;
 };
 
 /// A live instrumented execution: the generator runs the program once,
@@ -140,8 +116,6 @@ class LiveSource final : public TraceSource {
   bool live() const override { return true; }
   /// Throws ac::Error: a live stream is never materialized.
   const TraceBuffer& buffer() override;
-  /// Throws ac::Error: a live stream is never materialized.
-  const std::vector<TraceRecord>& records() override;
   void for_each(const std::function<void(const TraceRecord&)>& fn) override;
   double read_seconds() const override { return pass_seconds_; }
   std::uint64_t record_count() const override { return pass_records_; }

@@ -1,11 +1,12 @@
 // Shared helpers for the AutoCheck test suite.
 #pragma once
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "analysis/autocheck.hpp"
+#include "analysis/session.hpp"
 #include "minic/compiler.hpp"
 #include "trace/writer.hpp"
 #include "vm/interp.hpp"
@@ -14,7 +15,7 @@ namespace ac::test {
 
 struct PipelineRun {
   ir::Module module;
-  std::vector<trace::TraceRecord> records;
+  trace::TraceBuffer trace;
   vm::RunResult run;
   analysis::Report report;
 };
@@ -22,17 +23,39 @@ struct PipelineRun {
 /// Compile MiniC source, execute it under the tracing VM, run AutoCheck.
 /// The MCL region comes from //@mcl-begin / //@mcl-end markers.
 inline PipelineRun run_pipeline(const std::string& source,
-                                const analysis::AutoCheckOptions& opts = {}) {
+                                const analysis::AnalysisOptions& opts = {}) {
   PipelineRun out;
   out.module = minic::compile(source);
   const analysis::MclRegion region = analysis::find_mcl_region(source);
-  trace::MemorySink sink;
+  trace::BufferSink sink;
   vm::RunOptions ropts;
   ropts.sink = &sink;
   out.run = vm::run_module(out.module, ropts);
-  out.records = std::move(sink.records());
-  out.report = analysis::analyze_records(out.records, region, opts);
+  out.trace = sink.take();
+  out.report =
+      analysis::Session().buffer(trace::TraceBuffer(out.trace)).region(region).options(opts).run();
   return out;
+}
+
+/// Drive SessionStream's two passes over the first `count` records of `buf`
+/// (all of them by default), as a live execution would feed it.
+inline analysis::Report stream_trace(const trace::TraceBuffer& buf,
+                                     const analysis::MclRegion& region,
+                                     const analysis::AnalysisOptions& opts = {},
+                                     std::size_t count = static_cast<std::size_t>(-1)) {
+  count = std::min(count, buf.size());
+  analysis::SessionStream stream(region, opts);
+  for (std::size_t i = 0; i < count; ++i) stream.pass1_add(buf.materialize(i));
+  stream.finish_pass1();
+  for (std::size_t i = 0; i < count; ++i) stream.pass2_add(buf.materialize(i));
+  return stream.finish();
+}
+
+/// The LLVM-Tracer text rendering of a whole trace.
+inline std::string trace_text(const trace::TraceBuffer& buf) {
+  std::string text;
+  for (std::size_t i = 0; i < buf.size(); ++i) buf.view(i).append_text(text);
+  return text;
 }
 
 /// Execute without analysis (for VM-focused tests).

@@ -4,7 +4,7 @@
 
 #include <algorithm>
 
-#include "analysis/preprocess.hpp"
+#include "analysis/session.hpp"
 #include "support/error.hpp"
 
 #include "helpers.hpp"
@@ -22,17 +22,14 @@ TEST(Partition, SplitsAroundTheLoop) {
   ASSERT_TRUE(part.has_loop());
   EXPECT_GT(part.first_b, 0);
   EXPECT_GT(part.last_b, part.first_b);
-  EXPECT_LT(static_cast<std::size_t>(part.last_b), run.records.size() - 1);
+  EXPECT_LT(static_cast<std::size_t>(part.last_b), run.trace.size() - 1);
   EXPECT_EQ(part.part_of(0), Part::A);
   EXPECT_EQ(part.part_of(part.first_b), Part::B);
   EXPECT_EQ(part.part_of(part.last_b + 1), Part::C);
 }
 
 TEST(Partition, ThrowsWhenRegionNeverExecutes) {
-  auto records = [] {
-    auto run = run_pipeline(fig4_source());
-    return run.records;
-  }();
+  const trace::TraceBuffer records = run_pipeline(fig4_source()).trace;
   MclRegion region;
   region.function = "main";
   region.begin_line = 9000;
@@ -177,7 +174,7 @@ int main() {
 
   // ...while the paper's literal name-matching with call bypass misses them,
   // which is exactly the limitation §V-B works around manually.
-  AutoCheckOptions paper_mode;
+  AnalysisOptions paper_mode;
   paper_mode.mli_mode = MliMode::PaperNameMatch;
   auto paper_run = run_pipeline(src, paper_mode);
   auto paper_names = mli_names(paper_run.report);
@@ -185,7 +182,7 @@ int main() {
 }
 
 TEST(Mli, PaperNameMatchAgreesOnFig4) {
-  AutoCheckOptions opts;
+  AnalysisOptions opts;
   opts.mli_mode = MliMode::PaperNameMatch;
   auto run = run_pipeline(fig4_source(), opts);
   auto names = mli_names(run.report);

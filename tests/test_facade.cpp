@@ -1,9 +1,10 @@
-// AutoCheck facade, report rendering, region scanning, harness invariants.
+// Report rendering, region scanning, Session file-path behaviour, harness
+// invariants.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "analysis/autocheck.hpp"
+#include "analysis/session.hpp"
 #include "apps/harness.hpp"
 #include "support/error.hpp"
 
@@ -57,7 +58,7 @@ TEST(Report, CriticalLookup) {
 
 TEST(Facade, AnalyzeFileMissingTraceThrows) {
   MclRegion region{"main", 1, 2};
-  EXPECT_THROW(analyze_file("/no/such/trace.txt", region), Error);
+  EXPECT_THROW(Session().file("/no/such/trace.txt").region(region).run(), Error);
 }
 
 TEST(Facade, TimingsArePopulatedOnFilePath) {
@@ -70,7 +71,7 @@ TEST(Facade, TimingsArePopulatedOnFilePath) {
 }
 
 TEST(Facade, BuildDdgOffSkipsGraphs) {
-  AutoCheckOptions opts;
+  AnalysisOptions opts;
   opts.build_ddg = false;
   auto run = test::run_pipeline(test::fig4_source(), opts);
   EXPECT_EQ(run.report.dep.complete.num_nodes(), 0);

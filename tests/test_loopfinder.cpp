@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/loopfinder.hpp"
+#include "analysis/session.hpp"
 #include "apps/harness.hpp"
 
 #include "helpers.hpp"
@@ -13,7 +14,7 @@ namespace {
 TEST(LoopFinder, MainLoopRanksFirstOnFig4) {
   auto run = test::run_pipeline(test::fig4_source());
   const auto region = find_mcl_region(test::fig4_source());
-  const auto candidates = suggest_loops(run.records);
+  const auto candidates = suggest_loops(run.trace);
   ASSERT_FALSE(candidates.empty());
   // The top candidate is the marked main loop: same header line, same host.
   EXPECT_EQ(candidates[0].function, "main");
@@ -25,7 +26,7 @@ TEST(LoopFinder, MainLoopRanksFirstOnFig4) {
 
 TEST(LoopFinder, InitLoopRanksBelowMainLoop) {
   auto run = test::run_pipeline(test::fig4_source());
-  const auto candidates = suggest_loops(run.records, 0);
+  const auto candidates = suggest_loops(run.trace, 0);
   // The Part-A init loop over a/b exists as a candidate but with a smaller
   // span than the main loop.
   bool found_init = false;
@@ -54,7 +55,7 @@ int main() {
 }
 )";
   auto run = test::run_pipeline(src);
-  const auto candidates = suggest_loops(run.records, 0);
+  const auto candidates = suggest_loops(run.trace, 0);
   const auto region = find_mcl_region(src);
   for (const auto& c : candidates) {
     // line 4 hosts the `if`: evaluated once, so it must not appear.
@@ -68,13 +69,13 @@ TEST(LoopFinder, SuggestionFeedsAnalysisDirectly) {
   // End-to-end: feed the #1 suggestion back into AutoCheck and get the same
   // verdict as with the marker-derived region.
   auto run = test::run_pipeline(test::fig4_source());
-  const auto candidates = suggest_loops(run.records, 1);
+  const auto candidates = suggest_loops(run.trace, 1);
   ASSERT_EQ(candidates.size(), 1u);
   MclRegion region;
   region.function = candidates[0].function;
   region.begin_line = candidates[0].header_line;
   region.end_line = candidates[0].end_line;
-  const Report report = analyze_records(run.records, region);
+  const Report report = Session().buffer(std::move(run.trace)).region(region).run();
   EXPECT_EQ(test::critical_map(report), test::critical_map(run.report));
 }
 
@@ -82,11 +83,11 @@ TEST(LoopFinder, TopCandidateMatchesMarkedLoopOnApps) {
   for (const char* name : {"CG", "Himeno", "IS", "AMG"}) {
     const apps::App& app = apps::find_app(name);
     const apps::AnalysisRun run = apps::analyze_app(app);
-    trace::MemorySink sink;
+    trace::BufferSink sink;
     vm::RunOptions ropts;
     ropts.sink = &sink;
     vm::run_module(run.module, ropts);
-    const auto candidates = suggest_loops(sink.records(), 3);
+    const auto candidates = suggest_loops(sink.buffer(), 3);
     ASSERT_FALSE(candidates.empty()) << name;
     EXPECT_EQ(candidates[0].function, "main") << name;
     EXPECT_EQ(candidates[0].header_line, run.region.begin_line) << name;

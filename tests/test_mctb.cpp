@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <map>
 
 #include "analysis/session.hpp"
 #include "apps/harness.hpp"
@@ -37,11 +38,16 @@ constexpr std::size_t kSecPayloadCrcOff = 48;
 constexpr std::size_t kSecStagesOff = 53;
 
 std::string fig4_trace_text() {
-  trace::MemorySink sink;
+  trace::BufferSink sink;
   test::run_source(test::fig4_source(), &sink);
-  std::string text;
-  for (const auto& r : sink.records()) text += r.to_text();
-  return text;
+  return test::trace_text(sink.buffer());
+}
+
+/// Decode on `threads` workers.
+TraceBuffer decode(std::string_view img, int threads) {
+  MctbReadOptions opts;
+  opts.num_threads = threads;
+  return read_mctb(img, opts);
 }
 
 std::string buffer_text(const TraceBuffer& buf) {
@@ -130,8 +136,8 @@ TEST(Mctb, RoundTripsEveryCodecChain) {
     opts.codec = CodecChain::parse(spec);
     opts.chunk_records = 64;  // force multiple chunks
     const std::string img = mctb_to_bytes(parsed, opts);
-    const TraceBuffer serial = read_mctb(img, 1);
-    const TraceBuffer parallel = read_mctb(img, 4);
+    const TraceBuffer serial = decode(img, 1);
+    const TraceBuffer parallel = decode(img, 4);
     EXPECT_EQ(buffer_text(serial), text) << spec;
     EXPECT_EQ(buffer_text(parallel), text) << spec;
     EXPECT_EQ(serial.pool().size(), parsed.pool().size()) << spec;
@@ -172,11 +178,11 @@ TEST(Mctb, MakeFileSinkFactory) {
   {
     auto text_sink = make_file_sink(TraceFormat::Text, text_path);
     auto mctb_sink = make_file_sink(TraceFormat::Mctb, mctb_path);
-    trace::MemorySink mem;
+    trace::BufferSink mem;
     test::run_source(test::fig4_source(), &mem);
-    for (const auto& r : mem.records()) {
-      text_sink->append(r);
-      mctb_sink->append(r);
+    for (std::size_t i = 0; i < mem.buffer().size(); ++i) {
+      text_sink->append(mem.buffer().view(i));
+      mctb_sink->append(mem.buffer().view(i));
     }
   }  // both close via destructor
   trace::FileSource text_source(text_path), mctb_source(mctb_path);
@@ -300,40 +306,30 @@ TEST(MctbMalformed, ParallelDecodeRejectsToo) {
   const std::size_t n = static_cast<std::size_t>(sec.count);
   img[sec.payload_off + 24 * n] = static_cast<char>(0xFA);
   fix_crcs(img);
-  EXPECT_THROW(read_mctb(img, 4), TraceFormatError);
+  EXPECT_THROW(decode(img, 4), TraceFormatError);
 }
 
 // --- serial vs parallel error identity ---------------------------------------
 
 /// The executor's exception_ptr propagation (lowest failing chunk wins) makes
 /// the parallel decode raise the *byte-identical* error the serial decode
-/// raises — type and message — for every corruption in the matrix above, and
-/// the streaming mode (reused scratch arenas) must match the buffered
-/// baseline across the same thread counts.
+/// raises — type and message — for every corruption in the matrix above.
 void expect_error_identity(const std::string& img, const char* label) {
   std::string serial_what;
   try {
-    read_mctb(img, 1);
+    decode(img, 1);
     FAIL() << label << ": serial decode accepted the corrupt container";
   } catch (const TraceFormatError& e) {
     serial_what = e.what();
   }
-  for (const bool streaming : {false, true}) {
-    for (const int threads : {1, 2, 4}) {
-      if (!streaming && threads == 1) continue;  // the baseline above
-      MctbReadOptions opts;
-      opts.num_threads = threads;
-      opts.streaming = streaming;
-      const char* mode = streaming ? "streaming" : "buffered";
-      try {
-        read_mctb(img, opts);
-        FAIL() << label << ": " << mode << " decode accepted the corrupt container";
-      } catch (const TraceFormatError& e) {
-        EXPECT_STREQ(serial_what.c_str(), e.what())
-            << label << " " << mode << " threads=" << threads;
-      } catch (const std::exception& e) {
-        FAIL() << label << ": exception type erased to: " << e.what();
-      }
+  for (const int threads : {2, 4}) {
+    try {
+      decode(img, threads);
+      FAIL() << label << ": decode accepted the corrupt container";
+    } catch (const TraceFormatError& e) {
+      EXPECT_STREQ(serial_what.c_str(), e.what()) << label << " threads=" << threads;
+    } catch (const std::exception& e) {
+      FAIL() << label << ": exception type erased to: " << e.what();
     }
   }
 }
@@ -450,58 +446,49 @@ TEST(MctbFrame, RejectsTornAndCorruptFrames) {
 // --- the 14-app property -----------------------------------------------------
 
 /// text -> recode -> mctb -> read must reproduce the exact original bytes,
-/// serial and parallel, and the decoded buffer must classify identically
-/// through the barrier (classify_sharded) and pipelined paths.
+/// serial and parallel, and the decoded buffer must classify to the paper's
+/// Table II verdicts.
 class MctbRoundTrip : public testing::TestWithParam<std::string> {};
 
 TEST_P(MctbRoundTrip, TextRecodeReadByteIdentical) {
   const apps::App& app = apps::find_app(GetParam());
-  trace::MemorySink sink;
+  trace::BufferSink sink;
   vm::RunOptions ropts;
   ropts.sink = &sink;
   const ir::Module module = minic::compile(app.source());
   vm::run_module(module, ropts);
-  std::string text;
-  for (const auto& r : sink.records()) text += r.to_text();
+  const std::string text = test::trace_text(sink.buffer());
 
   MctbOptions opts;
   opts.chunk_records = 512;  // several chunks even for the small knobs
   const std::string img = mctb_to_bytes(read_trace_buffer(text), opts);
   EXPECT_LT(img.size(), text.size());  // the container must actually shrink
 
-  TraceBuffer serial = read_mctb(img, 1);
-  const TraceBuffer parallel = read_mctb(img, 4);
+  TraceBuffer serial = decode(img, 1);
+  const TraceBuffer parallel = decode(img, 4);
   EXPECT_EQ(buffer_text(serial), text);
   EXPECT_EQ(buffer_text(parallel), text);
 
-  // Pipelined-vs-barrier classification identity on the decoded trace.
-  const analysis::MclRegion region = app.mcl();
-  auto pre = analysis::preprocess(serial, region);
-  analysis::DepOptions dopts;
-  dopts.build_ddg = false;
-  const auto dep = analysis::dep_analysis(serial, pre, region, dopts);
-  const auto sequential = analysis::classify(dep, pre);
-  const auto barrier = analysis::classify_sharded(dep, pre, 4);
-  const auto pipelined = analysis::classify_pipelined(dep, pre, 4);
-  EXPECT_EQ(sequential.critical, barrier.critical);
-  EXPECT_EQ(sequential.all_mli, barrier.all_mli);
-  EXPECT_EQ(sequential.critical, pipelined.critical);
-  EXPECT_EQ(sequential.all_mli, pipelined.all_mli);
+  // The decoded trace classifies to the paper's verdicts.
+  const analysis::Report report =
+      analysis::Session().buffer(std::move(serial)).region(app.mcl()).run();
+  std::map<std::string, analysis::DepType> want, got;
+  for (const auto& e : app.expected) want[e.name] = e.type;
+  for (const auto& cv : report.verdicts.critical) got[cv.name] = cv.type;
+  EXPECT_EQ(got, want);
 }
 
-/// The streaming writer and reader are byte-identical to the buffered paths
-/// on every mini-app: one encoder behind every sink (in-memory, reused
-/// buffer, file), and a decode whose only difference is the allocation
-/// profile — serial and threads 2/4.
+/// The streaming writer and reader are byte-identical on every mini-app: one
+/// encoder behind every sink (in-memory, reused buffer, file), and a decode
+/// that reproduces the parsed buffer exactly — serial and threads 2/4.
 TEST_P(MctbRoundTrip, StreamingEncodeDecodeByteIdentical) {
   const apps::App& app = apps::find_app(GetParam());
-  trace::MemorySink sink;
+  trace::BufferSink sink;
   vm::RunOptions ropts;
   ropts.sink = &sink;
   const ir::Module module = minic::compile(app.source());
   vm::run_module(module, ropts);
-  std::string text;
-  for (const auto& r : sink.records()) text += r.to_text();
+  const std::string text = test::trace_text(sink.buffer());
   const TraceBuffer parsed = read_trace_buffer(text);
 
   MctbOptions opts;
@@ -530,17 +517,13 @@ TEST_P(MctbRoundTrip, StreamingEncodeDecodeByteIdentical) {
   EXPECT_EQ(file_bytes, img);
   std::remove(path.c_str());
 
-  // Decode identity: streaming mode at serial and threads 2/4 reproduces the
-  // buffered decode exactly (text, operands, symbol pool).
-  const TraceBuffer buffered = read_mctb(img, 1);
+  // Decode identity at serial and threads 2/4: the parsed buffer exactly
+  // (text, operands, symbol pool).
   for (const int threads : {1, 2, 4}) {
-    MctbReadOptions ropts2;
-    ropts2.num_threads = threads;
-    ropts2.streaming = true;
-    const TraceBuffer streamed = read_mctb(img, ropts2);
+    const TraceBuffer streamed = decode(img, threads);
     EXPECT_EQ(buffer_text(streamed), text) << "threads=" << threads;
-    EXPECT_EQ(streamed.operands().size(), buffered.operands().size()) << threads;
-    EXPECT_EQ(streamed.pool().size(), buffered.pool().size()) << threads;
+    EXPECT_EQ(streamed.operands().size(), parsed.operands().size()) << threads;
+    EXPECT_EQ(streamed.pool().size(), parsed.pool().size()) << threads;
     // Canonical re-serialization equality pins every decoded column, not
     // just the text projection.
     EXPECT_EQ(mctb_to_bytes(streamed, opts), img) << "threads=" << threads;

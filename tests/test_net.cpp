@@ -301,13 +301,17 @@ TEST(DaemonTest, DaemonErrorIdenticalToLocalDecode) {
 
   std::string local_what;
   try {
-    trace::read_mctb(container, 1);
+    trace::MctbReadOptions opts;
+    opts.num_threads = 1;
+    trace::read_mctb(container, opts);
     FAIL() << "local serial decode accepted the corrupt container";
   } catch (const TraceFormatError& e) {
     local_what = e.what();
   }
   try {
-    trace::read_mctb(container, 4);
+    trace::MctbReadOptions opts;
+    opts.num_threads = 4;
+    trace::read_mctb(container, opts);
     FAIL() << "local parallel decode accepted the corrupt container";
   } catch (const TraceFormatError& e) {
     EXPECT_STREQ(local_what.c_str(), e.what());

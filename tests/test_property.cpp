@@ -138,9 +138,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomPrograms,
 }  // namespace
 }  // namespace ac
 
-// -- Streaming equivalence on random programs (appended with streaming mode) --
-
-#include "analysis/streaming.hpp"
+// -- Streaming equivalence on random programs (SessionStream) --
 
 namespace ac {
 namespace {
@@ -148,13 +146,8 @@ namespace {
 TEST_P(RandomPrograms, StreamingMatchesBatch) {
   const std::string src = generate_program(GetParam());
   auto batch = test::run_pipeline(src);
-  const auto region = analysis::find_mcl_region(src);
-
-  analysis::StreamingAutoCheck streaming(region);
-  for (const auto& r : batch.records) streaming.pass1_add(r);
-  streaming.finish_pass1();
-  for (const auto& r : batch.records) streaming.pass2_add(r);
-  const analysis::Report streamed = streaming.finish();
+  const analysis::Report streamed =
+      test::stream_trace(batch.trace, analysis::find_mcl_region(src));
 
   EXPECT_EQ(test::critical_map(streamed), test::critical_map(batch.report));
   EXPECT_EQ(streamed.dep.events.size(), batch.report.dep.events.size());

@@ -1,8 +1,8 @@
-// The unified Session pipeline API: builder contract, AnalysisOptions thread
-// semantics, TraceSource equivalence (memory / file / live), the parallel
-// sharded classification (bit-identical verdicts at analysis_threads 1 vs 4
-// across all 14 mini-apps), and ReportSink round-trips (JSON -> engine
-// registration matches direct in-memory registration).
+// The unified Session pipeline API: builder contract, TraceSource
+// equivalence (memory / file / live), thread-budget independence (identical
+// verdicts at threads 1 vs 4 across all 14 mini-apps), and ReportSink
+// round-trips (JSON -> engine registration matches direct in-memory
+// registration).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -40,16 +40,16 @@ TEST(SessionBuilder, RequiresSourceAndValidRegion) {
   EXPECT_THROW(Session().run(), Error);  // no source
 
   auto run = test::run_pipeline(test::fig4_source());
-  EXPECT_THROW(Session().records(run.records).run(), Error);  // no region
+  EXPECT_THROW(Session().buffer(trace::TraceBuffer(run.trace)).run(), Error);  // no region
 
   MclRegion inverted{"main", 20, 10};
-  EXPECT_THROW(Session().records(run.records).region(inverted).run(), Error);
+  EXPECT_THROW(Session().buffer(trace::TraceBuffer(run.trace)).region(inverted).run(), Error);
 }
 
-TEST(SessionBuilder, MatchesLegacyFacade) {
+TEST(SessionBuilder, MarkerRegionMatchesExplicitRegion) {
   auto run = test::run_pipeline(test::fig4_source());
   const Report direct = Session()
-                            .records(run.records)
+                            .buffer(std::move(run.trace))
                             .region_from_markers(test::fig4_source())
                             .run();
   EXPECT_EQ(test::critical_map(direct), test::critical_map(run.report));
@@ -57,262 +57,13 @@ TEST(SessionBuilder, MatchesLegacyFacade) {
   expect_timing_structure(direct);
 }
 
-// --- options semantics ------------------------------------------------------
+// --- classification corner -------------------------------------------------
 
-TEST(SessionOptions, ThreadsKnobDrivesBothStages) {
-  AnalysisOptions opts;
-  EXPECT_EQ(opts.effective_read_threads(), 1);
-  EXPECT_EQ(opts.effective_analysis_threads(), 1);
-
-  opts.threads = 4;  // one knob, both stages
-  EXPECT_EQ(opts.effective_read_threads(), 4);
-  EXPECT_EQ(opts.effective_analysis_threads(), 4);
-
-  opts.read_threads = 2;  // per-stage override wins
-  opts.analysis_threads = 8;
-  EXPECT_EQ(opts.effective_read_threads(), 2);
-  EXPECT_EQ(opts.effective_analysis_threads(), 8);
-}
-
-TEST(SessionOptions, LegacyReadThreadsHonoredWithoutParallelRead) {
-  // The old facade honored read_threads only when parallel_read was set.
-  AutoCheckOptions legacy;
-  legacy.read_threads = 3;
-  const AnalysisOptions converted = legacy;
-  EXPECT_EQ(converted.effective_read_threads(), 3);
-
-  AutoCheckOptions parallel_default;
-  parallel_default.parallel_read = true;
-  const AnalysisOptions converted_default = parallel_default;
-  EXPECT_GE(converted_default.effective_read_threads(), 1);
-  EXPECT_EQ(converted_default.effective_read_threads(), default_thread_count());
-
-  AutoCheckOptions plain;
-  plain.mli_mode = MliMode::PaperNameMatch;
-  plain.build_ddg = false;
-  const AnalysisOptions kept = plain;
-  EXPECT_EQ(kept.mli_mode, MliMode::PaperNameMatch);
-  EXPECT_FALSE(kept.build_ddg);
-  EXPECT_EQ(kept.effective_read_threads(), 1);
-}
-
-// --- sharded classification -------------------------------------------------
-
-TEST(SessionParallel, ShardedClassifyBitIdenticalOnFig4) {
-  auto run = test::run_pipeline(test::fig4_source());
-  const MclRegion region = find_mcl_region(test::fig4_source());
-  const Report serial = Session().records(run.records).region(region).run();
-  for (int threads : {2, 3, 4, 7}) {
-    const Report sharded =
-        Session().records(run.records).region(region).options(with_threads(threads)).run();
-    EXPECT_EQ(serial.verdicts.critical, sharded.verdicts.critical) << threads;
-    EXPECT_EQ(serial.verdicts.all_mli, sharded.verdicts.all_mli) << threads;
-  }
-}
-
-TEST(SessionParallel, ClassifyShardedDirectApi) {
-  auto run = test::run_pipeline(test::fig4_source());
-  const ClassifyResult serial = classify(run.report.dep, run.report.pre);
-  const ClassifyResult sharded = classify_sharded(run.report.dep, run.report.pre, 4);
-  EXPECT_EQ(serial.critical, sharded.critical);
-  EXPECT_EQ(serial.all_mli, sharded.all_mli);
-}
-
-TEST(SessionParallel, ClassifyPipelinedBitIdenticalAcrossCorners) {
-  // The pipelined producer/consumer path (what Session actually runs) must be
-  // bit-identical to sequential and to the barrier path across the same
-  // corner matrix: small counts, clamp-triggering absurd counts, and the
-  // degenerate empty input.
-  auto run = test::run_pipeline(test::fig4_source());
-  const ClassifyResult serial = classify(run.report.dep, run.report.pre);
-  for (const int threads : {2, 3, 4, 7, 64, 257, 100000}) {
-    const ClassifyResult barrier = classify_sharded(run.report.dep, run.report.pre, threads);
-    const ClassifyResult pipelined =
-        classify_pipelined(run.report.dep, run.report.pre, threads);
-    EXPECT_EQ(serial.critical, pipelined.critical) << threads;
-    EXPECT_EQ(serial.all_mli, pipelined.all_mli) << threads;
-    EXPECT_EQ(barrier.critical, pipelined.critical) << threads;
-    EXPECT_EQ(barrier.all_mli, pipelined.all_mli) << threads;
-  }
-
-  const DepResult empty_dep;
-  const PreprocessResult empty_pre;
-  const ClassifyResult empty = classify_pipelined(empty_dep, empty_pre, 8);
+TEST(SessionClassify, ZeroVariableTraceClassifiesEmpty) {
+  // Degenerate input: no events, no MLI variables.
+  const ClassifyResult empty = classify(DepResult{}, PreprocessResult{});
   EXPECT_TRUE(empty.critical.empty());
   EXPECT_TRUE(empty.all_mli.empty());
-}
-
-TEST(SessionParallel, ThreadsExceedingVariableCountClampAndMatch) {
-  // fig4 has 5 MLI variables; 64 (and an absurd 100000) worker requests must
-  // clamp to the variable count and still produce bit-identical verdicts —
-  // never 100000 threads, never an empty-shard crash.
-  auto run = test::run_pipeline(test::fig4_source());
-  const ClassifyResult serial = classify(run.report.dep, run.report.pre);
-  for (const int threads : {64, 257, 100000}) {
-    const ClassifyResult sharded = classify_sharded(run.report.dep, run.report.pre, threads);
-    EXPECT_EQ(serial.critical, sharded.critical) << threads;
-    EXPECT_EQ(serial.all_mli, sharded.all_mli) << threads;
-  }
-}
-
-TEST(SessionParallel, ZeroVariableTraceClassifiesEmpty) {
-  // Degenerate inputs: no events, no MLI variables. Both paths must agree on
-  // the empty verdict instead of dividing by a zero shard count.
-  const DepResult dep;
-  const PreprocessResult pre;
-  const ClassifyResult serial = classify(dep, pre);
-  const ClassifyResult sharded = classify_sharded(dep, pre, 8);
-  EXPECT_TRUE(serial.critical.empty());
-  EXPECT_TRUE(serial.all_mli.empty());
-  EXPECT_EQ(serial.critical, sharded.critical);
-  EXPECT_EQ(serial.all_mli, sharded.all_mli);
-
-  // Source-level version: a computation loop that touches only its induction
-  // variable and a loop-invariant scalar read.
-  const std::string src = R"(
-int main() {
-  int it;
-  int bound = 6;
-  int ticks = 0;
-  //@mcl-begin
-  for (it = 0; it < bound; it = it + 1) {
-    ticks = it;
-  }
-  //@mcl-end
-  print_int(ticks);
-  return 0;
-}
-)";
-  auto run = test::run_pipeline(src);
-  const MclRegion region = find_mcl_region(src);
-  const Report serial_report = Session().records(run.records).region(region).run();
-  const Report sharded_report =
-      Session().records(run.records).region(region).options(with_threads(16)).run();
-  EXPECT_EQ(serial_report.verdicts.critical, sharded_report.verdicts.critical);
-  EXPECT_EQ(serial_report.verdicts.all_mli, sharded_report.verdicts.all_mli);
-}
-
-TEST(SessionParallel, SkewedSingleHotArrayMatchesSequential) {
-  // Nearly every event lands on one array, so var % threads puts almost the
-  // whole stream into a single shard — the load-balance worst case must
-  // still be bit-identical to sequential (the ROADMAP's balance follow-up is
-  // about speed, not correctness).
-  const std::string src = R"(
-double hot[128];
-int main() {
-  int it;
-  int i;
-  double checksum = 0.0;
-  for (i = 0; i < 128; i = i + 1) { hot[i] = 1.0; }
-  //@mcl-begin
-  for (it = 0; it < 6; it = it + 1) {
-    for (i = 1; i < 128; i = i + 1) {
-      hot[i] = hot[i] + hot[i - 1] * 0.5;
-    }
-    checksum = checksum + hot[127];
-  }
-  //@mcl-end
-  print_float(checksum);
-  return 0;
-}
-)";
-  auto run = test::run_pipeline(src);
-  const MclRegion region = find_mcl_region(src);
-  const Report serial = Session().records(run.records).region(region).run();
-  for (const int threads : {2, 4, 7}) {
-    const Report sharded =
-        Session().records(run.records).region(region).options(with_threads(threads)).run();
-    EXPECT_EQ(serial.verdicts.critical, sharded.verdicts.critical) << threads;
-    EXPECT_EQ(serial.verdicts.all_mli, sharded.verdicts.all_mli) << threads;
-  }
-  // The hot array itself must be in the verdict set (stale consumption of
-  // hot[i-1] across iterations), or the test is not exercising the skew.
-  bool hot_found = false;
-  for (const auto& cv : serial.verdicts.critical) hot_found |= cv.name == "hot";
-  EXPECT_TRUE(hot_found);
-}
-
-// --- event-count-balanced shard assignment (LPT) -----------------------------
-
-TEST(LptAssignment, IsolatesTheHotVariable) {
-  // One variable carries nearly every event: LPT must give it a shard of its
-  // own and spread the rest, instead of `var % threads` landing everything in
-  // one shard.
-  const std::vector<std::pair<int, std::uint64_t>> counts = {
-      {0, 100000}, {1, 10}, {2, 12}, {3, 8}};
-  const std::vector<int> shard = lpt_shard_assignment(counts, 2);
-  ASSERT_EQ(shard.size(), counts.size());
-  const int hot = shard[0];
-  EXPECT_NE(shard[1], hot);
-  EXPECT_NE(shard[2], hot);
-  EXPECT_NE(shard[3], hot);
-}
-
-TEST(LptAssignment, BalancesEqualLoads) {
-  std::vector<std::pair<int, std::uint64_t>> counts;
-  for (int v = 0; v < 8; ++v) counts.emplace_back(v, 100);
-  const std::vector<int> shard = lpt_shard_assignment(counts, 4);
-  std::vector<int> per_shard(4, 0);
-  for (const int s : shard) {
-    ASSERT_GE(s, 0);
-    ASSERT_LT(s, 4);
-    ++per_shard[static_cast<std::size_t>(s)];
-  }
-  for (const int n : per_shard) EXPECT_EQ(n, 2);  // perfectly even
-}
-
-TEST(LptAssignment, DegenerateCornersAndDeterminism) {
-  // threads > vars: every variable gets its own shard; empty shards are fine.
-  const std::vector<std::pair<int, std::uint64_t>> few = {{5, 7}, {9, 3}};
-  const std::vector<int> wide = lpt_shard_assignment(few, 16);
-  EXPECT_NE(wide[0], wide[1]);
-
-  // Zero variables / single shard / zero-count ties are all well-defined.
-  EXPECT_TRUE(lpt_shard_assignment({}, 4).empty());
-  EXPECT_EQ(lpt_shard_assignment(few, 1), (std::vector<int>{0, 0}));
-  const std::vector<std::pair<int, std::uint64_t>> ties = {{3, 0}, {1, 0}, {2, 0}};
-  const std::vector<int> a = lpt_shard_assignment(ties, 2);
-  const std::vector<int> b = lpt_shard_assignment(ties, 2);
-  EXPECT_EQ(a, b);  // deterministic under ties (ordered by var id)
-}
-
-TEST(LptAssignment, SkewedHotArrayStillBitIdentical) {
-  // The skewed single-hot-array program under the *balanced* assignment: the
-  // hot shard now isolates `hot`, and the verdicts must remain bit-identical
-  // to sequential for every worker count (including threads > vars).
-  const std::string src = R"(
-double hot[96];
-int main() {
-  int it;
-  int i;
-  double checksum = 0.0;
-  double aux = 0.0;
-  for (i = 0; i < 96; i = i + 1) { hot[i] = 1.0; }
-  //@mcl-begin
-  for (it = 0; it < 5; it = it + 1) {
-    for (i = 1; i < 96; i = i + 1) {
-      hot[i] = hot[i] + hot[i - 1] * 0.5;
-    }
-    aux = aux + hot[95];
-    checksum = checksum + aux;
-  }
-  //@mcl-end
-  print_float(checksum);
-  return 0;
-}
-)";
-  auto run = test::run_pipeline(src);
-  const MclRegion region = find_mcl_region(src);
-  const Report serial = Session().records(run.records).region(region).run();
-  for (const int threads : {2, 3, 5, 64}) {
-    const Report sharded =
-        Session().records(run.records).region(region).options(with_threads(threads)).run();
-    EXPECT_EQ(serial.verdicts.critical, sharded.verdicts.critical) << threads;
-    EXPECT_EQ(serial.verdicts.all_mli, sharded.verdicts.all_mli) << threads;
-  }
-  bool hot_found = false;
-  for (const auto& cv : serial.verdicts.critical) hot_found |= cv.name == "hot";
-  EXPECT_TRUE(hot_found);
 }
 
 // --- trace sources ----------------------------------------------------------
@@ -324,10 +75,10 @@ TEST(SessionSources, FileSerialAndParallelMatchMemory) {
   const std::string path = testing::TempDir() + "/ac_session_fig4.trace";
   {
     trace::FileSink sink(path);
-    for (const auto& rec : run.records) sink.append(rec);
+    for (std::size_t i = 0; i < run.trace.size(); ++i) sink.append(run.trace.view(i));
   }
 
-  const Report from_memory = Session().records(run.records).region(region).run();
+  const Report from_memory = Session().buffer(std::move(run.trace)).region(region).run();
   const Report serial_file = Session().file(path).region(region).run();
   const Report parallel_file =
       Session().file(path).region(region).options(with_threads(4)).run();
@@ -349,11 +100,11 @@ TEST(SessionSources, LiveSourceMatchesBatchAndNeverMaterializes) {
     vm::run_module(run.module, ropts);
   });
   EXPECT_TRUE(source->live());
-  EXPECT_THROW(source->records(), Error);
+  EXPECT_THROW(source->buffer(), Error);
 
   const Report live = Session().source(source).region_from_markers(src).run();
   EXPECT_EQ(live.verdicts.critical, run.report.verdicts.critical);
-  EXPECT_EQ(source->record_count(), run.records.size());
+  EXPECT_EQ(source->record_count(), run.trace.size());
   expect_timing_structure(live);
 }
 
@@ -370,7 +121,7 @@ TEST(SessionSinks, TextJsonDotProtectCapture) {
 
   std::string text, json, dot, protect;
   Session()
-      .records(run.records)
+      .buffer(std::move(run.trace))
       .region_from_markers(src)
       .sink(std::make_shared<TextSink>(&text))
       .sink(std::make_shared<JsonSink>(&json))
@@ -412,7 +163,7 @@ TEST(SessionSinks, JsonRoundTripMatchesDirectEngineRegistration) {
 
   std::string json;
   Session()
-      .records(run.records)
+      .buffer(std::move(run.trace))
       .region_from_markers(src)
       .sink(std::make_shared<EngineSink>(direct))
       .sink(std::make_shared<JsonSink>(&json))
@@ -428,20 +179,20 @@ TEST(SessionSinks, JsonRoundTripMatchesDirectEngineRegistration) {
   EXPECT_EQ(direct.protected_names(), from_json.protected_names());
 }
 
-// --- batch vs streaming vs parallel across the suite ------------------------
+// --- batch vs streaming vs thread budget across the suite -------------------
 
 class SessionApps : public testing::TestWithParam<std::string> {};
 
-TEST_P(SessionApps, BatchStreamingParallelEquivalence) {
+TEST_P(SessionApps, BatchStreamingThreadsEquivalence) {
   const apps::App& app = apps::find_app(GetParam());
 
   const apps::AnalysisRun serial = apps::analyze_app(app, {}, with_threads(1));
-  const apps::AnalysisRun sharded = apps::analyze_app(app, {}, with_threads(4));
+  const apps::AnalysisRun threaded = apps::analyze_app(app, {}, with_threads(4));
   const apps::StreamingRun live = apps::analyze_app_streaming(app, {}, with_threads(4));
 
-  // Parallel classification is bit-identical to the sequential path.
-  EXPECT_EQ(serial.report.verdicts.critical, sharded.report.verdicts.critical);
-  EXPECT_EQ(serial.report.verdicts.all_mli, sharded.report.verdicts.all_mli);
+  // The thread budget never changes a verdict.
+  EXPECT_EQ(serial.report.verdicts.critical, threaded.report.verdicts.critical);
+  EXPECT_EQ(serial.report.verdicts.all_mli, threaded.report.verdicts.all_mli);
 
   // The live two-pass pipeline agrees with batch on verdicts and structure.
   EXPECT_EQ(serial.report.verdicts.critical, live.report.verdicts.critical);
@@ -451,7 +202,7 @@ TEST_P(SessionApps, BatchStreamingParallelEquivalence) {
 
   // Same timing structure from every source/parallelism combination.
   expect_timing_structure(serial.report);
-  expect_timing_structure(sharded.report);
+  expect_timing_structure(threaded.report);
   expect_timing_structure(live.report);
 }
 

@@ -1,10 +1,10 @@
-// Streaming (trace-file-free) analysis — the paper's §IX future work.
-// The contract: batch and streaming pipelines produce identical verdicts,
-// identical MLI sets and identical event streams, for every benchmark and
-// for the Fig. 4 example.
+// Streaming (trace-file-free) analysis — the paper's §IX future work, driven
+// through SessionStream. The contract: batch and streaming pipelines produce
+// identical verdicts, identical MLI sets and identical event streams, for
+// every benchmark and for the Fig. 4 example.
 #include <gtest/gtest.h>
 
-#include "analysis/streaming.hpp"
+#include "analysis/session.hpp"
 #include "apps/harness.hpp"
 #include "support/error.hpp"
 
@@ -13,19 +13,10 @@
 namespace ac::analysis {
 namespace {
 
-Report stream_records(const std::vector<trace::TraceRecord>& records, const MclRegion& region,
-                      const AutoCheckOptions& opts = {}) {
-  StreamingAutoCheck streaming(region, opts);
-  for (const auto& r : records) streaming.pass1_add(r);
-  streaming.finish_pass1();
-  for (const auto& r : records) streaming.pass2_add(r);
-  return streaming.finish();
-}
-
 TEST(Streaming, Fig4MatchesBatch) {
   auto run = test::run_pipeline(test::fig4_source());
   const Report streamed =
-      stream_records(run.records, analysis::find_mcl_region(test::fig4_source()));
+      test::stream_trace(run.trace, analysis::find_mcl_region(test::fig4_source()));
 
   EXPECT_EQ(test::critical_map(streamed), test::critical_map(run.report));
   EXPECT_EQ(streamed.pre.mli.size(), run.report.pre.mli.size());
@@ -40,17 +31,17 @@ TEST(Streaming, Fig4MatchesBatch) {
 }
 
 TEST(Streaming, PaperMliModeMatchesBatch) {
-  AutoCheckOptions opts;
+  AnalysisOptions opts;
   opts.mli_mode = MliMode::PaperNameMatch;
   auto run = test::run_pipeline(test::fig4_source(), opts);
   const Report streamed =
-      stream_records(run.records, analysis::find_mcl_region(test::fig4_source()), opts);
+      test::stream_trace(run.trace, analysis::find_mcl_region(test::fig4_source()), opts);
   EXPECT_EQ(test::mli_names(streamed), test::mli_names(run.report));
 }
 
 TEST(Streaming, EnforcesPassOrder) {
   const MclRegion region{"main", 1, 2};
-  StreamingAutoCheck streaming(region);
+  SessionStream streaming(region);
   trace::TraceRecord rec;
   rec.opcode = trace::Opcode::Br;
   rec.func = "main";
@@ -64,8 +55,8 @@ TEST(Streaming, ThrowsWhenRegionNeverExecutes) {
   region.function = "main";
   region.begin_line = 9000;
   region.end_line = 9001;
-  StreamingAutoCheck streaming(region);
-  for (const auto& r : run.records) streaming.pass1_add(r);
+  SessionStream streaming(region);
+  for (std::size_t i = 0; i < run.trace.size(); ++i) streaming.pass1_add(run.trace.materialize(i));
   EXPECT_THROW(streaming.finish_pass1(), AnalysisError);
 }
 
@@ -73,17 +64,11 @@ TEST(Streaming, TrailingCallIsFlushedAtFinish) {
   // A truncated stream ending in a Call record must not lose the call: it is
   // handled as form 1 by finish().
   auto run = test::run_pipeline(test::fig4_source());
-  std::vector<trace::TraceRecord> truncated;
-  for (const auto& r : run.records) {
-    truncated.push_back(r);
-    if (truncated.size() > run.records.size() / 2 && r.opcode == trace::Opcode::Call) break;
-  }
+  std::size_t cut = run.trace.size() / 2 + 1;
+  while (cut < run.trace.size() && run.trace.view(cut - 1).opcode() != trace::Opcode::Call) ++cut;
+  ASSERT_EQ(run.trace.view(cut - 1).opcode(), trace::Opcode::Call);
   const MclRegion region = analysis::find_mcl_region(test::fig4_source());
-  StreamingAutoCheck streaming(region);
-  for (const auto& r : truncated) streaming.pass1_add(r);
-  streaming.finish_pass1();
-  for (const auto& r : truncated) streaming.pass2_add(r);
-  EXPECT_NO_THROW(streaming.finish());
+  EXPECT_NO_THROW(test::stream_trace(run.trace, region, {}, cut));
 }
 
 class StreamingApps : public testing::TestWithParam<std::string> {};

@@ -210,24 +210,21 @@ TEST(TelemetryPipeline, ParseAndClassifyMetricsPinToGroundTruth) {
   TelemetryReset guard;
   auto run = test::run_pipeline(test::fig4_source());
 
-  std::string text;
-  for (const auto& r : run.records) text += r.to_text();
+  const std::string text = test::trace_text(run.trace);
 
   metrics().reset();  // isolate the parse below from the pipeline run above
   trace::TraceBuffer buf = trace::read_trace_buffer(text);
-  EXPECT_EQ(metrics().counter_value("parse.records_parsed"), run.records.size());
+  EXPECT_EQ(metrics().counter_value("parse.records_parsed"), run.trace.size());
   EXPECT_EQ(metrics().counter_value("parse.bytes_parsed"), text.size());
 
   const analysis::MclRegion region = analysis::find_mcl_region(test::fig4_source());
   analysis::AnalysisOptions opts;
-  opts.threads = 4;
   opts.telemetry = true;
   const analysis::Report report =
       analysis::Session().buffer(std::move(buf)).region(region).options(opts).run();
   telemetry().disable();
 
-  // The per-shard delivery counts must sum to exactly the event stream: no
-  // event dropped by the routing sweep, none double-counted across shards.
+  // The classifier counts exactly the event stream it scanned.
   EXPECT_GT(report.dep.events.size(), 0u);
   EXPECT_EQ(metrics().counter_value("classify.shard_events"), report.dep.events.size());
   EXPECT_EQ(test::critical_map(report), test::critical_map(run.report));
@@ -237,7 +234,7 @@ TEST(TelemetryPipeline, ParseAndClassifyMetricsPinToGroundTruth) {
   bool classify_span = false;
   for (const Span& s : telemetry().collect()) {
     if (std::string_view(s.name) == "analysis.session") session_span = true;
-    if (std::string_view(s.name).substr(0, 9) == "classify.") classify_span = true;
+    if (std::string_view(s.name) == "classify.scan") classify_span = true;
   }
   EXPECT_TRUE(session_span);
   EXPECT_TRUE(classify_span);

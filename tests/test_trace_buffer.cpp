@@ -1,10 +1,11 @@
 // The interned trace representation: SymbolPool unit tests (dedup, id
 // stability, thread-safe bulk intern), TraceBuffer pack/materialize
-// round-trips, and the zero-copy parser property suite — TraceBuffer-
-// materialized to_text() must be byte-identical to the legacy parser's
-// output across all 14 mini-app traces, serial and parallel.
+// round-trips, and the zero-copy parser property suite — across all 14
+// mini-app traces, serial and parallel, the parse is a fixpoint of the writer
+// and matches the golden VM trace digests' counts.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <optional>
 #include <thread>
 
@@ -238,21 +239,7 @@ TEST(TraceBuffer, ChunkAppendsReallocateLogarithmically) {
   EXPECT_LE(operand_reallocs, 20);
 }
 
-// --- parser equivalence -----------------------------------------------------
-
-TEST(TraceBufferParse, MatchesLegacyParserOnFig4) {
-  trace::MemorySink sink;
-  test::run_source(test::fig4_source(), &sink);
-  std::string text;
-  for (const auto& r : sink.records()) text += r.to_text();
-
-  const auto legacy = read_trace_text(text);
-  const TraceBuffer buf = read_trace_buffer(text);
-  ASSERT_EQ(buf.size(), legacy.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(buf.view(i).to_text(), legacy[i].to_text()) << "record " << i;
-  }
-}
+// --- parser pinning ----------------------------------------------------------
 
 TEST(TraceBufferParse, RejectsMalformedInput) {
   EXPECT_THROW(read_trace_buffer("1,2,3\n"), TraceFormatError);
@@ -264,44 +251,43 @@ TEST(TraceBufferParse, RejectsMalformedInput) {
   EXPECT_EQ(read_trace_buffer("\n  \n\n").size(), 0u);
 }
 
-/// The round-trip property across the whole suite: parse with the legacy
-/// reader and with the zero-copy buffer reader (serial and parallel); the
-/// buffer-materialized to_text() must be byte-identical to the legacy
-/// records' for every app.
+/// "records=N operands=N symbols=N" of `app` in the golden VM trace digests.
+std::string golden_counts(const std::string& app) {
+  std::ifstream in(std::string(AC_TEST_SOURCE_DIR) + "/golden/vm_trace_digests.txt");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(app + " ", 0) != 0) continue;
+    const std::size_t begin = line.find("records=");
+    return line.substr(begin, line.find(" text_crc=") - begin);
+  }
+  return "missing from the golden file";
+}
+
+/// The round-trip property across the whole suite: the zero-copy parse
+/// (serial and parallel) is a fixpoint of the writer — re-rendering the parsed
+/// records gives back the input bytes — and its record, operand and symbol
+/// counts are the golden VM trace digests'.
 class BufferRoundTrip : public testing::TestWithParam<std::string> {};
 
-TEST_P(BufferRoundTrip, ByteIdenticalToLegacyParser) {
+TEST_P(BufferRoundTrip, WriterFixpointAndGoldenCounts) {
   const apps::App& app = apps::find_app(GetParam());
-  trace::MemorySink sink;
+  trace::BufferSink sink;
   vm::RunOptions ropts;
   ropts.sink = &sink;
   const ir::Module module = minic::compile(app.source());
   vm::run_module(module, ropts);
-  std::string text;
-  for (const auto& r : sink.records()) text += r.to_text();
+  const std::string text = test::trace_text(sink.buffer());
 
-  const auto legacy = read_trace_text(text);
   const TraceBuffer serial = read_trace_buffer(text);
-  const TraceBuffer parallel = read_trace_buffer_parallel(text, 4);
-
-  ASSERT_EQ(serial.size(), legacy.size());
-  ASSERT_EQ(parallel.size(), legacy.size());
-  ASSERT_EQ(serial.operands().size(), parallel.operands().size());
-
-  std::string legacy_text, serial_text, parallel_text;
-  legacy_text.reserve(text.size());
-  serial_text.reserve(text.size());
-  parallel_text.reserve(text.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    legacy_text += legacy[i].to_text();
-    serial_text += serial.view(i).to_text();
-    parallel_text += parallel.view(i).to_text();
+  EXPECT_EQ(test::trace_text(serial), text);
+  EXPECT_EQ(strf("records=%zu operands=%zu symbols=%zu", serial.size(),
+                 serial.operands().size(), serial.pool().size()),
+            golden_counts(app.name));
+  for (const int threads : {2, 4}) {
+    const TraceBuffer parallel = read_trace_buffer_parallel(text, threads);
+    EXPECT_EQ(test::trace_text(parallel), text) << "threads=" << threads;
+    EXPECT_EQ(parallel.operands().size(), serial.operands().size()) << "threads=" << threads;
   }
-  EXPECT_EQ(serial_text, legacy_text);
-  EXPECT_EQ(parallel_text, legacy_text);
-  // The parse is also a fixpoint of the writer: records round-trip to the
-  // original bytes.
-  EXPECT_EQ(serial_text, text);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -336,7 +322,7 @@ TEST(BufferSink, FeedsSessionWithoutLegacyRecords) {
   EXPECT_EQ(sink.count(), 0u);  // taken
 
   const auto run = test::run_pipeline(src);
-  EXPECT_EQ(run.records.size(), streamed);
+  EXPECT_EQ(run.trace.size(), streamed);
   EXPECT_EQ(from_buffer.verdicts.critical, run.report.verdicts.critical);
   EXPECT_EQ(from_buffer.verdicts.all_mli, run.report.verdicts.all_mli);
 }

@@ -1,12 +1,27 @@
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <thread>
+
 #include "support/error.hpp"
 #include "trace/reader.hpp"
 #include "trace/record.hpp"
+#include "trace/source.hpp"
 #include "trace/writer.hpp"
 
 namespace ac::trace {
 namespace {
+
+/// Parse `text` and rebuild every record as an owning TraceRecord.
+std::vector<TraceRecord> parse(std::string_view text) {
+  const TraceBuffer buf = read_trace_buffer(text);
+  std::vector<TraceRecord> out;
+  for (std::size_t i = 0; i < buf.size(); ++i) out.push_back(buf.materialize(i));
+  return out;
+}
 
 TraceRecord sample_load() {
   // The paper's Fig. 1 first block: a Load of variable p into register 8.
@@ -59,7 +74,7 @@ TEST(Record, TextLayout) {
 
 TEST(Record, RoundTripThroughParser) {
   const TraceRecord rec = sample_load();
-  auto parsed = read_trace_text(rec.to_text());
+  auto parsed = parse(rec.to_text());
   ASSERT_EQ(parsed.size(), 1u);
   EXPECT_EQ(parsed[0].line, 3);
   EXPECT_EQ(parsed[0].func, "foo");
@@ -84,7 +99,7 @@ TEST(Record, CallFormOneLikeFig6a) {
   rec.operands.push_back(Operand::input(2, Value::make_float(2.0), true, "37"));
   rec.operands.push_back(Operand::result(Value::make_float(1936.0), "38"));
 
-  auto parsed = read_trace_text(rec.to_text());
+  auto parsed = parse(rec.to_text());
   ASSERT_EQ(parsed.size(), 1u);
   EXPECT_FALSE(parsed[0].is_call_with_body());
   ASSERT_NE(parsed[0].find(OperandSlot::Callee), nullptr);
@@ -106,7 +121,7 @@ TEST(Record, CallFormTwoLikeFig6b) {
   rec.operands.push_back(Operand::param(Value::make_addr(0x7ffec14b0db0), "p"));
   rec.operands.push_back(Operand::param(Value::make_addr(0x7ffec14b0d80), "q"));
 
-  auto parsed = read_trace_text(rec.to_text());
+  auto parsed = parse(rec.to_text());
   ASSERT_EQ(parsed.size(), 1u);
   EXPECT_TRUE(parsed[0].is_call_with_body());
   const auto params = parsed[0].params();
@@ -128,7 +143,7 @@ TEST(Record, MultiBlockStream) {
   mul.operands.push_back(Operand::result(Value::make_int(4), "9"));
   text += mul.to_text();
 
-  auto parsed = read_trace_text(text);
+  auto parsed = parse(text);
   ASSERT_EQ(parsed.size(), 2u);
   EXPECT_EQ(parsed[1].opcode, Opcode::Mul);
   // Empty operand names serialize as a single space and parse back empty.
@@ -136,19 +151,19 @@ TEST(Record, MultiBlockStream) {
 }
 
 TEST(Record, RejectsBadHeader) {
-  EXPECT_THROW(read_trace_text("1,2,3\n"), TraceFormatError);
-  EXPECT_THROW(read_trace_text("0,3,foo,6:1,27\n"), TraceFormatError);   // short header
-  EXPECT_THROW(read_trace_text("0,3,foo,6:1,999,1\n"), TraceFormatError);  // bad opcode
+  EXPECT_THROW(read_trace_buffer("1,2,3\n"), TraceFormatError);
+  EXPECT_THROW(read_trace_buffer("0,3,foo,6:1,27\n"), TraceFormatError);   // short header
+  EXPECT_THROW(read_trace_buffer("0,3,foo,6:1,999,1\n"), TraceFormatError);  // bad opcode
 }
 
 TEST(Record, RejectsBadOperandLine) {
-  EXPECT_THROW(read_trace_text("0,3,foo,6:1,27,215\n1,64,0x1\n"), TraceFormatError);
-  EXPECT_THROW(read_trace_text("0,3,foo,6:1,27,215\n-2,64,5,0, \n"), TraceFormatError);
+  EXPECT_THROW(read_trace_buffer("0,3,foo,6:1,27,215\n1,64,0x1\n"), TraceFormatError);
+  EXPECT_THROW(read_trace_buffer("0,3,foo,6:1,27,215\n-2,64,5,0, \n"), TraceFormatError);
 }
 
 TEST(Record, SkipsBlankLines) {
   const std::string text = "\n" + sample_load().to_text() + "\n\n" + sample_load().to_text();
-  EXPECT_EQ(read_trace_text(text).size(), 2u);
+  EXPECT_EQ(parse(text).size(), 2u);
 }
 
 TEST(Sinks, MemorySinkCollects) {
@@ -178,13 +193,45 @@ TEST(Sinks, FileSinkWritesParseableTrace) {
     EXPECT_GT(sink.bytes(), 0u);
     EXPECT_EQ(sink.count(), 100u);
   }
-  auto parsed = read_trace_file(path);
+  FileSource source(path);
+  const TraceBuffer& parsed = source.buffer();
   ASSERT_EQ(parsed.size(), 100u);
-  EXPECT_EQ(parsed[99].dyn_id, 99u);
+  EXPECT_EQ(parsed.view(99).dyn_id(), 99u);
 }
 
 TEST(Sinks, FileSinkRejectsBadPath) {
   EXPECT_THROW(FileSink("/nonexistent_dir_xyz/trace.txt"), Error);
+}
+
+TEST(FileSourceInput, DirectoryIsATypedError) {
+  // A directory opens fine but is no trace: a clean ac::Error, not an
+  // allocation sized from a garbage file length.
+  FileSource source(testing::TempDir());
+  EXPECT_THROW(source.buffer(), Error);
+  EXPECT_THROW(read_file_bytes(testing::TempDir()), Error);
+}
+
+TEST(FileSourceInput, FifoWithWriterParses) {
+  // A pipe cannot be mmap()ed; the fallback must drain the descriptor it
+  // already holds instead of re-opening the path (which would block waiting
+  // for a second writer).
+  const std::string path = testing::TempDir() + "/ac_trace_fifo_" + std::to_string(::getpid());
+  std::remove(path.c_str());
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  const std::string text = sample_load().to_text() + sample_load().to_text();
+  std::thread writer([&] {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    if (f == nullptr) return;
+    std::fwrite(text.data(), 1, text.size(), f);
+    std::fclose(f);
+  });
+  FileSource source(path);
+  const TraceBuffer& buf = source.buffer();
+  writer.join();
+  std::remove(path.c_str());
+  ASSERT_EQ(buf.size(), 2u);
+  EXPECT_EQ(buf.view(1).to_text(), sample_load().to_text());
+  EXPECT_STREQ(source.format(), "text");
 }
 
 }  // namespace

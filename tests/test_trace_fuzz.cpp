@@ -3,7 +3,7 @@
 // into records that the analysis handles/reports cleanly).
 #include <gtest/gtest.h>
 
-#include "analysis/autocheck.hpp"
+#include "analysis/session.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "trace/reader.hpp"
@@ -17,10 +17,7 @@ class TraceFuzz : public testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(TraceFuzz, MutatedTraceNeverCrashes) {
   static const std::string base_text = [] {
-    auto run = test::run_pipeline(test::fig4_source());
-    std::string text;
-    for (const auto& r : run.records) text += r.to_text();
-    return text;
+    return test::trace_text(test::run_pipeline(test::fig4_source()).trace);
   }();
   static const analysis::MclRegion region = analysis::find_mcl_region(test::fig4_source());
 
@@ -39,11 +36,11 @@ TEST_P(TraceFuzz, MutatedTraceNeverCrashes) {
   }
 
   try {
-    const auto records = read_trace_text(text);
+    TraceBuffer buf = read_trace_buffer(text);
     // If it still parses, the analysis must either succeed or throw a typed
     // library error — never crash or hang.
     try {
-      auto report = analysis::analyze_records(records, region);
+      auto report = analysis::Session().buffer(std::move(buf)).region(region).run();
       (void)report;
     } catch (const ac::Error&) {
     }

@@ -1,12 +1,13 @@
-// The §V-A OpenMP trace-reading optimization must be observationally
-// equivalent to the serial reader: same records, same order, regardless of
-// where chunk boundaries fall relative to instruction blocks.
+// The §V-A parallel trace read must be observationally equivalent to the
+// serial reader: same records, same order, same bytes when re-rendered,
+// regardless of where chunk boundaries fall relative to instruction blocks.
 #include <gtest/gtest.h>
 
 #include "support/error.hpp"
 
 #include "apps/harness.hpp"
 #include "trace/reader.hpp"
+#include "trace/source.hpp"
 #include "trace/writer.hpp"
 #include "vm/interp.hpp"
 
@@ -44,13 +45,11 @@ std::string synth_trace(std::size_t blocks) {
   return text;
 }
 
-void expect_same(const std::vector<TraceRecord>& a, const std::vector<TraceRecord>& b) {
+void expect_same(const TraceBuffer& a, const TraceBuffer& b) {
   ASSERT_EQ(a.size(), b.size());
+  ASSERT_EQ(a.operands().size(), b.operands().size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].dyn_id, b[i].dyn_id) << "at " << i;
-    EXPECT_EQ(a[i].func, b[i].func) << "at " << i;
-    EXPECT_EQ(a[i].opcode, b[i].opcode) << "at " << i;
-    EXPECT_EQ(a[i].operands.size(), b[i].operands.size()) << "at " << i;
+    ASSERT_EQ(a.view(i).to_text(), b.view(i).to_text()) << "at " << i;
   }
 }
 
@@ -58,21 +57,22 @@ class ParallelReaderSizes : public testing::TestWithParam<std::size_t> {};
 
 TEST_P(ParallelReaderSizes, MatchesSerial) {
   const std::string text = synth_trace(GetParam());
-  const auto serial = read_trace_text(text);
-  const auto parallel = read_trace_text_parallel(text, 4);
+  const TraceBuffer serial = read_trace_buffer(text);
+  const TraceBuffer parallel = read_trace_buffer_parallel(text, 4);
   expect_same(serial, parallel);
+  EXPECT_EQ(test::trace_text(parallel), text);  // writer fixpoint
 }
 
-// Sizes straddle the small-input serial fallback (4096 lines) and several
+// Sizes straddle the small-input serial fallback (256 KiB) and several
 // chunking patterns.
 INSTANTIATE_TEST_SUITE_P(Sweep, ParallelReaderSizes,
                          testing::Values(0u, 1u, 7u, 100u, 1500u, 2000u, 5000u, 20000u));
 
 TEST(ParallelReader, ThreadCountsAgree) {
   const std::string text = synth_trace(8000);
-  const auto serial = read_trace_text(text);
+  const TraceBuffer serial = read_trace_buffer(text);
   for (int threads : {1, 2, 3, 8}) {
-    const auto parallel = read_trace_text_parallel(text, threads);
+    const TraceBuffer parallel = read_trace_buffer_parallel(text, threads);
     expect_same(serial, parallel);
   }
 }
@@ -81,15 +81,15 @@ TEST(ParallelReader, RealAppTraceMatches) {
   const auto& app = apps::find_app("CG");
   const std::string path = testing::TempDir() + "/ac_cg_trace.txt";
   apps::analyze_app_via_file(app, {}, path);
-  const auto serial = read_trace_file(path);
-  const auto parallel = read_trace_file_parallel(path, 3);
-  expect_same(serial, parallel);
+  FileSource serial(path, 1);
+  FileSource parallel(path, 3);
+  expect_same(serial.buffer(), parallel.buffer());
 }
 
 TEST(ParallelReader, PropagatesParseErrors) {
   std::string text = synth_trace(6000);
   text += "0,3,foo,6:1,999,1\n";  // unknown opcode in the last chunk
-  EXPECT_THROW(read_trace_text_parallel(text, 4), ac::TraceFormatError);
+  EXPECT_THROW(read_trace_buffer_parallel(text, 4), ac::TraceFormatError);
 }
 
 // The executor's exception_ptr propagation makes the parallel error identical
@@ -100,13 +100,13 @@ TEST(ParallelReader, ParallelErrorIdenticalToSerial) {
   text += "0,3,foo,6:1,999,1\n";
   std::string serial_what;
   try {
-    read_trace_text(text);
+    read_trace_buffer(text);
     FAIL() << "serial parse accepted the corrupt trace";
   } catch (const ac::TraceFormatError& e) {
     serial_what = e.what();
   }
   try {
-    read_trace_text_parallel(text, 4);
+    read_trace_buffer_parallel(text, 4);
     FAIL() << "parallel parse accepted the corrupt trace";
   } catch (const ac::TraceFormatError& e) {
     EXPECT_STREQ(serial_what.c_str(), e.what());
@@ -136,7 +136,8 @@ TEST(ParallelReader, BufferParallelErrorIdenticalToSerial) {
 }
 
 TEST(ParallelReader, MissingFileThrows) {
-  EXPECT_THROW(read_trace_file_parallel("/no/such/file.txt"), ac::Error);
+  FileSource source("/no/such/file.txt", 4);
+  EXPECT_THROW(source.buffer(), ac::Error);
 }
 
 }  // namespace

@@ -198,13 +198,13 @@ int main() {
   auto recs = trace_of(src);
   std::string text;
   for (const auto& r : recs) text += r.to_text();
-  auto parsed = trace::read_trace_text(text);
+  const trace::TraceBuffer parsed = trace::read_trace_buffer(text);
   ASSERT_EQ(parsed.size(), recs.size());
   for (std::size_t i = 0; i < recs.size(); ++i) {
-    EXPECT_EQ(parsed[i].opcode, recs[i].opcode);
-    EXPECT_EQ(parsed[i].func, recs[i].func);
-    EXPECT_EQ(parsed[i].line, recs[i].line);
-    EXPECT_EQ(parsed[i].operands.size(), recs[i].operands.size());
+    EXPECT_EQ(parsed.view(i).opcode(), recs[i].opcode);
+    EXPECT_EQ(parsed.view(i).func(), recs[i].func);
+    EXPECT_EQ(parsed.view(i).line(), recs[i].line);
+    EXPECT_EQ(parsed.view(i).operand_count(), recs[i].operands.size());
   }
 }
 

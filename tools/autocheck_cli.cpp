@@ -1,7 +1,7 @@
 // The AutoCheck command-line tool — the paper's user-facing workflow:
 //
 //   autocheck <trace-file> --function <name> --begin <line> --end <line>
-//             [--threads <n> | --parallel [n]] [--paper-mli] [--dot <out.dot>]
+//             [--threads <n>] [--paper-mli] [--dot <out.dot>]
 //             [--events <n>] [--json] [--emit-protect] [--ckpt-codec SPEC]
 //
 // Input: a dynamic instruction execution trace in the LLVM-Tracer block
@@ -12,11 +12,10 @@
 //
 // The tool is a thin shell over analysis::Session: one FileSource feeds every
 // mode (--suggest included), and the output modes are ReportSinks.
-// --threads N > 1 parallelizes both the trace read (§V-A) and the sharded
-// classification stage; --parallel [n] is the historical alias.
+// --threads N > 1 parallelizes the trace read (§V-A); the analysis after it
+// is sequential.
 #include <sys/stat.h>
 
-#include <cctype>
 #include <cerrno>
 #include <climits>
 #include <cstdio>
@@ -45,7 +44,7 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: autocheck <trace-file> --function <name> --begin <line> --end <line>\n"
-               "                 [--threads <n> | --parallel [n]] [--paper-mli] [--dot <out.dot>]\n"
+               "                 [--threads <n>] [--paper-mli] [--dot <out.dot>]\n"
                "                 [--events <n>] [--json] [--emit-protect] [--ckpt-codec SPEC]\n"
                "       autocheck <trace-file> --suggest     # rank candidate main loops\n"
                "       autocheck <trace-file> --recode <out> [--trace-format text|mctb]\n"
@@ -88,10 +87,6 @@ int parse_int_arg(const std::string& flag, const char* text, int min_value) {
     std::exit(2);
   }
   return static_cast<int>(v);
-}
-
-bool looks_numeric(const char* text) {
-  return text && std::isdigit(static_cast<unsigned char>(text[0]));
 }
 
 }  // namespace
@@ -145,11 +140,6 @@ int main(int argc, char** argv) {
       region.end_line = parse_int_arg(arg, next(), 1);
     } else if (arg == "--threads") {
       opts.threads = parse_int_arg(arg, next(), 1);
-    } else if (arg == "--parallel") {
-      // Alias for --threads; without a count, use the runtime default.
-      opts.threads = (i + 1 < argc && looks_numeric(argv[i + 1]))
-                         ? parse_int_arg(arg, argv[++i], 1)
-                         : ac::analysis::default_thread_count();
     } else if (arg == "--paper-mli") {
       opts.mli_mode = ac::analysis::MliMode::PaperNameMatch;
     } else if (arg == "--dot") {
@@ -232,7 +222,7 @@ int main(int argc, char** argv) {
     // One source serves every mode; the read (serial or parallel mmap parse)
     // happens exactly once.
     auto source = std::make_shared<ac::trace::FileSource>(trace_path);
-    source->set_read_threads(opts.effective_read_threads());
+    source->set_read_threads(opts.threads);
 
     if (!recode_path.empty()) {
       // Trace conversion: materialize the interned buffer (text parse or MCTB
