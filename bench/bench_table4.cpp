@@ -1,6 +1,7 @@
 // Table IV reproduction: checkpoint storage cost — the BLCR-style full
-// machine image versus AutoCheck's selective variable checkpoint (FtiLite
-// file on disk), at each benchmark's larger Table IV input.
+// machine image versus AutoCheck's selective variable checkpoint (one full
+// L1 engine record on disk, as the paper's FTI L1 file), at each benchmark's
+// larger Table IV input.
 #include <cstdio>
 
 #include "apps/harness.hpp"

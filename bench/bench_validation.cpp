@@ -1,5 +1,6 @@
 // §VI-B reproduction: validation and characterization of the identified
-// variables. For each benchmark: checkpoint the identified set with FtiLite,
+// variables. For each benchmark: checkpoint the identified set through the
+// validation store (engine L1, raw codec, full image per commit),
 // raise a fail-stop mid-loop (the paper uses raise(SIGTERM)), restart, and
 // compare the final output with a failure-free execution. Then the
 // false-positive check: ablate one identified variable at a time and observe
@@ -21,12 +22,12 @@ int main() {
   for (const auto& app : apps::registry()) {
     const apps::AnalysisRun run = apps::analyze_app(app);
     const auto v3 = apps::validate_cr(run.module, run.region, run.report.critical_names(), 3,
-                                      "/tmp", app.name + "_v3");
+                                      apps::validation_config("/tmp", app.name + "_v3"));
     const auto v5 = apps::validate_cr(run.module, run.region, run.report.critical_names(), 5,
-                                      "/tmp", app.name + "_v5");
+                                      apps::validation_config("/tmp", app.name + "_v5"));
     ok += (v3.restart_matches && v5.restart_matches) ? 1 : 0;
     table.add_row({app.name, strf("%zu", run.report.verdicts.critical.size()),
-                   strf("%d", v3.checkpoints_written),
+                   strf("%lld", static_cast<long long>(v3.stats.checkpoints)),
                    v3.restart_matches ? "success" : "FAILED",
                    v5.restart_matches ? "success" : "FAILED"});
   }
@@ -50,8 +51,9 @@ int main() {
       for (const auto& n : names) {
         if (n != drop) subset.push_back(n);
       }
-      const auto v = apps::validate_cr(run.module, run.region, subset, 3, "/tmp",
-                                       std::string(name) + "_ab_" + drop);
+      const auto v =
+          apps::validate_cr(run.module, run.region, subset, 3,
+                            apps::validation_config("/tmp", std::string(name) + "_ab_" + drop));
       const char* verdict = v.restart_matches
                                 ? (benign.count(drop) ? "benign (recomputed; see EXPERIMENTS.md)"
                                                       : "NOT NECESSARY (false positive!)")

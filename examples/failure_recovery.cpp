@@ -32,8 +32,8 @@ int main() {
   cfg.async = true;                       // background writeback
 
   const int fail_at = 5;
-  const auto v = ac::apps::validate_cr_engine(run.module, run.region,
-                                              run.report.critical_names(), fail_at, cfg);
+  const auto v =
+      ac::apps::validate_cr(run.module, run.region, run.report.critical_names(), fail_at, cfg);
 
   std::printf("1. Failure-free run output:\n%s\n", v.reference_output.c_str());
   std::printf("2. Run with a fail-stop injected at iteration %d — the engine committed\n"
@@ -59,7 +59,7 @@ int main() {
   ac::ckpt::EngineConfig broken_cfg = cfg;
   broken_cfg.tag = "example_hpccg_engine_without_x";
   const auto broken =
-      ac::apps::validate_cr_engine(run.module, run.region, without_x, fail_at, broken_cfg);
+      ac::apps::validate_cr(run.module, run.region, without_x, fail_at, broken_cfg);
   std::printf("Negative control — restart without checkpointing x:\n%s\n",
               broken.restart_output.c_str());
   std::printf("=> %s (as expected: x carries Write-After-Read state)\n",

@@ -1,6 +1,5 @@
 #include "apps/harness.hpp"
 
-#include "ckpt/ftilite.hpp"
 #include "minic/compiler.hpp"
 #include "support/error.hpp"
 #include "support/timer.hpp"
@@ -89,65 +88,6 @@ FileAnalysisRun analyze_app_via_file(const App& app, const Params& params,
   return out;
 }
 
-ValidationResult validate_cr(const ir::Module& module, const analysis::MclRegion& region,
-                             const std::vector<std::string>& protect, int fail_at,
-                             const std::string& work_dir, const std::string& tag,
-                             int checkpoint_interval) {
-  ValidationResult out;
-
-  // Failure-free reference run.
-  {
-    vm::RunOptions ropts;
-    const vm::RunResult ref = vm::run_module(module, ropts);
-    out.reference_output = ref.output;
-  }
-
-  ckpt::FtiLite fti(work_dir, tag);
-  fti.reset();
-
-  // Failing run with per-iteration checkpoints of the protected variables.
-  {
-    vm::RunOptions ropts;
-    ropts.mcl = to_vm_region(region);
-    ropts.protect = protect;
-    int written = 0;
-    ropts.on_checkpoint = [&](const ckpt::CheckpointImage& img) {
-      fti.checkpoint(img);
-      ++written;
-    };
-    ropts.checkpoint_interval = checkpoint_interval;
-    ropts.fail_at_iteration = fail_at;
-    const vm::RunResult failed = vm::run_module(module, ropts);
-    out.checkpoints_written = written;
-    if (!failed.failed) {
-      throw Error("validate_cr: failure injection did not fire "
-                  "(fail_at beyond the loop's iteration count?)");
-    }
-  }
-
-  // Restart run: restore the last checkpoint right before the loop re-enters.
-  {
-    if (!fti.has_checkpoint()) throw Error("validate_cr: no checkpoint was written");
-    const ckpt::CheckpointImage img = fti.recover();
-    out.last_checkpoint_iteration = img.iteration();
-    vm::RunOptions ropts;
-    ropts.mcl = to_vm_region(region);
-    ropts.restore = &img;
-    const vm::RunResult restarted = vm::run_module(module, ropts);
-    out.restart_output = restarted.output;
-  }
-
-  out.restart_matches = out.restart_output == out.reference_output;
-  return out;
-}
-
-ValidationResult validate_app(const App& app, const Params& params, int fail_at,
-                              const std::string& work_dir) {
-  AnalysisRun run = analyze_app(app, params);
-  return validate_cr(run.module, run.region, run.report.critical_names(), fail_at, work_dir,
-                     app.name);
-}
-
 EngineRunResult run_with_engine(const ir::Module& module, const analysis::MclRegion& region,
                                 const std::vector<std::string>& protect,
                                 const ckpt::EngineConfig& cfg, int fail_at) {
@@ -166,11 +106,21 @@ EngineRunResult run_with_engine(const ir::Module& module, const analysis::MclReg
   return out;
 }
 
-EngineValidationResult validate_cr_engine(const ir::Module& module,
-                                          const analysis::MclRegion& region,
-                                          const std::vector<std::string>& protect, int fail_at,
-                                          const ckpt::EngineConfig& cfg) {
-  EngineValidationResult out;
+ckpt::EngineConfig validation_config(const std::string& dir, const std::string& tag,
+                                     int interval) {
+  ckpt::EngineConfig cfg;
+  cfg.dir = dir;
+  cfg.tag = tag;
+  cfg.incremental = false;
+  cfg.async = false;
+  cfg.policy = std::make_shared<ckpt::FixedIntervalPolicy>(interval);
+  return cfg;
+}
+
+ValidationResult validate_cr(const ir::Module& module, const analysis::MclRegion& region,
+                             const std::vector<std::string>& protect, int fail_at,
+                             const ckpt::EngineConfig& cfg) {
+  ValidationResult out;
 
   // Failure-free reference run.
   {
@@ -179,31 +129,22 @@ EngineValidationResult validate_cr_engine(const ir::Module& module,
     out.reference_output = ref.output;
   }
 
-  // Failing run with the engine attached. Scope the engine so its writer
-  // thread is gone before the restart — the "process" died.
-  {
-    ckpt::CheckpointEngine engine(cfg);
-    engine.reset();
-    for (const auto& name : protect) engine.protect(name);
-
-    vm::RunOptions ropts;
-    ropts.mcl = to_vm_region(region);
-    ropts.engine = &engine;
-    ropts.fail_at_iteration = fail_at;
-    const vm::RunResult failed = vm::run_module(module, ropts);
-    engine.flush();
-    out.stats = engine.stats();
-    if (!failed.failed) {
-      throw Error("validate_cr_engine: failure injection did not fire "
-                  "(fail_at beyond the loop's iteration count?)");
-    }
+  // Failing run with the engine attached, from empty storage. The engine is
+  // scoped to run_with_engine, so its writer thread is gone before the
+  // restart — the "process" died.
+  ckpt::CheckpointEngine(cfg).reset();
+  const EngineRunResult failed = run_with_engine(module, region, protect, cfg, fail_at);
+  out.stats = failed.stats;
+  if (!failed.run.failed) {
+    throw Error("validate_cr: failure injection did not fire "
+                "(fail_at beyond the loop's iteration count?)");
   }
 
   // Restart "process": a fresh engine over the same storage recovers the
   // latest durable state, which the VM applies right before the main loop.
   {
     ckpt::CheckpointEngine engine(cfg);
-    if (!engine.has_checkpoint()) throw Error("validate_cr_engine: no checkpoint was written");
+    if (!engine.has_checkpoint()) throw Error("validate_cr: no checkpoint was written");
     const ckpt::CheckpointImage img = engine.recover();
     out.recovered_iteration = img.iteration();
     vm::RunOptions ropts;
@@ -217,13 +158,12 @@ EngineValidationResult validate_cr_engine(const ir::Module& module,
   return out;
 }
 
-EngineValidationResult validate_app_engine(const App& app, const Params& params, int fail_at,
-                                           const ckpt::EngineConfig& cfg) {
+ValidationResult validate_app(const App& app, const Params& params, int fail_at,
+                              const ckpt::EngineConfig& cfg) {
   AnalysisRun run = analyze_app(app, params);
   ckpt::EngineConfig tagged = cfg;
   if (tagged.tag == "engine") tagged.tag = app.name + "_engine";
-  return validate_cr_engine(run.module, run.region, run.report.critical_names(), fail_at,
-                            tagged);
+  return validate_cr(run.module, run.region, run.report.critical_names(), fail_at, tagged);
 }
 
 StorageResult measure_storage(const App& app, const Params& params,
@@ -234,20 +174,23 @@ StorageResult measure_storage(const App& app, const Params& params,
   const ir::Module module = minic::compile(src);
   const analysis::MclRegion region = app.mcl();
 
-  ckpt::FtiLite fti(work_dir, app.name + "_storage");
-  fti.reset();
+  ckpt::CheckpointEngine engine(validation_config(work_dir, app.name + "_storage"));
+  engine.reset();
+  for (const auto& name : protect) engine.protect(name);
   ckpt::MachineState widest;
 
   vm::RunOptions ropts;
   ropts.mcl = to_vm_region(region);
-  ropts.protect = protect;
-  ropts.on_checkpoint = [&](const ckpt::CheckpointImage& img) { fti.checkpoint(img); };
+  ropts.engine = &engine;
   ropts.on_machine_state = [&](const ckpt::MachineState& st) {
     if (st.arena_bytes > widest.arena_bytes) widest = st;
   };
   vm::run_module(module, ropts);
 
-  out.autocheck_bytes = fti.storage_bytes();
+  // Every commit is a full record of the same variables, so each one is the
+  // size of the checkpoint file left on disk.
+  const ckpt::EngineStats stats = engine.stats();
+  out.autocheck_bytes = stats.checkpoints ? stats.l1_bytes / stats.checkpoints : 0;
   out.blcr_bytes =
       ckpt::BlcrSim::write_image(widest, work_dir + "/" + app.name + "_blcr.img");
   return out;

@@ -1,9 +1,10 @@
 // Experiment harness tying the whole reproduction together: compile a
 // benchmark, trace it, run AutoCheck, and perform the paper's validation
-// methodology (§VI-B) — checkpoint the identified variables with FtiLite,
-// inject a fail-stop, restart, and compare final output with a failure-free
-// run; plus the Table IV storage measurements against the BLCR-style
-// full-image baseline.
+// methodology (§VI-B) — checkpoint the identified variables through the
+// CheckpointEngine, inject a fail-stop, restart, and compare final output
+// with a failure-free run; plus the Table IV storage measurements against the
+// BLCR-style full-image baseline. The paper does both through FTI at level
+// L1; validation_config() is that store.
 #pragma once
 
 #include <optional>
@@ -67,30 +68,16 @@ FileAnalysisRun analyze_app_via_file(const App& app, const Params& params,
                                      const analysis::AnalysisOptions& opts = {},
                                      trace::TraceFormat format = trace::TraceFormat::Text);
 
-/// C/R validation: checkpoint `protect` every iteration, fail at iteration
-/// `fail_at`, restart from the last checkpoint, diff final outputs.
+/// The paper's validation store (FTI level L1): engine files under `dir`
+/// keyed by `tag`, raw codec, a full image at every commit, inline
+/// writeback, committing every `interval` completed iterations (N, 2N, ...).
+ckpt::EngineConfig validation_config(const std::string& dir, const std::string& tag,
+                                     int interval = 1);
+
+/// C/R validation: run with the engine attached, inject a fail-stop at
+/// iteration `fail_at`, restart from engine.recover() in a fresh engine, and
+/// diff final outputs against a failure-free execution.
 struct ValidationResult {
-  bool restart_matches = false;
-  std::string reference_output;
-  std::string restart_output;
-  int checkpoints_written = 0;
-  std::int64_t last_checkpoint_iteration = -1;
-};
-
-ValidationResult validate_cr(const ir::Module& module, const analysis::MclRegion& region,
-                             const std::vector<std::string>& protect, int fail_at,
-                             const std::string& work_dir, const std::string& tag,
-                             int checkpoint_interval = 1);
-
-/// Convenience: run validate_cr with the AutoCheck-identified set.
-ValidationResult validate_app(const App& app, const Params& params, int fail_at,
-                              const std::string& work_dir);
-
-/// C/R validation through the CheckpointEngine: run with the engine attached
-/// (policy-driven cadence, optional incremental/multi-level/async), inject a
-/// fail-stop, restart from engine.recover(), and diff final outputs against a
-/// failure-free execution.
-struct EngineValidationResult {
   bool restart_matches = false;
   std::string reference_output;
   std::string restart_output;
@@ -98,15 +85,14 @@ struct EngineValidationResult {
   ckpt::EngineStats stats;                // from the failing run
 };
 
-EngineValidationResult validate_cr_engine(const ir::Module& module,
-                                          const analysis::MclRegion& region,
-                                          const std::vector<std::string>& protect, int fail_at,
-                                          const ckpt::EngineConfig& cfg);
+ValidationResult validate_cr(const ir::Module& module, const analysis::MclRegion& region,
+                             const std::vector<std::string>& protect, int fail_at,
+                             const ckpt::EngineConfig& cfg);
 
 /// Convenience: analyze `app` and validate the AutoCheck-identified set
-/// through the engine.
-EngineValidationResult validate_app_engine(const App& app, const Params& params, int fail_at,
-                                           const ckpt::EngineConfig& cfg);
+/// (the default tag "engine" becomes "<app>_engine").
+ValidationResult validate_app(const App& app, const Params& params, int fail_at,
+                              const ckpt::EngineConfig& cfg);
 
 /// Run a module once with an engine attached (no fault injection unless
 /// fail_at > 0); returns the run result and the engine's storage stats.
@@ -120,7 +106,8 @@ EngineRunResult run_with_engine(const ir::Module& module, const analysis::MclReg
                                 const ckpt::EngineConfig& cfg, int fail_at = -1);
 
 /// Table IV storage measurement: the BLCR-style full-machine image versus the
-/// FtiLite image of the protected variables, both at the loop's widest state.
+/// validation store's checkpoint file of the protected variables (one full
+/// L1 record), both at the loop's widest state.
 struct StorageResult {
   std::uint64_t blcr_bytes = 0;
   std::uint64_t autocheck_bytes = 0;

@@ -1,12 +1,12 @@
 // The experiment harness CLI: compile + trace + analyze a mini-app, then
 // exercise the checkpoint/restart path end-to-end with fault injection.
 //
-//   harness <APP|all> [--ckpt-engine] [--fail-at-iter N] [options]
+//   harness <APP|all> [--fail-at-iter N] [options]
 //
-// Default C/R path is the legacy per-iteration FtiLite validation
-// (validate_cr); --ckpt-engine switches to the CheckpointEngine runtime:
-// report-driven registration, policy-driven cadence, incremental deltas,
-// multi-level storage and asynchronous writeback.
+// The C/R path is validate_cr over the CheckpointEngine: report-driven
+// registration, policy-driven cadence (--policy fixed:N commits every N
+// iterations), incremental deltas, multi-level storage and asynchronous
+// writeback. A bad option value exits 2 with an error naming the flag.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,7 +33,6 @@ int usage() {
                "  --threads T          worker budget for trace-file reads (default 4)\n"
                "  --trace-format F     with --analyze: route the trace through a file in\n"
                "                       format F (text | mctb) and read it back\n"
-               "  --ckpt-engine        validate C/R through the CheckpointEngine\n"
                "  --fail-at-iter N     inject a fail-stop at iteration N (default 5)\n"
                "  --dir DIR            checkpoint directory (default /tmp)\n"
                "  --partner-dir DIR    L2 replica directory (default <dir>/partner)\n"
@@ -44,7 +43,6 @@ int usage() {
                "  --ckpt-codec SPEC    payload codec chain: raw | rle | lz | xor+rle | chain\n"
                "                       (= xor+rle+lz); per level: l1=rle,l3=chain\n"
                "  --policy P           fixed:N | young:MTBF_S | daly:MTBF_S (default fixed:1)\n"
-               "  --interval N         legacy path: checkpoint every N iterations\n"
                "  --profile OUT.json   record telemetry spans, write a Chrome trace-event\n"
                "                       profile (load in chrome://tracing or Perfetto); with\n"
                "                       --analyze, runs the full profiled pipeline (parse,\n"
@@ -62,10 +60,21 @@ std::shared_ptr<ac::ckpt::IntervalPolicy> parse_policy(const std::string& spec) 
   const std::string kind = spec.substr(0, colon);
   const std::string arg = colon == std::string::npos ? "" : spec.substr(colon + 1);
   if (kind == "fixed") {
-    return std::make_shared<ac::ckpt::FixedIntervalPolicy>(arg.empty() ? 1 : std::atoll(arg.c_str()));
+    return std::make_shared<ac::ckpt::FixedIntervalPolicy>(
+        arg.empty() ? 1 : ac::parse_int_arg("--policy fixed:N", arg.c_str(), 1));
   }
   if (kind == "young" || kind == "daly") {
-    const double mtbf = arg.empty() ? 60.0 : std::atof(arg.c_str());
+    double mtbf = 60.0;
+    if (!arg.empty()) {
+      try {
+        mtbf = ac::parse_f64(arg);
+      } catch (const ac::Error&) {
+        mtbf = 0;  // reported below, naming the flag
+      }
+      if (!(mtbf > 0)) {
+        throw ac::Error("--policy " + kind + ":MTBF_S expects a number > 0, got '" + arg + "'");
+      }
+    }
     return std::make_shared<ac::ckpt::YoungDalyPolicy>(
         mtbf, kind == "young" ? ac::ckpt::YoungDalyPolicy::Order::Young
                               : ac::ckpt::YoungDalyPolicy::Order::Daly);
@@ -272,99 +281,71 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string app_arg = argv[1];
 
-  bool use_engine = false;
   bool analyze = false;
   bool have_trace_format = false;
   ac::trace::TraceFormat trace_format = ac::trace::TraceFormat::Text;
   int scale = 1;
   int threads = 4;
   int fail_at = 5;
-  int interval = 1;
   std::string profile_path;
   std::string metrics_path;
   ac::ckpt::EngineConfig cfg;
   cfg.dir = "/tmp";
 
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--ckpt-engine") {
-      use_engine = true;
-    } else if (arg == "--analyze") {
-      analyze = true;
-    } else if (arg == "--scale") {
-      scale = std::atoi(next());
-      if (scale < 1) {
-        std::fprintf(stderr, "harness: --scale expects an integer >= 1\n");
-        return 2;
-      }
-    } else if (arg == "--threads") {
-      threads = std::atoi(next());
-      if (threads < 1) {
-        std::fprintf(stderr, "harness: --threads expects an integer >= 1\n");
-        return 2;
-      }
-    } else if (arg == "--trace-format") {
-      try {
+  try {
+    for (int i = 2; i < argc; ++i) {
+      const std::string arg = argv[i];
+      auto next = [&]() -> const char* {
+        if (i + 1 >= argc) {
+          std::fprintf(stderr, "missing value for %s\n", arg.c_str());
+          std::exit(2);
+        }
+        return argv[++i];
+      };
+      if (arg == "--analyze") {
+        analyze = true;
+      } else if (arg == "--scale") {
+        scale = ac::parse_int_arg(arg, next(), 1);
+      } else if (arg == "--threads") {
+        threads = ac::parse_int_arg(arg, next(), 1);
+      } else if (arg == "--trace-format") {
         trace_format = ac::trace::parse_trace_format(next());
         have_trace_format = true;
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "harness: %s\n", e.what());
-        return 2;
-      }
-    } else if (arg == "--fail-at-iter") {
-      fail_at = std::atoi(next());
-    } else if (arg == "--dir") {
-      cfg.dir = next();
-    } else if (arg == "--partner-dir") {
-      cfg.partner_dir = next();
-    } else if (arg == "--level") {
-      const int level = std::atoi(next());
-      if (level < 1 || level > 3) return usage();
-      cfg.level = static_cast<ac::ckpt::EngineLevel>(level);
-    } else if (arg == "--full-only") {
-      cfg.incremental = false;
-    } else if (arg == "--full-every") {
-      cfg.full_every = std::atoi(next());
-    } else if (arg == "--sync") {
-      cfg.async = false;
-    } else if (arg == "--ckpt-codec") {
-      try {
+      } else if (arg == "--fail-at-iter") {
+        fail_at = ac::parse_int_arg(arg, next(), 2);  // a checkpoint must exist
+      } else if (arg == "--dir") {
+        cfg.dir = next();
+      } else if (arg == "--partner-dir") {
+        cfg.partner_dir = next();
+      } else if (arg == "--level") {
+        const int level = ac::parse_int_arg(arg, next(), 1);
+        if (level > 3) throw ac::Error(ac::strf("--level expects 1, 2 or 3, got '%d'", level));
+        cfg.level = static_cast<ac::ckpt::EngineLevel>(level);
+      } else if (arg == "--full-only") {
+        cfg.incremental = false;
+      } else if (arg == "--full-every") {
+        cfg.full_every = ac::parse_int_arg(arg, next(), 1);
+      } else if (arg == "--sync") {
+        cfg.async = false;
+      } else if (arg == "--ckpt-codec") {
         parse_codec_spec(cfg, next());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "harness: %s\n", e.what());
-        return 2;
-      }
-    } else if (arg == "--policy") {
-      try {
+      } else if (arg == "--policy") {
         cfg.policy = parse_policy(next());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "harness: %s\n", e.what());
-        return 2;
+      } else if (arg == "--profile") {
+        profile_path = next();
+      } else if (arg == "--metrics") {
+        metrics_path = next();
+      } else {
+        std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
+        return usage();
       }
-    } else if (arg == "--interval") {
-      interval = std::atoi(next());
-    } else if (arg == "--profile") {
-      profile_path = next();
-    } else if (arg == "--metrics") {
-      metrics_path = next();
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      return usage();
     }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "harness: %s\n", e.what());
+    return 2;
   }
   if (cfg.level >= ac::ckpt::EngineLevel::L2 && cfg.partner_dir.empty()) {
     cfg.partner_dir = cfg.dir + "/partner";  // a replica needs its own directory
-  }
-  if (fail_at < 2) {
-    std::fprintf(stderr, "harness: --fail-at-iter must be >= 2 (a checkpoint must exist)\n");
-    return 2;
   }
 
   std::vector<ac::apps::App> apps;
@@ -398,52 +379,34 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::printf("=== C/R harness: %s path, fail-stop at iteration %d ===\n\n",
-              use_engine ? "CheckpointEngine" : "legacy FtiLite", fail_at);
-  ac::TextTable table(use_engine
-                          ? std::vector<std::string>{"App", "#Crit", "Ckpts (full+delta)",
-                                                     "Bytes", "vs full", "Codec", "Enc ratio",
-                                                     "Recovered@", "Restart"}
-                          : std::vector<std::string>{"App", "#Crit", "Ckpts", "Recovered@",
-                                                     "Restart"});
+  std::printf("=== C/R harness: CheckpointEngine, fail-stop at iteration %d ===\n\n", fail_at);
+  ac::TextTable table({"App", "#Crit", "Ckpts (full+delta)", "Bytes", "vs full", "Codec",
+                       "Enc ratio", "Recovered@", "Restart"});
 
   int failures = 0;
   for (const auto& app : apps) {
     try {
       const ac::apps::AnalysisRun run = ac::apps::analyze_app(app);
       const auto protect = run.report.critical_names();
-      if (use_engine) {
-        ac::ckpt::EngineConfig app_cfg = cfg;
-        app_cfg.tag = app.name + "_harness";
-        const auto v = ac::apps::validate_cr_engine(run.module, run.region, protect, fail_at,
-                                                    app_cfg);
-        if (!v.restart_matches) ++failures;
-        const double ratio = v.stats.l1_bytes
-                                 ? static_cast<double>(v.stats.full_equiv_bytes) /
-                                       static_cast<double>(v.stats.l1_bytes)
-                                 : 0.0;
-        const double enc_ratio =
-            v.stats.payload_encoded_bytes
-                ? static_cast<double>(v.stats.payload_raw_bytes) /
-                      static_cast<double>(v.stats.payload_encoded_bytes)
-                : 1.0;
-        table.add_row({app.name, ac::strf("%zu", protect.size()),
-                       ac::strf("%lld (%lld+%lld)", static_cast<long long>(v.stats.checkpoints),
-                                static_cast<long long>(v.stats.full_checkpoints),
-                                static_cast<long long>(v.stats.delta_checkpoints)),
-                       ac::human_bytes(v.stats.l1_bytes), ac::strf("%.1fx smaller", ratio),
-                       app_cfg.l1_codec.str(), ac::strf("%.2fx", enc_ratio),
-                       ac::strf("%lld", static_cast<long long>(v.recovered_iteration)),
-                       v.restart_matches ? "MATCH" : "DIVERGED"});
-      } else {
-        const auto v = ac::apps::validate_cr(run.module, run.region, protect, fail_at, cfg.dir,
-                                             app.name + "_harness", interval);
-        if (!v.restart_matches) ++failures;
-        table.add_row({app.name, ac::strf("%zu", protect.size()),
-                       ac::strf("%d", v.checkpoints_written),
-                       ac::strf("%lld", static_cast<long long>(v.last_checkpoint_iteration)),
-                       v.restart_matches ? "MATCH" : "DIVERGED"});
-      }
+      ac::ckpt::EngineConfig app_cfg = cfg;
+      app_cfg.tag = app.name + "_harness";
+      const auto v = ac::apps::validate_cr(run.module, run.region, protect, fail_at, app_cfg);
+      if (!v.restart_matches) ++failures;
+      const double ratio = v.stats.l1_bytes ? static_cast<double>(v.stats.full_equiv_bytes) /
+                                                  static_cast<double>(v.stats.l1_bytes)
+                                            : 0.0;
+      const double enc_ratio = v.stats.payload_encoded_bytes
+                                   ? static_cast<double>(v.stats.payload_raw_bytes) /
+                                         static_cast<double>(v.stats.payload_encoded_bytes)
+                                   : 1.0;
+      table.add_row({app.name, ac::strf("%zu", protect.size()),
+                     ac::strf("%lld (%lld+%lld)", static_cast<long long>(v.stats.checkpoints),
+                              static_cast<long long>(v.stats.full_checkpoints),
+                              static_cast<long long>(v.stats.delta_checkpoints)),
+                     ac::human_bytes(v.stats.l1_bytes), ac::strf("%.1fx smaller", ratio),
+                     app_cfg.l1_codec.str(), ac::strf("%.2fx", enc_ratio),
+                     ac::strf("%lld", static_cast<long long>(v.recovered_iteration)),
+                     v.restart_matches ? "MATCH" : "DIVERGED"});
     } catch (const std::exception& e) {
       ++failures;
       std::fprintf(stderr, "harness: %s: %s\n", app.name.c_str(), e.what());

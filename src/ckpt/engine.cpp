@@ -21,11 +21,11 @@ namespace ac::ckpt {
 namespace {
 
 constexpr char kMagic[4] = {'A', 'C', 'E', 'G'};
-// Version 1: raw cells inline. Version 2: codec-chain stage ids in the header
-// and chain-encoded payload blobs. from_bytes accepts both, so checkpoints
-// written before the codec layer still restore.
-constexpr std::uint32_t kVersionRawCells = 1;
+// Version 2: codec-chain stage ids in the header and chain-encoded payload
+// blobs. Version 1 (raw cells inline, before the codec layer) is rejected.
 constexpr std::uint32_t kVersion = 2;
+// Fixed-offset record header: magic, version, kind, base_id, seq, iteration.
+constexpr std::size_t kHeaderBytes = 4 + 4 + 1 + 8 + 8 + 8;
 
 void put_u32(std::string& out, std::uint32_t v) {
   char buf[4];
@@ -112,8 +112,8 @@ void fsync_parent_dir(const std::string& path) {
 }
 
 /// Atomic replace: write to `tmp`, fsync, rename over `path`, fsync the
-/// directory (the FtiLite protocol) — a kill at any step leaves either the
-/// previous good record or the new one durably named, never a torn file.
+/// directory — a kill at any step leaves either the previous good record or
+/// the new one durably named, never a torn file.
 void commit_file(const std::string& tmp, const std::string& path, const std::string& data,
                  bool sync) {
   write_file(tmp, data, sync);
@@ -127,47 +127,14 @@ void commit_file(const std::string& tmp, const std::string& path, const std::str
 
 // --- L3 packed-archive framing ---------------------------------------------
 //
-// v2 appends one MCTA frame per record (trace/mctb.hpp): self-delimiting,
-// per-frame CRC, codec-chain stage ids in the header as self-description of
-// the encoded EngineRecord payload. v1 was a bare [u32 len][u32 crc][bytes]
-// triple. Recovery dispatches per entry on a 4-byte magic peek, so mixed
-// archives — a v1 prefix written before the upgrade with v2 frames appended
-// after — recover exactly like homogeneous ones.
+// The archive appends one MCTA frame per record (trace/mctb.hpp):
+// self-delimiting, per-frame CRC, codec-chain stage ids in the header as
+// self-description of the encoded EngineRecord payload. The recovery walks
+// stop at the first entry that is not a whole frame.
 
 /// The frame `kind` tag for archive entries (MCTB section kinds 1..3 name
 /// container sections; the archive uses a disjoint value).
 constexpr std::uint32_t kPackFrameKind = 0x10;
-
-struct PackEntry {
-  std::string_view record;  ///< EngineRecord bytes (CRC not yet verified)
-  std::uint32_t crc = 0;    ///< stored CRC32 of `record`
-  std::size_t size = 0;     ///< total archive bytes this entry spans
-};
-
-/// Parse the archive entry at `pos` — v1 or v2, chosen by magic — without
-/// verifying the record CRC. Returns false on a torn or unrecognized tail:
-/// the archive walk's stop condition.
-bool pack_entry_at(std::string_view data, std::size_t pos, PackEntry& out) {
-  if (pos > data.size() || data.size() - pos < 8) return false;
-  std::uint32_t magic;
-  std::memcpy(&magic, data.data() + pos, 4);
-  if (magic == trace::kMctbFrameMagic) {
-    trace::MctbFrameView view;
-    if (!trace::read_mctb_frame_header(data, pos, view)) return false;
-    out.record = view.payload;
-    out.crc = view.payload_crc;
-    out.size = view.frame_size;
-    return true;
-  }
-  std::uint32_t len, crc;
-  std::memcpy(&len, data.data() + pos, 4);
-  std::memcpy(&crc, data.data() + pos + 4, 4);
-  if (data.size() - pos - 8 < len) return false;  // torn tail
-  out.record = data.substr(pos + 8, len);
-  out.crc = crc;
-  out.size = 8 + static_cast<std::size_t>(len);
-  return true;
-}
 
 }  // namespace
 
@@ -280,7 +247,7 @@ EngineRecord EngineRecord::from_bytes(const std::string& data, const CheckpointI
 
   Cursor cur(body);
   const std::uint32_t version = cur.u32();
-  if (version != kVersion && version != kVersionRawCells) {
+  if (version != kVersion) {
     throw CheckpointError(strf("unsupported engine record version %u", version));
   }
   EngineRecord rec;
@@ -288,35 +255,6 @@ EngineRecord EngineRecord::from_bytes(const std::string& data, const CheckpointI
   rec.base_id = cur.u64();
   rec.seq = cur.u64();
   rec.iteration = static_cast<std::int64_t>(cur.u64());
-
-  if (version == kVersionRawCells) {
-    // Pre-codec format: raw cells inline.
-    if (rec.kind == Kind::Full) {
-      const std::uint64_t len = cur.u64();
-      rec.full = CheckpointImage::from_bytes(cur.str(static_cast<std::size_t>(len)));
-    } else if (rec.kind == Kind::Delta) {
-      const std::uint32_t nvars = cur.u32();
-      rec.delta.vars.resize(nvars);
-      for (auto& v : rec.delta.vars) {
-        v.name = cur.str(cur.u32());
-        const std::uint32_t nruns = cur.u32();
-        v.runs.resize(nruns);
-        for (auto& r : v.runs) {
-          r.index = cur.u32();
-          const std::uint64_t ncells = cur.u64();
-          r.cells.resize(static_cast<std::size_t>(ncells));
-          for (auto& c : r.cells) {
-            c.payload = cur.u64();
-            c.kind = cur.u8();
-          }
-        }
-      }
-    } else {
-      throw CheckpointError("bad engine record kind");
-    }
-    if (!cur.done()) throw CheckpointError("trailing bytes in engine record");
-    return rec;
-  }
 
   const std::uint8_t nstages = cur.u8();
   std::vector<std::uint8_t> ids(nstages);
@@ -403,6 +341,9 @@ void apply_delta(CheckpointImage& base, const DeltaPatch& patch, std::int64_t it
   base = std::move(next);
 }
 
+namespace {
+
+/// Copy every cell of `regions` out of the arena into a CheckpointImage.
 CheckpointImage snapshot_regions(const vm::Arena& arena,
                                  const std::vector<ProtectedRegion>& regions) {
   CheckpointImage img;
@@ -417,6 +358,18 @@ CheckpointImage snapshot_regions(const vm::Arena& arena,
   }
   return img;
 }
+
+/// Bytes of the full record the default raw chain writes for `regions`: the
+/// record header, stage count and length fields wrapped around the image's
+/// to_bytes() (magic, version, iteration, var count, CRC; per variable a
+/// name length, the name, a cell count and 9 bytes a cell), then the CRC.
+std::uint64_t full_raw_record_bytes(const std::vector<ProtectedRegion>& regions) {
+  std::uint64_t image = 4 + 4 + 8 + 4 + 4;
+  for (const auto& r : regions) image += 4 + r.name.size() + 8 + (r.bytes / vm::kCellBytes) * 9;
+  return kHeaderBytes + 1 + 8 + 4 + image + 4;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Engine lifecycle
@@ -613,8 +566,7 @@ bool CheckpointEngine::on_iteration(std::int64_t completed_iter, vm::Arena& aren
   last_commit_iter_ = completed_iter;
 
   // Stats that belong to capture time (the writer owns the byte counters).
-  std::uint64_t full_equiv = 0;
-  for (const auto& r : regions) full_equiv += (r.bytes / vm::kCellBytes) * 9 + r.name.size() + 8;
+  const std::uint64_t full_equiv = full_raw_record_bytes(regions);
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.checkpoints;
@@ -726,7 +678,7 @@ void CheckpointEngine::persist(const EngineRecord& rec) {
     }
   }
 
-  // L2: partner replica (after the local commit, mirroring FtiLite). Each
+  // L2: partner replica, written after the local commit. Each
   // level encodes through its own codec chain; identical chains reuse the L1
   // serialization instead of encoding twice.
   std::uint64_t l2_size = 0;
@@ -871,10 +823,9 @@ std::int64_t CheckpointEngine::pack_best_iteration() const {
     return -1;
   }
 
-  // Same entry walk as recover_from_pack (v1/v2 dispatch via pack_entry_at),
-  // but reading only the fixed-offset record header (magic, version, kind,
-  // base_id, seq, iteration — identical in both record versions) and skipping
-  // both payload decode AND the per-entry CRC. That makes the estimate
+  // Same frame walk as recover_from_pack, but reading only the fixed-offset
+  // record header (magic, version, kind, base_id, seq, iteration) and
+  // skipping both payload decode AND the per-frame CRC. That makes the estimate
   // optimistic under corruption — an entry with a clean header but rotten
   // payload counts — which is safe: recover() only adopts the pack after the
   // real (CRC-checked) decode confirms it beats the file chain, so an
@@ -885,16 +836,15 @@ std::int64_t CheckpointEngine::pack_best_iteration() const {
     std::uint64_t base_id, seq;
     std::int64_t iteration;
   };
-  constexpr std::size_t kHeaderBytes = 4 + 4 + 1 + 8 + 8 + 8;
   std::vector<Head> heads;
-  std::size_t pos = 0;
-  PackEntry entry;
-  while (pack_entry_at(data, pos, entry)) {
-    const char* chunk = entry.record.data();
-    if (entry.record.size() < kHeaderBytes + 4 || std::memcmp(chunk, kMagic, 4) != 0) break;
+  trace::MctbFrameView frame;
+  for (std::size_t pos = 0; trace::read_mctb_frame_header(data, pos, frame);
+       pos += frame.frame_size) {
+    const char* chunk = frame.payload.data();
+    if (frame.payload.size() < kHeaderBytes + 4 || std::memcmp(chunk, kMagic, 4) != 0) break;
     std::uint32_t version;
     std::memcpy(&version, chunk + 4, 4);
-    if (version != kVersion && version != kVersionRawCells) break;
+    if (version != kVersion) break;
     Head h;
     h.kind = static_cast<EngineRecord::Kind>(chunk[8]);
     std::memcpy(&h.base_id, chunk + 9, 8);
@@ -903,7 +853,6 @@ std::int64_t CheckpointEngine::pack_best_iteration() const {
     std::memcpy(&iter, chunk + 25, 8);
     h.iteration = static_cast<std::int64_t>(iter);
     heads.push_back(h);
-    pos += entry.size;
   }
 
   std::ptrdiff_t last_full = -1;
@@ -933,23 +882,20 @@ std::int64_t CheckpointEngine::pack_best_iteration() const {
 CheckpointImage CheckpointEngine::recover_from_pack() const {
   const std::string data = read_file(pack_path());
   std::vector<EngineRecord> records;
-  std::size_t pos = 0;
   // Records are appended in commit order, so each delta's full base precedes
   // it in the archive — track the latest full image as the XOR reference.
+  // read_mctb_frame verifies each frame's CRC: corruption stops the walk.
   std::shared_ptr<const CheckpointImage> cur_base;
-  PackEntry entry;
-  while (pack_entry_at(data, pos, entry)) {
-    const std::string chunk(entry.record);
-    if (crc32(chunk.data(), chunk.size()) != entry.crc) break;  // corruption: stop here
+  trace::MctbFrameView frame;
+  for (std::size_t pos = 0; trace::read_mctb_frame(data, pos, frame); pos += frame.frame_size) {
     try {
-      records.push_back(EngineRecord::from_bytes(chunk, cur_base.get()));
+      records.push_back(EngineRecord::from_bytes(std::string(frame.payload), cur_base.get()));
     } catch (const CheckpointError&) {
       break;
     }
     if (records.back().kind == EngineRecord::Kind::Full) {
       cur_base = std::make_shared<CheckpointImage>(records.back().full);
     }
-    pos += entry.size;
   }
 
   // Reassemble from the last full record forward.

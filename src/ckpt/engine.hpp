@@ -1,9 +1,10 @@
 // CheckpointEngine: the report-driven incremental, multi-level, asynchronous
 // checkpoint/restart runtime — the downstream consumer of an AutoCheck
 // analysis (the paper's stated use-case of emitting FTI-style Protect()
-// calls, turned into an actual C/R engine).
+// calls, turned into an actual C/R engine), and the one checkpoint store:
+// the paper's §VI-B validation and Table IV storage figures run on it at L1
+// with the raw codec and a full image per commit. What it provides:
 //
-// What it adds over the FtiLite/BlcrSim validation shims:
 //   * report-driven protection — the set of variables to persist comes
 //     straight from an analysis::Report (in-memory or its to_json() output);
 //     the VM binds each name to its arena address range at the loop boundary,
@@ -19,8 +20,8 @@
 //       L3  plus an append-only packed archive of every record as MCTA
 //           frames (trace/mctb.hpp — self-delimiting, per-frame CRC32,
 //           self-describing codec ids), scanned as the last-resort recovery
-//           source; archives holding legacy [len][crc][bytes] entries still
-//           recover, mixed with frames or not;
+//           source; the walk stops at the first entry that is not a whole
+//           frame, so a torn tail costs only the records after it;
 //   * asynchronous writeback — capture happens on the VM thread into an
 //     in-memory record, persistence on a background writer thread with a
 //     double-buffered queue (the VM only stalls when both slots are full);
@@ -92,10 +93,10 @@ struct EncodedSizes {
 /// by base_id) or an incremental delta (seq 1..). Serialized with magic +
 /// CRC32 like CheckpointImage; deltas additionally carry per-cell indices.
 ///
-/// Since format version 2 the header carries the codec-chain stage ids the
+/// The header (format version 2) carries the codec-chain stage ids the
 /// payload was encoded with, so every record is self-describing: mixed-codec
 /// stores (per-level codecs, or checkpoints from differently-configured
-/// runs) and pre-codec version-1 checkpoints all still restore.
+/// runs) all restore. Any other version is rejected.
 struct EngineRecord {
   enum class Kind : std::uint8_t { Full = 0, Delta = 1 };
 
@@ -178,7 +179,7 @@ struct EngineStats {
   std::uint64_t l1_delta_bytes = 0;    // the delta-record share of l1_bytes
   std::uint64_t l2_bytes = 0;
   std::uint64_t l3_bytes = 0;
-  std::uint64_t full_equiv_bytes = 0;  // bytes if every commit had been full
+  std::uint64_t full_equiv_bytes = 0;  // L1 bytes had every commit been a full raw record
   std::uint64_t payload_raw_bytes = 0;      // L1 cell payload before the codec chain
   std::uint64_t payload_encoded_bytes = 0;  // L1 cell payload after the codec chain
   std::int64_t async_stalls = 0;       // VM blocked on a full writeback queue
@@ -287,11 +288,5 @@ class CheckpointEngine {
 /// Apply a delta patch to a base image in place; throws CheckpointError on a
 /// variable or cell-index mismatch.
 void apply_delta(CheckpointImage& base, const DeltaPatch& patch, std::int64_t iteration);
-
-/// Copy every cell of `regions` out of the arena into a CheckpointImage —
-/// the one full-snapshot loop shared by the engine and the VM's legacy
-/// on_checkpoint hook.
-CheckpointImage snapshot_regions(const vm::Arena& arena,
-                                 const std::vector<ProtectedRegion>& regions);
 
 }  // namespace ac::ckpt

@@ -1,6 +1,5 @@
 #include "ckpt/image.hpp"
 
-#include <cstdio>
 #include <cstring>
 
 #include "support/crc32.hpp"
@@ -100,25 +99,15 @@ std::string CheckpointImage::to_bytes() const {
   return out;
 }
 
-void CheckpointImage::save(const std::string& path) const {
-  const std::string data = to_bytes();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (!f) throw CheckpointError("cannot write checkpoint: " + path);
-  bool ok = std::fwrite(data.data(), 1, data.size(), f) == data.size();
-  if (std::fclose(f) != 0) ok = false;
-  if (!ok) throw CheckpointError("short write to checkpoint: " + path);
-}
-
-CheckpointImage CheckpointImage::from_bytes(const std::string& data, const std::string& context) {
-  const std::string where = context.empty() ? "" : ": " + context;
+CheckpointImage CheckpointImage::from_bytes(const std::string& data) {
   if (data.size() < 12 || std::memcmp(data.data(), kMagic, 4) != 0) {
-    throw CheckpointError("bad checkpoint magic" + where);
+    throw CheckpointError("bad checkpoint magic");
   }
   const std::string body = data.substr(4, data.size() - 8);
   std::uint32_t stored_crc;
   std::memcpy(&stored_crc, data.data() + data.size() - 4, 4);
   if (crc32(body.data(), body.size()) != stored_crc) {
-    throw CheckpointError("checkpoint CRC mismatch (corrupt data)" + where);
+    throw CheckpointError("checkpoint CRC mismatch (corrupt data)");
   }
 
   Cursor cur(body);
@@ -141,24 +130,8 @@ CheckpointImage CheckpointImage::from_bytes(const std::string& data, const std::
   }
   // The CRC already vouches for the bytes, but a codec-decoded blob of the
   // wrong length must not pass silently with trailing garbage.
-  if (cur.pos() != body.size()) throw CheckpointError("trailing bytes in checkpoint" + where);
+  if (cur.pos() != body.size()) throw CheckpointError("trailing bytes in checkpoint");
   return img;
-}
-
-CheckpointImage CheckpointImage::load(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) throw CheckpointError("cannot open checkpoint: " + path);
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  std::string data(size > 0 ? static_cast<std::size_t>(size) : 0, '\0');
-  if (size > 0 && std::fread(data.data(), 1, data.size(), f) != data.size()) {
-    std::fclose(f);
-    throw CheckpointError("short read from checkpoint: " + path);
-  }
-  std::fclose(f);
-
-  return from_bytes(data, path);
 }
 
 }  // namespace ac::ckpt

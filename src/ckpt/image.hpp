@@ -1,18 +1,18 @@
 // Checkpoint image: an ordered set of named variable snapshots.
 //
-// This is the unit both C/R substrates exchange with the VM:
-//  * FtiLite persists images of the AutoCheck-identified variables
-//    (application-level checkpointing, as the paper does with FTI L1);
-//  * BlcrSim persists an image of the whole machine (system-level
-//    checkpointing, the Table IV baseline).
+// This is the unit the checkpoint store exchanges with the VM: the
+// CheckpointEngine captures images of the AutoCheck-identified variables
+// (application-level checkpointing, as the paper does with FTI L1), embeds
+// them in its records, and hands the recovered one to
+// vm::RunOptions::restore. (The system-level Table IV baseline, BlcrSim,
+// sizes the whole machine instead.)
 //
 // Each 8-byte cell carries its ValueKind tag so restored doubles/pointers
-// keep their kind. The on-disk format is little-endian with a trailing CRC32
+// keep their kind. The byte format is little-endian with a trailing CRC32
 // (FTI-style integrity check).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,22 +44,16 @@ class CheckpointImage {
   void set_iteration(std::int64_t it) { iteration_ = it; }
   std::int64_t iteration() const { return iteration_; }
 
-  /// Payload bytes (the AutoCheck storage-cost figure of Table IV):
-  /// 8 data bytes + 1 kind byte per cell plus per-variable name records.
+  /// Payload bytes: 8 data bytes + 1 kind byte per cell plus per-variable
+  /// name records (to_bytes() adds the header, count fields and CRC).
   std::uint64_t byte_size() const;
 
-  /// Serialize with header + CRC32; throws ac::CheckpointError on I/O error.
-  void save(const std::string& path) const;
-
-  /// Load and verify; throws ac::CheckpointError on missing file, bad magic,
-  /// truncation, or CRC mismatch.
-  static CheckpointImage load(const std::string& path);
-
-  /// Byte-level (de)serialization of the same format — the checkpoint
-  /// engine embeds images in its own records and the L3 packed archive.
-  /// `context` (e.g. a file path) is appended to error messages.
+  /// Serialize with header + CRC32 — the checkpoint engine embeds images in
+  /// its records and the L3 packed archive.
   std::string to_bytes() const;
-  static CheckpointImage from_bytes(const std::string& data, const std::string& context = "");
+  /// Parse and verify; throws ac::CheckpointError on bad magic, truncation,
+  /// CRC mismatch, an unknown version or trailing bytes.
+  static CheckpointImage from_bytes(const std::string& data);
 
   bool operator==(const CheckpointImage&) const = default;
 

@@ -34,7 +34,8 @@ class IntervalPolicy {
   virtual std::int64_t interval_iters() const = 0;
 };
 
-/// Checkpoint every N completed iterations — the legacy fixed-interval mode.
+/// Checkpoint every N completed iterations: commits at N, 2N, ... — the
+/// paper's periodic checkpointing "with a certain interval" (§II-B).
 class FixedIntervalPolicy final : public IntervalPolicy {
  public:
   explicit FixedIntervalPolicy(std::int64_t every);

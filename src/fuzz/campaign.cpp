@@ -119,17 +119,21 @@ AppContext& context_for(const std::string& app_name, int scale) {
     throw Error("fuzz: " + app_name + " has no critical variables to protect");
   }
 
-  // One full checkpoint image of the protected set, wrapped as the engine
-  // record every ckpt-kind case mutates. Captured straight off the VM — no
-  // disk involved in artifact construction.
+  // One full checkpoint image of the protected set — the validation store's
+  // last commit of a whole run — wrapped as the engine record every
+  // ckpt-kind case mutates.
   {
+    const fs::path dir =
+        fs::temp_directory_path() / strf("acfuzz-ctx-%d", static_cast<int>(::getpid()));
+    const ckpt::EngineConfig cfg = apps::validation_config(dir.string(), app_name);
+    apps::run_with_engine(ctx.module, ctx.region, ctx.protect, cfg);
     ckpt::CheckpointImage last;
-    vm::RunOptions ropts;
-    ropts.mcl = to_vm_region(ctx.region);
-    ropts.protect = ctx.protect;
-    ropts.checkpoint_interval = 1;
-    ropts.on_checkpoint = [&](const ckpt::CheckpointImage& img) { last = img; };
-    vm::run_module(ctx.module, ropts);
+    {
+      const ckpt::CheckpointEngine store(cfg);
+      if (store.has_checkpoint()) last = store.recover();
+    }
+    std::error_code ec;
+    fs::remove_all(dir, ec);
     if (last.empty()) throw Error("fuzz: no checkpoint captured for " + app_name);
     ctx.ckpt_record.kind = ckpt::EngineRecord::Kind::Full;
     ctx.ckpt_record.base_id = 1;

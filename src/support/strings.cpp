@@ -1,5 +1,7 @@
 #include "support/strings.hpp"
 
+#include <cerrno>
+#include <climits>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -124,6 +126,17 @@ std::uint64_t parse_hex(std::string_view s) {
   unsigned long long v = std::strtoull(buf, &end, 16);
   if (end != buf + digits.size()) throw Error("parse_hex: bad hex '" + std::string(s) + "'");
   return v;
+}
+
+int parse_int_arg(std::string_view flag, const char* text, int min_value) {
+  errno = 0;
+  char* end = nullptr;
+  const long v = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || v < min_value || v > INT_MAX) {
+    throw Error(strf("%.*s expects an integer >= %d, got '%s'", static_cast<int>(flag.size()),
+                     flag.data(), min_value, text));
+  }
+  return static_cast<int>(v);
 }
 
 std::string substitute(std::string text,

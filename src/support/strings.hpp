@@ -40,6 +40,11 @@ double parse_f64(std::string_view s);
 /// Parse a 0x-prefixed hexadecimal address; throws ac::Error on garbage.
 std::uint64_t parse_hex(std::string_view s);
 
+/// Checked command-line integer for option `flag`: rejects garbage, trailing
+/// junk and values outside [min_value, INT_MAX] with an ac::Error that names
+/// the flag ("--threads expects an integer >= 1, got '4abc'").
+int parse_int_arg(std::string_view flag, const char* text, int min_value);
+
 /// Replace all occurrences of `${key}` in `text` for each (key,value) pair.
 /// Used to instantiate MiniC app sources with size knobs.
 std::string substitute(std::string text,

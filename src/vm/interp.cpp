@@ -538,10 +538,6 @@ Interpreter::resolve_protected(const std::vector<std::string>& names) const {
   return out;
 }
 
-ckpt::CheckpointImage Interpreter::snapshot(const std::vector<std::string>& names) const {
-  return ckpt::snapshot_regions(arena_, resolve_protected(names));
-}
-
 void Interpreter::apply_restore(const ckpt::CheckpointImage& img) {
   for (const auto& snap : img.vars()) {
     const ckpt::ProtectedRegion region = resolve_protected({snap.name}).front();
@@ -582,14 +578,6 @@ void Interpreter::on_header_evaluation() {
 
   if (completed_an_iteration && opts_->on_machine_state) {
     opts_->on_machine_state(machine_state());
-  }
-  const int interval = std::max(1, opts_->checkpoint_interval);
-  const bool interval_due = (iteration_ - 1) % interval == 0;
-  if (completed_an_iteration && interval_due && opts_->on_checkpoint &&
-      !opts_->protect.empty()) {
-    ckpt::CheckpointImage img = snapshot(opts_->protect);
-    img.set_iteration(iteration_ - 1);
-    opts_->on_checkpoint(img);
   }
   if (completed_an_iteration && opts_->engine) {
     if (!engine_regions_bound_) {

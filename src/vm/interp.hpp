@@ -15,10 +15,10 @@
 // validation methodology needs (§VI-B):
 //   * main-computation-loop (MCL) iteration tracking — a conditional branch
 //     at the MCL header line delimits iterations;
-//   * checkpoint hook — at every iteration boundary the protected variables
-//     are snapshotted into a ckpt::CheckpointImage (the paper inserts FTI
-//     calls at the bottom of the loop; the boundary is the same program
-//     point);
+//   * checkpointing — at every iteration boundary the attached
+//     ckpt::CheckpointEngine sees the protected variables' arena ranges and
+//     commits per its policy (the paper inserts FTI calls at the bottom of
+//     the loop; the boundary is the same program point);
 //   * fail-stop injection and restore-at-loop-entry — the paper raises
 //     SIGTERM inside the loop and restarts reading checkpoints right before
 //     the main loop.
@@ -58,26 +58,16 @@ struct RunOptions {
   /// Loop instrumentation (checkpoint/failure/restore need this).
   std::optional<MclRegion> mcl;
 
-  /// Variables to checkpoint at each iteration boundary: resolved against the
-  /// MCL host function's locals, then module globals.
-  std::vector<std::string> protect;
-
-  /// Called with a fresh image at the end of every `checkpoint_interval`-th
-  /// completed iteration (the paper's "periodically ... with a certain
-  /// interval", §II-B).
-  std::function<void(const ckpt::CheckpointImage&)> on_checkpoint;
-
-  /// Checkpoint every N completed iterations (N >= 1).
-  int checkpoint_interval = 1;
-
   /// Called at every iteration boundary with the live machine state
   /// (BLCR-style full-image cost measurements).
   std::function<void(const ckpt::MachineState&)> on_machine_state;
 
-  /// Full checkpoint-engine integration: at every iteration boundary the
-  /// engine's registered variables are bound to their arena ranges and the
-  /// engine decides (per its policy) whether to capture an incremental or
-  /// full snapshot. Independent of the on_checkpoint hook above.
+  /// The checkpoint store: at every iteration boundary the engine's
+  /// registered variables — resolved against the MCL host function's locals,
+  /// then module globals — are bound to their arena ranges, and the engine
+  /// decides (per its policy, e.g. every N completed iterations: the paper's
+  /// "periodically ... with a certain interval", §II-B) whether to capture
+  /// an incremental or full snapshot.
   ckpt::CheckpointEngine* engine = nullptr;
 
   /// Inject a fail-stop when this iteration is about to start (1-based);
@@ -85,7 +75,7 @@ struct RunOptions {
   int fail_at_iteration = -1;
 
   /// Restore this image when execution first reaches the MCL header
-  /// (restart path). Variables resolve like `protect`.
+  /// (restart path). Variables resolve like the engine's registrations.
   const ckpt::CheckpointImage* restore = nullptr;
 
   /// Runaway guard.
@@ -206,7 +196,6 @@ class Interpreter {
   void on_header_evaluation();
   std::vector<ckpt::ProtectedRegion>
   resolve_protected(const std::vector<std::string>& names) const;
-  ckpt::CheckpointImage snapshot(const std::vector<std::string>& names) const;
   void apply_restore(const ckpt::CheckpointImage& img);
   ckpt::MachineState machine_state() const;
 };

@@ -1,14 +1,16 @@
-// C/R substrate: image round-trips, CRC corruption detection, FtiLite
-// protocol, BLCR-style cost model.
+// C/R substrate: image round-trips, CRC corruption detection, the engine's
+// store protocol at L1 and L2 driven by hand, BLCR-style cost model.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 
+#include "apps/harness.hpp"
 #include "ckpt/blcr.hpp"
-#include "ckpt/ftilite.hpp"
+#include "ckpt/engine.hpp"
 #include "ckpt/image.hpp"
 #include "support/error.hpp"
 #include "trace/reader.hpp"
+#include "vm/memory.hpp"
 
 namespace ac::ckpt {
 namespace {
@@ -21,16 +23,14 @@ CheckpointImage sample_image() {
   return img;
 }
 
-TEST(Image, SaveLoadRoundTrip) {
-  const std::string path = testing::TempDir() + "/ac_img_rt.fti";
+TEST(Image, BytesRoundTrip) {
   const CheckpointImage img = sample_image();
-  img.save(path);
-  const CheckpointImage loaded = CheckpointImage::load(path);
-  EXPECT_EQ(loaded, img);
-  EXPECT_EQ(loaded.iteration(), 7);
-  ASSERT_NE(loaded.find("rho"), nullptr);
-  EXPECT_EQ(loaded.find("rho")->cells[0].kind, 1);
-  EXPECT_EQ(loaded.find("nope"), nullptr);
+  const CheckpointImage back = CheckpointImage::from_bytes(img.to_bytes());
+  EXPECT_EQ(back, img);
+  EXPECT_EQ(back.iteration(), 7);
+  ASSERT_NE(back.find("rho"), nullptr);
+  EXPECT_EQ(back.find("rho")->cells[0].kind, 1);
+  EXPECT_EQ(back.find("nope"), nullptr);
 }
 
 TEST(Image, ByteSizeCountsCellsAndNames) {
@@ -40,58 +40,121 @@ TEST(Image, ByteSizeCountsCellsAndNames) {
 }
 
 TEST(Image, DetectsCorruption) {
-  const std::string path = testing::TempDir() + "/ac_img_corrupt.fti";
-  sample_image().save(path);
-  // Flip one payload byte in the middle of the file.
-  std::string data = trace::read_file_bytes(path);
+  // Flip one payload byte in the middle.
+  std::string data = sample_image().to_bytes();
   data[data.size() / 2] ^= 0xFF;
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  std::fwrite(data.data(), 1, data.size(), f);
-  std::fclose(f);
-  EXPECT_THROW(CheckpointImage::load(path), CheckpointError);
+  EXPECT_THROW(CheckpointImage::from_bytes(data), CheckpointError);
 }
 
 TEST(Image, DetectsTruncation) {
-  const std::string path = testing::TempDir() + "/ac_img_trunc.fti";
-  sample_image().save(path);
-  std::string data = trace::read_file_bytes(path);
+  std::string data = sample_image().to_bytes();
   data.resize(data.size() / 2);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  std::fwrite(data.data(), 1, data.size(), f);
-  std::fclose(f);
-  EXPECT_THROW(CheckpointImage::load(path), CheckpointError);
+  EXPECT_THROW(CheckpointImage::from_bytes(data), CheckpointError);
+  EXPECT_THROW(CheckpointImage::from_bytes(""), CheckpointError);
 }
 
-TEST(Image, RejectsBadMagicAndMissingFile) {
-  const std::string path = testing::TempDir() + "/ac_img_magic.fti";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  std::fwrite("NOTACKPT-PADDING", 1, 16, f);
-  std::fclose(f);
-  EXPECT_THROW(CheckpointImage::load(path), CheckpointError);
-  EXPECT_THROW(CheckpointImage::load("/no/such/ckpt.fti"), CheckpointError);
+TEST(Image, RejectsBadMagic) {
+  EXPECT_THROW(CheckpointImage::from_bytes("NOTACKPT-PADDING"), CheckpointError);
 }
 
-TEST(FtiLiteStore, ProtocolRoundTrip) {
-  FtiLite fti(testing::TempDir(), "ac_fti_proto");
-  fti.reset();
-  EXPECT_FALSE(fti.has_checkpoint());
-  EXPECT_THROW(fti.recover(), CheckpointError);
-  EXPECT_EQ(fti.storage_bytes(), 0u);
+// ---------------------------------------------------------------------------
+// The engine's store protocol (FTI L1/L2), driven by hand: one protected
+// three-cell global `u` in an arena, committed at chosen iterations — exactly
+// what the VM hands the engine at an iteration boundary.
+// ---------------------------------------------------------------------------
 
-  fti.checkpoint(sample_image());
-  EXPECT_TRUE(fti.has_checkpoint());
-  EXPECT_GT(fti.storage_bytes(), 0u);
-  EXPECT_EQ(fti.recover(), sample_image());
+class EngineStore : public testing::Test {
+ protected:
+  vm::Arena arena_;
+  std::vector<ProtectedRegion> regions_;
+
+  void SetUp() override {
+    const std::uint64_t addr = arena_.alloc_global(3 * vm::kCellBytes);
+    regions_ = {{"u", addr, 3 * vm::kCellBytes}};
+  }
+
+  /// The validation store; L2 replicates into a second directory.
+  static EngineConfig config(const std::string& tag, EngineLevel level = EngineLevel::L1) {
+    EngineConfig cfg = apps::validation_config(testing::TempDir(), tag);
+    cfg.level = level;
+    if (level >= EngineLevel::L2) cfg.partner_dir = testing::TempDir() + "/ac_ckpt_partner";
+    return cfg;
+  }
+
+  static std::string local_base(const EngineConfig& cfg) {
+    return cfg.dir + "/" + cfg.tag + ".base.eng";
+  }
+
+  /// Set u = {v, v+1, v+2} and complete iteration `iter`; returns the image
+  /// that commit must recover to.
+  CheckpointImage commit(CheckpointEngine& engine, std::int64_t iter, std::int64_t v) {
+    std::vector<Cell> cells;
+    for (std::int64_t i = 0; i < 3; ++i) {
+      arena_.write(regions_[0].addr + static_cast<std::uint64_t>(i) * vm::kCellBytes,
+                   vm::Value::make_int(v + i));
+      cells.push_back(Cell{static_cast<std::uint64_t>(v + i), 0});
+    }
+    EXPECT_TRUE(engine.on_iteration(iter, arena_, regions_));
+    CheckpointImage img;
+    img.set_iteration(iter);
+    img.add("u", std::move(cells));
+    return img;
+  }
+};
+
+TEST_F(EngineStore, ProtocolRoundTrip) {
+  CheckpointEngine engine(config("ac_store_proto"));
+  engine.reset();
+  EXPECT_FALSE(engine.has_checkpoint());
+  EXPECT_THROW(engine.recover(), CheckpointError);
+
+  const CheckpointImage first = commit(engine, 1, 40);
+  EXPECT_TRUE(engine.has_checkpoint());
+  EXPECT_GT(engine.stats().l1_bytes, 0u);
+  EXPECT_EQ(engine.recover(), first);
 
   // Later checkpoints replace earlier ones (latest-wins, like FTI L1).
-  CheckpointImage second = sample_image();
-  second.set_iteration(9);
-  fti.checkpoint(second);
-  EXPECT_EQ(fti.recover().iteration(), 9);
+  const CheckpointImage second = commit(engine, 2, 90);
+  EXPECT_EQ(engine.recover(), second);
 
-  fti.reset();
-  EXPECT_FALSE(fti.has_checkpoint());
+  engine.reset();
+  EXPECT_FALSE(engine.has_checkpoint());
 }
+
+TEST_F(EngineStore, L2ReplicatesToPartner) {
+  CheckpointEngine engine(config("ac_store_l2_repl", EngineLevel::L2));
+  engine.reset();
+  const CheckpointImage img = commit(engine, 3, 1);
+  EXPECT_GT(engine.stats().l1_bytes, 0u);
+  EXPECT_EQ(engine.stats().l2_bytes, engine.stats().l1_bytes);
+  EXPECT_EQ(engine.recover(), img);
+  engine.reset();
+}
+
+TEST_F(EngineStore, L2RecoversFromPartnerWhenLocalLost) {
+  const EngineConfig cfg = config("ac_store_l2_lost", EngineLevel::L2);
+  CheckpointEngine engine(cfg);
+  engine.reset();
+  const CheckpointImage img = commit(engine, 3, 1);
+  std::remove(local_base(cfg).c_str());  // the "node-local storage" is gone
+  EXPECT_TRUE(engine.has_checkpoint());
+  EXPECT_EQ(engine.recover(), img);
+  engine.reset();
+}
+
+TEST_F(EngineStore, L1HasNoFallback) {
+  const EngineConfig cfg = config("ac_store_l1_nofallback");
+  CheckpointEngine engine(cfg);
+  engine.reset();
+  commit(engine, 3, 1);
+  std::remove(local_base(cfg).c_str());
+  EXPECT_FALSE(engine.has_checkpoint());
+  EXPECT_THROW(engine.recover(), CheckpointError);
+}
+
+// ---------------------------------------------------------------------------
+// BLCR-style cost model
+// ---------------------------------------------------------------------------
 
 TEST(Blcr, FootprintAccountsForWholeMachine) {
   MachineState st;
@@ -125,66 +188,6 @@ TEST(Blcr, DwarfsSelectiveCheckpoint) {
   st.arena_bytes = 1 << 20;
   const CheckpointImage img = sample_image();
   EXPECT_GT(BlcrSim::footprint(st).total(), 1000 * img.byte_size());
-}
-
-}  // namespace
-}  // namespace ac::ckpt
-
-// -- Level 2 (partner replication) tests appended with the L2 feature --------
-
-namespace ac::ckpt {
-namespace {
-
-CheckpointImage l2_image() {
-  CheckpointImage img;
-  img.set_iteration(3);
-  img.add("u", {{1, 0}, {2, 0}, {3, 0}});
-  return img;
-}
-
-TEST(FtiLiteL2, ReplicatesToPartner) {
-  FtiLite fti(testing::TempDir(), testing::TempDir(), "ac_l2_repl");
-  fti.reset();
-  EXPECT_EQ(fti.level(), Level::L2);
-  fti.checkpoint(l2_image());
-  EXPECT_GT(fti.storage_bytes(), 0u);
-  EXPECT_EQ(fti.total_bytes(), 2 * fti.storage_bytes());
-  EXPECT_EQ(fti.recover(), l2_image());
-  fti.reset();
-}
-
-TEST(FtiLiteL2, RecoversFromPartnerWhenLocalLost) {
-  FtiLite fti(testing::TempDir(), testing::TempDir(), "ac_l2_lost");
-  fti.reset();
-  fti.checkpoint(l2_image());
-  std::remove(fti.path().c_str());  // the "node-local storage" is gone
-  EXPECT_TRUE(fti.has_checkpoint());
-  EXPECT_EQ(fti.recover(), l2_image());
-  fti.reset();
-}
-
-TEST(FtiLiteL2, RecoversFromPartnerWhenLocalCorrupt) {
-  FtiLite fti(testing::TempDir(), testing::TempDir(), "ac_l2_corrupt");
-  fti.reset();
-  fti.checkpoint(l2_image());
-  // Corrupt the local copy; the CRC check must route recovery to the partner.
-  std::FILE* f = std::fopen(fti.path().c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  std::fseek(f, 10, SEEK_SET);
-  std::fputc(0xFF, f);
-  std::fclose(f);
-  EXPECT_EQ(fti.recover(), l2_image());
-  fti.reset();
-}
-
-TEST(FtiLiteL2, L1HasNoFallback) {
-  FtiLite fti(testing::TempDir(), "ac_l1_nofallback");
-  fti.reset();
-  EXPECT_EQ(fti.level(), Level::L1);
-  fti.checkpoint(l2_image());
-  std::remove(fti.path().c_str());
-  EXPECT_FALSE(fti.has_checkpoint());
-  EXPECT_THROW(fti.recover(), CheckpointError);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // CheckpointEngine: interval policies, record serialization (codec-encoded
-// v2 + raw-cell v1 backward compatibility), report-driven registration,
+// version 2 only; version 1 is rejected), report-driven registration,
 // arena dirty-cell tracking, and full C/R round-trips through the
 // incremental / multi-level / async paths — including storage degradation
 // (corrupt local -> partner replica -> packed archive) and the
@@ -165,9 +165,10 @@ TEST(EngineRecord, RejectsBadCodecIdInHeader) {
   }
 }
 
-TEST(EngineRecord, ReadsPreCodecVersion1Records) {
-  // Hand-rolled version-1 bytes (raw cells inline, no codec header) — the
-  // format every pre-codec checkpoint on disk uses; they must still restore.
+TEST(EngineRecord, RejectsVersion1Records) {
+  // Hand-rolled version-1 bytes (raw cells inline, no codec header) with a
+  // valid CRC: the pre-codec format is no longer read, and refusing it must
+  // be a typed error, not a misparse.
   const auto put_u32 = [](std::string& out, std::uint32_t v) {
     out.append(reinterpret_cast<const char*>(&v), 4);
   };
@@ -195,17 +196,12 @@ TEST(EngineRecord, ReadsPreCodecVersion1Records) {
   const std::uint32_t crc = crc32(body.data(), body.size());
   bytes.append(reinterpret_cast<const char*>(&crc), 4);
 
-  const ckpt::EngineRecord rec = ckpt::EngineRecord::from_bytes(bytes);
-  EXPECT_EQ(rec.kind, ckpt::EngineRecord::Kind::Delta);
-  EXPECT_EQ(rec.base_id, 3u);
-  EXPECT_EQ(rec.seq, 2u);
-  EXPECT_EQ(rec.iteration, 9);
-  ASSERT_EQ(rec.delta.vars.size(), 1u);
-  EXPECT_EQ(rec.delta.vars[0].name, "x");
-  ASSERT_EQ(rec.delta.vars[0].runs.size(), 1u);
-  EXPECT_EQ(rec.delta.vars[0].runs[0].index, 1u);
-  const std::vector<ckpt::Cell> expect = {{99, 0}, {100, 0}};
-  EXPECT_EQ(rec.delta.vars[0].runs[0].cells, expect);
+  try {
+    ckpt::EngineRecord::from_bytes(bytes);
+    FAIL() << "version-1 record accepted";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos) << e.what();
+  }
 }
 
 TEST(EngineRecord, ApplyDeltaPatchesBase) {
@@ -284,7 +280,7 @@ ckpt::EngineConfig engine_cfg(const std::string& tag) {
 }
 
 // The engine replicates under the same file names, so the partner must be a
-// genuinely different directory (FtiLite distinguishes by suffix instead).
+// genuinely different directory.
 std::string partner_dir() {
   const std::string dir = testing::TempDir() + "/ac_engine_partner";
   std::filesystem::create_directories(dir);
@@ -297,13 +293,16 @@ TEST(EngineRoundTrip, SyncFullImages) {
   ckpt::EngineConfig cfg = engine_cfg("eng_sync_full");
   cfg.incremental = false;
   cfg.async = false;
-  const auto v = apps::validate_cr_engine(run.module, run.region, run.report.critical_names(),
-                                          /*fail_at=*/6, cfg);
+  const auto v = apps::validate_cr(run.module, run.region, run.report.critical_names(),
+                                   /*fail_at=*/6, cfg);
   EXPECT_TRUE(v.restart_matches);
   EXPECT_EQ(v.recovered_iteration, 5);
   EXPECT_EQ(v.stats.checkpoints, 5);
   EXPECT_EQ(v.stats.full_checkpoints, 5);
   EXPECT_EQ(v.stats.delta_checkpoints, 0);
+  // Every commit *is* a full raw record, so "bytes had every commit been
+  // full" is exactly what L1 wrote.
+  EXPECT_EQ(v.stats.full_equiv_bytes, v.stats.l1_bytes);
 }
 
 TEST(EngineRoundTrip, IncrementalAsync) {
@@ -311,8 +310,8 @@ TEST(EngineRoundTrip, IncrementalAsync) {
   const apps::AnalysisRun run = analyze_app(app);
   ckpt::EngineConfig cfg = engine_cfg("eng_incr_async");
   cfg.full_every = 2;
-  const auto v = apps::validate_cr_engine(run.module, run.region, run.report.critical_names(),
-                                          /*fail_at=*/6, cfg);
+  const auto v = apps::validate_cr(run.module, run.region, run.report.critical_names(),
+                                   /*fail_at=*/6, cfg);
   EXPECT_TRUE(v.restart_matches);
   EXPECT_EQ(v.recovered_iteration, 5);
   EXPECT_EQ(v.stats.checkpoints, v.stats.full_checkpoints + v.stats.delta_checkpoints);
@@ -324,8 +323,8 @@ TEST(EngineRoundTrip, PolicyDrivenCadenceStillRecovers) {
   const apps::AnalysisRun run = analyze_app(app);
   ckpt::EngineConfig cfg = engine_cfg("eng_policy");
   cfg.policy = std::make_shared<ckpt::FixedIntervalPolicy>(2);
-  const auto v = apps::validate_cr_engine(run.module, run.region, run.report.critical_names(),
-                                          /*fail_at=*/6, cfg);
+  const auto v = apps::validate_cr(run.module, run.region, run.report.critical_names(),
+                                   /*fail_at=*/6, cfg);
   EXPECT_TRUE(v.restart_matches);
   // Commits at iterations 2 and 4; restart rolls back to 4, re-executes 5.
   EXPECT_EQ(v.recovered_iteration, 4);
@@ -564,7 +563,7 @@ TEST_P(EngineMatrix, RandomizedKillRestartsBitIdentical) {
       if (level >= ckpt::EngineLevel::L2) cfg.partner_dir = partner_dir();
       cfg.full_every = 2;  // force delta records into every combo
       cfg.set_codecs(ckpt::CodecChain::parse(codec));
-      const auto v = apps::validate_cr_engine(run.module, run.region, protect, fail_at, cfg);
+      const auto v = apps::validate_cr(run.module, run.region, protect, fail_at, cfg);
       EXPECT_TRUE(v.restart_matches)
           << app.name << " level=" << static_cast<int>(level) << " codec=" << codec
           << " fail_at=" << fail_at;
@@ -666,55 +665,64 @@ std::string archive_only_setup(const apps::AnalysisRun& run, ckpt::EngineConfig&
   return cfg.dir + "/" + cfg.tag + ".pack";
 }
 
-/// Archives written by the pre-frame code — bare [u32 len][u32 crc][bytes]
-/// entries, and mixes of v1 entries with MCTA frames — must recover exactly
-/// like the pure v2 archive the current engine writes.
-TEST(EngineArchive, V1AndMixedArchivesStillRecover) {
+/// A bare [u32 len][u32 crc][bytes] entry — the archive format before MCTA
+/// frames — holding `record`.
+std::string len_crc_entry(const std::string& record) {
+  std::string out;
+  const std::uint32_t len = static_cast<std::uint32_t>(record.size());
+  const std::uint32_t crc = crc32(record.data(), record.size());
+  out.append(reinterpret_cast<const char*>(&len), 4);
+  out.append(reinterpret_cast<const char*>(&crc), 4);
+  out.append(record);
+  return out;
+}
+
+/// Frames followed by a [len][crc] entry: the walk stops at the first entry
+/// that is not a frame, so recovery takes the frame prefix — exactly what a
+/// torn last frame costs.
+TEST(EngineArchive, LenCrcEntryAfterFramesEndsTheWalk) {
   const App& app = find_app("LU");
   const apps::AnalysisRun run = analyze_app(app);
-  ckpt::EngineConfig cfg = engine_cfg("eng_arch_v1");
+  ckpt::EngineConfig cfg = engine_cfg("eng_arch_lencrc_tail");
   const std::string pack = archive_only_setup(run, cfg);
 
-  // The engine wrote v2: every entry an MCTA frame. Capture the recovered
-  // baseline, then re-frame the archive as v1 and as v1/v2 mixes.
-  const std::string v2 = slurp(pack);
-  const std::int64_t want_iter = ckpt::CheckpointEngine(cfg).recover().iteration();
-  EXPECT_EQ(want_iter, 5);
-
-  std::vector<std::string> payloads;
+  const std::string frames = slurp(pack);
+  EXPECT_EQ(ckpt::CheckpointEngine(cfg).recover().iteration(), 5);
+  std::size_t last_start = 0;
   trace::MctbFrameView view;
-  for (std::size_t pos = 0; trace::read_mctb_frame(v2, pos, view); pos += view.frame_size) {
-    payloads.emplace_back(view.payload);
+  for (std::size_t pos = 0; trace::read_mctb_frame(frames, pos, view); pos += view.frame_size) {
+    last_start = pos;
   }
-  ASSERT_GE(payloads.size(), 2u);
+  ASSERT_GT(last_start, 0u);
+  const std::string prefix = frames.substr(0, last_start);
+  const std::string last_frame = frames.substr(last_start);
+  ASSERT_TRUE(trace::read_mctb_frame(last_frame, 0, view));
 
-  const auto v1_entry = [](const std::string& bytes) {
-    std::string out;
-    const std::uint32_t len = static_cast<std::uint32_t>(bytes.size());
-    const std::uint32_t crc = crc32(bytes.data(), bytes.size());
-    out.append(reinterpret_cast<const char*>(&len), 4);
-    out.append(reinterpret_cast<const char*>(&crc), 4);
-    out.append(bytes);
-    return out;
-  };
+  spew(pack, prefix + last_frame.substr(0, last_frame.size() / 2));
+  const std::int64_t torn_iter = ckpt::CheckpointEngine(cfg).recover().iteration();
+  EXPECT_EQ(torn_iter, 4);
 
-  // Pure v1.
-  std::string v1;
-  for (const std::string& p : payloads) v1 += v1_entry(p);
-  spew(pack, v1);
-  EXPECT_EQ(ckpt::CheckpointEngine(cfg).recover().iteration(), want_iter);
+  spew(pack, prefix + len_crc_entry(std::string(view.payload)));
+  EXPECT_EQ(ckpt::CheckpointEngine(cfg).recover().iteration(), torn_iter);
+}
 
-  // v1 prefix + v2 tail: what an upgraded binary leaves behind after
-  // appending to an old archive.
-  std::string mixed;
-  for (std::size_t i = 0; i < payloads.size(); ++i) {
-    mixed += i < payloads.size() / 2
-                 ? v1_entry(payloads[i])
-                 : trace::mctb_frame(0x10, static_cast<std::uint32_t>(i), 0, payloads[i],
-                                     cfg.l3_codec);
+/// An archive of nothing but [len][crc] entries, with no file chain beside
+/// it, holds nothing recoverable.
+TEST(EngineArchive, LenCrcOnlyArchiveDoesNotRecover) {
+  const App& app = find_app("LU");
+  const apps::AnalysisRun run = analyze_app(app);
+  ckpt::EngineConfig cfg = engine_cfg("eng_arch_lencrc_only");
+  const std::string pack = archive_only_setup(run, cfg);
+
+  const std::string frames = slurp(pack);
+  std::string entries;
+  trace::MctbFrameView view;
+  for (std::size_t pos = 0; trace::read_mctb_frame(frames, pos, view); pos += view.frame_size) {
+    entries += len_crc_entry(std::string(view.payload));
   }
-  spew(pack, mixed);
-  EXPECT_EQ(ckpt::CheckpointEngine(cfg).recover().iteration(), want_iter);
+  ASSERT_FALSE(entries.empty());
+  spew(pack, entries);
+  EXPECT_THROW(ckpt::CheckpointEngine(cfg).recover(), CheckpointError);
 }
 
 /// A frame torn mid-append (short write, kill) must cost only the tail

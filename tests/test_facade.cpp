@@ -101,7 +101,7 @@ TEST(Harness, ValidateRequiresReachableFailure) {
   const App& app = find_app("EP");
   const AnalysisRun run = analyze_app(app);
   EXPECT_THROW(validate_cr(run.module, run.region, run.report.critical_names(), 10000,
-                           testing::TempDir(), "ep_unreachable"),
+                           validation_config(testing::TempDir(), "ep_unreachable")),
                Error);
 }
 

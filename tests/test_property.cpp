@@ -106,8 +106,10 @@ TEST_P(RandomPrograms, IdentifiedSetIsSufficientForRestart) {
 
   SplitMix64 rng(seed ^ 0xABCDEF);
   const int fail_at = static_cast<int>(rng.range(2, 5));
-  const auto v = apps::validate_cr(run.module, region, names, fail_at, testing::TempDir(),
-                                   strf("prop_%llu", static_cast<unsigned long long>(seed)));
+  const auto v = apps::validate_cr(
+      run.module, region, names, fail_at,
+      apps::validation_config(testing::TempDir(),
+                              strf("prop_%llu", static_cast<unsigned long long>(seed))));
   EXPECT_TRUE(v.restart_matches)
       << "identified: " << join(names, ", ") << "\nref:\n" << v.reference_output
       << "\nrestart:\n" << v.restart_output;

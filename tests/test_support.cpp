@@ -52,6 +52,20 @@ TEST(Strings, ParseF64) {
   EXPECT_THROW(parse_f64("abc"), Error);
 }
 
+TEST(Strings, ParseIntArg) {
+  EXPECT_EQ(parse_int_arg("--n", "7", 1), 7);
+  EXPECT_EQ(parse_int_arg("--n", "0", 0), 0);
+  for (const char* bad : {"", "abc", "4abc", "0", "-3", "99999999999"}) {
+    try {
+      parse_int_arg("--n", bad, 1);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "--n expects an integer >= 1, got '" + std::string(bad) + "'");
+    }
+  }
+}
+
 TEST(Strings, ParseHex) {
   EXPECT_EQ(parse_hex("0x7ffcf3f25a70"), 0x7ffcf3f25a70ull);
   EXPECT_EQ(parse_hex("0x0"), 0ull);

@@ -23,18 +23,20 @@ class AppRestart : public testing::TestWithParam<std::string> {};
 
 TEST_P(AppRestart, IdentifiedSetIsSufficient) {
   const App& app = find_app(GetParam());
-  const auto v = validate_app(app, {}, /*fail_at=*/3, testing::TempDir());
+  const auto v = validate_app(app, {}, /*fail_at=*/3,
+                              validation_config(testing::TempDir(), app.name + "_restart"));
   EXPECT_TRUE(v.restart_matches)
       << "ref:\n" << v.reference_output << "\nrestart:\n" << v.restart_output;
-  EXPECT_GE(v.checkpoints_written, 2);
-  EXPECT_EQ(v.last_checkpoint_iteration, 2);
+  EXPECT_GE(v.stats.checkpoints, 2);
+  EXPECT_EQ(v.recovered_iteration, 2);
 }
 
 TEST_P(AppRestart, SufficientAtLaterFailurePoint) {
   const App& app = find_app(GetParam());
-  const auto v = validate_app(app, {}, /*fail_at=*/5, testing::TempDir());
+  const auto v = validate_app(app, {}, /*fail_at=*/5,
+                              validation_config(testing::TempDir(), app.name + "_restart"));
   EXPECT_TRUE(v.restart_matches);
-  EXPECT_EQ(v.last_checkpoint_iteration, 4);
+  EXPECT_EQ(v.recovered_iteration, 4);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -67,8 +69,9 @@ TEST_P(AppAblation, EveryStateCarryingVariableIsNecessary) {
     for (const auto& n : names) {
       if (n != drop) subset.push_back(n);
     }
-    const auto v = validate_cr(run.module, run.region, subset, /*fail_at=*/3,
-                               testing::TempDir(), app.name + "_ablate_" + drop);
+    const auto v =
+        validate_cr(run.module, run.region, subset, /*fail_at=*/3,
+                    validation_config(testing::TempDir(), app.name + "_ablate_" + drop));
     EXPECT_FALSE(v.restart_matches)
         << app.name << ": dropping '" << drop << "' should break the restart";
     ++ablated;
@@ -85,8 +88,8 @@ TEST(Validation, EmptyProtectionBreaksStatefulRestart) {
   const App& app = find_app("HPCCG");
   const AnalysisRun run = analyze_app(app);
   // Protect only the induction variable: the CG state is lost -> divergence.
-  const auto v = validate_cr(run.module, run.region, {"k"}, 3, testing::TempDir(),
-                             "hpccg_only_k");
+  const auto v = validate_cr(run.module, run.region, {"k"}, 3,
+                             validation_config(testing::TempDir(), "hpccg_only_k"));
   EXPECT_FALSE(v.restart_matches);
 }
 
@@ -94,7 +97,7 @@ TEST(Validation, FailureBeyondLoopThrows) {
   const App& app = find_app("CG");
   const AnalysisRun run = analyze_app(app);
   EXPECT_THROW(validate_cr(run.module, run.region, run.report.critical_names(), 9999,
-                           testing::TempDir(), "cg_nofail"),
+                           validation_config(testing::TempDir(), "cg_nofail")),
                Error);
 }
 

@@ -1,7 +1,8 @@
 // VM execution semantics: arithmetic, control flow, arrays, calls, globals,
-// builtins, traps, and the MCL instrumentation hooks.
+// builtins, traps, and the MCL instrumentation (engine checkpoints, fail-stop).
 #include <gtest/gtest.h>
 
+#include "apps/harness.hpp"
 #include "support/error.hpp"
 #include "vm/interp.hpp"
 
@@ -273,7 +274,7 @@ int main() {
   EXPECT_EQ(failed.output, "");  // never reached the print
 }
 
-TEST(VmExec, CheckpointHookSnapshotsProtectedVars) {
+TEST(VmExec, EngineCheckpointsProtectedVars) {
   const std::string src = R"(
 int g;
 int main() {
@@ -292,21 +293,32 @@ int main() {
   const ir::Module module = minic::compile(src);
   const auto mcl = analysis::find_mcl_region(src);
 
-  RunOptions opts;
-  opts.mcl = MclRegion{mcl.function, mcl.begin_line, mcl.end_line};
-  opts.protect = {"g", "s", "i"};
-  std::vector<ckpt::CheckpointImage> images;
-  opts.on_checkpoint = [&](const ckpt::CheckpointImage& img) { images.push_back(img); };
-  run_module(module, opts);
+  const ckpt::EngineConfig cfg = apps::validation_config(testing::TempDir(), "vm_exec_protect");
+  // fail_at -1: a whole run; 3: killed as iteration 3 starts, so the
+  // iteration-2 image is the last one committed.
+  for (const int fail_at : {-1, 3}) {
+    ckpt::CheckpointEngine engine(cfg);
+    engine.reset();
+    for (const char* name : {"g", "s", "i"}) engine.protect(name);
+    RunOptions opts;
+    opts.mcl = MclRegion{mcl.function, mcl.begin_line, mcl.end_line};
+    opts.engine = &engine;
+    opts.fail_at_iteration = fail_at;
+    const RunResult r = run_module(module, opts);
+    EXPECT_EQ(r.failed, fail_at > 0);
+    // 5 completed iterations, the last closed by the final (exit) header
+    // evaluation boundary.
+    if (fail_at < 0) EXPECT_EQ(engine.stats().checkpoints, 5);
+  }
 
-  // 5 completed iterations + the final (exit) header evaluation boundary.
-  ASSERT_EQ(images.size(), 5u);
-  const auto* g2 = images[1].find("g");
+  const ckpt::CheckpointImage img = ckpt::CheckpointEngine(cfg).recover();
+  EXPECT_EQ(img.iteration(), 2);
+  const auto* g2 = img.find("g");
   ASSERT_NE(g2, nullptr);
   EXPECT_EQ(static_cast<std::int64_t>(g2->cells[0].payload), 2);
-  const auto* s2 = images[1].find("s");
+  const auto* s2 = img.find("s");
+  ASSERT_NE(s2, nullptr);
   EXPECT_EQ(static_cast<std::int64_t>(s2->cells[0].payload), 120);
-  EXPECT_EQ(images[1].iteration(), 2);
 }
 
 TEST(VmExec, UnknownProtectedVariableThrows) {
@@ -322,10 +334,11 @@ int main() {
 )";
   const ir::Module module = minic::compile(src);
   const auto mcl = analysis::find_mcl_region(src);
+  ckpt::CheckpointEngine engine(apps::validation_config(testing::TempDir(), "vm_exec_unknown"));
+  engine.protect("nope");
   RunOptions opts;
   opts.mcl = MclRegion{mcl.function, mcl.begin_line, mcl.end_line};
-  opts.protect = {"nope"};
-  opts.on_checkpoint = [](const ckpt::CheckpointImage&) {};
+  opts.engine = &engine;
   EXPECT_THROW(run_module(module, opts), CheckpointError);
 }
 

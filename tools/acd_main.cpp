@@ -9,12 +9,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <climits>
 #include <string>
 
 #include "net/server.hpp"
 #include "net/socket.hpp"
 #include "support/metrics.hpp"
+#include "support/strings.hpp"
 #include "support/telemetry.hpp"
 
 namespace {
@@ -50,18 +50,6 @@ int usage() {
   return 2;
 }
 
-int parse_int_arg(const std::string& flag, const char* text, int min_value) {
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || v < min_value || v > INT_MAX) {
-    std::fprintf(stderr, "acd: %s expects an integer >= %d, got '%s'\n", flag.c_str(), min_value,
-                 text);
-    std::exit(2);
-  }
-  return static_cast<int>(v);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -75,41 +63,46 @@ int main(int argc, char** argv) {
   bool quiet = false;
   ac::net::ServerOptions opts;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "acd: %s expects a value\n", arg.c_str());
-        std::exit(2);
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      auto next = [&]() -> const char* {
+        if (i + 1 >= argc) {
+          std::fprintf(stderr, "acd: %s expects a value\n", arg.c_str());
+          std::exit(2);
+        }
+        return argv[++i];
+      };
+      if (arg == "--listen") {
+        listen_spec = next();
+      } else if (arg == "--port-file") {
+        port_file = next();
+      } else if (arg == "--queue-depth") {
+        opts.queue_depth = static_cast<std::size_t>(ac::parse_int_arg(arg, next(), 1));
+      } else if (arg == "--idle-timeout") {
+        opts.idle_timeout_ms = ac::parse_int_arg(arg, next(), 0);
+      } else if (arg == "--drain-timeout") {
+        opts.drain_timeout_ms = ac::parse_int_arg(arg, next(), 0);
+      } else if (arg == "--max-frame-mb") {
+        opts.max_frame_bytes = static_cast<std::uint64_t>(ac::parse_int_arg(arg, next(), 1)) << 20;
+      } else if (arg == "--metrics-dump") {
+        want_metrics_dump = true;
+        if (i + 1 < argc && argv[i + 1][0] != '-') metrics_dump = argv[++i];
+      } else if (arg == "--profile") {
+        profile_path = next();
+      } else if (arg == "--quiet") {
+        quiet = true;
+      } else if (arg == "--help" || arg == "-h") {
+        usage();
+        return 0;
+      } else {
+        std::fprintf(stderr, "acd: unknown option '%s'\n", arg.c_str());
+        return usage();
       }
-      return argv[++i];
-    };
-    if (arg == "--listen") {
-      listen_spec = next();
-    } else if (arg == "--port-file") {
-      port_file = next();
-    } else if (arg == "--queue-depth") {
-      opts.queue_depth = static_cast<std::size_t>(parse_int_arg(arg, next(), 1));
-    } else if (arg == "--idle-timeout") {
-      opts.idle_timeout_ms = parse_int_arg(arg, next(), 0);
-    } else if (arg == "--drain-timeout") {
-      opts.drain_timeout_ms = parse_int_arg(arg, next(), 0);
-    } else if (arg == "--max-frame-mb") {
-      opts.max_frame_bytes = static_cast<std::uint64_t>(parse_int_arg(arg, next(), 1)) << 20;
-    } else if (arg == "--metrics-dump") {
-      want_metrics_dump = true;
-      if (i + 1 < argc && argv[i + 1][0] != '-') metrics_dump = argv[++i];
-    } else if (arg == "--profile") {
-      profile_path = next();
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
-    } else {
-      std::fprintf(stderr, "acd: unknown option '%s'\n", arg.c_str());
-      return usage();
     }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "acd: %s\n", e.what());
+    return 2;
   }
 
   try {

@@ -16,8 +16,6 @@
 // is sequential.
 #include <sys/stat.h>
 
-#include <cerrno>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -75,20 +73,6 @@ int usage() {
   return 2;
 }
 
-/// Checked numeric argument parse: rejects garbage, trailing junk and values
-/// below `min_value` with a clear error instead of silently using 0.
-int parse_int_arg(const std::string& flag, const char* text, int min_value) {
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || v < min_value || v > INT_MAX) {
-    std::fprintf(stderr, "autocheck: %s expects an integer >= %d, got '%s'\n", flag.c_str(),
-                 min_value, text);
-    std::exit(2);
-  }
-  return static_cast<int>(v);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -123,84 +107,71 @@ int main(int argc, char** argv) {
   ac::trace::TraceFormat recode_format = ac::trace::TraceFormat::Mctb;
   ac::trace::MctbOptions mctb_opts;
 
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--function") {
-      region.function = next();
-    } else if (arg == "--begin") {
-      region.begin_line = parse_int_arg(arg, next(), 1);
-    } else if (arg == "--end") {
-      region.end_line = parse_int_arg(arg, next(), 1);
-    } else if (arg == "--threads") {
-      opts.threads = parse_int_arg(arg, next(), 1);
-    } else if (arg == "--paper-mli") {
-      opts.mli_mode = ac::analysis::MliMode::PaperNameMatch;
-    } else if (arg == "--dot") {
-      dot_path = next();
-    } else if (arg == "--events") {
-      show_events = parse_int_arg(arg, next(), 0);  // 0 = suppress the event dump
-    } else if (arg == "--suggest") {
-      suggest = true;
-    } else if (arg == "--json") {
-      json = true;
-    } else if (arg == "--emit-protect") {
-      emit_protect = true;
-    } else if (arg == "--recode") {
-      recode_path = next();
-    } else if (arg == "--trace-format") {
-      try {
+  // Every bad option value (numbers, formats, codecs, HOST:PORT) is an
+  // ac::Error naming the flag; it exits 2.
+  try {
+    for (int i = 2; i < argc; ++i) {
+      const std::string arg = argv[i];
+      auto next = [&]() -> const char* {
+        if (i + 1 >= argc) {
+          std::fprintf(stderr, "missing value for %s\n", arg.c_str());
+          std::exit(2);
+        }
+        return argv[++i];
+      };
+      if (arg == "--function") {
+        region.function = next();
+      } else if (arg == "--begin") {
+        region.begin_line = ac::parse_int_arg(arg, next(), 1);
+      } else if (arg == "--end") {
+        region.end_line = ac::parse_int_arg(arg, next(), 1);
+      } else if (arg == "--threads") {
+        opts.threads = ac::parse_int_arg(arg, next(), 1);
+      } else if (arg == "--paper-mli") {
+        opts.mli_mode = ac::analysis::MliMode::PaperNameMatch;
+      } else if (arg == "--dot") {
+        dot_path = next();
+      } else if (arg == "--events") {
+        show_events = ac::parse_int_arg(arg, next(), 0);  // 0 = suppress the event dump
+      } else if (arg == "--suggest") {
+        suggest = true;
+      } else if (arg == "--json") {
+        json = true;
+      } else if (arg == "--emit-protect") {
+        emit_protect = true;
+      } else if (arg == "--recode") {
+        recode_path = next();
+      } else if (arg == "--trace-format") {
         recode_format = ac::trace::parse_trace_format(next());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "autocheck: %s\n", e.what());
-        return 2;
-      }
-    } else if (arg == "--trace-codec") {
-      try {
+      } else if (arg == "--trace-codec") {
         mctb_opts.codec = ac::CodecChain::parse(next());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "autocheck: %s\n", e.what());
-        return 2;
-      }
-    } else if (arg == "--connect") {
-      // Checked HOST:PORT parse: trailing garbage ('8080x'), out-of-range or
-      // negative ports are hard errors, same discipline as parse_int_arg.
-      try {
+      } else if (arg == "--connect") {
+        // Checked HOST:PORT parse: trailing garbage ('8080x'), out-of-range or
+        // negative ports are hard errors, same discipline as parse_int_arg.
         connect_to = ac::net::parse_host_port(next());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "autocheck: %s\n", e.what());
-        return 2;
-      }
-      if (connect_to.host.empty()) connect_to.host = "127.0.0.1";
-      connect = true;
-    } else if (arg == "--connect-timeout-ms") {
-      connect_opts.connect_timeout_ms = parse_int_arg(arg, next(), 1);
-    } else if (arg == "--connect-retries") {
-      connect_opts.connect_retries = parse_int_arg(arg, next(), 0);
-    } else if (arg == "--no-timings") {
-      with_timings = false;
-    } else if (arg == "--profile") {
-      profile_path = next();
-    } else if (arg == "--metrics") {
-      metrics_path = next();
-    } else if (arg == "--ckpt-codec") {
-      ckpt_codec = next();
-      try {
+        if (connect_to.host.empty()) connect_to.host = "127.0.0.1";
+        connect = true;
+      } else if (arg == "--connect-timeout-ms") {
+        connect_opts.connect_timeout_ms = ac::parse_int_arg(arg, next(), 1);
+      } else if (arg == "--connect-retries") {
+        connect_opts.connect_retries = ac::parse_int_arg(arg, next(), 0);
+      } else if (arg == "--no-timings") {
+        with_timings = false;
+      } else if (arg == "--profile") {
+        profile_path = next();
+      } else if (arg == "--metrics") {
+        metrics_path = next();
+      } else if (arg == "--ckpt-codec") {
+        ckpt_codec = next();
         ac::ckpt::CodecChain::parse(ckpt_codec);  // validate before emitting
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "autocheck: %s\n", e.what());
-        return 2;
+      } else {
+        std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
+        return usage();
       }
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      return usage();
     }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "autocheck: %s\n", e.what());
+    return 2;
   }
 
   if (!profile_path.empty() || !metrics_path.empty()) {
