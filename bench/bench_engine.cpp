@@ -216,7 +216,7 @@ int main(int argc, char** argv) {
     std::uint64_t blcr_stream = 0;
     {
       vm::RunOptions ropts;
-      ropts.mcl = vm::MclRegion{run.region.function, run.region.begin_line, run.region.end_line};
+      ropts.mcl = run.region;
       ropts.on_machine_state = [&](const ckpt::MachineState& st) {
         blcr_stream += ckpt::BlcrSim::footprint(st).total();
       };

@@ -86,7 +86,7 @@ RunPoint run_point(const std::vector<Workload>& workloads, int n_clients, int re
         spec.region = w.region;
         spec.with_timings = false;
         for (int rep = 0; rep < reports_each; ++rep) {
-          for (std::size_t i = 0; i < w.trace.size(); ++i) sink.append(w.trace.materialize(i));
+          for (std::size_t i = 0; i < w.trace.size(); ++i) sink.append(w.trace.view(i));
           const std::string json = sink.fetch_report(spec);
           // The first report covers exactly one copy of the trace: it must
           // match the local bytes. Later reports analyze the accumulated

@@ -14,7 +14,6 @@ using trace::PackedOperand;
 using trace::PackedRecord;
 using trace::SymbolPool;
 using trace::TraceBuffer;
-using trace::TraceRecord;
 
 namespace {
 
@@ -53,13 +52,11 @@ struct DepAnalyzer::Impl {
   DepOptions opts;
 
   // Name resolution (see MliCollector::Impl): batch binds the buffer's pool,
-  // streaming interns into its own.
+  // streaming the pool of its one-record scratch buffer.
   const SymbolPool* pool = nullptr;
-  SymbolPool owned_pool;
   bool streaming = false;
   std::uint32_t region_func_id = SymbolPool::npos;
-  std::vector<PackedRecord> scratch_rec;
-  std::vector<PackedOperand> scratch_ops;
+  TraceBuffer scratch;
 
   DepResult result;
   AddressMap amap;
@@ -91,9 +88,9 @@ struct DepAnalyzer::Impl {
 
   void bind_streaming() {
     streaming = true;
-    pool = &owned_pool;
-    region_func_id = owned_pool.intern(region.function);
-    frames.push_back(AnalysisFrame{owned_pool.intern("main"), {}, SymbolPool::npos});
+    pool = &scratch.pool();
+    region_func_id = scratch.pool().intern(region.function);
+    frames.push_back(AnalysisFrame{scratch.pool().intern("main"), {}, SymbolPool::npos});
   }
   void bind_buffer(const TraceBuffer& buf) {
     pool = &buf.pool();
@@ -263,7 +260,7 @@ struct DepAnalyzer::Impl {
   std::uint32_t arg_id(int n) {
     while (static_cast<int>(arg_ids.size()) < n) {
       const std::string name = strf("arg%zu", arg_ids.size() + 1);
-      arg_ids.push_back(streaming ? owned_pool.intern(name) : pool->find(name));
+      arg_ids.push_back(streaming ? scratch.pool().intern(name) : pool->find(name));
     }
     return arg_ids[static_cast<std::size_t>(n - 1)];
   }
@@ -373,11 +370,11 @@ struct DepAnalyzer::Impl {
     dispatch(r, ops);
   }
 
-  void add(const TraceRecord& rec) {
-    scratch_rec.clear();
-    scratch_ops.clear();
-    trace::pack_record(rec, owned_pool, scratch_rec, scratch_ops);
-    add_packed(scratch_rec[0], scratch_ops.data());
+  void add(const trace::RecordView& rec) {
+    scratch.records().clear();
+    scratch.operands().clear();
+    scratch.append(rec);
+    add_packed(scratch.records()[0], scratch.operands().data());
   }
 
   void dispatch_call(const PackedRecord& call, const PackedOperand* ops, bool with_body) {
@@ -403,7 +400,7 @@ DepAnalyzer::DepAnalyzer(PreprocessResult& pre, const MclRegion& region, const D
 
 DepAnalyzer::~DepAnalyzer() = default;
 
-void DepAnalyzer::add(const trace::TraceRecord& rec) { impl_->add(rec); }
+void DepAnalyzer::add(const trace::RecordView& rec) { impl_->add(rec); }
 
 DepResult DepAnalyzer::finish() { return impl_->finish(); }
 

@@ -12,8 +12,9 @@
 // provenance and the reg-reg map are keyed by SymbolPool ids (integer hashes,
 // no string traffic), and DDG nodes are resolved through id-keyed caches that
 // produce exactly the legacy labels. One implementation serves the batch path
-// (a TraceBuffer replay) and the streaming path (TraceRecords packed one at a
-// time), so batch and streaming results are identical by construction.
+// (a TraceBuffer replay) and the streaming path (RecordViews remapped one at
+// a time into a scratch TraceBuffer), so batch and streaming results are
+// identical by construction.
 #pragma once
 
 #include <cstdint>
@@ -62,8 +63,10 @@ DepResult dep_analysis(const trace::TraceBuffer& buf, PreprocessResult& pre,
 
 /// Incremental dependency analysis: feed records one at a time (second pass
 /// of the streaming pipeline; requires a finished PreprocessResult so the
-/// loop partition is known). It runs the same replay dep_analysis() runs, so
-/// batch and streaming results are identical by construction.
+/// loop partition is known). Like MliCollector, it remaps each view — over
+/// any pool — into a one-record scratch buffer over its own pool and runs the
+/// same replay dep_analysis() runs, so batch and streaming results are
+/// identical by construction.
 class DepAnalyzer {
  public:
   DepAnalyzer(PreprocessResult& pre, const MclRegion& region, const DepOptions& opts = {});
@@ -71,7 +74,7 @@ class DepAnalyzer {
   DepAnalyzer(const DepAnalyzer&) = delete;
   DepAnalyzer& operator=(const DepAnalyzer&) = delete;
 
-  void add(const trace::TraceRecord& rec);
+  void add(const trace::RecordView& rec);
   DepResult finish();
 
   struct Impl;

@@ -13,7 +13,6 @@ using trace::PackedOperand;
 using trace::PackedRecord;
 using trace::SymbolPool;
 using trace::TraceBuffer;
-using trace::TraceRecord;
 
 Partition partition_trace(const TraceBuffer& buf, const MclRegion& region) {
   Partition part;
@@ -55,15 +54,11 @@ struct MliCollector::Impl {
   MliMode mode;
 
   // Name resolution. Batch mode binds the (complete, immutable) pool of the
-  // buffer being replayed; streaming mode interns into its own pool as
-  // records arrive.
+  // buffer being replayed; streaming mode binds the pool of its one-record
+  // scratch buffer, which interns names as records arrive.
   const SymbolPool* pool = nullptr;
-  SymbolPool owned_pool;
   std::uint32_t region_func_id = SymbolPool::npos;
-
-  // Streaming scratch: one packed record at a time, storage reused.
-  std::vector<PackedRecord> scratch_rec;
-  std::vector<PackedOperand> scratch_ops;
+  TraceBuffer scratch;
 
   PreprocessResult out;
   AddressMap amap;
@@ -95,8 +90,8 @@ struct MliCollector::Impl {
   Impl(const MclRegion& r, MliMode m) : region(r), mode(m) {}
 
   void bind_streaming() {
-    pool = &owned_pool;
-    region_func_id = owned_pool.intern(region.function);
+    pool = &scratch.pool();
+    region_func_id = scratch.pool().intern(region.function);
   }
   void bind_buffer(const TraceBuffer& buf) {
     pool = &buf.pool();
@@ -124,11 +119,11 @@ struct MliCollector::Impl {
     return id;
   }
 
-  void add(const TraceRecord& rec) {
-    scratch_rec.clear();
-    scratch_ops.clear();
-    trace::pack_record(rec, owned_pool, scratch_rec, scratch_ops);
-    add_packed(scratch_rec[0], scratch_ops.data());
+  void add(const trace::RecordView& rec) {
+    scratch.records().clear();
+    scratch.operands().clear();
+    scratch.append(rec);
+    add_packed(scratch.records()[0], scratch.operands().data());
   }
 
   void add_packed(const PackedRecord& rec, const PackedOperand* ops) {
@@ -245,7 +240,7 @@ MliCollector::MliCollector(const MclRegion& region, MliMode mode)
 
 MliCollector::~MliCollector() = default;
 
-void MliCollector::add(const trace::TraceRecord& rec) { impl_->add(rec); }
+void MliCollector::add(const trace::RecordView& rec) { impl_->add(rec); }
 
 PreprocessResult MliCollector::finish() { return impl_->finish(); }
 

@@ -3,9 +3,9 @@
 //
 // The scan runs natively on the interned packed representation
 // (trace/buffer.hpp): one implementation serves the batch path (a replay of a
-// TraceBuffer, zero per-record conversion) and the live path (TraceRecords
-// packed one at a time into a scratch buffer) — so batch and live results are
-// identical by construction.
+// TraceBuffer, zero per-record conversion) and the live path (RecordViews
+// remapped one at a time into a one-record scratch TraceBuffer) — so batch
+// and live results are identical by construction.
 #pragma once
 
 #include <cstddef>
@@ -16,7 +16,6 @@
 #include "analysis/region.hpp"
 #include "analysis/vartable.hpp"
 #include "trace/buffer.hpp"
-#include "trace/record.hpp"
 
 namespace ac::analysis {
 
@@ -74,10 +73,10 @@ PreprocessResult preprocess(const trace::TraceBuffer& buf, const MclRegion& regi
 
 /// Incremental pre-processing: feed records one at a time (e.g. directly from
 /// an instrumented execution, the paper's stated future work) and call
-/// finish() once. Each record is packed into a private scratch buffer (names
-/// interned into the collector's own pool) and handed to the same scan the
-/// batch path runs, so batch and streaming results are identical by
-/// construction.
+/// finish() once. Each view — over any pool — is remapped into a one-record
+/// scratch TraceBuffer whose pool is the collector's own, and handed to the
+/// same scan the batch path runs, so batch and streaming results are
+/// identical by construction.
 class MliCollector {
  public:
   explicit MliCollector(const MclRegion& region, MliMode mode = MliMode::AddressResolved);
@@ -85,7 +84,7 @@ class MliCollector {
   MliCollector(const MliCollector&) = delete;
   MliCollector& operator=(const MliCollector&) = delete;
 
-  void add(const trace::TraceRecord& rec);
+  void add(const trace::RecordView& rec);
   /// Throws ac::AnalysisError when the region never executed.
   PreprocessResult finish();
 

@@ -56,7 +56,7 @@ void DotSink::consume(const Report& report, const SessionContext&) {
 void ProtectSink::consume(const Report& report, const SessionContext& ctx) {
   if (!ctx.trace) {
     throw Error("ProtectSink: needs a materialized trace to resolve arena addresses "
-                "(live sources never materialize one)");
+                "(a live Session stores none)");
   }
   // One sweep over the packed records: the last Alloca per variable name in
   // the MCL host function (or globals) is the binding live at the loop.
@@ -100,6 +100,7 @@ void EngineSink::consume(const Report& report, const SessionContext&) {
 
 Session& Session::source(std::shared_ptr<trace::TraceSource> src) {
   source_ = std::move(src);
+  live_ = nullptr;
   return *this;
 }
 
@@ -111,8 +112,10 @@ Session& Session::buffer(trace::TraceBuffer&& buf) {
   return source(std::make_shared<trace::MemorySource>(std::move(buf)));
 }
 
-Session& Session::live(trace::LiveSource::Generator gen) {
-  return source(std::make_shared<trace::LiveSource>(std::move(gen)));
+Session& Session::live(Generator gen) {
+  source_.reset();
+  live_ = std::move(gen);
+  return *this;
 }
 
 Session& Session::region(MclRegion r) {
@@ -138,18 +141,18 @@ Session& Session::sink(std::shared_ptr<ReportSink> s) {
 // --- pipeline --------------------------------------------------------------
 
 Report Session::run() {
-  AC_CHECK(source_ != nullptr, "Session: no trace source configured");
+  AC_CHECK(source_ != nullptr || live_ != nullptr, "Session: no trace source configured");
   AC_CHECK(region_.begin_line > 0 && region_.end_line >= region_.begin_line,
            "Session: invalid MCL region (set region() or region_from_markers())");
   // Left enabled after the run so the caller can export what was recorded.
   if (opts_.telemetry) telemetry::telemetry().enable();
   AC_SPAN("analysis.session");
-  source_->set_read_threads(opts_.threads);
 
-  Report report = source_->live() ? run_live() : run_batch();
+  Report report = live_ ? run_live() : run_batch();
 
-  const SessionContext ctx{region_, source_->live() ? nullptr : &source_->buffer(),
-                           source_->describe()};
+  const SessionContext ctx = live_ ? SessionContext{region_, nullptr, "live"}
+                                   : SessionContext{region_, &source_->buffer(),
+                                                    source_->describe()};
   for (const auto& s : sinks_) s->consume(report, ctx);
   return report;
 }
@@ -160,6 +163,7 @@ Report Session::run_batch() {
 
   // The whole batch pipeline replays the interned span-based representation;
   // no owning TraceRecord is ever materialized.
+  source_->set_read_threads(opts_.threads);
   const trace::TraceBuffer& buf = source_->buffer();
 
   WallTimer timer;
@@ -187,14 +191,38 @@ Report Session::run_batch() {
   return report;
 }
 
+namespace {
+
+/// Forwards each record of one generator run to one SessionStream pass.
+class PassSink final : public trace::TraceSink {
+ public:
+  using Pass = void (SessionStream::*)(const trace::RecordView&);
+  PassSink(SessionStream& stream, Pass pass) : stream_(&stream), pass_(pass) {}
+
+  void append(const trace::RecordView& rec) override {
+    (stream_->*pass_)(rec);
+    ++count_;
+  }
+  std::uint64_t count() const override { return count_; }
+
+ private:
+  SessionStream* stream_;
+  Pass pass_;
+  std::uint64_t count_ = 0;
+};
+
+}  // namespace
+
 Report Session::run_live() {
   // Timing attribution is whole-pass, measured by the SessionStream itself:
   // preprocessing = pass 1 (execution + MLI), dep_analysis = pass 2,
   // identify = classification.
   SessionStream stream(region_, opts_);
-  source_->for_each([&](const trace::TraceRecord& rec) { stream.pass1_add(rec); });
+  PassSink pass1(stream, &SessionStream::pass1_add);
+  live_(pass1);
   stream.finish_pass1();
-  source_->for_each([&](const trace::TraceRecord& rec) { stream.pass2_add(rec); });
+  PassSink pass2(stream, &SessionStream::pass2_add);
+  live_(pass2);
   return stream.finish();
 }
 
@@ -205,7 +233,7 @@ SessionStream::SessionStream(const MclRegion& region, const AnalysisOptions& opt
   report_.region = region;
 }
 
-void SessionStream::pass1_add(const trace::TraceRecord& rec) {
+void SessionStream::pass1_add(const trace::RecordView& rec) {
   // Hot path: one predictable branch, no per-record timing — a pass is timed
   // from its first record to its seal, so caller idle time before/between
   // passes is not attributed to the analysis.
@@ -229,7 +257,7 @@ void SessionStream::finish_pass1() {
   pass1_done_ = true;
 }
 
-void SessionStream::pass2_add(const trace::TraceRecord& rec) {
+void SessionStream::pass2_add(const trace::RecordView& rec) {
   AC_CHECK(pass1_done_, "pass2_add before finish_pass1");
   if (!pass_timer_live_) {
     pass_timer_.reset();

@@ -2,16 +2,17 @@
 //
 // A Session composes the whole AutoCheck workflow from three pluggable parts:
 //
-//   TraceSource  -->  analysis pipeline  -->  ReportSink(s)
-//   (file, memory,    preprocess -> MLI ->    (text, JSON, DOT,
-//    live execution)  dep analysis ->          Protect() emission,
-//                     classification)          CheckpointEngine)
+//   TraceSource or    -->  analysis pipeline  -->  ReportSink(s)
+//   live generator         preprocess -> MLI ->    (text, JSON, DOT,
+//   (file, memory,         dep analysis ->          Protect() emission,
+//    execution)            classification)          CheckpointEngine)
 //
 // It is the one entry point from a trace to a Report. A file source gets the
-// §V-A parallel trace read under AnalysisOptions::threads; a live source runs
-// the §IX trace-file-free two-pass mode (SessionStream). Everything after the
-// read — pre-processing, dependency analysis, classification — is one
-// sequential pass, the same for every source:
+// §V-A parallel trace read under AnalysisOptions::threads; a live generator
+// runs the §IX trace-file-free two-pass mode (SessionStream), with its
+// RecordViews forwarded straight into the streaming analyzers. Everything
+// after the read — pre-processing, dependency analysis, classification — is
+// one sequential pass, the same for every source:
 //
 //   auto report = analysis::Session()
 //                     .file("app.trace")
@@ -22,6 +23,7 @@
 #pragma once
 
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,6 +31,7 @@
 #include "analysis/autocheck.hpp"
 #include "support/timer.hpp"
 #include "trace/source.hpp"
+#include "trace/writer.hpp"
 
 namespace ac::ckpt {
 class CheckpointEngine;
@@ -59,11 +62,10 @@ int default_thread_count();
 /// What a sink sees besides the Report itself.
 struct SessionContext {
   const MclRegion& region;
-  /// The materialized trace in its interned packed form, or nullptr for live
-  /// sources. Sinks that need owning TraceRecords can materialize individual
-  /// views (trace->materialize(i)).
+  /// The materialized trace in its interned packed form, or nullptr for a
+  /// live Session (which stores none).
   const trace::TraceBuffer* trace = nullptr;
-  /// TraceSource::describe() of the session's source.
+  /// TraceSource::describe() of the session's source, or "live".
   std::string source_name;
 };
 
@@ -122,7 +124,7 @@ class DotSink final : public ReportSink {
 /// The paper's downstream story: render the CheckpointEngine registration
 /// calls (FTI-style Protect()) for every critical variable, with its live
 /// arena address and footprint pulled from its last Alloca in the trace.
-/// Needs a materialized trace — throws ac::Error on a live source.
+/// Needs a materialized trace — throws ac::Error on a live Session.
 class ProtectSink final : public ReportSink {
  public:
   explicit ProtectSink(std::FILE* out = stdout) : out_(out) {}
@@ -167,8 +169,13 @@ class Session {
   Session& file(const std::string& path);
   /// An interned trace buffer (zero-copy; e.g. from trace::BufferSink).
   Session& buffer(trace::TraceBuffer&& buf);
-  /// Live instrumented execution; the generator is run once per pass.
-  Session& live(trace::LiveSource::Generator gen);
+
+  /// Runs a deterministic program once, emitting every record into the sink.
+  using Generator = std::function<void(trace::TraceSink&)>;
+  /// Live instrumented execution: the generator runs once per streaming
+  /// pass and no trace is stored. Replaces any source set before (and a
+  /// later source replaces it).
+  Session& live(Generator gen);
 
   Session& region(MclRegion r);
   /// Scan MiniC source text for the //@mcl-begin / //@mcl-end markers.
@@ -178,17 +185,15 @@ class Session {
   Session& options(const AnalysisOptions& opts);
   Session& sink(std::shared_ptr<ReportSink> s);
 
-  const std::shared_ptr<trace::TraceSource>& trace_source() const { return source_; }
-  const AnalysisOptions& analysis_options() const { return opts_; }
-
   /// Run the pipeline: read -> preprocess/MLI -> dependency analysis ->
-  /// classification -> sinks. Live sources run the two-pass
-  /// streaming pipeline; batch sources the single-pass one. Throws ac::Error
+  /// classification -> sinks. A live generator runs the two-pass
+  /// streaming pipeline; a source the single-pass one. Throws ac::Error
   /// when no source is set or the region is invalid.
   Report run();
 
  private:
   std::shared_ptr<trace::TraceSource> source_;
+  Generator live_;
   MclRegion region_;
   AnalysisOptions opts_;
   std::vector<std::shared_ptr<ReportSink>> sinks_;
@@ -199,22 +204,24 @@ class Session {
 
 /// Push-based incremental session: the live two-pass pipeline with explicit
 /// pass boundaries, for callers that drive record emission themselves (an
-/// instrumented execution that cannot be wrapped in a LiveSource generator).
-/// Session's live path is built on this class. Timing attribution is whole-pass wall clock, from a pass's
-/// first record to its seal (the driving execution included, caller idle
-/// time between passes excluded): preprocessing = pass 1, dep_analysis =
-/// pass 2, identify = classification.
+/// instrumented execution that cannot be wrapped in a Session::live
+/// generator). Session's live path is built on this class. Records arrive as
+/// RecordViews over any pool — the pool may even change between records —
+/// and each analyzer remaps them into a pool of its own. Timing attribution
+/// is whole-pass wall clock, from a pass's first record to its seal (the
+/// driving execution included, caller idle time between passes excluded):
+/// preprocessing = pass 1, dep_analysis = pass 2, identify = classification.
 class SessionStream {
  public:
   SessionStream(const MclRegion& region, const AnalysisOptions& opts = {});
 
   /// Pass 1: feed every record of the first execution, then seal it.
-  void pass1_add(const trace::TraceRecord& rec);
+  void pass1_add(const trace::RecordView& rec);
   void finish_pass1();
 
   /// Pass 2: feed every record of the (identical) second execution.
   /// Throws if pass 1 was not finished.
-  void pass2_add(const trace::TraceRecord& rec);
+  void pass2_add(const trace::RecordView& rec);
 
   /// Classification + DDG contraction; returns the same Report as the batch
   /// pipeline on the materialized trace.

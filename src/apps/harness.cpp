@@ -8,18 +8,6 @@
 
 namespace ac::apps {
 
-namespace {
-
-vm::MclRegion to_vm_region(const analysis::MclRegion& r) {
-  vm::MclRegion out;
-  out.function = r.function;
-  out.begin_line = r.begin_line;
-  out.end_line = r.end_line;
-  return out;
-}
-
-}  // namespace
-
 AnalysisRun analyze_app(const App& app, const Params& params,
                         const analysis::AnalysisOptions& opts) {
   AnalysisRun run;
@@ -49,15 +37,18 @@ StreamingRun analyze_app_streaming(const App& app, const Params& params,
   run.module = minic::compile(src);
   run.region = app.mcl();
 
-  // The VM is the LiveSource generator: each analysis pass re-executes the
+  // The VM is the live generator: each analysis pass re-executes the
   // deterministic program, and no trace is materialized, in memory or on disk.
-  auto source = std::make_shared<trace::LiveSource>([&run](trace::TraceSink& sink) {
-    vm::RunOptions ropts;
-    ropts.sink = &sink;
-    vm::run_module(run.module, ropts);
-  });
-  run.report = analysis::Session().source(source).region(run.region).options(opts).run();
-  run.records_streamed = source->record_count();
+  run.report = analysis::Session()
+                   .live([&run](trace::TraceSink& sink) {
+                     vm::RunOptions ropts;
+                     ropts.sink = &sink;
+                     vm::run_module(run.module, ropts);
+                   })
+                   .region(run.region)
+                   .options(opts)
+                   .run();
+  run.records_streamed = run.report.pre.records_scanned;
   return run;
 }
 
@@ -95,7 +86,7 @@ EngineRunResult run_with_engine(const ir::Module& module, const analysis::MclReg
   for (const auto& name : protect) engine.protect(name);
 
   vm::RunOptions ropts;
-  ropts.mcl = to_vm_region(region);
+  ropts.mcl = region;
   ropts.engine = &engine;
   ropts.fail_at_iteration = fail_at;
 
@@ -148,7 +139,7 @@ ValidationResult validate_cr(const ir::Module& module, const analysis::MclRegion
     const ckpt::CheckpointImage img = engine.recover();
     out.recovered_iteration = img.iteration();
     vm::RunOptions ropts;
-    ropts.mcl = to_vm_region(region);
+    ropts.mcl = region;
     ropts.restore = &img;
     const vm::RunResult restarted = vm::run_module(module, ropts);
     out.restart_output = restarted.output;
@@ -180,7 +171,7 @@ StorageResult measure_storage(const App& app, const Params& params,
   ckpt::MachineState widest;
 
   vm::RunOptions ropts;
-  ropts.mcl = to_vm_region(region);
+  ropts.mcl = region;
   ropts.engine = &engine;
   ropts.on_machine_state = [&](const ckpt::MachineState& st) {
     if (st.arena_bytes > widest.arena_bytes) widest = st;

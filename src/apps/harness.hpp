@@ -20,9 +20,9 @@
 namespace ac::apps {
 
 /// Compile + trace + analyze one benchmark instance. All three analyze_*
-/// flavors run the analysis::Session pipeline — over a MemorySource, a
-/// LiveSource, or a FileSource respectively — so they differ only in where
-/// the trace comes from (AnalysisOptions::threads is the FileSource read
+/// flavors run the analysis::Session pipeline — over a MemorySource, a live
+/// VM generator, or a FileSource respectively — so they differ only in where
+/// the records come from (AnalysisOptions::threads is the FileSource read
 /// budget).
 struct AnalysisRun {
   ir::Module module;
@@ -38,14 +38,15 @@ AnalysisRun analyze_app(const App& app, const Params& params = {},
 /// Trace-file-free analysis (paper §IX future work, see SessionStream in
 /// analysis/session.hpp): the VM feeds the analyzer directly, executing the
 /// deterministic program twice — pass 1 identifies the MLI variables, pass 2
-/// runs the dependency analysis. No trace is ever materialized, in memory or
-/// on disk. Timings: preprocessing = pass 1 (execution + MLI), dep_analysis =
-/// pass 2, identify = classification.
+/// runs the dependency analysis. Each VM RecordView goes straight to the
+/// streaming analyzers; no trace is ever materialized, in memory or on disk.
+/// Timings: preprocessing = pass 1 (execution + MLI), dep_analysis = pass 2,
+/// identify = classification.
 struct StreamingRun {
   ir::Module module;
   analysis::MclRegion region;
   analysis::Report report;
-  std::uint64_t records_streamed = 0;
+  std::uint64_t records_streamed = 0;  // records of one pass (pre.records_scanned)
 };
 
 StreamingRun analyze_app_streaming(const App& app, const Params& params = {},

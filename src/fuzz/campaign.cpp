@@ -38,14 +38,6 @@ constexpr int kExitRecovered = 66;
 constexpr int kExitSilent = 67;
 constexpr int kExitCrash = 68;
 
-vm::MclRegion to_vm_region(const analysis::MclRegion& r) {
-  vm::MclRegion out;
-  out.function = r.function;
-  out.begin_line = r.begin_line;
-  out.end_line = r.end_line;
-  return out;
-}
-
 std::string one_line(std::string s) {
   for (char& c : s) {
     if (c == '\n' || c == '\r') c = ';';
@@ -378,7 +370,7 @@ int crash_child_b(int fd, const CorpusEntry& e, const AppContext& ctx,
     }
     const ckpt::CheckpointImage img = engine.recover();
     vm::RunOptions ropts;
-    ropts.mcl = to_vm_region(ctx.region);
+    ropts.mcl = ctx.region;
     ropts.restore = &img;
     const vm::RunResult restarted = vm::run_module(ctx.module, ropts);
     if (restarted.output == ctx.reference_output) {

@@ -75,7 +75,7 @@ struct RemoteSinkOptions {
   int connect_backoff_ms = 100;
 };
 
-/// Streams TraceRecords to an acd daemon: records are interned into a staging
+/// Streams records to an acd daemon: records are interned into a staging
 /// TraceBuffer (the same packing every local sink uses) and shipped as a
 /// self-contained MCTB container per chunk_records. close() flushes the tail
 /// and says Goodbye. fetch_report()/fetch_metrics() are the request side of
@@ -90,8 +90,10 @@ class RemoteSink final : public trace::TraceSink {
   RemoteSink(const RemoteSink&) = delete;
   RemoteSink& operator=(const RemoteSink&) = delete;
 
-  void append(const trace::TraceRecord& rec) override;
   void append(const trace::RecordView& rec) override;
+  /// An owning record, packed into the same staging buffer (kept for
+  /// clients that replay materialized records).
+  void append(const trace::TraceRecord& rec);
   std::uint64_t count() const override { return total_records_; }
   /// Wire bytes shipped so far (frame headers + encoded containers).
   std::uint64_t bytes() const override { return wire_bytes_; }
@@ -149,7 +151,6 @@ class RemoteSource final : public trace::TraceSource {
   std::string describe() const override { return "socket:" + peer_; }
   const trace::TraceBuffer& buffer() override { return buffer_; }
   double read_seconds() const override { return decode_seconds_; }
-  std::uint64_t record_count() const override { return buffer_.size(); }
 
   std::uint64_t chunks_merged() const { return chunks_merged_; }
   std::uint64_t payload_bytes() const { return payload_bytes_; }

@@ -20,29 +20,28 @@ void grow(std::vector<T>& vec, std::size_t extra) {
 
 }  // namespace
 
-void pack_record(const TraceRecord& r, SymbolPool& pool, std::vector<PackedRecord>& records,
-                 std::vector<PackedOperand>& operands) {
+void TraceBuffer::append(const TraceRecord& r) {
   PackedRecord rec;
   rec.dyn_id = r.dyn_id;
-  rec.func = pool.intern(r.func);
-  rec.bb = pool.intern(r.bb);
+  rec.func = pool_.intern(r.func);
+  rec.bb = pool_.intern(r.bb);
   rec.line = r.line;
   rec.opcode = r.opcode;
-  if (operands.size() + r.operands.size() > 0xffffffffull) {
+  if (operands_.size() + r.operands.size() > 0xffffffffull) {
     throw TraceFormatError("trace exceeds the 4G-operand TraceBuffer capacity");
   }
-  rec.op_offset = static_cast<std::uint32_t>(operands.size());
+  rec.op_offset = static_cast<std::uint32_t>(operands_.size());
   rec.op_count = static_cast<std::uint32_t>(r.operands.size());
   for (const Operand& op : r.operands) {
     PackedOperand p;
     p.raw = PackedOperand::raw_of(op.value);
-    p.name = pool.intern(op.name);
+    p.name = pool_.intern(op.name);
     p.index = op.index;
     p.bits = op.bits;
     p.flags = PackedOperand::pack_flags(op.slot, op.value.kind, op.is_reg);
-    operands.push_back(p);
+    operands_.push_back(p);
   }
-  records.push_back(rec);
+  records_.push_back(rec);
 }
 
 TraceRecord RecordView::materialize() const {
@@ -73,8 +72,8 @@ std::string RecordView::to_text() const {
 }
 
 void RecordView::append_text(std::string& out) const {
-  // Must stay byte-identical to TraceRecord::append_text() — the round-trip
-  // property tests and the golden trace digests pin this.
+  // The golden trace digests, the writer fixpoint and Record.TextLayout pin
+  // these bytes.
   appendf(out, "0,%d,%.*s,%.*s,%d,%" PRIu64 "\n", rec_->line,
           static_cast<int>(func().size()), func().data(), static_cast<int>(bb().size()),
           bb().data(), static_cast<int>(rec_->opcode), rec_->dyn_id);

@@ -12,9 +12,10 @@
 //
 // — so a parsed trace is a handful of large allocations, replay is a linear
 // scan, and name equality is an integer compare. RecordView is the zero-cost
-// cursor the analysis consumes; materialize() rebuilds a TraceRecord where an
-// owning copy is needed (the live analysis path and the tests), and to_text()
-// renders the same bytes TraceRecord::to_text() does.
+// cursor over one record and the only record type that sinks, the streaming
+// analyzers and the text writer consume; its append_text() is the one
+// LLVM-Tracer text renderer. materialize() rebuilds an owning TraceRecord for
+// callers that want a value copy.
 #pragma once
 
 #include <bit>
@@ -98,9 +99,9 @@ struct PackedRecord {
 };
 static_assert(sizeof(PackedRecord) == 32, "PackedRecord layout regressed");
 
-/// First operand of `rec` in the slot class, or nullptr (TraceRecord::find).
-/// `ops` is the record's operand base. One implementation serves RecordView
-/// and the analysis replay loops.
+/// First operand of `rec` in the slot class, or nullptr. `ops` is the
+/// record's operand base. One implementation serves RecordView and the
+/// analysis replay loops.
 inline const PackedOperand* find_operand(const PackedRecord& rec, const PackedOperand* ops,
                                          OperandSlot slot) {
   for (std::uint32_t i = 0; i < rec.op_count; ++i) {
@@ -109,7 +110,7 @@ inline const PackedOperand* find_operand(const PackedRecord& rec, const PackedOp
   return nullptr;
 }
 
-/// Numbered input operand (1-based), or nullptr (TraceRecord::input).
+/// Numbered input operand (1-based), or nullptr.
 inline const PackedOperand* find_input(const PackedRecord& rec, const PackedOperand* ops,
                                        int idx) {
   for (std::uint32_t i = 0; i < rec.op_count; ++i) {
@@ -120,9 +121,9 @@ inline const PackedOperand* find_input(const PackedRecord& rec, const PackedOper
 
 class TraceBuffer;
 
-/// Zero-cost read cursor over one record of a TraceBuffer (or any packed
-/// record + operand span sharing a SymbolPool — the streaming analyzers use
-/// the same view type over their scratch conversion buffer).
+/// Zero-cost read cursor over one record of a TraceBuffer, or over any packed
+/// record + operand span and the SymbolPool its ids index (the VM hands its
+/// sink views over its per-site templates and its own pool).
 class RecordView {
  public:
   RecordView(const SymbolPool& pool, const PackedRecord& rec, const PackedOperand* ops)
@@ -140,10 +141,10 @@ class RecordView {
   const PackedOperand* operands_end() const { return ops_ + rec_->op_count; }
   std::size_t operand_count() const { return rec_->op_count; }
 
-  /// First operand in the slot class, or nullptr (TraceRecord::find).
+  /// First operand in the slot class, or nullptr.
   const PackedOperand* find(OperandSlot slot) const { return find_operand(*rec_, ops_, slot); }
 
-  /// Numbered input operand (1-based), or nullptr (TraceRecord::input).
+  /// Numbered input operand (1-based), or nullptr.
   const PackedOperand* input(int idx) const { return find_input(*rec_, ops_, idx); }
 
   std::string_view name(const PackedOperand& op) const { return pool_->view(op.name); }
@@ -152,10 +153,10 @@ class RecordView {
 
   /// Rebuild the owning-string TraceRecord.
   TraceRecord materialize() const;
-  /// Render as an LLVM-Tracer text block; byte-identical to
-  /// materialize().to_text() without the intermediate record.
+  /// Render as an LLVM-Tracer text block (with trailing newline).
   std::string to_text() const;
-  /// Same bytes appended to `out` (TraceRecord::append_text for views).
+  /// Same bytes appended to `out` — the allocation-free path the buffered
+  /// text writer streams through (no per-record temporary string).
   void append_text(std::string& out) const;
 
  private:
@@ -163,12 +164,6 @@ class RecordView {
   const PackedRecord* rec_;
   const PackedOperand* ops_;
 };
-
-/// Pack `r` as the next record of (`records`, `operands`), interning names
-/// into `pool`. Shared by TraceBuffer::append and the streaming analyzers'
-/// scratch conversion.
-void pack_record(const TraceRecord& r, SymbolPool& pool, std::vector<PackedRecord>& records,
-                 std::vector<PackedOperand>& operands);
 
 class TraceBuffer {
  public:
@@ -194,13 +189,15 @@ class TraceBuffer {
     operands_.reserve(operands);
   }
 
-  /// Intern + append one owning record.
-  void append(const TraceRecord& rec) { pack_record(rec, pool_, records_, operands_); }
+  /// Intern + append one owning record (names in func, bb, operand-name
+  /// order).
+  void append(const TraceRecord& rec);
 
-  /// Append a record viewed over another pool (the VM's trace templates),
-  /// translating its ids through a cached source->this remap table. Misses
-  /// are interned in pack_record's order (func, bb, operand names), so the
-  /// pool and the records come out identical to append(rec.materialize()).
+  /// Append a record viewed over another pool (the VM's trace templates, a
+  /// sink's input), translating its ids through a cached source->this remap
+  /// table that is rebuilt whenever either pool changes. Misses are interned
+  /// in func, bb, operand-name order, so the pool and the records come out
+  /// identical to append(rec.materialize()).
   void append(const RecordView& rec);
 
   /// Bulk-append `other`'s records, remapping its pool ids into this pool

@@ -66,51 +66,4 @@ Operand Operand::param(Value v, std::string nm, int bits) {
   return op;
 }
 
-const Operand* TraceRecord::find(OperandSlot slot) const {
-  for (const auto& op : operands) {
-    if (op.slot == slot) return &op;
-  }
-  return nullptr;
-}
-
-const Operand* TraceRecord::input(int idx) const {
-  for (const auto& op : operands) {
-    if (op.slot == OperandSlot::Input && op.index == idx) return &op;
-  }
-  return nullptr;
-}
-
-std::vector<const Operand*> TraceRecord::params() const {
-  std::vector<const Operand*> out;
-  for (const auto& op : operands) {
-    if (op.slot == OperandSlot::Param) out.push_back(&op);
-  }
-  return out;
-}
-
-bool TraceRecord::is_call_with_body() const {
-  return opcode == Opcode::Call && find(OperandSlot::Param) != nullptr;
-}
-
-std::string TraceRecord::to_text() const {
-  std::string out;
-  append_text(out);
-  return out;
-}
-
-void TraceRecord::append_text(std::string& out) const {
-  appendf(out, "0,%d,%s,%s,%d,%" PRIu64 "\n", line, func.c_str(), bb.c_str(),
-          static_cast<int>(opcode), dyn_id);
-  for (const auto& op : operands) {
-    switch (op.slot) {
-      case OperandSlot::Input: appendf(out, "%d", op.index); break;
-      case OperandSlot::Callee: out += '0'; break;
-      case OperandSlot::Param: out += 'f'; break;
-      case OperandSlot::Result: out += 'r'; break;
-    }
-    appendf(out, ",%d,%s,%d,%s\n", op.bits, value_to_text(op.value).c_str(),
-            op.is_reg ? 1 : 0, op.name.empty() ? " " : op.name.c_str());
-  }
-}
-
 }  // namespace ac::trace

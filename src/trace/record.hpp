@@ -11,6 +11,11 @@
 // "f" for a call parameter (paper's "parameter indicator"), or "r" for the
 // instruction result. Values print as decimal ints, %.6f floats, or 0x-hex
 // addresses.
+//
+// TraceRecord is the owning value form of one block: hand-built records in
+// tests, and what TraceBuffer::materialize() returns. Sinks, readers and the
+// analysis all work on the interned RecordView (trace/buffer.hpp), whose
+// append_text() is the one renderer of the block format above.
 #pragma once
 
 #include <cstdint>
@@ -50,21 +55,6 @@ struct TraceRecord {
   Opcode opcode = Opcode::Load;
   std::uint64_t dyn_id = 0;    // dynamic instruction id (execution order)
   std::vector<Operand> operands;
-
-  /// First operand in the given slot class, or nullptr.
-  const Operand* find(OperandSlot slot) const;
-  /// Numbered input operand (1-based), or nullptr.
-  const Operand* input(int idx) const;
-  /// All parameter-indicator operands (call form 2).
-  std::vector<const Operand*> params() const;
-  /// True when this Call record is followed by its traced function body.
-  bool is_call_with_body() const;
-
-  /// Render as an LLVM-Tracer text block (with trailing newline).
-  std::string to_text() const;
-  /// Same bytes appended to `out` — the allocation-free path the buffered
-  /// trace writers stream through (no per-record temporary string).
-  void append_text(std::string& out) const;
 };
 
 }  // namespace ac::trace

@@ -16,13 +16,6 @@
 
 namespace ac::trace {
 
-void TraceSource::for_each(const std::function<void(const TraceRecord&)>& fn) {
-  // One materialized record at a time — a pass never holds the whole trace
-  // as owning records.
-  const TraceBuffer& buf = buffer();
-  for (std::size_t i = 0; i < buf.size(); ++i) fn(buf.materialize(i));
-}
-
 namespace {
 
 /// Read-only mmap of a whole file; falls back to a heap copy when mapping is
@@ -132,19 +125,6 @@ const TraceBuffer& FileSource::buffer() {
   read_seconds_ = timer.seconds();
   loaded_ = true;
   return buffer_;
-}
-
-const TraceBuffer& LiveSource::buffer() {
-  throw Error("LiveSource: a live trace stream cannot be materialized; "
-              "use for_each() (the Session runs its two-pass pipeline)");
-}
-
-void LiveSource::for_each(const std::function<void(const TraceRecord&)>& fn) {
-  WallTimer timer;
-  CallbackSink sink(fn);
-  gen_(sink);
-  pass_seconds_ = timer.seconds();
-  pass_records_ = sink.count();
 }
 
 }  // namespace ac::trace

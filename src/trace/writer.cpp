@@ -31,16 +31,12 @@ FileSink::~FileSink() {
   }
 }
 
-// Both overloads format straight into the batch buffer — no per-record
-// temporary string between the record and the 1 MiB write batches.
-void FileSink::append(const TraceRecord& rec) {
-  rec.append_text(buffer_);
-  after_append();
-}
-
+// Formats straight into the batch buffer — no per-record temporary string
+// between the record and the 1 MiB write batches.
 void FileSink::append(const RecordView& rec) {
   rec.append_text(buffer_);
-  after_append();
+  ++count_;
+  if (buffer_.size() >= kFlushThreshold) flush();
 }
 
 void FileSink::flush() {

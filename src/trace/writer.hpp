@@ -1,18 +1,16 @@
 // Trace sinks. The VM emits RecordViews over its own symbol pool through this
-// interface (parsers and replays may append owning TraceRecords instead);
-// benchmarks stream to a file (measuring trace size / generation time for
-// Table II), while tests and the fast analysis path keep records in memory.
+// interface, and replays of a TraceBuffer hand over its views; a sink never
+// sees an owning record. Benchmarks stream to a file (measuring trace size /
+// generation time for Table II), the analysis keeps records interned in
+// memory, and the live Session forwards each view to its streaming passes.
 #pragma once
 
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "trace/buffer.hpp"
 #include "trace/mctb.hpp"
-#include "trace/record.hpp"
 
 namespace ac::trace {
 
@@ -27,11 +25,9 @@ const char* trace_format_name(TraceFormat f);
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
-  virtual void append(const TraceRecord& rec) = 0;
-  /// The VM's emission path: a packed record over the emitter's pool, valid
-  /// only for the duration of the call. By default it is materialized into
-  /// a TraceRecord; the interning and file sinks take it directly.
-  virtual void append(const RecordView& rec) { append(rec.materialize()); }
+  /// One record over the emitter's pool, valid only for the duration of the
+  /// call: a sink that keeps it interns or renders it before returning.
+  virtual void append(const RecordView& rec) = 0;
   /// Number of records written so far.
   virtual std::uint64_t count() const = 0;
   /// Make the stream durable and release resources early (otherwise the
@@ -45,7 +41,6 @@ class TraceSink {
 /// Discards records but counts them (used to time pure execution).
 class NullSink final : public TraceSink {
  public:
-  void append(const TraceRecord&) override { ++count_; }
   void append(const RecordView&) override { ++count_; }
   std::uint64_t count() const override { return count_; }
 
@@ -53,28 +48,11 @@ class NullSink final : public TraceSink {
   std::uint64_t count_ = 0;
 };
 
-/// Collects records in memory; the zero-copy input for the analysis.
-class MemorySink final : public TraceSink {
- public:
-  using TraceSink::append;
-  void append(const TraceRecord& rec) override {
-    records_.push_back(rec);
-  }
-  std::uint64_t count() const override { return records_.size(); }
-
-  std::vector<TraceRecord>& records() { return records_; }
-  const std::vector<TraceRecord>& records() const { return records_; }
-
- private:
-  std::vector<TraceRecord> records_;
-};
-
 /// Interns records into a compact TraceBuffer as they are emitted — the
 /// allocation-free input for the analysis (the VM's strings are packed and
 /// dropped record by record; nothing per-record survives on the heap).
 class BufferSink final : public TraceSink {
  public:
-  void append(const TraceRecord& rec) override { buffer_.append(rec); }
   void append(const RecordView& rec) override { buffer_.append(rec); }
   std::uint64_t count() const override { return buffer_.size(); }
 
@@ -87,25 +65,6 @@ class BufferSink final : public TraceSink {
   TraceBuffer buffer_;
 };
 
-/// Forwards each record to a callback — how an instrumented execution feeds
-/// the streaming analysis without materializing the trace.
-class CallbackSink final : public TraceSink {
- public:
-  using Fn = std::function<void(const TraceRecord&)>;
-  explicit CallbackSink(Fn fn) : fn_(std::move(fn)) {}
-  using TraceSink::append;
-
-  void append(const TraceRecord& rec) override {
-    fn_(rec);
-    ++count_;
-  }
-  std::uint64_t count() const override { return count_; }
-
- private:
-  Fn fn_;
-  std::uint64_t count_ = 0;
-};
-
 /// Writes LLVM-Tracer text blocks to a file with buffered I/O.
 class FileSink final : public TraceSink {
  public:
@@ -114,7 +73,6 @@ class FileSink final : public TraceSink {
   FileSink(const FileSink&) = delete;
   FileSink& operator=(const FileSink&) = delete;
 
-  void append(const TraceRecord& rec) override;
   void append(const RecordView& rec) override;
   std::uint64_t count() const override { return count_; }
 
@@ -131,10 +89,6 @@ class FileSink final : public TraceSink {
   std::uint64_t bytes_ = 0;
 
   void flush();
-  void after_append() {
-    ++count_;
-    if (buffer_.size() >= kFlushThreshold) flush();
-  }
   static constexpr std::size_t kFlushThreshold = 1 << 20;  // 1 MiB write batches
 };
 
@@ -153,7 +107,6 @@ class MctbFileSink final : public TraceSink {
   MctbFileSink(const MctbFileSink&) = delete;
   MctbFileSink& operator=(const MctbFileSink&) = delete;
 
-  void append(const TraceRecord& rec) override { buffer_.append(rec); }
   void append(const RecordView& rec) override { buffer_.append(rec); }
   std::uint64_t count() const override { return buffer_.size(); }
 

@@ -56,8 +56,8 @@ void Interpreter::trace_begin(std::size_t site, std::string_view func, int line,
   site_ = &sites_[site];
   building_ = !site_->built;
   if (building_) {
-    // First traced execution: intern in pack_record's order — func, bb, then
-    // the operand names as trace_operand adds them.
+    // First traced execution: intern in func, bb, operand-name order — the
+    // operand names as trace_operand adds them.
     trace::PackedRecord& rec = site_->rec;
     rec.func = pool_.intern(func);
     rec.bb = pool_.intern(strf("%d:0", line));

@@ -6,10 +6,10 @@
 // stores, one per global Alloca — gets a template on its first traced
 // execution. The template holds the record's static part (func and bb ids,
 // opcode, each operand's slot, index, is_reg flag and name id), interned into
-// the interpreter's SymbolPool in pack_record's order. Every later execution
-// copies the template into a reused scratch record, fills in the operand
-// values and dyn_id, and hands the sink a RecordView. Without a sink nothing
-// of a record is built: the dispatch loop only counts steps.
+// the interpreter's SymbolPool in func, bb, operand-name order. Every later
+// execution copies the template into a reused scratch record, fills in the
+// operand values and dyn_id, and hands the sink a RecordView. Without a sink
+// nothing of a record is built: the dispatch loop only counts steps.
 //
 // Besides plain execution it provides the three capabilities the paper's
 // validation methodology needs (§VI-B):
@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/region.hpp"
 #include "ckpt/blcr.hpp"
 #include "ckpt/engine.hpp"
 #include "ckpt/image.hpp"
@@ -40,11 +41,7 @@ namespace ac::vm {
 
 /// Identifies the main computation loop by host function + source line range
 /// (the MCLR column of Table II). begin_line must be the loop-header line.
-struct MclRegion {
-  std::string function = "main";
-  int begin_line = 0;
-  int end_line = 0;
-};
+using MclRegion = analysis::MclRegion;
 
 /// Thrown (and caught internally by run()) when fail-stop injection fires.
 struct FailStop {

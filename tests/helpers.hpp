@@ -45,9 +45,9 @@ inline analysis::Report stream_trace(const trace::TraceBuffer& buf,
                                      std::size_t count = static_cast<std::size_t>(-1)) {
   count = std::min(count, buf.size());
   analysis::SessionStream stream(region, opts);
-  for (std::size_t i = 0; i < count; ++i) stream.pass1_add(buf.materialize(i));
+  for (std::size_t i = 0; i < count; ++i) stream.pass1_add(buf.view(i));
   stream.finish_pass1();
-  for (std::size_t i = 0; i < count; ++i) stream.pass2_add(buf.materialize(i));
+  for (std::size_t i = 0; i < count; ++i) stream.pass2_add(buf.view(i));
   return stream.finish();
 }
 
@@ -56,6 +56,14 @@ inline std::string trace_text(const trace::TraceBuffer& buf) {
   std::string text;
   for (std::size_t i = 0; i < buf.size(); ++i) buf.view(i).append_text(text);
   return text;
+}
+
+/// The text block of a hand-built record, rendered through a one-record
+/// TraceBuffer (RecordView::append_text is the only renderer).
+inline std::string record_text(const trace::TraceRecord& rec) {
+  trace::TraceBuffer buf;
+  buf.append(rec);
+  return buf.view(0).to_text();
 }
 
 /// Execute without analysis (for VM-focused tests).

@@ -205,11 +205,9 @@ struct RawClient {
 };
 
 trace::TraceBuffer fig4_buffer() {
-  trace::MemorySink sink;
+  trace::BufferSink sink;
   ac::test::run_source(ac::test::fig4_source(), &sink);
-  trace::TraceBuffer buf;
-  for (const auto& rec : sink.records()) buf.append(rec);
-  return buf;
+  return sink.take();
 }
 
 ReportSpec fig4_spec() {
@@ -351,7 +349,7 @@ TEST(DaemonTest, SurvivesMidStreamDisconnect) {
   // The daemon must still accept and serve a full session afterwards.
   RemoteSink sink("127.0.0.1", lb.server.port());
   const trace::TraceBuffer buf = fig4_buffer();
-  for (std::size_t i = 0; i < buf.size(); ++i) sink.append(buf.materialize(i));
+  for (std::size_t i = 0; i < buf.size(); ++i) sink.append(buf.view(i));
   const std::string remote_json = sink.fetch_report(fig4_spec());
   sink.close();
   EXPECT_NE(remote_json.find("\"critical\""), std::string::npos);
@@ -363,7 +361,7 @@ TEST(DaemonTest, ErrorConnectionDoesNotPoisonOthers) {
   // Healthy client mid-stream...
   RemoteSink good("127.0.0.1", lb.server.port());
   const trace::TraceBuffer buf = fig4_buffer();
-  for (std::size_t i = 0; i < buf.size() / 2; ++i) good.append(buf.materialize(i));
+  for (std::size_t i = 0; i < buf.size() / 2; ++i) good.append(buf.view(i));
   good.flush();
   // ...while another connection dies on malformed bytes.
   {
@@ -375,7 +373,7 @@ TEST(DaemonTest, ErrorConnectionDoesNotPoisonOthers) {
     write_all(bad.sock.fd(), wire.data(), wire.size());
     bad.expect_error("unknown frame type");
   }
-  for (std::size_t i = buf.size() / 2; i < buf.size(); ++i) good.append(buf.materialize(i));
+  for (std::size_t i = buf.size() / 2; i < buf.size(); ++i) good.append(buf.view(i));
   const std::string remote_json = good.fetch_report(fig4_spec());
   good.close();
 
@@ -390,7 +388,7 @@ TEST(DaemonTest, MetricsRequestServesRegistryJson) {
   LoopbackServer lb;
   RemoteSink sink("127.0.0.1", lb.server.port());
   const trace::TraceBuffer buf = fig4_buffer();
-  for (std::size_t i = 0; i < buf.size(); ++i) sink.append(buf.materialize(i));
+  for (std::size_t i = 0; i < buf.size(); ++i) sink.append(buf.view(i));
   sink.flush();
   const std::string json = sink.fetch_metrics();
   sink.close();
@@ -401,7 +399,7 @@ TEST(DaemonTest, AnalysisErrorKeepsConnectionAlive) {
   LoopbackServer lb;
   RemoteSink sink("127.0.0.1", lb.server.port());
   const trace::TraceBuffer buf = fig4_buffer();
-  for (std::size_t i = 0; i < buf.size(); ++i) sink.append(buf.materialize(i));
+  for (std::size_t i = 0; i < buf.size(); ++i) sink.append(buf.view(i));
   ReportSpec bogus = fig4_spec();
   bogus.region.function = "no_such_function";
   EXPECT_THROW(sink.fetch_report(bogus), ProtocolError);
@@ -429,7 +427,7 @@ std::string remote_json(const trace::TraceBuffer& buf, const analysis::MclRegion
   RemoteSinkOptions ropts;
   ropts.chunk_records = 512;  // force many chunks even for small app traces
   RemoteSink sink("127.0.0.1", port, ropts);
-  for (std::size_t i = 0; i < buf.size(); ++i) sink.append(buf.materialize(i));
+  for (std::size_t i = 0; i < buf.size(); ++i) sink.append(buf.view(i));
   ReportSpec spec;
   spec.region = region;
   spec.with_timings = false;
@@ -442,10 +440,9 @@ TEST(IdentityTest, AllFourteenMiniAppsByteIdentical) {
   LoopbackServer lb;
   for (const apps::App& app : apps::registry()) {
     SCOPED_TRACE(app.name);
-    trace::MemorySink mem;
-    ac::test::run_source(app.source(), &mem);
-    trace::TraceBuffer buf;
-    for (const auto& rec : mem.records()) buf.append(rec);
+    trace::BufferSink sink;
+    ac::test::run_source(app.source(), &sink);
+    const trace::TraceBuffer buf = sink.take();
     const std::string expected = local_json(buf, app.mcl());
     const std::string got = remote_json(buf, app.mcl(), lb.server.port());
     EXPECT_EQ(got, expected);
@@ -461,9 +458,9 @@ TEST(IdentityTest, ConcurrentClientsStayIsolated) {
   std::vector<analysis::MclRegion> regions(names.size());
   for (std::size_t i = 0; i < names.size(); ++i) {
     const apps::App& app = apps::find_app(names[i]);
-    trace::MemorySink mem;
-    ac::test::run_source(app.source(), &mem);
-    for (const auto& rec : mem.records()) bufs[i].append(rec);
+    trace::BufferSink sink;
+    ac::test::run_source(app.source(), &sink);
+    bufs[i] = sink.take();
     regions[i] = app.mcl();
     expected[i] = local_json(bufs[i], regions[i]);
   }
@@ -552,7 +549,7 @@ TEST(DaemonTest, StopDrainsInFlightReportBeforeClosing) {
   std::thread client([&] {
     RemoteSink sink("127.0.0.1", lb.server.port());
     const trace::TraceBuffer buf = fig4_buffer();
-    for (std::size_t i = 0; i < buf.size(); ++i) sink.append(buf.materialize(i));
+    for (std::size_t i = 0; i < buf.size(); ++i) sink.append(buf.view(i));
     body = sink.fetch_report(fig4_spec());
     sink.close();
   });

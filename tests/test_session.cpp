@@ -1,5 +1,5 @@
-// The unified Session pipeline API: builder contract, TraceSource
-// equivalence (memory / file / live), thread-budget independence (identical
+// The unified Session pipeline API: builder contract, source equivalence
+// (memory / file / live generator), thread-budget independence (identical
 // verdicts at threads 1 vs 4 across all 14 mini-apps), and ReportSink
 // round-trips (JSON -> engine registration matches direct in-memory
 // registration).
@@ -90,21 +90,24 @@ TEST(SessionSources, FileSerialAndParallelMatchMemory) {
   std::remove(path.c_str());
 }
 
-TEST(SessionSources, LiveSourceMatchesBatchAndNeverMaterializes) {
+TEST(SessionSources, LiveGeneratorMatchesBatch) {
   const std::string src = test::fig4_source();
   auto run = test::run_pipeline(src);
 
-  auto source = std::make_shared<trace::LiveSource>([&](trace::TraceSink& sink) {
-    vm::RunOptions ropts;
-    ropts.sink = &sink;
-    vm::run_module(run.module, ropts);
-  });
-  EXPECT_TRUE(source->live());
-  EXPECT_THROW(source->buffer(), Error);
-
-  const Report live = Session().source(source).region_from_markers(src).run();
+  int passes = 0;
+  const Report live = Session()
+                          .file("/no/such/trace.txt")  // replaced by live()
+                          .live([&](trace::TraceSink& sink) {
+                            ++passes;
+                            vm::RunOptions ropts;
+                            ropts.sink = &sink;
+                            vm::run_module(run.module, ropts);
+                          })
+                          .region_from_markers(src)
+                          .run();
+  EXPECT_EQ(passes, 2);
   EXPECT_EQ(live.verdicts.critical, run.report.verdicts.critical);
-  EXPECT_EQ(source->record_count(), run.trace.size());
+  EXPECT_EQ(live.pre.records_scanned, run.trace.size());
   expect_timing_structure(live);
 }
 

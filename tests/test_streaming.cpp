@@ -7,6 +7,7 @@
 #include "analysis/session.hpp"
 #include "apps/harness.hpp"
 #include "support/error.hpp"
+#include "support/strings.hpp"
 
 #include "helpers.hpp"
 
@@ -46,7 +47,9 @@ TEST(Streaming, EnforcesPassOrder) {
   rec.opcode = trace::Opcode::Br;
   rec.func = "main";
   rec.line = 1;
-  EXPECT_THROW(streaming.pass2_add(rec), Error);
+  trace::TraceBuffer buf;
+  buf.append(rec);
+  EXPECT_THROW(streaming.pass2_add(buf.view(0)), Error);
 }
 
 TEST(Streaming, ThrowsWhenRegionNeverExecutes) {
@@ -56,7 +59,7 @@ TEST(Streaming, ThrowsWhenRegionNeverExecutes) {
   region.begin_line = 9000;
   region.end_line = 9001;
   SessionStream streaming(region);
-  for (std::size_t i = 0; i < run.trace.size(); ++i) streaming.pass1_add(run.trace.materialize(i));
+  for (std::size_t i = 0; i < run.trace.size(); ++i) streaming.pass1_add(run.trace.view(i));
   EXPECT_THROW(streaming.finish_pass1(), AnalysisError);
 }
 
@@ -69,6 +72,33 @@ TEST(Streaming, TrailingCallIsFlushedAtFinish) {
   ASSERT_EQ(run.trace.view(cut - 1).opcode(), trace::Opcode::Call);
   const MclRegion region = analysis::find_mcl_region(test::fig4_source());
   EXPECT_NO_THROW(test::stream_trace(run.trace, region, {}, cut));
+}
+
+TEST(Streaming, ViewsOverAnyPoolEvenWhenThePoolChangesMidPass) {
+  // Each pass takes its first half of views from the VM's BufferSink buffer
+  // and its second half from a copy whose pool was pre-seeded with unrelated
+  // symbols, so every id shifts mid-pass. An analyzer that bound the view's
+  // own pool instead of remapping each record would misname the second half.
+  const std::string src = test::fig4_source();
+  const auto run = test::run_pipeline(src);
+  trace::TraceBuffer shifted;
+  for (int i = 0; i < 50; ++i) shifted.pool().intern(strf("unrelated_%d", i));
+  shifted.append_buffer(run.trace);
+  ASSERT_EQ(shifted.view(0).func_id(), run.trace.view(0).func_id() + 50);
+
+  const std::size_t half = run.trace.size() / 2;
+  const auto view = [&](std::size_t i) { return i < half ? run.trace.view(i) : shifted.view(i); };
+  SessionStream stream(find_mcl_region(src));
+  for (std::size_t i = 0; i < run.trace.size(); ++i) stream.pass1_add(view(i));
+  stream.finish_pass1();
+  for (std::size_t i = 0; i < run.trace.size(); ++i) stream.pass2_add(view(i));
+  const Report streamed = stream.finish();
+
+  EXPECT_EQ(streamed.verdicts.critical, run.report.verdicts.critical);
+  EXPECT_EQ(streamed.verdicts.all_mli, run.report.verdicts.all_mli);
+  EXPECT_EQ(streamed.dep.events.size(), run.report.dep.events.size());
+  EXPECT_EQ(streamed.dep.complete.num_nodes(), run.report.dep.complete.num_nodes());
+  EXPECT_EQ(streamed.dep.complete.num_edges(), run.report.dep.complete.num_edges());
 }
 
 class StreamingApps : public testing::TestWithParam<std::string> {};

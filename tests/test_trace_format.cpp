@@ -12,16 +12,12 @@
 #include "trace/source.hpp"
 #include "trace/writer.hpp"
 
+#include "helpers.hpp"
+
 namespace ac::trace {
 namespace {
 
-/// Parse `text` and rebuild every record as an owning TraceRecord.
-std::vector<TraceRecord> parse(std::string_view text) {
-  const TraceBuffer buf = read_trace_buffer(text);
-  std::vector<TraceRecord> out;
-  for (std::size_t i = 0; i < buf.size(); ++i) out.push_back(buf.materialize(i));
-  return out;
-}
+using test::record_text;
 
 TraceRecord sample_load() {
   // The paper's Fig. 1 first block: a Load of variable p into register 8.
@@ -68,22 +64,22 @@ TEST(Opcode, ArithmeticSet) {
 }
 
 TEST(Record, TextLayout) {
-  const std::string text = sample_load().to_text();
+  const std::string text = record_text(sample_load());
   EXPECT_EQ(text, "0,3,foo,6:1,27,215\n1,64,0x7ffcf3f25a70,1,p\nr,64,4,1,8\n");
 }
 
 TEST(Record, RoundTripThroughParser) {
-  const TraceRecord rec = sample_load();
-  auto parsed = parse(rec.to_text());
+  const TraceBuffer parsed = read_trace_buffer(record_text(sample_load()));
   ASSERT_EQ(parsed.size(), 1u);
-  EXPECT_EQ(parsed[0].line, 3);
-  EXPECT_EQ(parsed[0].func, "foo");
-  EXPECT_EQ(parsed[0].opcode, Opcode::Load);
-  EXPECT_EQ(parsed[0].dyn_id, 215u);
-  ASSERT_EQ(parsed[0].operands.size(), 2u);
-  EXPECT_EQ(parsed[0].operands[0].name, "p");
-  EXPECT_TRUE(parsed[0].operands[0].value.is_addr());
-  EXPECT_EQ(parsed[0].operands[1].slot, OperandSlot::Result);
+  const RecordView rec = parsed.view(0);
+  EXPECT_EQ(rec.line(), 3);
+  EXPECT_EQ(rec.func(), "foo");
+  EXPECT_EQ(rec.opcode(), Opcode::Load);
+  EXPECT_EQ(rec.dyn_id(), 215u);
+  ASSERT_EQ(rec.operand_count(), 2u);
+  EXPECT_EQ(rec.name(rec.operands_begin()[0]), "p");
+  EXPECT_TRUE(rec.operands_begin()[0].is_addr());
+  EXPECT_EQ(rec.operands_begin()[1].slot(), OperandSlot::Result);
 }
 
 TEST(Record, CallFormOneLikeFig6a) {
@@ -99,12 +95,13 @@ TEST(Record, CallFormOneLikeFig6a) {
   rec.operands.push_back(Operand::input(2, Value::make_float(2.0), true, "37"));
   rec.operands.push_back(Operand::result(Value::make_float(1936.0), "38"));
 
-  auto parsed = parse(rec.to_text());
+  const TraceBuffer parsed = read_trace_buffer(record_text(rec));
   ASSERT_EQ(parsed.size(), 1u);
-  EXPECT_FALSE(parsed[0].is_call_with_body());
-  ASSERT_NE(parsed[0].find(OperandSlot::Callee), nullptr);
-  EXPECT_EQ(parsed[0].find(OperandSlot::Callee)->name, "pow");
-  EXPECT_DOUBLE_EQ(parsed[0].find(OperandSlot::Result)->value.f, 1936.0);
+  const RecordView call = parsed.view(0);
+  EXPECT_EQ(call.find(OperandSlot::Param), nullptr);  // no body follows
+  ASSERT_NE(call.find(OperandSlot::Callee), nullptr);
+  EXPECT_EQ(call.name(*call.find(OperandSlot::Callee)), "pow");
+  EXPECT_DOUBLE_EQ(call.find(OperandSlot::Result)->value().f, 1936.0);
 }
 
 TEST(Record, CallFormTwoLikeFig6b) {
@@ -121,17 +118,20 @@ TEST(Record, CallFormTwoLikeFig6b) {
   rec.operands.push_back(Operand::param(Value::make_addr(0x7ffec14b0db0), "p"));
   rec.operands.push_back(Operand::param(Value::make_addr(0x7ffec14b0d80), "q"));
 
-  auto parsed = parse(rec.to_text());
+  const TraceBuffer parsed = read_trace_buffer(record_text(rec));
   ASSERT_EQ(parsed.size(), 1u);
-  EXPECT_TRUE(parsed[0].is_call_with_body());
-  const auto params = parsed[0].params();
-  ASSERT_EQ(params.size(), 2u);
-  EXPECT_EQ(params[0]->name, "p");
-  EXPECT_EQ(params[1]->name, "q");
+  const RecordView call = parsed.view(0);
+  // The two parameter-indicator rows follow the callee and argument rows.
+  ASSERT_EQ(call.operand_count(), 5u);
+  const PackedOperand* ops = call.operands_begin();
+  EXPECT_EQ(call.find(OperandSlot::Param), &ops[3]);
+  EXPECT_EQ(ops[4].slot(), OperandSlot::Param);
+  EXPECT_EQ(call.name(ops[3]), "p");
+  EXPECT_EQ(call.name(ops[4]), "q");
 }
 
 TEST(Record, MultiBlockStream) {
-  std::string text = sample_load().to_text();
+  std::string text = record_text(sample_load());
   TraceRecord mul;
   mul.line = 3;
   mul.func = "foo";
@@ -141,13 +141,14 @@ TEST(Record, MultiBlockStream) {
   mul.operands.push_back(Operand::input(1, Value::make_int(2), true, "8"));
   mul.operands.push_back(Operand::input(2, Value::make_int(2), false, ""));
   mul.operands.push_back(Operand::result(Value::make_int(4), "9"));
-  text += mul.to_text();
+  text += record_text(mul);
 
-  auto parsed = parse(text);
+  const TraceBuffer parsed = read_trace_buffer(text);
   ASSERT_EQ(parsed.size(), 2u);
-  EXPECT_EQ(parsed[1].opcode, Opcode::Mul);
+  const RecordView back = parsed.view(1);
+  EXPECT_EQ(back.opcode(), Opcode::Mul);
   // Empty operand names serialize as a single space and parse back empty.
-  EXPECT_EQ(parsed[1].operands[1].name, "");
+  EXPECT_EQ(back.name(back.operands_begin()[1]), "");
 }
 
 TEST(Record, RejectsBadHeader) {
@@ -162,33 +163,29 @@ TEST(Record, RejectsBadOperandLine) {
 }
 
 TEST(Record, SkipsBlankLines) {
-  const std::string text = "\n" + sample_load().to_text() + "\n\n" + sample_load().to_text();
-  EXPECT_EQ(parse(text).size(), 2u);
-}
-
-TEST(Sinks, MemorySinkCollects) {
-  MemorySink sink;
-  sink.append(sample_load());
-  sink.append(sample_load());
-  EXPECT_EQ(sink.count(), 2u);
-  EXPECT_EQ(sink.records().size(), 2u);
+  const std::string text = "\n" + record_text(sample_load()) + "\n\n" + record_text(sample_load());
+  EXPECT_EQ(read_trace_buffer(text).size(), 2u);
 }
 
 TEST(Sinks, NullSinkCounts) {
+  TraceBuffer buf;
+  buf.append(sample_load());
   NullSink sink;
-  sink.append(sample_load());
+  sink.append(buf.view(0));
   EXPECT_EQ(sink.count(), 1u);
 }
 
 TEST(Sinks, FileSinkWritesParseableTrace) {
   const std::string path = testing::TempDir() + "/ac_trace_roundtrip.txt";
+  TraceBuffer records;
+  for (int i = 0; i < 100; ++i) {
+    TraceRecord rec = sample_load();
+    rec.dyn_id = static_cast<std::uint64_t>(i);
+    records.append(rec);
+  }
   {
     FileSink sink(path);
-    for (int i = 0; i < 100; ++i) {
-      TraceRecord rec = sample_load();
-      rec.dyn_id = static_cast<std::uint64_t>(i);
-      sink.append(rec);
-    }
+    for (std::size_t i = 0; i < records.size(); ++i) sink.append(records.view(i));
     sink.close();
     EXPECT_GT(sink.bytes(), 0u);
     EXPECT_EQ(sink.count(), 100u);
@@ -218,7 +215,7 @@ TEST(FileSourceInput, FifoWithWriterParses) {
   const std::string path = testing::TempDir() + "/ac_trace_fifo_" + std::to_string(::getpid());
   std::remove(path.c_str());
   ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
-  const std::string text = sample_load().to_text() + sample_load().to_text();
+  const std::string text = record_text(sample_load()) + record_text(sample_load());
   std::thread writer([&] {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     if (f == nullptr) return;
@@ -230,7 +227,7 @@ TEST(FileSourceInput, FifoWithWriterParses) {
   writer.join();
   std::remove(path.c_str());
   ASSERT_EQ(buf.size(), 2u);
-  EXPECT_EQ(buf.view(1).to_text(), sample_load().to_text());
+  EXPECT_EQ(buf.view(1).to_text(), record_text(sample_load()));
   EXPECT_STREQ(source.format(), "text");
 }
 

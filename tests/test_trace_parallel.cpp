@@ -17,7 +17,7 @@ namespace ac::trace {
 namespace {
 
 std::string synth_trace(std::size_t blocks) {
-  std::string text;
+  TraceBuffer buf;
   for (std::size_t i = 0; i < blocks; ++i) {
     TraceRecord rec;
     rec.line = static_cast<int>(i % 97);
@@ -40,9 +40,9 @@ std::string synth_trace(std::size_t blocks) {
       rec.operands.push_back(Operand::input(2, Value::make_addr(0x100000 + i * 8), true, "v"));
     }
     rec.dyn_id = i;
-    text += rec.to_text();
+    buf.append(rec);
   }
-  return text;
+  return test::trace_text(buf);
 }
 
 void expect_same(const TraceBuffer& a, const TraceBuffer& b) {

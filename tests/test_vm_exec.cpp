@@ -261,7 +261,7 @@ int main() {
   const auto mcl = analysis::find_mcl_region(src);
 
   RunOptions opts;
-  opts.mcl = MclRegion{mcl.function, mcl.begin_line, mcl.end_line};
+  opts.mcl = mcl;
   auto full = run_module(module, opts);
   EXPECT_FALSE(full.failed);
   EXPECT_EQ(full.iterations_started, 8);
@@ -301,7 +301,7 @@ int main() {
     engine.reset();
     for (const char* name : {"g", "s", "i"}) engine.protect(name);
     RunOptions opts;
-    opts.mcl = MclRegion{mcl.function, mcl.begin_line, mcl.end_line};
+    opts.mcl = mcl;
     opts.engine = &engine;
     opts.fail_at_iteration = fail_at;
     const RunResult r = run_module(module, opts);
@@ -337,7 +337,7 @@ int main() {
   ckpt::CheckpointEngine engine(apps::validation_config(testing::TempDir(), "vm_exec_unknown"));
   engine.protect("nope");
   RunOptions opts;
-  opts.mcl = MclRegion{mcl.function, mcl.begin_line, mcl.end_line};
+  opts.mcl = mcl;
   opts.engine = &engine;
   EXPECT_THROW(run_module(module, opts), CheckpointError);
 }

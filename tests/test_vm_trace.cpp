@@ -22,91 +22,102 @@
 namespace ac::vm {
 namespace {
 
-using trace::MemorySink;
 using trace::Opcode;
 using trace::OperandSlot;
-using trace::TraceRecord;
+using trace::PackedOperand;
+using trace::RecordView;
+using trace::TraceBuffer;
 
-std::vector<TraceRecord> trace_of(const std::string& src) {
-  MemorySink sink;
+TraceBuffer trace_of(const std::string& src) {
+  trace::BufferSink sink;
   test::run_source(src, &sink);
-  return std::move(sink.records());
+  return sink.take();
 }
 
-std::vector<const TraceRecord*> by_opcode(const std::vector<TraceRecord>& recs, Opcode op) {
-  std::vector<const TraceRecord*> out;
-  for (const auto& r : recs) {
-    if (r.opcode == op) out.push_back(&r);
+std::vector<RecordView> by_opcode(const TraceBuffer& recs, Opcode op) {
+  std::vector<RecordView> out;
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    if (recs.view(i).opcode() == op) out.push_back(recs.view(i));
   }
   return out;
 }
 
+/// The Call record's callee name.
+std::string_view callee_of(const RecordView& call) {
+  return call.name(*call.find(OperandSlot::Callee));
+}
+
 TEST(VmTrace, DynIdsAreSequential) {
-  auto recs = trace_of("int main() { int x = 1; print_int(x); return 0; }");
-  for (std::size_t i = 0; i < recs.size(); ++i) EXPECT_EQ(recs[i].dyn_id, i);
+  const TraceBuffer recs = trace_of("int main() { int x = 1; print_int(x); return 0; }");
+  for (std::size_t i = 0; i < recs.size(); ++i) EXPECT_EQ(recs.view(i).dyn_id(), i);
 }
 
 TEST(VmTrace, GlobalAllocasComeFirst) {
-  auto recs = trace_of("int g1; double g2[4]; int main() { return 0; }");
+  const TraceBuffer recs = trace_of("int g1; double g2[4]; int main() { return 0; }");
   ASSERT_GE(recs.size(), 2u);
-  EXPECT_EQ(recs[0].opcode, Opcode::Alloca);
-  EXPECT_EQ(recs[0].func, "<global>");
-  EXPECT_EQ(recs[0].find(OperandSlot::Result)->name, "g1");
-  EXPECT_EQ(recs[1].find(OperandSlot::Result)->name, "g2");
+  const RecordView g1 = recs.view(0);
+  const RecordView g2 = recs.view(1);
+  EXPECT_EQ(g1.opcode(), Opcode::Alloca);
+  EXPECT_EQ(g1.func(), "<global>");
+  EXPECT_EQ(g1.name(*g1.find(OperandSlot::Result)), "g1");
+  EXPECT_EQ(g2.name(*g2.find(OperandSlot::Result)), "g2");
   // Size operand carries the byte footprint (4 * 8 for g2).
-  EXPECT_EQ(recs[1].input(1)->value.as_i64(), 32);
+  EXPECT_EQ(g2.input(1)->as_i64(), 32);
 }
 
 TEST(VmTrace, AllocaCarriesNameAndAddress) {
-  auto recs = trace_of("int main() { int sum = 0; print_int(sum); return 0; }");
-  auto allocas = by_opcode(recs, Opcode::Alloca);
+  const TraceBuffer recs = trace_of("int main() { int sum = 0; print_int(sum); return 0; }");
+  const auto allocas = by_opcode(recs, Opcode::Alloca);
   ASSERT_EQ(allocas.size(), 1u);
-  const auto* result = allocas[0]->find(OperandSlot::Result);
+  const PackedOperand* result = allocas[0].find(OperandSlot::Result);
   ASSERT_NE(result, nullptr);
-  EXPECT_EQ(result->name, "sum");
-  EXPECT_TRUE(result->value.is_addr());
+  EXPECT_EQ(allocas[0].name(*result), "sum");
+  EXPECT_TRUE(result->is_addr());
 }
 
 TEST(VmTrace, LoadStoreShape) {
-  auto recs = trace_of("int main() { int x = 5; int y = x; print_int(y); return 0; }");
-  auto loads = by_opcode(recs, Opcode::Load);
+  const TraceBuffer recs =
+      trace_of("int main() { int x = 5; int y = x; print_int(y); return 0; }");
+  const auto loads = by_opcode(recs, Opcode::Load);
   ASSERT_GE(loads.size(), 1u);
   // Load: pointer operand named after the variable, result row is a register.
-  EXPECT_EQ(loads[0]->input(1)->name, "x");
-  EXPECT_TRUE(loads[0]->input(1)->value.is_addr());
-  EXPECT_EQ(loads[0]->find(OperandSlot::Result)->value.as_i64(), 5);
+  EXPECT_EQ(loads[0].name(*loads[0].input(1)), "x");
+  EXPECT_TRUE(loads[0].input(1)->is_addr());
+  EXPECT_EQ(loads[0].find(OperandSlot::Result)->as_i64(), 5);
 
-  auto stores = by_opcode(recs, Opcode::Store);
+  const auto stores = by_opcode(recs, Opcode::Store);
   ASSERT_GE(stores.size(), 2u);
   // First store: immediate 5 into x.
-  EXPECT_EQ(stores[0]->input(1)->value.as_i64(), 5);
-  EXPECT_FALSE(stores[0]->input(1)->is_reg);
-  EXPECT_EQ(stores[0]->input(2)->name, "x");
+  EXPECT_EQ(stores[0].input(1)->as_i64(), 5);
+  EXPECT_FALSE(stores[0].input(1)->is_reg());
+  EXPECT_EQ(stores[0].name(*stores[0].input(2)), "x");
 }
 
 TEST(VmTrace, ArrayAccessGoesThroughGep) {
-  auto recs = trace_of("int main() { int a[8]; a[3] = 9; print_int(a[3]); return 0; }");
-  auto geps = by_opcode(recs, Opcode::GetElementPtr);
+  const TraceBuffer recs =
+      trace_of("int main() { int a[8]; a[3] = 9; print_int(a[3]); return 0; }");
+  const auto geps = by_opcode(recs, Opcode::GetElementPtr);
   ASSERT_EQ(geps.size(), 2u);  // one for the store, one for the load
-  EXPECT_EQ(geps[0]->input(1)->name, "a");
-  EXPECT_EQ(geps[0]->input(2)->value.as_i64(), 3);
+  EXPECT_EQ(geps[0].name(*geps[0].input(1)), "a");
+  EXPECT_EQ(geps[0].input(2)->as_i64(), 3);
   // The GEP result address is base + 3*8.
-  EXPECT_EQ(geps[0]->find(OperandSlot::Result)->value.addr,
-            geps[0]->input(1)->value.addr + 24);
+  EXPECT_EQ(geps[0].find(OperandSlot::Result)->addr(), geps[0].input(1)->addr() + 24);
 }
 
 TEST(VmTrace, BuiltinCallIsFormOne) {
-  auto recs = trace_of("int main() { double r = pow(2.0, 3.0); print_float(r); return 0; }");
-  auto calls = by_opcode(recs, Opcode::Call);
-  const TraceRecord* pow_call = nullptr;
-  for (const auto* c : calls) {
-    if (c->find(OperandSlot::Callee)->name == "pow") pow_call = c;
+  const TraceBuffer recs =
+      trace_of("int main() { double r = pow(2.0, 3.0); print_float(r); return 0; }");
+  const auto calls = by_opcode(recs, Opcode::Call);
+  const RecordView* pow_call = nullptr;
+  for (const RecordView& c : calls) {
+    if (callee_of(c) == "pow") pow_call = &c;
   }
   ASSERT_NE(pow_call, nullptr);
-  EXPECT_FALSE(pow_call->is_call_with_body());
-  EXPECT_DOUBLE_EQ(pow_call->input(1)->value.f, 2.0);
-  EXPECT_DOUBLE_EQ(pow_call->input(2)->value.f, 3.0);
-  EXPECT_DOUBLE_EQ(pow_call->find(OperandSlot::Result)->value.f, 8.0);
+  // Form 1: no parameter-indicator rows, no traced body.
+  EXPECT_EQ(pow_call->find(OperandSlot::Param), nullptr);
+  EXPECT_DOUBLE_EQ(pow_call->input(1)->value().f, 2.0);
+  EXPECT_DOUBLE_EQ(pow_call->input(2)->value().f, 3.0);
+  EXPECT_DOUBLE_EQ(pow_call->find(OperandSlot::Result)->value().f, 8.0);
 }
 
 TEST(VmTrace, UserCallIsFormTwoWithParamRows) {
@@ -123,38 +134,34 @@ int main() {
   return 0;
 }
 )";
-  auto recs = trace_of(src);
-  auto calls = by_opcode(recs, Opcode::Call);
-  const TraceRecord* foo_call = nullptr;
-  std::size_t foo_index = 0;
+  const TraceBuffer recs = trace_of(src);
+  std::size_t foo_index = recs.size();
   for (std::size_t i = 0; i < recs.size(); ++i) {
-    if (recs[i].opcode == Opcode::Call &&
-        recs[i].find(OperandSlot::Callee)->name == "foo") {
-      foo_call = &recs[i];
-      foo_index = i;
-    }
+    if (recs.view(i).opcode() == Opcode::Call && callee_of(recs.view(i)) == "foo") foo_index = i;
   }
-  ASSERT_NE(foo_call, nullptr);
-  EXPECT_TRUE(foo_call->is_call_with_body());
+  ASSERT_LT(foo_index, recs.size());
+  const RecordView foo_call = recs.view(foo_index);
 
   // Fig. 6(b): argument rows carry the addresses; the parameter-indicator
-  // rows bind the same addresses to parameter names p and q.
-  const auto params = foo_call->params();
-  ASSERT_EQ(params.size(), 2u);
-  EXPECT_EQ(params[0]->name, "p");
-  EXPECT_EQ(params[1]->name, "q");
-  EXPECT_EQ(params[0]->value.addr, foo_call->input(1)->value.addr);
+  // rows that follow them bind the same addresses to parameter names p and q.
+  ASSERT_EQ(foo_call.operand_count(), 5u);
+  const PackedOperand* ops = foo_call.operands_begin();
+  EXPECT_EQ(foo_call.find(OperandSlot::Param), &ops[3]);
+  EXPECT_EQ(ops[4].slot(), OperandSlot::Param);
+  EXPECT_EQ(foo_call.name(ops[3]), "p");
+  EXPECT_EQ(foo_call.name(ops[4]), "q");
+  EXPECT_EQ(ops[3].addr(), foo_call.input(1)->addr());
 
   // The record after the Call executes inside foo (its body follows).
   ASSERT_LT(foo_index + 1, recs.size());
-  EXPECT_EQ(recs[foo_index + 1].func, "foo");
+  EXPECT_EQ(recs.view(foo_index + 1).func(), "foo");
 
   // Inside foo, the parameter-binding stores use register names arg1/arg2.
   bool saw_arg_binding = false;
   for (std::size_t i = foo_index + 1; i < recs.size(); ++i) {
-    const auto& r = recs[i];
-    if (r.opcode == Opcode::Store && r.func == "foo" && r.input(1)->name == "arg1") {
-      EXPECT_EQ(r.input(2)->name, "p");
+    const RecordView r = recs.view(i);
+    if (r.opcode() == Opcode::Store && r.func() == "foo" && r.name(*r.input(1)) == "arg1") {
+      EXPECT_EQ(r.name(*r.input(2)), "p");
       saw_arg_binding = true;
       break;
     }
@@ -163,18 +170,18 @@ int main() {
 }
 
 TEST(VmTrace, RetRecordsCarryValue) {
-  auto recs = trace_of("int f() { return 5; } int main() { print_int(f()); return 0; }");
-  auto rets = by_opcode(recs, Opcode::Ret);
+  const TraceBuffer recs =
+      trace_of("int f() { return 5; } int main() { print_int(f()); return 0; }");
+  const auto rets = by_opcode(recs, Opcode::Ret);
   ASSERT_EQ(rets.size(), 2u);  // f's and main's
-  EXPECT_EQ(rets[0]->func, "f");
-  EXPECT_EQ(rets[0]->input(1)->value.as_i64(), 5);
+  EXPECT_EQ(rets[0].func(), "f");
+  EXPECT_EQ(rets[0].input(1)->as_i64(), 5);
 }
 
 TEST(VmTrace, ConditionalBranchHasCondOperand) {
-  auto recs = trace_of("int main() { int s = 0; for (int i = 0; i < 2; i = i + 1) { s = s + 1; } print_int(s); return 0; }");
+  const TraceBuffer recs = trace_of("int main() { int s = 0; for (int i = 0; i < 2; i = i + 1) { s = s + 1; } print_int(s); return 0; }");
   int cond_br = 0, plain_br = 0;
-  for (const auto& r : recs) {
-    if (r.opcode != Opcode::Br) continue;
+  for (const RecordView& r : by_opcode(recs, Opcode::Br)) {
     if (r.input(1)) ++cond_br; else ++plain_br;
   }
   EXPECT_EQ(cond_br, 3);  // i=0,1 enter; i=2 exits
@@ -195,16 +202,14 @@ int main() {
   return 0;
 }
 )";
-  auto recs = trace_of(src);
-  std::string text;
-  for (const auto& r : recs) text += r.to_text();
-  const trace::TraceBuffer parsed = trace::read_trace_buffer(text);
+  const TraceBuffer recs = trace_of(src);
+  const TraceBuffer parsed = trace::read_trace_buffer(test::trace_text(recs));
   ASSERT_EQ(parsed.size(), recs.size());
   for (std::size_t i = 0; i < recs.size(); ++i) {
-    EXPECT_EQ(parsed.view(i).opcode(), recs[i].opcode);
-    EXPECT_EQ(parsed.view(i).func(), recs[i].func);
-    EXPECT_EQ(parsed.view(i).line(), recs[i].line);
-    EXPECT_EQ(parsed.view(i).operand_count(), recs[i].operands.size());
+    EXPECT_EQ(parsed.view(i).opcode(), recs.view(i).opcode());
+    EXPECT_EQ(parsed.view(i).func(), recs.view(i).func());
+    EXPECT_EQ(parsed.view(i).line(), recs.view(i).line());
+    EXPECT_EQ(parsed.view(i).operand_count(), recs.view(i).operand_count());
   }
 }
 
@@ -312,17 +317,14 @@ TEST(VmTraceGolden, EverySinkMatchesTheDigests) {
     EXPECT_EQ(mctb.line(app.name), want);
     std::remove(mctb_path.c_str());
 
-    // Owning records, packed afterwards.
-    MemorySink memory_sink;
-    const RunResult run = run_app(module, &memory_sink);
-    trace::TraceBuffer packed;
-    for (const TraceRecord& r : memory_sink.records()) packed.append(r);
-    TraceDigest memory = digest_buffer(packed);
-    set_run(memory, run);
-    std::uint32_t record_text_crc = 0;
-    for (const TraceRecord& r : memory_sink.records()) record_text_crc = crc_of(r.to_text(), record_text_crc);
-    EXPECT_EQ(record_text_crc, buffered.text_crc);
-    EXPECT_EQ(memory.line(app.name), want);
+    // Owning records: every record materialized and packed again.
+    trace::TraceBuffer repacked;
+    for (std::size_t i = 0; i < buffer_sink.buffer().size(); ++i) {
+      repacked.append(buffer_sink.buffer().materialize(i));
+    }
+    TraceDigest owning = digest_buffer(repacked);
+    set_run(owning, buffered_run);
+    EXPECT_EQ(owning.line(app.name), want);
   }
   if (HasFailure()) std::printf("computed digests:\n%s", computed.c_str());
 }
@@ -332,9 +334,8 @@ TEST(VmTraceUntraced, MatchesTracedRunOnAllApps) {
   for (const apps::App& app : apps::registry()) {
     SCOPED_TRACE(app.name);
     const ir::Module module = minic::compile(app.source());
-    const analysis::MclRegion region = app.mcl();
     RunOptions opts;
-    opts.mcl = MclRegion{region.function, region.begin_line, region.end_line};
+    opts.mcl = app.mcl();
 
     const RunResult untraced = run_module(module, opts);
     trace::BufferSink sink;

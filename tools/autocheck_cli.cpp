@@ -210,9 +210,7 @@ int main(int argc, char** argv) {
         ac::trace::FileSink sink(recode_path);
         // Stream record views through the sink's batch buffer; no owning
         // TraceRecord representation of the trace is ever built.
-        for (std::size_t i = 0; i < buf.size(); ++i) {
-          sink.append(buf.materialize(i));
-        }
+        for (std::size_t i = 0; i < buf.size(); ++i) sink.append(buf.view(i));
         sink.close();
         out_bytes = sink.bytes();
       }
@@ -262,7 +260,7 @@ int main(int argc, char** argv) {
       AC_SPAN("net.thin_client");
       ac::net::RemoteSink remote(connect_to.host, connect_to.port, connect_opts);
       const ac::trace::TraceBuffer& buf = source->buffer();
-      for (std::size_t i = 0; i < buf.size(); ++i) remote.append(buf.materialize(i));
+      for (std::size_t i = 0; i < buf.size(); ++i) remote.append(buf.view(i));
       ac::net::ReportSpec spec;
       spec.region = region;
       spec.mli_mode = opts.mli_mode;
