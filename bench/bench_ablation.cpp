@@ -6,7 +6,8 @@
 //      file (parallel parse), and the streaming two-pass mode (§IX future
 //      work): same verdicts, different costs.
 //   C. Complete-DDG construction on/off — the DDG is for reporting; the
-//      event stream alone carries classification.
+//      event stream alone carries classification. Prints the with/without
+//      ratio, the DDG's overhead on top of the event stream.
 //   D. Checkpoint interval — storage written vs rollback distance.
 //
 // Exits 1 when a B variant, the C DDG-off run or a D restart disagrees with
@@ -114,6 +115,10 @@ int main() {
                 a.report.timings.dep_analysis, a.report.dep.complete.num_nodes(),
                 a.report.dep.complete.num_edges());
     std::printf("  dependency analysis without DDG: %.4fs\n", b.report.timings.dep_analysis);
+    // The DDG never decides a verdict, so its cost is reported relative to
+    // the event stream alone.
+    std::printf("  DDG overhead (with / without):   %.2fx\n",
+                a.report.timings.dep_analysis / b.report.timings.dep_analysis);
     const bool same = verdicts(a.report) == verdicts(b.report);
     std::printf("  identical verdicts: %s\n\n", same ? "yes" : "NO");
     ok = ok && same;

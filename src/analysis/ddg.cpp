@@ -1,5 +1,7 @@
 #include "analysis/ddg.hpp"
 
+#include <algorithm>
+
 #include "support/error.hpp"
 
 namespace ac::analysis {
@@ -17,10 +19,36 @@ int Ddg::node(const std::string& label, NodeKind kind) {
   return it->second;
 }
 
+namespace {
+
+/// Slot of `key` in a power-of-two table: Fibonacci hashing, then linear
+/// probing to the key or the first empty slot.
+std::size_t probe(const std::vector<std::uint64_t>& table, std::uint64_t key) {
+  const std::size_t mask = table.size() - 1;
+  std::size_t i = static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull) >> 32) & mask;
+  while (table[i] != 0 && table[i] != key) i = (i + 1) & mask;
+  return i;
+}
+
+}  // namespace
+
 void Ddg::add_edge(int parent, int child) {
   AC_CHECK(parent >= 0 && parent < num_nodes() && child >= 0 && child < num_nodes(),
            "ddg edge endpoint out of range");
   if (parent == child) return;  // self-loops carry no contraction information
+  // Keep the load at most one half, so probes stay short.
+  if (2 * (edges_.size() + 1) > edge_keys_.size()) {
+    std::vector<std::uint64_t> grown(std::max<std::size_t>(64, 2 * edge_keys_.size()), 0);
+    for (const std::uint64_t k : edge_keys_) {
+      if (k != 0) grown[probe(grown, k)] = k;
+    }
+    edge_keys_.swap(grown);
+  }
+  const std::uint64_t key =
+      (static_cast<std::uint64_t>(parent) << 32) | static_cast<std::uint32_t>(child);
+  std::uint64_t& slot = edge_keys_[probe(edge_keys_, key)];
+  if (slot == key) return;
+  slot = key;
   edges_.emplace(parent, child);
 }
 

@@ -11,6 +11,11 @@
 // through non-MLI vertices, which is how contract() computes it; the
 // step-wise behaviour is unit-tested against the paper's worked example
 // (`sum` ⇐ 13 ⇐ m ⇐ 12 ⇐ {10,11} ⇐ {a,b}).
+//
+// The dependency replay re-adds the same few hundred edges millions of times,
+// so add_edge() answers "seen" from an open-addressing hash set of
+// parent<<32|child keys and touches the ordered edge set, which fixes the
+// to_dot() and contract() order, only for a new edge.
 #pragma once
 
 #include <cstdint>
@@ -53,6 +58,9 @@ class Ddg {
   std::vector<std::string> labels_;
   std::vector<NodeKind> kinds_;
   std::set<std::pair<int, int>> edges_;  // (parent, child)
+  // Linear-probing set of parent<<32|child; 0 marks an empty slot (it would
+  // be the self-loop 0 -> 0, which is never stored).
+  std::vector<std::uint64_t> edge_keys_;
 };
 
 }  // namespace ac::analysis

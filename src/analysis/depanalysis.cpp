@@ -1,7 +1,6 @@
 #include "analysis/depanalysis.hpp"
 
-#include <algorithm>
-#include <unordered_map>
+#include <utility>
 
 #include "support/error.hpp"
 #include "support/strings.hpp"
@@ -17,9 +16,16 @@ using trace::TraceBuffer;
 
 namespace {
 
+/// Most sources one register may carry. Reductions keep provenance small by
+/// SSA re-loading, so only a pathological trace (from a file or `acd`) comes
+/// near it; such a trace is refused rather than analysed with a source
+/// silently dropped.
+constexpr std::size_t kMaxProvSources = 1024;
+
 /// Immediate variable provenance of a register: the set of (var, element)
 /// sources whose values flow into it (the reg-var map of §IV-B, with the
-/// reg-reg map folded in by unioning across arithmetic instructions).
+/// reg-reg map folded in by unioning across arithmetic instructions), in
+/// first-seen order.
 struct Prov {
   std::vector<std::pair<int, std::int64_t>> sources;
 
@@ -27,22 +33,47 @@ struct Prov {
     for (const auto& s : sources) {
       if (s.first == var && s.second == elem) return;
     }
-    // Reductions keep provenance small by SSA re-loading; the cap only guards
-    // pathological chains.
-    if (sources.size() < 64) sources.emplace_back(var, elem);
+    if (sources.size() == kMaxProvSources) {
+      throw AnalysisError(strf("register provenance exceeds %zu sources", kMaxProvSources));
+    }
+    sources.emplace_back(var, elem);
   }
   void merge(const Prov& other) {
+    // `other` is duplicate-free and within the bound, so the first merge of
+    // a register is a copy; the dedupe scan runs only from the second on.
+    if (sources.empty()) {
+      sources = other.sources;
+      return;
+    }
     for (const auto& s : other.sources) add(s.first, s.second);
   }
 };
 
-/// Registers are their pool ids: hashing an u32 instead of a register-name
-/// string is the single biggest win of the interned replay.
+/// One register of the shallow-bound table: its provenance is visible only
+/// to the frame whose generation wrote it.
+struct RegSlot {
+  std::uint64_t gen = 0;  // 0: never written
+  Prov prov;
+};
+
+/// A slot as it was before a callee's first write to it, restored at Ret.
+struct UndoEntry {
+  std::uint32_t reg = 0;
+  RegSlot saved;
+};
+
 struct AnalysisFrame {
   std::uint32_t func = SymbolPool::npos;
-  std::unordered_map<std::uint32_t, Prov> reg_prov;
   std::uint32_t pending_dst = SymbolPool::npos;  // caller register awaiting Ret
+  std::uint64_t gen = 0;
+  std::size_t undo_mark = 0;                     // undo-log depth at entry
 };
+
+/// Dense index of a pool id: the absent and npos sentinels take 0 and 1,
+/// real ids follow.
+std::size_t dense(std::uint32_t id) {
+  return id >= SymbolPool::absent ? id - SymbolPool::absent : std::size_t{id} + 2;
+}
 
 }  // namespace
 
@@ -72,14 +103,28 @@ struct DepAnalyzer::Impl {
   PackedRecord pending_rec;
   std::vector<PackedOperand> pending_ops;
 
+  // Registers, shallow-bound (see depanalysis.hpp): memory is O(pool size +
+  // live writes) at any call depth. Undo entries, argument entries and the
+  // scratch provenance keep their vectors when reused, so a record allocates
+  // nothing in steady state.
+  std::vector<RegSlot> regs;
+  std::vector<UndoEntry> undo;
+  std::size_t undo_top = 0;
+  std::uint64_t next_gen = 0;
+  Prov scratch_prov;
+  std::vector<Prov> arg_provs;
+  const Prov no_prov;
+
   // Alloca-site canonical-id cache (shared implementation with pre-processing).
   AllocaSiteCache alloca_ids;
   // "argN" binding registers, indexed by N-1.
   std::vector<std::uint32_t> arg_ids;
   // DDG node caches: labels are a pure function of the ids, so node ids are
-  // resolved without rebuilding label strings per record.
-  std::unordered_map<int, int> var_nodes;                    // var id -> node
-  std::unordered_map<std::uint64_t, int> reg_nodes;          // func<<32|reg -> node
+  // resolved without rebuilding label strings per record. -1: no node yet.
+  std::vector<int> var_nodes;               // by var id
+  std::vector<std::vector<int>> reg_nodes;  // by dense(func), then dense(reg)
+  std::uint32_t memo_func = SymbolPool::npos;
+  std::vector<int>* memo_func_nodes = nullptr;
 
   Impl(PreprocessResult& p, const MclRegion& r, const DepOptions& o)
       : pre(p), region(r), opts(o) {
@@ -90,17 +135,56 @@ struct DepAnalyzer::Impl {
     streaming = true;
     pool = &scratch.pool();
     region_func_id = scratch.pool().intern(region.function);
-    frames.push_back(AnalysisFrame{scratch.pool().intern("main"), {}, SymbolPool::npos});
+    push_frame(scratch.pool().intern("main"), SymbolPool::npos);
   }
   void bind_buffer(const TraceBuffer& buf) {
     pool = &buf.pool();
     region_func_id = pool->lookup(region.function);
-    frames.push_back(AnalysisFrame{pool->lookup("main"), {}, SymbolPool::npos});
+    push_frame(pool->lookup("main"), SymbolPool::npos);
   }
 
   AnalysisFrame& frame() {
     AC_CHECK(!frames.empty(), "analysis frame stack underflow");
     return frames.back();
+  }
+
+  // --- register table ---------------------------------------------------------
+
+  void push_frame(std::uint32_t func, std::uint32_t pending_dst) {
+    frames.push_back(AnalysisFrame{func, pending_dst, ++next_gen, undo_top});
+  }
+
+  void pop_frame() {
+    const std::size_t mark = frame().undo_mark;
+    while (undo_top > mark) {
+      UndoEntry& u = undo[--undo_top];
+      std::swap(regs[u.reg], u.saved);
+    }
+    frames.pop_back();
+  }
+
+  const Prov& prov_of_reg(std::uint32_t reg) const {
+    return reg < regs.size() && regs[reg].gen == frames.back().gen ? regs[reg].prov : no_prov;
+  }
+
+  /// Bind `value` to `reg` in the current frame. `value` is swapped in and
+  /// comes back holding a spare vector for reuse.
+  void write_reg(std::uint32_t reg, Prov& value) {
+    // Sentinel ids name no register any record can read.
+    if (reg >= SymbolPool::absent) return;
+    if (reg >= regs.size()) regs.resize(std::size_t{reg} + 1);
+    RegSlot& slot = regs[reg];
+    const AnalysisFrame& f = frame();
+    if (slot.gen != f.gen) {
+      if (frames.size() > 1) {  // the bottom frame never returns: nothing to restore
+        if (undo_top == undo.size()) undo.emplace_back();
+        UndoEntry& u = undo[undo_top++];
+        u.reg = reg;
+        std::swap(u.saved, slot);
+      }
+      slot.gen = f.gen;
+    }
+    slot.prov.sources.swap(value.sources);
   }
 
   bool is_mli(int var) const {
@@ -138,14 +222,15 @@ struct DepAnalyzer::Impl {
   // --- DDG helpers ----------------------------------------------------------
 
   int ddg_var_node(int var) {
-    const auto it = var_nodes.find(var);
-    if (it != var_nodes.end()) return it->second;
+    const auto v = static_cast<std::size_t>(var);
+    if (v >= var_nodes.size()) var_nodes.resize(v + 1, -1);
+    int& node = var_nodes[v];
+    if (node >= 0) return node;
     const VarDef& def = pre.vars.def(var);
     const std::string label = (def.is_global() || def.func == region.function)
                                   ? def.name
                                   : def.func + "." + def.name;
-    const int node = result.complete.node(label, is_mli(var) ? NodeKind::MliVar : NodeKind::OtherVar);
-    var_nodes.emplace(var, node);
+    node = result.complete.node(label, is_mli(var) ? NodeKind::MliVar : NodeKind::OtherVar);
     return node;
   }
 
@@ -157,13 +242,21 @@ struct DepAnalyzer::Impl {
   }
 
   int ddg_reg_node(std::uint32_t func, std::uint32_t reg) {
-    const std::uint64_t key = (static_cast<std::uint64_t>(func) << 32) | reg;
-    const auto it = reg_nodes.find(key);
-    if (it != reg_nodes.end()) return it->second;
+    // Consecutive records almost always share their function.
+    if (func != memo_func || memo_func_nodes == nullptr) {
+      const std::size_t f = dense(func);
+      if (f >= reg_nodes.size()) reg_nodes.resize(f + 1);
+      memo_func = func;
+      memo_func_nodes = &reg_nodes[f];
+    }
+    std::vector<int>& nodes = *memo_func_nodes;
+    const std::size_t r = dense(reg);
+    if (r >= nodes.size()) nodes.resize(r + 1, -1);
+    int& node = nodes[r];
+    if (node >= 0) return node;
     const std::string label =
         std::string(func_label(func)) + "%" + std::string(pool->view(reg));
-    const int node = result.complete.node(label, NodeKind::Register);
-    reg_nodes.emplace(key, node);
+    node = result.complete.node(label, NodeKind::Register);
     return node;
   }
 
@@ -188,37 +281,37 @@ struct DepAnalyzer::Impl {
     const PackedOperand* result_op = trace::find_operand(r, ops, OperandSlot::Result);
     if (!ptr || !result_op || !ptr->is_addr()) throw AnalysisError("malformed Load record");
     const auto hit = amap.resolve(ptr->addr());
-    Prov prov;
+    scratch_prov.sources.clear();
     if (hit) {
-      prov.add(hit->var, hit->elem);
+      scratch_prov.add(hit->var, hit->elem);
       if (opts.build_ddg) {
         result.complete.add_edge(ddg_var_node(hit->var), ddg_reg_node(r.func, result_op->name));
       }
       if (at_header(r)) result.induction.cond_read.insert(hit->var);
     }
-    frame().reg_prov[result_op->name] = std::move(prov);
+    write_reg(result_op->name, scratch_prov);
   }
 
-  Prov prov_of_operand(const PackedOperand& op) {
-    if (!op.is_reg() || op.name == SymbolPool::npos) return {};
-    auto it = frame().reg_prov.find(op.name);
-    return it == frame().reg_prov.end() ? Prov{} : it->second;
+  /// Valid until the next register write or frame change.
+  const Prov& prov_of_operand(const PackedOperand& op) const {
+    if (!op.is_reg() || op.name == SymbolPool::npos) return no_prov;
+    return prov_of_reg(op.name);
   }
 
   void on_arith(const PackedRecord& r, const PackedOperand* ops) {
     const PackedOperand* result_op = trace::find_operand(r, ops, OperandSlot::Result);
     if (!result_op) return;
-    Prov merged;
+    scratch_prov.sources.clear();
     for (std::uint32_t i = 0; i < r.op_count; ++i) {
       const PackedOperand& op = ops[i];
       if (op.slot() != OperandSlot::Input) continue;
-      merged.merge(prov_of_operand(op));
+      scratch_prov.merge(prov_of_operand(op));
       if (opts.build_ddg && op.is_reg() && op.name != SymbolPool::npos) {
         result.complete.add_edge(ddg_reg_node(r.func, op.name),
                                  ddg_reg_node(r.func, result_op->name));
       }
     }
-    frame().reg_prov[result_op->name] = std::move(merged);
+    write_reg(result_op->name, scratch_prov);
   }
 
   void on_store(const PackedRecord& r, const PackedOperand* ops) {
@@ -236,7 +329,7 @@ struct DepAnalyzer::Impl {
       return;
     }
 
-    const Prov sources = prov_of_operand(*value);
+    const Prov& sources = prov_of_operand(*value);
     for (const auto& [svar, selem] : sources.sources) {
       push_event(svar, selem, /*is_write=*/false, r.line);
     }
@@ -274,60 +367,59 @@ struct DepAnalyzer::Impl {
       // Form 1: treated like an arithmetic instruction — argument registers
       // feed the result; argument reads of MLI variables are data reads
       // (this is how Outcome consumption by e.g. print_float is observed).
-      Prov merged;
+      scratch_prov.sources.clear();
       for (std::uint32_t i = 0; i < r.op_count; ++i) {
         const PackedOperand& op = ops[i];
         if (op.slot() != OperandSlot::Input) continue;
-        const Prov p = prov_of_operand(op);
+        const Prov& p = prov_of_operand(op);
         for (const auto& [svar, selem] : p.sources) {
           push_event(svar, selem, /*is_write=*/false, r.line);
         }
-        merged.merge(p);
+        scratch_prov.merge(p);
         if (opts.build_ddg && result_op && op.is_reg() && op.name != SymbolPool::npos) {
           result.complete.add_edge(ddg_reg_node(r.func, op.name),
                                    ddg_reg_node(r.func, result_op->name));
         }
       }
-      if (result_op) frame().reg_prov[result_op->name] = std::move(merged);
+      if (result_op) write_reg(result_op->name, scratch_prov);
       return;
     }
 
     // Form 2: bind each argument's provenance to the callee's incoming
     // registers arg1..argN (the callee's parameter-binding stores complete
-    // the argument -> parameter triplet, cf. Fig. 6(b)).
-    AnalysisFrame next;
-    next.func = callee->name;
-    next.pending_dst = result_op ? result_op->name : SymbolPool::npos;
-    int arg_index = 0;
+    // the argument -> parameter triplet, cf. Fig. 6(b)). The provenance is
+    // read before the callee's frame hides the caller's registers. An absent
+    // "argN" symbol means no record anywhere references it — the binding
+    // would be dead, and write_reg() skips the sentinel.
+    int arg_count = 0;
     for (std::uint32_t i = 0; i < r.op_count; ++i) {
       const PackedOperand& op = ops[i];
       if (op.slot() != OperandSlot::Input) continue;
-      ++arg_index;
-      const std::uint32_t binding = arg_id(arg_index);
-      // An absent "argN" symbol means no record anywhere references it — the
-      // binding would be dead, so skip it rather than key on a sentinel.
-      if (binding != SymbolPool::npos) next.reg_prov[binding] = prov_of_operand(op);
+      if (static_cast<std::size_t>(arg_count) == arg_provs.size()) arg_provs.emplace_back();
+      arg_provs[static_cast<std::size_t>(arg_count++)].sources = prov_of_operand(op).sources;
     }
-    frames.push_back(std::move(next));
+    push_frame(callee->name, result_op ? result_op->name : SymbolPool::npos);
+    for (int n = 1; n <= arg_count; ++n) {
+      write_reg(arg_id(n), arg_provs[static_cast<std::size_t>(n - 1)]);
+    }
   }
 
   void on_ret(const PackedRecord& r, const PackedOperand* ops) {
-    Prov ret_prov;
+    if (frames.size() <= 1) return;
     const PackedOperand* value = trace::find_input(r, ops, 1);
-    if (value) ret_prov = prov_of_operand(*value);
     const std::uint32_t pending = frame().pending_dst;
-    if (frames.size() > 1) {
-      frames.pop_back();
-      if (pending != SymbolPool::npos) {
-        if (opts.build_ddg && value && value->is_reg() && value->name != SymbolPool::npos) {
-          // Bind the callee's return register to the caller's result register
-          // so dependency chains survive function boundaries in the DDG.
-          result.complete.add_edge(ddg_reg_node(r.func, value->name),
-                                   ddg_reg_node(frame().func, pending));
-        }
-        frame().reg_prov[pending] = std::move(ret_prov);
-      }
+    // Copied out before pop_frame() restores the callee's slots.
+    scratch_prov.sources.clear();
+    if (value && pending != SymbolPool::npos) scratch_prov.sources = prov_of_operand(*value).sources;
+    pop_frame();
+    if (pending == SymbolPool::npos) return;
+    if (opts.build_ddg && value && value->is_reg() && value->name != SymbolPool::npos) {
+      // Bind the callee's return register to the caller's result register
+      // so dependency chains survive function boundaries in the DDG.
+      result.complete.add_edge(ddg_reg_node(r.func, value->name),
+                               ddg_reg_node(frame().func, pending));
     }
+    write_reg(pending, scratch_prov);
   }
 
   void on_br(const PackedRecord& r, const PackedOperand* ops) {

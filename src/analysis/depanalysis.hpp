@@ -8,13 +8,18 @@
 //   * induction-detection facts (header condition reads, self-dependent
 //     header stores, loop write set).
 //
-// The replay runs natively on the interned packed representation: register
-// provenance and the reg-reg map are keyed by SymbolPool ids (integer hashes,
-// no string traffic), and DDG nodes are resolved through id-keyed caches that
-// produce exactly the legacy labels. One implementation serves the batch path
-// (a TraceBuffer replay) and the streaming path (RecordViews remapped one at
-// a time into a scratch TraceBuffer), so batch and streaming results are
-// identical by construction.
+// The replay runs natively on the interned packed representation, on dense
+// SymbolPool ids with no string traffic. Register provenance lives in one
+// flat table indexed by pool id, bound shallowly: a slot is visible only to
+// the frame that wrote it, a callee's first write saves the caller's slot to
+// an undo log, and Ret restores it. Provenance is read by reference, keeps
+// its sources in first-seen order, and a register carrying more than a fixed
+// bound of sources is an AnalysisError, never a silently dropped read. DDG
+// nodes are resolved through per-id vectors that produce exactly the legacy
+// labels. One implementation serves the batch path (a TraceBuffer replay)
+// and the streaming path (RecordViews remapped one at a time into a scratch
+// TraceBuffer), so batch and streaming results are identical by
+// construction.
 #pragma once
 
 #include <cstdint>

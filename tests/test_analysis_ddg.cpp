@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 
 #include "analysis/ddg.hpp"
+#include "support/strings.hpp"
 
 #include "helpers.hpp"
 
@@ -37,6 +39,36 @@ TEST(Ddg, NodeAndEdgeBasics) {
   g.add_edge(a, a);  // self loops are dropped
   EXPECT_EQ(g.num_edges(), 1u);
   EXPECT_EQ(g.find("missing"), -1);
+
+  // Thousands of distinct edges, each re-added in shuffled rounds (the edge
+  // set grows several times on the way): each is kept once, and the graph
+  // prints like the same graph built once in sorted order.
+  constexpr int kNodes = 64;
+  Ddg shuffled;
+  Ddg sorted;
+  for (int n = 0; n < kNodes; ++n) {
+    const NodeKind kind = n % 3 == 0 ? NodeKind::MliVar : NodeKind::Register;
+    shuffled.node(strf("v%d", n), kind);
+    sorted.node(strf("v%d", n), kind);
+  }
+  std::vector<std::pair<int, int>> edges;
+  for (int p = 0; p < kNodes; ++p) {
+    for (int c = 0; c < kNodes; ++c) {
+      if (p != c && (p * 7 + c * 3) % 5 != 0) edges.emplace_back(p, c);
+    }
+  }
+  ASSERT_GE(edges.size(), 2000u);
+  std::mt19937 rng(16);
+  for (int round = 0; round < 4; ++round) {
+    std::shuffle(edges.begin(), edges.end(), rng);
+    for (const auto& [p, c] : edges) shuffled.add_edge(p, c);
+    EXPECT_EQ(shuffled.num_edges(), edges.size());
+  }
+  std::sort(edges.begin(), edges.end());
+  for (const auto& [p, c] : edges) sorted.add_edge(p, c);
+  EXPECT_EQ(sorted.num_edges(), edges.size());
+  EXPECT_EQ(shuffled.to_dot(), sorted.to_dot());
+  EXPECT_EQ(shuffled.contract().to_dot(), sorted.contract().to_dot());
 }
 
 TEST(Ddg, MliStatusUpgrades) {
