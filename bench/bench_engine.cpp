@@ -13,8 +13,8 @@
 //
 // plus per-codec encode/decode throughput over each app's real protected
 // snapshot (base = first commit, input = last commit, the XOR-realistic
-// drift), and L3 packed-archive append/recover MB/s over each app's real
-// MCTA frame stream. `--smoke` runs a 4-app subset for CI logs: compression-ratio
+// drift), and L3 archive append/recover MB/s over each app's real MCTA
+// frame stream. `--smoke` runs a 4-app subset for CI logs: compression-ratio
 // regressions show up as a drop in the "apps improved" count, which is also
 // the exit status. `--json PATH` emits the machine-readable BENCH_engine.json
 // trajectory record (app, bytes, wall-ns, peak-RSS) that CI uploads as an
@@ -34,6 +34,7 @@
 #include "support/table.hpp"
 #include "support/timer.hpp"
 #include "trace/mctb.hpp"
+#include "trace/reader.hpp"
 
 using namespace ac;
 
@@ -42,6 +43,7 @@ namespace {
 struct IncrResult {
   std::uint64_t l1_bytes = 0;
   std::uint64_t delta_bytes = 0;
+  std::string l1_log;  // one full record, then deltas
 };
 
 IncrResult run_incremental(const ir::Module& module, const analysis::MclRegion& region,
@@ -58,6 +60,7 @@ IncrResult run_incremental(const ir::Module& module, const analysis::MclRegion& 
   IncrResult out;
   out.l1_bytes = r.stats.l1_bytes;
   out.delta_bytes = r.stats.l1_delta_bytes;
+  out.l1_log = ckpt::CheckpointEngine(cfg).log_path(ckpt::EngineLevel::L1);
   return out;
 }
 
@@ -73,21 +76,10 @@ double mbps(std::size_t bytes, double seconds) {
   return seconds > 0 ? static_cast<double>(bytes) / (1024.0 * 1024.0) / seconds : 0.0;
 }
 
-std::string slurp(const std::string& path) {
-  std::string out;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return out;
-  char buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  return out;
-}
-
-/// L3 packed-archive throughput on one app: run a real inline L3 engine, then
-/// (a) re-append the archive's records through the same frame-build + append
-/// path persist() uses and (b) strip the file chain so recover() can only
-/// replay the MCTA frame stream, timing both.
+/// L3 archive throughput on one app: run a real inline L3 engine, then
+/// (a) re-append the archive's records through the engine's frame build and
+/// its synced append_frame, and (b) delete the L1 and L2 logs so recover()
+/// can only replay the archive's frame stream, timing both.
 struct ArchiveResult {
   std::uint64_t pack_bytes = 0;
   double append_mbps = 0;
@@ -105,12 +97,13 @@ ArchiveResult bench_archive(const ir::Module& module, const analysis::MclRegion&
   cfg.level = ckpt::EngineLevel::L3;
   cfg.async = false;
   cfg.full_every = 3;
-  ckpt::CheckpointEngine(cfg).reset();
+  ckpt::CheckpointEngine paths(cfg);
+  paths.reset();
   apps::run_with_engine(module, region, protect, cfg);
 
   ArchiveResult out;
-  const std::string pack_path = cfg.dir + "/" + cfg.tag + ".pack";
-  const std::string pack = slurp(pack_path);
+  const std::string pack_path = paths.log_path(ckpt::EngineLevel::L3);
+  const std::string pack = trace::read_file_bytes(pack_path);
   out.pack_bytes = pack.size();
   if (pack.empty()) return out;
 
@@ -130,11 +123,7 @@ ArchiveResult bench_archive(const ir::Module& module, const analysis::MclRegion&
   for (int r = 0; r < kReps; ++r) {
     for (const trace::MctbFrameView& fr : frames) {
       const std::string frame = trace::mctb_frame(fr.kind, fr.seq, fr.aux, fr.payload, fr.codec);
-      std::FILE* f = std::fopen(scratch.c_str(), "ab");
-      if (!f) return out;
-      const bool ok = std::fwrite(frame.data(), 1, frame.size(), f) == frame.size();
-      std::fclose(f);
-      if (!ok) return out;
+      ckpt::append_frame(scratch, frame);
       appended += frame.size();
     }
   }
@@ -142,15 +131,9 @@ ArchiveResult bench_archive(const ir::Module& module, const analysis::MclRegion&
   std::error_code ec;
   fs::remove(scratch, ec);
 
-  // Leave only the .pack behind: recovery must decode the archive history.
-  for (const std::string& dir : {cfg.dir, cfg.partner_dir}) {
-    for (const auto& entry : fs::directory_iterator(dir, ec)) {
-      const std::string name = entry.path().filename().string();
-      if (name.rfind(cfg.tag + ".", 0) == 0 && name != cfg.tag + ".pack") {
-        fs::remove(entry.path(), ec);
-      }
-    }
-  }
+  // Leave only the archive behind: recovery must decode its history.
+  fs::remove(paths.log_path(ckpt::EngineLevel::L1), ec);
+  fs::remove(paths.log_path(ckpt::EngineLevel::L2), ec);
   WallTimer recover_timer;
   for (int r = 0; r < kReps; ++r) {
     if (ckpt::CheckpointEngine(cfg).recover().iteration() < 0) return out;
@@ -245,9 +228,13 @@ int main(int argc, char** argv) {
     // and then only deltas — and the last, the full stream's recovered state.
     ckpt::CheckpointImage first_img, last_img;
     if (full.stats.checkpoints > 0) {
-      first_img = ckpt::EngineRecord::from_bytes(
-                      slurp("/tmp/" + app.name + "_bench_incr_" + codecs[0].first + ".base.eng"))
-                      .full;
+      const std::string log = trace::read_file_bytes(incr_raw.l1_log);
+      trace::MctbFrameView base;
+      if (!trace::read_mctb_frame(log, 0, base)) {
+        std::fprintf(stderr, "bench_engine: no full record in %s\n", incr_raw.l1_log.c_str());
+        return 1;
+      }
+      first_img = ckpt::EngineRecord::from_bytes(base.payload).full;
       last_img = ckpt::CheckpointEngine(full_cfg).recover();
     }
 
@@ -290,7 +277,7 @@ int main(int argc, char** argv) {
       }
     }
 
-    // L3 packed-archive append/recover throughput (MCTA frame stream).
+    // L3 archive append/recover throughput (MCTA frame stream).
     const ArchiveResult ar =
         bench_archive(module, run.region, protect, app.name + "_bench_arch");
     arch.add_row({app.name, human_bytes(ar.pack_bytes), strf("%.0f", ar.append_mbps),
@@ -339,8 +326,9 @@ int main(int argc, char** argv) {
   std::printf("Encode/decode throughput per codec chain (input = last protected snapshot,\n"
               "XOR base = first snapshot of the same run):\n%s\n",
               tput.render().c_str());
-  std::printf("L3 packed archive (MCTA frame stream; append = frame build + CRC + file\n"
-              "append as in persist(), recover = archive-only engine recovery):\n%s\n",
+  std::printf("L3 archive (MCTA frame stream; append = frame build + CRC + the engine's\n"
+              "append_frame, one write and one fdatasync a frame; recover = archive-only\n"
+              "engine recovery):\n%s\n",
               arch.render().c_str());
   std::printf("Incremental (raw) writes fewer bytes than the BLCR-style stream on %d/%zu apps;\n"
               "the XOR+RLE chain shrinks the L1 delta stream vs raw cells on %d/%zu apps.\n",

@@ -1,9 +1,12 @@
 #include "ckpt/engine.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fcntl.h>
 #include <filesystem>
+#include <optional>
+#include <random>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -14,6 +17,7 @@
 #include "support/strings.hpp"
 #include "support/telemetry.hpp"
 #include "trace/mctb.hpp"
+#include "trace/reader.hpp"
 #include "vm/memory.hpp"
 
 namespace ac::ckpt {
@@ -74,69 +78,76 @@ bool file_exists(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0;
 }
 
-std::string read_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) throw CheckpointError("cannot open: " + path);
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  std::string data(size > 0 ? static_cast<std::size_t>(size) : 0, '\0');
-  if (size > 0 && std::fread(data.data(), 1, data.size(), f) != data.size()) {
-    std::fclose(f);
-    throw CheckpointError("short read: " + path);
-  }
-  std::fclose(f);
-  return data;
-}
-
-void write_file(const std::string& path, const std::string& data, bool sync = false) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (!f) throw CheckpointError("cannot write: " + path);
-  const std::size_t want = AC_FAULT_IO("ckpt.write_file.io", data.size());
-  bool ok = std::fwrite(data.data(), 1, want, f) == want && want == data.size();
-  if (ok && sync) ok = std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
-  if (std::fclose(f) != 0) ok = false;
-  if (!ok) throw CheckpointError("short write: " + path);
-}
-
-/// fsync the directory containing `path` so a just-renamed entry survives
-/// power loss, not only process death.
-void fsync_parent_dir(const std::string& path) {
-  const auto slash = path.rfind('/');
-  const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) throw CheckpointError("cannot open dir for fsync: " + dir);
-  const bool ok = ::fsync(fd) == 0;
-  ::close(fd);
-  if (!ok) throw CheckpointError("dir fsync failed: " + dir);
-}
-
-/// Atomic replace: write to `tmp`, fsync, rename over `path`, fsync the
-/// directory — a kill at any step leaves either the previous good record or
-/// the new one durably named, never a torn file.
-void commit_file(const std::string& tmp, const std::string& path, const std::string& data,
-                 bool sync) {
-  write_file(tmp, data, sync);
-  AC_FAULT("ckpt.writeback.pre_rename");
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw CheckpointError("cannot commit: " + path);
-  }
-  AC_FAULT("ckpt.writeback.post_rename");
-  if (sync) fsync_parent_dir(path);
-}
-
-// --- L3 packed-archive framing ---------------------------------------------
+// --- Logs -------------------------------------------------------------------
 //
-// The archive appends one MCTA frame per record (trace/mctb.hpp):
-// self-delimiting, per-frame CRC, codec-chain stage ids in the header as
-// self-description of the encoded EngineRecord payload. The recovery walks
-// stop at the first entry that is not a whole frame.
+// Every level is one log of MCTA frames (trace/mctb.hpp), one frame per
+// record. The frame's seq field carries the record's seq (0 for a full
+// record) and its aux field the iteration, so a walk over frame headers
+// alone sees where each chain starts and how far it reaches.
 
-/// The frame `kind` tag for archive entries (MCTB section kinds 1..3 name
-/// container sections; the archive uses a disjoint value).
-constexpr std::uint32_t kPackFrameKind = 0x10;
+/// The frame `kind` tag of engine records (MCTB section kinds 1..3 name
+/// container sections; the logs use a disjoint value).
+constexpr std::uint32_t kLogFrameKind = 0x10;
+
+/// A log read whole, with the frames a header walk finds in it. The walk
+/// stops at the first entry that is not a whole engine frame — a torn tail,
+/// garbage, a pre-frame `[len][crc]` entry — and `end` is where it stopped.
+struct Log {
+  struct Frame {
+    std::size_t pos = 0;     // offset in `bytes`
+    std::uint32_t seq = 0;   // the record's seq: 0 starts a chain
+    std::int64_t iteration = -1;
+  };
+  std::string bytes;
+  std::vector<Frame> frames;
+  std::size_t end = 0;
+};
+
+/// A missing or unreadable file reads as an empty log.
+Log read_log(const std::string& path) {
+  Log log;
+  try {
+    log.bytes = trace::read_file_bytes(path);
+  } catch (const Error&) {
+    return log;
+  }
+  trace::MctbFrameView f;
+  while (trace::read_mctb_frame_header(log.bytes, log.end, f) && f.kind == kLogFrameKind) {
+    log.frames.push_back({log.end, f.seq, static_cast<std::int64_t>(f.aux)});
+    log.end += f.frame_size;
+  }
+  return log;
+}
+
+/// Closes its descriptor on every path out, injected throws included.
+struct FileDescriptor {
+  int fd;
+  explicit FileDescriptor(int f) : fd(f) {}
+  FileDescriptor(const FileDescriptor&) = delete;
+  FileDescriptor& operator=(const FileDescriptor&) = delete;
+  ~FileDescriptor() {
+    if (fd >= 0) ::close(fd);
+  }
+};
 
 }  // namespace
+
+void append_frame(const std::string& path, std::string_view frame) {
+  const FileDescriptor file(::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644));
+  if (file.fd < 0) throw CheckpointError("cannot open log: " + path);
+  const std::size_t want = AC_FAULT_IO("ckpt.archive.append", frame.size());
+  for (std::size_t done = 0; done < want;) {
+    const ssize_t n = ::write(file.fd, frame.data() + done, want - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) throw CheckpointError("cannot write log: " + path);
+    done += static_cast<std::size_t>(n);
+  }
+  if (want != frame.size()) throw CheckpointError("short write to log: " + path);
+  // A kill here leaves a record that may not be durable; a throw is a
+  // failed sync, which fails the commit like a failed fdatasync.
+  AC_FAULT("ckpt.writeback.sync");
+  if (::fdatasync(file.fd) != 0) throw CheckpointError("log sync failed: " + path);
+}
 
 // ---------------------------------------------------------------------------
 // Record serialization
@@ -234,7 +245,7 @@ std::string EngineRecord::to_bytes(const CodecChain& chain, const CheckpointImag
   return out;
 }
 
-EngineRecord EngineRecord::from_bytes(const std::string& data, const CheckpointImage* base) {
+EngineRecord EngineRecord::from_bytes(std::string_view data, const CheckpointImage* base) {
   if (data.size() < 12 || std::memcmp(data.data(), kMagic, 4) != 0) {
     throw CheckpointError("bad engine record magic");
   }
@@ -343,6 +354,14 @@ void apply_delta(CheckpointImage& base, const DeltaPatch& patch, std::int64_t it
 
 namespace {
 
+/// An engine's first base id. Random, so two runs over the same logs never
+/// share one: the walk checks base_id to keep a restarted run's full record
+/// from adopting a killed run's deltas in the other log.
+std::uint64_t first_base_id() {
+  std::random_device rd;
+  return (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
+}
+
 /// Copy every cell of `regions` out of the arena into a CheckpointImage.
 CheckpointImage snapshot_regions(const vm::Arena& arena,
                                  const std::vector<ProtectedRegion>& regions) {
@@ -359,14 +378,15 @@ CheckpointImage snapshot_regions(const vm::Arena& arena,
   return img;
 }
 
-/// Bytes of the full record the default raw chain writes for `regions`: the
-/// record header, stage count and length fields wrapped around the image's
-/// to_bytes() (magic, version, iteration, var count, CRC; per variable a
-/// name length, the name, a cell count and 9 bytes a cell), then the CRC.
-std::uint64_t full_raw_record_bytes(const std::vector<ProtectedRegion>& regions) {
+/// Log bytes of the full record the default raw chain writes for `regions`:
+/// the frame header, then the record header, stage count and length fields
+/// wrapped around the image's to_bytes() (magic, version, iteration, var
+/// count, CRC; per variable a name length, the name, a cell count and 9 bytes
+/// a cell), then the record CRC.
+std::uint64_t full_raw_frame_bytes(const std::vector<ProtectedRegion>& regions) {
   std::uint64_t image = 4 + 4 + 8 + 4 + 4;
   for (const auto& r : regions) image += 4 + r.name.size() + 8 + (r.bytes / vm::kCellBytes) * 9;
-  return kHeaderBytes + 1 + 8 + 4 + image + 4;
+  return trace::kMctbFrameHeaderBytes + kHeaderBytes + 1 + 8 + 4 + image + 4;
 }
 
 }  // namespace
@@ -375,13 +395,14 @@ std::uint64_t full_raw_record_bytes(const std::vector<ProtectedRegion>& regions)
 // Engine lifecycle
 // ---------------------------------------------------------------------------
 
-CheckpointEngine::CheckpointEngine(EngineConfig cfg) : cfg_(std::move(cfg)) {
+CheckpointEngine::CheckpointEngine(EngineConfig cfg)
+    : cfg_(std::move(cfg)), base_id_(first_base_id()) {
   AC_CHECK(!cfg_.dir.empty(), "engine: dir is required");
   if (cfg_.level >= EngineLevel::L2) {
     AC_CHECK(!cfg_.partner_dir.empty(), "engine: partner_dir is required for L2/L3");
-    // A replica in the local directory is the same file under the same name:
-    // zero redundancy, and the partner write would clobber the committed
-    // base. Refuse rather than silently degrade below L1.
+    // A replica in the local directory is the same log under the same name:
+    // zero redundancy, and the partner write would clobber the local log.
+    // Refuse rather than silently degrade below L1.
     AC_CHECK(std::filesystem::weakly_canonical(cfg_.partner_dir) !=
                  std::filesystem::weakly_canonical(cfg_.dir),
              "engine: partner_dir must differ from dir for L2/L3");
@@ -405,16 +426,16 @@ CheckpointEngine::~CheckpointEngine() {
   }
 }
 
-std::string CheckpointEngine::base_path(bool partner) const {
-  return (partner ? cfg_.partner_dir : cfg_.dir) + "/" + cfg_.tag + ".base.eng";
-}
-std::string CheckpointEngine::delta_path(std::uint64_t seq, bool partner) const {
-  return (partner ? cfg_.partner_dir : cfg_.dir) + "/" + cfg_.tag +
-         strf(".delta.%llu.eng", static_cast<unsigned long long>(seq));
-}
-std::string CheckpointEngine::pack_path() const { return cfg_.dir + "/" + cfg_.tag + ".pack"; }
-std::string CheckpointEngine::tmp_path(bool partner) const {
-  return (partner ? cfg_.partner_dir : cfg_.dir) + "/" + cfg_.tag + ".eng.tmp";
+std::string CheckpointEngine::log_path(EngineLevel level) const {
+  switch (level) {
+    case EngineLevel::L1:
+      return cfg_.dir + "/" + cfg_.tag + ".eng";
+    case EngineLevel::L2:
+      return cfg_.partner_dir.empty() ? std::string() : cfg_.partner_dir + "/" + cfg_.tag + ".eng";
+    case EngineLevel::L3:
+      break;
+  }
+  return cfg_.dir + "/" + cfg_.tag + ".pack";
 }
 
 // ---------------------------------------------------------------------------
@@ -566,7 +587,7 @@ bool CheckpointEngine::on_iteration(std::int64_t completed_iter, vm::Arena& aren
   last_commit_iter_ = completed_iter;
 
   // Stats that belong to capture time (the writer owns the byte counters).
-  const std::uint64_t full_equiv = full_raw_record_bytes(regions);
+  const std::uint64_t full_equiv = full_raw_frame_bytes(regions);
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.checkpoints;
@@ -601,7 +622,17 @@ bool CheckpointEngine::on_iteration(std::int64_t completed_iter, vm::Arena& aren
 
 void CheckpointEngine::commit(EngineRecord rec) {
   if (!cfg_.async) {
-    persist(rec);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      check_writer_error();
+    }
+    try {
+      persist(rec);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mu_);
+      writer_error_ = std::current_exception();
+      throw;
+    }
     return;
   }
   static auto& depth = telemetry::metrics().gauge("ckpt.queue_depth");
@@ -624,6 +655,7 @@ void CheckpointEngine::commit(EngineRecord rec) {
 void CheckpointEngine::writer_loop() {
   for (;;) {
     EngineRecord rec;
+    bool failed = false;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
@@ -633,15 +665,20 @@ void CheckpointEngine::writer_loop() {
       static auto& depth = telemetry::metrics().gauge("ckpt.queue_depth");
       depth.set(static_cast<std::int64_t>(queue_.size()));
       writing_ = true;
+      failed = writer_error_ != nullptr;
     }
     // The slot freed at pop time: wake a stalled producer now, not after the
     // I/O — that is what makes the buffering double rather than single.
     cv_.notify_all();
+    // After a failed commit the record is dropped: it would extend a chain
+    // the failure broke, and no commit after a failure may succeed.
     std::exception_ptr error;
-    try {
-      persist(rec);
-    } catch (...) {
-      error = std::current_exception();
+    if (!failed) {
+      try {
+        persist(rec);
+      } catch (...) {
+        error = std::current_exception();
+      }
     }
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -655,87 +692,62 @@ void CheckpointEngine::writer_loop() {
 void CheckpointEngine::persist(const EngineRecord& rec) {
   AC_SPAN("ckpt.writeback");
   const CheckpointImage* xor_base = rec.xor_base.get();
+  const auto frame = [&](const std::string& payload, const CodecChain& chain) {
+    return trace::mctb_frame(kLogFrameKind, static_cast<std::uint32_t>(rec.seq),
+                             static_cast<std::uint64_t>(rec.iteration), payload, chain);
+  };
   EncodedSizes l1_sizes;
   AC_FAULT("ckpt.writeback.encode");
-  const std::string bytes = [&] {
-    AC_SPAN("ckpt.encode");
-    return rec.to_bytes(cfg_.l1_codec, xor_base, &l1_sizes);
-  }();
+  const std::string l1 = frame(
+      [&] {
+        AC_SPAN("ckpt.encode");
+        return rec.to_bytes(cfg_.l1_codec, xor_base, &l1_sizes);
+      }(),
+      cfg_.l1_codec);
+  // Each level frames its own codec chain's encoding; a chain equal to L1's
+  // reuses the L1 frame instead of encoding twice.
+  const auto level_frame = [&](const CodecChain& chain) {
+    return chain == cfg_.l1_codec ? l1 : frame(rec.to_bytes(chain, xor_base), chain);
+  };
   const bool full = rec.kind == EngineRecord::Kind::Full;
 
-  // L1: atomic replace for the base; deltas are fresh files (their chain is
-  // validated by CRC + base_id + seq on recovery, so a torn delta only costs
-  // the tail of the chain).
-  const std::string local = full ? base_path(false) : delta_path(rec.seq, false);
-  commit_file(tmp_path(false), local, bytes, cfg_.fsync_commits);
-  if (full) {
-    // A new base supersedes the previous chain: drop stale local deltas.
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    for (const auto& entry : fs::directory_iterator(cfg_.dir, ec)) {
-      const std::string name = entry.path().filename().string();
-      if (name.rfind(cfg_.tag + ".delta.", 0) == 0) fs::remove(entry.path(), ec);
-    }
-  }
-
-  // L2: partner replica, written after the local commit. Each
-  // level encodes through its own codec chain; identical chains reuse the L1
-  // serialization instead of encoding twice.
+  // A full record starts fresh L1 and L2 logs; a delta extends them. The
+  // partner copy is written after the local one, so a kill between the two
+  // leaves logs whose records the walk tells apart by base_id and seq.
+  write_log(EngineLevel::L1, l1, full);
   std::uint64_t l2_size = 0;
   if (cfg_.level >= EngineLevel::L2) {
-    const std::string l2_bytes =
-        cfg_.l2_codec == cfg_.l1_codec ? bytes : rec.to_bytes(cfg_.l2_codec, xor_base);
-    l2_size = l2_bytes.size();
+    const std::string l2 = level_frame(cfg_.l2_codec);
+    l2_size = l2.size();
     AC_FAULT("ckpt.writeback.l2");
-    commit_file(tmp_path(true), full ? base_path(true) : delta_path(rec.seq, true), l2_bytes,
-                cfg_.fsync_commits);
-    if (full) {
-      namespace fs = std::filesystem;
-      std::error_code ec;
-      for (const auto& entry : fs::directory_iterator(cfg_.partner_dir, ec)) {
-        const std::string name = entry.path().filename().string();
-        if (name.rfind(cfg_.tag + ".delta.", 0) == 0) fs::remove(entry.path(), ec);
-      }
-    }
+    write_log(EngineLevel::L2, l2, full);
   }
-
-  // L3: append one MCTA frame to the packed archive. The frame is built in
-  // memory and shipped as a single fwrite, so a kill mid-append leaves at
-  // worst one torn frame at the tail, which the recovery walk drops cleanly.
+  // The archive only grows: every record of every chain, in commit order.
   std::uint64_t l3_size = 0;
   if (cfg_.level >= EngineLevel::L3) {
-    const std::string l3_bytes =
-        cfg_.l3_codec == cfg_.l1_codec ? bytes : rec.to_bytes(cfg_.l3_codec, xor_base);
-    const std::string frame =
-        trace::mctb_frame(kPackFrameKind, static_cast<std::uint32_t>(rec.seq),
-                          static_cast<std::uint64_t>(rec.iteration), l3_bytes, cfg_.l3_codec);
-    l3_size = frame.size();
+    const std::string l3 = level_frame(cfg_.l3_codec);
+    l3_size = l3.size();
     AC_FAULT("ckpt.writeback.l3_append");
-    std::FILE* f = std::fopen(pack_path().c_str(), "ab");
-    if (!f) throw CheckpointError("cannot append to archive: " + pack_path());
-    const std::size_t want = AC_FAULT_IO("ckpt.archive.append", frame.size());
-    bool ok = std::fwrite(frame.data(), 1, want, f) == want && want == frame.size();
-    if (std::fclose(f) != 0) ok = false;
-    if (!ok) throw CheckpointError("short append to archive: " + pack_path());
+    write_log(EngineLevel::L3, l3, /*rotate=*/false);
   }
 
   {
     std::lock_guard<std::mutex> lock(mu_);
-    stats_.l1_bytes += bytes.size();
-    if (!full) stats_.l1_delta_bytes += bytes.size();
+    stats_.l1_bytes += l1.size();
+    if (!full) stats_.l1_delta_bytes += l1.size();
     stats_.payload_raw_bytes += l1_sizes.raw;
     stats_.payload_encoded_bytes += l1_sizes.encoded;
-    if (cfg_.level >= EngineLevel::L2) stats_.l2_bytes += l2_size;
-    if (cfg_.level >= EngineLevel::L3) stats_.l3_bytes += l3_size;  // whole frames
+    stats_.l2_bytes += l2_size;
+    stats_.l3_bytes += l3_size;
     stats_.last_persisted_iteration = std::max(stats_.last_persisted_iteration, rec.iteration);
   }
   // Registry mirrors of the writer-side byte counters.
-  static auto& l1 = telemetry::metrics().counter("ckpt.l1_bytes");
+  static auto& l1_counter = telemetry::metrics().counter("ckpt.l1_bytes");
   static auto& l1d = telemetry::metrics().counter("ckpt.l1_delta_bytes");
   static auto& raw = telemetry::metrics().counter("ckpt.payload_raw_bytes");
   static auto& enc = telemetry::metrics().counter("ckpt.payload_encoded_bytes");
-  l1.add(bytes.size());
-  if (!full) l1d.add(bytes.size());
+  l1_counter.add(l1.size());
+  if (!full) l1d.add(l1.size());
   raw.add(l1_sizes.raw);
   enc.add(l1_sizes.encoded);
   if (cfg_.level >= EngineLevel::L2) {
@@ -746,6 +758,40 @@ void CheckpointEngine::persist(const EngineRecord& rec) {
     static auto& l3 = telemetry::metrics().counter("ckpt.l3_bytes");
     l3.add(l3_size);
   }
+}
+
+void CheckpointEngine::write_log(EngineLevel level, const std::string& frame, bool rotate) {
+  const std::string path = log_path(level);
+  bool& trimmed = log_trimmed_[static_cast<int>(level) - 1];
+  if (rotate) {
+    // Atomic replace: a kill at any step leaves either the old log or the
+    // new one durably named, never a torn log.
+    const std::string tmp = path + ".tmp";
+    std::remove(tmp.c_str());  // left behind by a rotation that was killed
+    append_frame(tmp, frame);
+    AC_FAULT("ckpt.writeback.pre_rename");
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) throw CheckpointError("cannot commit: " + path);
+    AC_FAULT("ckpt.writeback.post_rename");
+    trace::fsync_parent_dir(path);
+    trimmed = true;
+    return;
+  }
+  bool created = false;
+  if (!trimmed) {
+    // This engine's first append to a log it did not write: cut the file
+    // back to the end of its last whole frame, where every walk stops, or
+    // the records appended from here on would sit behind a torn tail.
+    created = !file_exists(path);
+    if (!created) {
+      const Log log = read_log(path);
+      if (log.end < log.bytes.size() && ::truncate(path.c_str(), static_cast<off_t>(log.end)) != 0) {
+        throw CheckpointError("cannot trim torn log tail: " + path);
+      }
+    }
+    trimmed = true;
+  }
+  append_frame(path, frame);
+  if (created) trace::fsync_parent_dir(path);
 }
 
 void CheckpointEngine::drain() const {
@@ -768,226 +814,127 @@ void CheckpointEngine::flush() {
 // Recovery
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// The longest valid chain in `logs`, which hold the same records in the
+/// same order (a local log and its partner replica, or the archive alone),
+/// so record k of a chain sits at frame start+k in each. The chain starts at
+/// the last full record that decodes; each later record comes from the first
+/// log whose copy passes its CRC and decodes as the next delta of that base
+/// (same base_id, next seq), and the chain ends at the first record no log
+/// holds. Returns nothing when no full record decodes, or — judged on frame
+/// headers alone, before any payload is decoded — when the last chain does
+/// not reach past iteration `beat`.
+std::optional<CheckpointImage> longest_chain(const std::vector<Log>& logs, std::int64_t beat) {
+  std::size_t depth = 0;
+  for (const Log& log : logs) depth = std::max(depth, log.frames.size());
+  // Frame i's header from the first log that holds it.
+  const auto header = [&](std::size_t i) -> const Log::Frame* {
+    for (const Log& log : logs) {
+      if (i < log.frames.size()) return &log.frames[i];
+    }
+    return nullptr;
+  };
+  // Frame i decoded from the first log whose copy is record `seq` of the
+  // chain: the full record (base == nullptr) or the next delta of `base`.
+  const auto decode = [&](std::size_t i, std::uint64_t seq,
+                          const EngineRecord* base) -> std::optional<EngineRecord> {
+    for (const Log& log : logs) {
+      trace::MctbFrameView f;
+      if (i >= log.frames.size() || !trace::read_mctb_frame(log.bytes, log.frames[i].pos, f)) {
+        continue;
+      }
+      try {
+        EngineRecord rec = EngineRecord::from_bytes(f.payload, base ? &base->full : nullptr);
+        const bool next = base ? rec.kind == EngineRecord::Kind::Delta &&
+                                     rec.base_id == base->base_id && rec.seq == seq
+                               : rec.kind == EngineRecord::Kind::Full;
+        if (next) return rec;
+      } catch (const CheckpointError&) {
+        // A copy that does not decode is a missing copy.
+      }
+    }
+    return std::nullopt;
+  };
+
+  bool promised = false;
+  for (std::size_t start = depth; start-- > 0;) {
+    const Log::Frame* head = header(start);
+    if (head->seq != 0) continue;
+    if (!promised) {
+      std::int64_t reach = head->iteration;
+      for (std::uint32_t k = 1; const Log::Frame* h = header(start + k); ++k) {
+        if (h->seq != k) break;
+        reach = h->iteration;
+      }
+      if (reach <= beat) return std::nullopt;
+      promised = true;
+    }
+    const std::optional<EngineRecord> base = decode(start, 0, nullptr);
+    if (!base) continue;  // start from the previous full record
+    // The pristine base stays the XOR reference of every delta; `img`
+    // accumulates the patches.
+    CheckpointImage img = base->full;
+    for (std::uint64_t k = 1;; ++k) {
+      const std::optional<EngineRecord> delta = decode(start + k, k, &*base);
+      if (!delta) break;
+      apply_delta(img, delta->delta, delta->iteration);
+    }
+    return img;
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
 bool CheckpointEngine::has_checkpoint() const {
   drain();
-  return file_exists(base_path(false)) ||
-         (cfg_.level >= EngineLevel::L2 && file_exists(base_path(true))) ||
-         (cfg_.level >= EngineLevel::L3 && file_exists(pack_path()));
-}
-
-EngineRecord CheckpointEngine::load_record(const std::string& local, const std::string& partner,
-                                           const CheckpointImage* base) const {
-  try {
-    AC_FAULT("ckpt.recover.local");
-    return EngineRecord::from_bytes(read_file(local), base);
-  } catch (const CheckpointError&) {
-    if (cfg_.level < EngineLevel::L2) throw;
-    return EngineRecord::from_bytes(read_file(partner), base);
-  }
-}
-
-CheckpointImage CheckpointEngine::recover_from_files() const {
-  EngineRecord base = load_record(base_path(false), base_path(true), nullptr);
-  if (base.kind != EngineRecord::Kind::Full) throw CheckpointError("base record is not full");
-  // The pristine base stays the XOR reference for every delta in the chain;
-  // `img` accumulates the patches.
-  const CheckpointImage base_img = base.full;
-  CheckpointImage img = std::move(base.full);
-
-  // Apply the delta chain in sequence order; any gap, CRC failure or base_id
-  // mismatch ends the recoverable prefix (later deltas depend on every
-  // earlier one, so they are unusable).
-  std::uint64_t expect_seq = 1;
-  for (;;) {
-    EngineRecord delta;
-    try {
-      delta = load_record(delta_path(expect_seq, false), delta_path(expect_seq, true), &base_img);
-    } catch (const CheckpointError&) {
-      break;
-    }
-    if (delta.kind != EngineRecord::Kind::Delta || delta.base_id != base.base_id ||
-        delta.seq != expect_seq) {
-      break;
-    }
-    apply_delta(img, delta.delta, delta.iteration);
-    ++expect_seq;
-  }
-  return img;
-}
-
-std::int64_t CheckpointEngine::pack_best_iteration() const {
-  std::string data;
-  try {
-    data = read_file(pack_path());
-  } catch (const CheckpointError&) {
-    return -1;
-  }
-
-  // Same frame walk as recover_from_pack, but reading only the fixed-offset
-  // record header (magic, version, kind, base_id, seq, iteration) and
-  // skipping both payload decode AND the per-frame CRC. That makes the estimate
-  // optimistic under corruption — an entry with a clean header but rotten
-  // payload counts — which is safe: recover() only adopts the pack after the
-  // real (CRC-checked) decode confirms it beats the file chain, so an
-  // overestimate merely costs one wasted decode, and corruption that
-  // scrambles the header itself stops both walks alike.
-  struct Head {
-    EngineRecord::Kind kind;
-    std::uint64_t base_id, seq;
-    std::int64_t iteration;
-  };
-  std::vector<Head> heads;
-  trace::MctbFrameView frame;
-  for (std::size_t pos = 0; trace::read_mctb_frame_header(data, pos, frame);
-       pos += frame.frame_size) {
-    const char* chunk = frame.payload.data();
-    if (frame.payload.size() < kHeaderBytes + 4 || std::memcmp(chunk, kMagic, 4) != 0) break;
-    std::uint32_t version;
-    std::memcpy(&version, chunk + 4, 4);
-    if (version != kVersion) break;
-    Head h;
-    h.kind = static_cast<EngineRecord::Kind>(chunk[8]);
-    std::memcpy(&h.base_id, chunk + 9, 8);
-    std::memcpy(&h.seq, chunk + 17, 8);
-    std::uint64_t iter;
-    std::memcpy(&iter, chunk + 25, 8);
-    h.iteration = static_cast<std::int64_t>(iter);
-    heads.push_back(h);
-  }
-
-  std::ptrdiff_t last_full = -1;
-  for (std::ptrdiff_t i = static_cast<std::ptrdiff_t>(heads.size()) - 1; i >= 0; --i) {
-    if (heads[static_cast<std::size_t>(i)].kind == EngineRecord::Kind::Full) {
-      last_full = i;
-      break;
-    }
-  }
-  if (last_full < 0) return -1;
-
-  std::int64_t best = heads[static_cast<std::size_t>(last_full)].iteration;
-  std::uint64_t expect_seq = 1;
-  for (std::size_t i = static_cast<std::size_t>(last_full) + 1; i < heads.size(); ++i) {
-    const Head& h = heads[i];
-    if (h.kind != EngineRecord::Kind::Delta ||
-        h.base_id != heads[static_cast<std::size_t>(last_full)].base_id ||
-        h.seq != expect_seq) {
-      break;
-    }
-    best = h.iteration;
-    ++expect_seq;
-  }
-  return best;
-}
-
-CheckpointImage CheckpointEngine::recover_from_pack() const {
-  const std::string data = read_file(pack_path());
-  std::vector<EngineRecord> records;
-  // Records are appended in commit order, so each delta's full base precedes
-  // it in the archive — track the latest full image as the XOR reference.
-  // read_mctb_frame verifies each frame's CRC: corruption stops the walk.
-  std::shared_ptr<const CheckpointImage> cur_base;
-  trace::MctbFrameView frame;
-  for (std::size_t pos = 0; trace::read_mctb_frame(data, pos, frame); pos += frame.frame_size) {
-    try {
-      records.push_back(EngineRecord::from_bytes(std::string(frame.payload), cur_base.get()));
-    } catch (const CheckpointError&) {
-      break;
-    }
-    if (records.back().kind == EngineRecord::Kind::Full) {
-      cur_base = std::make_shared<CheckpointImage>(records.back().full);
-    }
-  }
-
-  // Reassemble from the last full record forward.
-  std::ptrdiff_t last_full = -1;
-  for (std::ptrdiff_t i = static_cast<std::ptrdiff_t>(records.size()) - 1; i >= 0; --i) {
-    if (records[static_cast<std::size_t>(i)].kind == EngineRecord::Kind::Full) {
-      last_full = i;
-      break;
-    }
-  }
-  if (last_full < 0) throw CheckpointError("archive holds no full checkpoint: " + pack_path());
-
-  const EngineRecord& base = records[static_cast<std::size_t>(last_full)];
-  CheckpointImage img = base.full;
-  std::uint64_t expect_seq = 1;
-  for (std::size_t i = static_cast<std::size_t>(last_full) + 1; i < records.size(); ++i) {
-    const EngineRecord& delta = records[i];
-    if (delta.kind != EngineRecord::Kind::Delta || delta.base_id != base.base_id ||
-        delta.seq != expect_seq) {
-      break;
-    }
-    apply_delta(img, delta.delta, delta.iteration);
-    ++expect_seq;
-  }
-  return img;
+  return file_exists(log_path(EngineLevel::L1)) ||
+         (cfg_.level >= EngineLevel::L2 && file_exists(log_path(EngineLevel::L2))) ||
+         (cfg_.level >= EngineLevel::L3 && file_exists(log_path(EngineLevel::L3)));
 }
 
 CheckpointImage CheckpointEngine::recover() const {
   drain();
-  // Level-by-level, as documented: per-file L1 -> L2 fallback happens inside
-  // load_record; here the L3 archive competes with the file-based chain. A
-  // delta corrupted in both directories silently truncates the file chain
-  // (recover_from_files returns an earlier iteration without throwing), so
-  // "archive as last resort" must mean "whichever source recovers further",
-  // not "only when the files are gone".
-  std::exception_ptr files_error;
-  CheckpointImage best;
-  bool have_best = false;
+  std::vector<Log> logs(1);
   try {
-    best = recover_from_files();
-    have_best = true;
+    AC_FAULT("ckpt.recover.local");
+    logs[0] = read_log(log_path(EngineLevel::L1));
   } catch (const CheckpointError&) {
-    files_error = std::current_exception();
+    // An injected read failure: every record must come from the partner.
   }
-  if (cfg_.level >= EngineLevel::L3 && file_exists(pack_path())) {
-    // Header-only peek first: reading the archive is unavoidable (it is the
-    // only way to know whether it can beat the file chain), but CRC-scanning
-    // and codec-decoding every checkpoint ever taken is not — a routine
-    // restart with a healthy file chain skips all of that.
-    const std::int64_t pack_iter = pack_best_iteration();
-    if (pack_iter >= 0 && (!have_best || pack_iter > best.iteration())) {
-      try {
-        CheckpointImage packed = recover_from_pack();
-        if (!have_best || packed.iteration() > best.iteration()) {
-          best = std::move(packed);
-          have_best = true;
-        }
-      } catch (const CheckpointError&) {
-        // The files-based result (or the files error) stands.
-      }
-    }
+  if (cfg_.level >= EngineLevel::L2) logs.push_back(read_log(log_path(EngineLevel::L2)));
+  std::optional<CheckpointImage> best = longest_chain(logs, -1);
+
+  // The archive wins only by reaching a later iteration, and a routine
+  // restart whose local chain is whole decodes none of its history.
+  if (cfg_.level >= EngineLevel::L3) {
+    const std::vector<Log> archive{read_log(log_path(EngineLevel::L3))};
+    std::optional<CheckpointImage> packed = longest_chain(archive, best ? best->iteration() : -1);
+    if (packed && (!best || packed->iteration() > best->iteration())) best = std::move(packed);
   }
-  if (!have_best) {
-    if (files_error) std::rethrow_exception(files_error);
-    throw CheckpointError("no recoverable checkpoint for tag: " + cfg_.tag);
-  }
-  return best;
+  if (!best) throw CheckpointError("no recoverable checkpoint for tag: " + cfg_.tag);
+  return std::move(*best);
 }
 
 void CheckpointEngine::reset() {
   flush();
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  const auto sweep = [&](const std::string& dir) {
-    if (dir.empty()) return;
-    for (const auto& entry : fs::directory_iterator(dir, ec)) {
-      const std::string name = entry.path().filename().string();
-      if (name.rfind(cfg_.tag + ".", 0) == 0) fs::remove(entry.path(), ec);
-    }
-  };
-  sweep(cfg_.dir);
-  sweep(cfg_.partner_dir);
+  for (const EngineLevel level : {EngineLevel::L1, EngineLevel::L2, EngineLevel::L3}) {
+    const std::string path = log_path(level);
+    if (path.empty()) continue;
+    std::remove(path.c_str());
+    std::remove((path + ".tmp").c_str());
+  }
 
   std::lock_guard<std::mutex> lock(mu_);
   stats_ = EngineStats{};
   have_base_ = false;
   base_image_.reset();
-  base_id_ = 0;
   next_seq_ = 1;
   last_commit_iter_ = 0;
   commits_since_full_ = 0;
   iter_timer_live_ = false;
+  for (bool& trimmed : log_trimmed_) trimmed = false;
 }
 
 EngineStats CheckpointEngine::stats() const {

@@ -13,18 +13,24 @@
 //     epoch; after a committed snapshot the engine advances the epoch and the
 //     next delta persists only cells dirtied since (a full base image is
 //     rewritten every `full_every` commits to bound the recovery chain);
-//   * multi-level storage, mirroring FTI's hierarchy:
-//       L1  local checkpoint files,
-//       L2  plus a partner-directory replica consulted when a local file is
-//           missing or fails its CRC,
-//       L3  plus an append-only packed archive of every record as MCTA
-//           frames (trace/mctb.hpp — self-delimiting, per-frame CRC32,
-//           self-describing codec ids), scanned as the last-resort recovery
-//           source; the walk stops at the first entry that is not a whole
-//           frame, so a torn tail costs only the records after it;
+//   * multi-level storage, mirroring FTI's hierarchy, where every level is
+//     one append-only log of MCTA frames (trace/mctb.hpp — self-delimiting,
+//     per-frame CRC32, one frame per record; log_path() names each):
+//       L1  the local log in `dir`,
+//       L2  plus its replica in `partner_dir`, the per-record fallback when
+//           a local record is torn, corrupt or missing,
+//       L3  plus the archive, which keeps every record ever committed and
+//           wins when it recovers a later iteration;
+//     a full record starts a fresh L1/L2 log with one atomic replace, and a
+//     delta, like every archive record, is one append plus one fdatasync.
+//     One walk turns logs into their longest valid chain; it stops at the
+//     first entry that is not a whole frame, so a torn tail costs only the
+//     records from it on, and the engine's first append to a log cuts such
+//     a tail off so the records it appends stay reachable;
 //   * asynchronous writeback — capture happens on the VM thread into an
 //     in-memory record, persistence on a background writer thread with a
 //     double-buffered queue (the VM only stalls when both slots are full);
+//     a failed write fails its commit, and nothing is written after it;
 //   * pluggable payload codecs (codec.hpp) — each storage level encodes its
 //     records through its own codec chain (XOR-vs-base, RLE, LZ, stacked),
 //     with the stage ids in the record header so every store self-describes;
@@ -38,6 +44,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -121,10 +128,9 @@ struct EngineRecord {
   std::string to_bytes() const { return to_bytes(CodecChain{}, nullptr); }
 
   /// Parse + verify. `base` is required to decode a delta whose chain starts
-  /// with XOR (recovery loads the chain's base record first and passes its
+  /// with XOR (recovery decodes the chain's full record first and passes its
   /// pristine image); all other payloads decode without it.
-  static EngineRecord from_bytes(const std::string& data,
-                                 const CheckpointImage* base = nullptr);
+  static EngineRecord from_bytes(std::string_view data, const CheckpointImage* base = nullptr);
 };
 
 /// FTI-style reliability level of the engine's storage stack; each level
@@ -145,15 +151,9 @@ struct EngineConfig {
   /// Persist on a background writer thread (double-buffered); false = inline.
   bool async = true;
 
-  /// Durable commits: fsync record files before the rename that names them,
-  /// and fsync the directory after. Off trades crash-consistency across
-  /// power loss for speed (process death still can't tear a named record —
-  /// the temp-file + rename protocol holds either way).
-  bool fsync_commits = true;
-
   /// Per-level payload codecs (codec.hpp). Defaults are raw; typical tuning
-  /// keeps L1 raw or RLE for commit speed and gives the L3 packed archive
-  /// the full XOR+RLE+LZ chain. Records are self-describing, so levels can
+  /// keeps L1 raw or RLE for commit speed and gives the L3 archive the full
+  /// XOR+RLE+LZ chain. Records are self-describing, so levels can
   /// disagree freely.
   CodecChain l1_codec;
   CodecChain l2_codec;
@@ -175,7 +175,7 @@ struct EngineStats {
   std::int64_t full_checkpoints = 0;
   std::int64_t delta_checkpoints = 0;
   std::uint64_t cells_captured = 0;    // cells across all records
-  std::uint64_t l1_bytes = 0;          // serialized bytes written per level
+  std::uint64_t l1_bytes = 0;          // log bytes written per level, whole frames
   std::uint64_t l1_delta_bytes = 0;    // the delta-record share of l1_bytes
   std::uint64_t l2_bytes = 0;
   std::uint64_t l3_bytes = 0;
@@ -215,21 +215,33 @@ class CheckpointEngine {
   bool on_iteration(std::int64_t completed_iter, vm::Arena& arena,
                     const std::vector<ProtectedRegion>& regions);
 
-  /// Drain the writeback queue; rethrows any writer-thread error.
+  /// Drain the writeback queue; rethrows the first failed commit's error.
+  /// After a failed commit nothing more is written, and every later commit
+  /// and flush rethrows it.
   void flush();
 
   // --- restart ------------------------------------------------------------
   bool has_checkpoint() const;
-  /// Reassemble the latest recoverable state (base + valid delta chain),
-  /// falling back level by level: each file is read L1-first with the L2
-  /// partner replica as the per-file fallback, and at L3 the packed archive
-  /// is also scanned — whichever source yields the later iteration wins, so
-  /// a delta corrupted in both directories costs nothing the archive still
-  /// holds. Returns a plain CheckpointImage for vm::RunOptions::restore.
+  /// Reassemble the latest recoverable state: a full record plus the valid
+  /// deltas after it. The local log and its L2 replica are walked together,
+  /// record by record: each record comes from the local copy when that copy
+  /// passes its CRC and decodes as the chain's next record (same base_id,
+  /// next seq), else from the partner's copy. At L3 the archive competes:
+  /// its frame headers are walked first, its payloads are decoded — from its
+  /// last full record that decodes — only when those headers promise a later
+  /// iteration, and it wins when it recovers one. A torn or non-frame entry
+  /// ends a log's walk and costs only the records from it on. Returns a plain
+  /// CheckpointImage for vm::RunOptions::restore; throws CheckpointError when
+  /// no log holds a decodable full record.
   CheckpointImage recover() const;
 
-  /// Remove every engine file for this tag (fresh experiment).
+  /// Remove this tag's logs at every level (fresh experiment).
   void reset();
+
+  /// The log a level writes: `<dir>/<tag>.eng` (L1), the same name in
+  /// partner_dir (L2, empty when no partner_dir is set), `<dir>/<tag>.pack`
+  /// (the L3 archive).
+  std::string log_path(EngineLevel level) const;
 
   EngineStats stats() const;
   IntervalPolicy& policy() const { return *cfg_.policy; }
@@ -259,31 +271,29 @@ class CheckpointEngine {
   bool stop_ = false;
   std::exception_ptr writer_error_;
   EngineStats stats_;
+  /// Per level: this engine rotated the log or cut its torn tail, so an
+  /// append lands right after the last whole frame. Touched by the persisting
+  /// thread, and by reset() once the writer is idle.
+  bool log_trimmed_[3] = {false, false, false};
   std::thread writer_;
-
-  std::string base_path(bool partner) const;
-  std::string delta_path(std::uint64_t seq, bool partner) const;
-  std::string pack_path() const;
-  std::string tmp_path(bool partner = false) const;
 
   EngineRecord capture(std::int64_t iter, vm::Arena& arena,
                        const std::vector<ProtectedRegion>& regions);
   void commit(EngineRecord rec);
   void persist(const EngineRecord& rec);
+  /// Write one record's frame to a level's log: `rotate` replaces the log
+  /// with a fresh one holding only `frame`, otherwise it is appended.
+  void write_log(EngineLevel level, const std::string& frame, bool rotate);
   void writer_loop();
   void drain() const;
   void check_writer_error() const;
-
-  EngineRecord load_record(const std::string& local, const std::string& partner,
-                           const CheckpointImage* base) const;
-  CheckpointImage recover_from_files() const;
-  CheckpointImage recover_from_pack() const;
-  /// Header-only scan of the packed archive: the iteration a full decode
-  /// would recover (-1 when nothing is recoverable). Lets recover() skip
-  /// decoding the whole archive history when the file chain already reaches
-  /// at least as far.
-  std::int64_t pack_best_iteration() const;
 };
+
+/// Append one frame to the log at `path`, creating it if needed: one write
+/// and one fdatasync. Every log write of the engine goes through here, a
+/// rotation's temp file included. Throws CheckpointError on a failed open,
+/// a short write or a failed sync.
+void append_frame(const std::string& path, std::string_view frame);
 
 /// Apply a delta patch to a base image in place; throws CheckpointError on a
 /// variable or cell-index mismatch.

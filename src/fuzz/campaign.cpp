@@ -342,26 +342,39 @@ int decode_child(int fd, const CorpusEntry& e, const AppContext& ctx,
 //      targets recovery) and a fail-stop injected — the "process that died";
 //   B  a fresh engine over the same storage recovers, restarts, and compares
 //      the final output against the failure-free reference bit for bit.
+// A case whose armed fault never fires (its skip outlasts the writes or
+// reads it counts) is benign: it tested the restart, not the fault.
 
 bool is_recover_fault(const CorpusEntry& e) {
   return e.fault.rfind("ckpt.recover.", 0) == 0;
 }
 
+/// True when the entry's armed fault point has triggered in this process.
+bool fault_fired(const CorpusEntry& e) {
+  return fault::trigger_count(e.fault.substr(0, e.fault.find('='))) > 0;
+}
+
 int crash_child_a(int fd, const CorpusEntry& e, const AppContext& ctx,
                   const ckpt::EngineConfig& cfg) {
-  if (!e.fault.empty() && !is_recover_fault(e)) fault::arm_from_spec(e.fault);
+  const bool armed = !e.fault.empty() && !is_recover_fault(e);
+  if (armed) fault::arm_from_spec(e.fault);
   try {
     apps::run_with_engine(ctx.module, ctx.region, ctx.protect, cfg, /*fail_at=*/3);
-    return kExitBenign;  // fault never fired (skip beyond the commit count)
   } catch (const Error& err) {
     say(fd, err.what());
     return kExitClean;  // injected throw surfaced as a typed error
   }
+  if (armed && !fault_fired(e)) {
+    say(fd, "fault never fired");
+    return kExitBenign;  // the skip outlasts the run: the case tests nothing
+  }
+  return kExitRecovered;  // the run survived its fault (a delay): phase B decides
 }
 
 int crash_child_b(int fd, const CorpusEntry& e, const AppContext& ctx,
                   const ckpt::EngineConfig& cfg) {
-  if (!e.fault.empty() && is_recover_fault(e)) fault::arm_from_spec(e.fault);
+  const bool armed = !e.fault.empty() && is_recover_fault(e);
+  if (armed) fault::arm_from_spec(e.fault);
   try {
     ckpt::CheckpointEngine engine(cfg);
     if (!engine.has_checkpoint()) {
@@ -373,13 +386,17 @@ int crash_child_b(int fd, const CorpusEntry& e, const AppContext& ctx,
     ropts.mcl = ctx.region;
     ropts.restore = &img;
     const vm::RunResult restarted = vm::run_module(ctx.module, ropts);
-    if (restarted.output == ctx.reference_output) {
-      say(fd, strf("recovered iteration %lld, restart output bit-identical",
-                   static_cast<long long>(img.iteration())));
-      return kExitRecovered;
+    if (restarted.output != ctx.reference_output) {
+      say(fd, "restart output differs from the failure-free reference");
+      return kExitSilent;
     }
-    say(fd, "restart output differs from the failure-free reference");
-    return kExitSilent;
+    say(fd, strf("recovered iteration %lld, restart output bit-identical",
+                 static_cast<long long>(img.iteration())));
+    if (armed && !fault_fired(e)) {
+      say(fd, "; fault never fired");
+      return kExitBenign;
+    }
+    return kExitRecovered;
   } catch (const Error& err) {
     say(fd, err.what());
     return kExitClean;  // honest typed refusal beats wrong data
@@ -418,7 +435,13 @@ CaseResult execute_crash_case(const CorpusEntry& e, AppContext& ctx,
     const ChildStatus b = run_child(
         [&](int fd) { return crash_child_b(fd, e, ctx, cfg); }, opts.case_timeout_ms);
     out = classify(b);
-    if (killed) out.detail = "after injected kill: " + out.detail;
+    if (killed) {
+      out.detail = "after injected kill: " + out.detail;
+    } else if (ra.outcome == Outcome::Benign && !outcome_is_failure(out.outcome)) {
+      // A fault that never fired proves nothing, whatever the restart did;
+      // a restart that failed is still a finding.
+      out = {Outcome::Benign, ra.detail + "; " + out.detail};
+    }
   }
   fs::remove_all(tmp, ec);
   return out;
@@ -475,7 +498,8 @@ constexpr const char* kCrashFaults[] = {
     "ckpt.writeback.post_rename=kill",
     "ckpt.writeback.encode=throw",
     "ckpt.writeback.l2=throw",
-    "ckpt.write_file.io=short",
+    "ckpt.writeback.sync=kill",
+    "ckpt.writeback.sync=throw",
     "ckpt.recover.local=throw",
     "ckpt.archive.append=kill",
     "ckpt.archive.append=short",

@@ -19,6 +19,7 @@
 //
 //   clean-error        malformed input became a typed ac::Error
 //   benign             the mutation was absorbed; decoded state is canonical
+//                      (crash cases: the armed fault never fired)
 //   recovered          crash scenario restarted bit-identically
 //   silent-corruption  decode "succeeded" but the state is wrong  <- finding
 //   crash              unhandled exception / signal / unexpected exit <- finding

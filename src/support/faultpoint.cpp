@@ -205,19 +205,23 @@ const std::vector<PointInfo>& catalog() {
   // entry and asserts it actually fires on its layer's hot path.
   static const std::vector<PointInfo> points = {
       {"ckpt.writeback.encode", "engine.cpp persist(): before record encode"},
-      {"ckpt.write_file.io", "engine.cpp write_file(): fwrite byte count (short-write site)"},
-      {"ckpt.writeback.pre_rename", "engine.cpp commit_file(): after tmp fsync, before rename"},
-      {"ckpt.writeback.post_rename", "engine.cpp commit_file(): after rename, before dir fsync"},
-      {"ckpt.writeback.l2", "engine.cpp persist(): before the L2 partner commit"},
-      {"ckpt.writeback.l3_append", "engine.cpp persist(): before L3 pack append"},
-      {"ckpt.recover.local", "engine.cpp load_record(): before local record read"},
+      {"ckpt.writeback.pre_rename",
+       "engine.cpp write_log(): rotation, after the temp log's fdatasync, before rename"},
+      {"ckpt.writeback.post_rename",
+       "engine.cpp write_log(): rotation, after rename, before the dir fsync"},
+      {"ckpt.writeback.l2", "engine.cpp persist(): before the L2 partner write"},
+      {"ckpt.writeback.l3_append", "engine.cpp persist(): before the L3 archive append"},
+      {"ckpt.writeback.sync", "engine.cpp append_frame(): after the write, before its fdatasync"},
+      {"ckpt.archive.append",
+       "engine.cpp append_frame(): write byte count, every level's log (short-write site)"},
+      {"ckpt.recover.local", "engine.cpp recover(): before the walk reads the local log"},
+      {"fs.sync_dir", "mctb.cpp fsync_parent_dir(): before the directory fsync"},
       {"mctb.encode.section", "mctb.cpp encode_container(): per encoded section, all sinks"},
       {"mctb.stream.encode_section",
        "mctb.cpp encode_container(): per section on the streaming file-writer path"},
       {"mctb.decode.section", "mctb.cpp decode_payload(): per decoded section"},
       {"mctb.stream.decode_slot",
        "mctb.cpp read_mctb(): per chunk slot of the decode"},
-      {"ckpt.archive.append", "engine.cpp persist(): L3 frame fwrite byte count (short-write site)"},
       {"exec.chunk.claim", "executor.cpp run_chunks(): after a worker claims a chunk"},
       {"net.write", "socket.cpp write_all(): before the send loop"},
       {"net.read", "socket.cpp read_some(): before the poll/recv"},

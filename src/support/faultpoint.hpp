@@ -3,10 +3,10 @@
 //
 // An instrumentation site names the failure it can simulate:
 //
-//   void commit_file(...) {
-//     write_file(tmp, data, /*sync=*/true);
-//     AC_FAULT("ckpt.writeback.pre_rename");   // a kill here => torn commit?
-//     ...
+//   void append_frame(...) {
+//     ... write the frame ...
+//     AC_FAULT("ckpt.writeback.sync");   // a kill here => record not durable?
+//     ... fdatasync ...
 //   }
 //
 // A controller (test or campaign child process) arms points by name:

@@ -26,6 +26,7 @@ constexpr std::uint32_t kVersion = 1;
 constexpr std::size_t kHeaderSize = 40;
 constexpr std::size_t kSectionHeaderSize = 57;
 constexpr std::size_t kMaxStages = 4;
+static_assert(kMctbFrameHeaderBytes == 4 + kSectionHeaderSize, "frame = magic + section header");
 
 // Section kinds.
 constexpr std::uint32_t kSecSymbols = 1;
@@ -505,18 +506,18 @@ std::uint64_t encode_container(const TraceBuffer& buf, const MctbOptions& opts, 
   return off;
 }
 
-/// fsync the directory holding `path` so a rename into it is durable.
+}  // namespace
+
 void fsync_parent_dir(const std::string& path) {
   const std::filesystem::path parent = std::filesystem::path(path).parent_path();
   const std::string dir = parent.empty() ? std::string(".") : parent.string();
-  const int fd = ::open(dir.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
+  AC_FAULT("fs.sync_dir");
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) throw Error("cannot open directory for fsync: " + dir);
+  const bool ok = ::fsync(fd) == 0;
+  ::close(fd);
+  if (!ok) throw Error("directory fsync failed: " + dir);
 }
-
-}  // namespace
 
 bool is_mctb(std::string_view bytes) {
   if (bytes.size() < 4) return false;
@@ -540,7 +541,7 @@ void mctb_encode_into(const TraceBuffer& buf, const MctbOptions& opts, std::stri
 std::uint64_t write_mctb_file(const TraceBuffer& buf, const std::string& path,
                               const MctbOptions& opts) {
   // Stream into a same-directory temp file, fsync it, rename over the target,
-  // fsync the directory — the checkpoint engine's atomic-commit discipline,
+  // fsync the directory — the checkpoint engine's log-rotation discipline,
   // so a recode killed mid-write never leaves a torn container behind the
   // final name.
   const std::string tmp = path + ".tmp" + std::to_string(static_cast<long>(::getpid()));

@@ -44,8 +44,8 @@
 // like the text path.
 //
 // The same section framing, prefixed with the "MCTA" magic, carries the
-// checkpoint engine's L3 packed archive (see mctb_frame below): one
-// self-describing, CRC'd frame per appended record.
+// checkpoint engine's logs (see mctb_frame below): one self-describing, CRC'd
+// frame per appended record.
 #pragma once
 
 #include <string>
@@ -90,6 +90,12 @@ void mctb_encode_into(const TraceBuffer& buf, const MctbOptions& opts, std::stri
 std::uint64_t write_mctb_file(const TraceBuffer& buf, const std::string& path,
                               const MctbOptions& opts = {});
 
+/// fsync the directory holding `path`, so an entry just created or renamed
+/// there survives power loss, not only process death. Throws ac::Error when
+/// the directory cannot be opened or the fsync fails. write_mctb_file and the
+/// checkpoint engine's log rotation and log creation all sync through here.
+void fsync_parent_dir(const std::string& path);
+
 /// Decode knobs for read_mctb.
 struct MctbReadOptions {
   /// Worker count for chunk decode (0 = hardware default, <=1 = serial).
@@ -109,8 +115,9 @@ TraceBuffer read_mctb(std::string_view bytes, const MctbReadOptions& opts = {});
 
 // --- MCTB record framing ----------------------------------------------------
 //
-// A standalone record frame for append-only streams: the checkpoint engine's
-// L3 packed archive is a sequence of these. Layout per frame:
+// A standalone record frame for append-only streams: each of the checkpoint
+// engine's logs (L1, L2 and the L3 archive) is a sequence of these. Layout
+// per frame:
 //
 //   u32 magic "MCTA"
 //   SectionHeader   kind (caller-defined record kind), chunk = caller `seq`,
@@ -127,6 +134,9 @@ TraceBuffer read_mctb(std::string_view bytes, const MctbReadOptions& opts = {});
 /// Magic "MCTA" little-endian — distinguishes a framed record stream from
 /// both an MCTB container and the v1 `[len][crc][bytes]` archive format.
 constexpr std::uint32_t kMctbFrameMagic = 0x4154434Du;
+
+/// Bytes a frame adds around its payload: the magic plus the section header.
+constexpr std::size_t kMctbFrameHeaderBytes = 61;
 
 /// True when `bytes` starts with the frame magic.
 bool is_mctb_frame(std::string_view bytes);
@@ -148,8 +158,8 @@ struct MctbFrameView {
 };
 
 /// Parse the frame header at `pos` without verifying the payload CRC (the
-/// archive's cheap best-iteration peek). Returns false — never throws — on
-/// bad magic, truncation, or a malformed header: the walk's stop condition.
+/// header walk over a checkpoint log). Returns false — never throws — on bad
+/// magic, truncation, or a malformed header: the walk's stop condition.
 bool read_mctb_frame_header(std::string_view bytes, std::size_t pos, MctbFrameView& out);
 
 /// Full frame parse: header plus payload CRC verification. Returns false on

@@ -1,14 +1,18 @@
 // C/R substrate: image round-trips, CRC corruption detection, the engine's
-// store protocol at L1 and L2 driven by hand, BLCR-style cost model.
+// store protocol at L1 and L2 driven by hand (including failed syncs), the
+// BLCR-style cost model.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 
 #include "apps/harness.hpp"
 #include "ckpt/blcr.hpp"
 #include "ckpt/engine.hpp"
 #include "ckpt/image.hpp"
 #include "support/error.hpp"
+#include "support/faultpoint.hpp"
+#include "trace/mctb.hpp"
 #include "trace/reader.hpp"
 #include "vm/memory.hpp"
 
@@ -81,23 +85,27 @@ class EngineStore : public testing::Test {
     return cfg;
   }
 
-  static std::string local_base(const EngineConfig& cfg) {
-    return cfg.dir + "/" + cfg.tag + ".base.eng";
-  }
+  void TearDown() override { fault::disarm_all(); }
 
-  /// Set u = {v, v+1, v+2} and complete iteration `iter`; returns the image
-  /// that commit must recover to.
-  CheckpointImage commit(CheckpointEngine& engine, std::int64_t iter, std::int64_t v) {
+  /// Set u = {v, v+1, v+2}; returns the image a commit of iteration `iter`
+  /// must recover to.
+  CheckpointImage set_u(std::int64_t iter, std::int64_t v) {
     std::vector<Cell> cells;
     for (std::int64_t i = 0; i < 3; ++i) {
       arena_.write(regions_[0].addr + static_cast<std::uint64_t>(i) * vm::kCellBytes,
                    vm::Value::make_int(v + i));
       cells.push_back(Cell{static_cast<std::uint64_t>(v + i), 0});
     }
-    EXPECT_TRUE(engine.on_iteration(iter, arena_, regions_));
     CheckpointImage img;
     img.set_iteration(iter);
     img.add("u", std::move(cells));
+    return img;
+  }
+
+  /// set_u, then complete iteration `iter`.
+  CheckpointImage commit(CheckpointEngine& engine, std::int64_t iter, std::int64_t v) {
+    CheckpointImage img = set_u(iter, v);
+    EXPECT_TRUE(engine.on_iteration(iter, arena_, regions_));
     return img;
   }
 };
@@ -136,7 +144,7 @@ TEST_F(EngineStore, L2RecoversFromPartnerWhenLocalLost) {
   CheckpointEngine engine(cfg);
   engine.reset();
   const CheckpointImage img = commit(engine, 3, 1);
-  std::remove(local_base(cfg).c_str());  // the "node-local storage" is gone
+  std::remove(engine.log_path(EngineLevel::L1).c_str());  // the "node-local storage" is gone
   EXPECT_TRUE(engine.has_checkpoint());
   EXPECT_EQ(engine.recover(), img);
   engine.reset();
@@ -147,9 +155,85 @@ TEST_F(EngineStore, L1HasNoFallback) {
   CheckpointEngine engine(cfg);
   engine.reset();
   commit(engine, 3, 1);
-  std::remove(local_base(cfg).c_str());
+  std::remove(engine.log_path(EngineLevel::L1).c_str());
   EXPECT_FALSE(engine.has_checkpoint());
   EXPECT_THROW(engine.recover(), CheckpointError);
+}
+
+TEST_F(EngineStore, KillBetweenL1AndL2RotationDoesNotMixRuns) {
+  // Run one leaves a chain in both logs whose deltas each touch one cell.
+  EngineConfig cfg = config("ac_store_two_runs", EngineLevel::L2);
+  cfg.incremental = true;
+  cfg.full_every = 1 << 20;
+  {
+    CheckpointEngine first(cfg);
+    first.reset();
+    commit(first, 1, 10);
+    for (std::int64_t iter : {2, 3}) {
+      arena_.write(regions_[0].addr + static_cast<std::uint64_t>(iter - 2) * vm::kCellBytes,
+                   vm::Value::make_int(iter * 100));
+      EXPECT_TRUE(first.on_iteration(iter, arena_, regions_));
+    }
+    first.flush();
+  }
+  // A second run on the same logs, without reset(), dies between its first
+  // L1 rotation and the L2 one. Its full record must not adopt the first
+  // run's partner deltas: recovery is that record alone.
+  CheckpointEngine second(cfg);
+  const CheckpointImage want = set_u(5, 50);
+  fault::arm_from_spec("ckpt.writeback.l2=throw");
+  EXPECT_THROW(second.on_iteration(5, arena_, regions_), CheckpointError);
+  fault::disarm_all();
+  EXPECT_EQ(CheckpointEngine(cfg).recover(), want);
+}
+
+TEST_F(EngineStore, FailedSyncFailsTheCommitAndEveryLaterOne) {
+  for (const bool async : {false, true}) {
+    EngineConfig cfg = config(async ? "ac_store_sync_async" : "ac_store_sync_inline");
+    cfg.async = async;
+    auto engine_ptr = std::make_unique<CheckpointEngine>(cfg);
+    CheckpointEngine& engine = *engine_ptr;
+    engine.reset();
+    const CheckpointImage first = commit(engine, 1, 10);
+    engine.flush();
+
+    // The next write's fdatasync fails once. Inline, that commit throws.
+    // With async writeback the captures succeed, the encode delay lets
+    // iteration 3 queue behind the failing record, and flush() reports the
+    // failure: the queued record must be dropped, not written.
+    fault::arm_from_spec("ckpt.writeback.sync=throw:count=1");
+    if (async) {
+      fault::arm_from_spec("ckpt.writeback.encode=delay:ms=200,count=1");
+      EXPECT_TRUE(engine.on_iteration(2, arena_, regions_));
+      EXPECT_TRUE(engine.on_iteration(3, arena_, regions_));
+      EXPECT_THROW(engine.flush(), CheckpointError);
+    } else {
+      EXPECT_THROW(engine.on_iteration(2, arena_, regions_), CheckpointError);
+      EXPECT_THROW(engine.on_iteration(3, arena_, regions_), CheckpointError);
+    }
+    EXPECT_EQ(fault::trigger_count("ckpt.writeback.sync"), 1u);
+    fault::disarm_all();
+
+    // The fault is spent, yet no later commit may report success.
+    EXPECT_THROW(engine.on_iteration(4, arena_, regions_), CheckpointError) << "async=" << async;
+    EXPECT_THROW(engine.flush(), CheckpointError);
+    EXPECT_EQ(engine.stats().last_persisted_iteration, 1) << "async=" << async;
+    // Once the writer has stopped, the logs still end at iteration 1.
+    engine_ptr.reset();
+    EXPECT_EQ(CheckpointEngine(cfg).recover(), first) << "async=" << async;
+  }
+}
+
+TEST_F(EngineStore, DirectorySyncFailureFailsTheWrite) {
+  // One throwing directory-sync helper serves the MCTB writer's rename and
+  // the engine's log rotation: an injected failure surfaces from both.
+  fault::arm_from_spec("fs.sync_dir=throw");
+  EXPECT_THROW(trace::write_mctb_file(trace::TraceBuffer{}, testing::TempDir() + "/ac_sync_dir.mctb"),
+               Error);
+  CheckpointEngine engine(config("ac_store_sync_dir"));
+  engine.reset();
+  EXPECT_THROW(engine.on_iteration(1, arena_, regions_), Error);
+  EXPECT_EQ(fault::trigger_count("fs.sync_dir"), 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 // version 2 only; version 1 is rejected), report-driven registration,
 // arena dirty-cell tracking, and full C/R round-trips through the
 // incremental / multi-level / async paths — including storage degradation
-// (corrupt local -> partner replica -> packed archive) and the
-// fault-injection recovery matrix: all 14 apps x {L1,L2,L3} x {raw, chain}
-// codecs, killed at a randomized iteration and restarted bit-identically.
+// (a corrupt record in the local log -> its partner replica -> the archive),
+// torn log tails, and the fault-injection recovery matrix: all 14 apps x
+// {L1,L2,L3} x {raw, chain} codecs, killed at a randomized iteration and
+// restarted bit-identically.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstring>
@@ -18,9 +20,11 @@
 #include "ckpt/policy.hpp"
 #include "support/crc32.hpp"
 #include "support/error.hpp"
+#include "support/faultpoint.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
 #include "trace/mctb.hpp"
+#include "trace/reader.hpp"
 #include "vm/memory.hpp"
 
 #include "helpers.hpp"
@@ -375,12 +379,30 @@ TEST(EngineRoundTrip, SparseWritesProduceSmallDeltas) {
 // Multi-level degradation
 // ---------------------------------------------------------------------------
 
-void corrupt_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r+b");
+void spew(const std::string& path, const std::string& data) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr) << path;
-  std::fseek(f, 10, SEEK_SET);
-  std::fputc(0xFF, f);
+  ASSERT_EQ(std::fwrite(data.data(), 1, data.size(), f), data.size());
   std::fclose(f);
+}
+
+/// Flip a byte in the middle of frame `i`'s payload in the log at `path`.
+/// The frame header stays intact, so a header walk still steps over the
+/// frame, but its CRC fails: exactly one record of the log is lost.
+void corrupt_frame(const std::string& path, std::size_t i) {
+  std::string bytes = trace::read_file_bytes(path);
+  trace::MctbFrameView frame;
+  std::size_t pos = 0;
+  for (std::size_t k = 0;; ++k) {
+    ASSERT_TRUE(trace::read_mctb_frame_header(bytes, pos, frame)) << path << " has no frame " << i;
+    if (k == i) break;
+    pos += frame.frame_size;
+  }
+  ASSERT_FALSE(frame.payload.empty());
+  const std::size_t at =
+      static_cast<std::size_t>(frame.payload.data() - bytes.data()) + frame.payload.size() / 2;
+  bytes[at] = static_cast<char>(bytes[at] ^ 0xFF);
+  spew(path, bytes);
 }
 
 TEST(EngineLevels, L2FallsBackToPartnerWhenLocalCorrupt) {
@@ -409,9 +431,8 @@ TEST(EngineLevels, L2FallsBackToPartnerWhenLocalCorrupt) {
     engine.flush();
   }
   // The node-local copy is corrupted; recovery must route to the partner.
-  corrupt_file(cfg.dir + "/" + cfg.tag + ".base.eng");
-
   ckpt::CheckpointEngine restart(cfg);
+  corrupt_frame(restart.log_path(ckpt::EngineLevel::L1), 0);
   ASSERT_TRUE(restart.has_checkpoint());
   const ckpt::CheckpointImage img = restart.recover();
   EXPECT_EQ(img.iteration(), 3);
@@ -446,11 +467,10 @@ TEST(EngineLevels, L3ArchiveIsTheLastResort) {
     ASSERT_TRUE(vm::run_module(run.module, ropts).failed);
     engine.flush();
   }
-  // Both the local and the partner base are gone: only the archive remains.
-  std::remove((cfg.dir + "/" + cfg.tag + ".base.eng").c_str());
-  std::remove((cfg.partner_dir + "/" + cfg.tag + ".base.eng").c_str());
-
+  // Both the local and the partner log are gone: only the archive remains.
   ckpt::CheckpointEngine restart(cfg);
+  std::remove(restart.log_path(ckpt::EngineLevel::L1).c_str());
+  std::remove(restart.log_path(ckpt::EngineLevel::L2).c_str());
   ASSERT_TRUE(restart.has_checkpoint());
   const ckpt::CheckpointImage img = restart.recover();
   EXPECT_EQ(img.iteration(), 5);
@@ -462,9 +482,9 @@ TEST(EngineLevels, L3ArchiveIsTheLastResort) {
 }
 
 // A delta corrupted only locally must be healed by the partner replica (same
-// recovered iteration as the pristine chain); corrupted in *both*
-// directories, the L3 archive must supply the full chain instead of the
-// files path silently rolling back to the pre-corruption prefix.
+// recovered iteration as the pristine chain), record by record; corrupted in
+// *both* logs, the L3 archive must supply the full chain instead of the
+// local chain silently rolling back to the pre-corruption prefix.
 class EngineFallback : public testing::Test {
  protected:
   void run_failing(const apps::AnalysisRun& run, const ckpt::EngineConfig& cfg, int fail_at) {
@@ -491,10 +511,9 @@ TEST_F(EngineFallback, CorruptL1DeltaFallsBackToPartnerReplica) {
   cfg.set_codecs(ckpt::CodecChain::parse("xor+rle"));
   run_failing(run, cfg, /*fail_at=*/6);
 
-  // Commits: base@1, deltas 1..4 (@2..@5). Flip one byte inside L1 delta 2.
-  corrupt_file(cfg.dir + "/" + cfg.tag + ".delta.2.eng");
-
+  // Commits: full@1, deltas 1..4 (@2..@5). Flip one byte inside L1 delta 2.
   ckpt::CheckpointEngine restart(cfg);
+  corrupt_frame(restart.log_path(ckpt::EngineLevel::L1), 2);
   const ckpt::CheckpointImage img = restart.recover();
   // The partner copy of delta 2 keeps the chain whole to iteration 5.
   EXPECT_EQ(img.iteration(), 5);
@@ -517,13 +536,12 @@ TEST_F(EngineFallback, DeltaCorruptInBothDirsFallsBackToArchive) {
   cfg.full_every = 1 << 20;
   run_failing(run, cfg, /*fail_at=*/6);
 
-  // Both copies of delta 2 are bad: the file-based chain now ends at
-  // iteration 2, but the packed archive still holds every record — recovery
-  // must take the deeper source, exactly as engine.hpp documents.
-  corrupt_file(cfg.dir + "/" + cfg.tag + ".delta.2.eng");
-  corrupt_file(cfg.partner_dir + "/" + cfg.tag + ".delta.2.eng");
-
+  // Both copies of delta 2 are bad: the L1/L2 chain now ends at iteration
+  // 2, but the archive still holds every record — recovery must take the
+  // deeper source, exactly as engine.hpp documents.
   ckpt::CheckpointEngine restart(cfg);
+  corrupt_frame(restart.log_path(ckpt::EngineLevel::L1), 2);
+  corrupt_frame(restart.log_path(ckpt::EngineLevel::L2), 2);
   const ckpt::CheckpointImage img = restart.recover();
   EXPECT_EQ(img.iteration(), 5);
 
@@ -533,6 +551,72 @@ TEST_F(EngineFallback, DeltaCorruptInBothDirsFallsBackToArchive) {
   ropts.mcl = {run.region.function, run.region.begin_line, run.region.end_line};
   ropts.restore = &img;
   EXPECT_EQ(vm::run_module(run.module, ropts).output, reference);
+}
+
+TEST_F(EngineFallback, EachRecordFallsBackOnItsOwn) {
+  const App& app = find_app("MG");
+  const apps::AnalysisRun run = analyze_app(app);
+  ckpt::EngineConfig cfg = engine_cfg("eng_fb_per_record");
+  cfg.partner_dir = partner_dir();
+  cfg.level = ckpt::EngineLevel::L2;
+  cfg.async = false;
+  cfg.full_every = 1 << 20;
+  run_failing(run, cfg, /*fail_at=*/6);
+
+  // Commits: full@1, deltas 1..4 (@2..@5). Delta 2 is bad in the local log
+  // and delta 3 in the partner's: the local log alone reaches iteration 2
+  // and the partner's 3, but taking each record from whichever copy is good
+  // reaches 5.
+  ckpt::CheckpointEngine restart(cfg);
+  corrupt_frame(restart.log_path(ckpt::EngineLevel::L1), 2);
+  corrupt_frame(restart.log_path(ckpt::EngineLevel::L2), 3);
+  const ckpt::CheckpointImage img = restart.recover();
+  EXPECT_EQ(img.iteration(), 5);
+
+  vm::RunOptions ref;
+  const std::string reference = vm::run_module(run.module, ref).output;
+  vm::RunOptions ropts;
+  ropts.mcl = {run.region.function, run.region.begin_line, run.region.end_line};
+  ropts.restore = &img;
+  EXPECT_EQ(vm::run_module(run.module, ropts).output, reference);
+}
+
+TEST_F(EngineFallback, DeltasAppendToOneLogPerLevel) {
+  // One full record, then deltas only: every level keeps a single log, and
+  // after the first commit's two rotations (L1 and L2) nothing is renamed.
+  const App& app = find_app("MG");
+  const apps::AnalysisRun run = analyze_app(app);
+  namespace fs = std::filesystem;
+  ckpt::EngineConfig cfg;
+  cfg.dir = testing::TempDir() + "/ac_engine_one_log";
+  cfg.partner_dir = testing::TempDir() + "/ac_engine_one_log_partner";
+  for (const std::string& dir : {cfg.dir, cfg.partner_dir}) {
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+  }
+  cfg.tag = "eng_one_log";
+  cfg.level = ckpt::EngineLevel::L3;
+  cfg.full_every = 1 << 20;
+  fault::arm_from_spec("ckpt.writeback.pre_rename=delay:ms=0");
+  run_failing(run, cfg, /*fail_at=*/6);
+  const std::uint64_t renames = fault::trigger_count("ckpt.writeback.pre_rename");
+  fault::disarm_all();
+  EXPECT_EQ(renames, 2u);
+
+  const ckpt::CheckpointEngine restart(cfg);
+  const auto files = [](const std::string& dir) {
+    std::vector<std::string> out;
+    for (const auto& entry : fs::directory_iterator(dir)) out.push_back(entry.path().string());
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  std::vector<std::string> local = {restart.log_path(ckpt::EngineLevel::L1),
+                                    restart.log_path(ckpt::EngineLevel::L3)};
+  std::sort(local.begin(), local.end());
+  EXPECT_EQ(files(cfg.dir), local);
+  EXPECT_EQ(files(cfg.partner_dir),
+            std::vector<std::string>{restart.log_path(ckpt::EngineLevel::L2)});
+  EXPECT_EQ(restart.recover().iteration(), 5);
 }
 
 // ---------------------------------------------------------------------------
@@ -604,38 +688,19 @@ TEST(EngineLevels, TornDeltaChainRollsBackToLastGoodPrefix) {
     ropts.fail_at_iteration = 6;
     ASSERT_TRUE(vm::run_module(run.module, ropts).failed);
   }
-  // Commits: base@1 then deltas 1..4 (@2..@5). Corrupting delta 3 must cut
+  // Commits: full@1 then deltas 1..4 (@2..@5). Corrupting delta 3 must cut
   // the recoverable chain at iteration 3 — later deltas depend on it.
-  corrupt_file(cfg.dir + "/" + cfg.tag + ".delta.3.eng");
   ckpt::CheckpointEngine restart(cfg);
+  corrupt_frame(restart.log_path(ckpt::EngineLevel::L1), 3);
   EXPECT_EQ(restart.recover().iteration(), 3);
 }
 
 // ---------------------------------------------------------------------------
-// L3 packed-archive format compatibility
+// The L3 archive: walk boundaries and torn tails
 // ---------------------------------------------------------------------------
 
-std::string slurp(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr) << path;
-  if (!f) return {};
-  std::string data;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) data.append(buf, n);
-  std::fclose(f);
-  return data;
-}
-
-void spew(const std::string& path, const std::string& data) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr) << path;
-  ASSERT_EQ(std::fwrite(data.data(), 1, data.size(), f), data.size());
-  std::fclose(f);
-}
-
-/// Run an L3 engine to fail_at=6 and strip the file-based chain afterwards,
-/// so recover() can only take the packed archive. Returns the pack path.
+/// Run an L3 engine to fail_at=6 and delete the L1 and L2 logs afterwards,
+/// so recover() can only take the archive. Returns the archive path.
 std::string archive_only_setup(const apps::AnalysisRun& run, ckpt::EngineConfig& cfg) {
   cfg.level = ckpt::EngineLevel::L3;
   cfg.partner_dir = partner_dir();
@@ -652,17 +717,10 @@ std::string archive_only_setup(const apps::AnalysisRun& run, ckpt::EngineConfig&
     EXPECT_TRUE(vm::run_module(run.module, ropts).failed);
     engine.flush();
   }
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  for (const std::string& dir : {cfg.dir, cfg.partner_dir}) {
-    for (const auto& entry : fs::directory_iterator(dir, ec)) {
-      const std::string name = entry.path().filename().string();
-      if (name.rfind(cfg.tag + ".", 0) == 0 && name != cfg.tag + ".pack") {
-        fs::remove(entry.path(), ec);
-      }
-    }
-  }
-  return cfg.dir + "/" + cfg.tag + ".pack";
+  const ckpt::CheckpointEngine engine(cfg);
+  std::remove(engine.log_path(ckpt::EngineLevel::L1).c_str());
+  std::remove(engine.log_path(ckpt::EngineLevel::L2).c_str());
+  return engine.log_path(ckpt::EngineLevel::L3);
 }
 
 /// A bare [u32 len][u32 crc][bytes] entry — the archive format before MCTA
@@ -686,7 +744,7 @@ TEST(EngineArchive, LenCrcEntryAfterFramesEndsTheWalk) {
   ckpt::EngineConfig cfg = engine_cfg("eng_arch_lencrc_tail");
   const std::string pack = archive_only_setup(run, cfg);
 
-  const std::string frames = slurp(pack);
+  const std::string frames = trace::read_file_bytes(pack);
   EXPECT_EQ(ckpt::CheckpointEngine(cfg).recover().iteration(), 5);
   std::size_t last_start = 0;
   trace::MctbFrameView view;
@@ -714,7 +772,7 @@ TEST(EngineArchive, LenCrcOnlyArchiveDoesNotRecover) {
   ckpt::EngineConfig cfg = engine_cfg("eng_arch_lencrc_only");
   const std::string pack = archive_only_setup(run, cfg);
 
-  const std::string frames = slurp(pack);
+  const std::string frames = trace::read_file_bytes(pack);
   std::string entries;
   trace::MctbFrameView view;
   for (std::size_t pos = 0; trace::read_mctb_frame(frames, pos, view); pos += view.frame_size) {
@@ -733,7 +791,7 @@ TEST(EngineArchive, TornFrameTailRollsBackOneRecord) {
   ckpt::EngineConfig cfg = engine_cfg("eng_arch_torn");
   const std::string pack = archive_only_setup(run, cfg);
 
-  const std::string v2 = slurp(pack);
+  const std::string v2 = trace::read_file_bytes(pack);
   std::vector<std::size_t> frame_ends;
   trace::MctbFrameView view;
   for (std::size_t pos = 0; trace::read_mctb_frame(v2, pos, view); pos += view.frame_size) {
@@ -748,6 +806,55 @@ TEST(EngineArchive, TornFrameTailRollsBackOneRecord) {
       frame_ends[frame_ends.size() - 2] + (v2.size() - frame_ends[frame_ends.size() - 2]) / 2;
   spew(pack, v2.substr(0, keep));
   EXPECT_EQ(ckpt::CheckpointEngine(cfg).recover().iteration(), 4);
+}
+
+/// The archive's last full record does not decode: recovery starts from the
+/// full record before it and runs that chain to its end.
+TEST(EngineArchive, CorruptLastFullRecordFallsBackToThePreviousOne) {
+  const App& app = find_app("BT");
+  const apps::AnalysisRun run = analyze_app(app);
+  ckpt::EngineConfig cfg = engine_cfg("eng_arch_last_full");
+  const std::string pack = archive_only_setup(run, cfg);
+  // full_every=3: full records at iterations 1 and 5, frames 0 and 4.
+  corrupt_frame(pack, 4);
+  EXPECT_EQ(ckpt::CheckpointEngine(cfg).recover().iteration(), 4);
+}
+
+/// A short write tears an archive append and the run dies. A restarted
+/// engine on the same directories, without reset(), appends where every walk
+/// reaches: its first append cuts the torn tail off.
+TEST(EngineArchive, RecordsAppendedAfterATornTailAreReachable) {
+  const App& app = find_app("MG");
+  const apps::AnalysisRun run = analyze_app(app);
+  const auto protect = run.report.critical_names();
+  // Every log write passes the append site, three per commit at L3: skip=2
+  // tears the first commit's archive append, skip=8 the third commit's.
+  for (const int skip : {2, 8}) {
+    ckpt::EngineConfig cfg = engine_cfg(strf("eng_arch_torn_restart_%d", skip));
+    cfg.partner_dir = partner_dir();
+    cfg.level = ckpt::EngineLevel::L3;
+    cfg.async = false;
+    cfg.full_every = 3;
+    ckpt::CheckpointEngine restart(cfg);  // names the logs, recovers at the end
+    restart.reset();
+    fault::arm_from_spec(strf("ckpt.archive.append=short:skip=%d", skip));
+    EXPECT_THROW(apps::run_with_engine(run.module, run.region, protect, cfg), CheckpointError);
+    fault::disarm_all();
+    const std::string pack = restart.log_path(ckpt::EngineLevel::L3);
+    {
+      const std::string torn = trace::read_file_bytes(pack);
+      std::size_t end = 0, frames = 0;
+      trace::MctbFrameView view;
+      for (; trace::read_mctb_frame(torn, end, view); end += view.frame_size) ++frames;
+      EXPECT_EQ(frames, static_cast<std::size_t>(skip / 3)) << "skip=" << skip;
+      EXPECT_LT(end, torn.size()) << "skip=" << skip;
+    }
+
+    apps::run_with_engine(run.module, run.region, protect, cfg, /*fail_at=*/6);
+    std::remove(restart.log_path(ckpt::EngineLevel::L1).c_str());
+    std::remove(restart.log_path(ckpt::EngineLevel::L2).c_str());
+    EXPECT_EQ(restart.recover().iteration(), 5) << "skip=" << skip;
+  }
 }
 
 }  // namespace

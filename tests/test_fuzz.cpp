@@ -240,9 +240,10 @@ TEST(FuzzCampaignTest, IntactChecksComeUpClean) {
 }
 
 TEST(FuzzCampaignTest, KillAtPreRenameRecoversBitIdentically) {
-  // The atomic-commit guarantee: a fail-stop between the tmp-file fsync and
-  // the rename must leave the previous durable record intact, and a fresh
-  // engine must restart to the failure-free output.
+  // The atomic-rotation guarantee: a fail-stop between the temp log's
+  // fdatasync and its rename (here the first commit's L2 rotation) must
+  // leave the previous durable log intact, and a fresh engine must restart
+  // to the failure-free output.
   CorpusEntry e;
   e.app = "IS";
   e.kind = "crash";
@@ -252,14 +253,32 @@ TEST(FuzzCampaignTest, KillAtPreRenameRecoversBitIdentically) {
   EXPECT_EQ(r.outcome, Outcome::Recovered) << r.detail;
 }
 
-TEST(FuzzCampaignTest, KillAfterRenameRecoversTheNewRecord) {
+TEST(FuzzCampaignTest, KillBeforeAppendSyncRecoversTheNewRecord) {
+  // Every level writes through one append, three per commit at L3: skip=3
+  // kills the second commit's L1 append between its write and fdatasync.
+  // Process death keeps the written bytes, so the new record comes back.
   CorpusEntry e;
   e.app = "IS";
   e.kind = "crash";
   e.codec = "rle";
-  e.fault = "ckpt.writeback.post_rename=kill:skip=2";
+  e.fault = "ckpt.writeback.sync=kill:skip=3";
   const CaseResult r = execute_entry(e, {});
   EXPECT_EQ(r.outcome, Outcome::Recovered) << r.detail;
+  EXPECT_NE(r.detail.find("recovered iteration 2"), std::string::npos) << r.detail;
+}
+
+TEST(FuzzCampaignTest, FaultThatNeverFiresIsBenign) {
+  // Only the first commit of the killed run renames (its L1 and L2 log
+  // rotations), so a kill after the fifth rename never happens: the case
+  // tests the restart, not the fault, and must not claim a recovery.
+  CorpusEntry e;
+  e.app = "IS";
+  e.kind = "crash";
+  e.codec = "rle";
+  e.fault = "ckpt.writeback.post_rename=kill:skip=4";
+  const CaseResult r = execute_entry(e, {});
+  EXPECT_EQ(r.outcome, Outcome::Benign) << r.detail;
+  EXPECT_NE(r.detail.find("fault never fired"), std::string::npos) << r.detail;
 }
 
 TEST(FuzzCampaignTest, InjectedRecoveryFaultFallsBackToPartner) {
