@@ -48,7 +48,7 @@ struct IncrResult {
 
 IncrResult run_incremental(const ir::Module& module, const analysis::MclRegion& region,
                            const std::vector<std::string>& protect, const std::string& tag,
-                           const ckpt::CodecChain& chain) {
+                           const ac::CodecChain& chain) {
   ckpt::EngineConfig cfg;
   cfg.dir = "/tmp";
   cfg.tag = tag;
@@ -156,11 +156,11 @@ int main(int argc, char** argv) {
   std::printf("=== bench_engine: full-image vs critical-only vs incremental-per-codec%s ===\n\n",
               smoke ? " (smoke subset)" : "");
 
-  const std::vector<std::pair<std::string, ckpt::CodecChain>> codecs = {
-      {"raw", ckpt::CodecChain::parse("raw")},
-      {"rle", ckpt::CodecChain::parse("rle")},
-      {"xor+rle", ckpt::CodecChain::parse("xor+rle")},
-      {"xor+rle+lz", ckpt::CodecChain::parse("chain")},
+  const std::vector<std::pair<std::string, ac::CodecChain>> codecs = {
+      {"raw", ac::CodecChain::parse("raw")},
+      {"rle", ac::CodecChain::parse("rle")},
+      {"xor+rle", ac::CodecChain::parse("xor+rle")},
+      {"xor+rle+lz", ac::CodecChain::parse("chain")},
   };
 
   TextTable table({"Name", "BLCR stream", "Critical full", "Incr raw", "Incr rle", "Incr xor+rle",

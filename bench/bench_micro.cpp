@@ -14,10 +14,10 @@
 //           across machines: MCTB decode must beat the text parse by >= 2x
 //           on every measured app, the SIMD codec kernels must hold their
 //           floors against the forced-scalar references (shuffle/unshuffle
-//           >= 1.2x, zigzag >= 0.75x; skipped under AC_NO_SIMD=1 where
-//           dispatch is scalar), and the disabled-telemetry cost — per-span
-//           price x spans actually executed — must stay <= 2% of the
-//           parse+classify wall. Exit 1 on regression.
+//           >= 1.2x; skipped under AC_NO_SIMD=1 where dispatch is scalar),
+//           and the disabled-telemetry cost — per-span price x spans
+//           actually executed — must stay <= 2% of the parse+classify
+//           wall. Exit 1 on regression.
 // --profile / --metrics  export the telemetry recorded while benchmarking
 //           (Chrome-trace JSON / metrics JSON).
 //
@@ -153,13 +153,13 @@ AppBench bench_app(const apps::App& app, const apps::Params& params, bool probe_
   opts.build_ddg = false;
 
   trace::TraceBuffer buf;
-  out.buffer_parse_s = best_of([&] { buf = trace::read_trace_buffer(text); });
+  out.buffer_parse_s = best_of([&] { buf = trace::read_trace_buffer(text, 1); });
   out.buffer_bytes = buf.byte_size();
   out.records = buf.size();
   out.operands = buf.operands().size();
 
   trace::TraceBuffer par_buf;
-  out.parallel_parse_s = best_of([&] { par_buf = trace::read_trace_buffer_parallel(text, 4); });
+  out.parallel_parse_s = best_of([&] { par_buf = trace::read_trace_buffer(text, 4); });
 
   // MCTB container: serialize once per rep (timed), then decode serial and on
   // 4 workers. The decoded buffer must replay to the exact text bytes.
@@ -316,7 +316,7 @@ bool telemetry_overhead_ok(const apps::App& app, const apps::Params& params) {
   const analysis::MclRegion region = app.mcl();
 
   const auto parse_classify = [&] {
-    trace::TraceBuffer buf = trace::read_trace_buffer_parallel(text, 4);
+    trace::TraceBuffer buf = trace::read_trace_buffer(text, 4);
     auto pre = analysis::preprocess(buf, region);
     analysis::DepOptions dopts;
     dopts.build_ddg = false;
@@ -351,26 +351,17 @@ struct KernelBench {
   const char* level = "scalar";
   double shuffle_x = 0;
   double unshuffle_x = 0;
-  double zigzag_enc_x = 0;
-  double zigzag_dec_x = 0;
 };
 
 KernelBench bench_kernels() {
   KernelBench out;
   out.level = simd_level_name(active_simd_level());
 
-  // MCTB-shaped inputs: an 8 MiB stride-8 column slab for the plane shuffle,
-  // a near-monotone dyn_id stream for zigzag-delta.
+  // MCTB-shaped input: an 8 MiB stride-8 column slab for the plane shuffle.
   constexpr std::size_t kElems = 1u << 20;
   SplitMix64 rng(42);
   std::string plain(kElems * 8, '\0');
   for (auto& ch : plain) ch = static_cast<char>(rng.next());
-  std::vector<std::uint64_t> ids(kElems);
-  std::uint64_t cur = 0;
-  for (auto& v : ids) {
-    cur += rng.below(1u << 12);
-    v = cur;
-  }
 
   auto best_of = [](auto&& fn) {
     double best = 0;
@@ -393,40 +384,13 @@ KernelBench bench_kernels() {
   const double unshuf_ref =
       best_of([&] { scalar::unshuffle_planes(shuffled, kElems, 8, back.data()); });
 
-  std::vector<std::uint64_t> work;
-  double enc = 0, dec = 0, enc_ref = 0, dec_ref = 0;
-  for (int r = 0; r < 5; ++r) {
-    work = ids;
-    WallTimer te;
-    zigzag_delta_encode(work.data(), kElems);
-    const double e = te.seconds();
-    WallTimer td;
-    zigzag_delta_decode(work.data(), kElems);
-    const double d = td.seconds();
-    if (r == 0 || e < enc) enc = e;
-    if (r == 0 || d < dec) dec = d;
-  }
-  const bool zigzag_ok = work == ids;
-  for (int r = 0; r < 5; ++r) {
-    work = ids;
-    WallTimer te;
-    scalar::zigzag_delta_encode(work.data(), kElems);
-    const double e = te.seconds();
-    WallTimer td;
-    scalar::zigzag_delta_decode(work.data(), kElems);
-    const double d = td.seconds();
-    if (r == 0 || e < enc_ref) enc_ref = e;
-    if (r == 0 || d < dec_ref) dec_ref = d;
-  }
-  if (!shuffle_ok || !zigzag_ok || work != ids) {
+  if (!shuffle_ok) {
     std::fprintf(stderr, "bench_micro: SIMD KERNEL MISMATCH vs scalar reference\n");
     std::exit(1);
   }
 
   out.shuffle_x = shuf > 0 ? shuf_ref / shuf : 0;
   out.unshuffle_x = unshuf > 0 ? unshuf_ref / unshuf : 0;
-  out.zigzag_enc_x = enc > 0 ? enc_ref / enc : 0;
-  out.zigzag_dec_x = dec > 0 ? dec_ref / dec : 0;
   return out;
 }
 
@@ -435,8 +399,6 @@ void kernel_json(JsonWriter& w, const KernelBench& kb) {
   w.field("level", kb.level);
   w.raw_field("shuffle_x", strf("%.3f", kb.shuffle_x));
   w.raw_field("unshuffle_x", strf("%.3f", kb.unshuffle_x));
-  w.raw_field("zigzag_encode_x", strf("%.3f", kb.zigzag_enc_x));
-  w.raw_field("zigzag_decode_x", strf("%.3f", kb.zigzag_dec_x));
   w.end_object();
 }
 
@@ -558,10 +520,9 @@ int main(int argc, char** argv) {
   // Codec kernel dispatch vs forced scalar (honours AC_NO_SIMD: under it the
   // dispatched call IS the scalar reference and every ratio sits near 1.0x).
   const KernelBench kernels = bench_kernels();
-  std::printf("SIMD codec kernels (%s dispatch): shuffle %.1fx, unshuffle %.1fx, "
-              "zigzag enc %.1fx / dec %.1fx vs scalar on 8 MiB stride-8 columns\n\n",
-              kernels.level, kernels.shuffle_x, kernels.unshuffle_x, kernels.zigzag_enc_x,
-              kernels.zigzag_dec_x);
+  std::printf("SIMD codec kernels (%s dispatch): shuffle %.1fx, unshuffle %.1fx vs scalar on "
+              "8 MiB stride-8 columns\n\n",
+              kernels.level, kernels.shuffle_x, kernels.unshuffle_x);
 
   if (!json_path.empty()) {
     const std::string json = to_json(groups, kernels);
@@ -596,21 +557,17 @@ int main(int argc, char** argv) {
                   r.mctb_parse_speedup(), bad ? "TOO SLOW (< 2x)" : "ok");
       regressed = regressed || bad;
     }
-    // SIMD kernel gates. The shuffle pair must actually pay for its intrinsic
-    // complexity (>= 1.2x scalar); zigzag only has to not regress below the
-    // auto-vectorized scalar loop (>= 0.75x — GCC vectorizes the encode).
-    // Skipped when dispatch resolves to scalar (AC_NO_SIMD=1 or a CPU without
-    // SSSE3): there the kernels ARE the scalar reference and a ratio gate
-    // would only measure noise.
+    // SIMD kernel gates: the shuffle pair must actually pay for its intrinsic
+    // complexity (>= 1.2x scalar). Skipped when dispatch resolves to scalar
+    // (AC_NO_SIMD=1 or a CPU without SSSE3): there the kernels ARE the scalar
+    // reference and a ratio gate would only measure noise.
     if (active_simd_level() != SimdLevel::Scalar) {
       const struct {
         const char* name;
         double got;
         double floor;
       } simd_gates[] = {{"shuffle", kernels.shuffle_x, 1.2},
-                        {"unshuffle", kernels.unshuffle_x, 1.2},
-                        {"zigzag-enc", kernels.zigzag_enc_x, 0.75},
-                        {"zigzag-dec", kernels.zigzag_dec_x, 0.75}};
+                        {"unshuffle", kernels.unshuffle_x, 1.2}};
       for (const auto& g : simd_gates) {
         const bool bad = g.got < g.floor;
         std::printf("check simd %-12s %.2fx scalar (floor %.2fx, %s) -> %s\n", g.name, g.got,

@@ -78,7 +78,7 @@ void ProtectSink::consume(const Report& report, const SessionContext& ctx) {
                           ctx.source_name.c_str(), ctx.region.function.c_str(),
                           ctx.region.begin_line, ctx.region.end_line);
   if (!codec_spec_.empty()) {
-    text += strf("cfg.set_codecs(ac::ckpt::CodecChain::parse(\"%s\"));\n", codec_spec_.c_str());
+    text += strf("cfg.set_codecs(ac::CodecChain::parse(\"%s\"));\n", codec_spec_.c_str());
   }
   for (const auto& cv : report.critical()) {
     const auto it = allocas.find(cv.name);

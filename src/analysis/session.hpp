@@ -131,7 +131,7 @@ class ProtectSink final : public ReportSink {
   explicit ProtectSink(std::string* capture) : capture_(capture) {}
   void consume(const Report& report, const SessionContext& ctx) override;
 
-  /// When set (a ckpt::CodecChain spec, e.g. "xor+rle+lz"), the emitted
+  /// When set (an ac::CodecChain spec, e.g. "xor+rle+lz"), the emitted
   /// snippet also configures the engine's payload codecs. Validate the spec
   /// with CodecChain::parse before handing it over — the sink emits verbatim.
   ProtectSink& codec_spec(std::string spec) {

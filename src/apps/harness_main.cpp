@@ -91,11 +91,11 @@ void parse_codec_spec(ac::ckpt::EngineConfig& cfg, const std::string& spec) {
   for (const std::string& item : items) {
     const std::size_t eq = item.find('=');
     if (eq == std::string::npos) {
-      cfg.set_codecs(ac::ckpt::CodecChain::parse(item));
+      cfg.set_codecs(ac::CodecChain::parse(item));
       continue;
     }
     const std::string level = item.substr(0, eq);
-    const ac::ckpt::CodecChain chain = ac::ckpt::CodecChain::parse(item.substr(eq + 1));
+    const ac::CodecChain chain = ac::CodecChain::parse(item.substr(eq + 1));
     if (level == "l1") {
       cfg.l1_codec = chain;
     } else if (level == "l2") {

@@ -4,8 +4,7 @@
 //
 // The codec machinery itself (Raw/XorDelta/Rle/Lz stages, CodecChain
 // stacking) lives in support/codec.hpp so the checkpoint engine and the
-// binary trace container (trace/mctb.hpp) share exactly one implementation;
-// the aliases below keep the historical ac::ckpt spelling working.
+// binary trace container (trace/mctb.hpp) share exactly one implementation.
 //
 // Cell spans are serialized byte-plane-shuffled (all payload bytes 0, then
 // all bytes 1, ..., then all kind tags — the Blosc/HDF5 shuffle filter):
@@ -27,12 +26,6 @@
 #include "support/codec.hpp"
 
 namespace ac::ckpt {
-
-using ac::Codec;
-using ac::CodecChain;
-using ac::CodecId;
-using ac::codec_for;
-using ac::codec_name;
 
 /// Serialize a cell span byte-plane-shuffled: payload plane 0 of every cell,
 /// then plane 1, ..., plane 7, then every kind tag. 9 bytes per cell.

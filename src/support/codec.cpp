@@ -402,21 +402,6 @@ void unshuffle_planes(std::string_view bytes, std::size_t count, std::size_t str
   }
 }
 
-void zigzag_delta_encode(std::uint64_t* values, std::size_t n, std::uint64_t prev) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t cur = values[i];
-    values[i] = ac::zigzag_encode(cur - prev);
-    prev = cur;
-  }
-}
-
-void zigzag_delta_decode(std::uint64_t* values, std::size_t n, std::uint64_t prev) {
-  for (std::size_t i = 0; i < n; ++i) {
-    prev += ac::zigzag_decode(values[i]);
-    values[i] = prev;
-  }
-}
-
 std::size_t rle_find_run(const unsigned char* p, std::size_t n) {
   if (n < 3) return n;
   for (std::size_t i = 0; i + 2 < n; ++i) {
@@ -582,254 +567,8 @@ void unshuffle8_sse(const unsigned char* in, std::size_t count, unsigned char* o
   }
 }
 
-// AVX2 variants: _mm256_loadu2_m128i places elements i..i+15 in lane 0 and
-// i+16..i+31 in lane 1, so the 128-bit networks above run unchanged per lane;
-// shuffle outputs are 32 contiguous plane bytes (one plain store), unshuffle
-// outputs split back into the two 16-element halves via storeu2.
-
-__attribute__((target("avx2"))) void shuffle4_avx2(const unsigned char* in, std::size_t count,
-                                                   unsigned char* out) {
-  const __m256i mask = _mm256_broadcastsi128_si256(
-      _mm_setr_epi8(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15));
-  std::size_t i = 0;
-  for (; i + 32 <= count; i += 32) {
-    const unsigned char* lo = in + i * 4;
-    const unsigned char* hi = in + (i + 16) * 4;
-    __m256i v[4];
-    for (int j = 0; j < 4; ++j) {
-      v[j] = _mm256_shuffle_epi8(
-          _mm256_loadu2_m128i(reinterpret_cast<const __m128i*>(hi + 16 * j),
-                              reinterpret_cast<const __m128i*>(lo + 16 * j)),
-          mask);
-    }
-    const __m256i t0 = _mm256_unpacklo_epi32(v[0], v[1]);
-    const __m256i t1 = _mm256_unpackhi_epi32(v[0], v[1]);
-    const __m256i t2 = _mm256_unpacklo_epi32(v[2], v[3]);
-    const __m256i t3 = _mm256_unpackhi_epi32(v[2], v[3]);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 0 * count + i),
-                        _mm256_unpacklo_epi64(t0, t2));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 1 * count + i),
-                        _mm256_unpackhi_epi64(t0, t2));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 2 * count + i),
-                        _mm256_unpacklo_epi64(t1, t3));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 3 * count + i),
-                        _mm256_unpackhi_epi64(t1, t3));
-  }
-  for (; i < count; ++i) {
-    for (std::size_t k = 0; k < 4; ++k) out[k * count + i] = in[i * 4 + k];
-  }
-}
-
-__attribute__((target("avx2"))) void shuffle8_avx2(const unsigned char* in, std::size_t count,
-                                                   unsigned char* out) {
-  const __m256i mask = _mm256_broadcastsi128_si256(
-      _mm_setr_epi8(0, 8, 1, 9, 2, 10, 3, 11, 4, 12, 5, 13, 6, 14, 7, 15));
-  std::size_t i = 0;
-  for (; i + 32 <= count; i += 32) {
-    const unsigned char* lo = in + i * 8;
-    const unsigned char* hi = in + (i + 16) * 8;
-    __m256i v[8];
-    for (int j = 0; j < 8; ++j) {
-      v[j] = _mm256_shuffle_epi8(
-          _mm256_loadu2_m128i(reinterpret_cast<const __m128i*>(hi + 16 * j),
-                              reinterpret_cast<const __m128i*>(lo + 16 * j)),
-          mask);
-    }
-    const __m256i t0 = _mm256_unpacklo_epi16(v[0], v[1]);
-    const __m256i t1 = _mm256_unpackhi_epi16(v[0], v[1]);
-    const __m256i t2 = _mm256_unpacklo_epi16(v[2], v[3]);
-    const __m256i t3 = _mm256_unpackhi_epi16(v[2], v[3]);
-    const __m256i t4 = _mm256_unpacklo_epi16(v[4], v[5]);
-    const __m256i t5 = _mm256_unpackhi_epi16(v[4], v[5]);
-    const __m256i t6 = _mm256_unpacklo_epi16(v[6], v[7]);
-    const __m256i t7 = _mm256_unpackhi_epi16(v[6], v[7]);
-    const __m256i s0 = _mm256_unpacklo_epi32(t0, t2);
-    const __m256i s1 = _mm256_unpackhi_epi32(t0, t2);
-    const __m256i s2 = _mm256_unpacklo_epi32(t1, t3);
-    const __m256i s3 = _mm256_unpackhi_epi32(t1, t3);
-    const __m256i s4 = _mm256_unpacklo_epi32(t4, t6);
-    const __m256i s5 = _mm256_unpackhi_epi32(t4, t6);
-    const __m256i s6 = _mm256_unpacklo_epi32(t5, t7);
-    const __m256i s7 = _mm256_unpackhi_epi32(t5, t7);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 0 * count + i),
-                        _mm256_unpacklo_epi64(s0, s4));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 1 * count + i),
-                        _mm256_unpackhi_epi64(s0, s4));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 2 * count + i),
-                        _mm256_unpacklo_epi64(s1, s5));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 3 * count + i),
-                        _mm256_unpackhi_epi64(s1, s5));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 4 * count + i),
-                        _mm256_unpacklo_epi64(s2, s6));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 5 * count + i),
-                        _mm256_unpackhi_epi64(s2, s6));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 6 * count + i),
-                        _mm256_unpacklo_epi64(s3, s7));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 7 * count + i),
-                        _mm256_unpackhi_epi64(s3, s7));
-  }
-  for (; i < count; ++i) {
-    for (std::size_t k = 0; k < 8; ++k) out[k * count + i] = in[i * 8 + k];
-  }
-}
-
-__attribute__((target("avx2"))) void unshuffle4_avx2(const unsigned char* in, std::size_t count,
-                                                     unsigned char* out) {
-  std::size_t i = 0;
-  for (; i + 32 <= count; i += 32) {
-    __m256i v[4];
-    for (int k = 0; k < 4; ++k) {
-      v[k] = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(in + static_cast<std::size_t>(k) * count + i));
-    }
-    const __m256i t0 = _mm256_unpacklo_epi8(v[0], v[1]);
-    const __m256i t1 = _mm256_unpackhi_epi8(v[0], v[1]);
-    const __m256i t2 = _mm256_unpacklo_epi8(v[2], v[3]);
-    const __m256i t3 = _mm256_unpackhi_epi8(v[2], v[3]);
-    const __m256i u0 = _mm256_unpacklo_epi16(t0, t2);
-    const __m256i u1 = _mm256_unpackhi_epi16(t0, t2);
-    const __m256i u2 = _mm256_unpacklo_epi16(t1, t3);
-    const __m256i u3 = _mm256_unpackhi_epi16(t1, t3);
-    unsigned char* lo = out + i * 4;
-    unsigned char* hi = out + (i + 16) * 4;
-    _mm256_storeu2_m128i(reinterpret_cast<__m128i*>(hi), reinterpret_cast<__m128i*>(lo), u0);
-    _mm256_storeu2_m128i(reinterpret_cast<__m128i*>(hi + 16), reinterpret_cast<__m128i*>(lo + 16),
-                         u1);
-    _mm256_storeu2_m128i(reinterpret_cast<__m128i*>(hi + 32), reinterpret_cast<__m128i*>(lo + 32),
-                         u2);
-    _mm256_storeu2_m128i(reinterpret_cast<__m128i*>(hi + 48), reinterpret_cast<__m128i*>(lo + 48),
-                         u3);
-  }
-  for (; i < count; ++i) {
-    for (std::size_t k = 0; k < 4; ++k) out[i * 4 + k] = in[k * count + i];
-  }
-}
-
-__attribute__((target("avx2"))) void unshuffle8_avx2(const unsigned char* in, std::size_t count,
-                                                     unsigned char* out) {
-  std::size_t i = 0;
-  for (; i + 32 <= count; i += 32) {
-    __m256i v[8];
-    for (int k = 0; k < 8; ++k) {
-      v[k] = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(in + static_cast<std::size_t>(k) * count + i));
-    }
-    const __m256i t0 = _mm256_unpacklo_epi8(v[0], v[1]);
-    const __m256i t1 = _mm256_unpackhi_epi8(v[0], v[1]);
-    const __m256i t2 = _mm256_unpacklo_epi8(v[2], v[3]);
-    const __m256i t3 = _mm256_unpackhi_epi8(v[2], v[3]);
-    const __m256i t4 = _mm256_unpacklo_epi8(v[4], v[5]);
-    const __m256i t5 = _mm256_unpackhi_epi8(v[4], v[5]);
-    const __m256i t6 = _mm256_unpacklo_epi8(v[6], v[7]);
-    const __m256i t7 = _mm256_unpackhi_epi8(v[6], v[7]);
-    const __m256i s0 = _mm256_unpacklo_epi16(t0, t2);
-    const __m256i s1 = _mm256_unpackhi_epi16(t0, t2);
-    const __m256i s2 = _mm256_unpacklo_epi16(t1, t3);
-    const __m256i s3 = _mm256_unpackhi_epi16(t1, t3);
-    const __m256i s4 = _mm256_unpacklo_epi16(t4, t6);
-    const __m256i s5 = _mm256_unpackhi_epi16(t4, t6);
-    const __m256i s6 = _mm256_unpacklo_epi16(t5, t7);
-    const __m256i s7 = _mm256_unpackhi_epi16(t5, t7);
-    const __m256i r0 = _mm256_unpacklo_epi32(s0, s4);
-    const __m256i r1 = _mm256_unpackhi_epi32(s0, s4);
-    const __m256i r2 = _mm256_unpacklo_epi32(s1, s5);
-    const __m256i r3 = _mm256_unpackhi_epi32(s1, s5);
-    const __m256i r4 = _mm256_unpacklo_epi32(s2, s6);
-    const __m256i r5 = _mm256_unpackhi_epi32(s2, s6);
-    const __m256i r6 = _mm256_unpacklo_epi32(s3, s7);
-    const __m256i r7 = _mm256_unpackhi_epi32(s3, s7);
-    unsigned char* lo = out + i * 8;
-    unsigned char* hi = out + (i + 16) * 8;
-    const __m256i rs[8] = {r0, r1, r2, r3, r4, r5, r6, r7};
-    for (int k = 0; k < 8; ++k) {
-      _mm256_storeu2_m128i(reinterpret_cast<__m128i*>(hi + 16 * k),
-                           reinterpret_cast<__m128i*>(lo + 16 * k), rs[k]);
-    }
-  }
-  for (; i < count; ++i) {
-    for (std::size_t k = 0; k < 8; ++k) out[i * 8 + k] = in[k * count + i];
-  }
-}
-
-// Zigzag-delta over u64 columns. The encode's per-lane previous element comes
-// from shifting the loaded vector itself, so the transform is in-place safe;
-// the decode carries the running sum in a register across iterations.
-
-void zigzag_enc_sse(std::uint64_t* v, std::size_t n, std::uint64_t prev) {
-  std::size_t i = 0;
-  const __m128i zero = _mm_setzero_si128();
-  for (; i + 2 <= n; i += 2) {
-    const __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(v + i));
-    const __m128i pv = _mm_or_si128(_mm_slli_si128(x, 8),
-                                    _mm_cvtsi64_si128(static_cast<long long>(prev)));
-    const __m128i d = _mm_sub_epi64(x, pv);
-    const __m128i sign = _mm_sub_epi64(zero, _mm_srli_epi64(d, 63));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(v + i),
-                     _mm_xor_si128(_mm_slli_epi64(d, 1), sign));
-    prev = static_cast<std::uint64_t>(_mm_cvtsi128_si64(_mm_srli_si128(x, 8)));
-  }
-  scalar::zigzag_delta_encode(v + i, n - i, prev);
-}
-
-__attribute__((target("avx2"))) void zigzag_enc_avx2(std::uint64_t* v, std::size_t n,
-                                                     std::uint64_t prev) {
-  std::size_t i = 0;
-  const __m256i zero = _mm256_setzero_si256();
-  for (; i + 4 <= n; i += 4) {
-    const __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    // [v0,v0,v1,v2] then lane 0 <- carried prev: the per-lane predecessor.
-    const __m256i pv = _mm256_blend_epi32(
-        _mm256_permute4x64_epi64(x, 0x90),
-        _mm256_set1_epi64x(static_cast<long long>(prev)), 0x03);
-    const __m256i d = _mm256_sub_epi64(x, pv);
-    const __m256i sign = _mm256_cmpgt_epi64(zero, d);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(v + i),
-                        _mm256_xor_si256(_mm256_slli_epi64(d, 1), sign));
-    prev = static_cast<std::uint64_t>(_mm256_extract_epi64(x, 3));
-  }
-  scalar::zigzag_delta_encode(v + i, n - i, prev);
-}
-
-void zigzag_dec_sse(std::uint64_t* v, std::size_t n, std::uint64_t prev) {
-  std::size_t i = 0;
-  const __m128i zero = _mm_setzero_si128();
-  const __m128i one = _mm_set1_epi64x(1);
-  for (; i + 2 <= n; i += 2) {
-    const __m128i z = _mm_loadu_si128(reinterpret_cast<const __m128i*>(v + i));
-    const __m128i u = _mm_xor_si128(_mm_srli_epi64(z, 1),
-                                    _mm_sub_epi64(zero, _mm_and_si128(z, one)));
-    const __m128i sum = _mm_add_epi64(u, _mm_slli_si128(u, 8));  // [u0, u0+u1]
-    const __m128i r = _mm_add_epi64(sum, _mm_set1_epi64x(static_cast<long long>(prev)));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(v + i), r);
-    prev = static_cast<std::uint64_t>(_mm_cvtsi128_si64(_mm_srli_si128(r, 8)));
-  }
-  scalar::zigzag_delta_decode(v + i, n - i, prev);
-}
-
-__attribute__((target("avx2"))) void zigzag_dec_avx2(std::uint64_t* v, std::size_t n,
-                                                     std::uint64_t prev) {
-  std::size_t i = 0;
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i one = _mm256_set1_epi64x(1);
-  __m256i carry = _mm256_set1_epi64x(static_cast<long long>(prev));
-  for (; i + 4 <= n; i += 4) {
-    const __m256i z = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    const __m256i u = _mm256_xor_si256(_mm256_srli_epi64(z, 1),
-                                       _mm256_sub_epi64(zero, _mm256_and_si256(z, one)));
-    const __m256i x1 = _mm256_add_epi64(u, _mm256_slli_si256(u, 8));  // [u0,u01,u2,u23] per lane
-    // Add lane 1's pair sum (u0+u1) into the upper 128-bit lane only.
-    const __m256i t = _mm256_blend_epi32(_mm256_permute4x64_epi64(x1, 0x55), zero, 0x0F);
-    const __m256i x2 = _mm256_add_epi64(x1, t);  // inclusive prefix sum of the 4 lanes
-    const __m256i r = _mm256_add_epi64(x2, carry);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(v + i), r);
-    carry = _mm256_permute4x64_epi64(r, 0xFF);  // broadcast the running total
-  }
-  scalar::zigzag_delta_decode(v + i, n - i,
-                              static_cast<std::uint64_t>(_mm256_extract_epi64(carry, 0)));
-}
-
-// RLE scans (SSE2, used at both SIMD levels): 16 run-start candidates or 16
-// run-continuation bytes per compare.
+// RLE scans (SSE2): 16 run-start candidates or 16 run-continuation bytes per
+// compare.
 
 std::size_t rle_find_run_sse(const unsigned char* p, std::size_t n) {
   std::size_t i = 0;
@@ -869,9 +608,7 @@ SimdLevel cpu_simd_level() {
 #ifdef AC_SIMD_X86
   static const SimdLevel cap = [] {
     __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx2")) return SimdLevel::Avx2;
-    if (__builtin_cpu_supports("ssse3")) return SimdLevel::Sse;
-    return SimdLevel::Scalar;
+    return __builtin_cpu_supports("ssse3") ? SimdLevel::Sse : SimdLevel::Scalar;
   }();
   return cap;
 #else
@@ -894,7 +631,6 @@ const char* simd_level_name(SimdLevel level) {
   switch (level) {
     case SimdLevel::Scalar: return "scalar";
     case SimdLevel::Sse: return "sse";
-    case SimdLevel::Avx2: return "avx2";
   }
   return "?";
 }
@@ -908,16 +644,11 @@ SimdLevel force_simd_level(SimdLevel level) {
 
 std::string shuffle_planes(const void* data, std::size_t count, std::size_t stride) {
 #ifdef AC_SIMD_X86
-  const SimdLevel level = active_simd_level();
-  if (level != SimdLevel::Scalar && (stride == 4 || stride == 8) && count >= 16) {
+  if (active_simd_level() != SimdLevel::Scalar && (stride == 4 || stride == 8) && count >= 16) {
     const auto* in = static_cast<const unsigned char*>(data);
     std::string out(count * stride, '\0');
     auto* dst = reinterpret_cast<unsigned char*>(out.data());
-    if (level == SimdLevel::Avx2) {
-      stride == 4 ? shuffle4_avx2(in, count, dst) : shuffle8_avx2(in, count, dst);
-    } else {
-      stride == 4 ? shuffle4_sse(in, count, dst) : shuffle8_sse(in, count, dst);
-    }
+    stride == 4 ? shuffle4_sse(in, count, dst) : shuffle8_sse(in, count, dst);
     return out;
   }
 #endif
@@ -930,15 +661,10 @@ void unshuffle_planes(std::string_view bytes, std::size_t count, std::size_t str
                           count, stride));
   }
 #ifdef AC_SIMD_X86
-  const SimdLevel level = active_simd_level();
-  if (level != SimdLevel::Scalar && (stride == 4 || stride == 8) && count >= 16) {
+  if (active_simd_level() != SimdLevel::Scalar && (stride == 4 || stride == 8) && count >= 16) {
     const auto* in = reinterpret_cast<const unsigned char*>(bytes.data());
     auto* dst = static_cast<unsigned char*>(out);
-    if (level == SimdLevel::Avx2) {
-      stride == 4 ? unshuffle4_avx2(in, count, dst) : unshuffle8_avx2(in, count, dst);
-    } else {
-      stride == 4 ? unshuffle4_sse(in, count, dst) : unshuffle8_sse(in, count, dst);
-    }
+    stride == 4 ? unshuffle4_sse(in, count, dst) : unshuffle8_sse(in, count, dst);
     return;
   }
 #endif
@@ -946,21 +672,18 @@ void unshuffle_planes(std::string_view bytes, std::size_t count, std::size_t str
 }
 
 void zigzag_delta_encode(std::uint64_t* values, std::size_t n, std::uint64_t prev) {
-#ifdef AC_SIMD_X86
-  const SimdLevel level = active_simd_level();
-  if (level == SimdLevel::Avx2 && n >= 4) return zigzag_enc_avx2(values, n, prev);
-  if (level == SimdLevel::Sse && n >= 2) return zigzag_enc_sse(values, n, prev);
-#endif
-  scalar::zigzag_delta_encode(values, n, prev);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t cur = values[i];
+    values[i] = zigzag_encode(cur - prev);
+    prev = cur;
+  }
 }
 
 void zigzag_delta_decode(std::uint64_t* values, std::size_t n, std::uint64_t prev) {
-#ifdef AC_SIMD_X86
-  const SimdLevel level = active_simd_level();
-  if (level == SimdLevel::Avx2 && n >= 4) return zigzag_dec_avx2(values, n, prev);
-  if (level == SimdLevel::Sse && n >= 2) return zigzag_dec_sse(values, n, prev);
-#endif
-  scalar::zigzag_delta_decode(values, n, prev);
+  for (std::size_t i = 0; i < n; ++i) {
+    prev += zigzag_decode(values[i]);
+    values[i] = prev;
+  }
 }
 
 std::size_t rle_find_run(const unsigned char* p, std::size_t n) {

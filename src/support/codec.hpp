@@ -123,26 +123,27 @@ class CodecChain {
 
 // --- SIMD kernel dispatch ---------------------------------------------------
 //
-// The byte-level kernels below (plane shuffle, zigzag-delta, RLE scan) sit
-// under every MCTB decode and checkpoint encode. Each has a scalar reference
-// implementation plus SSE/AVX2 variants selected once at startup from CPUID;
-// setting the AC_NO_SIMD environment variable (to anything but "0") forces
-// the scalar path. The dispatch level is a process-wide atomic so tests and
-// benches can pin a level with force_simd_level() and compare outputs — the
-// variants are bit-identical by contract, pinned in tests/test_simd.cpp.
+// The byte-level kernels below (plane shuffle, RLE scan) sit under every MCTB
+// decode and checkpoint encode. Each has a scalar reference implementation
+// plus an SSSE3 variant selected once at startup from CPUID; setting the
+// AC_NO_SIMD environment variable (to anything but "0") forces the scalar
+// path. The dispatch level is a process-wide atomic so tests and benches can
+// pin a level with force_simd_level() and compare outputs — the variants are
+// bit-identical by contract, pinned in tests/test_simd.cpp. Zigzag-delta has
+// one implementation, the scalar loop.
 
-enum class SimdLevel : std::uint8_t { Scalar = 0, Sse = 1, Avx2 = 2 };
+enum class SimdLevel : std::uint8_t { Scalar = 0, Sse = 1 };
 
-/// "scalar", "sse", "avx2".
+/// "scalar", "sse".
 const char* simd_level_name(SimdLevel level);
 
-/// The dispatch level in effect: the highest CPU-supported level by default,
-/// Scalar when AC_NO_SIMD is set in the environment.
+/// The dispatch level in effect: Sse on an SSSE3 CPU by default, Scalar
+/// when AC_NO_SIMD is set in the environment.
 SimdLevel active_simd_level();
 
 /// Test/bench hook: pin the dispatch level (clamped to what the CPU actually
-/// supports — requesting Avx2 on an SSE-only machine yields Sse). Returns the
-/// previously active level so callers can restore it.
+/// supports — requesting Sse on a CPU without SSSE3 yields Scalar). Returns
+/// the previously active level so callers can restore it.
 SimdLevel force_simd_level(SimdLevel level);
 
 // --- fixed-stride helpers shared by the container formats -------------------
@@ -179,8 +180,6 @@ std::size_t rle_run_length(const unsigned char* p, std::size_t n);
 namespace scalar {
 std::string shuffle_planes(const void* data, std::size_t count, std::size_t stride);
 void unshuffle_planes(std::string_view bytes, std::size_t count, std::size_t stride, void* out);
-void zigzag_delta_encode(std::uint64_t* values, std::size_t n, std::uint64_t prev = 0);
-void zigzag_delta_decode(std::uint64_t* values, std::size_t n, std::uint64_t prev = 0);
 std::size_t rle_find_run(const unsigned char* p, std::size_t n);
 std::size_t rle_run_length(const unsigned char* p, std::size_t n);
 }  // namespace scalar

@@ -1,8 +1,8 @@
-// One executor under every parallel path: the producer/consumer text reader
-// and the MCTB parallel decode. A parallel error keeps its original type and
-// message (CodecError vs TraceFormatError vs bad_alloc), and no chunk is
-// claimed after a failure. This header is the single implementation of that
-// logic:
+// One executor under every chunked path: the text parse (read_trace_buffer,
+// whose one-thread case is this executor run inline) and the MCTB parallel
+// decode. A parallel error keeps its original type and message (CodecError
+// vs TraceFormatError vs bad_alloc), and no chunk is claimed after a
+// failure. This header is the single implementation of that logic:
 //
 //   FailState     first-error capture as std::exception_ptr (the lowest
 //                 failing chunk index wins, which makes the parallel error

@@ -88,17 +88,51 @@ void appendf(std::string& out, const char* fmt, ...) {
   va_end(ap2);
 }
 
+namespace {
+
+/// Value of `digits` in `base` (10 or 16; no sign, no prefix). Throws
+/// ac::Error naming `fn` on an empty field, a non-digit, or a value above
+/// `max` — a field never saturates or wraps into range.
+std::uint64_t parse_digits(std::string_view digits, unsigned base, std::uint64_t max,
+                           const char* fn, std::string_view field) {
+  if (digits.empty()) throw Error(strf("%s: empty field", fn));
+  std::uint64_t v = 0;
+  for (const char c : digits) {
+    unsigned d;
+    if (c >= '0' && c <= '9') {
+      d = static_cast<unsigned>(c - '0');
+    } else if (base == 16 && c >= 'a' && c <= 'f') {
+      d = static_cast<unsigned>(c - 'a' + 10);
+    } else if (base == 16 && c >= 'A' && c <= 'F') {
+      d = static_cast<unsigned>(c - 'A' + 10);
+    } else {
+      throw Error(strf("%s: bad %s '%.*s'", fn, base == 16 ? "hex" : "integer",
+                       static_cast<int>(field.size()), field.data()));
+    }
+    if (v > (max - d) / base) {
+      throw Error(strf("%s: '%.*s' out of range", fn, static_cast<int>(field.size()),
+                       field.data()));
+    }
+    v = v * base + d;
+  }
+  return v;
+}
+
+}  // namespace
+
 std::int64_t parse_i64(std::string_view s) {
   s = trim(s);
-  if (s.empty()) throw Error("parse_i64: empty field");
-  char buf[32];
-  if (s.size() >= sizeof(buf)) throw Error("parse_i64: field too long");
-  std::memcpy(buf, s.data(), s.size());
-  buf[s.size()] = '\0';
-  char* end = nullptr;
-  long long v = std::strtoll(buf, &end, 10);
-  if (end != buf + s.size()) throw Error("parse_i64: bad integer '" + std::string(s) + "'");
-  return v;
+  const bool neg = !s.empty() && s[0] == '-';
+  const bool sign = neg || (!s.empty() && s[0] == '+');
+  const std::uint64_t mag =
+      parse_digits(s.substr(sign ? 1 : 0), 10,
+                   neg ? std::uint64_t{1} << 63 : std::uint64_t{INT64_MAX}, "parse_i64", s);
+  return neg ? static_cast<std::int64_t>(0 - mag) : static_cast<std::int64_t>(mag);
+}
+
+std::uint64_t parse_u64(std::string_view s) {
+  s = trim(s);
+  return parse_digits(s, 10, UINT64_MAX, "parse_u64", s);
 }
 
 double parse_f64(std::string_view s) {
@@ -117,15 +151,7 @@ double parse_f64(std::string_view s) {
 std::uint64_t parse_hex(std::string_view s) {
   s = trim(s);
   if (!starts_with(s, "0x")) throw Error("parse_hex: missing 0x in '" + std::string(s) + "'");
-  char buf[32];
-  std::string_view digits = s.substr(2);
-  if (digits.empty() || digits.size() >= sizeof(buf)) throw Error("parse_hex: bad length");
-  std::memcpy(buf, digits.data(), digits.size());
-  buf[digits.size()] = '\0';
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(buf, &end, 16);
-  if (end != buf + digits.size()) throw Error("parse_hex: bad hex '" + std::string(s) + "'");
-  return v;
+  return parse_digits(s.substr(2), 16, UINT64_MAX, "parse_hex", s);
 }
 
 int parse_int_arg(std::string_view flag, const char* text, int min_value) {

@@ -31,13 +31,19 @@ std::string strf(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 /// per-record trace writers format straight into their batch buffer.
 void appendf(std::string& out, const char* fmt, ...) __attribute__((format(printf, 2, 3)));
 
-/// Parse a signed decimal int64; throws ac::Error on garbage.
+/// Parse a signed decimal int64; throws ac::Error on garbage or a value
+/// outside int64 (it never saturates).
 std::int64_t parse_i64(std::string_view s);
+
+/// Parse an unsigned decimal u64 (digits only, no sign); throws ac::Error on
+/// garbage or a value outside u64.
+std::uint64_t parse_u64(std::string_view s);
 
 /// Parse a double; throws ac::Error on garbage.
 double parse_f64(std::string_view s);
 
-/// Parse a 0x-prefixed hexadecimal address; throws ac::Error on garbage.
+/// Parse a 0x-prefixed hexadecimal address; throws ac::Error on garbage or
+/// a value outside u64.
 std::uint64_t parse_hex(std::string_view s);
 
 /// Checked command-line integer for option `flag`: rejects garbage, trailing

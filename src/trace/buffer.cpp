@@ -121,11 +121,7 @@ void TraceBuffer::append(const RecordView& rec) {
 }
 
 void TraceBuffer::append_buffer(const TraceBuffer& other) {
-  append_remapped(other, pool_.merge(other.pool_));
-}
-
-void TraceBuffer::append_remapped(const TraceBuffer& other,
-                                  const std::vector<std::uint32_t>& remap) {
+  const std::vector<std::uint32_t> remap = pool_.merge(other.pool_);
   auto remap_id = [&](std::uint32_t id) {
     return id == SymbolPool::npos ? SymbolPool::npos : remap[id];
   };

@@ -200,15 +200,12 @@ class TraceBuffer {
   /// identical to append(rec.materialize()).
   void append(const RecordView& rec);
 
-  /// Bulk-append `other`'s records, remapping its pool ids into this pool
-  /// (the parallel-parse merge step). Thread-safe on the pool side; array
-  /// appends are single-writer.
+  /// Bulk-append `other`'s records: its symbols are merged into this pool in
+  /// `other`'s id order (SymbolPool::merge), then its records and operands
+  /// are copied with remapped ids, so appending a trace's chunks in input
+  /// order builds the pool one parse of the whole trace would. The arrays
+  /// grow geometrically, so k appends reallocate O(log k) times.
   void append_buffer(const TraceBuffer& other);
-
-  /// Same, with the pool-id remap already computed (pool().merge(other.pool())
-  /// may run concurrently from workers; the array concatenation happens here).
-  /// The arrays grow geometrically, so k appends reallocate O(log k) times.
-  void append_remapped(const TraceBuffer& other, const std::vector<std::uint32_t>& remap);
 
   /// Rebuild record `i` as an owning TraceRecord.
   TraceRecord materialize(std::size_t i) const { return view(i).materialize(); }
@@ -218,12 +215,6 @@ class TraceBuffer {
   std::size_t byte_size() const {
     return records_.capacity() * sizeof(PackedRecord) +
            operands_.capacity() * sizeof(PackedOperand) + pool_.byte_size();
-  }
-
-  /// Trim capacity to size (after a parallel merge over-reserves).
-  void shrink_to_fit() {
-    records_.shrink_to_fit();
-    operands_.shrink_to_fit();
   }
 
  private:

@@ -160,7 +160,7 @@ std::string encode_record_chunk(const PackedRecord* recs, std::size_t n) {
     line[i] = static_cast<std::uint32_t>(recs[i].line);
     opcode[i] = static_cast<char>(recs[i].opcode);
   }
-  zigzag_delta_encode(dyn.data(), n);  // SIMD kernel; the gather above stays scalar
+  zigzag_delta_encode(dyn.data(), n);  // dyn[i] becomes the zigzag-folded delta
   std::string raw = shuffle_planes(dyn.data(), n, 8);
   raw += shuffle_planes(func.data(), n, 4);
   raw += shuffle_planes(bb.data(), n, 4);

@@ -31,24 +31,10 @@ std::uint32_t SymbolPool::find(std::string_view s) const {
 
 std::vector<std::uint32_t> SymbolPool::merge(const SymbolPool& other) {
   std::vector<std::uint32_t> remap(other.refs_.size(), npos);
-  const std::lock_guard<std::mutex> lock(merge_mu_);
   for (std::size_t id = 0; id < other.refs_.size(); ++id) {
     remap[id] = intern(other.view(static_cast<std::uint32_t>(id)));
   }
   return remap;
-}
-
-void SymbolPool::copy_from(const SymbolPool& other) {
-  arena_ = other.arena_;
-  refs_ = other.refs_;
-  // Rebuild the index so its keys are independent of other's lifetime.
-  index_.clear();
-  index_.reserve(refs_.size());
-  for (std::size_t id = 0; id < refs_.size(); ++id) {
-    index_.emplace(std::string(view(static_cast<std::uint32_t>(id))),
-                   static_cast<std::uint32_t>(id));
-  }
-  // merge_mu_ stays this object's own.
 }
 
 }  // namespace ac::trace

@@ -7,17 +7,17 @@
 // string traffic (the allocator-bound hot path of the legacy TraceRecord
 // layout) into 4-byte id copies, and name equality into an integer compare.
 //
-// Single-writer by default; merge() is the thread-safe bulk-insert path used
-// by the parallel trace parse: each worker interns into a private pool, then
-// merges it into the shared pool under the pool's mutex, receiving a
-// local-id -> shared-id remap table.
+// Single-writer. merge() is the bulk insert behind TraceBuffer::append_buffer:
+// the trace parse interns each chunk into a private pool on its worker, and
+// the consuming thread merges those pools into the output one at a time, in
+// input order, so the ids come out as a single parse would assign them.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace ac::trace {
@@ -42,13 +42,16 @@ class SymbolPool {
     return id == npos ? absent : id;
   }
 
-  // Copies/moves transfer the symbol data; the mutex belongs to the object,
-  // not the data, and is never transferred. Not thread-safe themselves.
+  // Copies and moves transfer the symbols; a copy gets its own uid(), and
+  // assignment and move-from renew the target's and the source's.
   SymbolPool() = default;
-  SymbolPool(const SymbolPool& other) { copy_from(other); }
+  SymbolPool(const SymbolPool& other)
+      : arena_(other.arena_), refs_(other.refs_), index_(other.index_) {}
   SymbolPool& operator=(const SymbolPool& other) {
     if (this != &other) {
-      copy_from(other);
+      arena_ = other.arena_;
+      refs_ = other.refs_;
+      index_ = other.index_;
       uid_ = next_uid();
     }
     return *this;
@@ -101,11 +104,9 @@ class SymbolPool {
     return arena_.capacity() + refs_.capacity() * sizeof(Ref);
   }
 
-  /// Thread-safe bulk insert: interns every symbol of `other` into this pool
-  /// under an internal mutex and returns remap with remap[local_id] == the id
-  /// in this pool. Concurrent merge() calls are safe with each other; callers
-  /// must not run intern()/find()/view() on this pool concurrently with an
-  /// in-flight merge.
+  /// Bulk insert: interns every symbol of `other` into this pool in
+  /// `other`'s id order and returns remap with remap[local_id] == the id in
+  /// this pool.
   std::vector<std::uint32_t> merge(const SymbolPool& other);
 
  private:
@@ -122,14 +123,12 @@ class SymbolPool {
     }
   };
 
-  void copy_from(const SymbolPool& other);
   static std::uint64_t next_uid();
 
   std::uint64_t uid_ = next_uid();
   std::string arena_;
   std::vector<Ref> refs_;
   std::unordered_map<std::string, std::uint32_t, Hash, std::equal_to<>> index_;
-  std::mutex merge_mu_;
 };
 
 }  // namespace ac::trace

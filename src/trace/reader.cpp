@@ -2,8 +2,9 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cstdio>
-#include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "support/error.hpp"
@@ -67,8 +68,37 @@ void split_fields(std::string_view line, Fields& out) {
   }
 }
 
+/// Numeric field `what` of `line`, parsed into T with a range check (bool
+/// takes only 0 and 1, a Value its own int/float/hex spelling). A value
+/// never wraps or saturates into range: every failure is a TraceFormatError
+/// naming the field.
+template <class T>
+T parse_field(std::string_view text, const char* what, std::string_view line) {
+  try {
+    if constexpr (std::is_same_v<T, Value>) {
+      return value_from_text(text);
+    } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+      return parse_u64(text);
+    } else {
+      const std::int64_t v = parse_i64(text);
+      if constexpr (std::is_same_v<T, bool>) {
+        if (v == 0 || v == 1) return v == 1;
+      } else if (std::in_range<T>(v)) {
+        return static_cast<T>(v);
+      }
+    }
+  } catch (const Error& e) {
+    throw TraceFormatError(strf("bad %s in '%.*s': %s", what, static_cast<int>(line.size()),
+                                line.data(), e.what()));
+  }
+  const std::string_view value = trim(text);
+  throw TraceFormatError(strf("%s '%.*s' out of range in '%.*s'", what,
+                              static_cast<int>(value.size()), value.data(),
+                              static_cast<int>(line.size()), line.data()));
+}
+
 /// Append every block of `text` to `buf`. Throws TraceFormatError on a
-/// malformed header or operand line.
+/// malformed header, operand line or numeric field.
 void parse_text_into(std::string_view text, TraceBuffer& buf) {
   SymbolPool& pool = buf.pool();
   std::vector<PackedRecord>& records = buf.records();
@@ -88,16 +118,16 @@ void parse_text_into(std::string_view text, TraceBuffer& buf) {
       throw TraceFormatError("bad block header: '" + std::string(line) + "'");
     }
     PackedRecord rec;
-    rec.line = static_cast<std::int32_t>(parse_i64(f.v[1]));
+    rec.line = parse_field<std::int32_t>(f.v[1], "source line", line);
     rec.func = pool.intern(trim(f.v[2]));
     rec.bb = pool.intern(trim(f.v[3]));
-    const int opnum = static_cast<int>(parse_i64(f.v[4]));
+    const auto opnum = parse_field<std::int32_t>(f.v[4], "opcode", line);
     if (!is_known_opcode(opnum)) {
       throw TraceFormatError(strf("unknown opcode %d at dyn record '%s'", opnum,
                                   std::string(line).c_str()));
     }
     rec.opcode = static_cast<Opcode>(opnum);
-    rec.dyn_id = static_cast<std::uint64_t>(parse_i64(f.v[5]));
+    rec.dyn_id = parse_field<std::uint64_t>(f.v[5], "dyn_id", line);
     if (operands.size() > 0xffffffffull) {
       throw TraceFormatError("trace exceeds the 4G-operand TraceBuffer capacity");
     }
@@ -122,16 +152,17 @@ void parse_text_into(std::string_view text, TraceBuffer& buf) {
       } else if (slot_field == "0") {
         slot = OperandSlot::Callee;
       } else {
-        op.index = static_cast<std::int32_t>(parse_i64(slot_field));
+        op.index = parse_field<std::int32_t>(slot_field, "operand index", line);
         if (op.index <= 0) {
           throw TraceFormatError("bad operand index in '" + std::string(line) + "'");
         }
       }
-      op.bits = static_cast<std::int32_t>(parse_i64(f.v[1]));
-      const Value value = value_from_text(f.v[2]);
+      op.bits = parse_field<std::int32_t>(f.v[1], "operand bits", line);
+      const auto value = parse_field<Value>(f.v[2], "operand value", line);
       op.raw = PackedOperand::raw_of(value);
       op.name = pool.intern(trim(f.v[4]));
-      op.flags = PackedOperand::pack_flags(slot, value.kind, parse_i64(f.v[3]) != 0);
+      op.flags = PackedOperand::pack_flags(slot, value.kind,
+                                           parse_field<bool>(f.v[3], "operand is_reg", line));
       operands.push_back(op);
     }
     rec.op_count = static_cast<std::uint32_t>(operands.size()) - rec.op_offset;
@@ -179,106 +210,68 @@ void note_chunk_parsed(std::size_t records, std::size_t bytes) {
 
 }  // namespace
 
-TraceBuffer read_trace_buffer(std::string_view text, const ParseProgress& progress) {
-  TraceBuffer buf;
+TraceBuffer read_trace_buffer(std::string_view text, int threads, const ParseProgress& progress) {
+  // One thread parses in 8 MiB chunks, so its peak is the output plus one
+  // chunk of input. More threads cut ~4 chunks per worker, unless the input
+  // is too small to be worth splitting.
   constexpr std::size_t kSegment = 8u << 20;
-  if (text.size() <= kSegment) {
-    AC_SPAN("parse.chunk");
-    // Records average ~70 text bytes; a mild underestimate keeps the final
-    // capacity close to the size without a counting pre-pass.
-    buf.reserve(text.size() / 96 + 1, text.size() / 32 + 1);
-    parse_text_into(text, buf);
-    note_chunk_parsed(buf.size(), text.size());
-    if (progress) progress(0, text.size());
-    return buf;
+  constexpr std::size_t kMinSplit = 256u << 10;
+  threads = std::clamp(threads, 1, 256);  // a runaway request must not exhaust thread stacks
+  std::size_t target = kSegment;
+  if (threads > 1) {
+    target = text.size() < kMinSplit
+                 ? text.size()
+                 : text.size() / (static_cast<std::size_t>(threads) * 4) + 1;
   }
-  // Segmented: parse the first block-aligned segment, extrapolate the
-  // record/operand density to size the arrays once (5% headroom), then stream
-  // the rest, releasing consumed input pages as we go.
-  const auto chunks = chunk_at_block_boundaries(text, kSegment);
-  for (std::size_t c = 0; c < chunks.size(); ++c) {
-    AC_SPAN("parse.chunk");
-    const std::size_t before = buf.size();
-    parse_text_into(text.substr(chunks[c].first, chunks[c].second - chunks[c].first), buf);
-    note_chunk_parsed(buf.size() - before, chunks[c].second - chunks[c].first);
-    if (c == 0) {
-      const double scale =
-          static_cast<double>(text.size()) / static_cast<double>(chunks[0].second) * 1.05;
-      buf.reserve(static_cast<std::size_t>(static_cast<double>(buf.size()) * scale) + 1,
-                  static_cast<std::size_t>(static_cast<double>(buf.operands().size()) * scale) + 1);
-    }
-    if (progress) progress(chunks[c].first, chunks[c].second);
-  }
-  return buf;
-}
+  const auto chunks = chunk_at_block_boundaries(text, target);
 
-TraceBuffer read_trace_buffer_parallel(std::string_view text, int num_threads,
-                                       const ParseProgress& progress) {
-  if (text.size() < (1u << 18)) return read_trace_buffer(text, progress);
-
-  int threads =
-      num_threads > 0 ? num_threads : static_cast<int>(std::thread::hardware_concurrency());
-  if (threads < 1) threads = 1;
-  if (threads > 256) threads = 256;  // a runaway request must not exhaust thread stacks
-  if (threads == 1) return read_trace_buffer(text, progress);
-  const std::size_t want_chunks = static_cast<std::size_t>(threads) * 4;
-
-  const auto chunks = chunk_at_block_boundaries(text, text.size() / want_chunks + 1);
-  if (chunks.size() < 2) return read_trace_buffer(text, progress);
-  const std::size_t n = chunks.size();
-
-  // Pipelined producer/consumer on the shared chunk executor (no concat
-  // barrier): workers claim chunks, parse them into private buffers and
-  // bulk-merge their symbols into the shared pool (SymbolPool::merge is
-  // mutex-protected, so merges overlap with other workers still parsing); the
-  // calling thread is the executor's in-order consumer, splicing chunk c into
-  // the output the moment it is ready — while later chunks are still being
-  // parsed. append_remapped only touches the record/operand arrays, never the
-  // pool, so the splice runs concurrently with in-flight merges. The in-flight
-  // bound keeps at most ~2 parsed-but-unspliced chunks per worker alive, so a
-  // slow consumer cannot accumulate every partial buffer at once; a parse
-  // error cancels unclaimed chunks and resurfaces here with its original
-  // type and message — identical to the serial parse of the same bytes.
+  // Workers parse chunks into private buffers; the calling thread is
+  // run_chunks' in-order consumer, so symbols join the output pool in input
+  // order and every thread count yields the same buffer, ids included. One
+  // thread is the serial parse: run_chunks runs each chunk inline and it
+  // parses straight into the output, so no chunk buffer sits beside it. The
+  // in-flight bound keeps at most ~2 parsed-but-unspliced chunks per worker
+  // alive. A parse error cancels unclaimed chunks and resurfaces here as the
+  // lowest failing chunk's error — the one the first bad block raises.
   TraceBuffer out;
-  std::vector<TraceBuffer> partial(n);
-  std::vector<std::vector<std::uint32_t>> remaps(n);
-  bool reserved = false;
-
+  std::vector<TraceBuffer> partial(threads > 1 ? chunks.size() : 0);
   ExecutorOptions eopts;
   eopts.threads = threads;
   eopts.max_in_flight = static_cast<std::size_t>(threads) * 2;
   run_chunks(
-      n, eopts,
+      chunks.size(), eopts,
       [&](std::size_t c) {
+        AC_SPAN("parse.chunk");
         const std::string_view sub =
             text.substr(chunks[c].first, chunks[c].second - chunks[c].first);
-        {
-          AC_SPAN("parse.chunk");
-          partial[c].reserve(sub.size() / 96 + 1, sub.size() / 32 + 1);
-          parse_text_into(sub, partial[c]);
-          note_chunk_parsed(partial[c].size(), sub.size());
-        }
-        AC_SPAN("parse.merge");
-        remaps[c] = out.pool().merge(partial[c].pool());
+        TraceBuffer& dst = partial.empty() ? out : partial[c];
+        const std::size_t before = dst.size();
+        // Records average ~70 text bytes; a mild underestimate keeps the
+        // final capacity close to the size without a counting pre-pass.
+        if (before == 0) dst.reserve(sub.size() / 96 + 1, sub.size() / 32 + 1);
+        parse_text_into(sub, dst);
+        note_chunk_parsed(dst.size() - before, sub.size());
       },
       [&](std::size_t c) {
-        if (!reserved) {
-          // Size the output arrays once, extrapolating the first chunk's
-          // record/operand density over the whole input (5% headroom).
+        if (!partial.empty()) {
+          if (c == 0) {
+            out = std::move(partial[0]);  // merging into an empty pool keeps every id
+          } else {
+            AC_SPAN("parse.splice");
+            out.append_buffer(partial[c]);
+            partial[c] = TraceBuffer();  // release chunk memory as it is consumed
+          }
+        }
+        if (c == 0 && chunks.size() > 1) {
+          // Size the output once, extrapolating chunk 0's record/operand
+          // density over the whole input (5% headroom).
           const double scale = static_cast<double>(text.size()) /
-                               static_cast<double>(chunks[0].second - chunks[0].first) * 1.05;
-          out.reserve(
-              static_cast<std::size_t>(static_cast<double>(partial[0].size()) * scale) + 1,
-              static_cast<std::size_t>(static_cast<double>(partial[0].operands().size()) *
-                                       scale) +
-                  1);
-          reserved = true;
+                               static_cast<double>(chunks[0].second) * 1.05;
+          out.reserve(static_cast<std::size_t>(static_cast<double>(out.size()) * scale) + 1,
+                      static_cast<std::size_t>(static_cast<double>(out.operands().size()) *
+                                               scale) +
+                          1);
         }
-        {
-          AC_SPAN("parse.splice");
-          out.append_remapped(partial[c], remaps[c]);
-        }
-        partial[c] = TraceBuffer();  // release chunk memory as it is consumed
         if (progress) progress(chunks[c].first, chunks[c].second);
       });
   return out;

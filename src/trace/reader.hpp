@@ -1,14 +1,15 @@
 // Trace parsing.
 //
-// The fast path parses into the compact interned TraceBuffer (trace/buffer.hpp)
-// straight off the input bytes — a single cursor walk, no intermediate line
-// vector, no per-record heap traffic:
-//  * read_trace_buffer — sequential zero-copy parse.
-//  * read_trace_buffer_parallel — the §V-A decomposition on the same layout:
-//    the input is partitioned at block-header boundaries, workers parse chunks
-//    into private buffers and bulk-merge their symbols into the shared pool,
-//    and a consumer splices each finished chunk into the output in order
-//    while later chunks still parse (pipelined — no concat barrier).
+// read_trace_buffer parses LLVM-Tracer text into the compact interned
+// TraceBuffer (trace/buffer.hpp) straight off the input bytes — a single
+// cursor walk per chunk, no intermediate line vector, no per-record heap
+// traffic. It is the paper's §V-A decomposition: the input is cut at
+// instruction-block headers, workers parse the chunks into private buffers,
+// and the calling thread merges each chunk's symbols and splices its records
+// into the output in input order while later chunks still parse. One thread
+// is the same driver run inline, each chunk parsing straight into the
+// output. Symbols are interned in input order either way, so every thread
+// count yields the same buffer, symbol ids included.
 //
 // Binary MCTB traces are parsed by trace/mctb.hpp; FileSource sniffs the
 // magic and dispatches. Both parses are pinned by golden data
@@ -25,24 +26,19 @@ namespace ac::trace {
 
 /// Byte range of the input the parse has fully consumed; FileSource uses it
 /// to madvise() parsed pages out of the resident set, so peak RSS during a
-/// file parse is the compact representation plus one in-flight segment, not
+/// file parse is the compact representation plus the chunks in flight, not
 /// representation + whole file.
 using ParseProgress = std::function<void(std::size_t begin, std::size_t end)>;
 
-/// Zero-copy sequential parse of a whole trace into the interned SoA buffer.
-/// Large inputs are consumed in block-aligned segments: the final array sizes
-/// are extrapolated from the first segment's record/operand density (no
-/// counting pre-pass, no doubling spikes), and `progress` fires per segment.
-TraceBuffer read_trace_buffer(std::string_view text, const ParseProgress& progress = {});
-
-/// Zero-copy parallel parse, pipelined producer/consumer: workers parse
-/// block-aligned chunks into private buffers (merging symbols into the shared
-/// pool as they finish) while the calling thread splices each completed chunk
-/// into the output in order — there is no concat barrier after the parse.
-/// Falls back to serial for small inputs. `num_threads` 0 = runtime default.
-/// `progress` fires per chunk, in input order.
-TraceBuffer read_trace_buffer_parallel(std::string_view text, int num_threads = 0,
-                                       const ParseProgress& progress = {});
+/// Zero-copy parse of a whole trace into the interned SoA buffer on
+/// `threads` workers (<= 1: inline on the calling thread, block-aligned
+/// chunks of at most 8 MiB parsed straight into the output). The output
+/// arrays are sized once, from the first chunk's record/operand density, and
+/// `progress` fires per chunk in input order. A malformed header, operand
+/// line or numeric field throws TraceFormatError; the error is the first bad
+/// block's at any thread count.
+TraceBuffer read_trace_buffer(std::string_view text, int threads = 1,
+                              const ParseProgress& progress = {});
 
 /// Slurp a regular file. Throws ac::Error when `path` cannot be opened, is
 /// not a regular file (a directory, a pipe), or the read comes up short.

@@ -118,8 +118,7 @@ const TraceBuffer& FileSource::buffer() {
     buffer_ = read_mctb(file.view(), mopts);
     format_ = "mctb";
   } else {
-    buffer_ = read_threads_ > 1 ? read_trace_buffer_parallel(file.view(), read_threads_, release)
-                                : read_trace_buffer(file.view(), release);
+    buffer_ = read_trace_buffer(file.view(), read_threads_, release);
     format_ = "text";
   }
   read_seconds_ = timer.seconds();

@@ -42,16 +42,15 @@ class TraceSource {
 /// A trace file — the LLVM-Tracer text block format or the binary MCTB
 /// container (trace/mctb.hpp), auto-detected by the magic bytes. The file is
 /// mmap()ed (with a read-to-EOF fallback for pipes and other non-regular
-/// files) and materialized zero-copy into
-/// the interned buffer on first access: text parses serially or with the
-/// §V-A block-aligned pipelined parallel decomposition when the read-thread
-/// budget exceeds one; MCTB goes through the validating chunked binary read
-/// (parallel under the same budget). The mapping is dropped as soon as the
-/// read finishes (the pool owns the name bytes).
+/// files) and materialized zero-copy into the interned buffer on first
+/// access: text goes through read_trace_buffer's §V-A block-aligned parse on
+/// the read-thread budget, MCTB through the validating chunked binary read
+/// on the same budget. The mapping is dropped as soon as the read finishes
+/// (the pool owns the name bytes).
 class FileSource final : public TraceSource {
  public:
-  /// `read_threads` <= 1 parses serially; 0 keeps whatever set_read_threads()
-  /// later decides (Session forwards AnalysisOptions there).
+  /// `read_threads` <= 1 parses on the calling thread; 0 keeps whatever
+  /// set_read_threads() later decides (Session forwards AnalysisOptions there).
   explicit FileSource(std::string path, int read_threads = 0);
 
   std::string describe() const override { return "file:" + path_; }

@@ -1,6 +1,8 @@
 // Shared helpers for the AutoCheck test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <map>
 #include <string>
@@ -56,6 +58,33 @@ inline std::string trace_text(const trace::TraceBuffer& buf) {
   std::string text;
   for (std::size_t i = 0; i < buf.size(); ++i) buf.view(i).append_text(text);
   return text;
+}
+
+/// `b` is the same parse as `a`: equal pools (size and every id's bytes) and
+/// equal packed records and operands, field by field. Rendered text alone
+/// would hide a pool that assigns the same symbols different ids.
+inline void expect_same_buffer(const trace::TraceBuffer& a, const trace::TraceBuffer& b) {
+  ASSERT_EQ(a.pool().size(), b.pool().size());
+  for (std::uint32_t id = 0; id < a.pool().size(); ++id) {
+    ASSERT_EQ(a.pool().view(id), b.pool().view(id)) << "symbol id " << id;
+  }
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const trace::PackedRecord& x = a.records()[i];
+    const trace::PackedRecord& y = b.records()[i];
+    ASSERT_TRUE(x.dyn_id == y.dyn_id && x.func == y.func && x.bb == y.bb &&
+                x.op_offset == y.op_offset && x.op_count == y.op_count && x.line == y.line &&
+                x.opcode == y.opcode)
+        << "record " << i;
+  }
+  ASSERT_EQ(a.operands().size(), b.operands().size());
+  for (std::size_t i = 0; i < a.operands().size(); ++i) {
+    const trace::PackedOperand& x = a.operands()[i];
+    const trace::PackedOperand& y = b.operands()[i];
+    ASSERT_TRUE(x.raw == y.raw && x.name == y.name && x.index == y.index && x.bits == y.bits &&
+                x.flags == y.flags)
+        << "operand " << i;
+  }
 }
 
 /// The text block of a hand-built record, rendered through a one-record

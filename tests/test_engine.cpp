@@ -134,7 +134,7 @@ TEST(EngineRecord, DetectsCorruptionAndTruncation) {
 }
 
 TEST(EngineRecord, CodecChainRoundTrip) {
-  const ckpt::CodecChain chain = ckpt::CodecChain::parse("xor+rle+lz");
+  const ac::CodecChain chain = ac::CodecChain::parse("xor+rle+lz");
 
   const ckpt::EngineRecord full = sample_full();
   const ckpt::EngineRecord full_back =
@@ -155,7 +155,7 @@ TEST(EngineRecord, CodecChainRoundTrip) {
 TEST(EngineRecord, RejectsBadCodecIdInHeader) {
   // Patch the first codec stage id to garbage and re-seal the CRC: the codec
   // validation itself must reject it (the CRC is fine).
-  std::string bytes = sample_delta().to_bytes(ckpt::CodecChain::parse("rle"), nullptr);
+  std::string bytes = sample_delta().to_bytes(ac::CodecChain::parse("rle"), nullptr);
   const std::size_t nstages_off = 4 + 4 + 1 + 8 + 8 + 8;  // magic+ver+kind+base_id+seq+iter
   ASSERT_EQ(static_cast<unsigned char>(bytes[nstages_off]), 1u);
   bytes[nstages_off + 1] = 0x7F;  // stage id
@@ -508,7 +508,7 @@ TEST_F(EngineFallback, CorruptL1DeltaFallsBackToPartnerReplica) {
   cfg.level = ckpt::EngineLevel::L3;
   cfg.async = false;
   cfg.full_every = 1 << 20;
-  cfg.set_codecs(ckpt::CodecChain::parse("xor+rle"));
+  cfg.set_codecs(ac::CodecChain::parse("xor+rle"));
   run_failing(run, cfg, /*fail_at=*/6);
 
   // Commits: full@1, deltas 1..4 (@2..@5). Flip one byte inside L1 delta 2.
@@ -646,7 +646,7 @@ TEST_P(EngineMatrix, RandomizedKillRestartsBitIdentical) {
       cfg.level = level;
       if (level >= ckpt::EngineLevel::L2) cfg.partner_dir = partner_dir();
       cfg.full_every = 2;  // force delta records into every combo
-      cfg.set_codecs(ckpt::CodecChain::parse(codec));
+      cfg.set_codecs(ac::CodecChain::parse(codec));
       const auto v = apps::validate_cr(run.module, run.region, protect, fail_at, cfg);
       EXPECT_TRUE(v.restart_matches)
           << app.name << " level=" << static_cast<int>(level) << " codec=" << codec

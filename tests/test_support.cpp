@@ -44,6 +44,25 @@ TEST(Strings, ParseI64) {
   EXPECT_EQ(parse_i64(" 13 "), 13);
   EXPECT_THROW(parse_i64("12x"), Error);
   EXPECT_THROW(parse_i64(""), Error);
+  EXPECT_THROW(parse_i64("-"), Error);
+  // The int64 range holds exactly; one past either end is an error, not a
+  // saturated value.
+  EXPECT_EQ(parse_i64("9223372036854775807"), INT64_MAX);
+  EXPECT_EQ(parse_i64("-9223372036854775808"), INT64_MIN);
+  EXPECT_THROW(parse_i64("9223372036854775808"), Error);
+  EXPECT_THROW(parse_i64("-9223372036854775809"), Error);
+  EXPECT_THROW(parse_i64("99999999999999999999"), Error);
+}
+
+TEST(Strings, ParseU64) {
+  EXPECT_EQ(parse_u64("0"), 0u);
+  EXPECT_EQ(parse_u64(" 215 "), 215u);
+  EXPECT_EQ(parse_u64("18446744073709551615"), UINT64_MAX);
+  EXPECT_THROW(parse_u64("18446744073709551616"), Error);
+  EXPECT_THROW(parse_u64("-5"), Error);  // no sign: it would wrap
+  EXPECT_THROW(parse_u64("+5"), Error);
+  EXPECT_THROW(parse_u64(""), Error);
+  EXPECT_THROW(parse_u64("7a"), Error);
 }
 
 TEST(Strings, ParseF64) {
@@ -71,6 +90,11 @@ TEST(Strings, ParseHex) {
   EXPECT_EQ(parse_hex("0x0"), 0ull);
   EXPECT_THROW(parse_hex("1234"), Error);
   EXPECT_THROW(parse_hex("0xZZ"), Error);
+  EXPECT_EQ(parse_hex("0xFFFFffffFFFFffff"), UINT64_MAX);
+  EXPECT_THROW(parse_hex("0x10000000000000000"), Error);
+  EXPECT_THROW(parse_hex("0x"), Error);
+  EXPECT_THROW(parse_hex("0x-1"), Error);   // would wrap to 2^64-1
+  EXPECT_THROW(parse_hex("0x0x5"), Error);  // a second prefix is not a digit
 }
 
 TEST(Strings, Substitute) {

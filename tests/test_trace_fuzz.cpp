@@ -44,7 +44,7 @@ TEST_P(TraceFuzz, MutatedTraceNeverCrashes) {
       (void)report;
     } catch (const ac::Error&) {
     }
-  } catch (const ac::Error&) {
+  } catch (const TraceFormatError&) {
     // Typed parse error: exactly what malformed input should produce.
   }
 }

@@ -1,11 +1,15 @@
-// The §V-A parallel trace read must be observationally equivalent to the
-// serial reader: same records, same order, same bytes when re-rendered,
-// regardless of where chunk boundaries fall relative to instruction blocks.
+// The §V-A chunked trace read must yield the same buffer at every thread
+// count — same pool ids, same packed records and operands, same MCTB bytes
+// when recoded — regardless of where chunk boundaries fall relative to
+// instruction blocks, and the same error when a block is malformed.
 #include <gtest/gtest.h>
+
+#include <cstdio>
 
 #include "support/error.hpp"
 
 #include "apps/harness.hpp"
+#include "trace/mctb.hpp"
 #include "trace/reader.hpp"
 #include "trace/source.hpp"
 #include "trace/writer.hpp"
@@ -45,26 +49,18 @@ std::string synth_trace(std::size_t blocks) {
   return test::trace_text(buf);
 }
 
-void expect_same(const TraceBuffer& a, const TraceBuffer& b) {
-  ASSERT_EQ(a.size(), b.size());
-  ASSERT_EQ(a.operands().size(), b.operands().size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a.view(i).to_text(), b.view(i).to_text()) << "at " << i;
-  }
-}
-
 class ParallelReaderSizes : public testing::TestWithParam<std::size_t> {};
 
 TEST_P(ParallelReaderSizes, MatchesSerial) {
   const std::string text = synth_trace(GetParam());
   const TraceBuffer serial = read_trace_buffer(text);
-  const TraceBuffer parallel = read_trace_buffer_parallel(text, 4);
-  expect_same(serial, parallel);
+  const TraceBuffer parallel = read_trace_buffer(text, 4);
+  test::expect_same_buffer(serial, parallel);
   EXPECT_EQ(test::trace_text(parallel), text);  // writer fixpoint
 }
 
-// Sizes straddle the small-input serial fallback (256 KiB) and several
-// chunking patterns.
+// Sizes straddle the 256 KiB floor below which an input is one chunk, and
+// several chunking patterns.
 INSTANTIATE_TEST_SUITE_P(Sweep, ParallelReaderSizes,
                          testing::Values(0u, 1u, 7u, 100u, 1500u, 2000u, 5000u, 20000u));
 
@@ -72,24 +68,39 @@ TEST(ParallelReader, ThreadCountsAgree) {
   const std::string text = synth_trace(8000);
   const TraceBuffer serial = read_trace_buffer(text);
   for (int threads : {1, 2, 3, 8}) {
-    const TraceBuffer parallel = read_trace_buffer_parallel(text, threads);
-    expect_same(serial, parallel);
+    const TraceBuffer parallel = read_trace_buffer(text, threads);
+    test::expect_same_buffer(serial, parallel);
   }
 }
 
+// CG's default-scale text is over 8 MiB, so even the one-thread read merges
+// chunk pools. Thread count must not change the buffer, symbol ids included,
+// nor the MCTB bytes recoded from it.
 TEST(ParallelReader, RealAppTraceMatches) {
   const auto& app = apps::find_app("CG");
   const std::string path = testing::TempDir() + "/ac_cg_trace.txt";
   apps::analyze_app_via_file(app, {}, path);
-  FileSource serial(path, 1);
-  FileSource parallel(path, 3);
-  expect_same(serial.buffer(), parallel.buffer());
+  const std::string text = read_file_bytes(path);
+  ASSERT_GT(text.size(), 8u << 20);
+  const TraceBuffer one = read_trace_buffer(text, 1);
+  const std::string mctb = mctb_to_bytes(one);
+  for (const int threads : {2, 4}) {
+    const TraceBuffer buf = read_trace_buffer(text, threads);
+    test::expect_same_buffer(one, buf);
+    EXPECT_TRUE(mctb == mctb_to_bytes(buf)) << "threads=" << threads;
+  }
+  for (const int threads : {1, 3}) {
+    FileSource source(path, threads);
+    test::expect_same_buffer(one, source.buffer());
+    EXPECT_TRUE(mctb == mctb_to_bytes(source.buffer())) << "FileSource threads=" << threads;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(ParallelReader, PropagatesParseErrors) {
   std::string text = synth_trace(6000);
   text += "0,3,foo,6:1,999,1\n";  // unknown opcode in the last chunk
-  EXPECT_THROW(read_trace_buffer_parallel(text, 4), ac::TraceFormatError);
+  EXPECT_THROW(read_trace_buffer(text, 4), ac::TraceFormatError);
 }
 
 // The executor's exception_ptr propagation makes the parallel error identical
@@ -106,7 +117,7 @@ TEST(ParallelReader, ParallelErrorIdenticalToSerial) {
     serial_what = e.what();
   }
   try {
-    read_trace_buffer_parallel(text, 4);
+    read_trace_buffer(text, 4);
     FAIL() << "parallel parse accepted the corrupt trace";
   } catch (const ac::TraceFormatError& e) {
     EXPECT_STREQ(serial_what.c_str(), e.what());
@@ -127,7 +138,7 @@ TEST(ParallelReader, BufferParallelErrorIdenticalToSerial) {
   }
   for (int threads : {2, 4}) {
     try {
-      read_trace_buffer_parallel(text, threads);
+      read_trace_buffer(text, threads);
       FAIL() << "parallel parse accepted the corrupt trace";
     } catch (const ac::TraceFormatError& e) {
       EXPECT_STREQ(serial_what.c_str(), e.what()) << "threads=" << threads;

@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
         metrics_path = next();
       } else if (arg == "--ckpt-codec") {
         ckpt_codec = next();
-        ac::ckpt::CodecChain::parse(ckpt_codec);  // validate before emitting
+        ac::CodecChain::parse(ckpt_codec);  // validate before emitting
       } else {
         std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
         return usage();
