@@ -29,12 +29,12 @@
 #include "ckpt/blcr.hpp"
 #include "ckpt/codec.hpp"
 #include "minic/compiler.hpp"
+#include "support/file.hpp"
 #include "support/json.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
 #include "support/timer.hpp"
 #include "trace/mctb.hpp"
-#include "trace/reader.hpp"
 
 using namespace ac;
 
@@ -52,8 +52,7 @@ IncrResult run_incremental(const ir::Module& module, const analysis::MclRegion& 
   ckpt::EngineConfig cfg;
   cfg.dir = "/tmp";
   cfg.tag = tag;
-  cfg.incremental = true;
-  cfg.full_every = 1 << 20;  // one base, then deltas only
+  cfg.deltas_per_full = 1 << 20;  // one base, then deltas only
   cfg.async = false;
   cfg.set_codecs(chain);
   const apps::EngineRunResult r = apps::run_with_engine(module, region, protect, cfg);
@@ -96,14 +95,14 @@ ArchiveResult bench_archive(const ir::Module& module, const analysis::MclRegion&
   cfg.tag = tag;
   cfg.level = ckpt::EngineLevel::L3;
   cfg.async = false;
-  cfg.full_every = 3;
+  cfg.deltas_per_full = 3;
   ckpt::CheckpointEngine paths(cfg);
   paths.reset();
   apps::run_with_engine(module, region, protect, cfg);
 
   ArchiveResult out;
   const std::string pack_path = paths.log_path(ckpt::EngineLevel::L3);
-  const std::string pack = trace::read_file_bytes(pack_path);
+  const std::string pack = read_file_bytes(pack_path);
   out.pack_bytes = pack.size();
   if (pack.empty()) return out;
 
@@ -210,7 +209,7 @@ int main(int argc, char** argv) {
     ckpt::EngineConfig full_cfg;
     full_cfg.dir = "/tmp";
     full_cfg.tag = app.name + "_bench_full";
-    full_cfg.incremental = false;
+    full_cfg.deltas_per_full = 0;
     full_cfg.async = false;
     const apps::EngineRunResult full = apps::run_with_engine(module, run.region, protect, full_cfg);
 
@@ -228,13 +227,13 @@ int main(int argc, char** argv) {
     // and then only deltas — and the last, the full stream's recovered state.
     ckpt::CheckpointImage first_img, last_img;
     if (full.stats.checkpoints > 0) {
-      const std::string log = trace::read_file_bytes(incr_raw.l1_log);
+      const std::string log = read_file_bytes(incr_raw.l1_log);
       trace::MctbFrameView base;
       if (!trace::read_mctb_frame(log, 0, base)) {
         std::fprintf(stderr, "bench_engine: no full record in %s\n", incr_raw.l1_log.c_str());
         return 1;
       }
-      first_img = ckpt::EngineRecord::from_bytes(base.payload).full;
+      first_img = ckpt::EngineRecord::from_frame(base, nullptr).image();
       last_img = ckpt::CheckpointEngine(full_cfg).recover();
     }
 
@@ -312,13 +311,7 @@ int main(int argc, char** argv) {
     }
     w.end_array().end_object();
     json += '\n';
-    std::FILE* f = std::fopen(json_path.c_str(), "wb");
-    if (!f) {
-      std::fprintf(stderr, "bench_engine: cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
+    write_file(json_path, json);
     std::printf("wrote %s\n", json_path.c_str());
   }
 

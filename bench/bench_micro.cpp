@@ -36,6 +36,7 @@
 #include "apps/harness.hpp"
 #include "minic/compiler.hpp"
 #include "support/codec.hpp"
+#include "support/file.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
@@ -209,13 +210,9 @@ AppBench bench_app(const apps::App& app, const apps::Params& params, bool probe_
 
   if (probe_largest) {
     const std::string path = "/tmp/ac_bench_micro_" + app.name + ".trace";
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    if (f) {
-      std::fwrite(text.data(), 1, text.size(), f);
-      std::fclose(f);
-      out.rss_buffer_kb = probe_rss(path);
-      std::remove(path.c_str());
-    }
+    write_file(path, text);
+    out.rss_buffer_kb = probe_rss(path);
+    std::remove(path.c_str());
     // The MCTB probe uses a raw-codec container (the documented
     // fastest-parse configuration), the largest the decoder has to stream.
     const std::string mpath = "/tmp/ac_bench_micro_" + app.name + ".mctb";
@@ -525,14 +522,7 @@ int main(int argc, char** argv) {
               kernels.level, kernels.shuffle_x, kernels.unshuffle_x);
 
   if (!json_path.empty()) {
-    const std::string json = to_json(groups, kernels);
-    std::FILE* f = std::fopen(json_path.c_str(), "wb");
-    if (!f) {
-      std::fprintf(stderr, "bench_micro: cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
+    write_file(json_path, to_json(groups, kernels));
     std::printf("wrote %s\n", json_path.c_str());
   }
 

@@ -21,6 +21,7 @@
 #include "minic/compiler.hpp"
 #include "net/remote.hpp"
 #include "net/server.hpp"
+#include "support/file.hpp"
 #include "support/json.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
@@ -173,13 +174,7 @@ int main(int argc, char** argv) {
     }
     w.end_array().end_object();
     json += '\n';
-    std::FILE* f = std::fopen(json_path.c_str(), "wb");
-    if (!f) {
-      std::fprintf(stderr, "bench_net: cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
+    write_file(json_path, json);
     std::printf("wrote %s\n", json_path.c_str());
   }
 

@@ -28,7 +28,7 @@ int main() {
   cfg.partner_dir = "/tmp/ac_example_partner";
   cfg.tag = "example_hpccg_engine";
   cfg.level = ac::ckpt::EngineLevel::L2;  // local file + partner replica
-  cfg.incremental = true;                 // deltas of dirty cells only
+  cfg.deltas_per_full = 8;                // deltas of dirty cells between full records
   cfg.async = true;                       // background writeback
 
   const int fail_at = 5;

@@ -40,7 +40,6 @@ class Ddg {
   std::size_t num_edges() const { return edges_.size(); }
   const std::string& label(int n) const { return labels_.at(static_cast<std::size_t>(n)); }
   NodeKind kind(int n) const { return kinds_.at(static_cast<std::size_t>(n)); }
-  bool has_node(const std::string& label) const { return index_.count(label) > 0; }
   int find(const std::string& label) const;  // -1 when absent
 
   std::vector<int> parents(int n) const;

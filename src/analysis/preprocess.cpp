@@ -14,29 +14,6 @@ using trace::PackedRecord;
 using trace::SymbolPool;
 using trace::TraceBuffer;
 
-Partition partition_trace(const TraceBuffer& buf, const MclRegion& region) {
-  Partition part;
-  const std::uint32_t region_func = buf.pool().lookup(region.function);
-  const auto& records = buf.records();
-  for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(records.size()); ++i) {
-    const PackedRecord& r = records[static_cast<std::size_t>(i)];
-    // Alloca records are hoisted to function entry by the compiler; their
-    // line is the declaration point, not an executed loop statement (cf. the
-    // paper's Fig. 6(c), where LLVM-Tracer reports line -1 for Alloca).
-    if (r.opcode == Opcode::Alloca) continue;
-    // Id equality is name equality (npos stands for the empty name).
-    if (r.func == region_func && region.contains(r.line)) {
-      if (part.first_b < 0) part.first_b = i;
-      part.last_b = i;
-    }
-  }
-  if (!part.has_loop()) {
-    throw AnalysisError("main computation loop region never executes "
-                        "(wrong function name or line range?)");
-  }
-  return part;
-}
-
 namespace {
 
 /// The memory address a Load reads or a Store writes, or 0 for other records.

@@ -34,10 +34,6 @@ struct Partition {
   }
 };
 
-/// Locate the loop: the first/last records executed at the host function's
-/// MCL source lines. Throws ac::AnalysisError when the region never executes.
-Partition partition_trace(const trace::TraceBuffer& buf, const MclRegion& region);
-
 enum class MliMode {
   /// Default: address-resolved matching — a variable is MLI iff its storage
   /// belongs to the host function (or is a global), and it is accessed both

@@ -6,6 +6,7 @@
 
 #include "ckpt/engine.hpp"
 #include "support/error.hpp"
+#include "support/file.hpp"
 #include "support/strings.hpp"
 #include "support/telemetry.hpp"
 #include "support/timer.hpp"
@@ -47,10 +48,7 @@ void DotSink::consume(const Report& report, const SessionContext&) {
     *capture_ += dot;
     return;
   }
-  std::FILE* f = std::fopen(path_.c_str(), "wb");
-  if (!f) throw Error("cannot write " + path_);
-  std::fwrite(dot.data(), 1, dot.size(), f);
-  std::fclose(f);
+  write_file(path_, dot);
 }
 
 void ProtectSink::consume(const Report& report, const SessionContext& ctx) {

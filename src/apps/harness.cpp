@@ -102,7 +102,7 @@ ckpt::EngineConfig validation_config(const std::string& dir, const std::string& 
   ckpt::EngineConfig cfg;
   cfg.dir = dir;
   cfg.tag = tag;
-  cfg.incremental = false;
+  cfg.deltas_per_full = 0;
   cfg.async = false;
   cfg.policy = std::make_shared<ckpt::FixedIntervalPolicy>(interval);
   return cfg;

@@ -37,8 +37,8 @@ int usage() {
                "  --dir DIR            checkpoint directory (default /tmp)\n"
                "  --partner-dir DIR    L2 replica directory (default <dir>/partner)\n"
                "  --level 1|2|3        storage level: local/partner/archive (default 1)\n"
-               "  --full-only          disable incremental deltas (every commit full)\n"
-               "  --full-every N       full base image every N commits (default 8)\n"
+               "  --full-only          no delta records: every commit is full\n"
+               "  --full-every N       N delta records between full records (default 8)\n"
                "  --sync               synchronous writeback (default: async)\n"
                "  --ckpt-codec SPEC    payload codec chain: raw | rle | lz | xor+rle | chain\n"
                "                       (= xor+rle+lz); per level: l1=rle,l3=chain\n"
@@ -322,9 +322,9 @@ int main(int argc, char** argv) {
         if (level > 3) throw ac::Error(ac::strf("--level expects 1, 2 or 3, got '%d'", level));
         cfg.level = static_cast<ac::ckpt::EngineLevel>(level);
       } else if (arg == "--full-only") {
-        cfg.incremental = false;
+        cfg.deltas_per_full = 0;
       } else if (arg == "--full-every") {
-        cfg.full_every = ac::parse_int_arg(arg, next(), 1);
+        cfg.deltas_per_full = ac::parse_int_arg(arg, next(), 1);
       } else if (arg == "--sync") {
         cfg.async = false;
       } else if (arg == "--ckpt-codec") {

@@ -11,25 +11,17 @@
 #include <unistd.h>
 
 #include "analysis/autocheck.hpp"
-#include "support/crc32.hpp"
 #include "support/error.hpp"
 #include "support/faultpoint.hpp"
+#include "support/file.hpp"
 #include "support/strings.hpp"
 #include "support/telemetry.hpp"
 #include "trace/mctb.hpp"
-#include "trace/reader.hpp"
 #include "vm/memory.hpp"
 
 namespace ac::ckpt {
 
 namespace {
-
-constexpr char kMagic[4] = {'A', 'C', 'E', 'G'};
-// Version 2: codec-chain stage ids in the header and chain-encoded payload
-// blobs. Version 1 (raw cells inline, before the codec layer) is rejected.
-constexpr std::uint32_t kVersion = 2;
-// Fixed-offset record header: magic, version, kind, base_id, seq, iteration.
-constexpr std::size_t kHeaderBytes = 4 + 4 + 1 + 8 + 8 + 8;
 
 void put_u32(std::string& out, std::uint32_t v) {
   char buf[4];
@@ -47,10 +39,9 @@ class Cursor {
   explicit Cursor(std::string_view data) : data_(data) {}
   std::uint32_t u32() { return read<std::uint32_t>(); }
   std::uint64_t u64() { return read<std::uint64_t>(); }
-  std::uint8_t u8() { return read<std::uint8_t>(); }
-  std::string str(std::size_t n) {
+  std::string_view bytes(std::size_t n) {
     need(n);
-    std::string s(data_.substr(pos_, n));
+    const std::string_view s = data_.substr(pos_, n);
     pos_ += n;
     return s;
   }
@@ -86,8 +77,10 @@ bool file_exists(const std::string& path) {
 // alone sees where each chain starts and how far it reaches.
 
 /// The frame `kind` tag of engine records (MCTB section kinds 1..3 name
-/// container sections; the logs use a disjoint value).
-constexpr std::uint32_t kLogFrameKind = 0x10;
+/// container sections; the logs use a disjoint value). 0x10 tagged the
+/// earlier layout, whose records wrapped a second header and CRC in the
+/// payload: a walk stops at such a frame.
+constexpr std::uint32_t kLogFrameKind = 0x11;
 
 /// A log read whole, with the frames a header walk finds in it. The walk
 /// stops at the first entry that is not a whole engine frame — a torn tail,
@@ -107,7 +100,7 @@ struct Log {
 Log read_log(const std::string& path) {
   Log log;
   try {
-    log.bytes = trace::read_file_bytes(path);
+    log.bytes = read_file_bytes(path);
   } catch (const Error&) {
     return log;
   }
@@ -164,15 +157,17 @@ std::uint64_t DeltaPatch::cell_count() const {
 namespace {
 
 /// The base-image cells a delta variable's runs XOR against, aligned
-/// element-for-element with the concatenated run cells. Indices past the
-/// base snapshot (or a variable absent from it) align against zero cells,
-/// which XOR leaves verbatim — both sides of the codec build this the same
-/// way, so the transform stays invertible no matter how the shapes disagree.
+/// element-for-element with the concatenated run cells; none without a base.
+/// Indices past the base snapshot (or a variable absent from it) align
+/// against zero cells, which XOR leaves verbatim — both sides of the codec
+/// build this the same way, so the transform stays invertible no matter how
+/// the shapes disagree.
 std::vector<Cell> xor_base_cells(const std::string& name,
                                  const std::vector<std::pair<std::uint32_t, std::uint32_t>>& runs,
                                  const CheckpointImage* base) {
   std::vector<Cell> out;
-  const VarSnapshot* snap = base ? base->find(name) : nullptr;
+  if (base == nullptr) return out;
+  const VarSnapshot* snap = base->find(name);
   for (const auto& [index, count] : runs) {
     for (std::uint32_t i = 0; i < count; ++i) {
       const std::size_t idx = static_cast<std::size_t>(index) + i;
@@ -191,136 +186,86 @@ bool chain_has_xor(const CodecChain& chain) {
 
 }  // namespace
 
-std::string EngineRecord::to_bytes(const CodecChain& chain, const CheckpointImage* base,
-                                   EncodedSizes* sizes) const {
-  AC_CHECK(chain.stages().size() < 256, "codec chain too long for the record header");
-  std::string body;
-  put_u32(body, kVersion);
-  body.push_back(static_cast<char>(kind));
-  put_u64(body, base_id);
-  put_u64(body, seq);
-  put_u64(body, static_cast<std::uint64_t>(iteration));
-  body.push_back(static_cast<char>(chain.stages().size()));
-  for (const CodecId id : chain.stages()) body.push_back(static_cast<char>(id));
-
-  EncodedSizes sz;
-  if (kind == Kind::Full) {
-    const std::string img = full.to_bytes();
-    const std::string enc = chain.encode(img, {});
-    sz.raw += img.size();
-    sz.encoded += enc.size();
-    put_u64(body, img.size());
-    put_u32(body, static_cast<std::uint32_t>(enc.size()));
-    body += enc;
-  } else {
-    put_u32(body, static_cast<std::uint32_t>(delta.vars.size()));
-    for (const auto& v : delta.vars) {
-      put_u32(body, static_cast<std::uint32_t>(v.name.size()));
-      body += v.name;
-      put_u32(body, static_cast<std::uint32_t>(v.runs.size()));
-      std::vector<Cell> cells;
-      std::vector<std::pair<std::uint32_t, std::uint32_t>> run_spans;
-      for (const auto& r : v.runs) {
-        put_u32(body, r.index);
-        put_u32(body, static_cast<std::uint32_t>(r.cells.size()));
-        run_spans.emplace_back(r.index, static_cast<std::uint32_t>(r.cells.size()));
-        cells.insert(cells.end(), r.cells.begin(), r.cells.end());
-      }
-      const std::vector<Cell> bcells = xor_base_cells(v.name, run_spans, base);
-      const std::string enc =
-          encode_cells(chain, cells.data(), cells.size(), bcells.data(), bcells.size());
-      sz.raw += cells.size() * 9;
-      sz.encoded += enc.size();
-      put_u32(body, static_cast<std::uint32_t>(enc.size()));
-      body += enc;
-    }
+CheckpointImage EngineRecord::image() const {
+  CheckpointImage img;
+  img.set_iteration(iteration);
+  for (const auto& v : cells.vars) {
+    std::vector<Cell> all;
+    for (const auto& r : v.runs) all.insert(all.end(), r.cells.begin(), r.cells.end());
+    img.add(v.name, std::move(all));
   }
-  if (sizes) *sizes = sz;
-  const std::uint32_t crc = crc32(body.data(), body.size());
-
-  std::string out;
-  out.append(kMagic, 4);
-  out += body;
-  out.append(reinterpret_cast<const char*>(&crc), 4);
-  return out;
+  return img;
 }
 
-EngineRecord EngineRecord::from_bytes(std::string_view data, const CheckpointImage* base) {
-  if (data.size() < 12 || std::memcmp(data.data(), kMagic, 4) != 0) {
-    throw CheckpointError("bad engine record magic");
+std::string EngineRecord::to_frame(const CodecChain& chain, const CheckpointImage* base,
+                                   EncodedSizes* sizes) const {
+  const CheckpointImage* ref = full() ? nullptr : base;
+  std::string payload;
+  put_u64(payload, base_id);
+  put_u32(payload, static_cast<std::uint32_t>(cells.vars.size()));
+  EncodedSizes sz;
+  for (const auto& v : cells.vars) {
+    put_u32(payload, static_cast<std::uint32_t>(v.name.size()));
+    payload += v.name;
+    put_u32(payload, static_cast<std::uint32_t>(v.runs.size()));
+    std::vector<Cell> run_cells;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> run_spans;
+    for (const auto& r : v.runs) {
+      put_u32(payload, r.index);
+      put_u32(payload, static_cast<std::uint32_t>(r.cells.size()));
+      run_spans.emplace_back(r.index, static_cast<std::uint32_t>(r.cells.size()));
+      run_cells.insert(run_cells.end(), r.cells.begin(), r.cells.end());
+    }
+    const std::vector<Cell> bcells = xor_base_cells(v.name, run_spans, ref);
+    const std::string enc =
+        encode_cells(chain, run_cells.data(), run_cells.size(), bcells.data(), bcells.size());
+    sz.raw += run_cells.size() * 9;
+    sz.encoded += enc.size();
+    put_u32(payload, static_cast<std::uint32_t>(enc.size()));
+    payload += enc;
   }
-  const std::string_view body(data.data() + 4, data.size() - 8);
-  std::uint32_t stored_crc;
-  std::memcpy(&stored_crc, data.data() + data.size() - 4, 4);
-  if (crc32(body.data(), body.size()) != stored_crc) {
-    throw CheckpointError("engine record CRC mismatch");
-  }
+  if (sizes) *sizes = sz;
+  return trace::mctb_frame(kLogFrameKind, seq, static_cast<std::uint64_t>(iteration), payload,
+                           chain);
+}
 
-  Cursor cur(body);
-  const std::uint32_t version = cur.u32();
-  if (version != kVersion) {
-    throw CheckpointError(strf("unsupported engine record version %u", version));
+EngineRecord EngineRecord::from_frame(const trace::MctbFrameView& frame,
+                                      const CheckpointImage* base) {
+  if (frame.kind != kLogFrameKind) {
+    throw CheckpointError(strf("frame kind 0x%x is not an engine record", frame.kind));
   }
   EngineRecord rec;
-  rec.kind = static_cast<Kind>(cur.u8());
-  rec.base_id = cur.u64();
-  rec.seq = cur.u64();
-  rec.iteration = static_cast<std::int64_t>(cur.u64());
-
-  const std::uint8_t nstages = cur.u8();
-  std::vector<std::uint8_t> ids(nstages);
-  for (auto& id : ids) id = cur.u8();
-  try {
-    rec.codec = CodecChain::from_ids(ids.data(), ids.size());
-  } catch (const CodecError& e) {
-    // The recovery fallbacks key on CheckpointError: a corrupt stage list
-    // must look like any other corrupt record.
-    throw CheckpointError(e.what());
+  rec.seq = frame.seq;
+  rec.iteration = static_cast<std::int64_t>(frame.aux);
+  const CheckpointImage* ref = rec.full() ? nullptr : base;
+  if (!rec.full() && base == nullptr && chain_has_xor(frame.codec)) {
+    throw CheckpointError("xor-coded delta record needs its base image to decode");
   }
-
-  if (rec.kind == Kind::Full) {
-    const std::uint64_t raw_len = cur.u64();
-    const std::uint32_t enc_len = cur.u32();
-    const std::string enc = cur.str(enc_len);
-    try {
-      rec.full = CheckpointImage::from_bytes(
-          rec.codec.decode(enc, static_cast<std::size_t>(raw_len), {}));
-    } catch (const CodecError& e) {
-      throw CheckpointError(e.what());
-    }
-  } else if (rec.kind == Kind::Delta) {
-    if (chain_has_xor(rec.codec) && base == nullptr) {
-      throw CheckpointError("xor-coded delta record needs its base image to decode");
-    }
-    const std::uint32_t nvars = cur.u32();
-    rec.delta.vars.resize(nvars);
-    for (auto& v : rec.delta.vars) {
-      v.name = cur.str(cur.u32());
-      const std::uint32_t nruns = cur.u32();
-      v.runs.resize(nruns);
-      std::vector<std::pair<std::uint32_t, std::uint32_t>> run_spans;
-      std::size_t total_cells = 0;
-      for (auto& r : v.runs) {
-        r.index = cur.u32();
-        const std::uint32_t ncells = cur.u32();
-        run_spans.emplace_back(r.index, ncells);
-        total_cells += ncells;
+  Cursor cur(frame.payload);
+  rec.base_id = cur.u64();
+  for (std::uint32_t nvars = cur.u32(); rec.cells.vars.size() < nvars;) {
+    DeltaVar& v = rec.cells.vars.emplace_back();
+    v.name = std::string(cur.bytes(cur.u32()));
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> run_spans;
+    std::size_t total_cells = 0;
+    for (std::uint32_t nruns = cur.u32(); run_spans.size() < nruns;) {
+      const std::uint32_t index = cur.u32();
+      const std::uint32_t ncells = cur.u32();
+      if (rec.full() && index != total_cells) {
+        throw CheckpointError("full record runs do not tile variable: " + v.name);
       }
-      const std::uint32_t enc_len = cur.u32();
-      const std::string enc = cur.str(enc_len);
-      const std::vector<Cell> bcells = xor_base_cells(v.name, run_spans, base);
-      const std::vector<Cell> cells =
-          decode_cells(rec.codec, enc, total_cells, bcells.data(), bcells.size());
-      std::size_t pos = 0;
-      for (std::size_t i = 0; i < v.runs.size(); ++i) {
-        const std::uint32_t ncells = run_spans[i].second;
-        v.runs[i].cells.assign(cells.begin() + static_cast<std::ptrdiff_t>(pos),
-                               cells.begin() + static_cast<std::ptrdiff_t>(pos + ncells));
-        pos += ncells;
-      }
+      run_spans.emplace_back(index, ncells);
+      total_cells += ncells;
     }
-  } else {
-    throw CheckpointError("bad engine record kind");
+    const std::string_view enc = cur.bytes(cur.u32());
+    const std::vector<Cell> bcells = xor_base_cells(v.name, run_spans, ref);
+    const std::vector<Cell> all =
+        decode_cells(frame.codec, enc, total_cells, bcells.data(), bcells.size());
+    auto next = all.begin();
+    for (const auto& [index, ncells] : run_spans) {
+      v.runs.push_back(DeltaRun{index, std::vector<Cell>(next, next + ncells)});
+      next += ncells;
+    }
   }
   if (!cur.done()) throw CheckpointError("trailing bytes in engine record");
   return rec;
@@ -362,31 +307,16 @@ std::uint64_t first_base_id() {
   return (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
 }
 
-/// Copy every cell of `regions` out of the arena into a CheckpointImage.
-CheckpointImage snapshot_regions(const vm::Arena& arena,
-                                 const std::vector<ProtectedRegion>& regions) {
-  CheckpointImage img;
-  for (const auto& r : regions) {
-    std::vector<Cell> cells;
-    cells.reserve(static_cast<std::size_t>(r.bytes / vm::kCellBytes));
-    for (std::uint64_t off = 0; off < r.bytes; off += vm::kCellBytes) {
-      const vm::Arena::RawCell raw = arena.read_raw(r.addr + off);
-      cells.push_back(Cell{raw.payload, static_cast<std::uint8_t>(raw.kind)});
-    }
-    img.add(r.name, std::move(cells));
-  }
-  return img;
-}
-
 /// Log bytes of the full record the default raw chain writes for `regions`:
-/// the frame header, then the record header, stage count and length fields
-/// wrapped around the image's to_bytes() (magic, version, iteration, var
-/// count, CRC; per variable a name length, the name, a cell count and 9 bytes
-/// a cell), then the record CRC.
+/// the frame header, base_id and the variable count, then per variable its
+/// name length, the name, the run count, its one run's index and cell count,
+/// the encoded length and 9 bytes a cell.
 std::uint64_t full_raw_frame_bytes(const std::vector<ProtectedRegion>& regions) {
-  std::uint64_t image = 4 + 4 + 8 + 4 + 4;
-  for (const auto& r : regions) image += 4 + r.name.size() + 8 + (r.bytes / vm::kCellBytes) * 9;
-  return trace::kMctbFrameHeaderBytes + kHeaderBytes + 1 + 8 + 4 + image + 4;
+  std::uint64_t bytes = trace::kMctbFrameHeaderBytes + 8 + 4;
+  for (const auto& r : regions) {
+    bytes += 4 + r.name.size() + 4 + 8 + 4 + (r.bytes / vm::kCellBytes) * 9;
+  }
+  return bytes;
 }
 
 }  // namespace
@@ -410,7 +340,7 @@ CheckpointEngine::CheckpointEngine(EngineConfig cfg)
   std::error_code ec;
   std::filesystem::create_directories(cfg_.dir, ec);
   if (!cfg_.partner_dir.empty()) std::filesystem::create_directories(cfg_.partner_dir, ec);
-  if (cfg_.full_every < 1) cfg_.full_every = 1;
+  if (cfg_.deltas_per_full < 0) cfg_.deltas_per_full = 0;
   if (!cfg_.policy) cfg_.policy = std::make_shared<FixedIntervalPolicy>(1);
   if (cfg_.async) writer_ = std::thread([this] { writer_loop(); });
 }
@@ -526,45 +456,41 @@ EngineRecord CheckpointEngine::capture(std::int64_t iter, vm::Arena& arena,
   AC_SPAN("ckpt.capture");
   EngineRecord rec;
   rec.iteration = iter;
-
-  const bool full = !cfg_.incremental || !have_base_ ||
-                    commits_since_full_ >= cfg_.full_every;
+  const bool full = !have_base_ || commits_since_full_ >= cfg_.deltas_per_full;
   if (full) {
-    rec.kind = EngineRecord::Kind::Full;
     rec.base_id = ++base_id_;
     rec.seq = 0;
-    rec.full = snapshot_regions(arena, regions);
-    rec.full.set_iteration(iter);
-    // Keep a pristine copy as the XOR reference for the deltas that follow;
-    // shared so the async writer can encode without racing the next capture.
-    // (The copy is deliberate: the record is moved into the writeback queue,
-    // so sharing would need a shared_ptr-valued EngineRecord::full — not
-    // worth the API churn for one extra cell sweep every full_every commits.)
-    base_image_ = std::make_shared<CheckpointImage>(rec.full);
-    have_base_ = true;
     next_seq_ = 1;
     commits_since_full_ = 0;
   } else {
-    rec.kind = EngineRecord::Kind::Delta;
     rec.base_id = base_id_;
     rec.seq = next_seq_++;
     rec.xor_base = base_image_;
-    for (const auto& r : regions) {
-      DeltaVar dv;
-      dv.name = r.name;
-      for (std::uint64_t off = 0; off < r.bytes; off += vm::kCellBytes) {
-        const std::uint64_t addr = r.addr + off;
-        if (!arena.dirty_since(addr, delta_epoch_)) continue;
-        const std::uint32_t index = static_cast<std::uint32_t>(off / vm::kCellBytes);
-        const vm::Arena::RawCell raw = arena.read_raw(addr);
-        if (dv.runs.empty() || dv.runs.back().index + dv.runs.back().cells.size() != index) {
-          dv.runs.push_back(DeltaRun{index, {}});
-        }
-        dv.runs.back().cells.push_back(Cell{raw.payload, static_cast<std::uint8_t>(raw.kind)});
-      }
-      if (!dv.runs.empty()) rec.delta.vars.push_back(std::move(dv));
-    }
     ++commits_since_full_;
+  }
+  // A full record takes every cell, a delta the cells written since the last
+  // capture; both as runs of consecutive cells.
+  for (const auto& r : regions) {
+    DeltaVar dv;
+    dv.name = r.name;
+    for (std::uint64_t off = 0; off < r.bytes; off += vm::kCellBytes) {
+      const std::uint64_t addr = r.addr + off;
+      if (!full && !arena.dirty_since(addr, delta_epoch_)) continue;
+      const std::uint32_t index = static_cast<std::uint32_t>(off / vm::kCellBytes);
+      const vm::Arena::RawCell raw = arena.read_raw(addr);
+      if (dv.runs.empty() || dv.runs.back().index + dv.runs.back().cells.size() != index) {
+        dv.runs.push_back(DeltaRun{index, {}});
+      }
+      dv.runs.back().cells.push_back(Cell{raw.payload, static_cast<std::uint8_t>(raw.kind)});
+    }
+    if (full || !dv.runs.empty()) rec.cells.vars.push_back(std::move(dv));
+  }
+  if (full) {
+    // The pristine full image is the XOR reference of the deltas that
+    // follow; shared so the async writer can encode them without racing the
+    // next capture.
+    base_image_ = std::make_shared<const CheckpointImage>(rec.image());
+    have_base_ = true;
   }
 
   // Everything up to the current epoch is captured; cells written from the
@@ -591,17 +517,8 @@ bool CheckpointEngine::on_iteration(std::int64_t completed_iter, vm::Arena& aren
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.checkpoints;
-    if (rec.kind == EngineRecord::Kind::Full) {
-      ++stats_.full_checkpoints;
-      stats_.cells_captured += [&] {
-        std::uint64_t n = 0;
-        for (const auto& v : rec.full.vars()) n += v.cells.size();
-        return n;
-      }();
-    } else {
-      ++stats_.delta_checkpoints;
-      stats_.cells_captured += rec.delta.cell_count();
-    }
+    ++(rec.full() ? stats_.full_checkpoints : stats_.delta_checkpoints);
+    stats_.cells_captured += rec.cells.cell_count();
     stats_.full_equiv_bytes += full_equiv;
   }
   {
@@ -692,24 +609,18 @@ void CheckpointEngine::writer_loop() {
 void CheckpointEngine::persist(const EngineRecord& rec) {
   AC_SPAN("ckpt.writeback");
   const CheckpointImage* xor_base = rec.xor_base.get();
-  const auto frame = [&](const std::string& payload, const CodecChain& chain) {
-    return trace::mctb_frame(kLogFrameKind, static_cast<std::uint32_t>(rec.seq),
-                             static_cast<std::uint64_t>(rec.iteration), payload, chain);
-  };
   EncodedSizes l1_sizes;
   AC_FAULT("ckpt.writeback.encode");
-  const std::string l1 = frame(
-      [&] {
-        AC_SPAN("ckpt.encode");
-        return rec.to_bytes(cfg_.l1_codec, xor_base, &l1_sizes);
-      }(),
-      cfg_.l1_codec);
-  // Each level frames its own codec chain's encoding; a chain equal to L1's
+  const std::string l1 = [&] {
+    AC_SPAN("ckpt.encode");
+    return rec.to_frame(cfg_.l1_codec, xor_base, &l1_sizes);
+  }();
+  // Each level writes its own codec chain's frame; a chain equal to L1's
   // reuses the L1 frame instead of encoding twice.
   const auto level_frame = [&](const CodecChain& chain) {
-    return chain == cfg_.l1_codec ? l1 : frame(rec.to_bytes(chain, xor_base), chain);
+    return chain == cfg_.l1_codec ? l1 : rec.to_frame(chain, xor_base);
   };
-  const bool full = rec.kind == EngineRecord::Kind::Full;
+  const bool full = rec.full();
 
   // A full record starts fresh L1 and L2 logs; a delta extends them. The
   // partner copy is written after the local one, so a kill between the two
@@ -820,9 +731,9 @@ namespace {
 /// same order (a local log and its partner replica, or the archive alone),
 /// so record k of a chain sits at frame start+k in each. The chain starts at
 /// the last full record that decodes; each later record comes from the first
-/// log whose copy passes its CRC and decodes as the next delta of that base
-/// (same base_id, next seq), and the chain ends at the first record no log
-/// holds. Returns nothing when no full record decodes, or — judged on frame
+/// log whose copy passes its frame CRC and decodes as the next delta of that
+/// base (next seq, same base_id), and the chain ends at the first record no
+/// log holds. Returns nothing when no full record decodes, or — judged on frame
 /// headers alone, before any payload is decoded — when the last chain does
 /// not reach past iteration `beat`.
 std::optional<CheckpointImage> longest_chain(const std::vector<Log>& logs, std::int64_t beat) {
@@ -836,20 +747,19 @@ std::optional<CheckpointImage> longest_chain(const std::vector<Log>& logs, std::
     return nullptr;
   };
   // Frame i decoded from the first log whose copy is record `seq` of the
-  // chain: the full record (base == nullptr) or the next delta of `base`.
-  const auto decode = [&](std::size_t i, std::uint64_t seq,
-                          const EngineRecord* base) -> std::optional<EngineRecord> {
+  // chain: its full record (seq 0) or a delta of `full`, XORed against
+  // `base`, the full record's image.
+  const auto decode = [&](std::size_t i, std::uint32_t seq, const EngineRecord* full,
+                          const CheckpointImage* base) -> std::optional<EngineRecord> {
     for (const Log& log : logs) {
       trace::MctbFrameView f;
-      if (i >= log.frames.size() || !trace::read_mctb_frame(log.bytes, log.frames[i].pos, f)) {
+      if (i >= log.frames.size() || !trace::read_mctb_frame(log.bytes, log.frames[i].pos, f) ||
+          f.seq != seq) {
         continue;
       }
       try {
-        EngineRecord rec = EngineRecord::from_bytes(f.payload, base ? &base->full : nullptr);
-        const bool next = base ? rec.kind == EngineRecord::Kind::Delta &&
-                                     rec.base_id == base->base_id && rec.seq == seq
-                               : rec.kind == EngineRecord::Kind::Full;
-        if (next) return rec;
+        EngineRecord rec = EngineRecord::from_frame(f, base);
+        if (!full || rec.base_id == full->base_id) return rec;
       } catch (const CheckpointError&) {
         // A copy that does not decode is a missing copy.
       }
@@ -870,15 +780,16 @@ std::optional<CheckpointImage> longest_chain(const std::vector<Log>& logs, std::
       if (reach <= beat) return std::nullopt;
       promised = true;
     }
-    const std::optional<EngineRecord> base = decode(start, 0, nullptr);
-    if (!base) continue;  // start from the previous full record
+    const std::optional<EngineRecord> full = decode(start, 0, nullptr, nullptr);
+    if (!full) continue;  // start from the previous full record
     // The pristine base stays the XOR reference of every delta; `img`
     // accumulates the patches.
-    CheckpointImage img = base->full;
-    for (std::uint64_t k = 1;; ++k) {
-      const std::optional<EngineRecord> delta = decode(start + k, k, &*base);
+    const CheckpointImage base = full->image();
+    CheckpointImage img = base;
+    for (std::uint32_t k = 1;; ++k) {
+      const std::optional<EngineRecord> delta = decode(start + k, k, &*full, &base);
       if (!delta) break;
-      apply_delta(img, delta->delta, delta->iteration);
+      apply_delta(img, delta->cells, delta->iteration);
     }
     return img;
   }

@@ -11,11 +11,12 @@
 //     so only critical bytes are ever captured;
 //   * incremental checkpoints — the arena stamps every cell write with an
 //     epoch; after a committed snapshot the engine advances the epoch and the
-//     next delta persists only cells dirtied since (a full base image is
-//     rewritten every `full_every` commits to bound the recovery chain);
+//     next delta persists only cells dirtied since (a full record follows
+//     every `deltas_per_full` deltas to bound the recovery chain);
 //   * multi-level storage, mirroring FTI's hierarchy, where every level is
 //     one append-only log of MCTA frames (trace/mctb.hpp — self-delimiting,
-//     per-frame CRC32, one frame per record; log_path() names each):
+//     one CRC32 over each frame's header and payload, one frame per record;
+//     log_path() names each):
 //       L1  the local log in `dir`,
 //       L2  plus its replica in `partner_dir`, the per-record fallback when
 //           a local record is torn, corrupt or missing,
@@ -33,7 +34,7 @@
 //     a failed write fails its commit, and nothing is written after it;
 //   * pluggable payload codecs (codec.hpp) — each storage level encodes its
 //     records through its own codec chain (XOR-vs-base, RLE, LZ, stacked),
-//     with the stage ids in the record header so every store self-describes;
+//     with the stage ids in the frame header so every store self-describes;
 //   * policy-driven cadence — a ckpt::IntervalPolicy (fixed or Young/Daly)
 //     decides at each iteration boundary whether to commit.
 #pragma once
@@ -55,6 +56,9 @@
 
 namespace ac::analysis {
 struct Report;
+}
+namespace ac::trace {
+struct MctbFrameView;
 }
 namespace ac::vm {
 class Arena;
@@ -96,41 +100,41 @@ struct EncodedSizes {
   std::uint64_t encoded = 0;
 };
 
-/// One durable engine record: a full base image (seq 0 of a chain identified
-/// by base_id) or an incremental delta (seq 1..). Serialized with magic +
-/// CRC32 like CheckpointImage; deltas additionally carry per-cell indices.
+/// One durable engine record: seq 0 is a full record, the base of a chain
+/// identified by base_id, whose runs tile every variable from index 0; seq
+/// 1.. are that base's deltas, the cells written since the record before.
 ///
-/// The header (format version 2) carries the codec-chain stage ids the
-/// payload was encoded with, so every record is self-describing: mixed-codec
-/// stores (per-level codecs, or checkpoints from differently-configured
-/// runs) all restore. Any other version is rejected.
+/// A record is stored as one MCTA frame (trace/mctb.hpp), its only envelope:
+/// the frame header carries seq, the iteration (as `aux`) and the codec
+/// chain's stage ids, so every record self-describes and mixed-codec stores
+/// all restore; the payload is base_id, then per variable its name, its runs
+/// and their cells, plane-shuffled and chain-encoded. One frame CRC covers
+/// header and payload.
 struct EngineRecord {
-  enum class Kind : std::uint8_t { Full = 0, Delta = 1 };
-
-  Kind kind = Kind::Full;
   std::uint64_t base_id = 0;
-  std::uint64_t seq = 0;
+  std::uint32_t seq = 0;
   std::int64_t iteration = -1;
-  CheckpointImage full;  // Kind::Full
-  DeltaPatch delta;      // Kind::Delta
-  /// The chain this record was decoded with (from_bytes) — diagnostic only;
-  /// to_bytes() takes the chain to encode with as a parameter.
-  CodecChain codec;
+  DeltaPatch cells;
   /// Capture-time snapshot of the full image this delta XORs against. Set by
   /// the engine so the background writer can encode without racing the next
   /// capture; never serialized.
   std::shared_ptr<const CheckpointImage> xor_base;
 
-  /// Serialize with `chain`; `base` supplies the XOR reference cells for
-  /// delta payloads (ignored by raw/RLE/LZ-only chains and full records).
-  std::string to_bytes(const CodecChain& chain, const CheckpointImage* base,
-                       EncodedSizes* sizes = nullptr) const;
-  std::string to_bytes() const { return to_bytes(CodecChain{}, nullptr); }
+  bool full() const { return seq == 0; }
+  /// A full record's image: each variable's runs laid end to end.
+  CheckpointImage image() const;
 
-  /// Parse + verify. `base` is required to decode a delta whose chain starts
-  /// with XOR (recovery decodes the chain's full record first and passes its
-  /// pristine image); all other payloads decode without it.
-  static EngineRecord from_bytes(std::string_view data, const CheckpointImage* base = nullptr);
+  /// The record's frame, its cells encoded with `chain`; `base` supplies a
+  /// delta's XOR reference cells (a full record XORs against nothing).
+  std::string to_frame(const CodecChain& chain, const CheckpointImage* base,
+                       EncodedSizes* sizes = nullptr) const;
+
+  /// Decode a frame that trace::read_mctb_frame verified. `base` is required
+  /// to decode a delta whose chain has an XOR stage (recovery passes its full
+  /// record's image). Throws CheckpointError on a frame of another kind, a
+  /// malformed payload, or a full record whose runs leave a gap.
+  static EngineRecord from_frame(const trace::MctbFrameView& frame,
+                                 const CheckpointImage* base);
 };
 
 /// FTI-style reliability level of the engine's storage stack; each level
@@ -143,10 +147,10 @@ struct EngineConfig {
   std::string tag = "engine";
   EngineLevel level = EngineLevel::L1;
 
-  /// Write deltas between full base images; false = every commit is full.
-  bool incremental = true;
-  /// Rewrite a full base image every N commits (bounds the delta chain).
-  int full_every = 8;
+  /// Delta records between two full records, which bounds the recovery
+  /// chain: a full record every deltas_per_full + 1 commits; 0 makes every
+  /// commit full.
+  int deltas_per_full = 8;
 
   /// Persist on a background writer thread (double-buffered); false = inline.
   bool async = true;
@@ -184,8 +188,6 @@ struct EngineStats {
   std::uint64_t payload_encoded_bytes = 0;  // L1 cell payload after the codec chain
   std::int64_t async_stalls = 0;       // VM blocked on a full writeback queue
   std::int64_t last_persisted_iteration = -1;
-
-  std::uint64_t total_bytes() const { return l1_bytes + l2_bytes + l3_bytes; }
 };
 
 class CheckpointEngine {
@@ -254,7 +256,7 @@ class CheckpointEngine {
   // Capture-side state (VM thread only).
   bool have_base_ = false;
   std::uint64_t base_id_ = 0;
-  std::uint64_t next_seq_ = 1;
+  std::uint32_t next_seq_ = 1;
   std::int64_t last_commit_iter_ = 0;
   std::uint64_t delta_epoch_ = 0;  // cells stamped >= this are dirty
   int commits_since_full_ = 0;

@@ -1,15 +1,14 @@
 // Checkpoint image: an ordered set of named variable snapshots.
 //
 // This is the unit the checkpoint store exchanges with the VM: the
-// CheckpointEngine captures images of the AutoCheck-identified variables
-// (application-level checkpointing, as the paper does with FTI L1), embeds
-// them in its records, and hands the recovered one to
-// vm::RunOptions::restore. (The system-level Table IV baseline, BlcrSim,
-// sizes the whole machine instead.)
+// CheckpointEngine recovers an image of the AutoCheck-identified variables
+// (application-level checkpointing, as the paper does with FTI L1) and hands
+// it to vm::RunOptions::restore. (The system-level Table IV baseline,
+// BlcrSim, sizes the whole machine instead.) An image has no byte format of
+// its own: the engine stores its cells in its records (engine.hpp).
 //
 // Each 8-byte cell carries its ValueKind tag so restored doubles/pointers
-// keep their kind. The byte format is little-endian with a trailing CRC32
-// (FTI-style integrity check).
+// keep their kind.
 #pragma once
 
 #include <cstdint>
@@ -44,16 +43,9 @@ class CheckpointImage {
   void set_iteration(std::int64_t it) { iteration_ = it; }
   std::int64_t iteration() const { return iteration_; }
 
-  /// Payload bytes: 8 data bytes + 1 kind byte per cell plus per-variable
-  /// name records (to_bytes() adds the header, count fields and CRC).
+  /// Payload bytes: 8 data bytes + 1 kind byte per cell plus, per variable,
+  /// its name and an 8-byte cell count.
   std::uint64_t byte_size() const;
-
-  /// Serialize with header + CRC32 — the checkpoint engine embeds images in
-  /// its records and the L3 packed archive.
-  std::string to_bytes() const;
-  /// Parse and verify; throws ac::CheckpointError on bad magic, truncation,
-  /// CRC mismatch, an unknown version or trailing bytes.
-  static CheckpointImage from_bytes(const std::string& data);
 
   bool operator==(const CheckpointImage&) const = default;
 

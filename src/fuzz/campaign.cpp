@@ -61,7 +61,7 @@ struct AppContext {
   trace::TraceBuffer buffer;
   std::string canonical_mctb;  // raw codec, one chunk: the equality reference
   ckpt::EngineRecord ckpt_record;
-  std::string canonical_ckpt;  // ckpt_record.to_bytes() with the raw chain
+  std::string canonical_ckpt;  // ckpt_record's frame on the raw chain
   std::map<std::string, std::string> mctb_by_codec;
   std::map<std::string, std::string> ckpt_by_codec;
   std::map<std::string, std::string> frame_by_codec;
@@ -112,8 +112,8 @@ AppContext& context_for(const std::string& app_name, int scale) {
   }
 
   // One full checkpoint image of the protected set — the validation store's
-  // last commit of a whole run — wrapped as the engine record every
-  // ckpt-kind case mutates.
+  // last commit of a whole run — as the full engine record whose log frame
+  // every ckpt-kind case mutates.
   {
     const fs::path dir =
         fs::temp_directory_path() / strf("acfuzz-ctx-%d", static_cast<int>(::getpid()));
@@ -127,12 +127,12 @@ AppContext& context_for(const std::string& app_name, int scale) {
     std::error_code ec;
     fs::remove_all(dir, ec);
     if (last.empty()) throw Error("fuzz: no checkpoint captured for " + app_name);
-    ctx.ckpt_record.kind = ckpt::EngineRecord::Kind::Full;
     ctx.ckpt_record.base_id = 1;
-    ctx.ckpt_record.seq = 0;
     ctx.ckpt_record.iteration = last.iteration();
-    ctx.ckpt_record.full = std::move(last);
-    ctx.canonical_ckpt = ctx.ckpt_record.to_bytes();
+    for (const ckpt::VarSnapshot& v : last.vars()) {
+      ctx.ckpt_record.cells.vars.push_back({v.name, {ckpt::DeltaRun{0, v.cells}}});
+    }
+    ctx.canonical_ckpt = ctx.ckpt_record.to_frame(CodecChain{}, nullptr);
   }
 
   return cache.emplace(key, std::move(ctx)).first->second;
@@ -153,7 +153,7 @@ const std::string& ckpt_artifact(AppContext& ctx, const std::string& codec) {
   auto it = ctx.ckpt_by_codec.find(codec);
   if (it == ctx.ckpt_by_codec.end()) {
     it = ctx.ckpt_by_codec
-             .emplace(codec, ctx.ckpt_record.to_bytes(CodecChain::parse(codec), nullptr))
+             .emplace(codec, ctx.ckpt_record.to_frame(CodecChain::parse(codec), nullptr))
              .first;
   }
   return it->second;
@@ -296,8 +296,18 @@ int decode_child(int fd, const CorpusEntry& e, const AppContext& ctx,
       return kExitSilent;
     }
     if (e.kind == "ckpt") {
-      const ckpt::EngineRecord rec = ckpt::EngineRecord::from_bytes(bytes);
-      if (rec.to_bytes() == ctx.canonical_ckpt) return kExitBenign;
+      // The log walk's view: one whole frame whose CRC holds, then the record.
+      trace::MctbFrameView frame;
+      if (!trace::read_mctb_frame(bytes, 0, frame)) {
+        say(fd, "engine frame rejected (magic, header, length or CRC)");
+        return kExitClean;
+      }
+      if (frame.frame_size != bytes.size()) {
+        say(fd, strf("%zu trailing bytes after the engine frame", bytes.size() - frame.frame_size));
+        return kExitClean;
+      }
+      const ckpt::EngineRecord rec = ckpt::EngineRecord::from_frame(frame, nullptr);
+      if (rec.to_frame(CodecChain{}, nullptr) == ctx.canonical_ckpt) return kExitBenign;
       say(fd, "decoded checkpoint record differs from the canonical serialization");
       return kExitSilent;
     }
@@ -419,8 +429,7 @@ CaseResult execute_crash_case(const CorpusEntry& e, AppContext& ctx,
   cfg.partner_dir = (tmp / "l2").string();
   cfg.tag = "fuzz";
   cfg.level = ckpt::EngineLevel::L3;
-  cfg.incremental = true;
-  cfg.full_every = 3;
+  cfg.deltas_per_full = 3;
   cfg.async = false;  // deterministic commit order under injected kills
   cfg.set_codecs(CodecChain::parse(e.codec));
 

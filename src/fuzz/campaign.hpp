@@ -8,7 +8,8 @@
 //
 //   mctb   mutate an encoded MCTB container, decode it in a child process,
 //          re-serialize canonically, compare;
-//   ckpt   same over a serialized EngineRecord checkpoint;
+//   ckpt   same over a full EngineRecord's log frame (the bytes a
+//          checkpoint log stores);
 //   frame  same over an ACNP TraceChunk frame (net/protocol.hpp);
 //   crash  run a mini-app under the CheckpointEngine with a fault point
 //          armed (kill / throw / short write), then restart in a fresh

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <filesystem>
 #include <sstream>
 
 #include "support/crc32.hpp"
 #include "support/error.hpp"
+#include "support/file.hpp"
 #include "support/strings.hpp"
 
 namespace ac::fuzz {
@@ -82,13 +82,7 @@ CorpusEntry corpus_entry_from_string(const std::string& text) {
 }
 
 CorpusEntry load_corpus_entry(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) throw Error("corpus: cannot open " + path);
-  std::string text;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-  std::fclose(f);
+  const std::string text = read_file_bytes(path);
   try {
     return corpus_entry_from_string(text);
   } catch (const Error& e) {
@@ -107,10 +101,7 @@ std::string save_corpus_entry(const CorpusEntry& e, const std::string& dir) {
   const std::string path =
       dir + "/" + app_lc + "-" + e.kind + "-" + strf("%08x", crc32(body.data(), body.size())) +
       ".acfz";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (!f) throw Error("corpus: cannot write " + path);
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  if (std::fclose(f) != 0 || !ok) throw Error("corpus: short write " + path);
+  write_file(path, body);
   return path;
 }
 

@@ -50,7 +50,7 @@ RemoteSink::RemoteSink(const std::string& host, std::uint16_t port, RemoteSinkOp
   Hello hello;
   hello.codec = opts_.codec;
   send_frame(FrameType::Hello, hello.encode());
-  server_hello_ = Hello::decode(expect(FrameType::HelloAck).payload);
+  Hello::decode(expect(FrameType::HelloAck).payload);  // throws on a malformed ack
 }
 
 RemoteSink::~RemoteSink() {

@@ -114,8 +114,6 @@ class RemoteSink final : public trace::TraceSink {
   /// Flush staged records + Goodbye + drop the connection. Idempotent.
   void close() override;
 
-  const Hello& server_hello() const { return server_hello_; }
-
  private:
   void send_frame(FrameType type, std::string_view payload);
   void after_append();
@@ -127,7 +125,6 @@ class RemoteSink final : public trace::TraceSink {
   FrameReader reader_;
   trace::TraceBuffer staging_;
   std::string container_;  ///< reused per-chunk encode buffer (streaming writer target)
-  Hello server_hello_;
   std::uint64_t total_records_ = 0;
   std::uint64_t wire_bytes_ = 0;
   bool closed_ = false;

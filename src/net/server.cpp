@@ -233,7 +233,6 @@ void Server::accept_ready() {
     conn->last_activity = Clock::now();
 
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    active_connections_.fetch_add(1, std::memory_order_relaxed);
     static auto& accepted = telemetry::metrics().counter("net.server.connections");
     accepted.add(1);
 
@@ -325,7 +324,6 @@ void Server::reap_done(bool join_all) {
     if (join_all || c.done.load(std::memory_order_acquire)) {
       if (c.worker.joinable()) c.worker.join();
       it = conns_.erase(it);
-      active_connections_.fetch_sub(1, std::memory_order_relaxed);
     } else {
       ++it;
     }

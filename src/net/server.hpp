@@ -87,9 +87,6 @@ class Server {
   std::uint64_t connections_accepted() const {
     return connections_accepted_.load(std::memory_order_relaxed);
   }
-  std::uint64_t active_connections() const {
-    return active_connections_.load(std::memory_order_relaxed);
-  }
   std::uint64_t reports_served() const {
     return reports_served_.load(std::memory_order_relaxed);
   }
@@ -119,7 +116,6 @@ class Server {
   std::list<std::unique_ptr<Conn>> conns_;  // poll-thread owned
   std::uint64_t next_conn_id_ = 1;
   std::atomic<std::uint64_t> connections_accepted_{0};
-  std::atomic<std::uint64_t> active_connections_{0};
   std::atomic<std::uint64_t> reports_served_{0};
 };
 

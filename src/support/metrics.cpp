@@ -1,8 +1,6 @@
 #include "support/metrics.hpp"
 
-#include <cstdio>
-#include <stdexcept>
-
+#include "support/file.hpp"
 #include "support/json.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
@@ -115,14 +113,7 @@ std::string MetricsRegistry::to_json() const {
   return out;
 }
 
-void MetricsRegistry::write_json(const std::string& path) const {
-  const std::string text = to_json();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) throw std::runtime_error("metrics: cannot open " + path + " for writing");
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  std::fclose(f);
-  if (!ok) throw std::runtime_error("metrics: short write to " + path);
-}
+void MetricsRegistry::write_json(const std::string& path) const { write_file(path, to_json()); }
 
 std::string MetricsRegistry::summary() const {
   std::lock_guard<std::mutex> lock(mu_);

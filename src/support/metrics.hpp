@@ -123,6 +123,7 @@ class MetricsRegistry {
   /// Flat metrics JSON: {"counters": {...}, "gauges": {...},
   /// "histograms": {...}} with names sorted (deterministic output).
   std::string to_json() const;
+  /// Write to_json() to `path`; throws ac::Error when the write fails.
   void write_json(const std::string& path) const;
 
   /// Human summary rendered with support/table.

@@ -1,10 +1,9 @@
 #include "support/telemetry.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
-#include <stdexcept>
 
+#include "support/file.hpp"
 #include "support/json.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
@@ -171,12 +170,7 @@ std::string Telemetry::chrome_trace_json() const {
 }
 
 void Telemetry::write_chrome_trace(const std::string& path) const {
-  const std::string text = chrome_trace_json();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) throw std::runtime_error("telemetry: cannot open " + path + " for writing");
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  std::fclose(f);
-  if (!ok) throw std::runtime_error("telemetry: short write to " + path);
+  write_file(path, chrome_trace_json());
 }
 
 std::string Telemetry::summary() const {

@@ -60,6 +60,7 @@ class Telemetry {
   /// Chrome trace-event JSON ("traceEvents" array of ph:"X" complete events,
   /// microsecond ts/dur) — loads in chrome://tracing and Perfetto.
   std::string chrome_trace_json() const;
+  /// Write chrome_trace_json() to `path`; throws ac::Error when the write fails.
   void write_chrome_trace(const std::string& path) const;
 
   /// Per-name aggregate (count, total ns) rendered with support/table.

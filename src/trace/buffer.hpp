@@ -133,7 +133,6 @@ class RecordView {
   Opcode opcode() const { return rec_->opcode; }
   std::uint64_t dyn_id() const { return rec_->dyn_id; }
   std::uint32_t func_id() const { return rec_->func; }
-  std::uint32_t bb_id() const { return rec_->bb; }
   std::string_view func() const { return pool_->view(rec_->func); }
   std::string_view bb() const { return pool_->view(rec_->bb); }
 

@@ -754,6 +754,21 @@ TraceBuffer read_mctb(std::string_view bytes, const MctbReadOptions& opts) {
 
 // --- MCTB record framing ----------------------------------------------------
 
+namespace {
+
+/// Offset of the CRC field in a frame: the magic, then the section header's
+/// kind, chunk, count, aux, raw_size, payload_off and payload_size.
+constexpr std::size_t kFrameCrcOffset = 4 + 4 + 4 + 8 + 8 + 8 + 8 + 8;
+
+/// CRC32 of every byte of `frame` but its CRC field: the header fields the
+/// log walk reads and the payload, under one checksum.
+std::uint32_t frame_crc(std::string_view frame) {
+  const std::uint32_t head = crc32(frame.data(), kFrameCrcOffset);
+  return crc32(frame.data() + kFrameCrcOffset + 4, frame.size() - kFrameCrcOffset - 4, head);
+}
+
+}  // namespace
+
 bool is_mctb_frame(std::string_view bytes) {
   if (bytes.size() < 4) return false;
   std::uint32_t magic;
@@ -775,13 +790,14 @@ std::string mctb_frame(std::uint32_t kind, std::uint32_t seq, std::uint64_t aux,
   s.raw_size = payload.size();
   s.payload_off = 4 + kSectionHeaderSize;
   s.payload_size = payload.size();
-  s.payload_crc = crc32(payload.data(), payload.size());
   s.codec = codec;
   std::string out;
   out.reserve(4 + kSectionHeaderSize + payload.size());
   put_u32(out, kMctbFrameMagic);
   put_section_header(out, s);
   out.append(payload);
+  const std::uint32_t crc = frame_crc(out);
+  std::memcpy(out.data() + kFrameCrcOffset, &crc, 4);
   return out;
 }
 
@@ -806,7 +822,7 @@ bool read_mctb_frame_header(std::string_view bytes, std::size_t pos, MctbFrameVi
   out.seq = s.chunk;
   out.aux = s.aux;
   out.codec = s.codec;
-  out.payload_crc = s.payload_crc;
+  out.crc = s.payload_crc;
   out.payload =
       bytes.substr(pos + 4 + kSectionHeaderSize, static_cast<std::size_t>(s.payload_size));
   out.frame_size = 4 + kSectionHeaderSize + static_cast<std::size_t>(s.payload_size);
@@ -815,7 +831,7 @@ bool read_mctb_frame_header(std::string_view bytes, std::size_t pos, MctbFrameVi
 
 bool read_mctb_frame(std::string_view bytes, std::size_t pos, MctbFrameView& out) {
   if (!read_mctb_frame_header(bytes, pos, out)) return false;
-  return crc32(out.payload.data(), out.payload.size()) == out.payload_crc;
+  return frame_crc(bytes.substr(pos, out.frame_size)) == out.crc;
 }
 
 }  // namespace ac::trace

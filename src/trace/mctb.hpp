@@ -44,8 +44,8 @@
 // like the text path.
 //
 // The same section framing, prefixed with the "MCTA" magic, carries the
-// checkpoint engine's logs (see mctb_frame below): one self-describing, CRC'd
-// frame per appended record.
+// checkpoint engine's logs (see mctb_frame below): one self-describing frame
+// per appended record, one CRC over its header and payload.
 #pragma once
 
 #include <string>
@@ -116,20 +116,24 @@ TraceBuffer read_mctb(std::string_view bytes, const MctbReadOptions& opts = {});
 // --- MCTB record framing ----------------------------------------------------
 //
 // A standalone record frame for append-only streams: each of the checkpoint
-// engine's logs (L1, L2 and the L3 archive) is a sequence of these. Layout
-// per frame:
+// engine's logs (L1, L2 and the L3 archive) is a sequence of these, and a
+// frame is an engine record's only envelope. Layout per frame:
 //
 //   u32 magic "MCTA"
 //   SectionHeader   kind (caller-defined record kind), chunk = caller `seq`,
 //                   count = 1, aux = caller u64, raw_size = payload bytes,
 //                   payload_off = offset of the payload within the frame,
-//                   payload_size + CRC32, codec stage ids (self-description
+//                   payload_size, CRC32, codec stage ids (self-description
 //                   of the chain used *inside* the payload — the frame
 //                   itself carries the payload verbatim).
 //   payload
 //
-// Frames are self-delimiting and individually CRC'd, so a reader walks an
-// append-only stream frame by frame and stops cleanly at a torn tail.
+// The CRC covers every frame byte but its own field: the header fields a log
+// walk reads (kind, seq, aux, the sizes, the codec ids) and the payload. (A
+// container section's CRC covers its payload alone, because the container's
+// table CRC covers the section headers.) Frames are self-delimiting, so a
+// reader walks an append-only stream frame by frame and stops cleanly at a
+// torn tail.
 
 /// Magic "MCTA" little-endian — distinguishes a framed record stream from
 /// both an MCTB container and the v1 `[len][crc][bytes]` archive format.
@@ -141,8 +145,8 @@ constexpr std::size_t kMctbFrameHeaderBytes = 61;
 /// True when `bytes` starts with the frame magic.
 bool is_mctb_frame(std::string_view bytes);
 
-/// Build one frame around `payload`. `codec` is recorded in the header as
-/// self-description; the payload bytes are carried verbatim.
+/// Build one frame around `payload` and seal its CRC. `codec` is recorded in
+/// the header as self-description; the payload bytes are carried verbatim.
 std::string mctb_frame(std::uint32_t kind, std::uint32_t seq, std::uint64_t aux,
                        std::string_view payload, const CodecChain& codec);
 
@@ -152,18 +156,18 @@ struct MctbFrameView {
   std::uint32_t seq = 0;
   std::uint64_t aux = 0;
   CodecChain codec;
-  std::uint32_t payload_crc = 0;
+  std::uint32_t crc = 0;  ///< over the frame's header and payload
   std::string_view payload;
   std::size_t frame_size = 0;  ///< total frame bytes, including magic + header
 };
 
-/// Parse the frame header at `pos` without verifying the payload CRC (the
-/// header walk over a checkpoint log). Returns false — never throws — on bad
-/// magic, truncation, or a malformed header: the walk's stop condition.
+/// Parse the frame header at `pos` without verifying the CRC (the header walk
+/// over a checkpoint log). Returns false — never throws — on bad magic,
+/// truncation, or a malformed header: the walk's stop condition.
 bool read_mctb_frame_header(std::string_view bytes, std::size_t pos, MctbFrameView& out);
 
-/// Full frame parse: header plus payload CRC verification. Returns false on
-/// any torn or corrupt frame.
+/// Full frame parse: the header plus the CRC over header and payload. Returns
+/// false on any torn or corrupt frame.
 bool read_mctb_frame(std::string_view bytes, std::size_t pos, MctbFrameView& out);
 
 }  // namespace ac::trace

@@ -1,9 +1,6 @@
 #include "trace/reader.hpp"
 
-#include <sys/stat.h>
-
 #include <algorithm>
-#include <cstdio>
 #include <type_traits>
 #include <utility>
 
@@ -275,25 +272,6 @@ TraceBuffer read_trace_buffer(std::string_view text, int threads, const ParsePro
         if (progress) progress(chunks[c].first, chunks[c].second);
       });
   return out;
-}
-
-std::string read_file_bytes(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) throw Error("cannot open file: " + path);
-  // fopen succeeds on a directory, whose seek-to-end "size" is garbage: only
-  // a regular file's size is trusted.
-  struct stat st{};
-  if (::fstat(::fileno(f), &st) != 0 || !S_ISREG(st.st_mode)) {
-    std::fclose(f);
-    throw Error("not a regular file: " + path);
-  }
-  std::string data(static_cast<std::size_t>(st.st_size), '\0');
-  if (!data.empty() && std::fread(data.data(), 1, data.size(), f) != data.size()) {
-    std::fclose(f);
-    throw Error("short read from file: " + path);
-  }
-  std::fclose(f);
-  return data;
 }
 
 }  // namespace ac::trace

@@ -40,8 +40,4 @@ using ParseProgress = std::function<void(std::size_t begin, std::size_t end)>;
 TraceBuffer read_trace_buffer(std::string_view text, int threads = 1,
                               const ParseProgress& progress = {});
 
-/// Slurp a regular file. Throws ac::Error when `path` cannot be opened, is
-/// not a regular file (a directory, a pipe), or the read comes up short.
-std::string read_file_bytes(const std::string& path);
-
 }  // namespace ac::trace

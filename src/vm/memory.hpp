@@ -60,7 +60,6 @@ class Arena {
   /// allocation-time zeroing) stamps its cell with the current epoch; the
   /// engine calls advance_epoch() after committing a snapshot. A cell is
   /// dirty relative to an epoch `e` iff its stamp is >= e.
-  std::uint64_t write_epoch() const { return epoch_; }
   std::uint64_t advance_epoch() { return ++epoch_; }
   std::uint64_t cell_epoch(std::uint64_t addr) const;
   bool dirty_since(std::uint64_t addr, std::uint64_t epoch) const {

@@ -1,5 +1,5 @@
-// CheckpointEngine: interval policies, record serialization (codec-encoded
-// version 2 only; version 1 is rejected), report-driven registration,
+// CheckpointEngine: interval policies, records as log frames (one CRC over
+// frame header and payload), report-driven registration,
 // arena dirty-cell tracking, and full C/R round-trips through the
 // incremental / multi-level / async paths — including storage degradation
 // (a corrupt record in the local log -> its partner replica -> the archive),
@@ -21,10 +21,10 @@
 #include "support/crc32.hpp"
 #include "support/error.hpp"
 #include "support/faultpoint.hpp"
+#include "support/file.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
 #include "trace/mctb.hpp"
-#include "trace/reader.hpp"
 #include "vm/memory.hpp"
 
 #include "helpers.hpp"
@@ -85,132 +85,162 @@ TEST(Policy, YoungDalyAdaptsToMeasuredCosts) {
 
 ckpt::EngineRecord sample_full() {
   ckpt::EngineRecord rec;
-  rec.kind = ckpt::EngineRecord::Kind::Full;
   rec.base_id = 3;
   rec.iteration = 7;
-  rec.full.set_iteration(7);
-  rec.full.add("x", {{41, 0}, {42, 0}, {43, 0}});
-  rec.full.add("rho", {{0x3FF0000000000000ull, 1}});
+  rec.cells.vars.push_back(ckpt::DeltaVar{"x", {ckpt::DeltaRun{0, {{41, 0}, {42, 0}, {43, 0}}}}});
+  rec.cells.vars.push_back(
+      ckpt::DeltaVar{"rho", {ckpt::DeltaRun{0, {{0x3FF0000000000000ull, 1}}}}});
   return rec;
 }
 
 ckpt::EngineRecord sample_delta() {
   ckpt::EngineRecord rec;
-  rec.kind = ckpt::EngineRecord::Kind::Delta;
   rec.base_id = 3;
   rec.seq = 2;
   rec.iteration = 9;
-  rec.delta.vars.push_back(ckpt::DeltaVar{"x", {ckpt::DeltaRun{1, {{99, 0}, {100, 0}}}}});
+  rec.cells.vars.push_back(ckpt::DeltaVar{"x", {ckpt::DeltaRun{1, {{99, 0}, {100, 0}}}}});
   return rec;
+}
+
+/// Verify `frame` the way the log walk does, then decode the record.
+ckpt::EngineRecord decode(const std::string& frame, const ckpt::CheckpointImage* base = nullptr) {
+  trace::MctbFrameView view;
+  if (!trace::read_mctb_frame(frame, 0, view) || view.frame_size != frame.size()) {
+    throw CheckpointError("not one whole frame");
+  }
+  return ckpt::EngineRecord::from_frame(view, base);
+}
+
+/// Re-seal a hand-edited frame: the CRC field sits after the magic, kind,
+/// seq, count, aux, raw size, payload offset and payload size, and covers
+/// every other byte.
+void reseal(std::string& frame) {
+  constexpr std::size_t at = 4 + 4 + 4 + 8 + 8 + 8 + 8 + 8;
+  std::uint32_t crc = crc32(frame.data(), at);
+  crc = crc32(frame.data() + at + 4, frame.size() - at - 4, crc);
+  std::memcpy(frame.data() + at, &crc, 4);
 }
 
 TEST(EngineRecord, FullRoundTrip) {
   const ckpt::EngineRecord rec = sample_full();
-  const ckpt::EngineRecord back = ckpt::EngineRecord::from_bytes(rec.to_bytes());
-  EXPECT_EQ(back.kind, ckpt::EngineRecord::Kind::Full);
+  const std::string frame = rec.to_frame(CodecChain{}, nullptr);
+  // Frame header 61, base_id 8, variable count 4; per variable a name length,
+  // the name, a run count, one 8-byte run header, the encoded length, 9 bytes
+  // a cell.
+  EXPECT_EQ(frame.size(), 61u + 8 + 4 + (4 + 1 + 4 + 8 + 4 + 27) + (4 + 3 + 4 + 8 + 4 + 9));
+  const ckpt::EngineRecord back = decode(frame);
+  EXPECT_TRUE(back.full());
   EXPECT_EQ(back.base_id, 3u);
   EXPECT_EQ(back.iteration, 7);
-  EXPECT_EQ(back.full, rec.full);
+  EXPECT_EQ(back.image(), rec.image());
+  EXPECT_EQ(back.image().iteration(), 7);
+  ASSERT_NE(back.image().find("rho"), nullptr);
+  EXPECT_EQ(back.image().find("rho")->cells[0].kind, 1);
 }
 
 TEST(EngineRecord, DeltaRoundTrip) {
   const ckpt::EngineRecord rec = sample_delta();
-  const ckpt::EngineRecord back = ckpt::EngineRecord::from_bytes(rec.to_bytes());
-  EXPECT_EQ(back.kind, ckpt::EngineRecord::Kind::Delta);
+  const std::string frame = rec.to_frame(CodecChain{}, nullptr);
+  EXPECT_EQ(frame.size(), 61u + 8 + 4 + (4 + 1 + 4 + 8 + 4 + 18));
+  const ckpt::EngineRecord back = decode(frame);
+  EXPECT_FALSE(back.full());
   EXPECT_EQ(back.seq, 2u);
-  ASSERT_EQ(back.delta.vars.size(), 1u);
-  ASSERT_EQ(back.delta.vars[0].runs.size(), 1u);
-  EXPECT_EQ(back.delta.vars[0].runs[0].index, 1u);
-  EXPECT_EQ(back.delta.cell_count(), 2u);
+  EXPECT_EQ(back.iteration, 9);
+  ASSERT_EQ(back.cells.vars.size(), 1u);
+  ASSERT_EQ(back.cells.vars[0].runs.size(), 1u);
+  EXPECT_EQ(back.cells.vars[0].runs[0].index, 1u);
+  EXPECT_EQ(back.cells.cell_count(), 2u);
 }
 
-TEST(EngineRecord, DetectsCorruptionAndTruncation) {
-  std::string bytes = sample_full().to_bytes();
-  std::string corrupt = bytes;
-  corrupt[corrupt.size() / 2] ^= 0x5A;
-  EXPECT_THROW(ckpt::EngineRecord::from_bytes(corrupt), CheckpointError);
-  EXPECT_THROW(ckpt::EngineRecord::from_bytes(bytes.substr(0, bytes.size() / 2)),
-               CheckpointError);
+/// One CRC covers the frame header and the payload: every single-bit flip
+/// and every truncation of a full or a delta frame fails read_mctb_frame,
+/// the header fields the log walk reads (kind, seq, the iteration in aux,
+/// the codec ids) included.
+TEST(EngineRecord, EveryBitFlipFailsTheFrame) {
+  const ckpt::EngineRecord full = sample_full();
+  const ckpt::CheckpointImage base = full.image();
+  for (const char* codec : {"raw", "xor+rle+lz"}) {
+    const CodecChain chain = CodecChain::parse(codec);
+    for (const std::string& frame :
+         {full.to_frame(chain, nullptr), sample_delta().to_frame(chain, &base)}) {
+      trace::MctbFrameView view;
+      ASSERT_TRUE(trace::read_mctb_frame(frame, 0, view)) << codec;
+      int passed = 0;
+      for (std::size_t bit = 0; bit < frame.size() * 8; ++bit) {
+        std::string flipped = frame;
+        flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+        if (trace::read_mctb_frame(flipped, 0, view)) {
+          ++passed;
+          ADD_FAILURE() << codec << ": flip of bit " << bit << " passes";
+        }
+      }
+      EXPECT_EQ(passed, 0) << codec;
+      for (std::size_t n = 0; n < frame.size(); ++n) {
+        EXPECT_FALSE(trace::read_mctb_frame(frame.substr(0, n), 0, view)) << codec << " len=" << n;
+      }
+    }
+  }
 }
 
 TEST(EngineRecord, CodecChainRoundTrip) {
   const ac::CodecChain chain = ac::CodecChain::parse("xor+rle+lz");
 
   const ckpt::EngineRecord full = sample_full();
-  const ckpt::EngineRecord full_back =
-      ckpt::EngineRecord::from_bytes(full.to_bytes(chain, nullptr));
-  EXPECT_EQ(full_back.full, full.full);
-  EXPECT_EQ(full_back.codec, chain);
+  const std::string full_frame = full.to_frame(chain, nullptr);
+  trace::MctbFrameView view;
+  ASSERT_TRUE(trace::read_mctb_frame(full_frame, 0, view));
+  EXPECT_EQ(view.codec, chain);
+  const ckpt::CheckpointImage base = decode(full_frame).image();
+  EXPECT_EQ(base, full.image());
 
   // Delta payloads XOR against the base image's cells; the same base must be
   // supplied on decode, and decoding without it is an error, not garbage.
   const ckpt::EngineRecord delta = sample_delta();
-  const std::string bytes = delta.to_bytes(chain, &full.full);
-  const ckpt::EngineRecord back = ckpt::EngineRecord::from_bytes(bytes, &full.full);
-  ASSERT_EQ(back.delta.vars.size(), 1u);
-  EXPECT_EQ(back.delta.vars[0].runs[0].cells, delta.delta.vars[0].runs[0].cells);
-  EXPECT_THROW(ckpt::EngineRecord::from_bytes(bytes), CheckpointError);
+  const std::string frame = delta.to_frame(chain, &base);
+  const ckpt::EngineRecord back = decode(frame, &base);
+  ASSERT_EQ(back.cells.vars.size(), 1u);
+  EXPECT_EQ(back.cells.vars[0].runs[0].cells, delta.cells.vars[0].runs[0].cells);
+  EXPECT_THROW(decode(frame), CheckpointError);
 }
 
 TEST(EngineRecord, RejectsBadCodecIdInHeader) {
-  // Patch the first codec stage id to garbage and re-seal the CRC: the codec
-  // validation itself must reject it (the CRC is fine).
-  std::string bytes = sample_delta().to_bytes(ac::CodecChain::parse("rle"), nullptr);
-  const std::size_t nstages_off = 4 + 4 + 1 + 8 + 8 + 8;  // magic+ver+kind+base_id+seq+iter
-  ASSERT_EQ(static_cast<unsigned char>(bytes[nstages_off]), 1u);
-  bytes[nstages_off + 1] = 0x7F;  // stage id
-  const std::uint32_t crc = crc32(bytes.data() + 4, bytes.size() - 8);
-  std::memcpy(bytes.data() + bytes.size() - 4, &crc, 4);
-  try {
-    ckpt::EngineRecord::from_bytes(bytes);
-    FAIL() << "bad codec id accepted";
-  } catch (const CheckpointError& e) {
-    EXPECT_NE(std::string(e.what()).find("codec id"), std::string::npos);
-  }
+  // Patch the first codec stage id to garbage and re-seal the CRC: the frame
+  // header's codec validation itself must reject it (the CRC is fine).
+  std::string frame = sample_delta().to_frame(ac::CodecChain::parse("rle"), nullptr);
+  const std::size_t nstages_off = trace::kMctbFrameHeaderBytes - 5;
+  ASSERT_EQ(static_cast<unsigned char>(frame[nstages_off]), 1u);
+  frame[nstages_off + 1] = 0x7F;  // stage id
+  reseal(frame);
+  trace::MctbFrameView view;
+  EXPECT_FALSE(trace::read_mctb_frame_header(frame, 0, view));
+  EXPECT_FALSE(trace::read_mctb_frame(frame, 0, view));
 }
 
-TEST(EngineRecord, RejectsVersion1Records) {
-  // Hand-rolled version-1 bytes (raw cells inline, no codec header) with a
-  // valid CRC: the pre-codec format is no longer read, and refusing it must
-  // be a typed error, not a misparse.
-  const auto put_u32 = [](std::string& out, std::uint32_t v) {
-    out.append(reinterpret_cast<const char*>(&v), 4);
-  };
-  const auto put_u64 = [](std::string& out, std::uint64_t v) {
-    out.append(reinterpret_cast<const char*>(&v), 8);
-  };
-  std::string body;
-  put_u32(body, 1);              // version 1
-  body.push_back(1);             // kind = Delta
-  put_u64(body, 3);              // base_id
-  put_u64(body, 2);              // seq
-  put_u64(body, 9);              // iteration
-  put_u32(body, 1);              // nvars
-  put_u32(body, 1);              // name len
-  body += "x";
-  put_u32(body, 1);              // nruns
-  put_u32(body, 1);              // run index
-  put_u64(body, 2);              // ncells
-  put_u64(body, 99);             // cell 0 payload
-  body.push_back(0);             //        kind
-  put_u64(body, 100);            // cell 1 payload
-  body.push_back(0);             //        kind
-  std::string bytes = "ACEG";
-  bytes += body;
-  const std::uint32_t crc = crc32(body.data(), body.size());
-  bytes.append(reinterpret_cast<const char*>(&crc), 4);
-
+TEST(EngineRecord, RejectsOtherFrameKindsAndGappedFullRecords) {
+  // A sealed frame of another kind — 0x10 tagged the earlier record layout —
+  // is not an engine record, whatever its payload.
+  const std::string good = sample_full().to_frame(CodecChain{}, nullptr);
+  trace::MctbFrameView view;
+  ASSERT_TRUE(trace::read_mctb_frame(good, 0, view));
   try {
-    ckpt::EngineRecord::from_bytes(bytes);
-    FAIL() << "version-1 record accepted";
+    decode(trace::mctb_frame(0x10, view.seq, view.aux, view.payload, view.codec));
+    FAIL() << "kind 0x10 decoded as an engine record";
   } catch (const CheckpointError& e) {
-    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("kind 0x10"), std::string::npos) << e.what();
   }
+
+  // A full record whose runs leave a gap does not tile its variable.
+  ckpt::EngineRecord gapped = sample_full();
+  gapped.cells.vars[0].runs[0].index = 1;
+  EXPECT_THROW(decode(gapped.to_frame(CodecChain{}, nullptr)), CheckpointError);
+  // The same runs in a delta are fine.
+  gapped.seq = 1;
+  EXPECT_EQ(decode(gapped.to_frame(CodecChain{}, nullptr)).cells.cell_count(), 4u);
 }
 
 TEST(EngineRecord, ApplyDeltaPatchesBase) {
-  ckpt::CheckpointImage img = sample_full().full;
-  ckpt::apply_delta(img, sample_delta().delta, 9);
+  ckpt::CheckpointImage img = sample_full().image();
+  ckpt::apply_delta(img, sample_delta().cells, 9);
   EXPECT_EQ(img.iteration(), 9);
   ASSERT_NE(img.find("x"), nullptr);
   EXPECT_EQ(img.find("x")->cells[0].payload, 41u);   // untouched
@@ -295,7 +325,7 @@ TEST(EngineRoundTrip, SyncFullImages) {
   const App& app = find_app("HPCCG");
   const apps::AnalysisRun run = analyze_app(app);
   ckpt::EngineConfig cfg = engine_cfg("eng_sync_full");
-  cfg.incremental = false;
+  cfg.deltas_per_full = 0;
   cfg.async = false;
   const auto v = apps::validate_cr(run.module, run.region, run.report.critical_names(),
                                    /*fail_at=*/6, cfg);
@@ -313,7 +343,7 @@ TEST(EngineRoundTrip, IncrementalAsync) {
   const App& app = find_app("MG");
   const apps::AnalysisRun run = analyze_app(app);
   ckpt::EngineConfig cfg = engine_cfg("eng_incr_async");
-  cfg.full_every = 2;
+  cfg.deltas_per_full = 2;
   const auto v = apps::validate_cr(run.module, run.region, run.report.critical_names(),
                                    /*fail_at=*/6, cfg);
   EXPECT_TRUE(v.restart_matches);
@@ -360,7 +390,7 @@ TEST(EngineRoundTrip, SparseWritesProduceSmallDeltas) {
 
   ckpt::EngineConfig cfg = engine_cfg("eng_sparse");
   cfg.async = false;
-  cfg.full_every = 1 << 20;
+  cfg.deltas_per_full = 1 << 20;
   {
     ckpt::CheckpointEngine cleaner(cfg);
     cleaner.reset();
@@ -390,7 +420,7 @@ void spew(const std::string& path, const std::string& data) {
 /// The frame header stays intact, so a header walk still steps over the
 /// frame, but its CRC fails: exactly one record of the log is lost.
 void corrupt_frame(const std::string& path, std::size_t i) {
-  std::string bytes = trace::read_file_bytes(path);
+  std::string bytes = read_file_bytes(path);
   trace::MctbFrameView frame;
   std::size_t pos = 0;
   for (std::size_t k = 0;; ++k) {
@@ -411,7 +441,7 @@ TEST(EngineLevels, L2FallsBackToPartnerWhenLocalCorrupt) {
   ckpt::EngineConfig cfg = engine_cfg("eng_l2");
   cfg.partner_dir = partner_dir();
   cfg.level = ckpt::EngineLevel::L2;
-  cfg.incremental = false;
+  cfg.deltas_per_full = 0;
   cfg.async = false;
 
   std::string reference;
@@ -449,7 +479,7 @@ TEST(EngineLevels, L3ArchiveIsTheLastResort) {
   ckpt::EngineConfig cfg = engine_cfg("eng_l3");
   cfg.partner_dir = partner_dir();
   cfg.level = ckpt::EngineLevel::L3;
-  cfg.full_every = 3;
+  cfg.deltas_per_full = 3;
 
   std::string reference;
   {
@@ -507,7 +537,7 @@ TEST_F(EngineFallback, CorruptL1DeltaFallsBackToPartnerReplica) {
   cfg.partner_dir = partner_dir();
   cfg.level = ckpt::EngineLevel::L3;
   cfg.async = false;
-  cfg.full_every = 1 << 20;
+  cfg.deltas_per_full = 1 << 20;
   cfg.set_codecs(ac::CodecChain::parse("xor+rle"));
   run_failing(run, cfg, /*fail_at=*/6);
 
@@ -533,7 +563,7 @@ TEST_F(EngineFallback, DeltaCorruptInBothDirsFallsBackToArchive) {
   cfg.partner_dir = partner_dir();
   cfg.level = ckpt::EngineLevel::L3;
   cfg.async = false;
-  cfg.full_every = 1 << 20;
+  cfg.deltas_per_full = 1 << 20;
   run_failing(run, cfg, /*fail_at=*/6);
 
   // Both copies of delta 2 are bad: the L1/L2 chain now ends at iteration
@@ -560,7 +590,7 @@ TEST_F(EngineFallback, EachRecordFallsBackOnItsOwn) {
   cfg.partner_dir = partner_dir();
   cfg.level = ckpt::EngineLevel::L2;
   cfg.async = false;
-  cfg.full_every = 1 << 20;
+  cfg.deltas_per_full = 1 << 20;
   run_failing(run, cfg, /*fail_at=*/6);
 
   // Commits: full@1, deltas 1..4 (@2..@5). Delta 2 is bad in the local log
@@ -596,7 +626,7 @@ TEST_F(EngineFallback, DeltasAppendToOneLogPerLevel) {
   }
   cfg.tag = "eng_one_log";
   cfg.level = ckpt::EngineLevel::L3;
-  cfg.full_every = 1 << 20;
+  cfg.deltas_per_full = 1 << 20;
   fault::arm_from_spec("ckpt.writeback.pre_rename=delay:ms=0");
   run_failing(run, cfg, /*fail_at=*/6);
   const std::uint64_t renames = fault::trigger_count("ckpt.writeback.pre_rename");
@@ -645,7 +675,7 @@ TEST_P(EngineMatrix, RandomizedKillRestartsBitIdentical) {
       ckpt::EngineConfig cfg = engine_cfg(ac::strf("eng_matrix_%s_%d", app.name.c_str(), combo));
       cfg.level = level;
       if (level >= ckpt::EngineLevel::L2) cfg.partner_dir = partner_dir();
-      cfg.full_every = 2;  // force delta records into every combo
+      cfg.deltas_per_full = 2;  // force delta records into every combo
       cfg.set_codecs(ac::CodecChain::parse(codec));
       const auto v = apps::validate_cr(run.module, run.region, protect, fail_at, cfg);
       EXPECT_TRUE(v.restart_matches)
@@ -677,7 +707,7 @@ TEST(EngineLevels, TornDeltaChainRollsBackToLastGoodPrefix) {
   const apps::AnalysisRun run = analyze_app(app);
   ckpt::EngineConfig cfg = engine_cfg("eng_torn");
   cfg.async = false;
-  cfg.full_every = 1 << 20;  // one base + delta chain
+  cfg.deltas_per_full = 1 << 20;  // one base + delta chain
   {
     ckpt::CheckpointEngine engine(cfg);
     engine.reset();
@@ -705,7 +735,7 @@ std::string archive_only_setup(const apps::AnalysisRun& run, ckpt::EngineConfig&
   cfg.level = ckpt::EngineLevel::L3;
   cfg.partner_dir = partner_dir();
   cfg.async = false;
-  cfg.full_every = 3;
+  cfg.deltas_per_full = 3;
   {
     ckpt::CheckpointEngine engine(cfg);
     engine.reset();
@@ -744,7 +774,7 @@ TEST(EngineArchive, LenCrcEntryAfterFramesEndsTheWalk) {
   ckpt::EngineConfig cfg = engine_cfg("eng_arch_lencrc_tail");
   const std::string pack = archive_only_setup(run, cfg);
 
-  const std::string frames = trace::read_file_bytes(pack);
+  const std::string frames = read_file_bytes(pack);
   EXPECT_EQ(ckpt::CheckpointEngine(cfg).recover().iteration(), 5);
   std::size_t last_start = 0;
   trace::MctbFrameView view;
@@ -772,7 +802,7 @@ TEST(EngineArchive, LenCrcOnlyArchiveDoesNotRecover) {
   ckpt::EngineConfig cfg = engine_cfg("eng_arch_lencrc_only");
   const std::string pack = archive_only_setup(run, cfg);
 
-  const std::string frames = trace::read_file_bytes(pack);
+  const std::string frames = read_file_bytes(pack);
   std::string entries;
   trace::MctbFrameView view;
   for (std::size_t pos = 0; trace::read_mctb_frame(frames, pos, view); pos += view.frame_size) {
@@ -783,6 +813,39 @@ TEST(EngineArchive, LenCrcOnlyArchiveDoesNotRecover) {
   EXPECT_THROW(ckpt::CheckpointEngine(cfg).recover(), CheckpointError);
 }
 
+/// Frames of kind 0x10, the earlier record layout's tag, are never decoded as
+/// records, even sealed with a valid CRC: recovery finds nothing, and a
+/// restarted engine cuts them off before its first append.
+TEST(EngineArchive, FramesOfTheOldKindAreNotRecords) {
+  const App& app = find_app("LU");
+  const apps::AnalysisRun run = analyze_app(app);
+  ckpt::EngineConfig cfg = engine_cfg("eng_arch_old_kind");
+  const std::string pack = archive_only_setup(run, cfg);
+
+  const std::string frames = read_file_bytes(pack);
+  std::string retagged;
+  trace::MctbFrameView view;
+  for (std::size_t pos = 0; trace::read_mctb_frame(frames, pos, view); pos += view.frame_size) {
+    retagged += trace::mctb_frame(0x10, view.seq, view.aux, view.payload, view.codec);
+  }
+  ASSERT_EQ(retagged.size(), frames.size());
+  spew(pack, retagged);
+  EXPECT_THROW(ckpt::CheckpointEngine(cfg).recover(), CheckpointError);
+
+  apps::run_with_engine(run.module, run.region, run.report.critical_names(), cfg,
+                        /*fail_at=*/6);
+  const ckpt::CheckpointEngine restart(cfg);
+  std::remove(restart.log_path(ckpt::EngineLevel::L1).c_str());
+  std::remove(restart.log_path(ckpt::EngineLevel::L2).c_str());
+  EXPECT_EQ(restart.recover().iteration(), 5);
+  // Left in place, the five old frames would precede the five new ones.
+  const std::string after = read_file_bytes(pack);
+  std::size_t end = 0, records = 0;
+  for (; trace::read_mctb_frame(after, end, view); end += view.frame_size) ++records;
+  EXPECT_EQ(end, after.size());
+  EXPECT_EQ(records, 5u);
+}
+
 /// A frame torn mid-append (short write, kill) must cost only the tail
 /// record: the walk stops cleanly at the torn frame.
 TEST(EngineArchive, TornFrameTailRollsBackOneRecord) {
@@ -791,7 +854,7 @@ TEST(EngineArchive, TornFrameTailRollsBackOneRecord) {
   ckpt::EngineConfig cfg = engine_cfg("eng_arch_torn");
   const std::string pack = archive_only_setup(run, cfg);
 
-  const std::string v2 = trace::read_file_bytes(pack);
+  const std::string v2 = read_file_bytes(pack);
   std::vector<std::size_t> frame_ends;
   trace::MctbFrameView view;
   for (std::size_t pos = 0; trace::read_mctb_frame(v2, pos, view); pos += view.frame_size) {
@@ -815,7 +878,7 @@ TEST(EngineArchive, CorruptLastFullRecordFallsBackToThePreviousOne) {
   const apps::AnalysisRun run = analyze_app(app);
   ckpt::EngineConfig cfg = engine_cfg("eng_arch_last_full");
   const std::string pack = archive_only_setup(run, cfg);
-  // full_every=3: full records at iterations 1 and 5, frames 0 and 4.
+  // deltas_per_full=3: full records at iterations 1 and 5, frames 0 and 4.
   corrupt_frame(pack, 4);
   EXPECT_EQ(ckpt::CheckpointEngine(cfg).recover().iteration(), 4);
 }
@@ -834,7 +897,7 @@ TEST(EngineArchive, RecordsAppendedAfterATornTailAreReachable) {
     cfg.partner_dir = partner_dir();
     cfg.level = ckpt::EngineLevel::L3;
     cfg.async = false;
-    cfg.full_every = 3;
+    cfg.deltas_per_full = 3;
     ckpt::CheckpointEngine restart(cfg);  // names the logs, recovers at the end
     restart.reset();
     fault::arm_from_spec(strf("ckpt.archive.append=short:skip=%d", skip));
@@ -842,7 +905,7 @@ TEST(EngineArchive, RecordsAppendedAfterATornTailAreReachable) {
     fault::disarm_all();
     const std::string pack = restart.log_path(ckpt::EngineLevel::L3);
     {
-      const std::string torn = trace::read_file_bytes(pack);
+      const std::string torn = read_file_bytes(pack);
       std::size_t end = 0, frames = 0;
       trace::MctbFrameView view;
       for (; trace::read_mctb_frame(torn, end, view); end += view.frame_size) ++frames;

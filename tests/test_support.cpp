@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "support/crc32.hpp"
 #include "support/error.hpp"
+#include "support/file.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
@@ -155,6 +158,23 @@ TEST(Rng, UniformInUnitInterval) {
     EXPECT_GE(u, 0.0);
     EXPECT_LT(u, 1.0);
   }
+}
+
+TEST(File, WriteThenReadRoundTrips) {
+  const std::string path = testing::TempDir() + "/ac_support_file.bin";
+  const std::string bytes("a\0b\nc", 5);
+  write_file(path, bytes);
+  EXPECT_EQ(read_file_bytes(path), bytes);
+  write_file(path, "");  // truncates
+  EXPECT_EQ(read_file_bytes(path), "");
+  std::remove(path.c_str());
+  EXPECT_THROW(read_file_bytes(path), Error);
+}
+
+TEST(File, WriteFailuresThrow) {
+  // A 15-byte write to /dev/full fits the stdio buffer; only fclose fails.
+  EXPECT_THROW(write_file("/dev/full", "fifteen bytes.."), Error);
+  EXPECT_THROW(write_file(testing::TempDir() + "/no_such_dir/x", "x"), Error);
 }
 
 TEST(TextTable, RendersAlignedColumns) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "analysis/session.hpp"
+#include "support/error.hpp"
 #include "support/telemetry.hpp"
 #include "trace/reader.hpp"
 
@@ -202,6 +203,21 @@ TEST(TelemetryExport, ChromeTraceAndMetricsJsonAreStructurallySound) {
         "\"sum\": 1024", "\"p50_bound\""}) {
     EXPECT_NE(mjson.find(needle), std::string::npos) << needle;
   }
+}
+
+/// /dev/full accepts a small fwrite into the stdio buffer and fails only the
+/// flush at fclose (ENOSPC): each whole-file writer must report that failure.
+TEST(TelemetryExport, WritesToAFullDiskThrow) {
+  TelemetryReset guard;
+  metrics().counter("test.full_disk").add(1);
+  EXPECT_THROW(telemetry().write_chrome_trace("/dev/full"), Error);
+  EXPECT_THROW(metrics().write_json("/dev/full"), Error);
+
+  const std::string src = test::fig4_source();
+  analysis::Session session;
+  session.buffer(test::run_pipeline(src).trace).region_from_markers(src);
+  session.sink(std::make_shared<analysis::DotSink>(std::string("/dev/full")));
+  EXPECT_THROW(session.run(), Error);
 }
 
 // --- pipeline ground-truth pins ---------------------------------------------

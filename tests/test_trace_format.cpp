@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "support/error.hpp"
+#include "support/file.hpp"
 #include "trace/reader.hpp"
 #include "trace/record.hpp"
 #include "trace/source.hpp"

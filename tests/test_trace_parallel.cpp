@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "support/error.hpp"
+#include "support/file.hpp"
 
 #include "apps/harness.hpp"
 #include "trace/mctb.hpp"

@@ -11,6 +11,7 @@
 #include "apps/app.hpp"
 #include "support/crc32.hpp"
 #include "support/error.hpp"
+#include "support/file.hpp"
 #include "support/strings.hpp"
 #include "trace/mctb.hpp"
 #include "trace/reader.hpp"
@@ -301,7 +302,7 @@ TEST(VmTraceGolden, EverySinkMatchesTheDigests) {
       file_sink.close();
       EXPECT_EQ(file_sink.count(), buffered.records);
     }
-    EXPECT_EQ(crc_of(trace::read_file_bytes(text_path)), buffered.text_crc);
+    EXPECT_EQ(crc_of(read_file_bytes(text_path)), buffered.text_crc);
     std::remove(text_path.c_str());
 
     // MCTB container, read back.
@@ -312,7 +313,7 @@ TEST(VmTraceGolden, EverySinkMatchesTheDigests) {
       mctb_run = run_app(module, &mctb_sink);
       mctb_sink.close();
     }
-    TraceDigest mctb = digest_buffer(trace::read_mctb(trace::read_file_bytes(mctb_path)));
+    TraceDigest mctb = digest_buffer(trace::read_mctb(read_file_bytes(mctb_path)));
     set_run(mctb, mctb_run);
     EXPECT_EQ(mctb.line(app.name), want);
     std::remove(mctb_path.c_str());

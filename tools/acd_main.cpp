@@ -13,6 +13,7 @@
 
 #include "net/server.hpp"
 #include "net/socket.hpp"
+#include "support/file.hpp"
 #include "support/metrics.hpp"
 #include "support/strings.hpp"
 #include "support/telemetry.hpp"
@@ -121,13 +122,7 @@ int main(int argc, char** argv) {
     ::sigaction(SIGTERM, &sa, nullptr);
 
     if (!port_file.empty()) {
-      std::FILE* f = std::fopen(port_file.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "acd: cannot write port file '%s'\n", port_file.c_str());
-        return 1;
-      }
-      std::fprintf(f, "%u\n", static_cast<unsigned>(server.port()));
-      std::fclose(f);
+      ac::write_file(port_file, ac::strf("%u\n", static_cast<unsigned>(server.port())));
     }
     if (!quiet) {
       std::fprintf(stderr, "acd: listening on %s:%u (queue depth %zu)\n", opts.host.c_str(),
@@ -143,17 +138,11 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(server.reports_served()));
     }
     if (want_metrics_dump) {
-      const std::string json = ac::telemetry::metrics().to_json();
       if (metrics_dump.empty() || metrics_dump == "-") {
+        const std::string json = ac::telemetry::metrics().to_json();
         std::fwrite(json.data(), 1, json.size(), stdout);
       } else {
-        std::FILE* f = std::fopen(metrics_dump.c_str(), "w");
-        if (f == nullptr) {
-          std::fprintf(stderr, "acd: cannot write metrics to '%s'\n", metrics_dump.c_str());
-          return 1;
-        }
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fclose(f);
+        ac::telemetry::metrics().write_json(metrics_dump);
       }
     }
     if (!profile_path.empty()) {

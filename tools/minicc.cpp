@@ -12,7 +12,7 @@
 
 #include "analysis/region.hpp"
 #include "minic/compiler.hpp"
-#include "trace/reader.hpp"
+#include "support/file.hpp"
 #include "trace/writer.hpp"
 #include "vm/interp.hpp"
 
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   }
 
   try {
-    const std::string source = ac::trace::read_file_bytes(source_path);
+    const std::string source = ac::read_file_bytes(source_path);
     const ac::ir::Module module = ac::minic::compile(source);
     if (dump_ir) std::printf("%s", ac::ir::print_module(module).c_str());
     if (mcl_report) {
