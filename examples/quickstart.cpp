@@ -2,8 +2,10 @@
 //
 //   1. Compile a MiniC program (the paper's Fig. 4 example).
 //   2. Execute it under the tracing VM -> dynamic instruction trace.
-//   3. Run an analysis::Session with the main loop's source-line range.
-//   4. Read off the variables to checkpoint.
+//   3. Run an analysis::Session with the main loop's source-line range; its
+//      run() returns the Report.
+//   4. Read off the variables to checkpoint: every output (text, JSON, DOT,
+//      Protect() calls) is one call on that Report.
 //
 // Build & run:  ./examples/quickstart
 #include <cstdio>
@@ -72,7 +74,9 @@ int main() {
                                           .region_from_markers(source)
                                           .run();
 
-  // 4. The verdict: which variables a C/R library must protect.
+  // 4. The verdict: which variables a C/R library must protect. render() is
+  //    the text report; to_json(), contracted.to_dot() and
+  //    analysis::protect_calls() give the other outputs.
   std::printf("%s", report.render().c_str());
   std::printf("\nThese are exactly the variables to pass to FTI/VeloC-style "
               "Protect() calls\n(the paper's verdict for this example: r, a, sum, it).\n");

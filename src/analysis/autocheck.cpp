@@ -1,5 +1,8 @@
 #include "analysis/autocheck.hpp"
 
+#include <map>
+#include <utility>
+
 #include "support/json.hpp"
 #include "support/strings.hpp"
 
@@ -102,6 +105,43 @@ std::string Report::render_events(std::size_t max_events) const {
     ++n;
   }
   return out;
+}
+
+std::string protect_calls(const Report& report, const trace::TraceBuffer& trace,
+                          const std::string& source_name, const std::string& codec_spec) {
+  // One sweep over the packed records: the last Alloca per variable name in
+  // the MCL host function (or globals) is the binding live at the loop.
+  const MclRegion& region = report.region;
+  const trace::SymbolPool& pool = trace.pool();
+  const std::uint32_t host_func = pool.lookup(region.function);
+  const std::uint32_t global_func = pool.lookup("<global>");
+  std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> allocas;  // name -> (addr, bytes)
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const trace::RecordView rec = trace.view(i);
+    if (rec.opcode() != trace::Opcode::Alloca) continue;
+    if (rec.func_id() != host_func && rec.func_id() != global_func) continue;
+    const auto* result = rec.find(trace::OperandSlot::Result);
+    if (!result) continue;
+    const auto* size = rec.input(1);
+    allocas[std::string(rec.name(*result))] = {
+        result->value().addr, size ? static_cast<std::uint64_t>(size->value().i) : 0};
+  }
+  std::string text = strf("// CheckpointEngine registration for %s (function %s, lines %d..%d)\n",
+                          source_name.c_str(), region.function.c_str(), region.begin_line,
+                          region.end_line);
+  if (!codec_spec.empty()) {
+    text += strf("cfg.set_codecs(ac::CodecChain::parse(\"%s\"));\n", codec_spec.c_str());
+  }
+  for (const auto& cv : report.critical()) {
+    const auto it = allocas.find(cv.name);
+    const std::uint64_t addr = it != allocas.end() ? it->second.first : 0;
+    const std::uint64_t bytes =
+        it != allocas.end() && it->second.second ? it->second.second : cv.bytes;
+    text += strf("engine.protect(\"%s\");  // addr 0x%llx, %llu bytes, %s\n", cv.name.c_str(),
+                 static_cast<unsigned long long>(addr),
+                 static_cast<unsigned long long>(bytes), dep_type_name(cv.type));
+  }
+  return text;
 }
 
 }  // namespace ac::analysis

@@ -1,7 +1,9 @@
 // The AutoCheck report (paper Fig. 2): what pre-processing -> data dependency
 // analysis -> identification of critical variables produces, with the
 // per-phase wall-clock breakdown that Table III reports. The pipeline that
-// fills it is analysis/session.hpp (Session / SessionStream).
+// fills it is analysis/session.hpp (Session / SessionStream). Every output
+// is a function of the Report: render(), to_json(), contracted.to_dot(), and
+// protect_calls() with the trace it was computed from.
 #pragma once
 
 #include <string>
@@ -46,5 +48,15 @@ struct Report {
   /// The Fig. 5(e) view: "1: s-Write; 2: s-Read; ..." (first `max_events`).
   std::string render_events(std::size_t max_events = 64) const;
 };
+
+/// The paper's downstream story: the CheckpointEngine registration calls
+/// (FTI-style Protect()) for every critical variable of `report`, each with
+/// the arena address and footprint of its last Alloca in `trace` — the trace
+/// the report was computed from. `source_name` (e.g. "file:app.trace") goes
+/// into the header comment. A non-empty `codec_spec` (an ac::CodecChain
+/// spec, e.g. "xor+rle+lz") adds the engine's codec configuration line; it
+/// is emitted verbatim, so validate it with CodecChain::parse first.
+std::string protect_calls(const Report& report, const trace::TraceBuffer& trace,
+                          const std::string& source_name, const std::string& codec_spec = "");
 
 }  // namespace ac::analysis

@@ -1,13 +1,9 @@
 #include "analysis/session.hpp"
 
-#include <map>
 #include <thread>
 #include <utility>
 
-#include "ckpt/engine.hpp"
 #include "support/error.hpp"
-#include "support/file.hpp"
-#include "support/strings.hpp"
 #include "support/telemetry.hpp"
 #include "support/timer.hpp"
 
@@ -18,80 +14,6 @@ namespace ac::analysis {
 int default_thread_count() {
   const unsigned n = std::thread::hardware_concurrency();
   return n > 0 ? static_cast<int>(n) : 1;
-}
-
-// --- sinks -----------------------------------------------------------------
-
-namespace {
-
-void emit(const std::string& text, std::FILE* out, std::string* capture) {
-  if (capture) {
-    *capture += text;
-  } else if (out) {
-    std::fwrite(text.data(), 1, text.size(), out);
-  }
-}
-
-}  // namespace
-
-void TextSink::consume(const Report& report, const SessionContext&) {
-  emit(report.render(), out_, capture_);
-}
-
-void JsonSink::consume(const Report& report, const SessionContext&) {
-  emit(report.to_json(with_timings_), out_, capture_);
-}
-
-void DotSink::consume(const Report& report, const SessionContext&) {
-  const std::string dot = report.contracted.to_dot();
-  if (capture_) {
-    *capture_ += dot;
-    return;
-  }
-  write_file(path_, dot);
-}
-
-void ProtectSink::consume(const Report& report, const SessionContext& ctx) {
-  if (!ctx.trace) {
-    throw Error("ProtectSink: needs a materialized trace to resolve arena addresses "
-                "(a live Session stores none)");
-  }
-  // One sweep over the packed records: the last Alloca per variable name in
-  // the MCL host function (or globals) is the binding live at the loop.
-  const trace::SymbolPool& pool = ctx.trace->pool();
-  const std::uint32_t host_func = pool.lookup(ctx.region.function);
-  const std::uint32_t global_func = pool.lookup("<global>");
-  std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> allocas;  // name -> (addr, bytes)
-  for (std::size_t i = 0; i < ctx.trace->size(); ++i) {
-    const trace::RecordView rec = ctx.trace->view(i);
-    if (rec.opcode() != trace::Opcode::Alloca) continue;
-    if (rec.func_id() != host_func && rec.func_id() != global_func) continue;
-    const auto* result = rec.find(trace::OperandSlot::Result);
-    if (!result) continue;
-    const auto* size = rec.input(1);
-    allocas[std::string(rec.name(*result))] = {
-        result->value().addr, size ? static_cast<std::uint64_t>(size->value().i) : 0};
-  }
-  std::string text = strf("// CheckpointEngine registration for %s (function %s, lines %d..%d)\n",
-                          ctx.source_name.c_str(), ctx.region.function.c_str(),
-                          ctx.region.begin_line, ctx.region.end_line);
-  if (!codec_spec_.empty()) {
-    text += strf("cfg.set_codecs(ac::CodecChain::parse(\"%s\"));\n", codec_spec_.c_str());
-  }
-  for (const auto& cv : report.critical()) {
-    const auto it = allocas.find(cv.name);
-    const std::uint64_t addr = it != allocas.end() ? it->second.first : 0;
-    const std::uint64_t bytes =
-        it != allocas.end() && it->second.second ? it->second.second : cv.bytes;
-    text += strf("engine.protect(\"%s\");  // addr 0x%llx, %llu bytes, %s\n", cv.name.c_str(),
-                 static_cast<unsigned long long>(addr),
-                 static_cast<unsigned long long>(bytes), dep_type_name(cv.type));
-  }
-  emit(text, out_, capture_);
-}
-
-void EngineSink::consume(const Report& report, const SessionContext&) {
-  engine_->register_report(report);
 }
 
 // --- builder ---------------------------------------------------------------
@@ -131,28 +53,14 @@ Session& Session::options(const AnalysisOptions& opts) {
   return *this;
 }
 
-Session& Session::sink(std::shared_ptr<ReportSink> s) {
-  sinks_.push_back(std::move(s));
-  return *this;
-}
-
 // --- pipeline --------------------------------------------------------------
 
 Report Session::run() {
   AC_CHECK(source_ != nullptr || live_ != nullptr, "Session: no trace source configured");
   AC_CHECK(region_.begin_line > 0 && region_.end_line >= region_.begin_line,
            "Session: invalid MCL region (set region() or region_from_markers())");
-  // Left enabled after the run so the caller can export what was recorded.
-  if (opts_.telemetry) telemetry::telemetry().enable();
   AC_SPAN("analysis.session");
-
-  Report report = live_ ? run_live() : run_batch();
-
-  const SessionContext ctx = live_ ? SessionContext{region_, nullptr, "live"}
-                                   : SessionContext{region_, &source_->buffer(),
-                                                    source_->describe()};
-  for (const auto& s : sinks_) s->consume(report, ctx);
-  return report;
+  return live_ ? run_live() : run_batch();
 }
 
 Report Session::run_batch() {

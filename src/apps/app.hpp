@@ -46,9 +46,6 @@ struct App {
 
   /// MCL region of the instantiated source (markers don't move with knobs).
   analysis::MclRegion mcl() const;
-
-  /// Names of variables the paper expects to checkpoint.
-  std::vector<std::string> expected_names() const;
 };
 
 /// All 14 benchmarks, in the paper's Table II order.

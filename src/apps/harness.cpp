@@ -3,6 +3,7 @@
 #include "minic/compiler.hpp"
 #include "support/error.hpp"
 #include "support/timer.hpp"
+#include "trace/mctb.hpp"
 #include "trace/reader.hpp"
 #include "trace/writer.hpp"
 
@@ -60,15 +61,23 @@ FileAnalysisRun analyze_app_via_file(const App& app, const Params& params,
   const std::string src = app.source(params);
   const ir::Module module = minic::compile(src);
 
-  WallTimer gen_timer;
-  {
-    const std::unique_ptr<trace::TraceSink> sink = trace::make_file_sink(format, trace_path);
+  const auto trace_into = [&](trace::TraceSink& sink) {
     vm::RunOptions ropts;
-    ropts.sink = sink.get();
+    ropts.sink = &sink;
     vm::run_module(module, ropts);
-    out.trace_records = sink->count();
-    sink->close();
-    out.trace_bytes = sink->bytes();
+    out.trace_records = sink.count();
+  };
+  // Generation time includes the file write.
+  WallTimer gen_timer;
+  if (format == trace::TraceFormat::Mctb) {
+    trace::BufferSink sink;
+    trace_into(sink);
+    out.trace_bytes = trace::write_mctb_file(sink.buffer(), trace_path);
+  } else {
+    trace::FileSink sink(trace_path);
+    trace_into(sink);
+    sink.close();
+    out.trace_bytes = sink.bytes();
   }
   out.trace_generation_seconds = gen_timer.seconds();
 

@@ -217,7 +217,6 @@ int run_profile(const std::vector<ac::apps::App>& apps, int scale, int threads,
     ac::analysis::AnalysisOptions opts;
     opts.build_ddg = false;
     opts.threads = threads;
-    opts.telemetry = true;
 
     // VM trace -> text file -> (parallel) parse -> classify.
     const std::string text_path = "/tmp/ac_profile_" + app.name + ".text";

@@ -35,12 +35,6 @@ Params App::scaled_params(const Params& base, int scale) const {
   return out;
 }
 
-std::vector<std::string> App::expected_names() const {
-  std::vector<std::string> out;
-  for (const auto& e : expected) out.push_back(e.name);
-  return out;
-}
-
 const std::vector<App>& registry() {
   static const std::vector<App> apps = {
       make_himeno(), make_hpccg(), make_cg(), make_mg(), make_ft(),

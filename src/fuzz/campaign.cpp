@@ -4,12 +4,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <iterator>
 #include <map>
 #include <thread>
 
@@ -502,17 +504,24 @@ void bump(CampaignResult& res, Outcome o) {
 
 // The crash-kind scenario menu: every armed-fault shape the campaign draws
 // from (a random skip count is appended so faults land on different commits).
-constexpr const char* kCrashFaults[] = {
-    "ckpt.writeback.pre_rename=kill",
-    "ckpt.writeback.post_rename=kill",
-    "ckpt.writeback.encode=throw",
-    "ckpt.writeback.l2=throw",
-    "ckpt.writeback.sync=kill",
-    "ckpt.writeback.sync=throw",
-    "ckpt.recover.local=throw",
-    "ckpt.archive.append=kill",
-    "ckpt.archive.append=short",
+struct CrashFault {
+  const char* point;
+  const char* action;
 };
+constexpr CrashFault kCrashFaults[] = {
+    {"ckpt.writeback.pre_rename", "kill"},
+    {"ckpt.writeback.post_rename", "kill"},
+    {"ckpt.writeback.encode", "throw"},
+    {"ckpt.writeback.l2", "throw"},
+    {"ckpt.writeback.sync", "kill"},
+    {"ckpt.writeback.sync", "throw"},
+    {"ckpt.recover.local", "throw"},
+    {"ckpt.archive.append", "kill"},
+    {"ckpt.archive.append", "short"},
+};
+static_assert(std::all_of(std::begin(kCrashFaults), std::end(kCrashFaults),
+                          [](const CrashFault& f) { return fault::is_point(f.point); }),
+              "kCrashFaults names a fault point not in AC_FAULT_POINTS");
 
 std::vector<std::string> split_csv(const std::string& s) {
   std::vector<std::string> out;
@@ -594,7 +603,8 @@ CampaignResult run_campaign(const CampaignOptions& opts) {
     e.seed = opts.seed;
 
     if (e.kind == "crash") {
-      std::string f = kCrashFaults[rng.below(std::size(kCrashFaults))];
+      const CrashFault& crash = kCrashFaults[rng.below(std::size(kCrashFaults))];
+      std::string f = std::string(crash.point) + "=" + crash.action;
       const int skip = static_cast<int>(rng.below(4));
       if (skip > 0) f += strf(":skip=%d", skip);
       e.fault = f;

@@ -165,7 +165,6 @@ struct Module {
 
 /// Human-readable IR dump for debugging and golden tests.
 std::string print_module(const Module& m);
-std::string print_function(const Function& f);
 
 /// Structural checks: branch targets in range, registers defined before use,
 /// operand slots valid, exactly one terminating Ret path per function.

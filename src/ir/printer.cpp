@@ -6,17 +6,14 @@ namespace ac::ir {
 
 namespace {
 
-std::string opnd_text(const Function& f, const Module* m, const Opnd& o) {
+std::string opnd_text(const Function& f, const Module& m, const Opnd& o) {
   switch (o.kind) {
     case Opnd::Kind::None: return "_";
     case Opnd::Kind::Reg: return strf("%%%d", o.reg);
     case Opnd::Kind::ImmI: return strf("%lld", static_cast<long long>(o.imm_i));
     case Opnd::Kind::ImmF: return strf("%g", o.imm_f);
-    case Opnd::Kind::Var: {
-      if (o.var_is_global && m) return "@" + m->global(o.var_slot).name;
-      if (!o.var_is_global) return "$" + f.local(o.var_slot).name;
-      return strf("@g%d", o.var_slot);
-    }
+    case Opnd::Kind::Var:
+      return o.var_is_global ? "@" + m.global(o.var_slot).name : "$" + f.local(o.var_slot).name;
   }
   return "?";
 }
@@ -38,7 +35,7 @@ const char* bin_name(BinOp op) {
   return "?";
 }
 
-std::string print_module_function_impl(const Function& f, const Module* m) {
+std::string function_text(const Function& f, const Module& m) {
   std::string out = strf("func %s (params=%d, regs=%d)\n", f.name.c_str(), f.num_params, f.num_regs);
   for (std::size_t i = 0; i < f.locals.size(); ++i) {
     const VarInfo& v = f.locals[i];
@@ -104,10 +101,6 @@ std::string print_module_function_impl(const Function& f, const Module* m) {
 
 }  // namespace
 
-std::string print_function(const Function& f) {
-  return print_module_function_impl(f, nullptr);
-}
-
 std::string print_module(const Module& m) {
   std::string out;
   for (std::size_t i = 0; i < m.globals.size(); ++i) {
@@ -116,7 +109,7 @@ std::string print_module(const Module& m) {
     for (auto d : v.dims) out += strf("[%lld]", static_cast<long long>(d));
     out += "\n";
   }
-  for (const auto& f : m.functions) out += print_module_function_impl(f, &m);
+  for (const auto& f : m.functions) out += function_text(f, m);
   return out;
 }
 

@@ -153,8 +153,7 @@ void RemoteSink::close() {
 
 // --- RemoteSource -----------------------------------------------------------
 
-RemoteSource::RemoteSource(FrameStream& stream, std::string peer)
-    : stream_(&stream), peer_(std::move(peer)) {}
+RemoteSource::RemoteSource(FrameStream& stream) : stream_(&stream) {}
 
 void RemoteSource::merge_chunk(const Frame& frame) {
   AC_SPAN("net.decode_chunk");

@@ -2,7 +2,8 @@
 //
 //   RemoteSink    a trace::TraceSink that streams records to an acd daemon as
 //                 length-prefixed MCTB chunk frames while the app runs — the
-//                 network twin of MctbFileSink, plus report/metrics fetches.
+//                 network twin of write_mctb_file, plus report/metrics
+//                 fetches.
 //   RemoteSource  a trace::TraceSource fed from decoded frames — how a
 //                 daemon-side analysis::Session analyzes a socket exactly the
 //                 way a local Session analyzes a file. One instance
@@ -137,7 +138,7 @@ class RemoteSink final : public trace::TraceSink {
 /// which is why socket-path verdicts are bit-identical to the file path.
 class RemoteSource final : public trace::TraceSource {
  public:
-  explicit RemoteSource(FrameStream& stream, std::string peer = "remote");
+  explicit RemoteSource(FrameStream& stream);
 
   /// Pump frames (chunks, Flush, MetricsRequest are handled internally) until
   /// a ReportRequest arrives (returns its spec) or the peer says Goodbye /
@@ -145,7 +146,6 @@ class RemoteSource final : public trace::TraceSource {
   /// malformed input — the caller tears the connection down.
   std::optional<ReportSpec> wait_request();
 
-  std::string describe() const override { return "socket:" + peer_; }
   const trace::TraceBuffer& buffer() override { return buffer_; }
   double read_seconds() const override { return decode_seconds_; }
 
@@ -156,7 +156,6 @@ class RemoteSource final : public trace::TraceSource {
   void merge_chunk(const Frame& frame);
 
   FrameStream* stream_;
-  std::string peer_;
   trace::TraceBuffer buffer_;
   double decode_seconds_ = 0;
   std::uint64_t chunks_merged_ = 0;

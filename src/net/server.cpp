@@ -346,7 +346,7 @@ void Server::conn_worker(Conn& c) {
       ack.caps = client.caps & kSupportedCaps;
       stream.send(FrameType::HelloAck, ack.encode());
 
-      auto src = std::make_shared<RemoteSource>(stream, c.peer);
+      auto src = std::make_shared<RemoteSource>(stream);
       while (std::optional<ReportSpec> spec = src->wait_request()) {
         std::string body;
         try {
@@ -391,18 +391,10 @@ std::string Server::render_report(const std::shared_ptr<RemoteSource>& src,
   analysis::AnalysisOptions aopts;
   aopts.mli_mode = spec.mli_mode;
   aopts.build_ddg = spec.build_ddg;
-  std::string out;
-  analysis::Session session;
-  session.source(src).region(spec.region).options(aopts);
-  if (spec.format == ReportFormat::Text) {
-    session.sink(std::make_shared<analysis::TextSink>(&out));
-  } else {
-    auto sink = std::make_shared<analysis::JsonSink>(&out);
-    sink->with_timings(spec.with_timings);
-    session.sink(std::move(sink));
-  }
-  session.run();
-  return out;
+  const analysis::Report report =
+      analysis::Session().source(src).region(spec.region).options(aopts).run();
+  return spec.format == ReportFormat::Text ? report.render()
+                                           : report.to_json(spec.with_timings);
 }
 
 }  // namespace ac::net

@@ -200,36 +200,6 @@ void arm_from_spec(const std::string& spec) {
   arm(spec.substr(0, eq), parse_fault_spec(spec.substr(eq + 1)));
 }
 
-const std::vector<PointInfo>& catalog() {
-  // Keep in sync with the AC_FAULT/AC_FAULT_IO sites; test_fuzz arms each
-  // entry and asserts it actually fires on its layer's hot path.
-  static const std::vector<PointInfo> points = {
-      {"ckpt.writeback.encode", "engine.cpp persist(): before record encode"},
-      {"ckpt.writeback.pre_rename",
-       "engine.cpp write_log(): rotation, after the temp log's fdatasync, before rename"},
-      {"ckpt.writeback.post_rename",
-       "engine.cpp write_log(): rotation, after rename, before the dir fsync"},
-      {"ckpt.writeback.l2", "engine.cpp persist(): before the L2 partner write"},
-      {"ckpt.writeback.l3_append", "engine.cpp persist(): before the L3 archive append"},
-      {"ckpt.writeback.sync", "engine.cpp append_frame(): after the write, before its fdatasync"},
-      {"ckpt.archive.append",
-       "engine.cpp append_frame(): write byte count, every level's log (short-write site)"},
-      {"ckpt.recover.local", "engine.cpp recover(): before the walk reads the local log"},
-      {"fs.sync_dir", "mctb.cpp fsync_parent_dir(): before the directory fsync"},
-      {"mctb.encode.section", "mctb.cpp encode_container(): per encoded section, all sinks"},
-      {"mctb.stream.encode_section",
-       "mctb.cpp encode_container(): per section on the streaming file-writer path"},
-      {"mctb.decode.section", "mctb.cpp decode_payload(): per decoded section"},
-      {"mctb.stream.decode_slot",
-       "mctb.cpp read_mctb(): per chunk slot of the decode"},
-      {"exec.chunk.claim", "executor.cpp run_chunks(): after a worker claims a chunk"},
-      {"net.write", "socket.cpp write_all(): before the send loop"},
-      {"net.read", "socket.cpp read_some(): before the poll/recv"},
-      {"net.server.render", "server.cpp conn_worker(): before report render"},
-  };
-  return points;
-}
-
 namespace {
 
 std::vector<std::string> split_commas(const std::string& s) {

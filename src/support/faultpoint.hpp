@@ -21,16 +21,46 @@
 //
 // Disarmed (the default, and the only production state) a site costs one
 // relaxed atomic load — the same discipline as AC_SPAN, and covered by the
-// same bench_micro overhead gate. Point names must be string literals.
+// same bench_micro overhead gate. Point names must be string literals, and
+// every one is declared once, in AC_FAULT_POINTS below: a site (or a
+// campaign crash scenario) naming a point missing from the list fails to
+// compile.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ac::fault {
+
+// V(name, site): every AC_FAULT/AC_FAULT_IO point compiled into the binary,
+// with where it sits. catalog() (`--list-fault-points`) is this list.
+#define AC_FAULT_POINTS(V)                                                                     \
+  V("ckpt.writeback.encode", "engine.cpp persist(): before record encode")                     \
+  V("ckpt.writeback.pre_rename",                                                               \
+    "engine.cpp write_log(): rotation, after the temp log's fdatasync, before rename")         \
+  V("ckpt.writeback.post_rename",                                                              \
+    "engine.cpp write_log(): rotation, after rename, before the dir fsync")                    \
+  V("ckpt.writeback.l2", "engine.cpp persist(): before the L2 partner write")                  \
+  V("ckpt.writeback.l3_append", "engine.cpp persist(): before the L3 archive append")          \
+  V("ckpt.writeback.sync", "engine.cpp append_frame(): after the write, before its fdatasync") \
+  V("ckpt.archive.append",                                                                     \
+    "engine.cpp append_frame(): write byte count, every level's log (short-write site)")       \
+  V("ckpt.recover.local", "engine.cpp recover(): before the walk reads the local log")         \
+  V("fs.sync_dir", "mctb.cpp fsync_parent_dir(): before the directory fsync")                  \
+  V("mctb.encode.section", "mctb.cpp encode_container(): per encoded section, all sinks")      \
+  V("mctb.stream.encode_section",                                                              \
+    "mctb.cpp encode_container(): per section on the streaming file-writer path")              \
+  V("mctb.decode.section", "mctb.cpp decode_payload(): per decoded section")                   \
+  V("mctb.stream.decode_slot", "mctb.cpp read_mctb(): per chunk slot of the decode")           \
+  V("exec.chunk.claim", "executor.cpp run_chunks(): after a worker claims a chunk")            \
+  V("net.write", "socket.cpp write_all(): before the send loop")                               \
+  V("net.read", "socket.cpp read_some(): before the poll/recv")                                \
+  V("net.server.render", "server.cpp conn_worker(): before report render")
 
 enum class Action : std::uint8_t {
   Throw,       // throw the domain's error type ("injected fault at <point>")
@@ -73,13 +103,28 @@ FaultSpec parse_fault_spec(const std::string& spec);
 /// Arm from "point=action[:key=val,...]".
 void arm_from_spec(const std::string& spec);
 
-/// Every AC_FAULT site compiled into this binary, with its location — the
-/// `--list-fault-points` catalog and the campaign's crash-scenario menu.
 struct PointInfo {
   const char* name;
   const char* site;
 };
-const std::vector<PointInfo>& catalog();
+
+inline constexpr PointInfo kPoints[] = {
+#define AC_FAULT_POINT_INFO(name, site) {name, site},
+    AC_FAULT_POINTS(AC_FAULT_POINT_INFO)
+#undef AC_FAULT_POINT_INFO
+};
+
+/// Every AC_FAULT site compiled into this binary, with its location — the
+/// `--list-fault-points` catalog.
+inline std::span<const PointInfo> catalog() { return kPoints; }
+
+/// Whether AC_FAULT_POINTS lists `name` (the sites' compile-time check).
+constexpr bool is_point(std::string_view name) {
+  for (const PointInfo& p : kPoints) {
+    if (name == p.name) return true;
+  }
+  return false;
+}
 
 // --- test-only weakened checks ---------------------------------------------
 // Named validation checks that can be switched off so a campaign self-test
@@ -100,15 +145,21 @@ void hit(const char* point);
 /// other actions behave as at an AC_FAULT site.
 std::size_t clamped_io(const char* point, std::size_t n);
 
-/// Fault-injection site. `point` must be a string literal (layer.what form).
+#define AC_FAULT_CHECK_POINT(point) \
+  static_assert(::ac::fault::is_point(point), "fault point not in AC_FAULT_POINTS: " point)
+
+/// Fault-injection site. `point` must be a string literal listed in
+/// AC_FAULT_POINTS.
 #define AC_FAULT(point)                                     \
   do {                                                      \
+    AC_FAULT_CHECK_POINT(point);                            \
     if (::ac::fault::any_armed()) ::ac::fault::hit(point);  \
   } while (0)
 
 /// I/O-size fault site: evaluates to the (possibly clamped) byte count for an
 /// operation of `n` bytes. `n` must be side-effect free (evaluated twice).
-#define AC_FAULT_IO(point, n) \
-  (::ac::fault::any_armed() ? ::ac::fault::clamped_io((point), (n)) : (n))
+#define AC_FAULT_IO(point, n)                \
+  ([] { AC_FAULT_CHECK_POINT(point); }(),    \
+   ::ac::fault::any_armed() ? ::ac::fault::clamped_io((point), (n)) : (n))
 
 }  // namespace ac::fault

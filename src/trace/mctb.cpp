@@ -769,13 +769,6 @@ std::uint32_t frame_crc(std::string_view frame) {
 
 }  // namespace
 
-bool is_mctb_frame(std::string_view bytes) {
-  if (bytes.size() < 4) return false;
-  std::uint32_t magic;
-  std::memcpy(&magic, bytes.data(), 4);
-  return magic == kMctbFrameMagic;
-}
-
 std::string mctb_frame(std::uint32_t kind, std::uint32_t seq, std::uint64_t aux,
                        std::string_view payload, const CodecChain& codec) {
   if (codec.stages().size() > kMaxStages) {

@@ -142,9 +142,6 @@ constexpr std::uint32_t kMctbFrameMagic = 0x4154434Du;
 /// Bytes a frame adds around its payload: the magic plus the section header.
 constexpr std::size_t kMctbFrameHeaderBytes = 61;
 
-/// True when `bytes` starts with the frame magic.
-bool is_mctb_frame(std::string_view bytes);
-
 /// Build one frame around `payload` and seal its CRC. `codec` is recorded in
 /// the header as self-description; the payload bytes are carried verbatim.
 std::string mctb_frame(std::uint32_t kind, std::uint32_t seq, std::uint64_t aux,

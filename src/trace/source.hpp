@@ -9,7 +9,9 @@
 //
 // The one materialized form is the interned SoA TraceBuffer
 // (trace/buffer.hpp): buffer() is what the analysis pipeline replays, and a
-// TraceSource implementation only has to produce it.
+// TraceSource implementation only has to produce it. A caller that needs the
+// trace after the analysis (analysis::protect_calls resolves addresses in it)
+// keeps its own handle on the source and reads buffer() again.
 #pragma once
 
 #include <string>
@@ -21,9 +23,6 @@ namespace ac::trace {
 class TraceSource {
  public:
   virtual ~TraceSource() = default;
-
-  /// Human-readable origin, e.g. "file:/tmp/cg.trace", "memory".
-  virtual std::string describe() const = 0;
 
   /// Worker budget for materialization (FileSource parses in parallel when
   /// > 1); sources that never parse ignore it.
@@ -53,7 +52,6 @@ class FileSource final : public TraceSource {
   /// set_read_threads() later decides (Session forwards AnalysisOptions there).
   explicit FileSource(std::string path, int read_threads = 0);
 
-  std::string describe() const override { return "file:" + path_; }
   void set_read_threads(int n) override { read_threads_ = n; }
   const TraceBuffer& buffer() override;
   double read_seconds() const override { return read_seconds_; }
@@ -76,7 +74,6 @@ class MemorySource final : public TraceSource {
  public:
   explicit MemorySource(TraceBuffer&& buffer) : buffer_(std::move(buffer)) {}
 
-  std::string describe() const override { return "memory"; }
   const TraceBuffer& buffer() override { return buffer_; }
 
  private:

@@ -1,6 +1,8 @@
 #include "trace/writer.hpp"
 
 #include <cerrno>
+#include <cstring>
+#include <utility>
 
 #include "support/error.hpp"
 
@@ -16,7 +18,7 @@ const char* trace_format_name(TraceFormat f) {
   return f == TraceFormat::Mctb ? "mctb" : "text";
 }
 
-FileSink::FileSink(const std::string& path) {
+FileSink::FileSink(const std::string& path) : path_(path) {
   file_ = std::fopen(path.c_str(), "wb");
   if (!file_) throw Error("cannot open trace file for writing: " + path);
   buffer_.reserve(kFlushThreshold + 4096);
@@ -53,7 +55,7 @@ void FileSink::flush() {
         std::clearerr(file_);
         continue;
       }
-      throw Error("short write to trace file");
+      throw Error("short write to trace file: " + path_);
     }
     data += n;
     left -= n;
@@ -64,36 +66,17 @@ void FileSink::flush() {
 
 void FileSink::close() {
   if (!file_) return;
-  flush();
-  std::fclose(file_);
-  file_ = nullptr;
-}
-
-MctbFileSink::MctbFileSink(std::string path, MctbOptions opts)
-    : path_(std::move(path)), opts_(std::move(opts)) {}
-
-MctbFileSink::~MctbFileSink() {
   try {
-    close();
+    flush();
   } catch (...) {
-    // Destructors must not throw; the explicit close() path reports failures.
+    std::fclose(std::exchange(file_, nullptr));
+    throw;
   }
-}
-
-void MctbFileSink::close() {
-  if (closed_) return;
-  closed_ = true;
-  bytes_ = write_mctb_file(buffer_, path_, opts_);
-}
-
-std::unique_ptr<TraceSink> make_file_sink(TraceFormat format, const std::string& path,
-                                          const CodecChain& codec) {
-  if (format == TraceFormat::Mctb) {
-    MctbOptions opts;
-    opts.codec = codec;
-    return std::make_unique<MctbFileSink>(path, std::move(opts));
+  // stdio may hold the last bytes until fclose, so only its result says
+  // whether they reached the file (a small trace on a full disk fails here).
+  if (std::fclose(std::exchange(file_, nullptr)) != 0) {
+    throw Error("cannot write trace file " + path_ + ": " + std::strerror(errno));
   }
-  return std::make_unique<FileSink>(path);
 }
 
 }  // namespace ac::trace

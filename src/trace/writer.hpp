@@ -1,12 +1,14 @@
 // Trace sinks. The VM emits RecordViews over its own symbol pool through this
 // interface, and replays of a TraceBuffer hand over its views; a sink never
-// sees an owning record. Benchmarks stream to a file (measuring trace size /
-// generation time for Table II), the analysis keeps records interned in
-// memory, and the live Session forwards each view to its streaming passes.
+// sees an owning record. Benchmarks stream text to a file (measuring trace
+// size / generation time for Table II), the analysis keeps records interned
+// in memory (BufferSink), and the live Session forwards each view to its
+// streaming passes. An MCTB file is a BufferSink's buffer written by
+// write_mctb_file (trace/mctb.hpp): the container's column encoding needs
+// the finished arrays.
 #pragma once
 
 #include <cstdio>
-#include <memory>
 #include <string>
 
 #include "trace/buffer.hpp"
@@ -36,16 +38,6 @@ class TraceSink {
   /// Bytes written to durable storage so far (0 for in-memory sinks; the
   /// trace size column of Table II for file sinks).
   virtual std::uint64_t bytes() const { return 0; }
-};
-
-/// Discards records but counts them (used to time pure execution).
-class NullSink final : public TraceSink {
- public:
-  void append(const RecordView&) override { ++count_; }
-  std::uint64_t count() const override { return count_; }
-
- private:
-  std::uint64_t count_ = 0;
 };
 
 /// Interns records into a compact TraceBuffer as they are emitted — the
@@ -79,10 +71,13 @@ class FileSink final : public TraceSink {
   /// Bytes written so far (trace size column of Table II).
   std::uint64_t bytes() const override { return bytes_; }
 
-  /// Flush and close early (otherwise the destructor does).
+  /// Flush and close, throwing ac::Error (naming the file) when a write or
+  /// the final flush fails — e.g. ENOSPC, which stdio may only report at
+  /// fclose. Otherwise the destructor closes, eating errors.
   void close() override;
 
  private:
+  std::string path_;
   std::FILE* file_ = nullptr;
   std::string buffer_;
   std::uint64_t count_ = 0;
@@ -91,42 +86,5 @@ class FileSink final : public TraceSink {
   void flush();
   static constexpr std::size_t kFlushThreshold = 1 << 20;  // 1 MiB write batches
 };
-
-/// Writes the binary MCTB container (trace/mctb.hpp): records are interned
-/// into a TraceBuffer as they are emitted (the same packing the analysis
-/// replays, so nothing per-record survives on the heap) and the container is
-/// serialized on close() through the streaming writer — sections are encoded
-/// and flushed chunk-at-a-time, so peak serialize memory is one chunk + codec
-/// scratch on top of the interned buffer. The column/delta encoding needs the
-/// finished arrays, so the file appears atomically at close (temp + fsync +
-/// rename), not incrementally.
-class MctbFileSink final : public TraceSink {
- public:
-  explicit MctbFileSink(std::string path, MctbOptions opts = {});
-  ~MctbFileSink() override;
-  MctbFileSink(const MctbFileSink&) = delete;
-  MctbFileSink& operator=(const MctbFileSink&) = delete;
-
-  void append(const RecordView& rec) override { buffer_.append(rec); }
-  std::uint64_t count() const override { return buffer_.size(); }
-
-  /// Container bytes written (0 until close()).
-  std::uint64_t bytes() const override { return bytes_; }
-
-  /// Serialize + write the container (otherwise the destructor does, eating
-  /// errors; call close() to see them).
-  void close() override;
-
- private:
-  std::string path_;
-  MctbOptions opts_;
-  TraceBuffer buffer_;
-  std::uint64_t bytes_ = 0;
-  bool closed_ = false;
-};
-
-/// Factory over the two file sinks; `codec` only applies to Mctb.
-std::unique_ptr<TraceSink> make_file_sink(TraceFormat format, const std::string& path,
-                                          const CodecChain& codec = MctbOptions{}.codec);
 
 }  // namespace ac::trace

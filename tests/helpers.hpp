@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -21,6 +22,19 @@ struct PipelineRun {
   vm::RunResult run;
   analysis::Report report;
 };
+
+/// The lines of tests/golden/<file>, keyed by their first word (the app
+/// name). Blank lines and '#' comments are skipped.
+inline std::map<std::string, std::string> load_golden(const std::string& file) {
+  std::ifstream in(std::string(AC_TEST_SOURCE_DIR) + "/golden/" + file);
+  std::map<std::string, std::string> out;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    out[line.substr(0, line.find(' '))] = line;
+  }
+  return out;
+}
 
 /// Compile MiniC source, execute it under the tracing VM, run AutoCheck.
 /// The MCL region comes from //@mcl-begin / //@mcl-end markers.

@@ -3,7 +3,6 @@
 // tests/golden/dep_digests.txt in both the batch and the streaming replay.
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <map>
 #include <ostream>
 
@@ -87,19 +86,8 @@ DepResult streaming_dep(const trace::TraceBuffer& buf, const MclRegion& region) 
   return analyzer.finish();
 }
 
-std::map<std::string, std::string> load_golden() {
-  std::ifstream in(std::string(AC_TEST_SOURCE_DIR) + "/golden/dep_digests.txt");
-  std::map<std::string, std::string> out;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    out[line.substr(0, line.find(' '))] = line;
-  }
-  return out;
-}
-
 TEST(DepGolden, BatchAndStreamingMatchTheDigests) {
-  const auto golden = load_golden();
+  const auto golden = test::load_golden("dep_digests.txt");
   std::string computed;  // the full file, printed on any mismatch
   for (const apps::App& app : apps::registry()) {
     SCOPED_TRACE(app.name);

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <set>
 
 #include "fuzz/campaign.hpp"
 #include "fuzz/corpus.hpp"
@@ -45,9 +46,15 @@ struct FaultPointTest : ::testing::Test {
 
 // --- fault points -----------------------------------------------------------
 
+// The semantics tests drive fault::hit / fault::clamped_io directly: the
+// AC_FAULT macros only accept points listed in AC_FAULT_POINTS, and these
+// tests arm made-up ones.
+
 TEST_F(FaultPointTest, DisarmedSitesAreNoops) {
-  AC_FAULT("ckpt.unit.nothing");
-  EXPECT_EQ(AC_FAULT_IO("ckpt.unit.nothing", std::size_t{100}), std::size_t{100});
+  AC_FAULT("ckpt.writeback.encode");
+  EXPECT_EQ(AC_FAULT_IO("ckpt.archive.append", std::size_t{100}), std::size_t{100});
+  fault::hit("ckpt.unit.nothing");
+  EXPECT_EQ(fault::clamped_io("ckpt.unit.nothing", 100), std::size_t{100});
   EXPECT_TRUE(fault::armed_points().empty());
 }
 
@@ -58,19 +65,19 @@ TEST_F(FaultPointTest, ThrowRespectsSkipAndCountAndDomain) {
   spec.count = 1;
   fault::arm("ckpt.unit.point", spec);
 
-  AC_FAULT("ckpt.unit.point");  // skipped
-  AC_FAULT("ckpt.unit.point");  // skipped
+  fault::hit("ckpt.unit.point");  // skipped
+  fault::hit("ckpt.unit.point");  // skipped
   // The ckpt.* prefix resolves Domain::Auto to CheckpointError.
-  EXPECT_THROW(AC_FAULT("ckpt.unit.point"), CheckpointError);
-  AC_FAULT("ckpt.unit.point");  // count exhausted: armed but spent
+  EXPECT_THROW(fault::hit("ckpt.unit.point"), CheckpointError);
+  fault::hit("ckpt.unit.point");  // count exhausted: armed but spent
   EXPECT_EQ(fault::trigger_count("ckpt.unit.point"), 1u);
 }
 
 TEST_F(FaultPointTest, DomainsFollowLayerPrefixes) {
   fault::arm_from_spec("mctb.unit.x=throw");
   fault::arm_from_spec("net.unit.x=throw");
-  EXPECT_THROW(AC_FAULT("mctb.unit.x"), TraceFormatError);
-  EXPECT_THROW(AC_FAULT("net.unit.x"), ProtocolError);
+  EXPECT_THROW(fault::hit("mctb.unit.x"), TraceFormatError);
+  EXPECT_THROW(fault::hit("net.unit.x"), ProtocolError);
 }
 
 TEST_F(FaultPointTest, ShortWriteClampsIoSites) {
@@ -78,17 +85,17 @@ TEST_F(FaultPointTest, ShortWriteClampsIoSites) {
   spec.action = fault::Action::ShortWrite;
   spec.frac = 0.5;
   fault::arm("ckpt.unit.io", spec);
-  EXPECT_EQ(AC_FAULT_IO("ckpt.unit.io", std::size_t{100}), std::size_t{50});
+  EXPECT_EQ(fault::clamped_io("ckpt.unit.io", 100), std::size_t{50});
   // A ShortWrite armed at a non-IO site must not throw or kill.
-  AC_FAULT("ckpt.unit.io");
+  fault::hit("ckpt.unit.io");
 }
 
 TEST_F(FaultPointTest, DisarmRestoresTheSite) {
   fault::arm_from_spec("ckpt.unit.point=throw");
-  EXPECT_THROW(AC_FAULT("ckpt.unit.point"), CheckpointError);
+  EXPECT_THROW(fault::hit("ckpt.unit.point"), CheckpointError);
   EXPECT_TRUE(fault::disarm("ckpt.unit.point"));
   EXPECT_FALSE(fault::disarm("ckpt.unit.point"));
-  AC_FAULT("ckpt.unit.point");
+  fault::hit("ckpt.unit.point");
 }
 
 TEST_F(FaultPointTest, SpecParsing) {
@@ -109,13 +116,12 @@ TEST_F(FaultPointTest, SpecParsing) {
 }
 
 TEST_F(FaultPointTest, CatalogNamesTheWiredSites) {
-  const auto& cat = fault::catalog();
+  const auto cat = fault::catalog();
   ASSERT_FALSE(cat.empty());
-  bool found = false;
-  for (const auto& p : cat) {
-    if (std::string(p.name) == "ckpt.writeback.pre_rename") found = true;
-  }
-  EXPECT_TRUE(found);
+  std::set<std::string> names;
+  for (const auto& p : cat) EXPECT_TRUE(names.insert(p.name).second) << "listed twice: " << p.name;
+  EXPECT_EQ(names.count("ckpt.writeback.pre_rename"), 1u);
+  static_assert(fault::is_point("net.server.render") && !fault::is_point("ckpt.unit.point"));
 }
 
 // --- mutations --------------------------------------------------------------

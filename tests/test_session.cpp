@@ -1,8 +1,8 @@
 // The unified Session pipeline API: builder contract, source equivalence
 // (memory / file / live generator), thread-budget independence (identical
-// verdicts at threads 1 vs 4 across all 14 mini-apps), and ReportSink
-// round-trips (JSON -> engine registration matches direct in-memory
-// registration).
+// verdicts at threads 1 vs 4 across all 14 mini-apps), the Report's outputs
+// (JSON -> engine registration matches direct in-memory registration), and
+// golden digests of every output byte.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,7 +10,9 @@
 #include "analysis/session.hpp"
 #include "apps/harness.hpp"
 #include "ckpt/engine.hpp"
+#include "support/crc32.hpp"
 #include "support/error.hpp"
+#include "support/strings.hpp"
 #include "trace/writer.hpp"
 #include "vm/interp.hpp"
 
@@ -116,70 +118,79 @@ TEST(SessionSources, MissingFileThrows) {
   EXPECT_THROW(Session().file("/no/such/trace.txt").region(region).run(), Error);
 }
 
-// --- sinks ------------------------------------------------------------------
+// --- outputs ----------------------------------------------------------------
 
 TEST(SessionSinks, TextJsonDotProtectCapture) {
   const std::string src = test::fig4_source();
   auto run = test::run_pipeline(src);
 
-  std::string text, json, dot, protect;
-  Session()
-      .buffer(std::move(run.trace))
-      .region_from_markers(src)
-      .sink(std::make_shared<TextSink>(&text))
-      .sink(std::make_shared<JsonSink>(&json))
-      .sink(std::make_shared<DotSink>(&dot))
-      .sink(std::make_shared<ProtectSink>(&protect))
-      .run();
+  auto source = std::make_shared<trace::MemorySource>(std::move(run.trace));
+  const Report report = Session().source(source).region_from_markers(src).run();
+  const std::string protect = protect_calls(report, source->buffer(), "memory");
 
-  EXPECT_NE(text.find("Critical variables"), std::string::npos);
-  EXPECT_NE(json.find("\"critical\""), std::string::npos);
-  EXPECT_NE(dot.find("digraph"), std::string::npos);
+  EXPECT_NE(report.render().find("Critical variables"), std::string::npos);
+  EXPECT_NE(report.to_json().find("\"critical\""), std::string::npos);
+  EXPECT_NE(report.contracted.to_dot().find("digraph"), std::string::npos);
   EXPECT_NE(protect.find("engine.protect(\"a\")"), std::string::npos);
   EXPECT_NE(protect.find("RAPO"), std::string::npos);
-}
-
-TEST(SessionSinks, ProtectSinkRejectsLiveSources) {
-  const std::string src = test::fig4_source();
-  auto run = test::run_pipeline(src);
-  std::string protect;
-  Session session;
-  session
-      .live([&](trace::TraceSink& sink) {
-        vm::RunOptions ropts;
-        ropts.sink = &sink;
-        vm::run_module(run.module, ropts);
-      })
-      .region_from_markers(src)
-      .sink(std::make_shared<ProtectSink>(&protect));
-  EXPECT_THROW(session.run(), Error);
 }
 
 TEST(SessionSinks, JsonRoundTripMatchesDirectEngineRegistration) {
   const std::string src = test::fig4_source();
   auto run = test::run_pipeline(src);
+  const Report report = Session().buffer(std::move(run.trace)).region_from_markers(src).run();
 
   ckpt::EngineConfig direct_cfg;
   direct_cfg.dir = testing::TempDir();
   direct_cfg.tag = "session_sink_direct";
   ckpt::CheckpointEngine direct(direct_cfg);
-
-  std::string json;
-  Session()
-      .buffer(std::move(run.trace))
-      .region_from_markers(src)
-      .sink(std::make_shared<EngineSink>(direct))
-      .sink(std::make_shared<JsonSink>(&json))
-      .run();
+  direct.register_report(report);
 
   ckpt::EngineConfig json_cfg;
   json_cfg.dir = testing::TempDir();
   json_cfg.tag = "session_sink_json";
   ckpt::CheckpointEngine from_json(json_cfg);
-  from_json.register_report_json(json);
+  from_json.register_report_json(report.to_json());
 
   EXPECT_FALSE(direct.protected_names().empty());
   EXPECT_EQ(direct.protected_names(), from_json.protected_names());
+}
+
+// --- golden output bytes ----------------------------------------------------
+// Every output a Report is rendered to, pinned per app at default_params by
+// tests/golden/report_digests.txt.
+
+std::uint32_t crc_of(const std::string& s) { return crc32(s.data(), s.size()); }
+
+TEST(ReportGolden, EveryOutputMatchesTheDigests) {
+  const auto golden = test::load_golden("report_digests.txt");
+  std::string computed;  // the full file, printed on any mismatch
+  for (const apps::App& app : apps::registry()) {
+    SCOPED_TRACE(app.name);
+    const ir::Module module = minic::compile(app.source());
+    trace::BufferSink sink;
+    vm::RunOptions ropts;
+    ropts.sink = &sink;
+    vm::run_module(module, ropts);
+
+    auto source = std::make_shared<trace::MemorySource>(sink.take());
+    const Report report = Session().source(source).region(app.mcl()).run();
+    const std::string json = report.to_json(/*with_timings=*/false);
+    std::string text = report.render();
+    const std::string dot = report.contracted.to_dot();
+    const std::string protect = protect_calls(report, source->buffer(), "memory");
+    const std::size_t timings = text.find("Timings:");
+    ASSERT_NE(timings, std::string::npos);
+    text.erase(timings, text.find('\n', timings) + 1 - timings);
+
+    const std::string want =
+        strf("%s json_crc=%08x text_crc=%08x dot_crc=%08x protect_crc=%08x", app.name.c_str(),
+             crc_of(json), crc_of(text), crc_of(dot), crc_of(protect));
+    computed += want + "\n";
+    const auto it = golden.find(app.name);
+    EXPECT_TRUE(it != golden.end() && it->second == want) << want;
+  }
+  if (HasFailure()) std::printf("computed digests:\n%s", computed.c_str());
 }
 
 // --- batch vs streaming vs thread budget across the suite -------------------

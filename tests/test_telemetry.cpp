@@ -12,6 +12,7 @@
 
 #include "analysis/session.hpp"
 #include "support/error.hpp"
+#include "support/file.hpp"
 #include "support/telemetry.hpp"
 #include "trace/reader.hpp"
 
@@ -213,11 +214,9 @@ TEST(TelemetryExport, WritesToAFullDiskThrow) {
   EXPECT_THROW(telemetry().write_chrome_trace("/dev/full"), Error);
   EXPECT_THROW(metrics().write_json("/dev/full"), Error);
 
-  const std::string src = test::fig4_source();
-  analysis::Session session;
-  session.buffer(test::run_pipeline(src).trace).region_from_markers(src);
-  session.sink(std::make_shared<analysis::DotSink>(std::string("/dev/full")));
-  EXPECT_THROW(session.run(), Error);
+  // The contracted DDG, written the way `autocheck --dot` writes it.
+  const analysis::Report report = test::run_pipeline(test::fig4_source()).report;
+  EXPECT_THROW(write_file("/dev/full", report.contracted.to_dot()), Error);
 }
 
 // --- pipeline ground-truth pins ---------------------------------------------
@@ -234,10 +233,8 @@ TEST(TelemetryPipeline, ParseAndClassifyMetricsPinToGroundTruth) {
   EXPECT_EQ(metrics().counter_value("parse.bytes_parsed"), text.size());
 
   const analysis::MclRegion region = analysis::find_mcl_region(test::fig4_source());
-  analysis::AnalysisOptions opts;
-  opts.telemetry = true;
-  const analysis::Report report =
-      analysis::Session().buffer(std::move(buf)).region(region).options(opts).run();
+  telemetry().enable();
+  const analysis::Report report = analysis::Session().buffer(std::move(buf)).region(region).run();
   telemetry().disable();
 
   // The classifier counts exactly the event stream it scanned.
@@ -245,7 +242,7 @@ TEST(TelemetryPipeline, ParseAndClassifyMetricsPinToGroundTruth) {
   EXPECT_EQ(metrics().counter_value("classify.shard_events"), report.dep.events.size());
   EXPECT_EQ(test::critical_map(report), test::critical_map(run.report));
 
-  // The Session recorded spans under opts.telemetry.
+  // The Session recorded spans while telemetry was enabled.
   bool session_span = false;
   bool classify_span = false;
   for (const Span& s : telemetry().collect()) {
@@ -264,7 +261,7 @@ TEST(TelemetryPipeline, VmInstructionCounterMatchesRunResult) {
   EXPECT_EQ(metrics().counter_value("vm.instructions"),
             static_cast<std::uint64_t>(untraced.steps));
 
-  trace::NullSink sink;
+  trace::BufferSink sink;
   const vm::RunResult traced = test::run_source(test::fig4_source(), &sink);
   EXPECT_EQ(traced.steps, untraced.steps);
   EXPECT_EQ(sink.count(), traced.steps);

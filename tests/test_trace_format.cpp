@@ -157,14 +157,6 @@ TEST(Record, SkipsBlankLines) {
   EXPECT_EQ(read_trace_buffer(text).size(), 2u);
 }
 
-TEST(Sinks, NullSinkCounts) {
-  TraceBuffer buf;
-  buf.append(sample_load());
-  NullSink sink;
-  sink.append(buf.view(0));
-  EXPECT_EQ(sink.count(), 1u);
-}
-
 TEST(Sinks, FileSinkWritesParseableTrace) {
   const std::string path = testing::TempDir() + "/ac_trace_roundtrip.txt";
   TraceBuffer records;
@@ -188,6 +180,21 @@ TEST(Sinks, FileSinkWritesParseableTrace) {
 
 TEST(Sinks, FileSinkRejectsBadPath) {
   EXPECT_THROW(FileSink("/nonexistent_dir_xyz/trace.txt"), Error);
+}
+
+TEST(Sinks, FileSinkCloseReportsAFullDisk) {
+  // A trace smaller than the stdio buffer reaches /dev/full only at fclose,
+  // so close() is where the failed write must surface, naming the file.
+  TraceBuffer records;
+  for (int i = 0; i < 8; ++i) records.append(sample_load());
+  FileSink sink("/dev/full");
+  for (std::size_t i = 0; i < records.size(); ++i) sink.append(records.view(i));
+  try {
+    sink.close();
+    ADD_FAILURE() << "close() reported " << sink.bytes() << " bytes written to a full disk";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos) << e.what();
+  }
 }
 
 TEST(FileSourceInput, DirectoryIsATypedError) {

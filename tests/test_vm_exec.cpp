@@ -200,7 +200,7 @@ TEST(VmExec, UnknownBuiltinIsATypedError) {
     }
   };
   expect_vm_error(nullptr);
-  trace::NullSink traced;
+  trace::BufferSink traced;
   expect_vm_error(&traced);
 }
 

@@ -5,7 +5,6 @@
 // golden per-app digests, and untraced runs must execute like traced ones.
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <map>
 
 #include "apps/app.hpp"
@@ -267,19 +266,8 @@ RunResult run_app(const ir::Module& module, trace::TraceSink* sink) {
   return run_module(module, opts);
 }
 
-std::map<std::string, std::string> load_golden() {
-  std::ifstream in(std::string(AC_TEST_SOURCE_DIR) + "/golden/vm_trace_digests.txt");
-  std::map<std::string, std::string> out;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    out[line.substr(0, line.find(' '))] = line;
-  }
-  return out;
-}
-
 TEST(VmTraceGolden, EverySinkMatchesTheDigests) {
-  const auto golden = load_golden();
+  const auto golden = test::load_golden("vm_trace_digests.txt");
   std::string computed;  // the full file, printed on any mismatch
   for (const apps::App& app : apps::registry()) {
     SCOPED_TRACE(app.name);
@@ -309,9 +297,9 @@ TEST(VmTraceGolden, EverySinkMatchesTheDigests) {
     const std::string mctb_path = testing::TempDir() + "/ac_golden_" + app.name + ".mctb";
     RunResult mctb_run;
     {
-      trace::MctbFileSink mctb_sink(mctb_path);
+      trace::BufferSink mctb_sink;
       mctb_run = run_app(module, &mctb_sink);
-      mctb_sink.close();
+      trace::write_mctb_file(mctb_sink.buffer(), mctb_path);
     }
     TraceDigest mctb = digest_buffer(trace::read_mctb(read_file_bytes(mctb_path)));
     set_run(mctb, mctb_run);

@@ -11,7 +11,8 @@
 // declaration lines, and the per-phase analysis cost (paper Table III).
 //
 // The tool is a thin shell over analysis::Session: one FileSource feeds every
-// mode (--suggest included), and the output modes are ReportSinks.
+// mode (--suggest included), and each output mode is one call on the Report
+// that Session::run() returns.
 // --threads N > 1 parallelizes the trace read (§V-A); the analysis after it
 // is sequential.
 #include <sys/stat.h>
@@ -31,6 +32,7 @@
 #include "net/remote.hpp"
 #include "net/socket.hpp"
 #include "support/error.hpp"
+#include "support/file.hpp"
 #include "support/strings.hpp"
 #include "support/telemetry.hpp"
 #include "trace/mctb.hpp"
@@ -174,10 +176,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (!profile_path.empty() || !metrics_path.empty()) {
-    opts.telemetry = true;
-    ac::telemetry::telemetry().enable();
-  }
+  if (!profile_path.empty() || !metrics_path.empty()) ac::telemetry::telemetry().enable();
   const auto export_telemetry = [&] {
     if (!profile_path.empty()) {
       ac::telemetry::telemetry().write_chrome_trace(profile_path);
@@ -201,11 +200,7 @@ int main(int argc, char** argv) {
       const ac::trace::TraceBuffer& buf = source->buffer();
       std::uint64_t out_bytes = 0;
       if (recode_format == ac::trace::TraceFormat::Mctb) {
-        ac::trace::write_mctb_file(buf, recode_path, mctb_opts);
-        struct stat st{};
-        if (::stat(recode_path.c_str(), &st) == 0) {
-          out_bytes = static_cast<std::uint64_t>(st.st_size);
-        }
+        out_bytes = ac::trace::write_mctb_file(buf, recode_path, mctb_opts);
       } else {
         ac::trace::FileSink sink(recode_path);
         // Stream record views through the sink's batch buffer; no owning
@@ -273,22 +268,19 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    ac::analysis::Session session;
-    session.source(source).region(region).options(opts);
+    const ac::analysis::Report report =
+        ac::analysis::Session().source(source).region(region).options(opts).run();
+    std::string out;
     if (emit_protect) {
-      auto sink = std::make_shared<ac::analysis::ProtectSink>(stdout);
-      if (!ckpt_codec.empty()) sink->codec_spec(ckpt_codec);
-      session.sink(sink);
+      out = ac::analysis::protect_calls(report, source->buffer(), "file:" + trace_path,
+                                        ckpt_codec);
     } else if (json) {
-      auto sink = std::make_shared<ac::analysis::JsonSink>(stdout);
-      sink->with_timings(with_timings);
-      session.sink(std::move(sink));
+      out = report.to_json(with_timings);
     } else {
-      session.sink(std::make_shared<ac::analysis::TextSink>(stdout));
+      out = report.render();
     }
-    if (!dot_path.empty()) session.sink(std::make_shared<ac::analysis::DotSink>(dot_path));
-
-    const ac::analysis::Report report = session.run();
+    std::fwrite(out.data(), 1, out.size(), stdout);
+    if (!dot_path.empty()) ac::write_file(dot_path, report.contracted.to_dot());
     if (show_events > 0) {
       std::printf("\nR/W dependency sequence (first %d events):\n%s\n", show_events,
                   report.render_events(static_cast<std::size_t>(show_events)).c_str());
