@@ -3,8 +3,9 @@
 //      literal name+address matching with callee bypass (§V-B): shows the
 //      FT-style global-variable blind spot the paper worked around manually.
 //   B. Pipeline variants — in-memory batch, trace file (serial parse), trace
-//      file (parallel parse), and the streaming two-pass mode (§IX future
-//      work): same verdicts, different costs.
+//      file (parallel parse), and the live mode (§IX future work), which runs
+//      the program once with the replay as its trace sink: same verdicts,
+//      different costs.
 //   C. Complete-DDG construction on/off — the DDG is for reporting; the
 //      event stream alone carries classification. Prints the with/without
 //      ratio, the DDG's overhead on top of the event stream.
@@ -95,7 +96,7 @@ int main() {
     table.add_row({"trace file, serial parse", strf("%.3f", file_s),
                    strf("%s on disk", human_bytes(file_serial.trace_bytes).c_str())});
     table.add_row({"trace file, parallel parse", strf("%.3f", file_p), "paper V.A optimization"});
-    table.add_row({"streaming (2 VM passes)", strf("%.3f", stream_s),
+    table.add_row({"live (1 VM pass)", strf("%.3f", stream_s),
                    "no trace materialized (paper IX)"});
     std::printf("%sAll variants produce identical verdicts: %s\n\n", table.render().c_str(),
                 all_agree ? "yes" : "NO");

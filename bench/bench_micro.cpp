@@ -194,10 +194,7 @@ AppBench bench_app(const apps::App& app, const apps::Params& params, bool probe_
   });
 
   // Classification alone.
-  auto pre = analysis::preprocess(buf, region);
-  analysis::DepOptions dopts;
-  dopts.build_ddg = false;
-  auto dep = analysis::dep_analysis(buf, pre, region, dopts);
+  const auto [pre, dep] = analysis::dep_analysis(buf, region, {.build_ddg = false});
   out.classify_s = best_of([&] { (void)analysis::classify(dep, pre); });
 
   // The MCTB-decoded buffer must produce identical verdicts.
@@ -314,10 +311,7 @@ bool telemetry_overhead_ok(const apps::App& app, const apps::Params& params) {
 
   const auto parse_classify = [&] {
     trace::TraceBuffer buf = trace::read_trace_buffer(text, 4);
-    auto pre = analysis::preprocess(buf, region);
-    analysis::DepOptions dopts;
-    dopts.build_ddg = false;
-    auto dep = analysis::dep_analysis(buf, pre, region, dopts);
+    const auto [pre, dep] = analysis::dep_analysis(buf, region, {.build_ddg = false});
     (void)analysis::classify(dep, pre);
   };
 

@@ -1,7 +1,9 @@
 // Table III reproduction: AutoCheck's per-phase analysis cost on every
-// benchmark — pre-processing (trace parse + partition + MLI) without and with
-// the §V-A parallel trace reading, dependency analysis, and identification.
-// Averaged over several runs, as in the paper.
+// benchmark — pre-processing (the trace parse, which the paper notes
+// dominates it) without and with the §V-A parallel trace reading, dependency
+// analysis (the one replay, which also partitions the trace and finds the
+// MLI variables), and identification. Averaged over several runs, as in the
+// paper.
 #include <cstdio>
 
 #include "apps/harness.hpp"

@@ -55,7 +55,7 @@ int main() {
           apps::validate_cr(run.module, run.region, subset, 3,
                             apps::validation_config("/tmp", std::string(name) + "_ab_" + drop));
       const char* verdict = v.restart_matches
-                                ? (benign.count(drop) ? "benign (recomputed; see EXPERIMENTS.md)"
+                                ? (benign.count(drop) ? "benign (recomputed after the restart)"
                                                       : "NOT NECESSARY (false positive!)")
                                 : "necessary (restart diverges without it)";
       std::printf("  - drop %-22s -> %s\n", drop.c_str(), verdict);

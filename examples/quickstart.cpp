@@ -2,8 +2,9 @@
 //
 //   1. Compile a MiniC program (the paper's Fig. 4 example).
 //   2. Execute it under the tracing VM -> dynamic instruction trace.
-//   3. Run an analysis::Session with the main loop's source-line range; its
-//      run() returns the Report.
+//   3. Run an analysis::Session with the main loop's source-line range: one
+//      replay of the trace finds the Main-Loop-Input variables and their
+//      dependencies, and run() returns the Report.
 //   4. Read off the variables to checkpoint: every output (text, JSON, DOT,
 //      Protect() calls) is one call on that Report.
 //
@@ -68,7 +69,7 @@ int main() {
   //    source markers here; in general the user supplies the host function
   //    and start/end line numbers. The same Session accepts a .file() trace
   //    (options({.threads = N}) parallelizes its read) or a .live()
-  //    execution.
+  //    execution, which runs the program once and stores no trace.
   const ac::analysis::Report report = ac::analysis::Session()
                                           .buffer(trace.take())
                                           .region_from_markers(source)

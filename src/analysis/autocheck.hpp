@@ -1,9 +1,10 @@
 // The AutoCheck report (paper Fig. 2): what pre-processing -> data dependency
 // analysis -> identification of critical variables produces, with the
 // per-phase wall-clock breakdown that Table III reports. The pipeline that
-// fills it is analysis/session.hpp (Session / SessionStream). Every output
-// is a function of the Report: render(), to_json(), contracted.to_dot(), and
-// protect_calls() with the trace it was computed from.
+// fills it is analysis/session.hpp (Session), whose one replay of the trace
+// fills both `pre` and `dep`. Every output is a function of the Report:
+// render(), to_json(), contracted.to_dot(), and protect_calls() with the
+// trace it was computed from.
 #pragma once
 
 #include <string>
@@ -17,9 +18,9 @@
 namespace ac::analysis {
 
 struct Timings {
-  double preprocessing = 0;  // trace parse (file path) + partition + MLI
-  double dep_analysis = 0;
-  double identify = 0;
+  double preprocessing = 0;  // the source's read: text parse or MCTB decode (0 in memory, live)
+  double dep_analysis = 0;   // the one replay (live: with the generator run)
+  double identify = 0;       // classification and DDG contraction
   double total() const { return preprocessing + dep_analysis + identify; }
 };
 

@@ -1,5 +1,6 @@
 #include "analysis/depanalysis.hpp"
 
+#include <map>
 #include <utility>
 
 #include "support/error.hpp"
@@ -78,23 +79,50 @@ std::size_t dense(std::uint32_t id) {
 }  // namespace
 
 struct DepAnalyzer::Impl {
-  PreprocessResult& pre;
   MclRegion region;
-  DepOptions opts;
+  AnalysisOptions opts;
 
-  // Name resolution (see MliCollector::Impl): batch binds the buffer's pool,
-  // streaming the pool of its one-record scratch buffer.
+  // Name resolution: batch binds the buffer's pool, streaming the pool of its
+  // one-record scratch buffer, which interns names as records arrive.
   const SymbolPool* pool = nullptr;
   bool streaming = false;
   std::uint32_t region_func_id = SymbolPool::npos;
   TraceBuffer scratch;
 
+  PreprocessResult pre;
   DepResult result;
   AddressMap amap;
   std::vector<AnalysisFrame> frames;
   std::ptrdiff_t idx = -1;
-  Part part = Part::A;
   int iteration = 0;
+
+  // Partition: first_b is known at loop entry, last_b grows until the trace
+  // ends. in_region describes the record being dispatched.
+  std::ptrdiff_t first_b = -1;
+  std::ptrdiff_t last_b = -1;
+  bool in_region = false;
+
+  // What finish() needs to settle each variable's MLI status and
+  // written_in_b, by canonical var id.
+  struct VarFacts {
+    std::ptrdiff_t alloca_idx = -1;   // first Alloca
+    bool host_scope = false;          // a global or a local of the region's function
+    bool accessed_before_loop = false;
+    std::ptrdiff_t first_access = -1;  // first access at or after loop entry
+    std::ptrdiff_t first_store = -1;   // first data store at or after loop entry
+    std::uint64_t base = 0;            // last bound base address
+    std::uint32_t name = SymbolPool::npos;  // pool id of the name
+  };
+  std::vector<VarFacts> facts;
+
+  // PaperNameMatch: host-level (name, base) pairs accessed before the loop
+  // and inside it, each with its first record index. Accesses inside the
+  // bodies of functions called from the loop are bypassed by call depth,
+  // which the replay's form-2 test drives.
+  int call_depth = 0;
+  int loop_entry_depth = -1;
+  std::map<std::pair<std::uint32_t, std::uint64_t>, std::ptrdiff_t> set_a;
+  std::map<std::pair<std::uint32_t, std::uint64_t>, std::ptrdiff_t> set_b;
 
   // One-record lookahead: a Call record is form 2 iff the next record
   // executes inside the callee ("a Call instruction followed by its function
@@ -115,8 +143,6 @@ struct DepAnalyzer::Impl {
   std::vector<Prov> arg_provs;
   const Prov no_prov;
 
-  // Alloca-site canonical-id cache (shared implementation with pre-processing).
-  AllocaSiteCache alloca_ids;
   // "argN" binding registers, indexed by N-1.
   std::vector<std::uint32_t> arg_ids;
   // DDG node caches: labels are a pure function of the ids, so node ids are
@@ -126,10 +152,7 @@ struct DepAnalyzer::Impl {
   std::uint32_t memo_func = SymbolPool::npos;
   std::vector<int>* memo_func_nodes = nullptr;
 
-  Impl(PreprocessResult& p, const MclRegion& r, const DepOptions& o)
-      : pre(p), region(r), opts(o) {
-    result.induction.written_in_b.assign(pre.vars.size(), 0);
-  }
+  Impl(const MclRegion& r, const AnalysisOptions& o) : region(r), opts(o) {}
 
   void bind_streaming() {
     streaming = true;
@@ -187,36 +210,65 @@ struct DepAnalyzer::Impl {
     slot.prov.sources.swap(value.sources);
   }
 
-  bool is_mli(int var) const {
-    return var >= 0 && static_cast<std::size_t>(var) < pre.is_mli.size() &&
-           pre.is_mli[static_cast<std::size_t>(var)];
+  // --- partition and MLI bookkeeping --------------------------------------------
+
+  /// Record `idx` is in the loop region: the first such record enters Part B,
+  /// the last one ends it.
+  void note_region(const PackedRecord& r) {
+    in_region = r.opcode != Opcode::Alloca && r.func == region_func_id &&
+                region.contains(r.line);
+    if (!in_region) return;
+    if (first_b < 0) {
+      first_b = idx;
+      loop_entry_depth = call_depth;
+    }
+    last_b = idx;
   }
 
+  /// A region record is always in Part B, so this is "a Part-B record on the
+  /// MCL header line".
   bool at_header(const PackedRecord& r) const {
-    return part == Part::B && r.func == region_func_id && r.line == region.begin_line;
+    return in_region && r.line == region.begin_line;
   }
 
-  void mark_written_in_b(int var) {
-    auto& w = result.induction.written_in_b;
-    if (static_cast<std::size_t>(var) >= w.size()) w.resize(static_cast<std::size_t>(var) + 1, 0);
-    w[static_cast<std::size_t>(var)] = 1;
+  /// A Load from or a Store to `addr`, which resolved to `hit`.
+  void note_access(const AddressMap::Hit& hit, std::uint64_t addr) {
+    VarFacts& f = facts[static_cast<std::size_t>(hit.var)];
+    if (first_b < 0) {
+      f.accessed_before_loop = true;
+    } else if (f.first_access < 0) {
+      f.first_access = idx;
+    }
+    if (opts.mli_mode == MliMode::PaperNameMatch) {
+      const auto key = std::make_pair(f.name, addr - static_cast<std::uint64_t>(hit.elem) * 8);
+      if (first_b < 0) {
+        set_a.emplace(key, idx);
+      } else if (call_depth <= loop_entry_depth) {
+        set_b.emplace(key, idx);
+      }
+    }
+  }
+
+  /// False once `var` can no longer become MLI, so its events need no
+  /// buffering: everything but the loop's own accesses is settled at entry.
+  bool may_be_mli(int var) const {
+    const VarFacts& f = facts[static_cast<std::size_t>(var)];
+    if (!f.host_scope) return false;
+    if (first_b < 0) return true;
+    return f.alloca_idx < first_b &&
+           (opts.mli_mode != MliMode::AddressResolved || f.accessed_before_loop);
   }
 
   void push_event(int var, std::int64_t elem, bool is_write, int line) {
-    if (!is_mli(var)) return;
+    if (!may_be_mli(var)) return;
     AccessEvent ev;
     ev.var = var;
     ev.elem = elem;
     ev.t = static_cast<std::uint64_t>(idx);
     ev.line = line;
     ev.iteration = iteration;
-    ev.part = part;
-    ev.is_write = is_write;
+    ev.is_write = is_write;  // ev.part is set by finish(), once last_b is known
     result.events.push_back(ev);
-  }
-
-  int canonical_var(std::uint32_t func, std::uint32_t name, int line, std::uint64_t bytes) {
-    return alloca_ids.canonical(pre.vars, *pool, func, name, line, bytes);
   }
 
   // --- DDG helpers ----------------------------------------------------------
@@ -227,10 +279,8 @@ struct DepAnalyzer::Impl {
     int& node = var_nodes[v];
     if (node >= 0) return node;
     const VarDef& def = pre.vars.def(var);
-    const std::string label = (def.is_global() || def.func == region.function)
-                                  ? def.name
-                                  : def.func + "." + def.name;
-    node = result.complete.node(label, is_mli(var) ? NodeKind::MliVar : NodeKind::OtherVar);
+    const std::string label = facts[v].host_scope ? def.name : def.func + "." + def.name;
+    node = result.complete.node(label, NodeKind::OtherVar);  // MLI ones upgraded by finish()
     return node;
   }
 
@@ -269,11 +319,16 @@ struct DepAnalyzer::Impl {
       throw AnalysisError("malformed Alloca record");
     }
     const auto bytes = static_cast<std::uint64_t>(size->as_i64());
-    const int id = canonical_var(r.func, result_op->name, r.line, bytes);
+    const int id = pre.vars.canonical(*pool, r.func, result_op->name, r.line, bytes);
     amap.bind(result_op->addr(), bytes, id);
-    if (static_cast<std::size_t>(id) >= pre.is_mli.size()) {
-      pre.is_mli.resize(static_cast<std::size_t>(id) + 1, 0);
+    if (static_cast<std::size_t>(id) == facts.size()) {
+      const VarDef& def = pre.vars.def(id);
+      VarFacts& f = facts.emplace_back();
+      f.alloca_idx = idx;
+      f.host_scope = def.is_global() || def.func == region.function;
+      f.name = result_op->name;
     }
+    facts[static_cast<std::size_t>(id)].base = result_op->addr();
   }
 
   void on_load(const PackedRecord& r, const PackedOperand* ops) {
@@ -283,6 +338,7 @@ struct DepAnalyzer::Impl {
     const auto hit = amap.resolve(ptr->addr());
     scratch_prov.sources.clear();
     if (hit) {
+      note_access(*hit, ptr->addr());
       scratch_prov.add(hit->var, hit->elem);
       if (opts.build_ddg) {
         result.complete.add_edge(ddg_var_node(hit->var), ddg_reg_node(r.func, result_op->name));
@@ -321,6 +377,7 @@ struct DepAnalyzer::Impl {
     ++result.stores_seen;
     const auto hit = amap.resolve(ptr->addr());
     if (!hit) return;
+    note_access(*hit, ptr->addr());
 
     // Pointer assignment (paper §IV-A): storing an address transfers an
     // alias, it is neither a Read nor a Write of application data.
@@ -339,13 +396,14 @@ struct DepAnalyzer::Impl {
       result.complete.add_edge(ddg_reg_node(r.func, value->name), ddg_var_node(hit->var));
     }
 
-    if (part == Part::B) {
-      mark_written_in_b(hit->var);
-      if (at_header(r)) {
-        for (const auto& [svar, selem] : sources.sources) {
-          (void)selem;
-          if (svar == hit->var) result.induction.self_rmw.insert(hit->var);
-        }
+    if (first_b >= 0) {
+      VarFacts& f = facts[static_cast<std::size_t>(hit->var)];
+      if (f.first_store < 0) f.first_store = idx;
+    }
+    if (at_header(r)) {
+      for (const auto& [svar, selem] : sources.sources) {
+        (void)selem;
+        if (svar == hit->var) result.induction.self_rmw.insert(hit->var);
       }
     }
   }
@@ -429,13 +487,16 @@ struct DepAnalyzer::Impl {
 
   void dispatch(const PackedRecord& r, const PackedOperand* ops) {
     ++idx;
-    part = pre.partition.part_of(idx);
+    note_region(r);
     switch (r.opcode) {
       case Opcode::Alloca: on_alloca(r, ops); break;
       case Opcode::Load: on_load(r, ops); break;
       case Opcode::Store: on_store(r, ops); break;
-      case Opcode::Call: break;  // handled by the lookahead buffer in add()
-      case Opcode::Ret: on_ret(r, ops); break;
+      case Opcode::Call: break;  // handled by the lookahead buffer in add_packed()
+      case Opcode::Ret:
+        --call_depth;
+        on_ret(r, ops);
+        break;
       case Opcode::Br: on_br(r, ops); break;
       case Opcode::GetElementPtr:
       case Opcode::BitCast:
@@ -471,34 +532,81 @@ struct DepAnalyzer::Impl {
 
   void dispatch_call(const PackedRecord& call, const PackedOperand* ops, bool with_body) {
     ++idx;
-    part = pre.partition.part_of(idx);
+    note_region(call);
     on_call(call, ops, with_body);
+    if (with_body) ++call_depth;
   }
 
-  DepResult finish() {
+  Replay finish() {
     if (have_pending_call) {
       have_pending_call = false;
       dispatch_call(pending_rec, pending_ops.data(), /*with_body=*/false);
     }
+    if (first_b < 0) {
+      throw AnalysisError("main computation loop region never executes "
+                          "(wrong function name or line range?)");
+    }
+    pre.partition.first_b = first_b;
+    pre.partition.last_b = last_b;
+    pre.records_scanned = static_cast<std::uint64_t>(idx + 1);
+
+    const auto in_loop = [this](std::ptrdiff_t i) { return pre.partition.part_of(i) == Part::B; };
+    pre.is_mli.assign(pre.vars.size(), 0);
+    result.induction.written_in_b.assign(pre.vars.size(), 0);
+    for (std::size_t id = 0; id < facts.size(); ++id) {
+      const VarFacts& f = facts[id];
+      result.induction.written_in_b[id] = in_loop(f.first_store);
+      const bool defined_before_loop = f.host_scope && f.alloca_idx < first_b;
+      bool mli = false;
+      if (opts.mli_mode == MliMode::AddressResolved) {
+        mli = defined_before_loop && f.accessed_before_loop && in_loop(f.first_access);
+      } else {
+        // Name+address matching between the collected sets, restricted to
+        // host-scope/global storage introduced before the loop; Part C
+        // collections are filtered out by the loop's end index.
+        const auto key = std::make_pair(f.name, f.base);
+        const auto b = set_b.find(key);
+        mli = defined_before_loop && set_a.count(key) && b != set_b.end() && in_loop(b->second);
+      }
+      if (!mli) continue;
+      pre.is_mli[id] = 1;
+      const VarDef& def = pre.vars.def(static_cast<int>(id));
+      pre.mli.push_back(MliVar{static_cast<int>(id), def.name, def.decl_line, def.bytes});
+      if (id < var_nodes.size() && var_nodes[id] >= 0) {
+        result.complete.node(result.complete.label(var_nodes[id]), NodeKind::MliVar);
+      }
+    }
+
+    // Keep the MLI variables' events, in order, each with its part.
+    std::size_t kept = 0;
+    for (AccessEvent& ev : result.events) {
+      if (!pre.is_mli[static_cast<std::size_t>(ev.var)]) continue;
+      ev.part = pre.partition.part_of(static_cast<std::ptrdiff_t>(ev.t));
+      result.events[kept++] = ev;
+    }
+    result.events.resize(kept);
     result.iterations = iteration;
-    return std::move(result);
+    return Replay{std::move(pre), std::move(result)};
   }
 };
 
-DepAnalyzer::DepAnalyzer(PreprocessResult& pre, const MclRegion& region, const DepOptions& opts)
-    : impl_(new Impl(pre, region, opts)) {
+DepAnalyzer::DepAnalyzer(const MclRegion& region, const AnalysisOptions& opts)
+    : impl_(new Impl(region, opts)) {
   impl_->bind_streaming();
 }
 
 DepAnalyzer::~DepAnalyzer() = default;
 
-void DepAnalyzer::add(const trace::RecordView& rec) { impl_->add(rec); }
+void DepAnalyzer::append(const trace::RecordView& rec) { impl_->add(rec); }
 
-DepResult DepAnalyzer::finish() { return impl_->finish(); }
+std::uint64_t DepAnalyzer::count() const {
+  return static_cast<std::uint64_t>(impl_->idx + 1) + (impl_->have_pending_call ? 1 : 0);
+}
 
-DepResult dep_analysis(const TraceBuffer& buf, PreprocessResult& pre, const MclRegion& region,
-                       const DepOptions& opts) {
-  DepAnalyzer::Impl impl(pre, region, opts);
+Replay DepAnalyzer::finish() { return impl_->finish(); }
+
+Replay dep_analysis(const TraceBuffer& buf, const MclRegion& region, const AnalysisOptions& opts) {
+  DepAnalyzer::Impl impl(region, opts);
   impl.bind_buffer(buf);
   const PackedOperand* ops = buf.operands().data();
   for (const PackedRecord& rec : buf.records()) impl.add_packed(rec, ops + rec.op_offset);

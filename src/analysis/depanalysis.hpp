@@ -1,5 +1,5 @@
-// Data dependency analysis (paper §IV-B): a single ordered replay of the
-// trace that maintains the reg-var map (register provenance), the reg-reg map
+// Data dependency analysis (paper §IV-B): one ordered replay of the trace
+// that maintains the reg-var map (register provenance), the reg-reg map
 // (arithmetic links), call argument/parameter correlations and the on-the-fly
 // address map — and produces:
 //   * the execution-time-ordered Read/Write event sequence on MLI variables
@@ -7,6 +7,22 @@
 //   * the complete DDG over variables and registers (Fig. 5(c));
 //   * induction-detection facts (header condition reads, self-dependent
 //     header stores, loop write set).
+//
+// The same replay does the pre-processing of §IV-A: it finds the loop's
+// record range and the MLI variables (preprocess.hpp). Three facts settle
+// only when the trace ends, at finish(), from record indices kept on the way:
+//   * an event's part: A before loop entry; B or C by its index against the
+//     loop's last record;
+//   * written_in_b: a variable's first store at or after loop entry falls
+//     inside the loop;
+//   * is_mli: the conjuncts known at loop entry (host scope, allocated before
+//     the loop, and for AddressResolved accessed before it) and a first
+//     access at or after entry that falls inside the loop. PaperNameMatch
+//     settles its (name, base) sets the same way.
+// Events are kept only for variables that can still become MLI, and finish()
+// drops the rest. DDG variable nodes start as OtherVar; finish() upgrades the
+// MLI ones in place, so node ids and labels are what a replay that knew the
+// MLI set in advance would give.
 //
 // The replay runs natively on the interned packed representation, on dense
 // SymbolPool ids with no string traffic. Register provenance lives in one
@@ -17,9 +33,8 @@
 // bound of sources is an AnalysisError, never a silently dropped read. DDG
 // nodes are resolved through per-id vectors that produce exactly the legacy
 // labels. One implementation serves the batch path (a TraceBuffer replay)
-// and the streaming path (RecordViews remapped one at a time into a scratch
-// TraceBuffer), so batch and streaming results are identical by
-// construction.
+// and the live path (RecordViews remapped one at a time into a scratch
+// TraceBuffer), so batch and live results are identical by construction.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +44,8 @@
 
 #include "analysis/ddg.hpp"
 #include "analysis/preprocess.hpp"
+#include "analysis/region.hpp"
+#include "trace/writer.hpp"
 
 namespace ac::analysis {
 
@@ -48,8 +65,15 @@ struct InductionInfo {
   std::vector<char> written_in_b;  // by canonical var id
 };
 
-struct DepOptions {
+/// Pipeline configuration. An aggregate, so designated initializers work:
+/// `options({.threads = 4})`.
+struct AnalysisOptions {
+  MliMode mli_mode = MliMode::AddressResolved;
   bool build_ddg = true;  // the event stream alone suffices for classification
+
+  /// Worker budget for the trace read (a file source parses in parallel when
+  /// > 1). The analysis itself is sequential.
+  int threads = 1;
 };
 
 struct DepResult {
@@ -61,26 +85,34 @@ struct DepResult {
   std::uint64_t pointer_assignments = 0;
 };
 
-/// Batch replay over the interned buffer (the fast path).
-/// `pre.vars` is extended in place (callee locals may first appear here).
-DepResult dep_analysis(const trace::TraceBuffer& buf, PreprocessResult& pre,
-                       const MclRegion& region, const DepOptions& opts = {});
+/// What one replay produces: the pre-processing and the dependency results.
+struct Replay {
+  PreprocessResult pre;
+  DepResult dep;
+};
 
-/// Incremental dependency analysis: feed records one at a time (second pass
-/// of the streaming pipeline; requires a finished PreprocessResult so the
-/// loop partition is known). Like MliCollector, it remaps each view — over
-/// any pool — into a one-record scratch buffer over its own pool and runs the
-/// same replay dep_analysis() runs, so batch and streaming results are
-/// identical by construction.
-class DepAnalyzer {
+/// Batch replay over the interned buffer (the fast path). Throws
+/// ac::AnalysisError when the region never executes or a record is malformed.
+Replay dep_analysis(const trace::TraceBuffer& buf, const MclRegion& region,
+                    const AnalysisOptions& opts = {});
+
+/// Incremental replay: the sink a live execution emits into (the paper's §IX
+/// trace-file-free mode). It remaps each view — over any pool — into a
+/// one-record scratch buffer over its own pool and runs the replay
+/// dep_analysis() runs, so batch and live results are identical by
+/// construction.
+class DepAnalyzer final : public trace::TraceSink {
  public:
-  DepAnalyzer(PreprocessResult& pre, const MclRegion& region, const DepOptions& opts = {});
-  ~DepAnalyzer();
+  explicit DepAnalyzer(const MclRegion& region, const AnalysisOptions& opts = {});
+  ~DepAnalyzer() override;
   DepAnalyzer(const DepAnalyzer&) = delete;
   DepAnalyzer& operator=(const DepAnalyzer&) = delete;
 
-  void add(const trace::RecordView& rec);
-  DepResult finish();
+  void append(const trace::RecordView& rec) override;
+  std::uint64_t count() const override;
+  /// Seals the replay. Throws ac::AnalysisError when the region never
+  /// executed.
+  Replay finish();
 
   struct Impl;
 

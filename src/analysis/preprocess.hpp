@@ -1,21 +1,17 @@
-// Pre-processing module (paper §IV-A and Fig. 3): partition the trace around
-// the main computation loop and identify the Main-Loop-Input (MLI) variables.
+// Pre-processing results (paper §IV-A and Fig. 3): the trace's partition
+// around the main computation loop and its Main-Loop-Input (MLI) variables.
 //
-// The scan runs natively on the interned packed representation
-// (trace/buffer.hpp): one implementation serves the batch path (a replay of a
-// TraceBuffer, zero per-record conversion) and the live path (RecordViews
-// remapped one at a time into a one-record scratch TraceBuffer) — so batch
-// and live results are identical by construction.
+// There is no separate pre-processing pass. The dependency replay
+// (analysis/depanalysis.hpp) keeps the partition and MLI bookkeeping as it
+// goes and settles these results when the trace ends, so one replay of each
+// record fills both PreprocessResult and DepResult.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "analysis/region.hpp"
 #include "analysis/vartable.hpp"
-#include "trace/buffer.hpp"
 
 namespace ac::analysis {
 
@@ -61,33 +57,6 @@ struct PreprocessResult {
   std::vector<MliVar> mli;     // discovery order
   std::vector<char> is_mli;    // indexed by canonical var id
   std::uint64_t records_scanned = 0;
-};
-
-/// Batch pre-processing over the interned buffer.
-PreprocessResult preprocess(const trace::TraceBuffer& buf, const MclRegion& region,
-                            MliMode mode = MliMode::AddressResolved);
-
-/// Incremental pre-processing: feed records one at a time (e.g. directly from
-/// an instrumented execution, the paper's stated future work) and call
-/// finish() once. Each view — over any pool — is remapped into a one-record
-/// scratch TraceBuffer whose pool is the collector's own, and handed to the
-/// same scan the batch path runs, so batch and streaming results are
-/// identical by construction.
-class MliCollector {
- public:
-  explicit MliCollector(const MclRegion& region, MliMode mode = MliMode::AddressResolved);
-  ~MliCollector();
-  MliCollector(const MliCollector&) = delete;
-  MliCollector& operator=(const MliCollector&) = delete;
-
-  void add(const trace::RecordView& rec);
-  /// Throws ac::AnalysisError when the region never executed.
-  PreprocessResult finish();
-
-  struct Impl;
-
- private:
-  std::unique_ptr<Impl> impl_;
 };
 
 }  // namespace ac::analysis

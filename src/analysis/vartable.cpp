@@ -1,44 +1,25 @@
 #include "analysis/vartable.hpp"
 
-#include "support/strings.hpp"
-
 namespace ac::analysis {
 
-int VarTable::canonical(std::string_view func, std::string_view name, int decl_line,
-                        std::uint64_t bytes) {
-  std::string key(func);
-  key.push_back('\0');
-  key += name;
-  key.push_back('\0');
-  key += strf("%d", decl_line);
-  auto [it, inserted] = index_.emplace(std::move(key), static_cast<int>(defs_.size()));
-  if (inserted) {
-    VarDef def;
-    def.id = it->second;
-    def.name = std::string(name);
-    def.func = std::string(func);
-    def.decl_line = decl_line;
-    def.bytes = bytes;
-    defs_.push_back(std::move(def));
-  } else if (bytes > 0) {
-    defs_[static_cast<std::size_t>(it->second)].bytes = bytes;
-  }
-  return it->second;
-}
-
-int AllocaSiteCache::canonical(VarTable& vars, const trace::SymbolPool& pool,
-                               std::uint32_t func, std::uint32_t name, int decl_line,
-                               std::uint64_t bytes) {
-  auto& entries = sites_[(static_cast<std::uint64_t>(func) << 32) | name];
+int VarTable::canonical(const trace::SymbolPool& pool, std::uint32_t func, std::uint32_t name,
+                        int decl_line, std::uint64_t bytes) {
+  auto& entries = index_[(static_cast<std::uint64_t>(func) << 32) | name];
   for (const auto& [known_line, id] : entries) {
     if (known_line == decl_line) {
-      vars.update_bytes(id, bytes);
+      if (bytes > 0) defs_[static_cast<std::size_t>(id)].bytes = bytes;
       return id;
     }
   }
-  const int id = vars.canonical(pool.view(func), pool.view(name), decl_line, bytes);
-  entries.emplace_back(decl_line, id);
-  return id;
+  VarDef def;
+  def.id = static_cast<int>(defs_.size());
+  def.name = std::string(pool.view(name));
+  def.func = std::string(pool.view(func));
+  def.decl_line = decl_line;
+  def.bytes = bytes;
+  entries.emplace_back(decl_line, def.id);
+  defs_.push_back(std::move(def));
+  return defs_.back().id;
 }
 
 void AddressMap::bind(std::uint64_t base, std::uint64_t bytes, int var_id) {

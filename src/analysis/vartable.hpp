@@ -1,10 +1,10 @@
 // Variable identity and the on-the-fly address map.
 //
-// VarTable assigns one canonical id per logical variable, keyed by
-// (function, name, declaration line) — so `sum` in main and a deceiver local
-// `sum` inside a callee (the paper's Challenge 2) are distinct, while the
-// same local across repeated invocations of one function is a single logical
-// variable.
+// VarTable assigns one canonical id per logical variable, keyed by the pool
+// ids of (function, name) and the declaration line — so `sum` in main and a
+// deceiver local `sum` inside a callee (the paper's Challenge 2) are
+// distinct, while the same local across repeated invocations of one function
+// is a single logical variable. Ids are dense, in order of first Alloca.
 //
 // AddressMap tracks which canonical variable currently owns each address
 // interval. It is updated in trace order exactly like the paper's reg-var
@@ -16,7 +16,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -36,40 +35,21 @@ struct VarDef {
 
 class VarTable {
  public:
-  /// Get-or-create the canonical id for (func, name, decl_line). Keyed by the
-  /// names themselves (not pool ids), so results built by different pool
-  /// instances — streaming pass 1 vs pass 2, batch vs live — agree on ids.
-  int canonical(std::string_view func, std::string_view name, int decl_line,
-                std::uint64_t bytes);
+  /// Get-or-create the canonical id for (func, name, decl_line), given as ids
+  /// of `pool`, the one pool a replay names its records by. A new entry copies
+  /// the names out of the pool; a re-encounter refreshes the storage footprint
+  /// to the last seen non-zero size.
+  int canonical(const trace::SymbolPool& pool, std::uint32_t func, std::uint32_t name,
+                int decl_line, std::uint64_t bytes);
 
   const VarDef& def(int id) const { return defs_.at(static_cast<std::size_t>(id)); }
   std::size_t size() const { return defs_.size(); }
 
-  /// Refresh the storage footprint to the last seen non-zero size (same
-  /// semantics as a canonical() re-encounter; used by id-cached fast paths).
-  void update_bytes(int id, std::uint64_t bytes) {
-    if (bytes > 0) defs_.at(static_cast<std::size_t>(id)).bytes = bytes;
-  }
-
- private:
-  std::map<std::string, int, std::less<>> index_;  // "func\0name\0line" -> id
-  std::vector<VarDef> defs_;
-};
-
-/// Pool-id-keyed fast path in front of VarTable::canonical, shared by the
-/// pre-processing and dep-analysis replays: after a site's first sighting,
-/// the hot Alloca path resolves (func id, name id, decl line) -> canonical id
-/// without touching the string-keyed map, while preserving canonical()'s
-/// "last seen non-zero bytes" refresh semantics.
-class AllocaSiteCache {
- public:
-  int canonical(VarTable& vars, const trace::SymbolPool& pool, std::uint32_t func,
-                std::uint32_t name, int decl_line, std::uint64_t bytes);
-
  private:
   // (func << 32 | name) -> (decl line, var id) entries; lines per site are
   // almost always unique, so the inner scan is 1-2 entries.
-  std::unordered_map<std::uint64_t, std::vector<std::pair<int, int>>> sites_;
+  std::unordered_map<std::uint64_t, std::vector<std::pair<int, int>>> index_;
+  std::vector<VarDef> defs_;
 };
 
 class AddressMap {

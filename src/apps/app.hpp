@@ -1,7 +1,7 @@
 // The 14-benchmark suite of the paper's evaluation (Table II), ported to
 // MiniC at the dataflow level: each port preserves its original's main-loop
 // read/write dependency structure and critical-variable names, so AutoCheck
-// must reproduce the paper's verdict for each (see DESIGN.md, substitutions).
+// must reproduce the paper's verdict for each (App::expected holds them).
 //
 // Sources are templates with ${knob} size parameters; the MCL region is
 // marked with //@mcl-begin / //@mcl-end.

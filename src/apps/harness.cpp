@@ -38,8 +38,8 @@ StreamingRun analyze_app_streaming(const App& app, const Params& params,
   run.module = minic::compile(src);
   run.region = app.mcl();
 
-  // The VM is the live generator: each analysis pass re-executes the
-  // deterministic program, and no trace is materialized, in memory or on disk.
+  // The VM is the live generator: it runs once, emitting into the replay,
+  // and no trace is materialized, in memory or on disk.
   run.report = analysis::Session()
                    .live([&run](trace::TraceSink& sink) {
                      vm::RunOptions ropts;

@@ -35,18 +35,17 @@ struct AnalysisRun {
 AnalysisRun analyze_app(const App& app, const Params& params = {},
                         const analysis::AnalysisOptions& opts = {});
 
-/// Trace-file-free analysis (paper §IX future work, see SessionStream in
-/// analysis/session.hpp): the VM feeds the analyzer directly, executing the
-/// deterministic program twice — pass 1 identifies the MLI variables, pass 2
-/// runs the dependency analysis. Each VM RecordView goes straight to the
-/// streaming analyzers; no trace is ever materialized, in memory or on disk.
-/// Timings: preprocessing = pass 1 (execution + MLI), dep_analysis = pass 2,
-/// identify = classification.
+/// Trace-file-free analysis (paper §IX future work, Session::live in
+/// analysis/session.hpp): the VM runs the program once and emits each
+/// RecordView straight into the one replay, which finds the MLI variables
+/// and the dependencies together; no trace is ever materialized, in memory
+/// or on disk. Timings: preprocessing = 0, dep_analysis = the VM run with
+/// the replay, identify = classification.
 struct StreamingRun {
   ir::Module module;
   analysis::MclRegion region;
   analysis::Report report;
-  std::uint64_t records_streamed = 0;  // records of one pass (pre.records_scanned)
+  std::uint64_t records_streamed = 0;  // records replayed (pre.records_scanned)
 };
 
 StreamingRun analyze_app_streaming(const App& app, const Params& params = {},

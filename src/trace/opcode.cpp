@@ -4,63 +4,29 @@ namespace ac::trace {
 
 std::string opcode_name(Opcode op) {
   switch (op) {
-    case Opcode::Ret: return "Ret";
-    case Opcode::Br: return "Br";
-    case Opcode::Add: return "Add";
-    case Opcode::FAdd: return "FAdd";
-    case Opcode::Sub: return "Sub";
-    case Opcode::FSub: return "FSub";
-    case Opcode::Mul: return "Mul";
-    case Opcode::FMul: return "FMul";
-    case Opcode::UDiv: return "UDiv";
-    case Opcode::SDiv: return "SDiv";
-    case Opcode::FDiv: return "FDiv";
-    case Opcode::URem: return "URem";
-    case Opcode::SRem: return "SRem";
-    case Opcode::FRem: return "FRem";
-    case Opcode::Alloca: return "Alloca";
-    case Opcode::Load: return "Load";
-    case Opcode::Store: return "Store";
-    case Opcode::GetElementPtr: return "GetElementPtr";
-    case Opcode::FPToSI: return "FPToSI";
-    case Opcode::SIToFP: return "SIToFP";
-    case Opcode::BitCast: return "BitCast";
-    case Opcode::ICmp: return "ICmp";
-    case Opcode::FCmp: return "FCmp";
-    case Opcode::Call: return "Call";
+#define AC_OPCODE_NAME(name, num, cls) \
+  case Opcode::name: return #name;
+    AC_OPCODES(AC_OPCODE_NAME)
+#undef AC_OPCODE_NAME
   }
   return "Unknown";
 }
 
 bool is_arithmetic(Opcode op) {
   switch (op) {
-    case Opcode::Add:
-    case Opcode::FAdd:
-    case Opcode::Sub:
-    case Opcode::FSub:
-    case Opcode::Mul:
-    case Opcode::FMul:
-    case Opcode::UDiv:
-    case Opcode::SDiv:
-    case Opcode::FDiv:
-    case Opcode::URem:
-    case Opcode::SRem:
-    case Opcode::FRem:
-    case Opcode::ICmp:
-    case Opcode::FCmp:
-    case Opcode::FPToSI:
-    case Opcode::SIToFP:
-      return true;
-    default:
-      return false;
+#define AC_OPCODE_ARITH(name, num, cls) \
+  case Opcode::name: return OpClass::cls != OpClass::Other;
+    AC_OPCODES(AC_OPCODE_ARITH)
+#undef AC_OPCODE_ARITH
   }
+  return false;
 }
 
 bool is_known_opcode(int num) {
   switch (num) {
-    case 1: case 2: case 8: case 9: case 10: case 11: case 12: case 13:
-    case 14: case 15: case 16: case 17: case 18: case 19: case 26: case 27:
-    case 28: case 29: case 34: case 36: case 43: case 46: case 47: case 49:
+#define AC_OPCODE_NUMBER(name, num, cls) case num:
+    AC_OPCODES(AC_OPCODE_NUMBER)
+#undef AC_OPCODE_NUMBER
       return true;
     default:
       return false;

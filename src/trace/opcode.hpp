@@ -7,39 +7,51 @@
 
 namespace ac::trace {
 
+/// How the dependency replay treats an opcode (the class column below).
+enum class OpClass : std::uint8_t {
+  Other,    // control flow, memory, calls, pointer computations
+  Arith,    // the arithmetic instructions of Table I: reg-reg map sources
+  Compare,  // also reg-reg map sources, so that comparison flags keep data provenance
+};
+
+// V(name, LLVM 3.4 number, class): every opcode a trace may carry. The enum,
+// the names, the arithmetic set and the number check all come from this list.
+#define AC_OPCODES(V)               \
+  V(Ret, 1, Other)                  \
+  V(Br, 2, Other)                   \
+  V(Add, 8, Arith)                  \
+  V(FAdd, 9, Arith)                 \
+  V(Sub, 10, Arith)                 \
+  V(FSub, 11, Arith)                \
+  V(Mul, 12, Arith)                 \
+  V(FMul, 13, Arith)                \
+  V(UDiv, 14, Arith)                \
+  V(SDiv, 15, Arith)                \
+  V(FDiv, 16, Arith)                \
+  V(URem, 17, Arith)                \
+  V(SRem, 18, Arith)                \
+  V(FRem, 19, Arith)                \
+  V(Alloca, 26, Other)              \
+  V(Load, 27, Other)                \
+  V(Store, 28, Other)               \
+  V(GetElementPtr, 29, Other)       \
+  V(FPToSI, 34, Arith)              \
+  V(SIToFP, 36, Arith)              \
+  V(BitCast, 43, Other)             \
+  V(ICmp, 46, Compare)              \
+  V(FCmp, 47, Compare)              \
+  V(Call, 49, Other)
+
 enum class Opcode : std::uint8_t {
-  Ret = 1,
-  Br = 2,
-  Add = 8,
-  FAdd = 9,
-  Sub = 10,
-  FSub = 11,
-  Mul = 12,
-  FMul = 13,
-  UDiv = 14,
-  SDiv = 15,
-  FDiv = 16,
-  URem = 17,
-  SRem = 18,
-  FRem = 19,
-  Alloca = 26,
-  Load = 27,
-  Store = 28,
-  GetElementPtr = 29,
-  FPToSI = 34,
-  SIToFP = 36,
-  BitCast = 43,
-  ICmp = 46,
-  FCmp = 47,
-  Call = 49,
+#define AC_OPCODE_ENUM(name, num, cls) name = num,
+  AC_OPCODES(AC_OPCODE_ENUM)
+#undef AC_OPCODE_ENUM
 };
 
 /// Mnemonic ("Load", "Mul", ...) for reports and tests.
 std::string opcode_name(Opcode op);
 
-/// True for the arithmetic instructions of Table I (reg-reg map sources).
-/// ICmp/FCmp are included as a documented extension (see DESIGN.md) so that
-/// condition flags keep data provenance.
+/// True for the Arith and Compare classes: the reg-reg map sources.
 bool is_arithmetic(Opcode op);
 
 /// True if `num` is a known opcode number.

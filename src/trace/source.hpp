@@ -5,7 +5,7 @@
 // buffer already in memory, or the chunks a daemon connection received
 // (net::RemoteSource). analysis::Session consumes any of them through this
 // one interface. A live execution is not a source: Session::live() runs its
-// generator into the streaming passes, and no trace is stored.
+// generator once into the streaming replay, and no trace is stored.
 //
 // The one materialized form is the interned SoA TraceBuffer
 // (trace/buffer.hpp): buffer() is what the analysis pipeline replays, and a

@@ -2,10 +2,10 @@
 // interface, and replays of a TraceBuffer hand over its views; a sink never
 // sees an owning record. Benchmarks stream text to a file (measuring trace
 // size / generation time for Table II), the analysis keeps records interned
-// in memory (BufferSink), and the live Session forwards each view to its
-// streaming passes. An MCTB file is a BufferSink's buffer written by
-// write_mctb_file (trace/mctb.hpp): the container's column encoding needs
-// the finished arrays.
+// in memory (BufferSink), and in a live Session the streaming analysis is
+// itself the sink (analysis::DepAnalyzer). An MCTB file is a BufferSink's
+// buffer written by write_mctb_file (trace/mctb.hpp): the container's column
+// encoding needs the finished arrays.
 #pragma once
 
 #include <cstdio>

@@ -109,8 +109,10 @@ Interpreter::OperandName Interpreter::opnd_name(const Frame& f, const ir::Opnd& 
 
 void Interpreter::emit_global_allocas() {
   // Globals appear in the trace as Alloca records in a synthetic "<global>"
-  // function so the analysis can build its address map for them (the paper's
-  // FT workaround depends on globals being visible; see DESIGN.md).
+  // function so the analysis can build its address map for them. Without
+  // them an access to a global resolves to no variable, and a global that
+  // the loop touches only inside callees (FT's, paper §V-B) could never be
+  // found MLI by address.
   const std::size_t base = num_sites_ - module_.globals.size();
   for (std::size_t i = 0; i < module_.globals.size(); ++i) {
     const ir::VarInfo& g = module_.globals[i];
@@ -425,7 +427,9 @@ void Interpreter::exec_call(const ir::Instr& in) {
 
   // Call form 2 (Fig. 6(b)): argument operands followed by parameter
   // indicator rows binding each argument value to the formal parameter name,
-  // plus a result placeholder naming the destination register (see DESIGN.md).
+  // plus a result row naming the destination register. Its value is a
+  // placeholder 0, since the callee has not run yet; the analysis binds the
+  // callee's returned value to that register at the matching Ret.
   step();
   if (sink_) {
     trace_head();

@@ -53,18 +53,20 @@ inline PipelineRun run_pipeline(const std::string& source,
   return out;
 }
 
-/// Drive SessionStream's two passes over the first `count` records of `buf`
-/// (all of them by default), as a live execution would feed it.
+/// Run a live Session whose generator emits the first `count` records of
+/// `buf` (all of them by default), as a live execution would.
 inline analysis::Report stream_trace(const trace::TraceBuffer& buf,
                                      const analysis::MclRegion& region,
                                      const analysis::AnalysisOptions& opts = {},
                                      std::size_t count = static_cast<std::size_t>(-1)) {
   count = std::min(count, buf.size());
-  analysis::SessionStream stream(region, opts);
-  for (std::size_t i = 0; i < count; ++i) stream.pass1_add(buf.view(i));
-  stream.finish_pass1();
-  for (std::size_t i = 0; i < count; ++i) stream.pass2_add(buf.view(i));
-  return stream.finish();
+  return analysis::Session()
+      .live([&](trace::TraceSink& sink) {
+        for (std::size_t i = 0; i < count; ++i) sink.append(buf.view(i));
+      })
+      .region(region)
+      .options(opts)
+      .run();
 }
 
 /// The LLVM-Tracer text rendering of a whole trace.

@@ -72,18 +72,22 @@ DepDigest digest(const DepResult& dep) {
   return d;
 }
 
-DepResult batch_dep(const trace::TraceBuffer& buf, const MclRegion& region) {
-  PreprocessResult pre = preprocess(buf, region);
-  return dep_analysis(buf, pre, region);
+AnalysisOptions with_mode(MliMode mode) {
+  AnalysisOptions opts;
+  opts.mli_mode = mode;
+  return opts;
 }
 
-DepResult streaming_dep(const trace::TraceBuffer& buf, const MclRegion& region) {
-  MliCollector collector(region);
-  for (std::size_t i = 0; i < buf.size(); ++i) collector.add(buf.view(i));
-  PreprocessResult pre = collector.finish();
-  DepAnalyzer analyzer(pre, region);
-  for (std::size_t i = 0; i < buf.size(); ++i) analyzer.add(buf.view(i));
-  return analyzer.finish();
+DepResult batch_dep(const trace::TraceBuffer& buf, const MclRegion& region,
+                    MliMode mode = MliMode::AddressResolved) {
+  return dep_analysis(buf, region, with_mode(mode)).dep;
+}
+
+DepResult streaming_dep(const trace::TraceBuffer& buf, const MclRegion& region,
+                        MliMode mode = MliMode::AddressResolved) {
+  DepAnalyzer analyzer(region, with_mode(mode));
+  for (std::size_t i = 0; i < buf.size(); ++i) analyzer.append(buf.view(i));
+  return analyzer.finish().dep;
 }
 
 TEST(DepGolden, BatchAndStreamingMatchTheDigests) {
@@ -96,11 +100,16 @@ TEST(DepGolden, BatchAndStreamingMatchTheDigests) {
     const trace::TraceBuffer& buf = sink.buffer();
     const MclRegion region = app.mcl();
 
-    const std::string want = digest(batch_dep(buf, region)).line(app.name);
-    computed += want + "\n";
-    const auto it = golden.find(app.name);
-    EXPECT_TRUE(it != golden.end() && it->second == want) << want;
-    EXPECT_EQ(digest(streaming_dep(buf, region)).line(app.name), want);
+    // "<App>" lines use the default MLI mode, "<App>/paper" lines the paper's
+    // name matching.
+    for (const auto& [key, mode] : {std::pair{app.name, MliMode::AddressResolved},
+                                    std::pair{app.name + "/paper", MliMode::PaperNameMatch}}) {
+      const std::string want = digest(batch_dep(buf, region, mode)).line(key);
+      computed += want + "\n";
+      const auto it = golden.find(key);
+      EXPECT_TRUE(it != golden.end() && it->second == want) << want;
+      EXPECT_EQ(digest(streaming_dep(buf, region, mode)).line(key), want);
+    }
   }
   if (HasFailure()) std::printf("computed digests:\n%s", computed.c_str());
 }
@@ -283,8 +292,7 @@ TEST(DepScoping, CalleeStartsWithNoRegisters) {
   const trace::TraceBuffer buf = trace::read_trace_buffer(t.text);
   const MclRegion region{"main", 3, 5};
 
-  PreprocessResult pre = preprocess(buf, region);
-  const DepResult batch = dep_analysis(buf, pre, region);
+  const auto [pre, batch] = dep_analysis(buf, region);
   const int g = var_named(pre, "g");
   const int h = var_named(pre, "h");
   const std::vector<LoopEvent> want = {{h, 0, true}, {g, 0, false}, {h, 1, true}};
@@ -322,8 +330,7 @@ TEST(DepScoping, DeepNestingRestoresEachFrame) {
   const trace::TraceBuffer buf = trace::read_trace_buffer(t.text);
   const MclRegion region{"main", 3, 5};
 
-  PreprocessResult pre = preprocess(buf, region);
-  const DepResult batch = dep_analysis(buf, pre, region);
+  const auto [pre, batch] = dep_analysis(buf, region);
   const int g = var_named(pre, "g");
   const int h = var_named(pre, "h");
   std::vector<LoopEvent> want;

@@ -78,6 +78,38 @@ int main() {
   EXPECT_EQ(run.report.find_critical("ts")->type, DepType::Index);
 }
 
+TEST(Induction, ControlFlagRewrittenAfterTheLoopStaysIndex) {
+  // WhileStyleControlFlagIsIndex's program with `done` written again after
+  // the loop. What makes `done` Index is a write inside the loop, so the
+  // store after it must not hide that: a rule keyed on the variable's last
+  // write (here in Part C) would drop `done` from the Index set and report
+  // it as Outcome.
+  const std::string src = R"(
+int done;
+int ts;
+int main() {
+  done = 0;
+  ts = 0;
+  int s = 0;
+  //@mcl-begin
+  for (ts = 1; done == 0 && ts <= 100; ts = ts + 1) {
+    s = s + ts;
+    done = 0;
+    if (ts >= 5) { done = 1; }
+  }
+  //@mcl-end
+  done = 2;
+  print_int(s + done);
+  return 0;
+}
+)";
+  auto run = run_pipeline(src);
+  ASSERT_NE(run.report.find_critical("done"), nullptr);
+  EXPECT_EQ(run.report.find_critical("done")->type, DepType::Index);
+  ASSERT_NE(run.report.find_critical("ts"), nullptr);
+  EXPECT_EQ(run.report.find_critical("ts")->type, DepType::Index);
+}
+
 TEST(Induction, LoopBoundIsNotIndex) {
   // n is read by the condition but never written inside the loop.
   const std::string src = R"(

@@ -34,12 +34,12 @@ TEST(Partition, ThrowsWhenRegionNeverExecutes) {
   region.function = "main";
   region.begin_line = 9000;
   region.end_line = 9010;
-  EXPECT_THROW(preprocess(records, region), AnalysisError);
+  EXPECT_THROW(dep_analysis(records, region), AnalysisError);
 
   region.begin_line = 18;
   region.end_line = 26;
   region.function = "no_such_function";
-  EXPECT_THROW(preprocess(records, region), AnalysisError);
+  EXPECT_THROW(dep_analysis(records, region), AnalysisError);
 }
 
 TEST(Mli, Fig4MatchesPaper) {

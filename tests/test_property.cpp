@@ -140,7 +140,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomPrograms,
 }  // namespace
 }  // namespace ac
 
-// -- Streaming equivalence on random programs (SessionStream) --
+// -- Streaming equivalence on random programs (Session::live) --
 
 namespace ac {
 namespace {

@@ -1,5 +1,5 @@
 // Streaming (trace-file-free) analysis — the paper's §IX future work, driven
-// through SessionStream. The contract: batch and streaming pipelines produce
+// through Session::live. The contract: batch and streaming pipelines produce
 // identical verdicts, identical MLI sets and identical event streams, for
 // every benchmark and for the Fig. 4 example.
 #include <gtest/gtest.h>
@@ -40,27 +40,13 @@ TEST(Streaming, PaperMliModeMatchesBatch) {
   EXPECT_EQ(test::mli_names(streamed), test::mli_names(run.report));
 }
 
-TEST(Streaming, EnforcesPassOrder) {
-  const MclRegion region{"main", 1, 2};
-  SessionStream streaming(region);
-  trace::TraceRecord rec;
-  rec.opcode = trace::Opcode::Br;
-  rec.func = "main";
-  rec.line = 1;
-  trace::TraceBuffer buf;
-  buf.append(rec);
-  EXPECT_THROW(streaming.pass2_add(buf.view(0)), Error);
-}
-
 TEST(Streaming, ThrowsWhenRegionNeverExecutes) {
   auto run = test::run_pipeline(test::fig4_source());
   MclRegion region;
   region.function = "main";
   region.begin_line = 9000;
   region.end_line = 9001;
-  SessionStream streaming(region);
-  for (std::size_t i = 0; i < run.trace.size(); ++i) streaming.pass1_add(run.trace.view(i));
-  EXPECT_THROW(streaming.finish_pass1(), AnalysisError);
+  EXPECT_THROW(test::stream_trace(run.trace, region), AnalysisError);
 }
 
 TEST(Streaming, TrailingCallIsFlushedAtFinish) {
@@ -75,10 +61,11 @@ TEST(Streaming, TrailingCallIsFlushedAtFinish) {
 }
 
 TEST(Streaming, ViewsOverAnyPoolEvenWhenThePoolChangesMidPass) {
-  // Each pass takes its first half of views from the VM's BufferSink buffer
-  // and its second half from a copy whose pool was pre-seeded with unrelated
-  // symbols, so every id shifts mid-pass. An analyzer that bound the view's
-  // own pool instead of remapping each record would misname the second half.
+  // The generator takes its first half of views from the VM's BufferSink
+  // buffer and its second half from a copy whose pool was pre-seeded with
+  // unrelated symbols, so every id shifts mid-run. An analyzer that bound the
+  // view's own pool instead of remapping each record would misname the
+  // second half.
   const std::string src = test::fig4_source();
   const auto run = test::run_pipeline(src);
   trace::TraceBuffer shifted;
@@ -87,12 +74,14 @@ TEST(Streaming, ViewsOverAnyPoolEvenWhenThePoolChangesMidPass) {
   ASSERT_EQ(shifted.view(0).func_id(), run.trace.view(0).func_id() + 50);
 
   const std::size_t half = run.trace.size() / 2;
-  const auto view = [&](std::size_t i) { return i < half ? run.trace.view(i) : shifted.view(i); };
-  SessionStream stream(find_mcl_region(src));
-  for (std::size_t i = 0; i < run.trace.size(); ++i) stream.pass1_add(view(i));
-  stream.finish_pass1();
-  for (std::size_t i = 0; i < run.trace.size(); ++i) stream.pass2_add(view(i));
-  const Report streamed = stream.finish();
+  const Report streamed = Session()
+                              .live([&](trace::TraceSink& sink) {
+                                for (std::size_t i = 0; i < run.trace.size(); ++i) {
+                                  sink.append(i < half ? run.trace.view(i) : shifted.view(i));
+                                }
+                              })
+                              .region_from_markers(src)
+                              .run();
 
   EXPECT_EQ(streamed.verdicts.critical, run.report.verdicts.critical);
   EXPECT_EQ(streamed.verdicts.all_mli, run.report.verdicts.all_mli);

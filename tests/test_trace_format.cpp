@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <set>
 #include <thread>
 
 #include "support/error.hpp"
@@ -58,10 +59,22 @@ TEST(Opcode, PaperNumbering) {
 TEST(Opcode, ArithmeticSet) {
   EXPECT_TRUE(is_arithmetic(Opcode::Mul));
   EXPECT_TRUE(is_arithmetic(Opcode::FAdd));
-  EXPECT_TRUE(is_arithmetic(Opcode::ICmp));  // documented extension
+  EXPECT_TRUE(is_arithmetic(Opcode::ICmp));  // comparison flags keep data provenance
   EXPECT_FALSE(is_arithmetic(Opcode::Load));
   EXPECT_FALSE(is_arithmetic(Opcode::Call));
   EXPECT_FALSE(is_arithmetic(Opcode::Br));
+}
+
+TEST(Opcode, KnownNumbersAreExactlyTheList) {
+  // The 24 LLVM 3.4 numbers a trace may carry, written out independently of
+  // AC_OPCODES.
+  const std::set<int> known = {1,  2,  8,  9,  10, 11, 12, 13, 14, 15, 16, 17,
+                               18, 19, 26, 27, 28, 29, 34, 36, 43, 46, 47, 49};
+  ASSERT_EQ(known.size(), 24u);
+  for (int num = -1; num <= 256; ++num) {
+    EXPECT_EQ(is_known_opcode(num), known.count(num) > 0) << num;
+  }
+  for (const int num : {0, 3, 20, 48, 50, 255}) EXPECT_FALSE(is_known_opcode(num)) << num;
 }
 
 TEST(Record, TextLayout) {

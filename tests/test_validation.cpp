@@ -6,7 +6,8 @@
 //    restart to diverge (for the state-carrying variables; Outcome variables
 //    whose final value is produced by the last iteration, and recomputed
 //    control flags, are checkpointed for completeness but their ablation is
-//    benign — see EXPERIMENTS.md).
+//    benign: the restarted run writes them again before they are read, see
+//    kBenignAblation).
 #include <gtest/gtest.h>
 
 #include <set>
