@@ -1,6 +1,8 @@
 // Table II reproduction: for every benchmark, generate the dynamic trace
 // (size + generation time), run AutoCheck, and report the identified critical
 // variables with their dependency types, checked against the paper's column.
+// Each trace file is deleted once its analysis is done. Exit 1 on any verdict
+// mismatch.
 //
 // Pass --sweep to additionally re-run each benchmark at its default (smaller)
 // input and confirm the identified set does not change (paper §VII,
@@ -54,6 +56,7 @@ int main(int argc, char** argv) {
     const std::string trace_path = "/tmp/ac_table2_" + app.name + ".trace";
     const apps::FileAnalysisRun run =
         apps::analyze_app_via_file(app, app.table2_params, trace_path);
+    std::remove(trace_path.c_str());
 
     const bool match = verdict_map(run.report.verdicts.critical) == expected_map(app);
     mismatches += match ? 0 : 1;

@@ -3,7 +3,7 @@
 // dominates it) without and with the §V-A parallel trace reading, dependency
 // analysis (the one replay, which also partitions the trace and finds the
 // MLI variables), and identification. Averaged over several runs, as in the
-// paper.
+// paper. Each trace file is deleted once its runs are done.
 #include <cstdio>
 
 #include "apps/harness.hpp"
@@ -43,6 +43,7 @@ int main() {
       parallel.dep_analysis += rep_p.timings.dep_analysis / kRuns;
       parallel.identify += rep_p.timings.identify / kRuns;
     }
+    std::remove(trace_path.c_str());
 
     grand_total += serial.total();
     grand_total_par += parallel.total();

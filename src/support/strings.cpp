@@ -138,12 +138,20 @@ std::uint64_t parse_u64(std::string_view s) {
 double parse_f64(std::string_view s) {
   s = trim(s);
   if (s.empty()) throw Error("parse_f64: empty field");
-  char buf[64];
-  if (s.size() >= sizeof(buf)) throw Error("parse_f64: field too long");
-  std::memcpy(buf, s.data(), s.size());
-  buf[s.size()] = '\0';
+  // strtod wants a terminated string; fields too long for the stack copy
+  // (huge %.6f values) take a heap one.
+  char stack[64];
+  std::string heap;
+  char* buf = stack;
+  if (s.size() >= sizeof stack) {
+    heap.assign(s);
+    buf = heap.data();
+  } else {
+    std::memcpy(stack, s.data(), s.size());
+    stack[s.size()] = '\0';
+  }
   char* end = nullptr;
-  double v = std::strtod(buf, &end);
+  const double v = std::strtod(buf, &end);
   if (end != buf + s.size()) throw Error("parse_f64: bad float '" + std::string(s) + "'");
   return v;
 }

@@ -1,9 +1,11 @@
-// Small string utilities shared by the trace parser, MiniC lexer and report
-// printers. Kept allocation-light: the trace hot path uses the string_view
-// based splitters.
+// Small string utilities shared by the trace parser and writer, MiniC lexer
+// and report printers. Kept allocation-light: the trace hot paths use the
+// string_view based splitters and append_int.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,9 +29,16 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep);
 /// printf-style formatting into a std::string (libstdc++ 12 lacks std::format).
 std::string strf(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/// printf-style formatting appended to `out` — no temporary string, so the
-/// per-record trace writers format straight into their batch buffer.
+/// printf-style formatting appended to `out`, with no temporary string.
 void appendf(std::string& out, const char* fmt, ...) __attribute__((format(printf, 2, 3)));
+
+/// Append integer `v` in `base` (lowercase digits past 9) to `out`.
+/// std::to_chars: no format string, no locale, no temporary.
+template <class Int>
+void append_int(std::string& out, Int v, int base = 10) {
+  char buf[std::numeric_limits<Int>::digits + 2];  // base 2 plus a sign
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v, base).ptr);
+}
 
 /// Parse a signed decimal int64; throws ac::Error on garbage or a value
 /// outside int64 (it never saturates).
@@ -39,7 +48,8 @@ std::int64_t parse_i64(std::string_view s);
 /// garbage or a value outside u64.
 std::uint64_t parse_u64(std::string_view s);
 
-/// Parse a double; throws ac::Error on garbage.
+/// Parse a double (strtod's syntax, any length: a %.6f field of -DBL_MAX
+/// is 317 bytes); throws ac::Error on garbage.
 double parse_f64(std::string_view s);
 
 /// Parse a 0x-prefixed hexadecimal address; throws ac::Error on garbage or

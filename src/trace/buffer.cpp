@@ -1,7 +1,6 @@
 #include "trace/buffer.hpp"
 
 #include <algorithm>
-#include <cinttypes>
 
 #include "support/error.hpp"
 #include "support/strings.hpp"
@@ -73,21 +72,33 @@ std::string RecordView::to_text() const {
 
 void RecordView::append_text(std::string& out) const {
   // The golden trace digests, the writer fixpoint and Record.TextLayout pin
-  // these bytes.
-  appendf(out, "0,%d,%.*s,%.*s,%d,%" PRIu64 "\n", rec_->line,
-          static_cast<int>(func().size()), func().data(), static_cast<int>(bb().size()),
-          bb().data(), static_cast<int>(rec_->opcode), rec_->dyn_id);
+  // these bytes. Names are appended whole, embedded NULs included.
+  out += "0,";
+  append_int(out, rec_->line);
+  out += ',';
+  out += func();
+  out += ',';
+  out += bb();
+  out += ',';
+  append_int(out, static_cast<int>(rec_->opcode));
+  out += ',';
+  append_int(out, rec_->dyn_id);
+  out += '\n';
   for (const PackedOperand* op = ops_; op != operands_end(); ++op) {
     switch (op->slot()) {
-      case OperandSlot::Input: appendf(out, "%d", op->index); break;
+      case OperandSlot::Input: append_int(out, op->index); break;
       case OperandSlot::Callee: out += '0'; break;
       case OperandSlot::Param: out += 'f'; break;
       case OperandSlot::Result: out += 'r'; break;
     }
+    out += ',';
+    append_int(out, op->bits);
+    out += ',';
+    append_value_text(out, op->value());
+    out += op->is_reg() ? ",1," : ",0,";
     const std::string_view nm = name(*op);
-    appendf(out, ",%d,%s,%d,%.*s\n", op->bits, value_to_text(op->value()).c_str(),
-            op->is_reg() ? 1 : 0, nm.empty() ? 1 : static_cast<int>(nm.size()),
-            nm.empty() ? " " : nm.data());
+    out += nm.empty() ? std::string_view(" ") : nm;  // an unnamed operand is one space
+    out += '\n';
   }
 }
 

@@ -1,18 +1,33 @@
 #include "trace/record.hpp"
 
-#include <cinttypes>
+#include <charconv>
 
 #include "support/strings.hpp"
 
 namespace ac::trace {
 
-std::string value_to_text(const Value& v) {
+void append_value_text(std::string& out, const Value& v) {
   switch (v.kind) {
-    case ValueKind::Int: return strf("%" PRId64, v.i);
-    case ValueKind::Float: return strf("%.6f", v.f);
-    case ValueKind::Addr: return strf("0x%" PRIx64, v.addr);
+    case ValueKind::Int: append_int(out, v.i); return;
+    case ValueKind::Float: {
+      // std::to_chars with a precision is printf's %.6f. The longest
+      // spelling, -DBL_MAX's, is 317 bytes.
+      char buf[320];
+      out.append(buf, std::to_chars(buf, buf + sizeof buf, v.f, std::chars_format::fixed, 6).ptr);
+      return;
+    }
+    case ValueKind::Addr:
+      out += "0x";
+      append_int(out, v.addr, 16);
+      return;
   }
-  return "0";
+  out += '0';
+}
+
+std::string value_to_text(const Value& v) {
+  std::string out;
+  append_value_text(out, v);
+  return out;
 }
 
 Value value_from_text(std::string_view text) {

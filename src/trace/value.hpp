@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace ac::trace {
 
@@ -57,7 +58,12 @@ struct Value {
   }
 };
 
-/// Text form exactly as it appears in a trace operand field.
+/// Append the text form of `v`, exactly as it appears in a trace operand
+/// field: a decimal int, a %.6f float or a 0x-hex address. The one value
+/// renderer, on std::to_chars, so LC_NUMERIC never changes the spelling.
+void append_value_text(std::string& out, const Value& v);
+
+/// append_value_text into a fresh string.
 std::string value_to_text(const Value& v);
 
 /// Inverse of value_to_text; autodetects 0x / '.' / plain decimal.

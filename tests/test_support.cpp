@@ -72,6 +72,11 @@ TEST(Strings, ParseF64) {
   EXPECT_DOUBLE_EQ(parse_f64("44.000000"), 44.0);
   EXPECT_DOUBLE_EQ(parse_f64("-0.5"), -0.5);
   EXPECT_THROW(parse_f64("abc"), Error);
+  // A field has no length cap: 1e300 in %.6f is 308 bytes.
+  EXPECT_EQ(parse_f64("1" + std::string(300, '0') + ".000000"), 1e300);
+  EXPECT_EQ(parse_f64(std::string(80, '0') + "2.5"), 2.5);
+  EXPECT_THROW(parse_f64(std::string(80, '1') + ".0.0"), Error);
+  EXPECT_THROW(parse_f64(std::string(80, '1') + "x"), Error);
 }
 
 TEST(Strings, ParseIntArg) {

@@ -2,8 +2,8 @@
 // stability), TraceBuffer pack/materialize round-trips and chunk appends, and
 // the zero-copy parser property suite — across all 14 mini-app traces the
 // parse is a fixpoint of the writer, matches the golden VM trace digests'
-// counts, and gives the same buffer at every thread count — plus the one
-// malformed-text rejection test.
+// counts, and gives the same buffer at every thread count — the fixpoint for
+// names with embedded NULs, and the one malformed-text rejection test.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -236,6 +236,8 @@ TEST(TraceBufferParse, RejectsMalformedInput) {
   expect_rejected("0,abc,foo,6:1,27,1\n", "source line");
   expect_rejected("0,3,foo,6:1,27,215\n1,64,0xZZ,1,x\n", "operand value");
   expect_rejected("0,3,foo,6:1,27,215\n1,64,0x-1,1,x\n", "operand value");
+  expect_rejected("0,3,foo,6:1,27,215\n1,64," + std::string(80, '1') + ".0.0,1,x\n",
+                  "operand value");  // over-long garbage
   EXPECT_EQ(read_trace_buffer("").size(), 0u);
   EXPECT_EQ(read_trace_buffer("\n  \n\n").size(), 0u);
   // The widest values each field holds still parse.
@@ -299,6 +301,20 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+/// A name is every byte between its commas, an embedded NUL included, so the
+/// writer must append it whole for the fixpoint to hold (a recode from MCTB
+/// to text would otherwise drop bytes without a word).
+TEST(WriterFixpoint, NamesWithEmbeddedNulBytes) {
+  constexpr char kText[] = "0,1,m\0n,bb,27,0\n1,64,5,0,x\0y\n";
+  const std::string text(kText, sizeof kText - 1);
+  ASSERT_EQ(text.size(), 29u);
+  const TraceBuffer buf = read_trace_buffer(text);
+  ASSERT_EQ(buf.size(), 1u);
+  EXPECT_EQ(buf.view(0).func(), std::string_view("m\0n", 3));
+  EXPECT_EQ(buf.view(0).name(buf.operands()[0]), std::string_view("x\0y", 3));
+  EXPECT_EQ(test::trace_text(buf), text);
+}
 
 // --- BufferSink + Session buffer path ---------------------------------------
 

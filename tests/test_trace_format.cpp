@@ -3,12 +3,18 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <bit>
+#include <cfloat>
+#include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <set>
 #include <thread>
 
 #include "support/error.hpp"
 #include "support/file.hpp"
+#include "support/rng.hpp"
+#include "support/strings.hpp"
 #include "trace/reader.hpp"
 #include "trace/record.hpp"
 #include "trace/source.hpp"
@@ -43,6 +49,151 @@ TEST(Value, TextRoundTrip) {
   EXPECT_TRUE(value_from_text("1936.000000").is_float());
   EXPECT_TRUE(value_from_text("0x7ffec14b0db0").is_addr());
   EXPECT_EQ(value_from_text("0x7ffec14b0db0").addr, 0x7ffec14b0db0ull);
+}
+
+// --- the renderer against snprintf -----------------------------------------
+
+/// The record rendered by snprintf with the format strings the renderer used
+/// before std::to_chars: the reference the text format was defined by.
+std::string snprintf_text(const RecordView& rec) {
+  char line[512];
+  const std::string func(rec.func()), bb(rec.bb());
+  std::string out;
+  std::snprintf(line, sizeof line, "0,%d,%s,%s,%d,%" PRIu64 "\n", rec.line(), func.c_str(),
+                bb.c_str(), static_cast<int>(rec.opcode()), rec.dyn_id());
+  out += line;
+  for (const PackedOperand* op = rec.operands_begin(); op != rec.operands_end(); ++op) {
+    switch (op->slot()) {
+      case OperandSlot::Input:
+        std::snprintf(line, sizeof line, "%d", op->index);
+        out += line;
+        break;
+      case OperandSlot::Callee: out += '0'; break;
+      case OperandSlot::Param: out += 'f'; break;
+      case OperandSlot::Result: out += 'r'; break;
+    }
+    const Value v = op->value();
+    switch (v.kind) {
+      case ValueKind::Int: std::snprintf(line, sizeof line, ",%d,%" PRId64, op->bits, v.i); break;
+      case ValueKind::Float: std::snprintf(line, sizeof line, ",%d,%.6f", op->bits, v.f); break;
+      case ValueKind::Addr:
+        std::snprintf(line, sizeof line, ",%d,0x%" PRIx64, op->bits, v.addr);
+        break;
+    }
+    out += line;
+    const std::string name(rec.name(*op));
+    std::snprintf(line, sizeof line, ",%d,%s\n", op->is_reg() ? 1 : 0,
+                  name.empty() ? " " : name.c_str());
+    out += line;
+  }
+  return out;
+}
+
+/// Doubles whose %.6f spelling is easy to get wrong: signed zeros and
+/// infinities, NaNs of both signs with payloads, the extremes, subnormals,
+/// fields past 64 bytes, exact ties at the 7th decimal (odd multiples of
+/// 2^-7, which round half to even) and near-ties at 5e-7 offsets.
+std::vector<double> edge_doubles() {
+  std::vector<double> out = {0.0, -0.0, INFINITY, -INFINITY, DBL_MAX, -DBL_MAX, DBL_MIN,
+                             -DBL_MIN, DBL_TRUE_MIN, -DBL_TRUE_MIN, 1e55, -1e55, 1e56, -1e56,
+                             0.0078125, -0.0078125, 0.5e-6, 1.5e-6, 2.5e-6, 999999.9999995};
+  for (const std::uint64_t nan : {0x7ff8000000000000ull, 0xfff8000000000000ull,
+                                  0x7ff0000000000001ull, 0xfff0000000000001ull,
+                                  0x7ff8dead0000beefull, 0xffffffffffffffffull}) {
+    out.push_back(std::bit_cast<double>(nan));
+  }
+  for (int m = 1; m < 4096; m += 2) {
+    out.push_back(std::ldexp(m, -7));
+    out.push_back(-std::ldexp(m, -7));
+    out.push_back(m * 5e-7);
+    out.push_back(-m * 5e-7);
+  }
+  return out;
+}
+
+/// "" when `a == b`, else the first differing line of each.
+std::string first_difference(const std::string& a, const std::string& b) {
+  if (a == b) return "";
+  std::size_t at = 0;
+  while (at < a.size() && at < b.size() && a[at] == b[at]) ++at;
+  const auto line_of = [at](const std::string& s) {
+    const std::size_t begin = s.rfind('\n', at == 0 ? 0 : at - 1);
+    const std::size_t from = begin == std::string::npos ? 0 : begin + 1;
+    return s.substr(from, s.find('\n', from) - from);
+  };
+  return "'" + line_of(a) + "' vs '" + line_of(b) + "'";
+}
+
+TEST(Render, MatchesSnprintfAndReparsesToTheSameBytes) {
+  // Every field at its extremes, then doubles from random bit patterns and
+  // uniform in +-1e6, 14 to a record after one int and one address: the
+  // rendered text is snprintf's, and parsing it and rendering again gives
+  // the same bytes. (snprintf's %.6f of a random bit pattern averages ~3 us,
+  // so 2^17 of them keep the test near a second.)
+  std::vector<double> doubles = edge_doubles();
+  SplitMix64 rng(22);
+  for (int i = 0; i < (1 << 17); ++i) doubles.push_back(std::bit_cast<double>(rng.next()));
+  for (int i = 0; i < (1 << 17); ++i) doubles.push_back((rng.uniform() * 2 - 1) * 1e6);
+
+  constexpr std::int32_t kLines[] = {INT32_MIN, -1, 0, INT32_MAX};
+  constexpr std::int32_t kBits[] = {INT32_MIN, -1, 0, 1, 64, INT32_MAX};
+  constexpr std::int32_t kIndices[] = {1, 2, INT32_MAX};
+  constexpr std::int64_t kInts[] = {INT64_MIN, INT64_MIN + 1, -1, 0, 1, INT64_MAX};
+  constexpr std::uint64_t kAddrs[] = {0, 1, 0x7ffcf3f25a70, UINT64_MAX};
+  constexpr Opcode kOps[] = {Opcode::Load, Opcode::Store, Opcode::FMul, Opcode::Call};
+  constexpr std::size_t kRecordsPerBatch = 4096;
+  constexpr std::size_t kOperands = 16;
+
+  std::size_t next_double = 0, record = 0;
+  while (next_double < doubles.size()) {
+    TraceBuffer buf;
+    const std::uint32_t names[] = {SymbolPool::npos, buf.pool().intern("x"),
+                                   buf.pool().intern("rhs_norm"), buf.pool().intern("17")};
+    const std::uint32_t func = buf.pool().intern("main");
+    const std::uint32_t bb = buf.pool().intern("12:3");
+    for (std::size_t r = 0; r < kRecordsPerBatch && next_double < doubles.size(); ++r, ++record) {
+      PackedRecord rec;
+      rec.line = record < std::size(kLines) ? kLines[record]
+                                             : static_cast<std::int32_t>(rng.next());
+      rec.func = func;
+      rec.bb = record % 5 == 0 ? SymbolPool::npos : bb;
+      rec.opcode = kOps[record % std::size(kOps)];
+      rec.dyn_id = record == 0 ? UINT64_MAX : rng.next();
+      rec.op_offset = static_cast<std::uint32_t>(buf.operands().size());
+      rec.op_count = kOperands;
+      for (std::size_t k = 0; k < kOperands; ++k) {
+        const std::size_t n = record * kOperands + k;
+        PackedOperand op;
+        const auto slot = static_cast<OperandSlot>(n % 4);
+        if (slot == OperandSlot::Input) {
+          op.index = n < 64 ? kIndices[n % std::size(kIndices)]
+                            : static_cast<std::int32_t>(rng.below(INT32_MAX)) + 1;
+        }
+        op.bits = n < 64 ? kBits[n % std::size(kBits)] : static_cast<std::int32_t>(rng.next());
+        Value v;
+        if (k == 0) {
+          v = Value::make_int(record < std::size(kInts) ? kInts[record]
+                                                       : static_cast<std::int64_t>(rng.next()));
+        } else if (k == 1) {
+          v = Value::make_addr(record < std::size(kAddrs) ? kAddrs[record] : rng.next());
+        } else {
+          // The last record wraps round to the first doubles.
+          v = Value::make_float(doubles[next_double++ % doubles.size()]);
+        }
+        op.raw = PackedOperand::raw_of(v);
+        op.name = names[n % std::size(names)];
+        op.flags = PackedOperand::pack_flags(slot, v.kind, n % 3 == 0);
+        buf.operands().push_back(op);
+      }
+      buf.records().push_back(rec);
+    }
+
+    const std::string text = test::trace_text(buf);
+    std::string reference;
+    for (std::size_t i = 0; i < buf.size(); ++i) reference += snprintf_text(buf.view(i));
+    ASSERT_EQ(first_difference(text, reference), "");
+    ASSERT_EQ(first_difference(test::trace_text(read_trace_buffer(text)), text), "");
+  }
 }
 
 TEST(Opcode, PaperNumbering) {
@@ -189,6 +340,71 @@ TEST(Sinks, FileSinkWritesParseableTrace) {
   const TraceBuffer& parsed = source.buffer();
   ASSERT_EQ(parsed.size(), 100u);
   EXPECT_EQ(parsed.view(99).dyn_id(), 99u);
+}
+
+TEST(Sinks, HugeFloatsSurviveAFileRoundTrip) {
+  // %.6f spells |v| >= 1e56 (1e55 when negative) in 64 bytes or more, and
+  // -DBL_MAX in 317: every value the writer emits must read back bit-exact.
+  const std::vector<double> values = {1e55, -1e55, 1e56, -1e56, DBL_MAX, -DBL_MAX};
+  std::string blocks;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    blocks += strf("0,6,main,6:5,13,%zu\nr,64,0.000000,1,x\n", i);
+  }
+  TraceBuffer records = read_trace_buffer(blocks);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    records.operands()[i].set_value(Value::make_float(values[i]));
+  }
+  const std::string path = testing::TempDir() + "/ac_trace_huge_floats.txt";
+  {
+    FileSink sink(path);
+    for (std::size_t i = 0; i < records.size(); ++i) sink.append(records.view(i));
+    sink.close();
+  }
+  const std::string written = read_file_bytes(path);
+  EXPECT_EQ(written, test::trace_text(records));
+  EXPECT_NE(written.find("-1797693134862315708145274237317043567980"), std::string::npos);
+  FileSource source(path);
+  const TraceBuffer& parsed = source.buffer();
+  ASSERT_EQ(parsed.size(), values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const Value v = parsed.operands()[i].value();
+    ASSERT_TRUE(v.is_float()) << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(v.f), std::bit_cast<std::uint64_t>(values[i])) << i;
+  }
+  EXPECT_EQ(test::trace_text(parsed), written);
+  std::remove(path.c_str());
+}
+
+TEST(Sinks, HugeFloatTraceGivesTheInMemoryVerdicts) {
+  // x grows by 1e10 an iteration, so y's trace fields pass 64 bytes: the
+  // file path must still parse them and name what the in-memory path names.
+  const std::string src =
+      "int main() {\n"
+      "  double x = 1.0;\n"
+      "  double y = 0.0;\n"
+      "  //@mcl-begin\n"
+      "  for (int it = 0; it < 8; it = it + 1) {\n"
+      "    x = x * 1.0e10;\n"
+      "    y = y + x;\n"
+      "  }\n"
+      "  //@mcl-end\n"
+      "  print_float(y);\n"
+      "  return 0;\n"
+      "}\n";
+  const test::PipelineRun memory = test::run_pipeline(src);
+  std::set<std::string> names;
+  for (const auto& cv : memory.report.verdicts.critical) names.insert(cv.name);
+  EXPECT_EQ(names, (std::set<std::string>{"it", "x", "y"}));
+
+  const std::string path = testing::TempDir() + "/ac_trace_huge_program.txt";
+  {
+    FileSink sink(path);
+    test::run_source(src, &sink);
+    sink.close();
+  }
+  const analysis::Report file = analysis::Session().file(path).region_from_markers(src).run();
+  std::remove(path.c_str());
+  EXPECT_EQ(file.verdicts.critical, memory.report.verdicts.critical);
 }
 
 TEST(Sinks, FileSinkRejectsBadPath) {
