@@ -188,11 +188,11 @@ StorageResult measure_storage(const App& app, const Params& params,
   vm::run_module(module, ropts);
 
   // Every commit is a full record of the same variables, so each one is the
-  // size of the checkpoint file left on disk.
+  // size of the checkpoint file on disk. Once measured, the log is removed.
   const ckpt::EngineStats stats = engine.stats();
+  engine.reset();
   out.autocheck_bytes = stats.checkpoints ? stats.l1_bytes / stats.checkpoints : 0;
-  out.blcr_bytes =
-      ckpt::BlcrSim::write_image(widest, work_dir + "/" + app.name + "_blcr.img");
+  out.blcr_bytes = ckpt::BlcrSim::footprint(widest).total();
   return out;
 }
 

@@ -105,9 +105,11 @@ EngineRunResult run_with_engine(const ir::Module& module, const analysis::MclReg
                                 const std::vector<std::string>& protect,
                                 const ckpt::EngineConfig& cfg, int fail_at = -1);
 
-/// Table IV storage measurement: the BLCR-style full-machine image versus the
-/// validation store's checkpoint file of the protected variables (one full
-/// L1 record), both at the loop's widest state.
+/// Table IV storage measurement: the BLCR-style full-machine image
+/// (BlcrSim::footprint, never written) versus the validation store's
+/// checkpoint file of the protected variables (one full L1 record), both at
+/// the loop's widest state. The engine log it writes under work_dir is
+/// removed before it returns.
 struct StorageResult {
   std::uint64_t blcr_bytes = 0;
   std::uint64_t autocheck_bytes = 0;

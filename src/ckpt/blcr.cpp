@@ -1,10 +1,5 @@
 #include "ckpt/blcr.hpp"
 
-#include <cstdio>
-#include <vector>
-
-#include "support/error.hpp"
-
 namespace ac::ckpt {
 
 BlcrFootprint BlcrSim::footprint(const MachineState& st) {
@@ -15,24 +10,6 @@ BlcrFootprint BlcrSim::footprint(const MachineState& st) {
   // each frame carries pc / function id / stack mark (24 bytes).
   fp.machine_bytes = st.total_regs * 9 + st.total_slots * 8 + st.num_frames * 24;
   return fp;
-}
-
-std::uint64_t BlcrSim::write_image(const MachineState& st, const std::string& path) {
-  const std::uint64_t total = footprint(st).total();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (!f) throw CheckpointError("cannot write BLCR image: " + path);
-  std::vector<char> chunk(1 << 16, '\0');
-  std::uint64_t left = total;
-  while (left > 0) {
-    const std::size_t n = static_cast<std::size_t>(std::min<std::uint64_t>(left, chunk.size()));
-    if (std::fwrite(chunk.data(), 1, n, f) != n) {
-      std::fclose(f);
-      throw CheckpointError("short write to BLCR image: " + path);
-    }
-    left -= n;
-  }
-  std::fclose(f);
-  return total;
 }
 
 }  // namespace ac::ckpt

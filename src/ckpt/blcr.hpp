@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace ac::ckpt {
 
@@ -40,10 +39,6 @@ class BlcrSim {
  public:
   /// Cost of one full-system checkpoint for the given machine state.
   static BlcrFootprint footprint(const MachineState& st);
-
-  /// Write a file of exactly footprint(st).total() bytes (so the benchmark's
-  /// on-disk numbers are real); returns the byte count.
-  static std::uint64_t write_image(const MachineState& st, const std::string& path);
 };
 
 }  // namespace ac::ckpt

@@ -314,12 +314,12 @@ int decode_child(int fd, const CorpusEntry& e, const AppContext& ctx,
       return kExitSilent;
     }
     // frame: a (mutated) ACNP stream. Every surviving frame must pass its
-    // CRC; a surviving TraceChunk must decode to the canonical trace.
+    // CRC (the reader checks it); a surviving TraceChunk must decode to the
+    // canonical trace.
     net::FrameReader reader;
     reader.feed(bytes.data(), bytes.size());
     bool chunk_ok = false;
     while (auto f = reader.next()) {
-      f->verify_crc();
       if (f->type == net::FrameType::TraceChunk) {
         trace::MctbReadOptions ropts;
         ropts.num_threads = 1;
@@ -523,20 +523,6 @@ static_assert(std::all_of(std::begin(kCrashFaults), std::end(kCrashFaults),
                           [](const CrashFault& f) { return fault::is_point(f.point); }),
               "kCrashFaults names a fault point not in AC_FAULT_POINTS");
 
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    const std::size_t comma = s.find(',', pos);
-    const std::string item =
-        s.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    if (!item.empty()) out.push_back(item);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -697,11 +683,11 @@ int fuzz_main(const std::vector<std::string>& args) {
     } else if (a == "--corpus") {
       opts.corpus_dir = need_value(i++, a);
     } else if (a == "--apps") {
-      opts.apps = split_csv(need_value(i++, a));
+      opts.apps = split(need_value(i++, a), ',');
     } else if (a == "--kinds") {
-      opts.kinds = split_csv(need_value(i++, a));
+      opts.kinds = split(need_value(i++, a), ',');
     } else if (a == "--codecs") {
-      opts.codecs = split_csv(need_value(i++, a));
+      opts.codecs = split(need_value(i++, a), ',');
     } else if (a == "--scale") {
       opts.scale = std::stoi(need_value(i++, a));
     } else if (a == "--timeout") {

@@ -10,8 +10,6 @@ namespace ac::net {
 
 namespace {
 
-constexpr std::size_t kMaxCodecStages = 4;
-
 void put_u32(std::string& out, std::uint32_t v) {
   out.append(reinterpret_cast<const char*>(&v), 4);
 }
@@ -26,10 +24,6 @@ struct Cursor {
   std::size_t pos = 0;
   const char* what;
 
-  std::uint8_t u8() {
-    need(1);
-    return static_cast<std::uint8_t>(data[pos++]);
-  }
   std::uint32_t u32() {
     need(4);
     std::uint32_t v;
@@ -92,14 +86,6 @@ std::uint32_t frame_crc(FrameType type, std::string_view payload) {
 
 }  // namespace
 
-void Frame::verify_crc() const {
-  const std::uint32_t actual = frame_crc(type, payload);
-  if (actual != payload_crc) {
-    throw ProtocolError(strf("%s frame payload CRC mismatch (header 0x%08x, payload 0x%08x)",
-                             frame_type_name(type), payload_crc, actual));
-  }
-}
-
 std::string encode_frame(FrameType type, std::string_view payload) {
   std::string out;
   out.reserve(kFrameHeaderSize + payload.size());
@@ -140,9 +126,13 @@ std::optional<Frame> FrameReader::next() {
   if (buf_.size() - pos_ - kFrameHeaderSize < len) return std::nullopt;
   Frame f;
   f.type = static_cast<FrameType>(type);
-  f.payload_crc = crc;
   f.payload.assign(buf_, pos_ + kFrameHeaderSize, static_cast<std::size_t>(len));
   pos_ += kFrameHeaderSize + static_cast<std::size_t>(len);
+  const std::uint32_t actual = frame_crc(f.type, f.payload);
+  if (actual != crc) {
+    throw ProtocolError(strf("%s frame payload CRC mismatch (header 0x%08x, payload 0x%08x)",
+                             frame_type_name(f.type), crc, actual));
+  }
   return f;
 }
 
@@ -152,12 +142,6 @@ std::string Hello::encode() const {
   std::string out;
   put_u32(out, magic);
   put_u32(out, version);
-  put_u32(out, caps);
-  const auto& stages = codec.stages();
-  out.push_back(static_cast<char>(stages.size()));
-  for (std::size_t i = 0; i < kMaxCodecStages; ++i) {
-    out.push_back(i < stages.size() ? static_cast<char>(stages[i]) : '\0');
-  }
   return out;
 }
 
@@ -174,19 +158,6 @@ Hello Hello::decode(std::string_view payload) {
     throw ProtocolError(strf("protocol version mismatch: peer speaks %u, this build speaks %u",
                              h.version, kProtocolVersion));
   }
-  h.caps = cur.u32();
-  const std::uint8_t nstages = cur.u8();
-  std::uint8_t ids[kMaxCodecStages];
-  for (auto& id : ids) id = cur.u8();
-  if (nstages > kMaxCodecStages) {
-    throw ProtocolError(strf("handshake declares %u codec stages (max %zu)", nstages,
-                             kMaxCodecStages));
-  }
-  try {
-    h.codec = CodecChain::from_ids(ids, nstages);
-  } catch (const CodecError& e) {
-    throw ProtocolError(std::string("handshake codec chain: ") + e.what());
-  }
   cur.done();
   return h;
 }
@@ -195,10 +166,7 @@ Hello Hello::decode(std::string_view payload) {
 
 std::string ReportSpec::encode() const {
   std::string out;
-  std::uint32_t flags = 0;
-  if (build_ddg) flags |= 1u;
-  if (with_timings) flags |= 2u;
-  put_u32(out, flags);
+  put_u32(out, with_timings ? 1u : 0u);
   put_u32(out, static_cast<std::uint32_t>(mli_mode));
   put_u32(out, static_cast<std::uint32_t>(format));
   put_u32(out, static_cast<std::uint32_t>(region.begin_line));
@@ -212,11 +180,10 @@ ReportSpec ReportSpec::decode(std::string_view payload) {
   Cursor cur{payload, 0, "ReportRequest"};
   ReportSpec s;
   const std::uint32_t flags = cur.u32();
-  if ((flags & ~3u) != 0) {
+  if ((flags & ~1u) != 0) {
     throw ProtocolError(strf("ReportRequest declares unknown flag bits 0x%x", flags));
   }
-  s.build_ddg = (flags & 1u) != 0;
-  s.with_timings = (flags & 2u) != 0;
+  s.with_timings = flags != 0;
   const std::uint32_t mode = cur.u32();
   if (mode > static_cast<std::uint32_t>(analysis::MliMode::PaperNameMatch)) {
     throw ProtocolError(strf("ReportRequest declares unknown MLI mode %u", mode));

@@ -5,8 +5,8 @@
 // length-prefixed typed frames — nothing implicit, every field validated.
 //
 //   client                             server (acd)
-//     | -- Hello {magic, ver, caps, codec} ->|
-//     | <- HelloAck {magic, ver, caps} ------|      (or Error + close)
+//     | -- Hello {magic, version} ---------->|
+//     | <- HelloAck {magic, version} --------|      (or Error + close)
 //     | -- TraceChunk (MCTB container) ----->|  +
 //     | -- TraceChunk ---------------------->|  |  decoded + merged
 //     | -- Flush --------------------------->|  |  incrementally
@@ -22,13 +22,15 @@
 //   u32 type         FrameType below; unknown values are a ProtocolError
 //   u32 payload_crc  CRC32 of the encoded type word followed by the payload
 //                    bytes — a flipped type bit cannot silently turn one
-//                    frame kind into another
+//                    frame kind into another. FrameReader checks it before
+//                    it returns the frame.
 //   u64 payload_len  capped by max_frame_bytes — a forged length can never
 //                    trigger a giant allocation
 //
 // A TraceChunk payload is a complete, self-contained MCTB container
-// (trace/mctb.hpp) holding the next run of records, and decode reuses the full MCTB validation matrix (magic/version/bounds/section CRCs/
-// codec ids/opcodes/symbol ids/flags) — a malformed chunk is a clean
+// (trace/mctb.hpp) holding the next run of records, and decode reuses the
+// full MCTB validation matrix (magic/version/bounds/section CRCs/codec
+// ids/opcodes/symbol ids/flags) — a malformed chunk is a clean
 // ProtocolError/TraceFormatError and a torn-down connection, never UB and
 // never a dead daemon.
 #pragma once
@@ -40,7 +42,6 @@
 
 #include "analysis/region.hpp"
 #include "analysis/preprocess.hpp"
-#include "support/codec.hpp"
 
 namespace ac::net {
 
@@ -48,14 +49,7 @@ namespace ac::net {
 /// speaks. Version bumps are explicit wire breaks: both sides compare
 /// numbers, there is no silent fallback.
 constexpr std::uint32_t kProtocolMagic = 0x504E4341u;
-constexpr std::uint32_t kProtocolVersion = 1;
-
-/// Capability bits offered in Hello and echoed (intersected) in HelloAck.
-enum : std::uint32_t {
-  kCapMctbChunks = 1u << 0,   // TraceChunk payloads are MCTB containers
-  kCapTextReport = 1u << 1,   // server can render text reports
-};
-constexpr std::uint32_t kSupportedCaps = kCapMctbChunks | kCapTextReport;
+constexpr std::uint32_t kProtocolVersion = 2;
 
 /// Default cap on a single frame's payload. A 64Ki-record chunk encodes to a
 /// few MiB at worst; 256 MiB leaves generous headroom while bounding what a
@@ -84,13 +78,7 @@ constexpr std::size_t kFrameHeaderSize = 16;
 
 struct Frame {
   FrameType type = FrameType::Error;
-  std::uint32_t payload_crc = 0;
   std::string payload;
-
-  /// Recompute the payload CRC and compare; throws ProtocolError on mismatch.
-  /// Kept separate from FrameReader::next() so the daemon's I/O thread can
-  /// slice frames cheaply and leave checksumming to the per-connection worker.
-  void verify_crc() const;
 };
 
 /// Serialize one frame (header + payload, CRC filled in).
@@ -100,7 +88,8 @@ std::string encode_frame(FrameType type, std::string_view payload);
 /// next() pops the earliest complete frame. Header validation (known type,
 /// payload_len <= max_frame_bytes) happens as soon as a header is complete,
 /// so an oversized or unknown frame is rejected before its payload is
-/// buffered. Payload CRCs are NOT checked here — see Frame::verify_crc().
+/// buffered; the CRC is checked once the payload is, so every frame next()
+/// returns is intact. All three failures throw ProtocolError.
 class FrameReader {
  public:
   explicit FrameReader(std::uint64_t max_frame_bytes = kDefaultMaxFrameBytes)
@@ -120,14 +109,11 @@ class FrameReader {
 
 // --- typed payloads ---------------------------------------------------------
 
-/// Hello / HelloAck payload. The codec chain is the client's declared MCTB
-/// section codec — advisory (containers are self-describing), surfaced so the
-/// daemon can log/meter what its clients negotiate.
+/// Hello / HelloAck payload: who is speaking and which protocol version.
+/// Chunk codecs need no negotiation — each MCTB container names its own.
 struct Hello {
   std::uint32_t magic = kProtocolMagic;
   std::uint32_t version = kProtocolVersion;
-  std::uint32_t caps = kSupportedCaps;
-  CodecChain codec;
 
   std::string encode() const;
   /// Throws ProtocolError on truncation, bad magic, or a version this build
@@ -139,11 +125,12 @@ struct Hello {
 enum class ReportFormat : std::uint32_t { Json = 0, Text = 1 };
 
 /// ReportRequest payload: the MCL region plus the analysis options that
-/// affect verdicts/rendering. Thread budgets stay server-side policy.
+/// affect verdicts/rendering. Thread budgets stay server-side policy, and so
+/// does the DDG: neither report format carries one, so the daemon never
+/// builds it.
 struct ReportSpec {
   analysis::MclRegion region;
   analysis::MliMode mli_mode = analysis::MliMode::AddressResolved;
-  bool build_ddg = true;
   /// Omit the timings object from JSON reports, making the bytes a pure
   /// function of the trace + region — what the loopback identity tests and
   /// the CI byte-for-byte diff pin.

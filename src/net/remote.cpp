@@ -8,16 +8,10 @@
 
 namespace ac::net {
 
-namespace {
-constexpr std::size_t kReadChunk = 64u << 10;
-}
+// --- FrameStream ------------------------------------------------------------
 
-// --- BlockingFrameStream ----------------------------------------------------
-
-std::optional<Frame> BlockingFrameStream::next() {
-  // CRC verification is the consumer's job (RemoteSource / the daemon
-  // worker) — this layer only slices and validates headers.
-  char buf[kReadChunk];
+std::optional<Frame> FrameStream::next() {
+  char buf[64u << 10];
   for (;;) {
     if (auto f = reader_.next()) return f;
     const std::size_t n = read_some(fd_, buf, sizeof buf, timeout_ms_);
@@ -32,7 +26,7 @@ std::optional<Frame> BlockingFrameStream::next() {
   }
 }
 
-void BlockingFrameStream::send(FrameType type, std::string_view payload) {
+void FrameStream::send(FrameType type, std::string_view payload) {
   const std::string frame = encode_frame(type, payload);
   write_all(fd_, frame.data(), frame.size());
 }
@@ -40,16 +34,14 @@ void BlockingFrameStream::send(FrameType type, std::string_view payload) {
 // --- RemoteSink -------------------------------------------------------------
 
 RemoteSink::RemoteSink(const std::string& host, std::uint16_t port, RemoteSinkOptions opts)
-    : opts_(std::move(opts)) {
+    : opts_(std::move(opts)),
+      sock_(connect_tcp_retry(host, port,
+                              {.timeout_ms = opts_.connect_timeout_ms,
+                               .retries = opts_.connect_retries,
+                               .backoff_ms = opts_.connect_backoff_ms})),
+      stream_(sock_.fd(), kDefaultMaxFrameBytes, opts_.io_timeout_ms) {
   if (opts_.chunk_records == 0) opts_.chunk_records = 1;
-  ConnectRetry retry;
-  retry.timeout_ms = opts_.connect_timeout_ms;
-  retry.retries = opts_.connect_retries;
-  retry.backoff_ms = opts_.connect_backoff_ms;
-  sock_ = connect_tcp_retry(host, port, retry);
-  Hello hello;
-  hello.codec = opts_.codec;
-  send_frame(FrameType::Hello, hello.encode());
+  send_frame(FrameType::Hello, Hello{}.encode());
   Hello::decode(expect(FrameType::HelloAck).payload);  // throws on a malformed ack
 }
 
@@ -62,32 +54,22 @@ RemoteSink::~RemoteSink() {
 }
 
 void RemoteSink::send_frame(FrameType type, std::string_view payload) {
-  const std::string frame = encode_frame(type, payload);
-  write_all(sock_.fd(), frame.data(), frame.size());
-  wire_bytes_ += frame.size();
+  stream_.send(type, payload);
+  wire_bytes_ += kFrameHeaderSize + payload.size();
 }
 
 Frame RemoteSink::expect(FrameType want) {
-  char buf[kReadChunk];
-  for (;;) {
-    if (auto f = reader_.next()) {
-      f->verify_crc();
-      if (f->type == FrameType::Error) {
-        throw ProtocolError("server: " + f->payload);
-      }
-      if (f->type != want) {
-        throw ProtocolError(strf("expected %s frame, got %s", frame_type_name(want),
-                                 frame_type_name(f->type)));
-      }
-      return std::move(*f);
-    }
-    const std::size_t n = read_some(sock_.fd(), buf, sizeof buf, opts_.io_timeout_ms);
-    if (n == 0) {
-      throw ProtocolError(strf("server hung up while %s frame was expected",
-                               frame_type_name(want)));
-    }
-    reader_.feed(buf, n);
+  std::optional<Frame> f = stream_.next();
+  if (!f) {
+    throw ProtocolError(strf("server hung up while %s frame was expected",
+                             frame_type_name(want)));
   }
+  if (f->type == FrameType::Error) throw ProtocolError("server: " + f->payload);
+  if (f->type != want) {
+    throw ProtocolError(strf("expected %s frame, got %s", frame_type_name(want),
+                             frame_type_name(f->type)));
+  }
+  return std::move(*f);
 }
 
 void RemoteSink::append(const trace::TraceRecord& rec) {
@@ -187,7 +169,6 @@ std::optional<ReportSpec> RemoteSource::wait_request() {
       done_ = true;
       return std::nullopt;
     }
-    f->verify_crc();
     switch (f->type) {
       case FrameType::TraceChunk:
         merge_chunk(*f);

@@ -1,5 +1,8 @@
-// The two transport endpoints of analysis-as-a-service:
+// The two transport endpoints of analysis-as-a-service, and the one frame
+// stream both read and write through:
 //
+//   FrameStream   ACNP frames over one connected socket: blocking reads with
+//                 an optional per-read timeout, whole-frame writes.
 //   RemoteSink    a trace::TraceSink that streams records to an acd daemon as
 //                 length-prefixed MCTB chunk frames while the app runs — the
 //                 network twin of write_mctb_file, plus report/metrics
@@ -8,12 +11,12 @@
 //                 daemon-side analysis::Session analyzes a socket exactly the
 //                 way a local Session analyzes a file. One instance
 //                 accumulates a connection's chunks incrementally (decode +
-//                 pool-merge per frame, overlapped with network receipt) and
-//                 serves the merged TraceBuffer to any number of
-//                 ReportRequests on that connection.
+//                 pool-merge per frame, as they are read) and serves the
+//                 merged TraceBuffer to any number of ReportRequests on that
+//                 connection.
 //
-// Both speak net/protocol.hpp; both reuse the MCTB container validation for
-// every chunk, so the trust boundary is identical to reading a trace file.
+// All three speak net/protocol.hpp, and every chunk passes the MCTB container
+// validation, so the trust boundary is identical to reading a trace file.
 #pragma once
 
 #include <cstdint>
@@ -29,28 +32,23 @@
 
 namespace ac::net {
 
-/// Where a server-side session gets its frames and sends its replies — the
-/// seam between RemoteSource and the transport. The daemon feeds it from
-/// bounded per-connection queues; BlockingFrameStream reads a socket
-/// directly (tests, single-connection tools).
+/// ACNP frames over a connected socket fd (borrowed, not owned). The
+/// daemon's per-connection worker, RemoteSink and the tests' raw client each
+/// own one. It reads only when next() needs more bytes: a peer that sends
+/// faster than its reader consumes fills the kernel buffers and TCP stalls
+/// it.
 class FrameStream {
  public:
-  virtual ~FrameStream() = default;
-  /// Next frame, blocking. nullopt = orderly end of stream (EOF). Throws
-  /// ProtocolError on transport/framing failures.
-  virtual std::optional<Frame> next() = 0;
-  virtual void send(FrameType type, std::string_view payload) = 0;
-};
-
-/// FrameStream over a connected socket fd (borrowed, not owned).
-class BlockingFrameStream final : public FrameStream {
- public:
-  explicit BlockingFrameStream(int fd, std::uint64_t max_frame_bytes = kDefaultMaxFrameBytes,
-                               int timeout_ms = -1)
+  /// `timeout_ms` bounds each wait for more bytes; < 0 waits forever.
+  explicit FrameStream(int fd, std::uint64_t max_frame_bytes = kDefaultMaxFrameBytes,
+                       int timeout_ms = -1)
       : fd_(fd), timeout_ms_(timeout_ms), reader_(max_frame_bytes) {}
 
-  std::optional<Frame> next() override;
-  void send(FrameType type, std::string_view payload) override;
+  /// Next frame, blocking; its CRC has been checked. nullopt = orderly end of
+  /// stream (EOF between frames). Throws ProtocolError on a malformed or
+  /// corrupt frame, EOF mid-frame, a read failure, or a wait past timeout_ms.
+  std::optional<Frame> next();
+  void send(FrameType type, std::string_view payload);
 
  private:
   int fd_;
@@ -123,7 +121,7 @@ class RemoteSink final : public trace::TraceSink {
 
   RemoteSinkOptions opts_;
   Socket sock_;
-  FrameReader reader_;
+  FrameStream stream_;
   trace::TraceBuffer staging_;
   std::string container_;  ///< reused per-chunk encode buffer (streaming writer target)
   std::uint64_t total_records_ = 0;

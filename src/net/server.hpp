@@ -1,28 +1,30 @@
-// The acd analysis daemon core: accept many concurrent tracing clients and
-// multiplex each connection onto its own streaming analysis session.
+// The acd analysis daemon core: accept concurrent tracing clients and run
+// each connection's streaming analysis session on a thread of its own.
 //
-// Threading model — one poll()-driven I/O thread, one worker per connection:
+// Threading model — one accept thread, one worker per connection:
 //
-//   poll thread        accepts, reads sockets, slices frames (FrameReader),
-//                      pushes them onto the connection's bounded queue. A
-//                      full queue deregisters the fd from POLLIN: the kernel
-//                      receive buffer fills, the TCP window closes, and the
-//                      client stalls — backpressure reaches the producer
-//                      instead of growing daemon memory.
-//   conn worker        validates the handshake, then drives a RemoteSource
-//                      over the queue: chunks decode + merge incrementally as
-//                      they arrive (overlapped with network receipt), and
-//                      each ReportRequest runs an analysis::Session over the
-//                      accumulated buffer — the exact local pipeline, so
+//   accept thread      polls only the listen socket and a wake pipe; accepts
+//                      each client, starts its worker, and joins workers that
+//                      have finished.
+//   conn worker        reads and writes its own socket through a FrameStream:
+//                      validates the handshake, then drives a RemoteSource
+//                      that decodes + merges each chunk as it is read, and
+//                      runs an analysis::Session over the accumulated buffer
+//                      for each ReportRequest — the exact local pipeline, so
 //                      verdicts are bit-identical to analyzing the same
 //                      records from a file.
+//
+// Backpressure is TCP's own: a worker that is not reading (it is decoding or
+// analyzing) leaves bytes in the kernel receive buffer, the TCP window
+// closes, and the client stalls instead of growing daemon memory.
 //
 // Failure containment: malformed frames or a corrupt MCTB chunk surface as
 // ProtocolError/TraceFormatError in that connection's worker, which sends a
 // best-effort Error frame and tears the connection down; the daemon and every
 // other connection keep running. Analysis errors (e.g. a region that never
 // executes) are answered with an Error frame without dropping the connection.
-// Idle connections are reaped after ServerOptions::idle_timeout_ms.
+// A worker whose read waits longer than ServerOptions::idle_timeout_ms gets
+// the same treatment.
 #pragma once
 
 #include <atomic>
@@ -41,16 +43,14 @@ struct ServerOptions {
   /// Listen address; port 0 binds an ephemeral port (see Server::port()).
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
-  /// Bounded per-connection frame queue (the backpressure knob): the poll
-  /// thread stops reading a connection whose queue is full.
-  std::size_t queue_depth = 8;
   /// Per-frame payload cap enforced at header-parse time.
   std::uint64_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Reap a connection with no inbound traffic for this long; <= 0 disables.
+  /// Drop a connection whose worker waits this long for its next bytes (a
+  /// report being computed does not count); <= 0 disables.
   int idle_timeout_ms = 300000;
-  /// Graceful-drain bound on shutdown: workers get this long to finish
-  /// queued frames and answer pending ReportRequests before their sockets
-  /// are force-shut (SHUT_RDWR, so blocked peers fail fast instead of
+  /// Graceful-drain bound on shutdown: workers get this long to finish the
+  /// frames already sent and answer pending ReportRequests before their
+  /// sockets are force-shut (SHUT_RDWR, so blocked peers fail fast instead of
   /// hanging the exit). <= 0 waits for the drain without a deadline.
   int drain_timeout_ms = 10000;
 };
@@ -67,16 +67,16 @@ class Server {
   /// The bound port (resolves port 0).
   std::uint16_t port() const { return bound_port_; }
 
-  /// Blocking accept/IO loop; returns after stop(). Call from main() (acd)
-  /// or via start() for an in-process daemon (tests, bench_net).
+  /// Blocking accept loop; returns after stop(). Call from main() (acd) or
+  /// via start() for an in-process daemon (tests, bench_net).
   void run();
 
   /// run() on a background thread.
   void start();
 
-  /// Signal shutdown and join: stops accepting, lets every worker drain its
-  /// queue and finish an in-flight report, then closes all connections.
-  /// Idempotent.
+  /// Signal shutdown and join: stops accepting, lets every worker finish the
+  /// frames already sent and an in-flight report, then closes all
+  /// connections. Idempotent.
   void stop();
 
   /// Async-signal-safe shutdown request (atomic store + pipe write, no
@@ -93,12 +93,8 @@ class Server {
 
  private:
   struct Conn;
-  class QueueStream;
 
   void accept_ready();
-  void read_ready(Conn& c);
-  void fail_conn(Conn& c, const std::string& error);
-  void sweep_idle();
   void reap_done(bool join_all);
   void wake();
   void conn_worker(Conn& c);
@@ -113,8 +109,7 @@ class Server {
   std::thread thread_;
   bool thread_started_ = false;
 
-  std::list<std::unique_ptr<Conn>> conns_;  // poll-thread owned
-  std::uint64_t next_conn_id_ = 1;
+  std::list<std::unique_ptr<Conn>> conns_;  // accept-thread owned
   std::atomic<std::uint64_t> connections_accepted_{0};
   std::atomic<std::uint64_t> reports_served_{0};
 };

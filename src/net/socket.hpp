@@ -5,10 +5,9 @@
 // numeric-argument parsing follows.
 //
 // All I/O helpers work on blocking *and* non-blocking fds: on EAGAIN they
-// poll() for readiness instead of spinning, so the daemon's workers can write
-// replies on the same non-blocking fds its poll loop reads. A peer dying
-// mid-stream surfaces as ProtocolError (or EOF), never SIGPIPE — call
-// ignore_sigpipe() once at process startup and every send uses MSG_NOSIGNAL.
+// poll() for readiness instead of spinning. A peer dying mid-stream surfaces
+// as ProtocolError (or EOF), never SIGPIPE — call ignore_sigpipe() once at
+// process startup and every send uses MSG_NOSIGNAL.
 #pragma once
 
 #include <cstddef>

@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "support/error.hpp"
+#include "support/strings.hpp"
 
 namespace ac::fault {
 
@@ -202,24 +203,12 @@ void arm_from_spec(const std::string& spec) {
 
 namespace {
 
-std::vector<std::string> split_commas(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    auto end = s.find(',', pos);
-    if (end == std::string::npos) end = s.size();
-    if (end > pos) out.push_back(s.substr(pos, end - pos));
-    pos = end + 1;
-  }
-  return out;
-}
-
 std::mutex g_weak_mu;
 std::atomic<bool> g_any_weak{false};
 std::vector<std::string>& weak_names() {
   static std::vector<std::string>* names = [] {
     auto* v = new std::vector<std::string>();
-    if (const char* env = std::getenv("AC_FUZZ_WEAKEN")) *v = split_commas(env);
+    if (const char* env = std::getenv("AC_FUZZ_WEAKEN")) *v = split(env, ',');
     g_any_weak.store(!v->empty(), std::memory_order_relaxed);
     return v;
   }();
@@ -241,7 +230,7 @@ bool weakened(const char* check) {
 
 void set_weakened(const std::string& comma_separated) {
   std::lock_guard<std::mutex> lk(g_weak_mu);
-  weak_names() = split_commas(comma_separated);
+  weak_names() = split(comma_separated, ',');
   g_any_weak.store(!weak_names().empty(), std::memory_order_relaxed);
 }
 

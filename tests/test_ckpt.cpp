@@ -11,7 +11,6 @@
 #include "ckpt/image.hpp"
 #include "support/error.hpp"
 #include "support/faultpoint.hpp"
-#include "support/file.hpp"
 #include "trace/mctb.hpp"
 #include "vm/memory.hpp"
 
@@ -229,18 +228,6 @@ TEST(Blcr, FootprintAccountsForWholeMachine) {
   EXPECT_EQ(fp.machine_bytes, 100u * 9 + 40u * 8 + 3u * 24);
   EXPECT_EQ(fp.process_bytes, kProcessImageBase);
   EXPECT_EQ(fp.total(), fp.memory_bytes + fp.machine_bytes + kProcessImageBase);
-}
-
-TEST(Blcr, WritesImageOfExactSize) {
-  MachineState st;
-  st.arena_bytes = 4096;
-  st.num_frames = 1;
-  st.total_regs = 10;
-  st.total_slots = 5;
-  const std::string path = testing::TempDir() + "/ac_blcr.img";
-  const std::uint64_t written = BlcrSim::write_image(st, path);
-  EXPECT_EQ(written, BlcrSim::footprint(st).total());
-  EXPECT_EQ(read_file_bytes(path).size(), written);
 }
 
 TEST(Blcr, DwarfsSelectiveCheckpoint) {

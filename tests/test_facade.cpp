@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 
 #include "analysis/session.hpp"
 #include "apps/harness.hpp"
@@ -95,6 +96,7 @@ TEST(Harness, StorageMeasurementOrdersOfMagnitude) {
       measure_storage(app, {}, run.report.critical_names(), testing::TempDir());
   EXPECT_GT(st.autocheck_bytes, 0u);
   EXPECT_GT(st.blcr_bytes, 100 * st.autocheck_bytes);
+  EXPECT_FALSE(std::filesystem::exists(testing::TempDir() + "/CG_storage.eng"));
 }
 
 TEST(Harness, ValidateRequiresReachableFailure) {

@@ -1,6 +1,7 @@
 // acd — the AutoCheck analysis daemon. Listens for ACNP connections
-// (net/protocol.hpp), runs one streaming analysis session per client, and
-// serves reports/metrics over the socket. Loopback quickstart:
+// (net/protocol.hpp), runs one streaming analysis session per client on a
+// thread of its own, and serves reports/metrics over the socket. Loopback
+// quickstart:
 //
 //   acd --listen 127.0.0.1:0 --port-file /tmp/acd.port &
 //   autocheck app.trace --connect 127.0.0.1:$(cat /tmp/acd.port) \
@@ -32,17 +33,19 @@ int usage() {
                "usage: acd [options]\n"
                "\n"
                "AutoCheck analysis daemon: accepts ACNP clients (autocheck --connect,\n"
-               "RemoteSink) and serves critical-variable reports over the socket.\n"
+               "RemoteSink) and serves critical-variable reports over the socket. Each\n"
+               "connection is served by a thread of its own; a client that sends faster\n"
+               "than its thread reads is held back by TCP flow control.\n"
                "\n"
                "  --listen HOST:PORT   listen address (default 127.0.0.1:7433; port 0 =\n"
                "                       ephemeral, see --port-file)\n"
                "  --port-file PATH     write the bound port to PATH once listening\n"
-               "  --queue-depth N      per-connection frame queue bound (default 8)\n"
-               "  --idle-timeout MS    reap connections idle for MS ms; 0 disables\n"
+               "  --idle-timeout MS    drop a connection that sends nothing for MS ms\n"
+               "                       while the daemon waits for it; 0 disables\n"
                "                       (default 300000)\n"
                "  --drain-timeout MS   on SIGTERM/SIGINT, wait up to MS ms for in-flight\n"
-               "                       requests before closing sockets; 0 = immediate\n"
-               "                       (default 10000)\n"
+               "                       requests before closing sockets; 0 waits without a\n"
+               "                       deadline (default 10000)\n"
                "  --max-frame-mb N     per-frame payload cap in MiB (default 256)\n"
                "  --metrics-dump [P]   on shutdown, write MetricsRegistry JSON to P\n"
                "                       (default stdout)\n"
@@ -78,8 +81,6 @@ int main(int argc, char** argv) {
         listen_spec = next();
       } else if (arg == "--port-file") {
         port_file = next();
-      } else if (arg == "--queue-depth") {
-        opts.queue_depth = static_cast<std::size_t>(ac::parse_int_arg(arg, next(), 1));
       } else if (arg == "--idle-timeout") {
         opts.idle_timeout_ms = ac::parse_int_arg(arg, next(), 0);
       } else if (arg == "--drain-timeout") {
@@ -125,8 +126,8 @@ int main(int argc, char** argv) {
       ac::write_file(port_file, ac::strf("%u\n", static_cast<unsigned>(server.port())));
     }
     if (!quiet) {
-      std::fprintf(stderr, "acd: listening on %s:%u (queue depth %zu)\n", opts.host.c_str(),
-                   static_cast<unsigned>(server.port()), opts.queue_depth);
+      std::fprintf(stderr, "acd: listening on %s:%u\n", opts.host.c_str(),
+                   static_cast<unsigned>(server.port()));
     }
 
     server.run();
