@@ -53,7 +53,6 @@ IncrResult run_incremental(const ir::Module& module, const analysis::MclRegion& 
   cfg.dir = "/tmp";
   cfg.tag = tag;
   cfg.deltas_per_full = 1 << 20;  // one base, then deltas only
-  cfg.async = false;
   cfg.set_codecs(chain);
   const apps::EngineRunResult r = apps::run_with_engine(module, region, protect, cfg);
   IncrResult out;
@@ -94,7 +93,6 @@ ArchiveResult bench_archive(const ir::Module& module, const analysis::MclRegion&
   fs::create_directories(cfg.partner_dir);
   cfg.tag = tag;
   cfg.level = ckpt::EngineLevel::L3;
-  cfg.async = false;
   cfg.deltas_per_full = 3;
   ckpt::CheckpointEngine paths(cfg);
   paths.reset();
@@ -210,7 +208,6 @@ int main(int argc, char** argv) {
     full_cfg.dir = "/tmp";
     full_cfg.tag = app.name + "_bench_full";
     full_cfg.deltas_per_full = 0;
-    full_cfg.async = false;
     const apps::EngineRunResult full = apps::run_with_engine(module, run.region, protect, full_cfg);
 
     // Incremental stream per codec: periodic full base + dirty-cell deltas.

@@ -1,10 +1,11 @@
 // End-to-end Checkpoint/Restart demonstration (paper §VI-B) through the
 // CheckpointEngine: run HPCCG, register the AutoCheck-identified variables
 // with the engine (the paper's Protect()-emission story), checkpoint
-// incrementally with asynchronous multi-level writeback, inject a fail-stop
-// mid-loop, then restart from the recovered image and show that the final
-// output matches the failure-free execution — and that restarting *without*
-// a protected variable diverges.
+// incrementally to a local log and its partner replica (each checkpoint is
+// written before the loop goes on), inject a fail-stop mid-loop, then restart
+// from the recovered image and show that the final output matches the
+// failure-free execution — and that restarting *without* a protected variable
+// diverges.
 //
 // Build & run:  ./example_failure_recovery
 #include <cstdio>
@@ -29,7 +30,6 @@ int main() {
   cfg.tag = "example_hpccg_engine";
   cfg.level = ac::ckpt::EngineLevel::L2;  // local file + partner replica
   cfg.deltas_per_full = 8;                // deltas of dirty cells between full records
-  cfg.async = true;                       // background writeback
 
   const int fail_at = 5;
   const auto v =

@@ -101,7 +101,6 @@ EngineRunResult run_with_engine(const ir::Module& module, const analysis::MclReg
 
   EngineRunResult out;
   out.run = vm::run_module(module, ropts);
-  engine.flush();
   out.stats = engine.stats();
   return out;
 }
@@ -112,7 +111,6 @@ ckpt::EngineConfig validation_config(const std::string& dir, const std::string& 
   cfg.dir = dir;
   cfg.tag = tag;
   cfg.deltas_per_full = 0;
-  cfg.async = false;
   cfg.policy = std::make_shared<ckpt::FixedIntervalPolicy>(interval);
   return cfg;
 }
@@ -129,30 +127,35 @@ ValidationResult validate_cr(const ir::Module& module, const analysis::MclRegion
     out.reference_output = ref.output;
   }
 
-  // Failing run with the engine attached, from empty storage. The engine is
-  // scoped to run_with_engine, so its writer thread is gone before the
-  // restart — the "process" died.
-  ckpt::CheckpointEngine(cfg).reset();
-  const EngineRunResult failed = run_with_engine(module, region, protect, cfg, fail_at);
-  out.stats = failed.stats;
-  if (!failed.run.failed) {
-    throw Error("validate_cr: failure injection did not fire "
-                "(fail_at beyond the loop's iteration count?)");
-  }
+  // The restart "process": an engine that never commits, so it is as fresh
+  // as a new one. It empties the storage before the failing run and removes
+  // the logs on every way out, throws included.
+  ckpt::CheckpointEngine restart(cfg);
+  restart.reset();
+  try {
+    // Failing run with the engine attached. That engine is scoped to
+    // run_with_engine: the "process" died.
+    const EngineRunResult failed = run_with_engine(module, region, protect, cfg, fail_at);
+    out.stats = failed.stats;
+    if (!failed.run.failed) {
+      throw Error("validate_cr: failure injection did not fire "
+                  "(fail_at beyond the loop's iteration count?)");
+    }
 
-  // Restart "process": a fresh engine over the same storage recovers the
-  // latest durable state, which the VM applies right before the main loop.
-  {
-    ckpt::CheckpointEngine engine(cfg);
-    if (!engine.has_checkpoint()) throw Error("validate_cr: no checkpoint was written");
-    const ckpt::CheckpointImage img = engine.recover();
+    // The restart recovers the latest durable state, which the VM applies
+    // right before the main loop.
+    if (!restart.has_checkpoint()) throw Error("validate_cr: no checkpoint was written");
+    const ckpt::CheckpointImage img = restart.recover();
     out.recovered_iteration = img.iteration();
     vm::RunOptions ropts;
     ropts.mcl = region;
     ropts.restore = &img;
-    const vm::RunResult restarted = vm::run_module(module, ropts);
-    out.restart_output = restarted.output;
+    out.restart_output = vm::run_module(module, ropts).output;
+  } catch (...) {
+    restart.reset();
+    throw;
   }
+  restart.reset();
 
   out.restart_matches = out.restart_output == out.reference_output;
   return out;

@@ -69,14 +69,16 @@ FileAnalysisRun analyze_app_via_file(const App& app, const Params& params,
                                      trace::TraceFormat format = trace::TraceFormat::Text);
 
 /// The paper's validation store (FTI level L1): engine files under `dir`
-/// keyed by `tag`, raw codec, a full image at every commit, inline
-/// writeback, committing every `interval` completed iterations (N, 2N, ...).
+/// keyed by `tag`, raw codec, a full image at every commit, committing every
+/// `interval` completed iterations (N, 2N, ...). Like every engine, it writes
+/// each checkpoint before the loop goes on.
 ckpt::EngineConfig validation_config(const std::string& dir, const std::string& tag,
                                      int interval = 1);
 
 /// C/R validation: run with the engine attached, inject a fail-stop at
 /// iteration `fail_at`, restart from engine.recover() in a fresh engine, and
-/// diff final outputs against a failure-free execution.
+/// diff final outputs against a failure-free execution. The engine's logs
+/// are removed at every level before it returns or throws.
 struct ValidationResult {
   bool restart_matches = false;
   std::string reference_output;

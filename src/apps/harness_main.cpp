@@ -5,8 +5,9 @@
 //
 // The C/R path is validate_cr over the CheckpointEngine: report-driven
 // registration, policy-driven cadence (--policy fixed:N commits every N
-// iterations), incremental deltas, multi-level storage and asynchronous
-// writeback. A bad option value exits 2 with an error naming the flag.
+// iterations), incremental deltas and multi-level storage, each checkpoint
+// written before the loop goes on. A bad option value exits 2 with an error
+// naming the flag.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -37,9 +38,8 @@ int usage() {
                "  --dir DIR            checkpoint directory (default /tmp)\n"
                "  --partner-dir DIR    L2 replica directory (default <dir>/partner)\n"
                "  --level 1|2|3        storage level: local/partner/archive (default 1)\n"
-               "  --full-only          no delta records: every commit is full\n"
-               "  --full-every N       N delta records between full records (default 8)\n"
-               "  --sync               synchronous writeback (default: async)\n"
+               "  --full-every N       N delta records between full records (default 8;\n"
+               "                       0 = no deltas, every commit is full)\n"
                "  --ckpt-codec SPEC    payload codec chain: raw | rle | lz | xor+rle | chain\n"
                "                       (= xor+rle+lz); per level: l1=rle,l3=chain\n"
                "  --policy P           fixed:N | young:MTBF_S | daly:MTBF_S (default fixed:1)\n"
@@ -321,12 +321,8 @@ int main(int argc, char** argv) {
         const int level = ac::parse_int_arg(arg, next(), 1);
         if (level > 3) throw ac::Error(ac::strf("--level expects 1, 2 or 3, got '%d'", level));
         cfg.level = static_cast<ac::ckpt::EngineLevel>(level);
-      } else if (arg == "--full-only") {
-        cfg.deltas_per_full = 0;
       } else if (arg == "--full-every") {
-        cfg.deltas_per_full = ac::parse_int_arg(arg, next(), 1);
-      } else if (arg == "--sync") {
-        cfg.async = false;
+        cfg.deltas_per_full = ac::parse_int_arg(arg, next(), 0);
       } else if (arg == "--ckpt-codec") {
         parse_codec_spec(cfg, next());
       } else if (arg == "--policy") {

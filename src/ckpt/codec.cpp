@@ -14,13 +14,10 @@ constexpr std::size_t kCellStride = 9;  // 8 payload planes + 1 kind plane
 }  // namespace
 
 std::string cells_to_bytes(const Cell* cells, std::size_t count) {
-  std::string out(count * kCellStride, '\0');
-  for (std::size_t plane = 0; plane < 8; ++plane) {
-    char* dst = out.data() + plane * count;
-    for (std::size_t i = 0; i < count; ++i) {
-      dst[i] = static_cast<char>((cells[i].payload >> (plane * 8)) & 0xFF);
-    }
-  }
+  std::vector<std::uint64_t> payloads(count);
+  for (std::size_t i = 0; i < count; ++i) payloads[i] = cells[i].payload;
+  std::string out = shuffle_planes(payloads.data(), count, 8);
+  out.resize(count * kCellStride);
   char* kinds = out.data() + 8 * count;
   for (std::size_t i = 0; i < count; ++i) kinds[i] = static_cast<char>(cells[i].kind);
   return out;
@@ -32,17 +29,12 @@ std::vector<Cell> cells_from_bytes(std::string_view bytes) {
                                kCellStride));
   }
   const std::size_t count = bytes.size() / kCellStride;
+  std::vector<std::uint64_t> payloads(count);
+  unshuffle_planes(bytes.substr(0, 8 * count), count, 8, payloads.data());
+  const std::string_view kinds = bytes.substr(8 * count);
   std::vector<Cell> cells(count);
-  for (std::size_t plane = 0; plane < 8; ++plane) {
-    const char* src = bytes.data() + plane * count;
-    for (std::size_t i = 0; i < count; ++i) {
-      cells[i].payload |= static_cast<std::uint64_t>(static_cast<unsigned char>(src[i]))
-                          << (plane * 8);
-    }
-  }
-  const char* kinds = bytes.data() + 8 * count;
   for (std::size_t i = 0; i < count; ++i) {
-    cells[i].kind = static_cast<std::uint8_t>(kinds[i]);
+    cells[i] = Cell{payloads[i], static_cast<std::uint8_t>(kinds[i])};
   }
   return cells;
 }

@@ -27,8 +27,10 @@
 
 namespace ac::ckpt {
 
-/// Serialize a cell span byte-plane-shuffled: payload plane 0 of every cell,
-/// then plane 1, ..., plane 7, then every kind tag. 9 bytes per cell.
+/// Serialize a cell span byte-plane-shuffled: payload plane 0 (the low byte)
+/// of every cell, then plane 1, ..., plane 7, then every kind tag — the
+/// payload column through shuffle_planes (stride 8), the kernel MCTB uses
+/// too. 9 bytes per cell.
 std::string cells_to_bytes(const Cell* cells, std::size_t count);
 
 /// Inverse of cells_to_bytes; throws CheckpointError when the size is not a

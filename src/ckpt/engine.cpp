@@ -342,18 +342,6 @@ CheckpointEngine::CheckpointEngine(EngineConfig cfg)
   if (!cfg_.partner_dir.empty()) std::filesystem::create_directories(cfg_.partner_dir, ec);
   if (cfg_.deltas_per_full < 0) cfg_.deltas_per_full = 0;
   if (!cfg_.policy) cfg_.policy = std::make_shared<FixedIntervalPolicy>(1);
-  if (cfg_.async) writer_ = std::thread([this] { writer_loop(); });
-}
-
-CheckpointEngine::~CheckpointEngine() {
-  if (writer_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    writer_.join();
-  }
 }
 
 std::string CheckpointEngine::log_path(EngineLevel level) const {
@@ -456,7 +444,7 @@ EngineRecord CheckpointEngine::capture(std::int64_t iter, vm::Arena& arena,
   AC_SPAN("ckpt.capture");
   EngineRecord rec;
   rec.iteration = iter;
-  const bool full = !have_base_ || commits_since_full_ >= cfg_.deltas_per_full;
+  const bool full = !base_image_ || commits_since_full_ >= cfg_.deltas_per_full;
   if (full) {
     rec.base_id = ++base_id_;
     rec.seq = 0;
@@ -465,7 +453,6 @@ EngineRecord CheckpointEngine::capture(std::int64_t iter, vm::Arena& arena,
   } else {
     rec.base_id = base_id_;
     rec.seq = next_seq_++;
-    rec.xor_base = base_image_;
     ++commits_since_full_;
   }
   // A full record takes every cell, a delta the cells written since the last
@@ -485,13 +472,8 @@ EngineRecord CheckpointEngine::capture(std::int64_t iter, vm::Arena& arena,
     }
     if (full || !dv.runs.empty()) rec.cells.vars.push_back(std::move(dv));
   }
-  if (full) {
-    // The pristine full image is the XOR reference of the deltas that
-    // follow; shared so the async writer can encode them without racing the
-    // next capture.
-    base_image_ = std::make_shared<const CheckpointImage>(rec.image());
-    have_base_ = true;
-  }
+  // The pristine full image is the XOR reference of the deltas that follow.
+  if (full) base_image_ = rec.image();
 
   // Everything up to the current epoch is captured; cells written from the
   // next epoch on are dirty relative to this snapshot.
@@ -502,113 +484,47 @@ EngineRecord CheckpointEngine::capture(std::int64_t iter, vm::Arena& arena,
 bool CheckpointEngine::on_iteration(std::int64_t completed_iter, vm::Arena& arena,
                                     const std::vector<ProtectedRegion>& regions) {
   if (iter_timer_live_) cfg_.policy->observe_iteration(iter_timer_.seconds());
-  iter_timer_.reset();
   iter_timer_live_ = true;
-
-  if (regions.empty()) return false;
-  if (!cfg_.policy->due(completed_iter, last_commit_iter_)) return false;
-
-  WallTimer cost;
-  EngineRecord rec = capture(completed_iter, arena, regions);
-  last_commit_iter_ = completed_iter;
-
-  // Stats that belong to capture time (the writer owns the byte counters).
-  const std::uint64_t full_equiv = full_raw_frame_bytes(regions);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
+  const bool due = !regions.empty() && cfg_.policy->due(completed_iter, last_commit_iter_);
+  if (due) {
+    WallTimer cost;
+    const EngineRecord rec = capture(completed_iter, arena, regions);
+    last_commit_iter_ = completed_iter;
     ++stats_.checkpoints;
     ++(rec.full() ? stats_.full_checkpoints : stats_.delta_checkpoints);
     stats_.cells_captured += rec.cells.cell_count();
-    stats_.full_equiv_bytes += full_equiv;
-  }
-  {
-    // Registry mirror of the capture-side EngineStats (the struct stays the
+    stats_.full_equiv_bytes += full_raw_frame_bytes(regions);
+    // Registry mirror of EngineStats::checkpoints (the struct stays the
     // programmatic API; the registry feeds --metrics and the acd daemon).
     static auto& ckpts = telemetry::metrics().counter("ckpt.checkpoints");
     ckpts.add(1);
-  }
 
-  commit(std::move(rec));
-  cfg_.policy->observe_checkpoint(cost.seconds());
-  return true;
+    // After a failed commit nothing more is written: the record would extend
+    // a chain the failure broke.
+    flush();
+    try {
+      persist(rec);
+    } catch (...) {
+      failed_ = std::current_exception();
+      throw;
+    }
+    cfg_.policy->observe_checkpoint(cost.seconds());
+  }
+  // Restarted only now, so the next iteration's observed time leaves out this
+  // commit's cost, which the policy observed on its own.
+  iter_timer_.reset();
+  return due;
 }
 
 // ---------------------------------------------------------------------------
 // Writeback
 // ---------------------------------------------------------------------------
 
-void CheckpointEngine::commit(EngineRecord rec) {
-  if (!cfg_.async) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      check_writer_error();
-    }
-    try {
-      persist(rec);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mu_);
-      writer_error_ = std::current_exception();
-      throw;
-    }
-    return;
-  }
-  static auto& depth = telemetry::metrics().gauge("ckpt.queue_depth");
-  static auto& stalls = telemetry::metrics().counter("ckpt.async_stalls");
-  std::unique_lock<std::mutex> lock(mu_);
-  check_writer_error();
-  // Double buffering: one record being written + one queued. A third capture
-  // stalls the VM until the writer frees a slot.
-  if (!queue_.empty()) {
-    ++stats_.async_stalls;
-    stalls.add(1);
-    cv_.wait(lock, [this] { return queue_.empty() || writer_error_; });
-    check_writer_error();
-  }
-  queue_.push_back(std::move(rec));
-  depth.set(static_cast<std::int64_t>(queue_.size()));
-  cv_.notify_all();
-}
-
-void CheckpointEngine::writer_loop() {
-  for (;;) {
-    EngineRecord rec;
-    bool failed = false;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ with nothing pending
-      rec = std::move(queue_.front());
-      queue_.pop_front();
-      static auto& depth = telemetry::metrics().gauge("ckpt.queue_depth");
-      depth.set(static_cast<std::int64_t>(queue_.size()));
-      writing_ = true;
-      failed = writer_error_ != nullptr;
-    }
-    // The slot freed at pop time: wake a stalled producer now, not after the
-    // I/O — that is what makes the buffering double rather than single.
-    cv_.notify_all();
-    // After a failed commit the record is dropped: it would extend a chain
-    // the failure broke, and no commit after a failure may succeed.
-    std::exception_ptr error;
-    if (!failed) {
-      try {
-        persist(rec);
-      } catch (...) {
-        error = std::current_exception();
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      writing_ = false;
-      if (error && !writer_error_) writer_error_ = error;
-    }
-    cv_.notify_all();
-  }
-}
-
 void CheckpointEngine::persist(const EngineRecord& rec) {
   AC_SPAN("ckpt.writeback");
-  const CheckpointImage* xor_base = rec.xor_base.get();
+  // No capture runs before this record is written, so the last full image is
+  // still the one a delta XORs against.
+  const CheckpointImage* xor_base = base_image_ ? &*base_image_ : nullptr;
   EncodedSizes l1_sizes;
   AC_FAULT("ckpt.writeback.encode");
   const std::string l1 = [&] {
@@ -642,17 +558,14 @@ void CheckpointEngine::persist(const EngineRecord& rec) {
     write_log(EngineLevel::L3, l3, /*rotate=*/false);
   }
 
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.l1_bytes += l1.size();
-    if (!full) stats_.l1_delta_bytes += l1.size();
-    stats_.payload_raw_bytes += l1_sizes.raw;
-    stats_.payload_encoded_bytes += l1_sizes.encoded;
-    stats_.l2_bytes += l2_size;
-    stats_.l3_bytes += l3_size;
-    stats_.last_persisted_iteration = std::max(stats_.last_persisted_iteration, rec.iteration);
-  }
-  // Registry mirrors of the writer-side byte counters.
+  stats_.l1_bytes += l1.size();
+  if (!full) stats_.l1_delta_bytes += l1.size();
+  stats_.payload_raw_bytes += l1_sizes.raw;
+  stats_.payload_encoded_bytes += l1_sizes.encoded;
+  stats_.l2_bytes += l2_size;
+  stats_.l3_bytes += l3_size;
+  stats_.last_persisted_iteration = std::max(stats_.last_persisted_iteration, rec.iteration);
+  // Registry mirrors of the byte counters.
   static auto& l1_counter = telemetry::metrics().counter("ckpt.l1_bytes");
   static auto& l1d = telemetry::metrics().counter("ckpt.l1_delta_bytes");
   static auto& raw = telemetry::metrics().counter("ckpt.payload_raw_bytes");
@@ -705,20 +618,8 @@ void CheckpointEngine::write_log(EngineLevel level, const std::string& frame, bo
   if (created) trace::fsync_parent_dir(path);
 }
 
-void CheckpointEngine::drain() const {
-  if (!cfg_.async) return;
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [this] { return (queue_.empty() && !writing_) || writer_error_; });
-}
-
-void CheckpointEngine::check_writer_error() const {
-  if (writer_error_) std::rethrow_exception(writer_error_);
-}
-
-void CheckpointEngine::flush() {
-  drain();
-  std::lock_guard<std::mutex> lock(mu_);
-  check_writer_error();
+void CheckpointEngine::flush() const {
+  if (failed_) std::rethrow_exception(failed_);
 }
 
 // ---------------------------------------------------------------------------
@@ -799,14 +700,12 @@ std::optional<CheckpointImage> longest_chain(const std::vector<Log>& logs, std::
 }  // namespace
 
 bool CheckpointEngine::has_checkpoint() const {
-  drain();
   return file_exists(log_path(EngineLevel::L1)) ||
          (cfg_.level >= EngineLevel::L2 && file_exists(log_path(EngineLevel::L2))) ||
          (cfg_.level >= EngineLevel::L3 && file_exists(log_path(EngineLevel::L3)));
 }
 
 CheckpointImage CheckpointEngine::recover() const {
-  drain();
   std::vector<Log> logs(1);
   try {
     AC_FAULT("ckpt.recover.local");
@@ -836,22 +735,13 @@ void CheckpointEngine::reset() {
     std::remove(path.c_str());
     std::remove((path + ".tmp").c_str());
   }
-
-  std::lock_guard<std::mutex> lock(mu_);
   stats_ = EngineStats{};
-  have_base_ = false;
   base_image_.reset();
   next_seq_ = 1;
   last_commit_iter_ = 0;
   commits_since_full_ = 0;
   iter_timer_live_ = false;
   for (bool& trimmed : log_trimmed_) trimmed = false;
-}
-
-EngineStats CheckpointEngine::stats() const {
-  drain();
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
 }
 
 }  // namespace ac::ckpt

@@ -1,4 +1,4 @@
-// CheckpointEngine: the report-driven incremental, multi-level, asynchronous
+// CheckpointEngine: the report-driven incremental, multi-level
 // checkpoint/restart runtime — the downstream consumer of an AutoCheck
 // analysis (the paper's stated use-case of emitting FTI-style Protect()
 // calls, turned into an actual C/R engine), and the one checkpoint store:
@@ -28,10 +28,10 @@
 //     first entry that is not a whole frame, so a torn tail costs only the
 //     records from it on, and the engine's first append to a log cuts such
 //     a tail off so the records it appends stay reachable;
-//   * asynchronous writeback — capture happens on the VM thread into an
-//     in-memory record, persistence on a background writer thread with a
-//     double-buffered queue (the VM only stalls when both slots are full);
-//     a failed write fails its commit, and nothing is written after it;
+//   * inline writeback, as FTI's L1 and the Young/Daly cost model have it —
+//     the VM thread captures each due record and persists it at every level
+//     before the loop goes on, so a commit that returns is durable; a failed
+//     write fails its commit, and nothing is written after it;
 //   * pluggable payload codecs (codec.hpp) — each storage level encodes its
 //     records through its own codec chain (XOR-vs-base, RLE, LZ, stacked),
 //     with the stage ids in the frame header so every store self-describes;
@@ -39,14 +39,12 @@
 //     decides at each iteration boundary whether to commit.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
+#include <exception>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "ckpt/codec.hpp"
@@ -115,10 +113,6 @@ struct EngineRecord {
   std::uint32_t seq = 0;
   std::int64_t iteration = -1;
   DeltaPatch cells;
-  /// Capture-time snapshot of the full image this delta XORs against. Set by
-  /// the engine so the background writer can encode without racing the next
-  /// capture; never serialized.
-  std::shared_ptr<const CheckpointImage> xor_base;
 
   bool full() const { return seq == 0; }
   /// A full record's image: each variable's runs laid end to end.
@@ -152,9 +146,6 @@ struct EngineConfig {
   /// commit full.
   int deltas_per_full = 8;
 
-  /// Persist on a background writer thread (double-buffered); false = inline.
-  bool async = true;
-
   /// Per-level payload codecs (codec.hpp). Defaults are raw; typical tuning
   /// keeps L1 raw or RLE for commit speed and gives the L3 archive the full
   /// XOR+RLE+LZ chain. Records are self-describing, so levels can
@@ -186,14 +177,12 @@ struct EngineStats {
   std::uint64_t full_equiv_bytes = 0;  // L1 bytes had every commit been a full raw record
   std::uint64_t payload_raw_bytes = 0;      // L1 cell payload before the codec chain
   std::uint64_t payload_encoded_bytes = 0;  // L1 cell payload after the codec chain
-  std::int64_t async_stalls = 0;       // VM blocked on a full writeback queue
   std::int64_t last_persisted_iteration = -1;
 };
 
 class CheckpointEngine {
  public:
   explicit CheckpointEngine(EngineConfig cfg);
-  ~CheckpointEngine();
   CheckpointEngine(const CheckpointEngine&) = delete;
   CheckpointEngine& operator=(const CheckpointEngine&) = delete;
 
@@ -211,16 +200,19 @@ class CheckpointEngine {
 
   // --- runtime (called by the VM at each completed iteration) ------------
   /// Observes the iteration, and when the policy says so captures a full or
-  /// incremental snapshot of `regions` from `arena` and commits it (async or
-  /// inline). Returns true when a snapshot was captured. Advances the
-  /// arena's write epoch on capture.
+  /// incremental snapshot of `regions` from `arena` and persists it at every
+  /// configured level. Returns true once that record is written and
+  /// fdatasynced, false when no checkpoint was due; throws CheckpointError
+  /// when the commit fails. Advances the arena's write epoch on capture. The
+  /// policy observes each iteration's own time and, apart, each commit's
+  /// capture-plus-persist cost.
   bool on_iteration(std::int64_t completed_iter, vm::Arena& arena,
                     const std::vector<ProtectedRegion>& regions);
 
-  /// Drain the writeback queue; rethrows the first failed commit's error.
+  /// Rethrows the first failed commit's error; returns when none failed.
   /// After a failed commit nothing more is written, and every later commit
   /// and flush rethrows it.
-  void flush();
+  void flush() const;
 
   // --- restart ------------------------------------------------------------
   bool has_checkpoint() const;
@@ -245,7 +237,7 @@ class CheckpointEngine {
   /// (the L3 archive).
   std::string log_path(EngineLevel level) const;
 
-  EngineStats stats() const;
+  EngineStats stats() const { return stats_; }
   IntervalPolicy& policy() const { return *cfg_.policy; }
   const EngineConfig& config() const { return cfg_; }
 
@@ -253,42 +245,29 @@ class CheckpointEngine {
   EngineConfig cfg_;
   std::vector<std::string> names_;
 
-  // Capture-side state (VM thread only).
-  bool have_base_ = false;
   std::uint64_t base_id_ = 0;
   std::uint32_t next_seq_ = 1;
   std::int64_t last_commit_iter_ = 0;
   std::uint64_t delta_epoch_ = 0;  // cells stamped >= this are dirty
   int commits_since_full_ = 0;
   /// Pristine copy of the last full image — the XOR reference for deltas.
-  std::shared_ptr<const CheckpointImage> base_image_;
+  std::optional<CheckpointImage> base_image_;
   WallTimer iter_timer_;
   bool iter_timer_live_ = false;
 
-  // Writeback machinery.
-  mutable std::mutex mu_;
-  mutable std::condition_variable cv_;
-  std::deque<EngineRecord> queue_;
-  bool writing_ = false;
-  bool stop_ = false;
-  std::exception_ptr writer_error_;
+  /// The first failed commit; set, it fails every later commit and flush.
+  std::exception_ptr failed_;
   EngineStats stats_;
   /// Per level: this engine rotated the log or cut its torn tail, so an
-  /// append lands right after the last whole frame. Touched by the persisting
-  /// thread, and by reset() once the writer is idle.
+  /// append lands right after the last whole frame.
   bool log_trimmed_[3] = {false, false, false};
-  std::thread writer_;
 
   EngineRecord capture(std::int64_t iter, vm::Arena& arena,
                        const std::vector<ProtectedRegion>& regions);
-  void commit(EngineRecord rec);
   void persist(const EngineRecord& rec);
   /// Write one record's frame to a level's log: `rotate` replaces the log
   /// with a fresh one holding only `frame`, otherwise it is appended.
   void write_log(EngineLevel level, const std::string& frame, bool rotate);
-  void writer_loop();
-  void drain() const;
-  void check_writer_error() const;
 };
 
 /// Append one frame to the log at `path`, creating it if needed: one write

@@ -432,7 +432,6 @@ CaseResult execute_crash_case(const CorpusEntry& e, AppContext& ctx,
   cfg.tag = "fuzz";
   cfg.level = ckpt::EngineLevel::L3;
   cfg.deltas_per_full = 3;
-  cfg.async = false;  // deterministic commit order under injected kills
   cfg.set_codecs(CodecChain::parse(e.codec));
 
   CaseResult out;

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "analysis/session.hpp"
+#include "ckpt/engine.hpp"
 #include "minic/compiler.hpp"
 #include "trace/writer.hpp"
 #include "vm/interp.hpp"
@@ -133,6 +134,22 @@ inline std::vector<std::string> mli_names(const analysis::Report& report) {
   for (const auto& m : report.pre.mli) out.push_back(m.name);
   return out;
 }
+
+/// A fixture whose TearDown removes, at every level, the logs of each engine
+/// config passed to track().
+class EngineLogs : public testing::Test {
+ protected:
+  ckpt::EngineConfig track(const ckpt::EngineConfig& cfg) {
+    tracked_.push_back(cfg);
+    return cfg;
+  }
+  void TearDown() override {
+    for (const ckpt::EngineConfig& cfg : tracked_) ckpt::CheckpointEngine(cfg).reset();
+  }
+
+ private:
+  std::vector<ckpt::EngineConfig> tracked_;
+};
 
 }  // namespace ac::test
 

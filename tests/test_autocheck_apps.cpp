@@ -4,6 +4,7 @@
 // "different inputs" check, §VII), and through the file-based trace path.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 
 #include "apps/harness.hpp"
@@ -47,6 +48,7 @@ TEST_P(AppVerdicts, FileBasedPathAgrees) {
   const App& app = find_app(GetParam());
   const std::string path = testing::TempDir() + "/ac_app_" + app.name + ".trace";
   const FileAnalysisRun file_run = analyze_app_via_file(app, {}, path);
+  std::remove(path.c_str());
   EXPECT_EQ(to_map(file_run.report.verdicts.critical), to_map(app.expected));
   EXPECT_GT(file_run.trace_bytes, 0u);
   EXPECT_GT(file_run.report.timings.preprocessing, 0.0);

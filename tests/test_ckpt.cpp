@@ -14,6 +14,8 @@
 #include "trace/mctb.hpp"
 #include "vm/memory.hpp"
 
+#include "helpers.hpp"
+
 namespace ac::ckpt {
 namespace {
 
@@ -45,7 +47,7 @@ TEST(Image, ByteSizeCountsCellsAndNames) {
 // what the VM hands the engine at an iteration boundary.
 // ---------------------------------------------------------------------------
 
-class EngineStore : public testing::Test {
+class EngineStore : public test::EngineLogs {
  protected:
   vm::Arena arena_;
   std::vector<ProtectedRegion> regions_;
@@ -56,14 +58,17 @@ class EngineStore : public testing::Test {
   }
 
   /// The validation store; L2 replicates into a second directory.
-  static EngineConfig config(const std::string& tag, EngineLevel level = EngineLevel::L1) {
+  EngineConfig config(const std::string& tag, EngineLevel level = EngineLevel::L1) {
     EngineConfig cfg = apps::validation_config(testing::TempDir(), tag);
     cfg.level = level;
     if (level >= EngineLevel::L2) cfg.partner_dir = testing::TempDir() + "/ac_ckpt_partner";
-    return cfg;
+    return track(cfg);
   }
 
-  void TearDown() override { fault::disarm_all(); }
+  void TearDown() override {
+    fault::disarm_all();
+    EngineLogs::TearDown();
+  }
 
   /// Set u = {v, v+1, v+2}; returns the image a commit of iteration `iter`
   /// must recover to.
@@ -114,7 +119,6 @@ TEST_F(EngineStore, L2ReplicatesToPartner) {
   EXPECT_GT(engine.stats().l1_bytes, 0u);
   EXPECT_EQ(engine.stats().l2_bytes, engine.stats().l1_bytes);
   EXPECT_EQ(engine.recover(), img);
-  engine.reset();
 }
 
 TEST_F(EngineStore, L2RecoversFromPartnerWhenLocalLost) {
@@ -125,7 +129,6 @@ TEST_F(EngineStore, L2RecoversFromPartnerWhenLocalLost) {
   std::remove(engine.log_path(EngineLevel::L1).c_str());  // the "node-local storage" is gone
   EXPECT_TRUE(engine.has_checkpoint());
   EXPECT_EQ(engine.recover(), img);
-  engine.reset();
 }
 
 TEST_F(EngineStore, L1HasNoFallback) {
@@ -165,48 +168,81 @@ TEST_F(EngineStore, KillBetweenL1AndL2RotationDoesNotMixRuns) {
 }
 
 TEST_F(EngineStore, FailedSyncFailsTheCommitAndEveryLaterOne) {
-  for (const bool async : {false, true}) {
-    EngineConfig cfg = config(async ? "ac_store_sync_async" : "ac_store_sync_inline");
-    cfg.async = async;
-    auto engine_ptr = std::make_unique<CheckpointEngine>(cfg);
-    CheckpointEngine& engine = *engine_ptr;
-    engine.reset();
-    const CheckpointImage first = commit(engine, 1, 10);
-    engine.flush();
+  const EngineConfig cfg = config("ac_store_sync");
+  CheckpointEngine engine(cfg);
+  engine.reset();
+  const CheckpointImage first = commit(engine, 1, 10);
 
-    // The next write's fdatasync fails once. Inline, that commit throws.
-    // With async writeback the captures succeed, the encode delay lets
-    // iteration 3 queue behind the failing record, and flush() reports the
-    // failure: the queued record must be dropped, not written.
-    fault::arm_from_spec("ckpt.writeback.sync=throw:count=1");
-    if (async) {
-      fault::arm_from_spec("ckpt.writeback.encode=delay:ms=200,count=1");
-      EXPECT_TRUE(engine.on_iteration(2, arena_, regions_));
-      EXPECT_TRUE(engine.on_iteration(3, arena_, regions_));
-      EXPECT_THROW(engine.flush(), CheckpointError);
-    } else {
-      EXPECT_THROW(engine.on_iteration(2, arena_, regions_), CheckpointError);
-      EXPECT_THROW(engine.on_iteration(3, arena_, regions_), CheckpointError);
-    }
-    EXPECT_EQ(fault::trigger_count("ckpt.writeback.sync"), 1u);
-    fault::disarm_all();
+  // The next write's fdatasync fails once: that commit throws, and so does
+  // the next one, which writes nothing.
+  fault::arm_from_spec("ckpt.writeback.sync=throw:count=1");
+  EXPECT_THROW(engine.on_iteration(2, arena_, regions_), CheckpointError);
+  EXPECT_THROW(engine.on_iteration(3, arena_, regions_), CheckpointError);
+  EXPECT_EQ(fault::trigger_count("ckpt.writeback.sync"), 1u);
+  fault::disarm_all();
 
-    // The fault is spent, yet no later commit may report success.
-    EXPECT_THROW(engine.on_iteration(4, arena_, regions_), CheckpointError) << "async=" << async;
-    EXPECT_THROW(engine.flush(), CheckpointError);
-    EXPECT_EQ(engine.stats().last_persisted_iteration, 1) << "async=" << async;
-    // Once the writer has stopped, the logs still end at iteration 1.
-    engine_ptr.reset();
-    EXPECT_EQ(CheckpointEngine(cfg).recover(), first) << "async=" << async;
+  // The fault is spent, yet no later commit may report success.
+  EXPECT_THROW(engine.on_iteration(4, arena_, regions_), CheckpointError);
+  EXPECT_THROW(engine.flush(), CheckpointError);
+  EXPECT_EQ(engine.stats().last_persisted_iteration, 1);
+  // The logs still end at iteration 1.
+  EXPECT_EQ(CheckpointEngine(cfg).recover(), first);
+}
+
+/// on_iteration returns once the record is durable: while the engine is
+/// still alive, and with no flush(), a second engine — a restarted process —
+/// recovers it, however slow the write.
+TEST_F(EngineStore, ARecordIsDurableWhenOnIterationReturns) {
+  EngineConfig defaults;
+  defaults.dir = testing::TempDir();
+  defaults.tag = "ac_store_durable";
+  const EngineConfig cfg = track(defaults);
+  CheckpointEngine engine(cfg);
+  engine.reset();
+  const CheckpointImage want = set_u(1, 7);
+  fault::arm_from_spec("ckpt.writeback.encode=delay:ms=500,count=1");
+  EXPECT_TRUE(engine.on_iteration(1, arena_, regions_));
+  EXPECT_EQ(CheckpointEngine(cfg).recover(), want);
+}
+
+/// Records what the engine observes; a checkpoint is always due.
+class RecordingPolicy final : public IntervalPolicy {
+ public:
+  std::vector<double> iterations;
+  std::vector<double> checkpoints;
+
+  void observe_iteration(double seconds) override { iterations.push_back(seconds); }
+  void observe_checkpoint(double seconds) override { checkpoints.push_back(seconds); }
+  bool due(std::int64_t, std::int64_t) override { return true; }
+  std::int64_t interval_iters() const override { return 1; }
+};
+
+/// Young and Daly model an iteration's time and the checkpoint cost C, the
+/// time the loop is blocked writing, apart: a slow commit is C, and is not
+/// part of the next iteration.
+TEST_F(EngineStore, PolicyObservesCommitCostApartFromIterations) {
+  EngineConfig cfg = config("ac_store_policy");
+  const auto policy = std::make_shared<RecordingPolicy>();
+  cfg.policy = policy;
+  CheckpointEngine engine(cfg);
+  engine.reset();
+  fault::arm_from_spec("ckpt.writeback.encode=delay:ms=40");
+  for (std::int64_t iter = 1; iter <= 3; ++iter) {
+    EXPECT_TRUE(engine.on_iteration(iter, arena_, regions_));
   }
+  ASSERT_EQ(policy->checkpoints.size(), 3u);
+  for (const double cost : policy->checkpoints) EXPECT_GE(cost, 0.040);
+  ASSERT_EQ(policy->iterations.size(), 2u);
+  for (const double iteration : policy->iterations) EXPECT_LT(iteration, 0.020);
 }
 
 TEST_F(EngineStore, DirectorySyncFailureFailsTheWrite) {
   // One throwing directory-sync helper serves the MCTB writer's rename and
   // the engine's log rotation: an injected failure surfaces from both.
   fault::arm_from_spec("fs.sync_dir=throw");
-  EXPECT_THROW(trace::write_mctb_file(trace::TraceBuffer{}, testing::TempDir() + "/ac_sync_dir.mctb"),
-               Error);
+  const std::string mctb = testing::TempDir() + "/ac_sync_dir.mctb";
+  EXPECT_THROW(trace::write_mctb_file(trace::TraceBuffer{}, mctb), Error);
+  std::remove(mctb.c_str());
   CheckpointEngine engine(config("ac_store_sync_dir"));
   engine.reset();
   EXPECT_THROW(engine.on_iteration(1, arena_, regions_), Error);

@@ -74,6 +74,33 @@ TEST(CodecCells, ShuffleRoundTrip) {
   }
 }
 
+/// The byte layout every stored record depends on: payload byte plane 0 (the
+/// low byte) of every cell, then planes 1..7, then the kind tags.
+TEST(CodecCells, LayoutIsPayloadPlanesThenKinds) {
+  const std::vector<Cell> cells = {
+      {0x0123456789ABCDEFull, 3}, {0x1122334455667788ull, 0}, {0xFFull, 7}};
+  const unsigned char want[] = {0xEF, 0x88, 0xFF, 0xCD, 0x77, 0x00, 0xAB, 0x66, 0x00,
+                                0x89, 0x55, 0x00, 0x67, 0x44, 0x00, 0x45, 0x33, 0x00,
+                                0x23, 0x22, 0x00, 0x01, 0x11, 0x00, 0x03, 0x00, 0x07};
+  EXPECT_EQ(cells_to_bytes(cells.data(), cells.size()),
+            std::string(reinterpret_cast<const char*>(want), sizeof(want)));
+  EXPECT_EQ(cells_from_bytes(std::string(reinterpret_cast<const char*>(want), sizeof(want))),
+            cells);
+
+  // Spans long enough for a vectorized transpose keep the same layout.
+  const std::vector<Cell> many = distinct_cells(37);
+  const std::string bytes = cells_to_bytes(many.data(), many.size());
+  ASSERT_EQ(bytes.size(), many.size() * 9);
+  for (std::size_t i = 0; i < many.size(); ++i) {
+    for (std::size_t plane = 0; plane < 8; ++plane) {
+      EXPECT_EQ(static_cast<unsigned char>(bytes[plane * many.size() + i]),
+                (many[i].payload >> (plane * 8)) & 0xFF)
+          << "cell " << i << " plane " << plane;
+    }
+    EXPECT_EQ(static_cast<unsigned char>(bytes[8 * many.size() + i]), many[i].kind) << i;
+  }
+}
+
 TEST(CodecCells, RejectsMisalignedStream) {
   EXPECT_THROW(cells_from_bytes(std::string(10, 'x')), CheckpointError);
   EXPECT_THROW(cells_from_bytes(std::string(8, 'x')), CheckpointError);

@@ -1,7 +1,7 @@
 // CheckpointEngine: interval policies, records as log frames (one CRC over
 // frame header and payload), report-driven registration,
 // arena dirty-cell tracking, and full C/R round-trips through the
-// incremental / multi-level / async paths — including storage degradation
+// incremental / multi-level paths — including storage degradation
 // (a corrupt record in the local log -> its partner replica -> the archive),
 // torn log tails, and the fault-injection recovery matrix: all 14 apps x
 // {L1,L2,L3} x {raw, chain} codecs, killed at a randomized iteration and
@@ -321,12 +321,11 @@ std::string partner_dir() {
   return dir;
 }
 
-TEST(EngineRoundTrip, SyncFullImages) {
+TEST(EngineRoundTrip, FullImages) {
   const App& app = find_app("HPCCG");
   const apps::AnalysisRun run = analyze_app(app);
-  ckpt::EngineConfig cfg = engine_cfg("eng_sync_full");
+  ckpt::EngineConfig cfg = engine_cfg("eng_full");
   cfg.deltas_per_full = 0;
-  cfg.async = false;
   const auto v = apps::validate_cr(run.module, run.region, run.report.critical_names(),
                                    /*fail_at=*/6, cfg);
   EXPECT_TRUE(v.restart_matches);
@@ -339,10 +338,10 @@ TEST(EngineRoundTrip, SyncFullImages) {
   EXPECT_EQ(v.stats.full_equiv_bytes, v.stats.l1_bytes);
 }
 
-TEST(EngineRoundTrip, IncrementalAsync) {
+TEST(EngineRoundTrip, Incremental) {
   const App& app = find_app("MG");
   const apps::AnalysisRun run = analyze_app(app);
-  ckpt::EngineConfig cfg = engine_cfg("eng_incr_async");
+  ckpt::EngineConfig cfg = engine_cfg("eng_incr");
   cfg.deltas_per_full = 2;
   const auto v = apps::validate_cr(run.module, run.region, run.report.critical_names(),
                                    /*fail_at=*/6, cfg);
@@ -389,13 +388,11 @@ TEST(EngineRoundTrip, SparseWritesProduceSmallDeltas) {
   const analysis::MclRegion region = analysis::find_mcl_region(src);
 
   ckpt::EngineConfig cfg = engine_cfg("eng_sparse");
-  cfg.async = false;
   cfg.deltas_per_full = 1 << 20;
-  {
-    ckpt::CheckpointEngine cleaner(cfg);
-    cleaner.reset();
-  }
+  ckpt::CheckpointEngine logs(cfg);
+  logs.reset();
   const auto r = apps::run_with_engine(module, region, {"x", "s", "it"}, cfg);
+  logs.reset();
   EXPECT_EQ(r.run.exit_code, 0);
   EXPECT_GT(r.stats.delta_checkpoints, 0);
   // Full stream would capture 66 cells per commit; sparse deltas carry ~3.
@@ -442,7 +439,6 @@ TEST(EngineLevels, L2FallsBackToPartnerWhenLocalCorrupt) {
   cfg.partner_dir = partner_dir();
   cfg.level = ckpt::EngineLevel::L2;
   cfg.deltas_per_full = 0;
-  cfg.async = false;
 
   std::string reference;
   {
@@ -465,6 +461,7 @@ TEST(EngineLevels, L2FallsBackToPartnerWhenLocalCorrupt) {
   corrupt_frame(restart.log_path(ckpt::EngineLevel::L1), 0);
   ASSERT_TRUE(restart.has_checkpoint());
   const ckpt::CheckpointImage img = restart.recover();
+  restart.reset();
   EXPECT_EQ(img.iteration(), 3);
 
   vm::RunOptions ropts;
@@ -503,6 +500,7 @@ TEST(EngineLevels, L3ArchiveIsTheLastResort) {
   std::remove(restart.log_path(ckpt::EngineLevel::L2).c_str());
   ASSERT_TRUE(restart.has_checkpoint());
   const ckpt::CheckpointImage img = restart.recover();
+  restart.reset();
   EXPECT_EQ(img.iteration(), 5);
 
   vm::RunOptions ropts;
@@ -515,9 +513,10 @@ TEST(EngineLevels, L3ArchiveIsTheLastResort) {
 // recovered iteration as the pristine chain), record by record; corrupted in
 // *both* logs, the L3 archive must supply the full chain instead of the
 // local chain silently rolling back to the pre-corruption prefix.
-class EngineFallback : public testing::Test {
+class EngineFallback : public test::EngineLogs {
  protected:
   void run_failing(const apps::AnalysisRun& run, const ckpt::EngineConfig& cfg, int fail_at) {
+    track(cfg);
     ckpt::CheckpointEngine engine(cfg);
     engine.reset();
     engine.register_report(run.report);
@@ -536,7 +535,6 @@ TEST_F(EngineFallback, CorruptL1DeltaFallsBackToPartnerReplica) {
   ckpt::EngineConfig cfg = engine_cfg("eng_fb_l2");
   cfg.partner_dir = partner_dir();
   cfg.level = ckpt::EngineLevel::L3;
-  cfg.async = false;
   cfg.deltas_per_full = 1 << 20;
   cfg.set_codecs(ac::CodecChain::parse("xor+rle"));
   run_failing(run, cfg, /*fail_at=*/6);
@@ -562,7 +560,6 @@ TEST_F(EngineFallback, DeltaCorruptInBothDirsFallsBackToArchive) {
   ckpt::EngineConfig cfg = engine_cfg("eng_fb_l3");
   cfg.partner_dir = partner_dir();
   cfg.level = ckpt::EngineLevel::L3;
-  cfg.async = false;
   cfg.deltas_per_full = 1 << 20;
   run_failing(run, cfg, /*fail_at=*/6);
 
@@ -589,7 +586,6 @@ TEST_F(EngineFallback, EachRecordFallsBackOnItsOwn) {
   ckpt::EngineConfig cfg = engine_cfg("eng_fb_per_record");
   cfg.partner_dir = partner_dir();
   cfg.level = ckpt::EngineLevel::L2;
-  cfg.async = false;
   cfg.deltas_per_full = 1 << 20;
   run_failing(run, cfg, /*fail_at=*/6);
 
@@ -706,7 +702,6 @@ TEST(EngineLevels, TornDeltaChainRollsBackToLastGoodPrefix) {
   const App& app = find_app("SP");
   const apps::AnalysisRun run = analyze_app(app);
   ckpt::EngineConfig cfg = engine_cfg("eng_torn");
-  cfg.async = false;
   cfg.deltas_per_full = 1 << 20;  // one base + delta chain
   {
     ckpt::CheckpointEngine engine(cfg);
@@ -723,35 +718,39 @@ TEST(EngineLevels, TornDeltaChainRollsBackToLastGoodPrefix) {
   ckpt::CheckpointEngine restart(cfg);
   corrupt_frame(restart.log_path(ckpt::EngineLevel::L1), 3);
   EXPECT_EQ(restart.recover().iteration(), 3);
+  restart.reset();
 }
 
 // ---------------------------------------------------------------------------
 // The L3 archive: walk boundaries and torn tails
 // ---------------------------------------------------------------------------
 
-/// Run an L3 engine to fail_at=6 and delete the L1 and L2 logs afterwards,
-/// so recover() can only take the archive. Returns the archive path.
-std::string archive_only_setup(const apps::AnalysisRun& run, ckpt::EngineConfig& cfg) {
-  cfg.level = ckpt::EngineLevel::L3;
-  cfg.partner_dir = partner_dir();
-  cfg.async = false;
-  cfg.deltas_per_full = 3;
-  {
-    ckpt::CheckpointEngine engine(cfg);
-    engine.reset();
-    engine.register_report(run.report);
-    vm::RunOptions ropts;
-    ropts.mcl = {run.region.function, run.region.begin_line, run.region.end_line};
-    ropts.engine = &engine;
-    ropts.fail_at_iteration = 6;
-    EXPECT_TRUE(vm::run_module(run.module, ropts).failed);
-    engine.flush();
+class EngineArchive : public test::EngineLogs {
+ protected:
+  /// Run an L3 engine to fail_at=6 and delete the L1 and L2 logs afterwards,
+  /// so recover() can only take the archive. Returns the archive path.
+  std::string archive_only_setup(const apps::AnalysisRun& run, ckpt::EngineConfig& cfg) {
+    cfg.level = ckpt::EngineLevel::L3;
+    cfg.partner_dir = partner_dir();
+    cfg.deltas_per_full = 3;
+    track(cfg);
+    {
+      ckpt::CheckpointEngine engine(cfg);
+      engine.reset();
+      engine.register_report(run.report);
+      vm::RunOptions ropts;
+      ropts.mcl = {run.region.function, run.region.begin_line, run.region.end_line};
+      ropts.engine = &engine;
+      ropts.fail_at_iteration = 6;
+      EXPECT_TRUE(vm::run_module(run.module, ropts).failed);
+      engine.flush();
+    }
+    const ckpt::CheckpointEngine engine(cfg);
+    std::remove(engine.log_path(ckpt::EngineLevel::L1).c_str());
+    std::remove(engine.log_path(ckpt::EngineLevel::L2).c_str());
+    return engine.log_path(ckpt::EngineLevel::L3);
   }
-  const ckpt::CheckpointEngine engine(cfg);
-  std::remove(engine.log_path(ckpt::EngineLevel::L1).c_str());
-  std::remove(engine.log_path(ckpt::EngineLevel::L2).c_str());
-  return engine.log_path(ckpt::EngineLevel::L3);
-}
+};
 
 /// A bare [u32 len][u32 crc][bytes] entry — the archive format before MCTA
 /// frames — holding `record`.
@@ -768,7 +767,7 @@ std::string len_crc_entry(const std::string& record) {
 /// Frames followed by a [len][crc] entry: the walk stops at the first entry
 /// that is not a frame, so recovery takes the frame prefix — exactly what a
 /// torn last frame costs.
-TEST(EngineArchive, LenCrcEntryAfterFramesEndsTheWalk) {
+TEST_F(EngineArchive, LenCrcEntryAfterFramesEndsTheWalk) {
   const App& app = find_app("LU");
   const apps::AnalysisRun run = analyze_app(app);
   ckpt::EngineConfig cfg = engine_cfg("eng_arch_lencrc_tail");
@@ -796,7 +795,7 @@ TEST(EngineArchive, LenCrcEntryAfterFramesEndsTheWalk) {
 
 /// An archive of nothing but [len][crc] entries, with no file chain beside
 /// it, holds nothing recoverable.
-TEST(EngineArchive, LenCrcOnlyArchiveDoesNotRecover) {
+TEST_F(EngineArchive, LenCrcOnlyArchiveDoesNotRecover) {
   const App& app = find_app("LU");
   const apps::AnalysisRun run = analyze_app(app);
   ckpt::EngineConfig cfg = engine_cfg("eng_arch_lencrc_only");
@@ -816,7 +815,7 @@ TEST(EngineArchive, LenCrcOnlyArchiveDoesNotRecover) {
 /// Frames of kind 0x10, the earlier record layout's tag, are never decoded as
 /// records, even sealed with a valid CRC: recovery finds nothing, and a
 /// restarted engine cuts them off before its first append.
-TEST(EngineArchive, FramesOfTheOldKindAreNotRecords) {
+TEST_F(EngineArchive, FramesOfTheOldKindAreNotRecords) {
   const App& app = find_app("LU");
   const apps::AnalysisRun run = analyze_app(app);
   ckpt::EngineConfig cfg = engine_cfg("eng_arch_old_kind");
@@ -848,7 +847,7 @@ TEST(EngineArchive, FramesOfTheOldKindAreNotRecords) {
 
 /// A frame torn mid-append (short write, kill) must cost only the tail
 /// record: the walk stops cleanly at the torn frame.
-TEST(EngineArchive, TornFrameTailRollsBackOneRecord) {
+TEST_F(EngineArchive, TornFrameTailRollsBackOneRecord) {
   const App& app = find_app("BT");
   const apps::AnalysisRun run = analyze_app(app);
   ckpt::EngineConfig cfg = engine_cfg("eng_arch_torn");
@@ -873,7 +872,7 @@ TEST(EngineArchive, TornFrameTailRollsBackOneRecord) {
 
 /// The archive's last full record does not decode: recovery starts from the
 /// full record before it and runs that chain to its end.
-TEST(EngineArchive, CorruptLastFullRecordFallsBackToThePreviousOne) {
+TEST_F(EngineArchive, CorruptLastFullRecordFallsBackToThePreviousOne) {
   const App& app = find_app("BT");
   const apps::AnalysisRun run = analyze_app(app);
   ckpt::EngineConfig cfg = engine_cfg("eng_arch_last_full");
@@ -886,7 +885,7 @@ TEST(EngineArchive, CorruptLastFullRecordFallsBackToThePreviousOne) {
 /// A short write tears an archive append and the run dies. A restarted
 /// engine on the same directories, without reset(), appends where every walk
 /// reaches: its first append cuts the torn tail off.
-TEST(EngineArchive, RecordsAppendedAfterATornTailAreReachable) {
+TEST_F(EngineArchive, RecordsAppendedAfterATornTailAreReachable) {
   const App& app = find_app("MG");
   const apps::AnalysisRun run = analyze_app(app);
   const auto protect = run.report.critical_names();
@@ -896,8 +895,8 @@ TEST(EngineArchive, RecordsAppendedAfterATornTailAreReachable) {
     ckpt::EngineConfig cfg = engine_cfg(strf("eng_arch_torn_restart_%d", skip));
     cfg.partner_dir = partner_dir();
     cfg.level = ckpt::EngineLevel::L3;
-    cfg.async = false;
-    cfg.deltas_per_full = 3;
+      cfg.deltas_per_full = 3;
+    track(cfg);
     ckpt::CheckpointEngine restart(cfg);  // names the logs, recovers at the end
     restart.reset();
     fault::arm_from_spec(strf("ckpt.archive.append=short:skip=%d", skip));

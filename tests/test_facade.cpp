@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 
 #include "analysis/session.hpp"
@@ -66,6 +67,7 @@ TEST(Facade, TimingsArePopulatedOnFilePath) {
   const apps::App& app = apps::find_app("FT");
   const std::string path = testing::TempDir() + "/ac_facade_ft.trace";
   const apps::FileAnalysisRun run = apps::analyze_app_via_file(app, {}, path);
+  std::remove(path.c_str());
   EXPECT_GT(run.report.timings.preprocessing, 0.0);
   EXPECT_GT(run.report.timings.total(), run.report.timings.identify);
   EXPECT_GT(run.trace_generation_seconds, 0.0);

@@ -338,6 +338,7 @@ TEST(Sinks, FileSinkWritesParseableTrace) {
   }
   FileSource source(path);
   const TraceBuffer& parsed = source.buffer();
+  std::remove(path.c_str());
   ASSERT_EQ(parsed.size(), 100u);
   EXPECT_EQ(parsed.view(99).dyn_id(), 99u);
 }

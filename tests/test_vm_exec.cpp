@@ -311,7 +311,9 @@ int main() {
     if (fail_at < 0) EXPECT_EQ(engine.stats().checkpoints, 5);
   }
 
-  const ckpt::CheckpointImage img = ckpt::CheckpointEngine(cfg).recover();
+  ckpt::CheckpointEngine restart(cfg);
+  const ckpt::CheckpointImage img = restart.recover();
+  restart.reset();
   EXPECT_EQ(img.iteration(), 2);
   const auto* g2 = img.find("g");
   ASSERT_NE(g2, nullptr);
