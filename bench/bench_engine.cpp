@@ -40,10 +40,21 @@ using namespace ac;
 
 namespace {
 
+/// Removes the logs of every engine config it holds at every level when it
+/// goes out of scope, as validate_cr does, so a run leaves nothing in /tmp
+/// on any way out.
+struct LogCleanup {
+  std::vector<ckpt::EngineConfig> configs;
+  ~LogCleanup() {
+    for (const ckpt::EngineConfig& cfg : configs) ckpt::CheckpointEngine(cfg).reset();
+  }
+};
+
 struct IncrResult {
   std::uint64_t l1_bytes = 0;
   std::uint64_t delta_bytes = 0;
   std::string l1_log;  // one full record, then deltas
+  ckpt::EngineConfig cfg;
 };
 
 IncrResult run_incremental(const ir::Module& module, const analysis::MclRegion& region,
@@ -59,6 +70,7 @@ IncrResult run_incremental(const ir::Module& module, const analysis::MclRegion& 
   out.l1_bytes = r.stats.l1_bytes;
   out.delta_bytes = r.stats.l1_delta_bytes;
   out.l1_log = ckpt::CheckpointEngine(cfg).log_path(ckpt::EngineLevel::L1);
+  out.cfg = cfg;
   return out;
 }
 
@@ -96,6 +108,7 @@ ArchiveResult bench_archive(const ir::Module& module, const analysis::MclRegion&
   cfg.deltas_per_full = 3;
   ckpt::CheckpointEngine paths(cfg);
   paths.reset();
+  const LogCleanup cleanup{{cfg}};
   apps::run_with_engine(module, region, protect, cfg);
 
   ArchiveResult out;
@@ -136,7 +149,6 @@ ArchiveResult bench_archive(const ir::Module& module, const analysis::MclRegion&
     if (ckpt::CheckpointEngine(cfg).recover().iteration() < 0) return out;
   }
   out.recover_mbps = mbps(pack.size() * kReps, recover_timer.seconds());
-  ckpt::CheckpointEngine(cfg).reset();
   return out;
 }
 
@@ -208,6 +220,7 @@ int main(int argc, char** argv) {
     full_cfg.dir = "/tmp";
     full_cfg.tag = app.name + "_bench_full";
     full_cfg.deltas_per_full = 0;
+    LogCleanup cleanup{{full_cfg}};
     const apps::EngineRunResult full = apps::run_with_engine(module, run.region, protect, full_cfg);
 
     // Incremental stream per codec: periodic full base + dirty-cell deltas.
@@ -215,6 +228,7 @@ int main(int argc, char** argv) {
     for (const auto& [name, chain] : codecs) {
       incr.push_back(run_incremental(module, run.region, protect,
                                      app.name + "_bench_incr_" + name, chain));
+      cleanup.configs.push_back(incr.back().cfg);
     }
     const IncrResult& incr_raw = incr[0];
     const IncrResult& incr_xorrle = incr[2];

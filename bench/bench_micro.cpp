@@ -366,9 +366,14 @@ KernelBench bench_kernels() {
   };
 
   std::string shuffled, shuffled_ref;
-  const double shuf = best_of([&] { shuffled = shuffle_planes(plain.data(), kElems, 8); });
-  const double shuf_ref =
-      best_of([&] { shuffled_ref = scalar::shuffle_planes(plain.data(), kElems, 8); });
+  const double shuf = best_of([&] {
+    shuffled.clear();
+    shuffle_planes(plain.data(), kElems, 8, shuffled);
+  });
+  const double shuf_ref = best_of([&] {
+    shuffled_ref.clear();
+    scalar::shuffle_planes(plain.data(), kElems, 8, shuffled_ref);
+  });
   std::string back(plain.size(), '\0');
   const double unshuf = best_of([&] { unshuffle_planes(shuffled, kElems, 8, back.data()); });
   const bool shuffle_ok = shuffled == shuffled_ref && back == plain;

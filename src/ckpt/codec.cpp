@@ -16,10 +16,10 @@ constexpr std::size_t kCellStride = 9;  // 8 payload planes + 1 kind plane
 std::string cells_to_bytes(const Cell* cells, std::size_t count) {
   std::vector<std::uint64_t> payloads(count);
   for (std::size_t i = 0; i < count; ++i) payloads[i] = cells[i].payload;
-  std::string out = shuffle_planes(payloads.data(), count, 8);
-  out.resize(count * kCellStride);
-  char* kinds = out.data() + 8 * count;
-  for (std::size_t i = 0; i < count; ++i) kinds[i] = static_cast<char>(cells[i].kind);
+  std::string out;
+  out.reserve(count * kCellStride);
+  shuffle_planes(payloads.data(), count, 8, out);
+  for (std::size_t i = 0; i < count; ++i) out.push_back(static_cast<char>(cells[i].kind));
   return out;
 }
 

@@ -728,7 +728,7 @@ CheckpointImage CheckpointEngine::recover() const {
 }
 
 void CheckpointEngine::reset() {
-  flush();
+  failed_ = nullptr;  // a fresh experiment starts clear of the old failure
   for (const EngineLevel level : {EngineLevel::L1, EngineLevel::L2, EngineLevel::L3}) {
     const std::string path = log_path(level);
     if (path.empty()) continue;

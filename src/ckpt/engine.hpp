@@ -229,7 +229,9 @@ class CheckpointEngine {
   /// no log holds a decodable full record.
   CheckpointImage recover() const;
 
-  /// Remove this tag's logs at every level (fresh experiment).
+  /// Remove this tag's logs at every level, rotation temp files included
+  /// (fresh experiment). Clears a failed commit's sticky error, so an engine
+  /// whose commit failed can still clean up after itself.
   void reset();
 
   /// The log a level writes: `<dir>/<tag>.eng` (L1), the same name in

@@ -43,6 +43,78 @@ std::uint32_t lz_hash(const unsigned char* p) {
   return (v * 2654435761u) >> (32 - kLzHashBits);
 }
 
+// --- decode output ----------------------------------------------------------
+// The RLE and LZ decoders write through a pointer into `out`, whose size is
+// the room they may write. A token with kSlack bytes of room past its end
+// copies in whole 16-byte steps, spilling into that slack; a token nearer
+// the end copies exactly. Each decode first reserves what its tokens can
+// produce, capped by the caller's limit, so a corrupt limit never allocates
+// ahead of real bytes; within that the room doubles from what the first
+// token needs, by at most kRoomStep bytes a time, so a decode touches little
+// beyond what it writes, and a scratch string reused for same-size decodes
+// stops growing. At the end `out` is cut to the bytes decoded.
+
+constexpr std::size_t kStep = 16;
+constexpr std::size_t kSlack = 144;  // the longest token output (131) in whole steps
+constexpr std::size_t kRoomStep = std::size_t{64} << 10;
+
+/// Grow `out` to hold `need` bytes plus kSlack, within `limit` + kSlack
+/// (need <= limit). Returns the new data pointer.
+char* grow_room(std::string& out, std::size_t need, std::size_t limit) {
+  const std::size_t cap = std::min(limit, SIZE_MAX - kSlack) + kSlack;
+  out.resize(std::min(std::max(out.size() + std::min(out.size(), kRoomStep), need + kSlack), cap));
+  return out.data();
+}
+
+/// Copy `n` bytes in whole steps: up to kStep - 1 bytes past dst + n are
+/// written and past src + n read. With dst - src >= kStep the copy may
+/// overlap its own output, as an LZ match does.
+void copy_steps(char* dst, const char* src, std::size_t n) {
+  std::size_t k = 0;
+  do {
+    std::memcpy(dst + k, src + k, kStep);
+    k += kStep;
+  } while (k < n);
+}
+
+/// Fill `n` bytes with `v` in whole steps, at least three, so up to 47 bytes
+/// past n.
+void fill_steps(char* dst, char v, std::size_t n) {
+  char step[kStep];
+  std::memset(step, v, kStep);
+  std::memcpy(dst, step, kStep);
+  std::memcpy(dst + kStep, step, kStep);
+  std::memcpy(dst + 2 * kStep, step, kStep);
+  for (std::size_t k = 3 * kStep; k < n; k += kStep) std::memcpy(dst + k, step, kStep);
+}
+
+/// Continue the `dist`-byte pattern that ends at `to` for `n` bytes (dist
+/// below a step, so whole-step copies would read bytes not yet written): the
+/// pattern is laid out once across a step, then stored every `period` bytes,
+/// the largest multiple of dist within a step, so each store continues it.
+/// Writes up to kStep - 1 bytes past n.
+void repeat_steps(char* to, std::size_t dist, std::size_t n) {
+  char pattern[kStep];
+  for (std::size_t i = 0; i < kStep; ++i) {
+    pattern[i] = i < dist ? (to - dist)[i] : pattern[i - dist];
+  }
+  const std::size_t period = kStep - kStep % dist;
+  for (std::size_t k = 0; k < n; k += period) std::memcpy(to + k, pattern, kStep);
+}
+
+std::size_t whole_steps(std::size_t n) { return (n + kStep - 1) & ~(kStep - 1); }
+
+/// A literal run of `n` bytes from `in` (`left` bytes of input remain) to
+/// dst + pos, in steps when the input and the room allow it.
+void put_literal(char* dst, std::size_t pos, std::size_t room, const char* in, std::size_t left,
+                 std::size_t n) {
+  if (pos + n + kSlack <= room && whole_steps(n) <= left) {
+    copy_steps(dst + pos, in, n);
+  } else {
+    std::memcpy(dst + pos, in, n);
+  }
+}
+
 class RawCodec final : public Codec {
  public:
   CodecId id() const override { return CodecId::Raw; }
@@ -116,28 +188,37 @@ class RleCodec final : public Codec {
 
   void decode_into(std::string_view payload, std::size_t max_out, std::string_view,
                    std::string& out) const override {
-    out.clear();
-    // One upfront reservation sized by what the tokens can actually produce
-    // (a run token expands to at most kRleMaxRun bytes), capped by the
-    // caller's limit — a corrupt huge `max_out` never allocates ahead of
-    // real decoded bytes.
-    out.reserve(std::min(max_out, payload.size() * (kRleMaxRun / 2) + 16));
-    std::size_t i = 0;
-    while (i < payload.size()) {
-      const unsigned char c = static_cast<unsigned char>(payload[i++]);
+    // A run token expands to at most kRleMaxRun bytes.
+    out.reserve(std::min(max_out, payload.size() * (kRleMaxRun / 2) + 16) + kSlack);
+    const char* in = payload.data();
+    const char* const in_end = in + payload.size();
+    char* dst = out.data();
+    std::size_t pos = 0;
+    while (in != in_end) {
+      const auto c = static_cast<unsigned char>(*in++);
+      const auto left = static_cast<std::size_t>(in_end - in);
       if (c < 0x80) {
         const std::size_t n = static_cast<std::size_t>(c) + 1;
-        if (i + n > payload.size()) throw CodecError("rle: truncated literal run");
-        if (out.size() + n > max_out) throw CodecError("rle: output exceeds limit");
-        out.append(payload.data() + i, n);
-        i += n;
+        if (n > left) throw CodecError("rle: truncated literal run");
+        if (n > max_out - pos) throw CodecError("rle: output exceeds limit");
+        if (pos + n > out.size()) dst = grow_room(out, pos + n, max_out);
+        put_literal(dst, pos, out.size(), in, left, n);
+        in += n;
+        pos += n;
       } else {
-        if (i >= payload.size()) throw CodecError("rle: truncated repeat run");
+        if (left == 0) throw CodecError("rle: truncated repeat run");
         const std::size_t n = static_cast<std::size_t>(c - 0x80) + kRleMinRun;
-        if (out.size() + n > max_out) throw CodecError("rle: output exceeds limit");
-        out.append(n, payload[i++]);
+        if (n > max_out - pos) throw CodecError("rle: output exceeds limit");
+        if (pos + n > out.size()) dst = grow_room(out, pos + n, max_out);
+        if (pos + n + kSlack <= out.size()) {
+          fill_steps(dst + pos, *in++, n);
+        } else {
+          std::memset(dst + pos, *in++, n);
+        }
+        pos += n;
       }
     }
+    out.resize(pos);
   }
 };
 
@@ -200,42 +281,46 @@ class LzCodec final : public Codec {
 
   void decode_into(std::string_view payload, std::size_t max_out, std::string_view,
                    std::string& out) const override {
-    out.clear();
-    // Sized by the tokens' maximum expansion (a 3-byte match token produces
-    // at most kLzMaxMatch bytes), capped by the caller's limit: big decodes
-    // (the MCTB trace columns) proceed memcpy-speed without growth stalls,
-    // while a corrupt huge `max_out` never allocates ahead of real bytes.
-    out.reserve(std::min(max_out, payload.size() * (kLzMaxMatch / 3) + 16));
-    std::size_t i = 0;
-    while (i < payload.size()) {
-      const unsigned char c = static_cast<unsigned char>(payload[i++]);
+    // A 3-byte match token expands to at most kLzMaxMatch bytes.
+    out.reserve(std::min(max_out, payload.size() * (kLzMaxMatch / 3) + 16) + kSlack);
+    const char* in = payload.data();
+    const char* const in_end = in + payload.size();
+    char* dst = out.data();
+    std::size_t pos = 0;
+    while (in != in_end) {
+      const auto c = static_cast<unsigned char>(*in++);
+      const auto left = static_cast<std::size_t>(in_end - in);
       if (c < 0x80) {
-        const std::size_t len = static_cast<std::size_t>(c) + 1;
-        if (i + len > payload.size()) throw CodecError("lz: truncated literal run");
-        if (out.size() + len > max_out) throw CodecError("lz: output exceeds limit");
-        out.append(payload.data() + i, len);
-        i += len;
+        const std::size_t n = static_cast<std::size_t>(c) + 1;
+        if (n > left) throw CodecError("lz: truncated literal run");
+        if (n > max_out - pos) throw CodecError("lz: output exceeds limit");
+        if (pos + n > out.size()) dst = grow_room(out, pos + n, max_out);
+        put_literal(dst, pos, out.size(), in, left, n);
+        in += n;
+        pos += n;
       } else {
-        if (i + 2 > payload.size()) throw CodecError("lz: truncated match token");
-        const std::size_t len = static_cast<std::size_t>(c - 0x80) + kLzMinMatch;
-        const std::size_t dist = static_cast<unsigned char>(payload[i]) |
-                                 (static_cast<std::size_t>(static_cast<unsigned char>(payload[i + 1])) << 8);
-        i += 2;
-        if (dist == 0 || dist > out.size()) throw CodecError("lz: match distance out of window");
-        if (out.size() + len > max_out) throw CodecError("lz: output exceeds limit");
-        const std::size_t old = out.size();
-        if (dist >= len) {
-          // Non-overlapping match: one bulk copy. resize first so a
-          // reallocation cannot invalidate the source half-way through.
-          out.resize(old + len);
-          std::memcpy(out.data() + old, out.data() + (old - dist), len);
+        if (left < 2) throw CodecError("lz: truncated match token");
+        const std::size_t n = static_cast<std::size_t>(c - 0x80) + kLzMinMatch;
+        const std::size_t dist = static_cast<unsigned char>(in[0]) |
+                                 (static_cast<std::size_t>(static_cast<unsigned char>(in[1])) << 8);
+        in += 2;
+        if (dist == 0 || dist > pos) throw CodecError("lz: match distance out of window");
+        if (n > max_out - pos) throw CodecError("lz: output exceeds limit");
+        if (pos + n > out.size()) dst = grow_room(out, pos + n, max_out);
+        char* to = dst + pos;
+        const char* from = to - dist;
+        if (pos + n + kSlack <= out.size()) {
+          dist >= kStep ? copy_steps(to, from, n) : repeat_steps(to, dist, n);
+        } else if (dist >= n) {
+          std::memcpy(to, from, n);
         } else {
-          // Overlapping match (dist < len): the output feeds itself.
-          std::size_t src = old - dist;
-          for (std::size_t k = 0; k < len; ++k) out.push_back(out[src + k]);
+          // A match closer than a step feeds itself byte by byte.
+          for (std::size_t k = 0; k < n; ++k) to[k] = from[k];
         }
+        pos += n;
       }
     }
+    out.resize(pos);
   }
 };
 
@@ -374,32 +459,52 @@ void CodecChain::decode_into(std::string_view payload, std::size_t expect_raw_si
 
 // --- SIMD kernel dispatch ---------------------------------------------------
 
-namespace scalar {
+namespace {
 
-std::string shuffle_planes(const void* data, std::size_t count, std::size_t stride) {
-  const auto* in = static_cast<const unsigned char*>(data);
-  std::string out(count * stride, '\0');
+/// The scalar transposes, with plane k of the shuffled side at k * pitch.
+void shuffle_scalar(const unsigned char* in, std::size_t count, std::size_t stride,
+                    unsigned char* out) {
   for (std::size_t plane = 0; plane < stride; ++plane) {
-    char* dst = out.data() + plane * count;
-    for (std::size_t i = 0; i < count; ++i) {
-      dst[i] = static_cast<char>(in[i * stride + plane]);
-    }
+    unsigned char* dst = out + plane * count;
+    for (std::size_t i = 0; i < count; ++i) dst[i] = in[i * stride + plane];
   }
-  return out;
 }
 
-void unshuffle_planes(std::string_view bytes, std::size_t count, std::size_t stride, void* out) {
+void unshuffle_scalar(const unsigned char* in, std::size_t pitch, std::size_t count,
+                      std::size_t stride, unsigned char* out) {
+  for (std::size_t plane = 0; plane < stride; ++plane) {
+    const unsigned char* src = in + plane * pitch;
+    for (std::size_t i = 0; i < count; ++i) out[i * stride + plane] = src[i];
+  }
+}
+
+/// Grow `out` by `n` bytes and return where they start.
+unsigned char* append_room(std::string& out, std::size_t n) {
+  const std::size_t old = out.size();
+  out.resize(old + n);
+  return reinterpret_cast<unsigned char*>(out.data() + old);
+}
+
+void check_shuffled_size(std::string_view bytes, std::size_t count, std::size_t stride) {
   if (bytes.size() != count * stride) {
     throw CodecError(strf("shuffled stream of %zu bytes, expected %zu x %zu", bytes.size(),
                           count, stride));
   }
-  auto* dst = static_cast<unsigned char*>(out);
-  for (std::size_t plane = 0; plane < stride; ++plane) {
-    const char* src = bytes.data() + plane * count;
-    for (std::size_t i = 0; i < count; ++i) {
-      dst[i * stride + plane] = static_cast<unsigned char>(src[i]);
-    }
-  }
+}
+
+}  // namespace
+
+namespace scalar {
+
+void shuffle_planes(const void* data, std::size_t count, std::size_t stride, std::string& out) {
+  shuffle_scalar(static_cast<const unsigned char*>(data), count, stride,
+                 append_room(out, count * stride));
+}
+
+void unshuffle_planes(std::string_view bytes, std::size_t count, std::size_t stride, void* out) {
+  check_shuffled_size(bytes, count, stride);
+  unshuffle_scalar(reinterpret_cast<const unsigned char*>(bytes.data()), count, count, stride,
+                   static_cast<unsigned char*>(out));
 }
 
 std::size_t rle_find_run(const unsigned char* p, std::size_t n) {
@@ -503,14 +608,16 @@ __attribute__((target("ssse3"))) void shuffle8_sse(const unsigned char* in, std:
 }
 
 // SoA -> AoS, 4-byte elements: two unpack levels (8-bit then 16-bit)
-// re-interleave four plane registers back into element order.
-void unshuffle4_sse(const unsigned char* in, std::size_t count, unsigned char* out) {
+// re-interleave four plane registers, `pitch` bytes apart, back into element
+// order.
+void unshuffle4_sse(const unsigned char* in, std::size_t pitch, std::size_t count,
+                    unsigned char* out) {
   std::size_t i = 0;
   for (; i + 16 <= count; i += 16) {
-    const __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + 0 * count + i));
-    const __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + 1 * count + i));
-    const __m128i c = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + 2 * count + i));
-    const __m128i d = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + 3 * count + i));
+    const __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + 0 * pitch + i));
+    const __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + 1 * pitch + i));
+    const __m128i c = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + 2 * pitch + i));
+    const __m128i d = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + 3 * pitch + i));
     const __m128i t0 = _mm_unpacklo_epi8(a, b);
     const __m128i t1 = _mm_unpackhi_epi8(a, b);
     const __m128i t2 = _mm_unpacklo_epi8(c, d);
@@ -522,19 +629,20 @@ void unshuffle4_sse(const unsigned char* in, std::size_t count, unsigned char* o
     _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 48), _mm_unpackhi_epi16(t1, t3));
   }
   for (; i < count; ++i) {
-    for (std::size_t k = 0; k < 4; ++k) out[i * 4 + k] = in[k * count + i];
+    for (std::size_t k = 0; k < 4; ++k) out[i * 4 + k] = in[k * pitch + i];
   }
 }
 
 // SoA -> AoS, 8-byte elements: three unpack levels (8/16/32-bit) rebuild 16
 // elements from eight plane registers.
-void unshuffle8_sse(const unsigned char* in, std::size_t count, unsigned char* out) {
+void unshuffle8_sse(const unsigned char* in, std::size_t pitch, std::size_t count,
+                    unsigned char* out) {
   std::size_t i = 0;
   for (; i + 16 <= count; i += 16) {
     __m128i v[8];
     for (int k = 0; k < 8; ++k) {
       v[k] = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(in + static_cast<std::size_t>(k) * count + i));
+          reinterpret_cast<const __m128i*>(in + static_cast<std::size_t>(k) * pitch + i));
     }
     const __m128i t0 = _mm_unpacklo_epi8(v[0], v[1]);
     const __m128i t1 = _mm_unpackhi_epi8(v[0], v[1]);
@@ -563,7 +671,7 @@ void unshuffle8_sse(const unsigned char* in, std::size_t count, unsigned char* o
     _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 112), _mm_unpackhi_epi32(s3, s7));
   }
   for (; i < count; ++i) {
-    for (std::size_t k = 0; k < 8; ++k) out[i * 8 + k] = in[k * count + i];
+    for (std::size_t k = 0; k < 8; ++k) out[i * 8 + k] = in[k * pitch + i];
   }
 }
 
@@ -642,33 +750,34 @@ SimdLevel force_simd_level(SimdLevel level) {
   return simd_level_slot().exchange(level, std::memory_order_relaxed);
 }
 
-std::string shuffle_planes(const void* data, std::size_t count, std::size_t stride) {
+void shuffle_planes(const void* data, std::size_t count, std::size_t stride, std::string& out) {
+  const auto* in = static_cast<const unsigned char*>(data);
+  unsigned char* dst = append_room(out, count * stride);
 #ifdef AC_SIMD_X86
   if (active_simd_level() != SimdLevel::Scalar && (stride == 4 || stride == 8) && count >= 16) {
-    const auto* in = static_cast<const unsigned char*>(data);
-    std::string out(count * stride, '\0');
-    auto* dst = reinterpret_cast<unsigned char*>(out.data());
     stride == 4 ? shuffle4_sse(in, count, dst) : shuffle8_sse(in, count, dst);
-    return out;
-  }
-#endif
-  return scalar::shuffle_planes(data, count, stride);
-}
-
-void unshuffle_planes(std::string_view bytes, std::size_t count, std::size_t stride, void* out) {
-  if (bytes.size() != count * stride) {
-    throw CodecError(strf("shuffled stream of %zu bytes, expected %zu x %zu", bytes.size(),
-                          count, stride));
-  }
-#ifdef AC_SIMD_X86
-  if (active_simd_level() != SimdLevel::Scalar && (stride == 4 || stride == 8) && count >= 16) {
-    const auto* in = reinterpret_cast<const unsigned char*>(bytes.data());
-    auto* dst = static_cast<unsigned char*>(out);
-    stride == 4 ? unshuffle4_sse(in, count, dst) : unshuffle8_sse(in, count, dst);
     return;
   }
 #endif
-  scalar::unshuffle_planes(bytes, count, stride, out);
+  shuffle_scalar(in, count, stride, dst);
+}
+
+void unshuffle_block(const char* planes, std::size_t pitch, std::size_t first, std::size_t count,
+                     std::size_t stride, void* out) {
+  const auto* in = reinterpret_cast<const unsigned char*>(planes) + first;
+  auto* dst = static_cast<unsigned char*>(out);
+#ifdef AC_SIMD_X86
+  if (active_simd_level() != SimdLevel::Scalar && (stride == 4 || stride == 8) && count >= 16) {
+    stride == 4 ? unshuffle4_sse(in, pitch, count, dst) : unshuffle8_sse(in, pitch, count, dst);
+    return;
+  }
+#endif
+  unshuffle_scalar(in, pitch, count, stride, dst);
+}
+
+void unshuffle_planes(std::string_view bytes, std::size_t count, std::size_t stride, void* out) {
+  check_shuffled_size(bytes, count, stride);
+  unshuffle_block(bytes.data(), count, 0, count, stride, out);
 }
 
 void zigzag_delta_encode(std::uint64_t* values, std::size_t n, std::uint64_t prev) {

@@ -149,15 +149,23 @@ SimdLevel force_simd_level(SimdLevel level);
 // --- fixed-stride helpers shared by the container formats -------------------
 
 /// Byte-plane shuffle of `count` elements of `stride` bytes each (the
-/// Blosc/HDF5 shuffle filter): all bytes 0, then all bytes 1, ... — after
-/// delta/XOR prediction the high planes are almost entirely zero, handing RLE
-/// kilobyte-long runs instead of isolated zero pairs. Strides 4 and 8 (the
-/// container column widths) take the SIMD transpose path.
-std::string shuffle_planes(const void* data, std::size_t count, std::size_t stride);
+/// Blosc/HDF5 shuffle filter), appended to `out`: all bytes 0, then all
+/// bytes 1, ... — after delta/XOR prediction the high planes are almost
+/// entirely zero, handing RLE kilobyte-long runs instead of isolated zero
+/// pairs. Strides 4 and 8 (the container column widths) take the SIMD
+/// transpose path.
+void shuffle_planes(const void* data, std::size_t count, std::size_t stride, std::string& out);
 
 /// Inverse of shuffle_planes into `out` (count * stride bytes). Throws
 /// CodecError when `bytes` is not exactly count * stride long.
 void unshuffle_planes(std::string_view bytes, std::size_t count, std::size_t stride, void* out);
+
+/// Elements [first, first + count) of the shuffled column `planes`, whose
+/// planes are each `pitch` bytes long (pitch >= first + count), into `out`
+/// (count * stride bytes): a block of a column too long to unshuffle into
+/// cache at once.
+void unshuffle_block(const char* planes, std::size_t pitch, std::size_t first, std::size_t count,
+                     std::size_t stride, void* out);
 
 /// In-place delta + zigzag fold over a u64 column: values[i] becomes
 /// zigzag_encode(values[i] - values[i-1]) with values[0] delta'd against
@@ -178,7 +186,7 @@ std::size_t rle_run_length(const unsigned char* p, std::size_t n);
 /// Scalar reference implementations of the dispatched kernels above, exported
 /// for equivalence tests and as the bench baseline. Semantics are identical.
 namespace scalar {
-std::string shuffle_planes(const void* data, std::size_t count, std::size_t stride);
+void shuffle_planes(const void* data, std::size_t count, std::size_t stride, std::string& out);
 void unshuffle_planes(std::string_view bytes, std::size_t count, std::size_t stride, void* out);
 std::size_t rle_find_run(const unsigned char* p, std::size_t n);
 std::size_t rle_run_length(const unsigned char* p, std::size_t n);

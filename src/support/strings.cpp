@@ -1,7 +1,9 @@
 #include "support/strings.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -96,26 +98,47 @@ namespace {
 std::uint64_t parse_digits(std::string_view digits, unsigned base, std::uint64_t max,
                            const char* fn, std::string_view field) {
   if (digits.empty()) throw Error(strf("%s: empty field", fn));
-  std::uint64_t v = 0;
-  for (const char c : digits) {
-    unsigned d;
-    if (c >= '0' && c <= '9') {
-      d = static_cast<unsigned>(c - '0');
-    } else if (base == 16 && c >= 'a' && c <= 'f') {
-      d = static_cast<unsigned>(c - 'a' + 10);
-    } else if (base == 16 && c >= 'A' && c <= 'F') {
-      d = static_cast<unsigned>(c - 'A' + 10);
-    } else {
-      throw Error(strf("%s: bad %s '%.*s'", fn, base == 16 ? "hex" : "integer",
-                       static_cast<int>(field.size()), field.data()));
-    }
-    if (v > (max - d) / base) {
-      throw Error(strf("%s: '%.*s' out of range", fn, static_cast<int>(field.size()),
-                       field.data()));
-    }
-    v = v * base + d;
+  const char* const end = digits.data() + digits.size();
+  const DigitScan d = scan_digits(digits.data(), end, base, max);
+  if (d.overflow) {
+    throw Error(strf("%s: '%.*s' out of range", fn, static_cast<int>(field.size()),
+                     field.data()));
   }
-  return v;
+  if (d.ptr != end) {
+    throw Error(strf("%s: bad %s '%.*s'", fn, base == 16 ? "hex" : "integer",
+                     static_cast<int>(field.size()), field.data()));
+  }
+  return d.value;
+}
+
+/// For a significand at [p, end) (no sign, no 0x) that from_chars found out
+/// of range: true when its value lies above DBL_MAX, false when below the
+/// smallest subnormal. Such a value is hundreds of orders of magnitude from
+/// 1, so the place of its leading nonzero digit plus its exponent decides.
+bool above_double_range(const char* p, const char* end, bool hex) {
+  const unsigned base = hex ? 16 : 10;
+  constexpr long long kCap = 1ll << 40;  // keeps the sums from overflowing
+  long long place = -1;  // of the leading nonzero digit: 0 for units, -1 for tenths
+  bool point = false, nonzero = false;
+  for (; p != end; ++p) {
+    if (*p == '.' && !point) {
+      point = true;
+      continue;
+    }
+    if (kDigitValue[static_cast<unsigned char>(*p)] >= base) break;
+    nonzero = nonzero || *p != '0';
+    if (!point && nonzero) place = std::min(place + 1, kCap);
+    if (point && !nonzero) place = std::max(place - 1, -kCap);
+  }
+  long long exp = 0;
+  if (p != end && (*p | 0x20) == (hex ? 'p' : 'e')) {
+    ++p;
+    const bool neg = p != end && *p == '-';
+    if (p != end && (*p == '-' || *p == '+')) ++p;
+    for (; p != end && *p >= '0' && *p <= '9'; ++p) exp = std::min(exp * 10 + (*p - '0'), kCap);
+    if (neg) exp = -exp;
+  }
+  return (hex ? 4 * place : place) + exp >= 0;
 }
 
 }  // namespace
@@ -138,22 +161,28 @@ std::uint64_t parse_u64(std::string_view s) {
 double parse_f64(std::string_view s) {
   s = trim(s);
   if (s.empty()) throw Error("parse_f64: empty field");
-  // strtod wants a terminated string; fields too long for the stack copy
-  // (huge %.6f values) take a heap one.
-  char stack[64];
-  std::string heap;
-  char* buf = stack;
-  if (s.size() >= sizeof stack) {
-    heap.assign(s);
-    buf = heap.data();
-  } else {
-    std::memcpy(stack, s.data(), s.size());
-    stack[s.size()] = '\0';
+  const char* p = s.data();
+  const char* const end = p + s.size();
+  const bool neg = *p == '-';
+  if (*p == '-' || *p == '+') ++p;
+  const bool hex = end - p > 1 && p[0] == '0' && (p[1] | 0x20) == 'x';
+  if (hex) p += 2;
+  double v = 0;
+  // from_chars takes a '-' of its own, so a second sign must fail here.
+  const auto [ptr, ec] =
+      p == end || *p == '-' || *p == '+'
+          ? std::from_chars_result{p, std::errc::invalid_argument}
+          : std::from_chars(p, end, v, hex ? std::chars_format::hex : std::chars_format::general);
+  // strtod keeps a nan(chars) payload in the bits; from_chars drops it.
+  const bool nan_payload =
+      ec == std::errc{} && std::isnan(v) && s.back() == ')' && s[s.size() - 2] != '(';
+  if (ptr != end || nan_payload || (ec != std::errc{} && ec != std::errc::result_out_of_range)) {
+    throw Error("parse_f64: bad float '" + std::string(s) + "'");
   }
-  char* end = nullptr;
-  const double v = std::strtod(buf, &end);
-  if (end != buf + s.size()) throw Error("parse_f64: bad float '" + std::string(s) + "'");
-  return v;
+  if (ec == std::errc::result_out_of_range) {
+    v = above_double_range(p, end, hex) ? std::numeric_limits<double>::infinity() : 0.0;
+  }
+  return neg ? -v : v;
 }
 
 std::uint64_t parse_hex(std::string_view s) {

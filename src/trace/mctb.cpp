@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -136,15 +137,15 @@ std::size_t predictor_slot(std::uint32_t name, std::size_t nsyms) {
 std::string encode_symbols(const SymbolPool& pool, std::uint64_t& arena_bytes) {
   const std::size_t n = pool.size();
   std::vector<std::uint32_t> lens(n);
-  std::string bytes;
+  arena_bytes = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::string_view s = pool.view(static_cast<std::uint32_t>(i));
-    lens[i] = static_cast<std::uint32_t>(s.size());
-    bytes.append(s);
+    lens[i] = static_cast<std::uint32_t>(pool.view(static_cast<std::uint32_t>(i)).size());
+    arena_bytes += lens[i];
   }
-  arena_bytes = bytes.size();
-  std::string raw = shuffle_planes(lens.data(), n, 4);
-  raw += bytes;
+  std::string raw;
+  raw.reserve(n * 4 + arena_bytes);
+  shuffle_planes(lens.data(), n, 4, raw);
+  for (std::size_t i = 0; i < n; ++i) raw.append(pool.view(static_cast<std::uint32_t>(i)));
   return raw;
 }
 
@@ -161,11 +162,13 @@ std::string encode_record_chunk(const PackedRecord* recs, std::size_t n) {
     opcode[i] = static_cast<char>(recs[i].opcode);
   }
   zigzag_delta_encode(dyn.data(), n);  // dyn[i] becomes the zigzag-folded delta
-  std::string raw = shuffle_planes(dyn.data(), n, 8);
-  raw += shuffle_planes(func.data(), n, 4);
-  raw += shuffle_planes(bb.data(), n, 4);
-  raw += shuffle_planes(opcnt.data(), n, 4);
-  raw += shuffle_planes(line.data(), n, 4);
+  std::string raw;
+  raw.reserve(n * kRecordStride);
+  shuffle_planes(dyn.data(), n, 8, raw);
+  shuffle_planes(func.data(), n, 4, raw);
+  shuffle_planes(bb.data(), n, 4, raw);
+  shuffle_planes(opcnt.data(), n, 4, raw);
+  shuffle_planes(line.data(), n, 4, raw);
   raw += opcode;
   return raw;
 }
@@ -188,10 +191,12 @@ std::string encode_operand_chunk(const PackedOperand* ops, std::size_t n, std::s
     bits[i] = static_cast<std::uint32_t>(ops[i].bits);
     flags[i] = static_cast<char>(ops[i].flags);
   }
-  std::string raw = shuffle_planes(value.data(), n, 8);
-  raw += shuffle_planes(name.data(), n, 4);
-  raw += shuffle_planes(index.data(), n, 4);
-  raw += shuffle_planes(bits.data(), n, 4);
+  std::string raw;
+  raw.reserve(n * kOperandStride);
+  shuffle_planes(value.data(), n, 8, raw);
+  shuffle_planes(name.data(), n, 4, raw);
+  shuffle_planes(index.data(), n, 4, raw);
+  shuffle_planes(bits.data(), n, 4, raw);
   raw += flags;
   return raw;
 }
@@ -201,39 +206,40 @@ std::string encode_operand_chunk(const PackedOperand* ops, std::size_t n, std::s
 /// Per-worker decode scratch: every heap buffer a chunk decode touches. One
 /// instance lives per worker and is reused across all the chunks that worker
 /// claims, so a million-chunk decode performs a handful of warm-up
-/// allocations instead of ~10 per chunk.
+/// allocations instead of a few per chunk.
 struct DecodeScratch {
   std::string rec_raw, op_raw, chain;
-  std::vector<std::uint64_t> u64col;
-  std::vector<std::uint32_t> col_a, col_b, col_c, col_d;
   std::vector<std::uint64_t> last;  // operand value predictor slots
 };
 
-/// Unshuffle one fixed-stride column out of `raw` into `out`, advancing `off`.
-template <typename T>
-void take_column(std::string_view raw, std::size_t& off, std::size_t n, std::vector<T>& out) {
-  out.resize(n);
-  unshuffle_planes(raw.substr(off, n * sizeof(T)), n, sizeof(T), out.data());
-  off += n * sizeof(T);
+/// Columns are unshuffled this many elements at a time, into stack blocks
+/// that stay in L1 while the records are assembled from them.
+constexpr std::size_t kDecodeBlock = 512;
+
+/// Put `n` decoded elements at index `at` of `array`: appended when the
+/// array ends there (one thread decoding the chunks in order into reserved
+/// arrays, so each element is written once), else copied into their slots
+/// of an array sized up front for parallel workers.
+template <class T>
+void emit_block(std::vector<T>& array, std::size_t at, const T* block, std::size_t n) {
+  if (array.size() == at) {
+    array.insert(array.end(), block, block + n);
+  } else {
+    std::copy(block, block + n, array.begin() + static_cast<std::ptrdiff_t>(at));
+  }
 }
 
 void decode_record_chunk(std::string_view raw, const SectionHeader& sec,
                          std::uint64_t record_base, std::uint64_t operand_base,
-                         std::uint64_t chunk_operands, TraceBuffer& buf, DecodeScratch& ds) {
+                         std::uint64_t chunk_operands, TraceBuffer& buf) {
   const std::size_t n = static_cast<std::size_t>(sec.count);
-  std::size_t off = 0;
-  take_column<std::uint64_t>(raw, off, n, ds.u64col);
-  take_column<std::uint32_t>(raw, off, n, ds.col_a);
-  take_column<std::uint32_t>(raw, off, n, ds.col_b);
-  take_column<std::uint32_t>(raw, off, n, ds.col_c);
-  take_column<std::uint32_t>(raw, off, n, ds.col_d);
-  std::vector<std::uint64_t>& dyn = ds.u64col;
-  zigzag_delta_decode(dyn.data(), n);  // dyn[i] becomes the absolute dyn_id
-  const std::vector<std::uint32_t>& func = ds.col_a;
-  const std::vector<std::uint32_t>& bb = ds.col_b;
-  const std::vector<std::uint32_t>& opcnt = ds.col_c;
-  const std::vector<std::uint32_t>& line = ds.col_d;
-  const std::string_view opcode = raw.substr(off, n);
+  // Column starts: dyn_id (8 bytes), func, bb, op_count, line (4 each), opcode.
+  const char* const dyn_col = raw.data();
+  const char* const func_col = dyn_col + 8 * n;
+  const char* const bb_col = func_col + 4 * n;
+  const char* const opcnt_col = bb_col + 4 * n;
+  const char* const line_col = opcnt_col + 4 * n;
+  const char* const opcode_col = line_col + 4 * n;
 
   const std::uint32_t nsyms = static_cast<std::uint32_t>(buf.pool().size());
   const auto check_sym = [&](std::uint32_t id, const char* what) {
@@ -243,29 +249,43 @@ void decode_record_chunk(std::string_view raw, const SectionHeader& sec,
     }
   };
 
-  PackedRecord* out = buf.records().data() + record_base;
-  std::uint64_t opsum = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    PackedRecord& rec = out[i];
-    rec.dyn_id = dyn[i];
-    check_sym(func[i], "function");
-    check_sym(bb[i], "basic-block");
-    rec.func = func[i];
-    rec.bb = bb[i];
-    const int opnum = static_cast<int>(static_cast<unsigned char>(opcode[i]));
-    if (!is_known_opcode(opnum)) {
-      throw TraceFormatError(strf("MCTB record chunk %u: unknown opcode %d", sec.chunk, opnum));
+  std::uint64_t opsum = 0, dyn_prev = 0;
+  PackedRecord block[kDecodeBlock];
+  std::uint64_t dyn[kDecodeBlock];
+  std::uint32_t func[kDecodeBlock], bb[kDecodeBlock], opcnt[kDecodeBlock], line[kDecodeBlock];
+  for (std::size_t first = 0; first < n; first += kDecodeBlock) {
+    const std::size_t m = std::min(kDecodeBlock, n - first);
+    unshuffle_block(dyn_col, n, first, m, 8, dyn);
+    unshuffle_block(func_col, n, first, m, 4, func);
+    unshuffle_block(bb_col, n, first, m, 4, bb);
+    unshuffle_block(opcnt_col, n, first, m, 4, opcnt);
+    unshuffle_block(line_col, n, first, m, 4, line);
+    zigzag_delta_decode(dyn, m, dyn_prev);  // dyn[i] becomes the absolute dyn_id
+    dyn_prev = dyn[m - 1];
+    for (std::size_t i = 0; i < m; ++i) {
+      PackedRecord& rec = block[i];
+      rec.dyn_id = dyn[i];
+      check_sym(func[i], "function");
+      check_sym(bb[i], "basic-block");
+      rec.func = func[i];
+      rec.bb = bb[i];
+      const int opnum = static_cast<int>(static_cast<unsigned char>(opcode_col[first + i]));
+      if (!is_known_opcode(opnum)) {
+        throw TraceFormatError(
+            strf("MCTB record chunk %u: unknown opcode %d", sec.chunk, opnum));
+      }
+      rec.opcode = static_cast<Opcode>(opnum);
+      rec.line = static_cast<std::int32_t>(line[i]);
+      rec.op_offset = static_cast<std::uint32_t>(operand_base + opsum);
+      rec.op_count = opcnt[i];
+      opsum += opcnt[i];
+      if (opsum > chunk_operands) {
+        throw TraceFormatError(strf("MCTB record chunk %u: operand counts overflow the chunk's "
+                                    "%llu operands", sec.chunk,
+                                    static_cast<unsigned long long>(chunk_operands)));
+      }
     }
-    rec.opcode = static_cast<Opcode>(opnum);
-    rec.line = static_cast<std::int32_t>(line[i]);
-    rec.op_offset = static_cast<std::uint32_t>(operand_base + opsum);
-    rec.op_count = opcnt[i];
-    opsum += opcnt[i];
-    if (opsum > chunk_operands) {
-      throw TraceFormatError(strf("MCTB record chunk %u: operand counts overflow the chunk's "
-                                  "%llu operands", sec.chunk,
-                                  static_cast<unsigned long long>(chunk_operands)));
-    }
+    emit_block(buf.records(), record_base + first, block, m);
   }
   if (opsum != chunk_operands) {
     throw TraceFormatError(strf("MCTB record chunk %u: operand counts sum to %llu, operand "
@@ -278,39 +298,45 @@ void decode_record_chunk(std::string_view raw, const SectionHeader& sec,
 void decode_operand_chunk(std::string_view raw, const SectionHeader& sec,
                           std::uint64_t operand_base, TraceBuffer& buf, DecodeScratch& ds) {
   const std::size_t n = static_cast<std::size_t>(sec.count);
-  std::size_t off = 0;
-  take_column<std::uint64_t>(raw, off, n, ds.u64col);
-  take_column<std::uint32_t>(raw, off, n, ds.col_a);
-  take_column<std::uint32_t>(raw, off, n, ds.col_b);
-  take_column<std::uint32_t>(raw, off, n, ds.col_c);
-  const std::vector<std::uint64_t>& value = ds.u64col;
-  const std::vector<std::uint32_t>& name = ds.col_a;
-  const std::vector<std::uint32_t>& index = ds.col_b;
-  const std::vector<std::uint32_t>& bits = ds.col_c;
-  const std::string_view flags = raw.substr(off, n);
+  // Column starts: value (8 bytes), name, index, bits (4 each), flags.
+  const char* const value_col = raw.data();
+  const char* const name_col = value_col + 8 * n;
+  const char* const index_col = name_col + 4 * n;
+  const char* const bits_col = index_col + 4 * n;
+  const char* const flags_col = bits_col + 4 * n;
 
   const std::size_t nsyms = buf.pool().size();
   ds.last.assign(nsyms + 1, 0);
   std::vector<std::uint64_t>& last = ds.last;
-  PackedOperand* out = buf.operands().data() + operand_base;
-  for (std::size_t i = 0; i < n; ++i) {
-    PackedOperand& op = out[i];
-    op.name = name[i];
-    if (op.name >= nsyms && op.name != SymbolPool::npos) {
-      throw TraceFormatError(strf("MCTB operand chunk %u: name symbol id %u out of range (%zu "
-                                  "symbols)", sec.chunk, op.name, nsyms));
+  PackedOperand block[kDecodeBlock];
+  std::uint64_t value[kDecodeBlock];
+  std::uint32_t name[kDecodeBlock], index[kDecodeBlock], bits[kDecodeBlock];
+  for (std::size_t first = 0; first < n; first += kDecodeBlock) {
+    const std::size_t m = std::min(kDecodeBlock, n - first);
+    unshuffle_block(value_col, n, first, m, 8, value);
+    unshuffle_block(name_col, n, first, m, 4, name);
+    unshuffle_block(index_col, n, first, m, 4, index);
+    unshuffle_block(bits_col, n, first, m, 4, bits);
+    for (std::size_t i = 0; i < m; ++i) {
+      PackedOperand& op = block[i];
+      op.name = name[i];
+      if (op.name >= nsyms && op.name != SymbolPool::npos) {
+        throw TraceFormatError(strf("MCTB operand chunk %u: name symbol id %u out of range "
+                                    "(%zu symbols)", sec.chunk, op.name, nsyms));
+      }
+      const auto f = static_cast<std::uint8_t>(flags_col[first + i]);
+      if ((f & 0xE0) != 0 || ((f >> 2) & 0x3) > 2) {
+        throw TraceFormatError(strf("MCTB operand chunk %u: malformed flags byte 0x%02x",
+                                    sec.chunk, f));
+      }
+      op.flags = f;
+      const std::size_t slot = predictor_slot(op.name, nsyms);
+      last[slot] += zigzag_decode(value[i]);
+      op.raw = last[slot];
+      op.index = static_cast<std::int32_t>(index[i]);
+      op.bits = static_cast<std::int32_t>(bits[i]);
     }
-    const std::uint8_t f = static_cast<std::uint8_t>(flags[i]);
-    if ((f & 0xE0) != 0 || ((f >> 2) & 0x3) > 2) {
-      throw TraceFormatError(strf("MCTB operand chunk %u: malformed flags byte 0x%02x",
-                                  sec.chunk, f));
-    }
-    op.flags = f;
-    const std::size_t slot = predictor_slot(op.name, nsyms);
-    last[slot] += zigzag_decode(value[i]);
-    op.raw = last[slot];
-    op.index = static_cast<std::int32_t>(index[i]);
-    op.bits = static_cast<std::int32_t>(bits[i]);
+    emit_block(buf.operands(), operand_base + first, block, m);
   }
 }
 
@@ -707,8 +733,15 @@ TraceBuffer read_mctb(std::string_view bytes, const MctbReadOptions& opts) {
                            static_cast<std::size_t>(symbols.payload_off + symbols.payload_size));
   }
 
-  buf.records().resize(static_cast<std::size_t>(record_count));
-  buf.operands().resize(static_cast<std::size_t>(operand_count));
+  // One thread appends the chunks in order (emit_block), writing each
+  // element once; parallel workers fill slots of arrays sized here.
+  if (opts.num_threads == 1 || chunk_count <= 1) {
+    buf.records().reserve(static_cast<std::size_t>(record_count));
+    buf.operands().reserve(static_cast<std::size_t>(operand_count));
+  } else {
+    buf.records().resize(static_cast<std::size_t>(record_count));
+    buf.operands().resize(static_cast<std::size_t>(operand_count));
+  }
 
   const auto decode_chunk = [&](std::uint32_t c, DecodeScratch& ds) {
     AC_SPAN("decode.chunk");
@@ -717,7 +750,7 @@ TraceBuffer read_mctb(std::string_view bytes, const MctbReadOptions& opts) {
     decode_payload(bytes, rec_secs[c], "record", ds.rec_raw, ds.chain);
     decode_payload(bytes, op_secs[c], "operand", ds.op_raw, ds.chain);
     decode_record_chunk(ds.rec_raw, rec_secs[c], record_base[c], rec_secs[c].aux,
-                        op_secs[c].count, buf, ds);
+                        op_secs[c].count, buf);
     decode_operand_chunk(ds.op_raw, op_secs[c], rec_secs[c].aux, buf, ds);
     static auto& recs = telemetry::metrics().counter("decode.records_decoded");
     recs.add(rec_secs[c].count);

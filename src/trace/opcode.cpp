@@ -22,15 +22,4 @@ bool is_arithmetic(Opcode op) {
   return false;
 }
 
-bool is_known_opcode(int num) {
-  switch (num) {
-#define AC_OPCODE_NUMBER(name, num, cls) case num:
-    AC_OPCODES(AC_OPCODE_NUMBER)
-#undef AC_OPCODE_NUMBER
-      return true;
-    default:
-      return false;
-  }
-}
-
 }  // namespace ac::trace

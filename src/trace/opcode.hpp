@@ -54,7 +54,20 @@ std::string opcode_name(Opcode op);
 /// True for the Arith and Compare classes: the reg-reg map sources.
 bool is_arithmetic(Opcode op);
 
-/// True if `num` is a known opcode number.
-bool is_known_opcode(int num);
+/// Bit n is set for each opcode number n in AC_OPCODES.
+inline constexpr std::uint64_t kKnownOpcodeBits = 0
+#define AC_OPCODE_BIT(name, num, cls) | (std::uint64_t{1} << num)
+    AC_OPCODES(AC_OPCODE_BIT)
+#undef AC_OPCODE_BIT
+    ;
+#define AC_OPCODE_BELOW_64(name, num, cls) static_assert(num < 64, "kKnownOpcodeBits holds 64");
+AC_OPCODES(AC_OPCODE_BELOW_64)
+#undef AC_OPCODE_BELOW_64
+
+/// True when `num` is one of the opcode numbers in AC_OPCODES: one bit test,
+/// made for every record a trace parse or decode reads.
+inline bool is_known_opcode(int num) {
+  return num >= 0 && num < 64 && ((kKnownOpcodeBits >> num) & 1) != 0;
+}
 
 }  // namespace ac::trace

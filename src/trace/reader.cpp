@@ -1,6 +1,9 @@
 #include "trace/reader.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstring>
 #include <type_traits>
 #include <utility>
 
@@ -22,150 +25,354 @@ bool is_block_header(std::string_view line) {
   return commas >= 5;
 }
 
-// --- zero-copy TraceBuffer parse -------------------------------------------
+// --- the text scan ------------------------------------------------------------
 
-/// Walk lines with a single cursor — no materialized line vector.
-struct LineCursor {
-  std::string_view text;
-  std::size_t pos = 0;
-
-  bool next(std::string_view& line) {
-    if (pos >= text.size()) return false;
-    const std::size_t nl = text.find('\n', pos);
-    if (nl == std::string_view::npos) {
-      line = text.substr(pos);
-      pos = text.size();
-    } else {
-      line = text.substr(pos, nl - pos);
-      pos = nl + 1;
-    }
-    return true;
-  }
-};
-
-/// First six comma-separated fields plus the total field count (enough to
-/// parse headers and operand lines and to tell them apart, without a
-/// per-line vector).
-struct Fields {
-  std::string_view v[6];
-  std::size_t count = 0;
-};
-
-void split_fields(std::string_view line, Fields& out) {
-  out.count = 0;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = line.find(',', start);
-    const std::string_view field =
-        pos == std::string_view::npos ? line.substr(start) : line.substr(start, pos - start);
-    if (out.count < 6) out.v[out.count] = field;
-    ++out.count;
-    if (pos == std::string_view::npos) break;
-    start = pos + 1;
-  }
+/// The blanks trim() strips, less the '\n' that ends a line: ' ', '\t',
+/// '\v', '\f' and '\r'. One compare rejects every byte above ' '.
+bool is_blank(char c) {
+  constexpr std::uint64_t kBlanks = 1ull << ' ' | 1ull << '\t' | 1ull << '\v' | 1ull << '\f' |
+                                    1ull << '\r';
+  const auto u = static_cast<unsigned char>(c);
+  return u <= ' ' && ((kBlanks >> u) & 1) != 0;
 }
 
-/// Numeric field `what` of `line`, parsed into T with a range check (bool
-/// takes only 0 and 1, a Value its own int/float/hex spelling). A value
-/// never wraps or saturates into range: every failure is a TraceFormatError
-/// naming the field.
-template <class T>
-T parse_field(std::string_view text, const char* what, std::string_view line) {
-  try {
-    if constexpr (std::is_same_v<T, Value>) {
-      return value_from_text(text);
-    } else if constexpr (std::is_same_v<T, std::uint64_t>) {
-      return parse_u64(text);
+const char* skip_blanks(const char* p, const char* end) {
+  while (p != end && is_blank(*p)) ++p;
+  return p;
+}
+
+bool ends_field(const char* p, const char* end) { return p == end || *p == ',' || *p == '\n'; }
+
+/// The ',' or '\n' (or the end) after the field that starts at p.
+const char* field_end(const char* p, const char* end) {
+  while (!ends_field(p, end)) ++p;
+  return p;
+}
+
+/// [b, e) less its leading and trailing blanks.
+std::string_view trimmed(const char* b, const char* e) {
+  b = skip_blanks(b, e);
+  while (e != b && is_blank(e[-1])) --e;
+  return {b, static_cast<std::size_t>(e - b)};
+}
+
+/// A last-id memo and a direct-mapped cache in front of SymbolPool::intern.
+/// Consecutive records repeat their function and block, and a trace holds a
+/// few hundred distinct names, so almost every name resolves with one compare
+/// against bytes already in the pool. A miss interns, so ids keep their
+/// first-seen order.
+class NameCache {
+ public:
+  explicit NameCache(SymbolPool& pool) : pool_(pool) { slots_.fill(SymbolPool::npos); }
+
+  std::uint32_t intern(std::string_view name) {
+    if (name.empty()) return SymbolPool::npos;
+    std::uint32_t& slot = slots_[slot_of(name)];
+    if (slot == SymbolPool::npos || pool_.view(slot) != name) slot = pool_.intern(name);
+    return slot;
+  }
+
+  /// intern(), first trying `last`, the id the same field resolved to last.
+  std::uint32_t intern(std::string_view name, std::uint32_t& last) {
+    if (last == SymbolPool::npos || pool_.view(last) != name) last = intern(name);
+    return last;
+  }
+
+ private:
+  static constexpr unsigned kSlotBits = 10;
+
+  static std::size_t slot_of(std::string_view s) {
+    std::uint64_t head = 0, tail = 0;
+    if (s.size() >= 8) {
+      std::memcpy(&head, s.data(), 8);
+      std::memcpy(&tail, s.data() + s.size() - 8, 8);
     } else {
-      const std::int64_t v = parse_i64(text);
+      for (std::size_t i = 0; i < s.size(); ++i) {
+        head |= std::uint64_t{static_cast<unsigned char>(s[i])} << (8 * i);
+      }
+    }
+    const std::uint64_t h = (head ^ (tail * 0x9E3779B97F4A7C15ull) ^ s.size()) *
+                            0xC2B2AE3D27D4EB4Full;
+    return static_cast<std::size_t>(h >> (64 - kSlotBits));
+  }
+
+  SymbolPool& pool_;
+  std::array<std::uint32_t, std::size_t{1} << kSlotBits> slots_;
+};
+
+/// One forward scan over a chunk of trace text. Each line is read once, left
+/// to right, and each field is parsed where it sits: integers by the
+/// scan_digits kernel, floats by parse_f64, names through a NameCache. Only a
+/// line that opens with "0" looks ahead, across its next four fields, because
+/// a sixth field is what makes it a block header rather than a callee operand
+/// ("0,bits,value,is_reg,name"). Every malformed header, operand line or
+/// numeric field throws TraceFormatError naming the field.
+class TextScan {
+ public:
+  TextScan(std::string_view text, TraceBuffer& buf)
+      : p_(text.data()), end_(text.data() + text.size()), buf_(buf), names_(buf.pool()) {}
+
+  /// Append every block of the text to the buffer.
+  void run() {
+    bool open = false;  // a record is taking operands
+    PackedRecord rec;
+    while (p_ != end_) {
+      line_ = p_;
+      counted_ = false;
+      p_ = skip_blanks(p_, end_);
+      if (p_ == end_) break;
+      if (*p_ == '\n') {  // a blank line
+        ++p_;
+        continue;
+      }
+      const char first = *p_;
+      const char* after = skip_blanks(p_ + 1, end_);
+      const bool single = ends_field(after, end_);
+      if (first == '0' && single) {
+        p_ = after;
+        const char* f[4];  // fields 1-4
+        int n = 0;
+        while (n < 4 && p_ != end_ && *p_ == ',') {
+          f[n++] = p_ + 1;
+          p_ = field_end(p_ + 1, end_);
+        }
+        if (n == 4 && p_ != end_ && *p_ == ',') {
+          if (open) finish(rec);
+          header(f, rec);
+          open = true;
+        } else if (n == 4 && open) {
+          callee(f);
+        } else {
+          fail(open ? "operand line needs 5 fields: '" : "bad block header: '");
+        }
+      } else if (!open) {
+        fail("bad block header: '");
+      } else if ((first == 'r' || first == 'f') && single) {
+        p_ = after;
+        operand(first == 'r' ? OperandSlot::Result : OperandSlot::Param);
+      } else {
+        operand(OperandSlot::Input);
+      }
+      if (p_ != end_ && *p_ == ',') {  // extra fields end the line unread
+        const void* nl = std::memchr(p_, '\n', static_cast<std::size_t>(end_ - p_));
+        p_ = nl ? static_cast<const char*>(nl) : end_;
+      }
+      if (p_ != end_) ++p_;  // the '\n'
+    }
+    if (open) finish(rec);
+  }
+
+ private:
+  /// How a field is spelled: parse_i64's, parse_u64's or value_from_text's
+  /// syntax.
+  enum class Syntax { Signed, Unsigned, Value };
+
+  /// "0,line,func,bb,opcode,dyn_id": fields 1-4 start at f, dyn_id after p_.
+  void header(const char* const f[4], PackedRecord& rec) {
+    counted_ = true;
+    const char* dyn = p_ + 1;
+    p_ = f[0];
+    rec.line = int_field<std::int32_t>("source line");
+    rec.func = names_.intern(trimmed(f[1], f[2] - 1), last_func_);
+    rec.bb = names_.intern(trimmed(f[2], f[3] - 1), last_bb_);
+    p_ = f[3];
+    const auto opnum = int_field<std::int32_t>("opcode");
+    if (!is_known_opcode(opnum)) {
+      const std::string_view line = line_text();
+      throw TraceFormatError(strf("unknown opcode %d at dyn record '%.*s'", opnum,
+                                  static_cast<int>(line.size()), line.data()));
+    }
+    rec.opcode = static_cast<Opcode>(opnum);
+    p_ = dyn;
+    rec.dyn_id = u64_field("dyn_id");
+    if (buf_.operands().size() > 0xffffffffull) {
+      throw TraceFormatError("trace exceeds the 4G-operand TraceBuffer capacity");
+    }
+    rec.op_offset = static_cast<std::uint32_t>(buf_.operands().size());
+  }
+
+  /// "0,bits,value,is_reg,name": fields 1-4 start at f, and p_ ends the line.
+  void callee(const char* const f[4]) {
+    counted_ = true;
+    const char* eol = p_;
+    PackedOperand op;
+    p_ = f[0];
+    op.bits = int_field<std::int32_t>("operand bits");
+    p_ = f[1];
+    ValueKind kind;
+    op.raw = value_field(kind);
+    p_ = f[2];
+    const bool is_reg = int_field<bool>("operand is_reg");
+    op.name = names_.intern(trimmed(f[3], eol));
+    op.flags = PackedOperand::pack_flags(OperandSlot::Callee, kind, is_reg);
+    p_ = eol;
+    buf_.operands().push_back(op);
+  }
+
+  /// "slot,bits,value,is_reg,name", p_ past the slot unless it is an index.
+  void operand(OperandSlot slot) {
+    PackedOperand op;
+    if (slot == OperandSlot::Input) {
+      op.index = int_field<std::int32_t>("operand index");
+      if (op.index <= 0) {
+        check_count();
+        fail("bad operand index in '");
+      }
+    }
+    next_field();
+    op.bits = int_field<std::int32_t>("operand bits");
+    next_field();
+    ValueKind kind;
+    op.raw = value_field(kind);
+    next_field();
+    const bool is_reg = int_field<bool>("operand is_reg");
+    next_field();
+    const char* name = p_;
+    p_ = field_end(p_, end_);
+    op.name = names_.intern(trimmed(name, p_));
+    op.flags = PackedOperand::pack_flags(slot, kind, is_reg);
+    buf_.operands().push_back(op);
+  }
+
+  void finish(PackedRecord& rec) {
+    rec.op_count = static_cast<std::uint32_t>(buf_.operands().size()) - rec.op_offset;
+    buf_.records().push_back(rec);
+  }
+
+  /// Step over the ',' before the next field of an operand line.
+  void next_field() {
+    if (p_ == end_ || *p_ != ',') fail("operand line needs 5 fields: '");
+    ++p_;
+  }
+
+  /// The signed decimal field at p_, which must fit T (a bool: 0 or 1).
+  template <class T>
+  T int_field(const char* what) {
+    const char* field = p_;
+    std::int64_t v = 0;
+    if (scan_i64(v)) {
       if constexpr (std::is_same_v<T, bool>) {
         if (v == 0 || v == 1) return v == 1;
       } else if (std::in_range<T>(v)) {
         return static_cast<T>(v);
       }
     }
-  } catch (const Error& e) {
-    throw TraceFormatError(strf("bad %s in '%.*s': %s", what, static_cast<int>(line.size()),
-                                line.data(), e.what()));
+    bad_field(field, what, Syntax::Signed);
   }
-  const std::string_view value = trim(text);
-  throw TraceFormatError(strf("%s '%.*s' out of range in '%.*s'", what,
-                              static_cast<int>(value.size()), value.data(),
-                              static_cast<int>(line.size()), line.data()));
-}
 
-/// Append every block of `text` to `buf`. Throws TraceFormatError on a
-/// malformed header, operand line or numeric field.
-void parse_text_into(std::string_view text, TraceBuffer& buf) {
-  SymbolPool& pool = buf.pool();
-  std::vector<PackedRecord>& records = buf.records();
-  std::vector<PackedOperand>& operands = buf.operands();
-
-  LineCursor cursor{text, 0};
-  Fields f;
-  std::string_view line;
-  bool have = cursor.next(line);
-  while (have) {
-    if (trim(line).empty()) {
-      have = cursor.next(line);
-      continue;
+  std::uint64_t u64_field(const char* what) {
+    const char* digits = skip_blanks(p_, end_);
+    const DigitScan d = scan_digits(digits, end_, 10, UINT64_MAX);
+    const char* q = skip_blanks(d.ptr, end_);
+    if (d.overflow || d.ptr == digits || !ends_field(q, end_)) {
+      bad_field(p_, what, Syntax::Unsigned);
     }
-    split_fields(line, f);
-    if (f.count < 6 || trim(f.v[0]) != "0") {
-      throw TraceFormatError("bad block header: '" + std::string(line) + "'");
-    }
-    PackedRecord rec;
-    rec.line = parse_field<std::int32_t>(f.v[1], "source line", line);
-    rec.func = pool.intern(trim(f.v[2]));
-    rec.bb = pool.intern(trim(f.v[3]));
-    const auto opnum = parse_field<std::int32_t>(f.v[4], "opcode", line);
-    if (!is_known_opcode(opnum)) {
-      throw TraceFormatError(strf("unknown opcode %d at dyn record '%s'", opnum,
-                                  std::string(line).c_str()));
-    }
-    rec.opcode = static_cast<Opcode>(opnum);
-    rec.dyn_id = parse_field<std::uint64_t>(f.v[5], "dyn_id", line);
-    if (operands.size() > 0xffffffffull) {
-      throw TraceFormatError("trace exceeds the 4G-operand TraceBuffer capacity");
-    }
-    rec.op_offset = static_cast<std::uint32_t>(operands.size());
-
-    while ((have = cursor.next(line))) {
-      if (trim(line).empty()) continue;
-      split_fields(line, f);
-      // A new block starts with "0," and >= 6 fields; callee operand lines
-      // ("0,bits,value,is_reg,name") have 5.
-      if (trim(f.v[0]) == "0" && f.count >= 6) break;
-      if (f.count < 5) {
-        throw TraceFormatError("operand line needs 5 fields: '" + std::string(line) + "'");
-      }
-      PackedOperand op;
-      OperandSlot slot = OperandSlot::Input;
-      const std::string_view slot_field = trim(f.v[0]);
-      if (slot_field == "r") {
-        slot = OperandSlot::Result;
-      } else if (slot_field == "f") {
-        slot = OperandSlot::Param;
-      } else if (slot_field == "0") {
-        slot = OperandSlot::Callee;
-      } else {
-        op.index = parse_field<std::int32_t>(slot_field, "operand index", line);
-        if (op.index <= 0) {
-          throw TraceFormatError("bad operand index in '" + std::string(line) + "'");
-        }
-      }
-      op.bits = parse_field<std::int32_t>(f.v[1], "operand bits", line);
-      const auto value = parse_field<Value>(f.v[2], "operand value", line);
-      op.raw = PackedOperand::raw_of(value);
-      op.name = pool.intern(trim(f.v[4]));
-      op.flags = PackedOperand::pack_flags(slot, value.kind,
-                                           parse_field<bool>(f.v[3], "operand is_reg", line));
-      operands.push_back(op);
-    }
-    rec.op_count = static_cast<std::uint32_t>(operands.size()) - rec.op_offset;
-    records.push_back(rec);
+    p_ = q;
+    return d.value;
   }
-}
+
+  /// The value field at p_ as PackedOperand::raw, with its kind:
+  /// value_from_text's dispatch. Addresses and integers parse in place;
+  /// floats, and any field that does not parse in place, go through
+  /// value_from_text.
+  std::uint64_t value_field(ValueKind& kind) {
+    const char* field = p_;
+    const char* q = skip_blanks(p_, end_);
+    if (end_ - q > 1 && q[0] == '0' && q[1] == 'x') {
+      const char* digits = q + 2;
+      const DigitScan d = scan_digits(digits, end_, 16, UINT64_MAX);
+      q = skip_blanks(d.ptr, end_);
+      if (!d.overflow && d.ptr != digits && ends_field(q, end_)) {
+        p_ = q;
+        kind = ValueKind::Addr;
+        return d.value;
+      }
+    } else if (std::int64_t v = 0; scan_i64(v)) {
+      kind = ValueKind::Int;
+      return std::bit_cast<std::uint64_t>(v);
+    }
+    const char* end = field_end(field, end_);
+    Value v;
+    try {
+      v = value_from_text({field, static_cast<std::size_t>(end - field)});
+    } catch (const Error&) {
+      bad_field(field, "operand value", Syntax::Value);
+    }
+    p_ = end;
+    kind = v.kind;
+    return PackedOperand::raw_of(v);
+  }
+
+  /// Parse a signed decimal (parse_i64's syntax) at p_ and move p_ to the
+  /// field's end; false, with p_ unmoved, when the field is anything else.
+  bool scan_i64(std::int64_t& out) {
+    const char* q = skip_blanks(p_, end_);
+    const bool neg = q != end_ && *q == '-';
+    if (q != end_ && (*q == '-' || *q == '+')) ++q;
+    const DigitScan d =
+        scan_digits(q, end_, 10, neg ? std::uint64_t{1} << 63 : std::uint64_t{INT64_MAX});
+    if (d.overflow || d.ptr == q) return false;
+    q = skip_blanks(d.ptr, end_);
+    if (!ends_field(q, end_)) return false;
+    out = neg ? static_cast<std::int64_t>(0 - d.value) : static_cast<std::int64_t>(d.value);
+    p_ = q;
+    return true;
+  }
+
+  std::string_view line_text() const {
+    const void* nl = std::memchr(line_, '\n', static_cast<std::size_t>(end_ - line_));
+    const char* e = nl ? static_cast<const char*>(nl) : end_;
+    return {line_, static_cast<std::size_t>(e - line_)};
+  }
+
+  /// An operand line is first checked for its 5 fields, as a whole, so a
+  /// short line reports that before any bad field in it.
+  void check_count() const {
+    if (counted_) return;
+    const std::string_view line = line_text();
+    if (std::count(line.begin(), line.end(), ',') < 4) {
+      throw TraceFormatError("operand line needs 5 fields: '" + std::string(line) + "'");
+    }
+  }
+
+  /// Throw `prefix` + the line + "'".
+  [[noreturn]] __attribute__((cold, noinline)) void fail(const char* prefix) const {
+    throw TraceFormatError(prefix + std::string(line_text()) + "'");
+  }
+
+  /// Throw the error for the field at `field` that did not parse in place or
+  /// did not fit: the canonical parser's message when it rejects the field,
+  /// else the range error.
+  [[noreturn]] __attribute__((cold, noinline)) void bad_field(const char* field,
+                                                              const char* what,
+                                                              Syntax syntax) const {
+    check_count();
+    const std::string_view text(field, static_cast<std::size_t>(field_end(field, end_) - field));
+    const std::string_view line = line_text();
+    try {
+      switch (syntax) {
+        case Syntax::Signed: (void)parse_i64(text); break;
+        case Syntax::Unsigned: (void)parse_u64(text); break;
+        case Syntax::Value: (void)value_from_text(text); break;
+      }
+    } catch (const Error& e) {
+      throw TraceFormatError(strf("bad %s in '%.*s': %s", what, static_cast<int>(line.size()),
+                                  line.data(), e.what()));
+    }
+    const std::string_view value = trim(text);
+    throw TraceFormatError(strf("%s '%.*s' out of range in '%.*s'", what,
+                                static_cast<int>(value.size()), value.data(),
+                                static_cast<int>(line.size()), line.data()));
+  }
+
+  const char* p_;
+  const char* const end_;
+  const char* line_ = nullptr;  // the start of the line being read
+  bool counted_ = false;        // the line is known to hold enough fields
+  TraceBuffer& buf_;
+  NameCache names_;
+  std::uint32_t last_func_ = SymbolPool::npos, last_bb_ = SymbolPool::npos;
+};
 
 /// Partition `text` into ~target-byte ranges that start on block-header
 /// lines, so no instruction block is split (paper §V-A) — byte ranges, not
@@ -209,8 +416,9 @@ void note_chunk_parsed(std::size_t records, std::size_t bytes) {
 
 TraceBuffer read_trace_buffer(std::string_view text, int threads, const ParseProgress& progress) {
   // One thread parses in 8 MiB chunks, so its peak is the output plus one
-  // chunk of input. More threads cut ~4 chunks per worker, unless the input
-  // is too small to be worth splitting.
+  // chunk of input. More threads cut ~8 chunks per worker, unless the input
+  // is too small to be worth splitting: small chunks let the caller splice
+  // one while the workers parse the next few, within the in-flight bound.
   constexpr std::size_t kSegment = 8u << 20;
   constexpr std::size_t kMinSplit = 256u << 10;
   threads = std::clamp(threads, 1, 256);  // a runaway request must not exhaust thread stacks
@@ -218,7 +426,7 @@ TraceBuffer read_trace_buffer(std::string_view text, int threads, const ParsePro
   if (threads > 1) {
     target = text.size() < kMinSplit
                  ? text.size()
-                 : text.size() / (static_cast<std::size_t>(threads) * 4) + 1;
+                 : text.size() / (static_cast<std::size_t>(threads) * 8) + 1;
   }
   const auto chunks = chunk_at_block_boundaries(text, target);
 
@@ -227,9 +435,11 @@ TraceBuffer read_trace_buffer(std::string_view text, int threads, const ParsePro
   // order and every thread count yields the same buffer, ids included. One
   // thread is the serial parse: run_chunks runs each chunk inline and it
   // parses straight into the output, so no chunk buffer sits beside it. The
-  // in-flight bound keeps at most ~2 parsed-but-unspliced chunks per worker
-  // alive. A parse error cancels unclaimed chunks and resurfaces here as the
-  // lowest failing chunk's error — the one the first bad block raises.
+  // in-flight bound keeps at most 2 claimed-but-unspliced chunks per worker,
+  // a quarter of the input, alive: workers that parse faster than the caller
+  // splices wait rather than pile parsed chunks up beside the output. A parse
+  // error cancels unclaimed chunks and resurfaces here as the lowest failing
+  // chunk's error — the one the first bad block raises.
   TraceBuffer out;
   std::vector<TraceBuffer> partial(threads > 1 ? chunks.size() : 0);
   ExecutorOptions eopts;
@@ -246,7 +456,7 @@ TraceBuffer read_trace_buffer(std::string_view text, int threads, const ParsePro
         // Records average ~70 text bytes; a mild underestimate keeps the
         // final capacity close to the size without a counting pre-pass.
         if (before == 0) dst.reserve(sub.size() / 96 + 1, sub.size() / 32 + 1);
-        parse_text_into(sub, dst);
+        TextScan(sub, dst).run();
         note_chunk_parsed(dst.size() - before, sub.size());
       },
       [&](std::size_t c) {

@@ -1,9 +1,11 @@
 // Trace parsing.
 //
 // read_trace_buffer parses LLVM-Tracer text into the compact interned
-// TraceBuffer (trace/buffer.hpp) straight off the input bytes — a single
-// cursor walk per chunk, no intermediate line vector, no per-record heap
-// traffic. It is the paper's §V-A decomposition: the input is cut at
+// TraceBuffer (trace/buffer.hpp) straight off the input bytes: one forward
+// scan per line, each field parsed where it sits (integers by one
+// overflow-checked digit kernel, floats by std::from_chars, names through a
+// small cache in front of the symbol pool), and no per-record heap traffic.
+// It is the paper's §V-A decomposition: the input is cut at
 // instruction-block headers, workers parse the chunks into private buffers,
 // and the calling thread merges each chunk's symbols and splices its records
 // into the output in input order while later chunks still parse. One thread

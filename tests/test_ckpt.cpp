@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 
 #include "apps/harness.hpp"
@@ -187,6 +188,26 @@ TEST_F(EngineStore, FailedSyncFailsTheCommitAndEveryLaterOne) {
   EXPECT_EQ(engine.stats().last_persisted_iteration, 1);
   // The logs still end at iteration 1.
   EXPECT_EQ(CheckpointEngine(cfg).recover(), first);
+}
+
+TEST_F(EngineStore, ResetAfterAFailedCommitRemovesEveryLog) {
+  const EngineConfig cfg = config("ac_store_reset_failed");
+  CheckpointEngine engine(cfg);
+  engine.reset();
+  commit(engine, 1, 10);
+  // Every validation commit is a full record, so commit 2 rotates through
+  // <tag>.eng.tmp, and its fdatasync fails.
+  fault::arm_from_spec("ckpt.writeback.sync=throw:count=1");
+  EXPECT_THROW(engine.on_iteration(2, arena_, regions_), CheckpointError);
+  fault::disarm_all();
+  const std::string log = engine.log_path(EngineLevel::L1);
+  ASSERT_TRUE(std::filesystem::exists(log + ".tmp"));
+
+  engine.reset();
+  EXPECT_FALSE(std::filesystem::exists(log));
+  EXPECT_FALSE(std::filesystem::exists(log + ".tmp"));
+  EXPECT_FALSE(CheckpointEngine(cfg).has_checkpoint());
+  EXPECT_THROW(CheckpointEngine(cfg).recover(), CheckpointError);
 }
 
 /// on_iteration returns once the record is durable: while the engine is

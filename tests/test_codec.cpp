@@ -3,12 +3,17 @@
 // adversarial incompressible cell buffers, decode-side rejection of
 // truncated payloads and bad codec ids (CodecError from the shared layer in
 // support/codec.hpp, CheckpointError from the cell entry points — never UB),
-// and the
+// the RLE and LZ decoders on every token shape under every truncation and
+// single-byte change, CRC-32 against its bitwise definition, and the
 // compression behavior each codec exists for (zero-run RLE, XOR-vs-base
 // zeroing, LZ pattern matching).
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "ckpt/codec.hpp"
+#include "support/crc32.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
@@ -239,6 +244,142 @@ TEST(CodecBehavior, LzFindsRepeatedPatterns) {
   const std::string enc = lz.encode(raw, {});
   EXPECT_LT(enc.size(), raw.size() / 8);
   EXPECT_EQ(lz.decode(enc, raw.size(), {}), raw);
+}
+
+// ---------------------------------------------------------------------------
+// The decoders on every token shape, under truncation and byte changes
+// ---------------------------------------------------------------------------
+
+/// Raw bytes whose RLE tokens are literal runs of every length 1-128, each
+/// followed by a repeat run of a length from 3-130, and whose LZ tokens hold
+/// matches at every distance 1-16: each d-byte pattern is repeated.
+std::string token_payload() {
+  std::string out;
+  unsigned next = 0;
+  for (std::size_t n = 1; n <= 128; ++n) {
+    // Literal bytes climb through 1..250, so no three in a row are equal and
+    // none is the run byte 0.
+    for (std::size_t k = 0; k < n; ++k) out += static_cast<char>(1 + next++ % 250);
+    out.append(n + 2, '\0');
+  }
+  SplitMix64 rng(26);
+  for (std::size_t d = 1; d <= 16; ++d) {
+    std::string pattern;
+    for (std::size_t k = 0; k < d; ++k) pattern += static_cast<char>(rng.below(256));
+    for (std::size_t k = 0; k < 48; ++k) out += pattern[k % d];
+    out += static_cast<char>(0xA5);
+  }
+  return out;
+}
+
+/// Long-distance matches: a random 32-byte marker, zeros, and the marker
+/// again at distances from 1,000 to 65,535 (the window's edge). The zeros
+/// keep the encoded stream, and so a decode per mutation, small.
+constexpr std::size_t kFarDistances[] = {1000, 4096, 30000, 65535};
+
+std::string far_payload() {
+  std::string out;
+  SplitMix64 rng(65535);
+  for (const std::size_t d : kFarDistances) {
+    std::string marker;
+    for (int k = 0; k < 32; ++k) marker += static_cast<char>(rng.below(256));
+    out += marker;
+    out.append(d - marker.size(), '\0');
+    out += marker;
+  }
+  return out;
+}
+
+/// The distance of every LZ match token in `tokens`.
+std::set<std::size_t> lz_match_distances(const std::string& tokens) {
+  std::set<std::size_t> out;
+  for (std::size_t i = 0; i < tokens.size();) {
+    const auto c = static_cast<unsigned char>(tokens[i++]);
+    if (c < 0x80) {
+      i += c + 1u;
+    } else {
+      out.insert(static_cast<unsigned char>(tokens[i]) |
+                 static_cast<std::size_t>(static_cast<unsigned char>(tokens[i + 1])) << 8);
+      i += 2;
+    }
+  }
+  return out;
+}
+
+/// Every truncation of `enc` throws CodecError; every single-byte change
+/// (each position XORed with 0x01, 0x80 and 0xFF: a literal byte, a token's
+/// kind bit, the whole byte) decodes to exactly `raw.size()` bytes — `raw`
+/// itself when the change leaves the stream's meaning intact — or throws
+/// CodecError. Nothing else escapes, and the sanitizer job checks that no
+/// decode reads or writes out of bounds.
+void expect_mutations_safe(const CodecChain& chain, const std::string& enc,
+                           const std::string& raw) {
+  ASSERT_EQ(chain.decode(enc, raw.size()), raw) << chain.str();
+  for (std::size_t cut = 0; cut < enc.size(); ++cut) {
+    EXPECT_THROW(chain.decode(enc.substr(0, cut), raw.size()), CodecError)
+        << chain.str() << " cut=" << cut;
+  }
+  std::string changed = enc;
+  for (std::size_t i = 0; i < enc.size(); ++i) {
+    for (const unsigned char x : {0x01, 0x80, 0xFF}) {
+      changed[i] = static_cast<char>(enc[i] ^ x);
+      try {
+        EXPECT_EQ(chain.decode(changed, raw.size()).size(), raw.size());
+      } catch (const CodecError&) {
+      }
+      changed[i] = enc[i];
+    }
+  }
+}
+
+TEST(CodecDecode, EveryTokenShapeSurvivesTruncationAndByteChanges) {
+  const std::string tokens = token_payload();
+  const std::string far = far_payload();
+  // The payloads reach the token shapes they are built for.
+  const std::set<std::size_t> near = lz_match_distances(CodecChain::parse("lz").encode(tokens));
+  for (std::size_t d = 1; d <= 16; ++d) EXPECT_EQ(near.count(d), 1u) << "distance " << d;
+  const std::set<std::size_t> far_d = lz_match_distances(CodecChain::parse("lz").encode(far));
+  for (const std::size_t d : kFarDistances) EXPECT_EQ(far_d.count(d), 1u) << "distance " << d;
+  for (const char* spec : {"rle", "lz", "rle+lz"}) {
+    const CodecChain chain = CodecChain::parse(spec);
+    for (const std::string* raw : {&tokens, &far}) {
+      SCOPED_TRACE(std::string(spec) + (raw == &tokens ? " tokens" : " far"));
+      expect_mutations_safe(chain, chain.encode(*raw), *raw);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// CRC-32
+// ---------------------------------------------------------------------------
+
+/// CRC-32 by its bitwise definition (reflected, polynomial 0xEDB88320).
+std::uint32_t crc32_bitwise(const unsigned char* p, std::size_t n, std::uint32_t seed) {
+  std::uint32_t c = ~seed;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? (c >> 1) ^ 0xEDB88320u : c >> 1;
+  }
+  return ~c;
+}
+
+TEST(Crc32, MatchesTheBitwiseDefinition) {
+  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(crc32_bitwise(reinterpret_cast<const unsigned char*>("123456789"), 9, 0),
+            0xCBF43926u);
+  SplitMix64 rng(32);
+  unsigned char data[64];
+  for (auto& b : data) b = static_cast<unsigned char>(rng.next());
+  // Every length 0-17 (the 8-byte body and each tail) at every alignment,
+  // seeded with the CRC of the bytes before it, as a chained caller does.
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 17; ++len) {
+      const std::uint32_t seed = crc32(data, offset);
+      EXPECT_EQ(crc32(data + offset, len, seed), crc32_bitwise(data + offset, len, seed))
+          << "offset=" << offset << " len=" << len;
+      EXPECT_EQ(crc32(data + offset, len, seed), crc32(data, offset + len));
+    }
+  }
 }
 
 TEST(CodecChainApi, SpecParseAndStr) {

@@ -74,12 +74,16 @@ TEST(SimdKernels, ShufflePlanesMatchesScalarEveryLevelAndAlignment) {
           const std::string slab =
               make_buffer(count * stride + shift, Fill::Incompressible, count * 31 + shift);
           const char* in = slab.data() + shift;
-          const std::string simd = shuffle_planes(in, count, stride);
-          const std::string ref = scalar::shuffle_planes(in, count, stride);
+          // Both append after what the buffer already holds.
+          std::string simd = "head", ref = "head";
+          shuffle_planes(in, count, stride, simd);
+          scalar::shuffle_planes(in, count, stride, ref);
           ASSERT_EQ(ref, simd) << "level=" << simd_level_name(level) << " stride=" << stride
                                << " count=" << count << " shift=" << shift;
 
           // Round-trip through the (dispatched) unshuffle, also misaligned.
+          ASSERT_EQ(simd.substr(0, 4), "head");
+          simd.erase(0, 4);
           std::string back(count * stride + shift, '\0');
           unshuffle_planes(simd, count, stride, back.data() + shift);
           ASSERT_EQ(0, std::memcmp(back.data() + shift, in, count * stride))

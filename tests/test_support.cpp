@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "support/crc32.hpp"
 #include "support/error.hpp"
@@ -77,6 +80,22 @@ TEST(Strings, ParseF64) {
   EXPECT_EQ(parse_f64(std::string(80, '0') + "2.5"), 2.5);
   EXPECT_THROW(parse_f64(std::string(80, '1') + ".0.0"), Error);
   EXPECT_THROW(parse_f64(std::string(80, '1') + "x"), Error);
+}
+
+TEST(Strings, ParseF64ReadsStrtodSyntaxOnFromChars) {
+  EXPECT_EQ(parse_f64("0x10"), 16.0);  // a hexadecimal significand, as strtod reads it
+  EXPECT_EQ(parse_f64("-0x1.8p1"), -3.0);
+  EXPECT_EQ(parse_f64("+2.5"), 2.5);
+  EXPECT_EQ(parse_f64("1e400"), HUGE_VAL);  // past the range: strtod's +-inf and +-0
+  EXPECT_EQ(parse_f64("-0x1p99999"), -HUGE_VAL);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(parse_f64("-1e-400")), 0x8000000000000000ull);
+  EXPECT_EQ(parse_f64(std::string(400, '0') + "1e-70"), 1e-70);
+  EXPECT_EQ(parse_f64("0." + std::string(400, '0') + "1e400"), 0.1);
+  EXPECT_TRUE(std::isnan(parse_f64("nan()")));
+  EXPECT_THROW(parse_f64("nan(123)"), Error);  // the payload strtod would keep
+  for (const char* bad : {"+-1", "-+1", "0x", "-0x", "0x.p1", "1e", "1.5 x", "--1"}) {
+    EXPECT_THROW(parse_f64(bad), Error) << bad;
+  }
 }
 
 TEST(Strings, ParseIntArg) {

@@ -6,9 +6,14 @@
 // names with embedded NULs, and the one malformed-text rejection test.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "analysis/session.hpp"
 #include "apps/harness.hpp"
@@ -250,6 +255,72 @@ TEST(TraceBufferParse, RejectsMalformedInput) {
   EXPECT_EQ(edge.operands()[0].index, INT32_MAX);
   EXPECT_EQ(edge.operands()[0].raw, UINT64_MAX);
   EXPECT_EQ(edge.operands()[1].value(), Value::make_int(INT64_MIN));
+}
+
+/// The bits std::strtod reads from `text`, the float reader the text format
+/// was defined by.
+std::uint64_t strtod_bits(const std::string& text) {
+  return std::bit_cast<std::uint64_t>(std::strtod(text.c_str(), nullptr));
+}
+
+TEST(TraceBufferParse, AcceptedSpellingsArePinned) {
+  const TraceBuffer plain = read_trace_buffer(
+      "0,3,foo,6:1,27,215\n1,64,0x7ffcf3f25a70,1,p\nr,64,4,1,8\n"
+      "0,4,foo,6:1,49,216\n0,64,0x0,0,pow\n1,64,44.000000,1,36\nf,64,2.5,1,x\n");
+  ASSERT_EQ(plain.size(), 2u);
+  // CRLF line ends, blank and whitespace-only lines, whitespace around every
+  // field and extra trailing fields all give the same buffer, ids included.
+  for (const char* text : {
+           "0,3,foo,6:1,27,215\r\n1,64,0x7ffcf3f25a70,1,p\r\nr,64,4,1,8\r\n"
+           "0,4,foo,6:1,49,216\r\n0,64,0x0,0,pow\r\n1,64,44.000000,1,36\r\nf,64,2.5,1,x\r\n",
+           "\n \n0,3,foo,6:1,27,215\n\n1,64,0x7ffcf3f25a70,1,p\n\t\r\nr,64,4,1,8\n\n"
+           "0,4,foo,6:1,49,216\n0,64,0x0,0,pow\n \n1,64,44.000000,1,36\nf,64,2.5,1,x",
+           " 0 ,\t3 , foo , 6:1 , 27 , 215 \n 1 , 64 , 0x7ffcf3f25a70 , 1 , p \n"
+           "\tr\t,64\t,4,\t1\t, 8\t\n 0 , 4 , foo , 6:1 , 49 , 216\n 0 , 64 , 0x0 , 0 , pow \n"
+           "1 ,64, 44.000000 ,1,36\nf , 64 , 2.5 , 1 , x\r\n",
+           "0,3,foo,6:1,27,215,extra\n1,64,0x7ffcf3f25a70,1,p,extra,more\nr,64,4,1,8,\n"
+           "0,4,foo,6:1,49,216,,\n0,64,0x0,0,pow\n1,64,44.000000,1,36,x\nf,64,2.5,1,x,\n",
+           // '+' signs and leading zeros on every signed field, leading zeros
+           // on dyn_id and in values.
+           "0,+3,foo,6:1,+027,0215\n+1,+064,0x00007ffcf3f25a70,+1,p\nr,0064,+004,01,8\n"
+           "0,004,foo,6:1,049,00216\n0,+64,0x0,-0,pow\n01,64,044.0000000,1,36\n"
+           "f,64,+2.50,1,x\n",
+       }) {
+    SCOPED_TRACE(text);
+    test::expect_same_buffer(read_trace_buffer(text), plain);
+  }
+  // A name keeps its inner blanks; a blank name is no name.
+  const TraceBuffer names = read_trace_buffer("0,3, my func ,  ,27,215\n1,64,5,1, a b \n");
+  EXPECT_EQ(names.view(0).func(), "my func");
+  EXPECT_EQ(names.records()[0].bb, SymbolPool::npos);
+  EXPECT_EQ(names.view(0).name(names.operands()[0]), "a b");
+  // dyn_id takes digits only: a sign is an error, not a no-op.
+  expect_rejected("0,3,foo,6:1,27,+215\n", "dyn_id");
+  // Every float spelling strtod reads — infinities, NaNs, out-of-range
+  // exponents, a signed hexadecimal float — parses to strtod's bits.
+  std::string text = "0,3,foo,6:1,16,1\n";
+  const std::vector<std::string> floats = {
+      "inf",      "-inf",     "+inf",      "infinity", "nan",       "-nan",
+      "+nan",     "1.0e400",  "-1.0e400",  "1.0e-400", "-1.0e-400", "-0x1.8p1",
+      "+0x1.8p1", "-0X1.8P1", "-0x.8",     "4.9e-324", "1.5E+3",    ".5",
+      "5.",       "-0.0",     "0.000000",  "nan()",    "-0x1.0p99999",
+  };
+  for (const std::string& f : floats) text += "1,64," + f + ",1,x\n";
+  const TraceBuffer parsed = read_trace_buffer(text);
+  ASSERT_EQ(parsed.operands().size(), floats.size());
+  for (std::size_t i = 0; i < floats.size(); ++i) {
+    EXPECT_EQ(parsed.operands()[i].vkind(), ValueKind::Float) << floats[i];
+    EXPECT_EQ(parsed.operands()[i].raw, strtod_bits(floats[i])) << floats[i];
+    EXPECT_EQ(PackedOperand::raw_of(value_from_text(floats[i])), strtod_bits(floats[i]))
+        << floats[i];
+  }
+  EXPECT_EQ(std::bit_cast<double>(parsed.operands()[7].raw), INFINITY);
+  EXPECT_EQ(std::bit_cast<double>(parsed.operands()[11].raw), -3.0);
+  // Spellings strtod does not read in full stay errors.
+  for (const char* bad : {"1.5e", "1.5e+", "--1.5", "+-1.5", "-0x", "0x1.8p1", "1.5.", "inf x",
+                          "1e5", "INF", "- 1.5"}) {
+    expect_rejected(std::string("0,3,foo,6:1,16,1\n1,64,") + bad + ",1,x\n", "operand value");
+  }
 }
 
 /// "records=N operands=N symbols=N" of `app` in the golden VM trace digests.

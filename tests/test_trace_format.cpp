@@ -8,6 +8,7 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <set>
 #include <thread>
 
@@ -193,6 +194,26 @@ TEST(Render, MatchesSnprintfAndReparsesToTheSameBytes) {
     for (std::size_t i = 0; i < buf.size(); ++i) reference += snprintf_text(buf.view(i));
     ASSERT_EQ(first_difference(text, reference), "");
     ASSERT_EQ(first_difference(test::trace_text(read_trace_buffer(text)), text), "");
+  }
+}
+
+TEST(Render, EdgeDoublesParseToStrtodBits) {
+  // The renderer's spelling of every edge double reads back to the bits
+  // strtod reads from it, through the trace parse and value_from_text alike.
+  const std::vector<double> doubles = edge_doubles();
+  std::string text = "0,3,foo,6:1,16,1\n";
+  std::vector<std::string> spelled;
+  for (const double d : doubles) {
+    spelled.push_back(value_to_text(Value::make_float(d)));
+    text += "1,64," + spelled.back() + ",1,x\n";
+  }
+  const TraceBuffer buf = read_trace_buffer(text);
+  ASSERT_EQ(buf.operands().size(), doubles.size());
+  for (std::size_t i = 0; i < doubles.size(); ++i) {
+    const std::uint64_t want =
+        std::bit_cast<std::uint64_t>(std::strtod(spelled[i].c_str(), nullptr));
+    ASSERT_EQ(buf.operands()[i].raw, want) << spelled[i];
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(value_from_text(spelled[i]).f), want) << spelled[i];
   }
 }
 
