@@ -102,9 +102,10 @@ void RemoteSink::send_staged_chunk() {
   static auto& bytes = telemetry::metrics().counter("net.client.chunk_bytes_sent");
   chunks.add(1);
   bytes.add(container_.size());
-  // Fresh staging buffer: chunk containers are self-contained (each carries
-  // its own symbol table), exactly like MCTB file chunks reset predictors.
-  staging_ = trace::TraceBuffer();
+  // Fresh symbol table: chunk containers are self-contained (each carries
+  // its own), exactly like MCTB file chunks reset predictors. The arrays keep
+  // their capacity for the next chunk.
+  staging_.clear();
 }
 
 void RemoteSink::flush() {
@@ -142,14 +143,15 @@ void RemoteSource::merge_chunk(const Frame& frame) {
   WallTimer timer;
   // The full MCTB validation matrix runs here — section CRCs, bounds, codec
   // ids, opcodes, symbol ids, flags — so a malformed chunk throws a clean
-  // TraceFormatError before a single record lands in the buffer. Each frame
-  // holds one extraction chunk; serial decode is the parallelism-free granule
+  // TraceFormatError, and the connection is torn down with the trace it was
+  // appending to. Each frame holds one extraction chunk, decoded straight
+  // onto the end of the trace; serial decode is the parallelism-free granule
   // (connections are the concurrency axis server-side). The decode scratch
   // stays warm on this thread across the connection's frames.
   trace::MctbReadOptions mopts;
   mopts.num_threads = 1;
-  const trace::TraceBuffer decoded = trace::read_mctb(frame.payload, mopts);
-  buffer_.append_buffer(decoded);
+  const std::size_t before = buffer_.size();
+  trace::read_mctb_into(frame.payload, buffer_, mopts);
   decode_seconds_ += timer.seconds();
   ++chunks_merged_;
   payload_bytes_ += frame.payload.size();
@@ -158,7 +160,7 @@ void RemoteSource::merge_chunk(const Frame& frame) {
   static auto& records = telemetry::metrics().counter("net.records_merged");
   chunks.add(1);
   bytes.add(frame.payload.size());
-  records.add(decoded.size());
+  records.add(buffer_.size() - before);
 }
 
 std::optional<ReportSpec> RemoteSource::wait_request() {

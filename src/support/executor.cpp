@@ -55,8 +55,6 @@ void WorkerGroup::join() noexcept {
   threads_.clear();
 }
 
-namespace {
-
 int resolve_threads(int threads, std::size_t n) {
   if (threads <= 0) threads = static_cast<int>(std::thread::hardware_concurrency());
   if (threads < 1) threads = 1;
@@ -64,8 +62,6 @@ int resolve_threads(int threads, std::size_t n) {
   return static_cast<int>(std::min<std::size_t>(static_cast<std::size_t>(threads),
                                                 n ? n : 1));
 }
-
-}  // namespace
 
 void run_chunks(std::size_t n, const ExecutorOptions& opts,
                 const std::function<void(std::size_t)>& task,

@@ -103,6 +103,10 @@ struct ExecutorOptions {
   std::size_t max_in_flight = 0;
 };
 
+/// The worker count run_chunks uses for `n` chunks at `threads`, as
+/// ExecutorOptions::threads documents; 1 means the chunks run inline.
+int resolve_threads(int threads, std::size_t n);
+
 /// Run task(0..n-1) across a transient worker pool. If `on_ready` is given it
 /// runs on the *calling* thread, strictly in chunk order, as chunks finish —
 /// overlapping with workers still parsing later chunks. The first failure

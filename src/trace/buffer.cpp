@@ -1,23 +1,9 @@
 #include "trace/buffer.hpp"
 
-#include <algorithm>
-
 #include "support/error.hpp"
 #include "support/strings.hpp"
 
 namespace ac::trace {
-
-namespace {
-
-/// Make room for `extra` more elements. An exact-fit reserve would copy the
-/// whole array on every append, so grow by at least half the capacity.
-template <class T>
-void grow(std::vector<T>& vec, std::size_t extra) {
-  const std::size_t need = vec.size() + extra;
-  if (need > vec.capacity()) vec.reserve(std::max(need, vec.capacity() + vec.capacity() / 2));
-}
-
-}  // namespace
 
 void TraceBuffer::append(const TraceRecord& r) {
   PackedRecord rec;
@@ -140,17 +126,20 @@ void TraceBuffer::append_buffer(const TraceBuffer& other) {
     throw TraceFormatError("trace exceeds the 4G-operand TraceBuffer capacity");
   }
   const auto op_base = static_cast<std::uint32_t>(operands_.size());
-  grow(operands_, other.operands_.size());
+  operands_.resize_uninitialized(op_base + other.operands_.size());
+  PackedOperand* op_out = operands_.data() + op_base;
   for (PackedOperand op : other.operands_) {
     op.name = remap_id(op.name);
-    operands_.push_back(op);
+    *op_out++ = op;
   }
-  grow(records_, other.records_.size());
+  const std::size_t rec_base = records_.size();
+  records_.resize_uninitialized(rec_base + other.records_.size());
+  PackedRecord* rec_out = records_.data() + rec_base;
   for (PackedRecord rec : other.records_) {
     rec.func = remap_id(rec.func);
     rec.bb = remap_id(rec.bb);
     rec.op_offset += op_base;
-    records_.push_back(rec);
+    *rec_out++ = rec;
   }
 }
 

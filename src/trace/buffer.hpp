@@ -11,17 +11,20 @@
 //   pool     : SymbolPool        every distinct name stored once
 //
 // — so a parsed trace is a handful of large allocations, replay is a linear
-// scan, and name equality is an integer compare. RecordView is the zero-cost
-// cursor over one record and the only record type that sinks, the streaming
-// analyzers and the text writer consume; its append_text() is the one
-// LLVM-Tracer text renderer. materialize() rebuilds an owning TraceRecord for
-// callers that want a value copy.
+// scan, and name equality is an integer compare. The two arrays are PodArrays
+// (support/pod_array.hpp): from 1 MiB they grow by moving pages, and a freed
+// one is reused by the next trace rather than faulted in afresh. RecordView
+// is the zero-cost cursor over one record and the only record type that
+// sinks, the streaming analyzers and the text writer consume; its
+// append_text() is the one LLVM-Tracer text renderer. materialize() rebuilds
+// an owning TraceRecord for callers that want a value copy.
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <vector>
 
+#include "support/pod_array.hpp"
 #include "trace/pool.hpp"
 #include "trace/record.hpp"
 
@@ -178,14 +181,22 @@ class TraceBuffer {
 
   const SymbolPool& pool() const { return pool_; }
   SymbolPool& pool() { return pool_; }
-  const std::vector<PackedRecord>& records() const { return records_; }
-  std::vector<PackedRecord>& records() { return records_; }
-  const std::vector<PackedOperand>& operands() const { return operands_; }
-  std::vector<PackedOperand>& operands() { return operands_; }
+  const PodArray<PackedRecord>& records() const { return records_; }
+  PodArray<PackedRecord>& records() { return records_; }
+  const PodArray<PackedOperand>& operands() const { return operands_; }
+  PodArray<PackedOperand>& operands() { return operands_; }
 
   void reserve(std::size_t records, std::size_t operands) {
     records_.reserve(records);
     operands_.reserve(operands);
+  }
+
+  /// Drop every record and symbol but keep the arrays' capacity, for a
+  /// buffer refilled chunk after chunk.
+  void clear() {
+    pool_ = SymbolPool();
+    records_.clear();
+    operands_.clear();
   }
 
   /// Intern + append one owning record (names in func, bb, operand-name
@@ -218,8 +229,8 @@ class TraceBuffer {
 
  private:
   SymbolPool pool_;
-  std::vector<PackedRecord> records_;
-  std::vector<PackedOperand> operands_;
+  PodArray<PackedRecord> records_;
+  PodArray<PackedOperand> operands_;
   // append(RecordView) cache: source id -> id in pool_ (npos = not yet
   // mapped), valid for the pool pair named by the two uids.
   std::vector<std::uint32_t> view_remap_;

@@ -221,17 +221,30 @@ constexpr std::size_t kDecodeBlock = 512;
 /// arrays, so each element is written once), else copied into their slots
 /// of an array sized up front for parallel workers.
 template <class T>
-void emit_block(std::vector<T>& array, std::size_t at, const T* block, std::size_t n) {
+void emit_block(PodArray<T>& array, std::size_t at, const T* block, std::size_t n) {
   if (array.size() == at) {
     array.insert(array.end(), block, block + n);
   } else {
-    std::copy(block, block + n, array.begin() + static_cast<std::ptrdiff_t>(at));
+    std::copy(block, block + n, array.begin() + at);
   }
 }
 
+/// A container's symbol ids as the output stores them: ids below `nsyms`
+/// are valid, and `to` maps each to the output pool's id (empty: the output
+/// pool is the container's own).
+struct SymbolIds {
+  std::uint32_t nsyms;
+  const std::vector<std::uint32_t>& to;
+
+  std::uint32_t operator()(std::uint32_t id) const {
+    return to.empty() || id == SymbolPool::npos ? id : to[id];
+  }
+};
+
 void decode_record_chunk(std::string_view raw, const SectionHeader& sec,
                          std::uint64_t record_base, std::uint64_t operand_base,
-                         std::uint64_t chunk_operands, TraceBuffer& buf) {
+                         std::uint64_t chunk_operands, const SymbolIds& ids,
+                         PodArray<PackedRecord>& out) {
   const std::size_t n = static_cast<std::size_t>(sec.count);
   // Column starts: dyn_id (8 bytes), func, bb, op_count, line (4 each), opcode.
   const char* const dyn_col = raw.data();
@@ -241,7 +254,7 @@ void decode_record_chunk(std::string_view raw, const SectionHeader& sec,
   const char* const line_col = opcnt_col + 4 * n;
   const char* const opcode_col = line_col + 4 * n;
 
-  const std::uint32_t nsyms = static_cast<std::uint32_t>(buf.pool().size());
+  const std::uint32_t nsyms = ids.nsyms;
   const auto check_sym = [&](std::uint32_t id, const char* what) {
     if (id >= nsyms && id != SymbolPool::npos) {
       throw TraceFormatError(strf("MCTB record chunk %u: %s symbol id %u out of range (%u "
@@ -267,8 +280,8 @@ void decode_record_chunk(std::string_view raw, const SectionHeader& sec,
       rec.dyn_id = dyn[i];
       check_sym(func[i], "function");
       check_sym(bb[i], "basic-block");
-      rec.func = func[i];
-      rec.bb = bb[i];
+      rec.func = ids(func[i]);
+      rec.bb = ids(bb[i]);
       const int opnum = static_cast<int>(static_cast<unsigned char>(opcode_col[first + i]));
       if (!is_known_opcode(opnum)) {
         throw TraceFormatError(
@@ -285,7 +298,7 @@ void decode_record_chunk(std::string_view raw, const SectionHeader& sec,
                                     static_cast<unsigned long long>(chunk_operands)));
       }
     }
-    emit_block(buf.records(), record_base + first, block, m);
+    emit_block(out, record_base + first, block, m);
   }
   if (opsum != chunk_operands) {
     throw TraceFormatError(strf("MCTB record chunk %u: operand counts sum to %llu, operand "
@@ -296,7 +309,8 @@ void decode_record_chunk(std::string_view raw, const SectionHeader& sec,
 }
 
 void decode_operand_chunk(std::string_view raw, const SectionHeader& sec,
-                          std::uint64_t operand_base, TraceBuffer& buf, DecodeScratch& ds) {
+                          std::uint64_t operand_base, const SymbolIds& ids,
+                          PodArray<PackedOperand>& out, DecodeScratch& ds) {
   const std::size_t n = static_cast<std::size_t>(sec.count);
   // Column starts: value (8 bytes), name, index, bits (4 each), flags.
   const char* const value_col = raw.data();
@@ -305,7 +319,7 @@ void decode_operand_chunk(std::string_view raw, const SectionHeader& sec,
   const char* const bits_col = index_col + 4 * n;
   const char* const flags_col = bits_col + 4 * n;
 
-  const std::size_t nsyms = buf.pool().size();
+  const std::size_t nsyms = ids.nsyms;
   ds.last.assign(nsyms + 1, 0);
   std::vector<std::uint64_t>& last = ds.last;
   PackedOperand block[kDecodeBlock];
@@ -331,12 +345,13 @@ void decode_operand_chunk(std::string_view raw, const SectionHeader& sec,
       }
       op.flags = f;
       const std::size_t slot = predictor_slot(op.name, nsyms);
+      op.name = ids(op.name);
       last[slot] += zigzag_decode(value[i]);
       op.raw = last[slot];
       op.index = static_cast<std::int32_t>(index[i]);
       op.bits = static_cast<std::int32_t>(bits[i]);
     }
-    emit_block(buf.operands(), operand_base + first, block, m);
+    emit_block(out, operand_base + first, block, m);
   }
 }
 
@@ -494,8 +509,8 @@ std::uint64_t encode_container(const TraceBuffer& buf, const MctbOptions& opts, 
     emit_section(kSecSymbols, 0, buf.pool().size(), arena_bytes, sym_raw);
   }
 
-  const std::vector<PackedRecord>& records = buf.records();
-  const std::vector<PackedOperand>& operands = buf.operands();
+  const PodArray<PackedRecord>& records = buf.records();
+  const PodArray<PackedOperand>& operands = buf.operands();
   for (std::size_t c = 0; c < nchunks; ++c) {
     const std::size_t begin = c * chunk_records;
     const std::size_t count = std::min(chunk_records, nrecords - begin);
@@ -599,6 +614,12 @@ std::uint64_t write_mctb_file(const TraceBuffer& buf, const std::string& path,
 }
 
 TraceBuffer read_mctb(std::string_view bytes, const MctbReadOptions& opts) {
+  TraceBuffer buf;
+  read_mctb_into(bytes, buf, opts);
+  return buf;
+}
+
+void read_mctb_into(std::string_view bytes, TraceBuffer& buf, const MctbReadOptions& opts) {
   const ParseProgress& progress = opts.progress;
   Cursor cur{bytes, 0};
   if (bytes.size() < kHeaderSize) throw TraceFormatError("truncated MCTB header");
@@ -614,7 +635,7 @@ TraceBuffer read_mctb(std::string_view bytes, const MctbReadOptions& opts) {
   const std::uint32_t chunk_count = cur.u32();
   const std::uint32_t section_count = cur.u32();
   const std::uint32_t table_crc = cur.u32();
-  if (operand_count > 0xffffffffull) {
+  if (operand_count > 0xffffffffull - buf.operands().size()) {
     throw TraceFormatError("MCTB container exceeds the 4G-operand TraceBuffer capacity");
   }
   if (section_count != 1 + 2 * static_cast<std::uint64_t>(chunk_count)) {
@@ -704,12 +725,14 @@ TraceBuffer read_mctb(std::string_view bytes, const MctbReadOptions& opts) {
     throw TraceFormatError("MCTB header declares an implausibly large decoded size");
   }
 
-  TraceBuffer buf;
-
   // Symbols decode serially (every chunk needs the pool). Size and layout
   // were validated against the header above, before any decode allocation.
+  // They join a non-empty output pool in container order, as append_buffer
+  // merges them, and the chunks store the merged ids.
+  std::vector<std::uint32_t> merged_ids;
   {
     AC_SPAN("decode.symbols");
+    SymbolPool pool;
     std::string raw, chain_scratch;
     decode_payload(bytes, symbols, "symbol", raw, chain_scratch);
     std::vector<std::uint32_t> lens(symbol_count);
@@ -720,7 +743,7 @@ TraceBuffer read_mctb(std::string_view bytes, const MctbReadOptions& opts) {
       if (lens[i] == 0 || off + lens[i] > raw.size()) {
         throw TraceFormatError(strf("MCTB symbol %u is empty or overruns the arena", i));
       }
-      const std::uint32_t id = buf.pool().intern(std::string_view(raw).substr(off, lens[i]));
+      const std::uint32_t id = pool.intern(std::string_view(raw).substr(off, lens[i]));
       if (id != i) {
         throw TraceFormatError(strf("MCTB symbol table holds a duplicate at id %u", i));
       }
@@ -729,19 +752,34 @@ TraceBuffer read_mctb(std::string_view bytes, const MctbReadOptions& opts) {
     if (off != raw.size()) {
       throw TraceFormatError("MCTB symbol arena holds trailing bytes");
     }
+    if (buf.pool().size() == 0) {
+      buf.pool() = std::move(pool);
+    } else {
+      merged_ids = buf.pool().merge(pool);
+    }
     if (progress) progress(static_cast<std::size_t>(symbols.payload_off),
                            static_cast<std::size_t>(symbols.payload_off + symbols.payload_size));
   }
 
-  // One thread appends the chunks in order (emit_block), writing each
-  // element once; parallel workers fill slots of arrays sized here.
-  if (opts.num_threads == 1 || chunk_count <= 1) {
-    buf.records().reserve(static_cast<std::size_t>(record_count));
-    buf.operands().reserve(static_cast<std::size_t>(operand_count));
-  } else {
-    buf.records().resize(static_cast<std::size_t>(record_count));
-    buf.operands().resize(static_cast<std::size_t>(operand_count));
+  // Parallel workers fill slots of arrays sized here, left unwritten because
+  // every slot gets decoded. One worker appends the chunks in order
+  // (emit_block), into arrays reserved exactly when the buffer is empty;
+  // appends to a trace grow it geometrically, so a daemon connection's k
+  // chunk frames move its arrays O(log k) times. Either way each element is
+  // written once.
+  const std::size_t record_start = buf.size();
+  const std::size_t operand_start = buf.operands().size();
+  const std::size_t records_end = record_start + static_cast<std::size_t>(record_count);
+  const std::size_t operands_end = operand_start + static_cast<std::size_t>(operand_count);
+  const int workers = resolve_threads(opts.num_threads, chunk_count);
+  if (workers > 1) {
+    buf.records().resize_uninitialized(records_end);
+    buf.operands().resize_uninitialized(operands_end);
+  } else if (record_start == 0 && operand_start == 0) {
+    buf.records().reserve(records_end);
+    buf.operands().reserve(operands_end);
   }
+  const SymbolIds ids{symbol_count, merged_ids};
 
   const auto decode_chunk = [&](std::uint32_t c, DecodeScratch& ds) {
     AC_SPAN("decode.chunk");
@@ -749,9 +787,10 @@ TraceBuffer read_mctb(std::string_view bytes, const MctbReadOptions& opts) {
     // chain enforces the exact raw size on decode.
     decode_payload(bytes, rec_secs[c], "record", ds.rec_raw, ds.chain);
     decode_payload(bytes, op_secs[c], "operand", ds.op_raw, ds.chain);
-    decode_record_chunk(ds.rec_raw, rec_secs[c], record_base[c], rec_secs[c].aux,
-                        op_secs[c].count, buf);
-    decode_operand_chunk(ds.op_raw, op_secs[c], rec_secs[c].aux, buf, ds);
+    decode_record_chunk(ds.rec_raw, rec_secs[c], record_start + record_base[c],
+                        operand_start + rec_secs[c].aux, op_secs[c].count, ids, buf.records());
+    decode_operand_chunk(ds.op_raw, op_secs[c], operand_start + rec_secs[c].aux, ids,
+                         buf.operands(), ds);
     static auto& recs = telemetry::metrics().counter("decode.records_decoded");
     recs.add(rec_secs[c].count);
   };
@@ -763,7 +802,7 @@ TraceBuffer read_mctb(std::string_view bytes, const MctbReadOptions& opts) {
   // so a corrupt chunk raises the exact error the serial decode would. The
   // ordered on_ready consumer replaces the old progress mutex.
   ExecutorOptions eopts;
-  eopts.threads = opts.num_threads;
+  eopts.threads = workers;
   const auto on_ready = [&](std::size_t c) {
     if (progress) {
       progress(static_cast<std::size_t>(rec_secs[c].payload_off),
@@ -782,7 +821,6 @@ TraceBuffer read_mctb(std::string_view bytes, const MctbReadOptions& opts) {
         decode_chunk(static_cast<std::uint32_t>(c), ds);
       },
       on_ready);
-  return buf;
 }
 
 // --- MCTB record framing ----------------------------------------------------

@@ -98,7 +98,7 @@ void fsync_parent_dir(const std::string& path);
 
 /// Decode knobs for read_mctb.
 struct MctbReadOptions {
-  /// Worker count for chunk decode (0 = hardware default, <=1 = serial).
+  /// Worker count for chunk decode (<= 0 = hardware default, 1 = serial).
   int num_threads = 0;
   /// Fires per consumed payload byte range, strictly in chunk order — the
   /// madvise frontier for mmap-backed input.
@@ -112,6 +112,13 @@ struct MctbReadOptions {
 /// the consumed payload byte range. Throws ac::TraceFormatError on any
 /// malformed input.
 TraceBuffer read_mctb(std::string_view bytes, const MctbReadOptions& opts = {});
+/// The same decode, appended to `buf`: the container's symbols join its pool
+/// in container order and its records and operands follow buf's with their
+/// ids remapped, the buffer buf.append_buffer(read_mctb(bytes, opts)) would
+/// give, without the decoded copy. A daemon connection decodes each chunk
+/// frame straight into its trace. On a TraceFormatError `buf` holds a part
+/// of the container.
+void read_mctb_into(std::string_view bytes, TraceBuffer& buf, const MctbReadOptions& opts = {});
 
 // --- MCTB record framing ----------------------------------------------------
 //

@@ -453,9 +453,10 @@ TraceBuffer read_trace_buffer(std::string_view text, int threads, const ParsePro
             text.substr(chunks[c].first, chunks[c].second - chunks[c].first);
         TraceBuffer& dst = partial.empty() ? out : partial[c];
         const std::size_t before = dst.size();
-        // Records average ~70 text bytes; a mild underestimate keeps the
-        // final capacity close to the size without a counting pre-pass.
-        if (before == 0) dst.reserve(sub.size() / 96 + 1, sub.size() / 32 + 1);
+        if (before == 0) {
+          dst.reserve(sub.size() / kTextBytesPerRecord + 1,
+                      sub.size() / kTextBytesPerOperand + 1);
+        }
         TextScan(sub, dst).run();
         note_chunk_parsed(dst.size() - before, sub.size());
       },

@@ -32,6 +32,14 @@ namespace ac::trace {
 /// representation + whole file.
 using ParseProgress = std::function<void(std::size_t begin, std::size_t end)>;
 
+/// Text bytes per record and per operand that a chunk's first reserve
+/// assumes, so its arrays are sized once. The 14 mini-apps' default-knob
+/// traces hold at least 57.3 bytes a record (IS) and 25.3 an operand (MG);
+/// an overestimate costs address space, not resident pages, once an array
+/// is mapped.
+inline constexpr std::size_t kTextBytesPerRecord = 54;
+inline constexpr std::size_t kTextBytesPerOperand = 24;
+
 /// Zero-copy parse of a whole trace into the interned SoA buffer on
 /// `threads` workers (<= 1: inline on the calling thread, block-aligned
 /// chunks of at most 8 MiB parsed straight into the output). The output

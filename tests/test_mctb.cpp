@@ -144,6 +144,50 @@ TEST(Mctb, RoundTripsEveryCodecChain) {
   }
 }
 
+/// Containers decoded one after another onto one buffer give the buffer
+/// append_buffer builds from their separate decodes, symbol ids included:
+/// the daemon merges its chunk frames this way. The second container brings
+/// new symbols and shares others; the third repeats the first.
+TEST(Mctb, AppendingDecodesMatchAppendBuffer) {
+  const auto app_container = [](const char* name) {
+    trace::BufferSink sink;
+    test::run_source(apps::find_app(name).source(), &sink);
+    MctbOptions opts;
+    opts.chunk_records = 512;  // several chunks
+    return mctb_to_bytes(sink.buffer(), opts);
+  };
+  const std::string is = app_container("IS");
+  const std::string ft = app_container("FT");
+  TraceBuffer want = read_mctb(is);
+  want.append_buffer(read_mctb(ft));
+  want.append_buffer(read_mctb(is));
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    MctbReadOptions mopts;
+    mopts.num_threads = threads;
+    TraceBuffer got;
+    for (const std::string* img : {&is, &ft, &is}) read_mctb_into(*img, got, mopts);
+    test::expect_same_buffer(want, got);
+  }
+
+  // Appended chunk after chunk, as a daemon connection's frames are, the
+  // arrays grow geometrically rather than to each container's exact end.
+  MctbOptions one_chunk;
+  const std::string small = mctb_to_bytes(read_mctb(is, {}), one_chunk);
+  TraceBuffer merged;
+  int record_moves = 0, operand_moves = 0;
+  for (int k = 0; k < 300; ++k) {
+    const std::size_t records = merged.records().capacity();
+    const std::size_t operands = merged.operands().capacity();
+    read_mctb_into(small, merged);
+    record_moves += merged.records().capacity() != records;
+    operand_moves += merged.operands().capacity() != operands;
+  }
+  EXPECT_EQ(merged.size(), 300 * read_mctb(small).size());
+  EXPECT_LE(record_moves, 12);
+  EXPECT_LE(operand_moves, 12);
+}
+
 TEST(Mctb, FileSinkAndFileSourceAutoDetect) {
   const std::string src = test::fig4_source();
   const std::string path = testing::TempDir() + "ac_mctb_sink.mctb";

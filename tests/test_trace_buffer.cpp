@@ -1,23 +1,33 @@
 // The interned trace representation: SymbolPool unit tests (dedup, id
-// stability), TraceBuffer pack/materialize round-trips and chunk appends, and
+// stability), the PodArray the trace arrays live in (a property test against
+// std::vector across the 1 MiB mapping threshold, the spare mapping, threads
+// sharing it), TraceBuffer pack/materialize round-trips and chunk appends, and
 // the zero-copy parser property suite — across all 14 mini-app traces the
 // parse is a fixpoint of the writer, matches the golden VM trace digests'
 // counts, and gives the same buffer at every thread count — the fixpoint for
 // names with embedded NULs, and the one malformed-text rejection test.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <optional>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/session.hpp"
 #include "apps/harness.hpp"
 #include "support/error.hpp"
+#include "support/pod_array.hpp"
+#include "support/rng.hpp"
 #include "support/strings.hpp"
 #include "trace/buffer.hpp"
 #include "trace/pool.hpp"
@@ -76,6 +86,247 @@ TEST(SymbolPool, CopyRebuildsIndependentIndex) {
   EXPECT_EQ(copy.find("two"), 1u);
   EXPECT_EQ(copy.find("three"), SymbolPool::npos);
   EXPECT_EQ(copy.intern("four"), 2u);
+}
+
+// --- PodArray -----------------------------------------------------------------
+
+/// A 24-byte element, PackedOperand's size. Each element type has a spare of
+/// its own, so a test that needs to know the spare's state uses its own Tag.
+template <int Tag>
+struct Cell {
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  std::uint32_t c = 0;
+  std::int32_t d = -1;  // value-initialization must write it
+  bool operator==(const Cell&) const = default;
+};
+
+/// Elements in 1 MiB, the size at which a PodArray's storage is a mapping.
+template <class T>
+constexpr std::size_t kMappedElements = detail::kMapBytes / sizeof(T);
+
+template <class T>
+bool same_elements(const PodArray<T>& a, const std::vector<T>& v) {
+  if (a.size() != v.size() || a.capacity() < a.size()) return false;
+  std::size_t i = 0;
+  for (const T& x : a) {
+    if (!(x == v[i++])) return false;
+  }
+  return true;
+}
+
+TEST(PodArray, MatchesVectorAcrossTheMappingThreshold) {
+  using C = Cell<0>;
+  constexpr std::size_t kMapped = kMappedElements<C>;
+  SplitMix64 rng(2026);
+  const auto make = [&rng] {
+    C c;
+    c.a = rng.next();
+    c.b = rng.next();
+    c.c = static_cast<std::uint32_t>(rng.next());
+    c.d = static_cast<std::int32_t>(rng.next());
+    return c;
+  };
+  PodArray<C> a;
+  std::vector<C> v;
+  int mapped_steps = 0;
+  for (int step = 0; step < 240; ++step) {
+    if (v.size() > 4 * kMapped) {  // keep the sizes within a few MiB
+      const std::size_t n = rng.below(kMapped);
+      a.resize(n);
+      v.resize(n);
+    }
+    const std::uint64_t op = rng.below(10);
+    SCOPED_TRACE(strf("step %d, op %llu, size %zu", step, static_cast<unsigned long long>(op),
+                      v.size()));
+    switch (op) {
+      case 0:
+      case 1: {  // a run of pushes, often across a growth
+        const std::size_t n = 1 + rng.below(kMapped / 3);
+        for (std::size_t i = 0; i < n; ++i) {
+          const C c = make();
+          a.push_back(c);
+          v.push_back(c);
+        }
+        break;
+      }
+      case 2: {  // push an element of the array itself, as the push grows it when
+                 // the capacity is near
+        if (a.empty()) break;
+        while (a.size() < a.capacity() && a.capacity() - a.size() <= kMapped) {
+          const C c = make();
+          a.push_back(c);
+          v.push_back(c);
+        }
+        const std::size_t i = rng.below(a.size());
+        a.push_back(a[i]);
+        v.push_back(v[i]);
+        break;
+      }
+      case 3: {
+        const std::size_t n = rng.below(3 * kMapped);
+        a.reserve(n);
+        EXPECT_GE(a.capacity(), n);
+        break;
+      }
+      case 4: {  // value-initializing resize, up or down
+        const std::size_t n = rng.below(3 * kMapped);
+        a.resize(n);
+        v.resize(n);
+        break;
+      }
+      case 5: {  // uninitialized resize, then every new slot written
+        const std::size_t old = v.size();
+        const std::size_t n = old + rng.below(kMapped);
+        a.resize_uninitialized(n);
+        v.resize(n);
+        for (std::size_t i = old; i < n; ++i) a[i] = v[i] = make();
+        break;
+      }
+      case 6: {  // append a range: fresh elements, or a slice of the array itself
+        if (!v.empty() && rng.chance(0.5)) {
+          const std::size_t i = rng.below(v.size());
+          const std::size_t j = i + rng.below(v.size() - i + 1);
+          a.insert(a.end(), a.data() + i, a.data() + j);
+          v.insert(v.end(), v.begin() + static_cast<std::ptrdiff_t>(i),
+                   v.begin() + static_cast<std::ptrdiff_t>(j));
+        } else {
+          std::vector<C> more(rng.below(kMapped));
+          for (C& c : more) c = make();
+          a.insert(a.end(), more.data(), more.data() + more.size());
+          v.insert(v.end(), more.begin(), more.end());
+        }
+        break;
+      }
+      case 7: {  // clear and refill
+        a.clear();
+        v.clear();
+        EXPECT_TRUE(a.empty());
+        const std::size_t n = rng.below(2 * kMapped);
+        for (std::size_t i = 0; i < n; ++i) {
+          const C c = make();
+          a.push_back(c);
+          v.push_back(c);
+        }
+        break;
+      }
+      case 8: {  // copy construction and copy assignment over a smaller and a larger array
+        PodArray<C> copy = a;
+        EXPECT_TRUE(same_elements(copy, v));
+        PodArray<C> small;
+        small.push_back(make());
+        small = copy;
+        EXPECT_TRUE(same_elements(small, v));
+        copy.resize(copy.size() / 2);
+        copy = small;
+        EXPECT_TRUE(same_elements(copy, v));
+        break;
+      }
+      default: {  // move construction, move assignment and self-move
+        PodArray<C> moved = std::move(a);
+        EXPECT_TRUE(a.empty());
+        EXPECT_EQ(a.data(), nullptr);
+        PodArray<C>& alias = moved;
+        moved = std::move(alias);
+        EXPECT_TRUE(same_elements(moved, v));
+        a.push_back(make());  // a moved-from array is usable, and then replaced
+        a = std::move(moved);
+        break;
+      }
+    }
+    ASSERT_TRUE(same_elements(a, v));
+    if (a.capacity() * sizeof(C) >= detail::kMapBytes) {
+      ++mapped_steps;
+#ifdef AC_POD_ARRAY_ASAN
+      // The unused capacity of a mapped array is poisoned.
+      if (a.size() < a.capacity()) EXPECT_TRUE(__asan_address_is_poisoned(a.data() + a.size()));
+#endif
+    }
+  }
+  EXPECT_GT(mapped_steps, 0);
+}
+
+TEST(PodArray, ASecondArrayStartsFromTheFreedArraysMapping) {
+  using C = Cell<1>;  // no other test maps this type, so its spare starts empty
+  std::uintptr_t first_data = 0;
+  std::size_t first_capacity = 0;
+  {
+    PodArray<C> first;
+    first.reserve(2 * kMappedElements<C>);
+    first_data = reinterpret_cast<std::uintptr_t>(first.data());
+    first_capacity = first.capacity();
+    first.resize(first.capacity());  // touch every page
+  }
+  // Growing past 1 MiB takes the spare whole.
+  PodArray<C> second;
+  while (second.size() <= kMappedElements<C>) second.push_back(C{});
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(second.data()), first_data);
+  EXPECT_EQ(second.capacity(), first_capacity);
+  // So does a reserve past 1 MiB, once the second is freed in its turn.
+  second = PodArray<C>();
+  PodArray<C> third;
+  third.reserve(kMappedElements<C> + 1);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(third.data()), first_data);
+}
+
+TEST(PodArray, SpareKeepsTheLargerMappingUpTo256MiB) {
+  detail::Mapping spare;
+  const detail::Mapping one = detail::acquire_mapping(spare, detail::kMapBytes);
+  detail::Mapping two = detail::acquire_mapping(spare, 2 * detail::kMapBytes);
+  ASSERT_GE(two.bytes, 2 * detail::kMapBytes);
+  std::memset(two.base, 0x5a, two.bytes);
+  detail::release_mapping(spare, two);
+  EXPECT_EQ(spare.base, two.base);
+  detail::release_mapping(spare, one);  // the smaller is unmapped
+  EXPECT_EQ(spare.base, two.base);
+
+  // A larger request grows the spare; its pages move, their bytes with them.
+  two = detail::acquire_mapping(spare, 4 * detail::kMapBytes);
+  EXPECT_EQ(spare.base, nullptr);
+  ASSERT_GE(two.bytes, 4 * detail::kMapBytes);
+  const auto* bytes = static_cast<const unsigned char*>(two.base);
+  EXPECT_TRUE(std::all_of(bytes, bytes + 2 * detail::kMapBytes,
+                          [](unsigned char b) { return b == 0x5a; }));
+  detail::release_mapping(spare, two);
+
+  // A mapping above the bound is unmapped rather than kept, even as the
+  // larger one (it is never touched: only address space is taken).
+  detail::Mapping other;
+  const detail::Mapping huge = detail::acquire_mapping(other, detail::kSpareMaxBytes + 1);
+  detail::release_mapping(other, huge);
+  EXPECT_EQ(other.base, nullptr);
+  ASSERT_EQ(munmap(spare.base, spare.bytes), 0);
+}
+
+TEST(PodArray, ThreadsCreateAndFreeMappedArraysAtOnce) {
+  using C = Cell<2>;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([t, &wrong] {
+      SplitMix64 rng(static_cast<std::uint64_t>(t) + 1);
+      for (std::uint32_t round = 0; round < 8; ++round) {
+        PodArray<C> a;
+        const std::size_t n = kMappedElements<C> / 2 + rng.below(2 * kMappedElements<C>);
+        if (round % 2 == 1) a.reserve(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          C c;
+          c.a = i;
+          c.b = static_cast<std::uint64_t>(t);
+          c.c = round;
+          a.push_back(c);
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+          if (a[i].a != i || a[i].b != static_cast<std::uint64_t>(t) || a[i].c != round) {
+            ++wrong;
+            break;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 // --- TraceBuffer pack/materialize -------------------------------------------
@@ -200,7 +451,7 @@ TEST(TraceBuffer, ChunkAppendsReallocateLogarithmically) {
     operand_reallocs += merged.operands().capacity() != op_cap;
   }
   EXPECT_EQ(merged.size(), 10u * kChunks);
-  // log_1.5(1000) ~ 17.
+  // Doubling from 16 elements: 10 reallocations for 10,000.
   EXPECT_LE(record_reallocs, 20);
   EXPECT_LE(operand_reallocs, 20);
 }
@@ -341,14 +592,19 @@ std::string golden_counts(const std::string& app) {
 /// trace digests', and 2 and 4 threads give the one-thread buffer.
 class BufferRoundTrip : public testing::TestWithParam<std::string> {};
 
-TEST_P(BufferRoundTrip, WriterFixpointAndGoldenCounts) {
-  const apps::App& app = apps::find_app(GetParam());
+/// The text trace of the app named `name`, at its default knobs.
+std::string app_trace_text(const std::string& name) {
   trace::BufferSink sink;
   vm::RunOptions ropts;
   ropts.sink = &sink;
-  const ir::Module module = minic::compile(app.source());
+  const ir::Module module = minic::compile(apps::find_app(name).source());
   vm::run_module(module, ropts);
-  const std::string text = test::trace_text(sink.buffer());
+  return test::trace_text(sink.buffer());
+}
+
+TEST_P(BufferRoundTrip, WriterFixpointAndGoldenCounts) {
+  const apps::App& app = apps::find_app(GetParam());
+  const std::string text = app_trace_text(app.name);
 
   const TraceBuffer serial = read_trace_buffer(text);
   EXPECT_EQ(test::trace_text(serial), text);
@@ -372,6 +628,27 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+/// A serial parse sizes its one chunk's arrays from the text's length, and
+/// they must hold the chunk without regrowing. HACC's 3.2 MB trace is one
+/// chunk: 51,861 records and 119,377 operands, 61.8 and 26.9 text bytes each.
+TEST(TraceBufferParse, FirstReserveHoldsHaccTrace) {
+  const std::string text = app_trace_text("HACC");
+  ASSERT_LT(text.size(), 8u << 20);
+  const std::size_t records = text.size() / kTextBytesPerRecord + 1;
+  const std::size_t operands = text.size() / kTextBytesPerOperand + 1;
+  TraceBuffer probe;
+  probe.reserve(records, operands);
+  const std::size_t record_capacity = probe.records().capacity();
+  const std::size_t operand_capacity = probe.operands().capacity();
+  probe = TraceBuffer();  // its mappings become the spares the parse's reserve takes
+
+  const TraceBuffer parsed = read_trace_buffer(text, 1);
+  EXPECT_LE(parsed.size(), records);
+  EXPECT_LE(parsed.operands().size(), operands);
+  EXPECT_EQ(parsed.records().capacity(), record_capacity);
+  EXPECT_EQ(parsed.operands().capacity(), operand_capacity);
+}
 
 /// A name is every byte between its commas, an embedded NUL included, so the
 /// writer must append it whole for the fixpoint to hold (a recode from MCTB

@@ -95,6 +95,16 @@ TEST(ParallelReader, RealAppTraceMatches) {
     test::expect_same_buffer(one, source.buffer());
     EXPECT_TRUE(mctb == mctb_to_bytes(source.buffer())) << "FileSource threads=" << threads;
   }
+  // The container holds 6 chunks. Every decode thread count gives the parse's
+  // buffer: -1 and 0 take the hardware count, 1 appends the chunks in order,
+  // and 4 workers fill the slots of arrays sized without initializing them
+  // (reused mappings hold stale bytes, so a slot left unwritten shows here).
+  for (const int threads : {-1, 0, 1, 4}) {
+    SCOPED_TRACE(threads);
+    MctbReadOptions mopts;
+    mopts.num_threads = threads;
+    test::expect_same_buffer(one, read_mctb(mctb, mopts));
+  }
   std::remove(path.c_str());
 }
 
