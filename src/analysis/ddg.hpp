@@ -12,10 +12,11 @@
 // step-wise behaviour is unit-tested against the paper's worked example
 // (`sum` ⇐ 13 ⇐ m ⇐ 12 ⇐ {10,11} ⇐ {a,b}).
 //
-// The dependency replay re-adds the same few hundred edges millions of times,
-// so add_edge() answers "seen" from an open-addressing hash set of
-// parent<<32|child keys and touches the ordered edge set, which fixes the
-// to_dot() and contract() order, only for a new edge.
+// The dependency replay's edge memo (depanalysis.hpp) keeps most repeated
+// edges from reaching add_edge(); for the rest, add_edge() answers "seen"
+// from an open-addressing hash set of parent<<32|child keys and touches the
+// ordered edge set, which fixes the to_dot() and contract() order, only for a
+// new edge.
 #pragma once
 
 #include <cstdint>

@@ -57,6 +57,22 @@ struct RegSlot {
   Prov prov;
 };
 
+/// A DDG variable node, and the edge memo of the register stored into it last.
+struct VarNode {
+  int node = -1;  // -1: no node yet
+  std::uint32_t store_func = SymbolPool::npos;
+  std::uint32_t store_reg = SymbolPool::npos;
+};
+
+/// A DDG register node, and the edge memo of the last Load and the last
+/// arithmetic record that wrote it: the Load's source variable, the
+/// arithmetic record's register inputs in operand order (npos: none).
+struct RegNode {
+  int node = -1;  // -1: no node yet
+  int load_var = -1;
+  std::uint32_t arith_in[2] = {SymbolPool::npos, SymbolPool::npos};
+};
+
 /// A slot as it was before a callee's first write to it, restored at Ret.
 struct UndoEntry {
   std::uint32_t reg = 0;
@@ -146,11 +162,17 @@ struct DepAnalyzer::Impl {
   // "argN" binding registers, indexed by N-1.
   std::vector<std::uint32_t> arg_ids;
   // DDG node caches: labels are a pure function of the ids, so node ids are
-  // resolved without rebuilding label strings per record. -1: no node yet.
-  std::vector<int> var_nodes;               // by var id
-  std::vector<std::vector<int>> reg_nodes;  // by dense(func), then dense(reg)
+  // resolved without rebuilding label strings per record. Each entry also
+  // holds the edge memo: the last edge a Load, an arithmetic record or a
+  // Store added into its node. Edges are never removed, so a record that
+  // would add the memo's edge again skips the node lookups and
+  // Ddg::add_edge; any other record runs the full add, so nodes are created
+  // in the same order and the DDG is the one a replay without the memo
+  // builds.
+  std::vector<VarNode> var_nodes;               // by var id
+  std::vector<std::vector<RegNode>> reg_nodes;  // by dense(func), then dense(reg)
   std::uint32_t memo_func = SymbolPool::npos;
-  std::vector<int>* memo_func_nodes = nullptr;
+  std::vector<RegNode>* memo_func_nodes = nullptr;
 
   Impl(const MclRegion& r, const AnalysisOptions& o) : region(r), opts(o) {}
 
@@ -273,15 +295,20 @@ struct DepAnalyzer::Impl {
 
   // --- DDG helpers ----------------------------------------------------------
 
-  int ddg_var_node(int var) {
+  VarNode& var_entry(int var) {
     const auto v = static_cast<std::size_t>(var);
-    if (v >= var_nodes.size()) var_nodes.resize(v + 1, -1);
-    int& node = var_nodes[v];
-    if (node >= 0) return node;
+    if (v >= var_nodes.size()) var_nodes.resize(v + 1);
+    return var_nodes[v];
+  }
+
+  int ddg_var_node(int var) {
+    VarNode& e = var_entry(var);
+    if (e.node >= 0) return e.node;
     const VarDef& def = pre.vars.def(var);
+    const auto v = static_cast<std::size_t>(var);
     const std::string label = facts[v].host_scope ? def.name : def.func + "." + def.name;
-    node = result.complete.node(label, NodeKind::OtherVar);  // MLI ones upgraded by finish()
-    return node;
+    e.node = result.complete.node(label, NodeKind::OtherVar);  // MLI ones upgraded by finish()
+    return e.node;
   }
 
   std::string_view func_label(std::uint32_t func) const {
@@ -291,7 +318,7 @@ struct DepAnalyzer::Impl {
     return func == SymbolPool::absent ? std::string_view("main") : pool->view(func);
   }
 
-  int ddg_reg_node(std::uint32_t func, std::uint32_t reg) {
+  RegNode& reg_entry(std::uint32_t func, std::uint32_t reg) {
     // Consecutive records almost always share their function.
     if (func != memo_func || memo_func_nodes == nullptr) {
       const std::size_t f = dense(func);
@@ -299,15 +326,19 @@ struct DepAnalyzer::Impl {
       memo_func = func;
       memo_func_nodes = &reg_nodes[f];
     }
-    std::vector<int>& nodes = *memo_func_nodes;
+    std::vector<RegNode>& nodes = *memo_func_nodes;
     const std::size_t r = dense(reg);
-    if (r >= nodes.size()) nodes.resize(r + 1, -1);
-    int& node = nodes[r];
-    if (node >= 0) return node;
+    if (r >= nodes.size()) nodes.resize(r + 1);
+    return nodes[r];
+  }
+
+  int ddg_reg_node(std::uint32_t func, std::uint32_t reg) {
+    RegNode& e = reg_entry(func, reg);
+    if (e.node >= 0) return e.node;
     const std::string label =
         std::string(func_label(func)) + "%" + std::string(pool->view(reg));
-    node = result.complete.node(label, NodeKind::Register);
-    return node;
+    e.node = result.complete.node(label, NodeKind::Register);
+    return e.node;
   }
 
   // --- record handlers --------------------------------------------------------
@@ -340,8 +371,9 @@ struct DepAnalyzer::Impl {
     if (hit) {
       note_access(*hit, ptr->addr());
       scratch_prov.add(hit->var, hit->elem);
-      if (opts.build_ddg) {
+      if (opts.build_ddg && reg_entry(r.func, result_op->name).load_var != hit->var) {
         result.complete.add_edge(ddg_var_node(hit->var), ddg_reg_node(r.func, result_op->name));
+        reg_entry(r.func, result_op->name).load_var = hit->var;
       }
       if (at_header(r)) result.induction.cond_read.insert(hit->var);
     }
@@ -357,15 +389,37 @@ struct DepAnalyzer::Impl {
   void on_arith(const PackedRecord& r, const PackedOperand* ops) {
     const PackedOperand* result_op = trace::find_operand(r, ops, OperandSlot::Result);
     if (!result_op) return;
+    // The edge memo holds up to two register inputs; a record with more
+    // always adds its edges.
+    bool add_edges = opts.build_ddg;
+    std::uint32_t in[2] = {SymbolPool::npos, SymbolPool::npos};
+    std::uint32_t reg_inputs = 0;
+    if (add_edges) {
+      for (std::uint32_t i = 0; i < r.op_count; ++i) {
+        const PackedOperand& op = ops[i];
+        if (op.slot() != OperandSlot::Input || !op.is_reg() || op.name == SymbolPool::npos) {
+          continue;
+        }
+        if (reg_inputs < 2) in[reg_inputs] = op.name;
+        ++reg_inputs;
+      }
+      const std::uint32_t* last = reg_entry(r.func, result_op->name).arith_in;
+      add_edges = reg_inputs > 2 || last[0] != in[0] || last[1] != in[1];
+    }
     scratch_prov.sources.clear();
     for (std::uint32_t i = 0; i < r.op_count; ++i) {
       const PackedOperand& op = ops[i];
       if (op.slot() != OperandSlot::Input) continue;
       scratch_prov.merge(prov_of_operand(op));
-      if (opts.build_ddg && op.is_reg() && op.name != SymbolPool::npos) {
+      if (add_edges && op.is_reg() && op.name != SymbolPool::npos) {
         result.complete.add_edge(ddg_reg_node(r.func, op.name),
                                  ddg_reg_node(r.func, result_op->name));
       }
+    }
+    if (add_edges && reg_inputs <= 2) {
+      RegNode& e = reg_entry(r.func, result_op->name);
+      e.arith_in[0] = in[0];
+      e.arith_in[1] = in[1];
     }
     write_reg(result_op->name, scratch_prov);
   }
@@ -393,7 +447,13 @@ struct DepAnalyzer::Impl {
     push_event(hit->var, hit->elem, /*is_write=*/true, r.line);
 
     if (opts.build_ddg && value->is_reg() && value->name != SymbolPool::npos) {
-      result.complete.add_edge(ddg_reg_node(r.func, value->name), ddg_var_node(hit->var));
+      const VarNode& last = var_entry(hit->var);
+      if (last.store_func != r.func || last.store_reg != value->name) {
+        result.complete.add_edge(ddg_reg_node(r.func, value->name), ddg_var_node(hit->var));
+        VarNode& e = var_entry(hit->var);
+        e.store_func = r.func;
+        e.store_reg = value->name;
+      }
     }
 
     if (first_b >= 0) {
@@ -572,8 +632,8 @@ struct DepAnalyzer::Impl {
       pre.is_mli[id] = 1;
       const VarDef& def = pre.vars.def(static_cast<int>(id));
       pre.mli.push_back(MliVar{static_cast<int>(id), def.name, def.decl_line, def.bytes});
-      if (id < var_nodes.size() && var_nodes[id] >= 0) {
-        result.complete.node(result.complete.label(var_nodes[id]), NodeKind::MliVar);
+      if (id < var_nodes.size() && var_nodes[id].node >= 0) {
+        result.complete.node(result.complete.label(var_nodes[id].node), NodeKind::MliVar);
       }
     }
 

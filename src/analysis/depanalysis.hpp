@@ -32,9 +32,15 @@
 // its sources in first-seen order, and a register carrying more than a fixed
 // bound of sources is an AnalysisError, never a silently dropped read. DDG
 // nodes are resolved through per-id vectors that produce exactly the legacy
-// labels. One implementation serves the batch path (a TraceBuffer replay)
-// and the live path (RecordViews remapped one at a time into a scratch
-// TraceBuffer), so batch and live results are identical by construction.
+// labels. The same vectors hold an edge memo: per node, the last edge a Load
+// (its source variable), an arithmetic record (its at most 2 register
+// inputs) or a Store (the function and register stored) added into it. A
+// loop re-adds the same few edges on every iteration, so a record whose edge
+// is its node's memo skips the lookups and Ddg::add_edge; any other record
+// runs the full add, so the DDG is built exactly as without the memo. One
+// implementation serves the batch path (a TraceBuffer replay) and the live
+// path (RecordViews remapped one at a time into a scratch TraceBuffer), so
+// batch and live results are identical by construction.
 #pragma once
 
 #include <cstdint>

@@ -353,7 +353,9 @@ int decode_child(int fd, const CorpusEntry& e, const AppContext& ctx,
 //   A  run the mini-app under the engine with the fault armed (unless it
 //      targets recovery) and a fail-stop injected — the "process that died";
 //   B  a fresh engine over the same storage recovers, restarts, and compares
-//      the final output against the failure-free reference bit for bit.
+//      the restarted run's output text (RunResult::output) byte for byte
+//      with the failure-free reference's. print_float writes %.6f, so a
+//      state difference below the sixth decimal goes unseen.
 // A case whose armed fault never fires (its skip outlasts the writes or
 // reads it counts) is benign: it tested the restart, not the fault.
 

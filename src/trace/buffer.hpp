@@ -124,14 +124,10 @@ inline const PackedOperand* find_input(const PackedRecord& rec, const PackedOper
 
 class TraceBuffer;
 
-/// Zero-cost read cursor over one record of a TraceBuffer, or over any packed
-/// record + operand span and the SymbolPool its ids index (the VM hands its
-/// sink views over its per-site templates and its own pool).
+/// Zero-cost read cursor over one record of a TraceBuffer (TraceBuffer::view;
+/// the VM hands a sink views of its staging buffer's one record).
 class RecordView {
  public:
-  RecordView(const SymbolPool& pool, const PackedRecord& rec, const PackedOperand* ops)
-      : pool_(&pool), rec_(&rec), ops_(ops) {}
-
   std::int32_t line() const { return rec_->line; }
   Opcode opcode() const { return rec_->opcode; }
   std::uint64_t dyn_id() const { return rec_->dyn_id; }
@@ -162,6 +158,10 @@ class RecordView {
   void append_text(std::string& out) const;
 
  private:
+  friend class TraceBuffer;
+  RecordView(const SymbolPool& pool, const PackedRecord& rec, const PackedOperand* ops)
+      : pool_(&pool), rec_(&rec), ops_(ops) {}
+
   const SymbolPool* pool_;
   const PackedRecord* rec_;
   const PackedOperand* ops_;
@@ -203,11 +203,11 @@ class TraceBuffer {
   /// order).
   void append(const TraceRecord& rec);
 
-  /// Append a record viewed over another pool (the VM's trace templates, a
-  /// sink's input), translating its ids through a cached source->this remap
-  /// table that is rebuilt whenever either pool changes. Misses are interned
-  /// in func, bb, operand-name order, so the pool and the records come out
-  /// identical to append(rec.materialize()).
+  /// Append a record viewed over another pool (a sink's input), translating
+  /// its ids through a cached source->this remap table that is rebuilt
+  /// whenever either pool changes. Misses are interned in func, bb,
+  /// operand-name order, so the pool and the records come out identical to
+  /// append(rec.materialize()).
   void append(const RecordView& rec);
 
   /// Bulk-append `other`'s records: its symbols are merged into this pool in

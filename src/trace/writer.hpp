@@ -1,11 +1,16 @@
-// Trace sinks. The VM emits RecordViews over its own symbol pool through this
-// interface, and replays of a TraceBuffer hand over its views; a sink never
-// sees an owning record. Benchmarks stream text to a file (measuring trace
-// size / generation time for Table II), the analysis keeps records interned
-// in memory (BufferSink), and in a live Session the streaming analysis is
-// itself the sink (analysis::DepAnalyzer). An MCTB file is a BufferSink's
-// buffer written by write_mctb_file (trace/mctb.hpp): the container's column
-// encoding needs the finished arrays.
+// Trace sinks. Replays of a TraceBuffer hand a sink its views, and so does the
+// VM; a sink never sees an owning record. Benchmarks stream text to a file
+// (measuring trace size / generation time for Table II), the analysis keeps
+// records interned in memory (BufferSink), and in a live Session the
+// streaming analysis is itself the sink (analysis::DepAnalyzer). An MCTB file
+// is a BufferSink's buffer written by write_mctb_file (trace/mctb.hpp): the
+// container's column encoding needs the finished arrays.
+//
+// A sink that stores records in a TraceBuffer of its own names it through
+// target(), and the VM then writes each record straight into that buffer:
+// site templates intern into its pool and operands land in its arrays, so
+// nothing is copied or remapped. Every other sink gets append(view) over a
+// one-record staging buffer the VM owns.
 #pragma once
 
 #include <cstdio>
@@ -38,15 +43,22 @@ class TraceSink {
   /// Bytes written to durable storage so far (0 for in-memory sinks; the
   /// trace size column of Table II for file sinks).
   virtual std::uint64_t bytes() const { return 0; }
+  /// The buffer an emitter may append records to directly, bypassing
+  /// append(): the emitter interns into its pool and pushes onto its arrays,
+  /// and must leave it exactly as append(view) of each record would. nullptr
+  /// (the default) for a sink that does not keep a TraceBuffer.
+  virtual TraceBuffer* target() { return nullptr; }
 };
 
 /// Interns records into a compact TraceBuffer as they are emitted — the
-/// allocation-free input for the analysis (the VM's strings are packed and
-/// dropped record by record; nothing per-record survives on the heap).
+/// allocation-free input for the analysis. It is the VM's target: the VM
+/// writes each record into buffer() itself, so a traced run copies and
+/// remaps nothing; append() serves replays and other emitters.
 class BufferSink final : public TraceSink {
  public:
   void append(const RecordView& rec) override { buffer_.append(rec); }
   std::uint64_t count() const override { return buffer_.size(); }
+  TraceBuffer* target() override { return &buffer_; }
 
   TraceBuffer& buffer() { return buffer_; }
   const TraceBuffer& buffer() const { return buffer_; }

@@ -58,31 +58,33 @@ void Interpreter::trace_begin(std::size_t site, std::string_view func, int line,
   if (building_) {
     // First traced execution: intern in func, bb, operand-name order — the
     // operand names as trace_operand adds them.
+    trace::SymbolPool& pool = out_->pool();
     trace::PackedRecord& rec = site_->rec;
-    rec.func = pool_.intern(func);
-    rec.bb = pool_.intern(strf("%d:0", line));
+    rec.func = pool.intern(func);
+    rec.bb = pool.intern(strf("%d:0", line));
     rec.line = line;
     rec.opcode = opcode;
     rec.op_offset = static_cast<std::uint32_t>(site_ops_.size());
     rec.op_count = 0;
   }
-  scratch_ops_.clear();
 }
 
 void Interpreter::trace_operand(OperandSlot slot, int index, bool is_reg,
                                 const OperandName& name, const Value& v) {
   if (building_) {
+    trace::SymbolPool& pool = out_->pool();
     trace::PackedOperand op;
-    op.name = name.number < 0 ? pool_.intern(name.text)
-                              : pool_.intern(strf("%s%ld", name.prefix, name.number));
+    op.name = name.number < 0 ? pool.intern(name.text)
+                              : pool.intern(strf("%s%ld", name.prefix, name.number));
     op.index = index;
     op.flags = trace::PackedOperand::pack_flags(slot, trace::ValueKind::Int, is_reg);
     site_ops_.push_back(op);
     ++site_->rec.op_count;
   }
-  trace::PackedOperand op = site_ops_[site_->rec.op_offset + scratch_ops_.size()];
+  PodArray<trace::PackedOperand>& ops = out_->operands();
+  trace::PackedOperand op = site_ops_[site_->rec.op_offset + (ops.size() - op_begin_)];
   op.set_value(v);
-  scratch_ops_.push_back(op);
+  ops.push_back(op);
 }
 
 void Interpreter::trace_opnd(const Frame& f, const ir::Opnd& o, int index, const Value& v) {
@@ -92,10 +94,19 @@ void Interpreter::trace_opnd(const Frame& f, const ir::Opnd& o, int index, const
 
 void Interpreter::trace_end() {
   site_->built = true;
+  if (out_->operands().size() > 0xffffffffull) {
+    throw TraceFormatError("trace exceeds the 4G-operand TraceBuffer capacity");
+  }
   trace::PackedRecord rec = site_->rec;
   rec.dyn_id = result_.steps - 1;
-  rec.op_offset = 0;
-  sink_->append(trace::RecordView(pool_, rec, scratch_ops_.data()));
+  rec.op_offset = static_cast<std::uint32_t>(op_begin_);
+  out_->records().push_back(rec);
+  if (out_ == &staging_) {
+    sink_->append(staging_.view(0));
+    staging_.records().clear();
+    staging_.operands().clear();
+  }
+  op_begin_ = out_->operands().size();
 }
 
 Interpreter::OperandName Interpreter::opnd_name(const Frame& f, const ir::Opnd& o) const {
@@ -606,17 +617,20 @@ RunResult Interpreter::run(const RunOptions& opts) {
   opts_ = &opts;
   result_ = RunResult{};
   sink_ = opts.sink;
-  if (sink_) sites_.assign(num_sites_, SiteTemplate{});
+  if (sink_) {
+    sites_.assign(num_sites_, SiteTemplate{});
+    out_ = sink_->target() ? sink_->target() : &staging_;
+    op_begin_ = out_->operands().size();
+  }
   mcl_fn_ = opts.mcl ? module_.find_function(opts.mcl->function) : nullptr;
   mcl_line_ = opts.mcl ? opts.mcl->begin_line : 0;
   const ir::Function* main_fn = module_.find_function("main");
   if (!main_fn) throw VmError("module has no main()");
   if (main_fn->num_params != 0) throw VmError("main() must take no parameters");
 
-  emit_global_allocas();
-  push_frame(*main_fn, {}, -1);
-
   try {
+    emit_global_allocas();
+    push_frame(*main_fn, {}, -1);
     while (!frames_.empty()) {
       Frame& f = top();
       AC_CHECK(f.pc >= 0 && f.pc < static_cast<int>(f.fn->instrs.size()),
@@ -640,6 +654,10 @@ RunResult Interpreter::run(const RunOptions& opts) {
   } catch (const FailStop& fs) {
     result_.failed = true;
     result_.iterations_started = fs.iteration - 1;
+  } catch (...) {
+    // A record cut short by a throw leaves none of its operands behind.
+    if (out_) out_->operands().resize(op_begin_);
+    throw;
   }
   result_.peak_memory = std::max(result_.peak_memory, arena_.peak_bytes());
   static auto& instrs = telemetry::metrics().counter("vm.instructions");

@@ -1,15 +1,19 @@
 // The tracing interpreter: executes a mini-IR module and emits a dynamic
 // instruction execution trace in the LLVM-Tracer block format.
 //
-// Emission model: every static record site — one per (function,
+// Emission model: every record is written straight into a TraceBuffer — the
+// sink's own (TraceSink::target(), a BufferSink's buffer) or, for any other
+// sink, a staging buffer whose one record is handed to sink->append(view)
+// and then dropped. Every static record site — one per (function,
 // instruction), one per (function, parameter) for the argument-binding
 // stores, one per global Alloca — gets a template on its first traced
 // execution. The template holds the record's static part (func and bb ids,
 // opcode, each operand's slot, index, is_reg flag and name id), interned into
-// the interpreter's SymbolPool in func, bb, operand-name order. Every later
-// execution copies the template into a reused scratch record, fills in the
-// operand values and dyn_id, and hands the sink a RecordView. Without a sink
-// nothing of a record is built: the dispatch loop only counts steps.
+// the output buffer's pool in func, bb, operand-name order, which is the
+// order BufferSink's append(view) would intern them in. Every execution
+// pushes the template's operands with their values, then the record with its
+// dyn_id. Without a sink nothing of a record is built: the dispatch loop only
+// counts steps.
 //
 // Besides plain execution it provides the three capabilities the paper's
 // validation methodology needs (§VI-B):
@@ -137,14 +141,20 @@ class Interpreter {
   static OperandName reg_name(int reg) { return {{}, "", reg}; }
 
   trace::TraceSink* sink_ = nullptr;  // opts_->sink
-  trace::SymbolPool pool_;
+  // The buffer records are written into: sink_->target(), or staging_ when
+  // the sink has none (trace_end forwards staging_'s one record, then
+  // clears it). Templates hold ids of out_'s pool.
+  trace::TraceBuffer* out_ = nullptr;
+  trace::TraceBuffer staging_;
+  // out_'s operand count at the end of its last complete record: the record
+  // being emitted starts here, and a throw truncates back to it.
+  std::size_t op_begin_ = 0;
   std::vector<std::size_t> site_base_;  // per function: its first site id
   std::size_t num_sites_ = 0;           // globals' sites come last
   std::vector<SiteTemplate> sites_;
   std::vector<trace::PackedOperand> site_ops_;
   SiteTemplate* site_ = nullptr;  // the record being emitted
   bool building_ = false;         // ... on its site's first traced execution
-  std::vector<trace::PackedOperand> scratch_ops_;
 
   Frame& top() { return frames_.back(); }
 
@@ -164,6 +174,8 @@ class Interpreter {
   }
   /// An IR operand as input `index`: registers and variables are named.
   void trace_opnd(const Frame& f, const ir::Opnd& o, int index, const Value& v);
+  /// Push the record (throwing TraceFormatError past 4G operands) and, when
+  /// out_ is staging_, forward it to the sink.
   void trace_end();
   OperandName opnd_name(const Frame& f, const ir::Opnd& o) const;
 

@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <random>
+#include <set>
 
 #include "analysis/ddg.hpp"
 #include "support/strings.hpp"
+#include "trace/reader.hpp"
 
 #include "helpers.hpp"
 
@@ -182,6 +184,92 @@ TEST(Contract, Fig4CompleteDdgHasRegisterAndLocalNodes) {
     has_register_node = has_register_node || g.kind(n) == NodeKind::Register;
   }
   EXPECT_TRUE(has_register_node);
+}
+
+/// Every edge of `g` as a (parent label, child label) pair.
+std::set<std::pair<std::string, std::string>> edge_labels(const Ddg& g) {
+  std::set<std::pair<std::string, std::string>> out;
+  for (int n = 0; n < g.num_nodes(); ++n) {
+    for (int c : g.children(n)) out.emplace(g.label(n), g.label(c));
+  }
+  return out;
+}
+
+TEST(DdgEdgeMemo, AlternatingSourcesKeepEveryEdge) {
+  // The replay skips a record whose edge into a node is the last one added
+  // into that node. Here each destination alternates its sources, so every
+  // record after a destination's first misses that memo and must still add
+  // its edge: register 1 is loaded from a, b, a; register 5 sums (1, 2),
+  // (3, 4), (1, 2), (1, 6), then 1 and the constant 7; x is stored from
+  // main's 1, 5, 1, then f's 1 (same register name, another function) and
+  // main's 1 again.
+  const std::string text =
+      "0,1,<global>,1:0,26,0\n"
+      "1,64,8,0, \n"
+      "r,64,0x100000,1,a\n"
+      "0,1,<global>,1:0,26,1\n"
+      "1,64,8,0, \n"
+      "r,64,0x100008,1,b\n"
+      "0,1,<global>,1:0,26,2\n"
+      "1,64,8,0, \n"
+      "r,64,0x100010,1,x\n"
+      "0,3,main,3:0,27,3\n"
+      "1,64,0x100000,1,a\n"
+      "r,64,0,1,1\n"
+      "0,3,main,3:0,27,4\n"
+      "1,64,0x100008,1,b\n"
+      "r,64,0,1,1\n"
+      "0,3,main,3:0,27,5\n"
+      "1,64,0x100000,1,a\n"
+      "r,64,0,1,1\n"
+      "0,4,main,4:0,8,6\n"
+      "1,64,0,1,1\n"
+      "2,64,0,1,2\n"
+      "r,64,0,1,5\n"
+      "0,4,main,4:0,8,7\n"
+      "1,64,0,1,3\n"
+      "2,64,0,1,4\n"
+      "r,64,0,1,5\n"
+      "0,4,main,4:0,8,8\n"
+      "1,64,0,1,1\n"
+      "2,64,0,1,2\n"
+      "r,64,0,1,5\n"
+      "0,4,main,4:0,8,9\n"
+      "1,64,0,1,1\n"
+      "2,64,0,1,6\n"
+      "r,64,0,1,5\n"
+      "0,4,main,4:0,8,10\n"
+      "1,64,0,1,1\n"
+      "2,64,7,0, \n"
+      "r,64,7,1,5\n"
+      "0,5,main,5:0,28,11\n"
+      "1,64,0,1,1\n"
+      "2,64,0x100010,1,x\n"
+      "0,5,main,5:0,28,12\n"
+      "1,64,0,1,5\n"
+      "2,64,0x100010,1,x\n"
+      "0,5,main,5:0,28,13\n"
+      "1,64,0,1,1\n"
+      "2,64,0x100010,1,x\n"
+      "0,5,main,5:0,49,14\n"
+      "0,64,0x0,0,f\n"
+      "0,10,f,10:0,28,15\n"
+      "1,64,0,1,1\n"
+      "2,64,0x100010,1,x\n"
+      "0,10,f,10:0,1,16\n"
+      "0,5,main,5:0,28,17\n"
+      "1,64,0,1,1\n"
+      "2,64,0x100010,1,x\n";
+  const trace::TraceBuffer buf = trace::read_trace_buffer(text);
+  const MclRegion region{"main", 3, 5};
+  const std::set<std::pair<std::string, std::string>> want = {
+      {"a", "main%1"},      {"b", "main%1"},      {"main%1", "main%5"},
+      {"main%2", "main%5"}, {"main%3", "main%5"}, {"main%4", "main%5"},
+      {"main%6", "main%5"}, {"main%1", "x"},      {"main%5", "x"},
+      {"f%1", "x"}};
+  const Report batch = Session().buffer(trace::TraceBuffer(buf)).region(region).run();
+  EXPECT_EQ(edge_labels(batch.dep.complete), want);
+  EXPECT_EQ(edge_labels(test::stream_trace(buf, region).dep.complete), want);
 }
 
 TEST(Ddg, DotExportMentionsNodesAndEdges) {

@@ -4,7 +4,9 @@
 // (accumulators, recomputed temporaries, partial array writes, sweeps,
 // conditional updates), then:
 //   (1) sufficiency: restart from the identified set at a random failure
-//       iteration reproduces the reference output bit-for-bit;
+//       iteration prints the same output text as the failure-free run
+//       (RunResult::output, where print_float writes %.6f, so a difference
+//       below the sixth decimal passes);
 //   (2) the identified set stays within MLI ∪ induction;
 //   (3) analysis is deterministic.
 #include <gtest/gtest.h>

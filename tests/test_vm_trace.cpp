@@ -318,6 +318,58 @@ TEST(VmTraceGolden, EverySinkMatchesTheDigests) {
   if (HasFailure()) std::printf("computed digests:\n%s", computed.c_str());
 }
 
+// ---------------------------------------------------------------------------
+// Two routes out of the VM: a BufferSink is the VM's target, so the VM writes
+// each record into its buffer; any other sink gets each record as a view over
+// the VM's staging buffer. Both must give the same trace, whole or stopped.
+// ---------------------------------------------------------------------------
+
+/// A sink that is not a target: it appends each view to a buffer of its own.
+class ViewSink final : public trace::TraceSink {
+ public:
+  void append(const RecordView& rec) override { buffer_.append(rec); }
+  std::uint64_t count() const override { return buffer_.size(); }
+  const TraceBuffer& buffer() const { return buffer_; }
+
+ private:
+  TraceBuffer buffer_;
+};
+
+/// The last record ends where the operands end: a stopped run left no
+/// operands of an unfinished record behind.
+void expect_whole_records(const TraceBuffer& buf) {
+  ASSERT_FALSE(buf.empty());
+  const trace::PackedRecord& last = buf.records()[buf.size() - 1];
+  EXPECT_EQ(std::size_t{last.op_offset} + last.op_count, buf.operands().size());
+}
+
+/// Run `opts` into a BufferSink and into a ViewSink; both must hold the same
+/// buffer. Returns the BufferSink's run.
+RunResult expect_same_routes(const ir::Module& module, RunOptions opts) {
+  trace::BufferSink target;
+  opts.sink = &target;
+  const RunResult run = run_module(module, opts);
+  ViewSink viewed;
+  opts.sink = &viewed;
+  run_module(module, opts);
+  test::expect_same_buffer(target.buffer(), viewed.buffer());
+  expect_whole_records(target.buffer());
+  return run;
+}
+
+TEST(VmTraceRoutes, ViewSinkMatchesTargetOnAllApps) {
+  for (const apps::App& app : apps::registry()) {
+    SCOPED_TRACE(app.name);
+    const ir::Module module = minic::compile(app.source());
+    RunOptions opts;
+    opts.mcl = app.mcl();
+    EXPECT_FALSE(expect_same_routes(module, opts).failed);
+    // Stopped by an injected fail-stop as iteration 2 is about to start.
+    opts.fail_at_iteration = 2;
+    EXPECT_TRUE(expect_same_routes(module, opts).failed);
+  }
+}
+
 // Untraced runs build no records, but must execute exactly the same program.
 TEST(VmTraceUntraced, MatchesTracedRunOnAllApps) {
   for (const apps::App& app : apps::registry()) {
@@ -339,7 +391,8 @@ TEST(VmTraceUntraced, MatchesTracedRunOnAllApps) {
     EXPECT_EQ(sink.count(), traced.steps);
 
     // The step limit fires at the same instruction in both modes; the
-    // record that crossed it is never emitted.
+    // record that crossed it is never emitted, into the target or through a
+    // view.
     opts.max_steps = traced.steps / 2;
     opts.sink = nullptr;
     EXPECT_THROW(run_module(module, opts), VmError);
@@ -347,6 +400,11 @@ TEST(VmTraceUntraced, MatchesTracedRunOnAllApps) {
     opts.sink = &limited;
     EXPECT_THROW(run_module(module, opts), VmError);
     EXPECT_EQ(limited.count(), opts.max_steps);
+    expect_whole_records(limited.buffer());
+    ViewSink viewed;
+    opts.sink = &viewed;
+    EXPECT_THROW(run_module(module, opts), VmError);
+    test::expect_same_buffer(limited.buffer(), viewed.buffer());
   }
 }
 
