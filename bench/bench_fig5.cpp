@@ -78,12 +78,12 @@ int main() {
   for (std::size_t i = 0; i < trace.size(); ++i) {
     const trace::RecordView rec = trace.view(i);
     // Call form 2 carries parameter-indicator rows (its body follows).
-    const bool call_with_body = rec.find(trace::OperandSlot::Param) != nullptr;
+    const bool call_with_body = static_cast<bool>(rec.find(trace::OperandSlot::Param));
     if (rec.opcode() == trace::Opcode::Call && call_with_body && shown_call2++ == 0) {
       std::printf("%s", rec.to_text().c_str());
     }
     if (rec.opcode() == trace::Opcode::Alloca &&
-        rec.name(*rec.find(trace::OperandSlot::Result)) == "sum" && shown_alloca++ == 0) {
+        rec.name(rec.find(trace::OperandSlot::Result)) == "sum" && shown_alloca++ == 0) {
       std::printf("%s", rec.to_text().c_str());
     }
     if (rec.opcode() == trace::Opcode::Call && !call_with_body && shown_call1++ == 0) {

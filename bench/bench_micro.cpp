@@ -157,7 +157,7 @@ AppBench bench_app(const apps::App& app, const apps::Params& params, bool probe_
   out.buffer_parse_s = best_of([&] { buf = trace::read_trace_buffer(text, 1); });
   out.buffer_bytes = buf.byte_size();
   out.records = buf.size();
-  out.operands = buf.operands().size();
+  out.operands = buf.values().size();
 
   trace::TraceBuffer par_buf;
   out.parallel_parse_s = best_of([&] { par_buf = trace::read_trace_buffer(text, 4); });
@@ -180,7 +180,7 @@ AppBench bench_app(const apps::App& app, const apps::Params& params, bool probe_
   };
   out.mctb_parse_s = best_of_n(decode_reps, [&] { decode(1); });
   out.mctb_parallel_parse_s = best_of_n(decode_reps, [&] { decode(4); });
-  if (mctb_buf.size() != buf.size() || mctb_buf.operands().size() != buf.operands().size()) {
+  if (mctb_buf.size() != buf.size() || mctb_buf.values().size() != buf.values().size()) {
     std::fprintf(stderr, "bench_micro: MCTB round-trip SIZE MISMATCH on %s\n", app.name.c_str());
     std::exit(1);
   }

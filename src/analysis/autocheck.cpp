@@ -109,7 +109,7 @@ std::string Report::render_events(std::size_t max_events) const {
 
 std::string protect_calls(const Report& report, const trace::TraceBuffer& trace,
                           const std::string& source_name, const std::string& codec_spec) {
-  // One sweep over the packed records: the last Alloca per variable name in
+  // One sweep over the records: the last Alloca per variable name in
   // the MCL host function (or globals) is the binding live at the loop.
   const MclRegion& region = report.region;
   const trace::SymbolPool& pool = trace.pool();
@@ -120,9 +120,9 @@ std::string protect_calls(const Report& report, const trace::TraceBuffer& trace,
     const trace::RecordView rec = trace.view(i);
     if (rec.opcode() != trace::Opcode::Alloca) continue;
     if (rec.func_id() != host_func && rec.func_id() != global_func) continue;
-    const auto* result = rec.find(trace::OperandSlot::Result);
+    const trace::OperandRef result = rec.find(trace::OperandSlot::Result);
     if (!result) continue;
-    const auto* size = rec.input(1);
+    const trace::OperandRef size = rec.input(1);
     allocas[std::string(rec.name(*result))] = {
         result->value().addr, size ? static_cast<std::uint64_t>(size->value().i) : 0};
   }

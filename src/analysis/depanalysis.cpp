@@ -10,8 +10,8 @@ namespace ac::analysis {
 
 using trace::Opcode;
 using trace::OperandSlot;
-using trace::PackedOperand;
-using trace::PackedRecord;
+using trace::OperandTemplate;
+using trace::Site;
 using trace::SymbolPool;
 using trace::TraceBuffer;
 
@@ -86,6 +86,21 @@ struct AnalysisFrame {
   std::size_t undo_mark = 0;                     // undo-log depth at entry
 };
 
+/// One record as the replay reads it in place: its site, the site's operand
+/// templates and the record's values.
+struct Rec {
+  const Site& site;
+  const OperandTemplate* ops;
+  const std::uint64_t* values;
+
+  int find(OperandSlot slot) const { return trace::find_slot(ops, site.op_count, slot); }
+  int input(int idx) const { return trace::find_input(ops, site.op_count, idx); }
+  bool is_addr(int k) const { return ops[k].vkind() == trace::ValueKind::Addr; }
+  std::uint32_t name(int k) const { return ops[k].name; }
+  /// A register input's name, npos for an immediate or an unnamed operand.
+  std::uint32_t reg(int k) const { return ops[k].is_reg() ? ops[k].name : SymbolPool::npos; }
+};
+
 /// Dense index of a pool id: the absent and npos sentinels take 0 and 1,
 /// real ids follow.
 std::size_t dense(std::uint32_t id) {
@@ -98,8 +113,10 @@ struct DepAnalyzer::Impl {
   MclRegion region;
   AnalysisOptions opts;
 
-  // Name resolution: batch binds the buffer's pool, streaming the pool of its
-  // one-record scratch buffer, which interns names as records arrive.
+  // Name resolution and sites: batch binds the buffer, streaming its
+  // one-record scratch buffer, which interns names and sites as records
+  // arrive.
+  const TraceBuffer* src = nullptr;
   const SymbolPool* pool = nullptr;
   bool streaming = false;
   std::uint32_t region_func_id = SymbolPool::npos;
@@ -142,10 +159,11 @@ struct DepAnalyzer::Impl {
 
   // One-record lookahead: a Call record is form 2 iff the next record
   // executes inside the callee ("a Call instruction followed by its function
-  // body"). The pending record is copied (streaming scratch is overwritten).
+  // body"). The pending record's values are copied (streaming scratch is
+  // overwritten); its site stays in the bound buffer.
   bool have_pending_call = false;
-  PackedRecord pending_rec;
-  std::vector<PackedOperand> pending_ops;
+  std::uint32_t pending_site = 0;
+  std::vector<std::uint64_t> pending_values;
 
   // Registers, shallow-bound (see depanalysis.hpp): memory is O(pool size +
   // live writes) at any call depth. Undo entries, argument entries and the
@@ -178,11 +196,13 @@ struct DepAnalyzer::Impl {
 
   void bind_streaming() {
     streaming = true;
+    src = &scratch;
     pool = &scratch.pool();
     region_func_id = scratch.pool().intern(region.function);
     push_frame(scratch.pool().intern("main"), SymbolPool::npos);
   }
   void bind_buffer(const TraceBuffer& buf) {
+    src = &buf;
     pool = &buf.pool();
     region_func_id = pool->lookup(region.function);
     push_frame(pool->lookup("main"), SymbolPool::npos);
@@ -236,7 +256,7 @@ struct DepAnalyzer::Impl {
 
   /// Record `idx` is in the loop region: the first such record enters Part B,
   /// the last one ends it.
-  void note_region(const PackedRecord& r) {
+  void note_region(const Site& r) {
     in_region = r.opcode != Opcode::Alloca && r.func == region_func_id &&
                 region.contains(r.line);
     if (!in_region) return;
@@ -249,7 +269,7 @@ struct DepAnalyzer::Impl {
 
   /// A region record is always in Part B, so this is "a Part-B record on the
   /// MCL header line".
-  bool at_header(const PackedRecord& r) const {
+  bool at_header(const Site& r) const {
     return in_region && r.line == region.begin_line;
   }
 
@@ -343,116 +363,123 @@ struct DepAnalyzer::Impl {
 
   // --- record handlers --------------------------------------------------------
 
-  void on_alloca(const PackedRecord& r, const PackedOperand* ops) {
-    const PackedOperand* result_op = trace::find_operand(r, ops, OperandSlot::Result);
-    const PackedOperand* size = trace::find_input(r, ops, 1);
-    if (!result_op || !size || !result_op->is_addr()) {
+  void on_alloca(const Rec& r) {
+    const int result_op = r.find(OperandSlot::Result);
+    const int size = r.input(1);
+    if (result_op < 0 || size < 0 || !r.is_addr(result_op)) {
       throw AnalysisError("malformed Alloca record");
     }
-    const auto bytes = static_cast<std::uint64_t>(size->as_i64());
-    const int id = pre.vars.canonical(*pool, r.func, result_op->name, r.line, bytes);
-    amap.bind(result_op->addr(), bytes, id);
+    const auto bytes = static_cast<std::uint64_t>(
+        trace::OperandRef(r.ops[size], r.values[size]).as_i64());
+    const std::uint64_t addr = r.values[result_op];
+    const int id = pre.vars.canonical(*pool, r.site.func, r.name(result_op), r.site.line, bytes);
+    amap.bind(addr, bytes, id);
     if (static_cast<std::size_t>(id) == facts.size()) {
       const VarDef& def = pre.vars.def(id);
       VarFacts& f = facts.emplace_back();
       f.alloca_idx = idx;
       f.host_scope = def.is_global() || def.func == region.function;
-      f.name = result_op->name;
+      f.name = r.name(result_op);
     }
-    facts[static_cast<std::size_t>(id)].base = result_op->addr();
+    facts[static_cast<std::size_t>(id)].base = addr;
   }
 
-  void on_load(const PackedRecord& r, const PackedOperand* ops) {
-    const PackedOperand* ptr = trace::find_input(r, ops, 1);
-    const PackedOperand* result_op = trace::find_operand(r, ops, OperandSlot::Result);
-    if (!ptr || !result_op || !ptr->is_addr()) throw AnalysisError("malformed Load record");
-    const auto hit = amap.resolve(ptr->addr());
+  void on_load(const Rec& r) {
+    const int ptr = r.input(1);
+    const int result_op = r.find(OperandSlot::Result);
+    if (ptr < 0 || result_op < 0 || !r.is_addr(ptr)) throw AnalysisError("malformed Load record");
+    const std::uint64_t addr = r.values[ptr];
+    const std::uint32_t dst = r.name(result_op);
+    const auto hit = amap.resolve(addr);
     scratch_prov.sources.clear();
     if (hit) {
-      note_access(*hit, ptr->addr());
+      note_access(*hit, addr);
       scratch_prov.add(hit->var, hit->elem);
-      if (opts.build_ddg && reg_entry(r.func, result_op->name).load_var != hit->var) {
-        result.complete.add_edge(ddg_var_node(hit->var), ddg_reg_node(r.func, result_op->name));
-        reg_entry(r.func, result_op->name).load_var = hit->var;
+      if (opts.build_ddg && reg_entry(r.site.func, dst).load_var != hit->var) {
+        result.complete.add_edge(ddg_var_node(hit->var), ddg_reg_node(r.site.func, dst));
+        reg_entry(r.site.func, dst).load_var = hit->var;
       }
-      if (at_header(r)) result.induction.cond_read.insert(hit->var);
+      if (at_header(r.site)) result.induction.cond_read.insert(hit->var);
     }
-    write_reg(result_op->name, scratch_prov);
+    write_reg(dst, scratch_prov);
   }
 
   /// Valid until the next register write or frame change.
-  const Prov& prov_of_operand(const PackedOperand& op) const {
-    if (!op.is_reg() || op.name == SymbolPool::npos) return no_prov;
-    return prov_of_reg(op.name);
+  const Prov& prov_of_operand(const Rec& r, int k) const {
+    const std::uint32_t reg = r.reg(k);
+    return reg == SymbolPool::npos ? no_prov : prov_of_reg(reg);
   }
 
-  void on_arith(const PackedRecord& r, const PackedOperand* ops) {
-    const PackedOperand* result_op = trace::find_operand(r, ops, OperandSlot::Result);
-    if (!result_op) return;
+  void on_arith(const Rec& r) {
+    const int result_op = r.find(OperandSlot::Result);
+    if (result_op < 0) return;
+    const std::uint32_t func = r.site.func;
+    const std::uint32_t dst = r.name(result_op);
+    const std::uint32_t n = r.site.op_count;
     // The edge memo holds up to two register inputs; a record with more
     // always adds its edges.
     bool add_edges = opts.build_ddg;
     std::uint32_t in[2] = {SymbolPool::npos, SymbolPool::npos};
     std::uint32_t reg_inputs = 0;
     if (add_edges) {
-      for (std::uint32_t i = 0; i < r.op_count; ++i) {
-        const PackedOperand& op = ops[i];
-        if (op.slot() != OperandSlot::Input || !op.is_reg() || op.name == SymbolPool::npos) {
-          continue;
-        }
-        if (reg_inputs < 2) in[reg_inputs] = op.name;
+      for (std::uint32_t i = 0; i < n; ++i) {
+        if (r.ops[i].slot() != OperandSlot::Input) continue;
+        const std::uint32_t reg = r.reg(static_cast<int>(i));
+        if (reg == SymbolPool::npos) continue;
+        if (reg_inputs < 2) in[reg_inputs] = reg;
         ++reg_inputs;
       }
-      const std::uint32_t* last = reg_entry(r.func, result_op->name).arith_in;
+      const std::uint32_t* last = reg_entry(func, dst).arith_in;
       add_edges = reg_inputs > 2 || last[0] != in[0] || last[1] != in[1];
     }
     scratch_prov.sources.clear();
-    for (std::uint32_t i = 0; i < r.op_count; ++i) {
-      const PackedOperand& op = ops[i];
-      if (op.slot() != OperandSlot::Input) continue;
-      scratch_prov.merge(prov_of_operand(op));
-      if (add_edges && op.is_reg() && op.name != SymbolPool::npos) {
-        result.complete.add_edge(ddg_reg_node(r.func, op.name),
-                                 ddg_reg_node(r.func, result_op->name));
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (r.ops[i].slot() != OperandSlot::Input) continue;
+      scratch_prov.merge(prov_of_operand(r, static_cast<int>(i)));
+      const std::uint32_t reg = r.reg(static_cast<int>(i));
+      if (add_edges && reg != SymbolPool::npos) {
+        result.complete.add_edge(ddg_reg_node(func, reg), ddg_reg_node(func, dst));
       }
     }
     if (add_edges && reg_inputs <= 2) {
-      RegNode& e = reg_entry(r.func, result_op->name);
+      RegNode& e = reg_entry(func, dst);
       e.arith_in[0] = in[0];
       e.arith_in[1] = in[1];
     }
-    write_reg(result_op->name, scratch_prov);
+    write_reg(dst, scratch_prov);
   }
 
-  void on_store(const PackedRecord& r, const PackedOperand* ops) {
-    const PackedOperand* value = trace::find_input(r, ops, 1);
-    const PackedOperand* ptr = trace::find_input(r, ops, 2);
-    if (!value || !ptr || !ptr->is_addr()) throw AnalysisError("malformed Store record");
+  void on_store(const Rec& r) {
+    const int value = r.input(1);
+    const int ptr = r.input(2);
+    if (value < 0 || ptr < 0 || !r.is_addr(ptr)) throw AnalysisError("malformed Store record");
     ++result.stores_seen;
-    const auto hit = amap.resolve(ptr->addr());
+    const std::uint64_t addr = r.values[ptr];
+    const auto hit = amap.resolve(addr);
     if (!hit) return;
-    note_access(*hit, ptr->addr());
+    note_access(*hit, addr);
 
     // Pointer assignment (paper §IV-A): storing an address transfers an
     // alias, it is neither a Read nor a Write of application data.
-    if (value->is_addr() && amap.resolve(value->addr())) {
+    if (r.is_addr(value) && amap.resolve(r.values[value])) {
       ++result.pointer_assignments;
       return;
     }
 
-    const Prov& sources = prov_of_operand(*value);
+    const Prov& sources = prov_of_operand(r, value);
     for (const auto& [svar, selem] : sources.sources) {
-      push_event(svar, selem, /*is_write=*/false, r.line);
+      push_event(svar, selem, /*is_write=*/false, r.site.line);
     }
-    push_event(hit->var, hit->elem, /*is_write=*/true, r.line);
+    push_event(hit->var, hit->elem, /*is_write=*/true, r.site.line);
 
-    if (opts.build_ddg && value->is_reg() && value->name != SymbolPool::npos) {
+    const std::uint32_t reg = r.reg(value);
+    if (opts.build_ddg && reg != SymbolPool::npos) {
       const VarNode& last = var_entry(hit->var);
-      if (last.store_func != r.func || last.store_reg != value->name) {
-        result.complete.add_edge(ddg_reg_node(r.func, value->name), ddg_var_node(hit->var));
+      if (last.store_func != r.site.func || last.store_reg != reg) {
+        result.complete.add_edge(ddg_reg_node(r.site.func, reg), ddg_var_node(hit->var));
         VarNode& e = var_entry(hit->var);
-        e.store_func = r.func;
-        e.store_reg = value->name;
+        e.store_func = r.site.func;
+        e.store_reg = reg;
       }
     }
 
@@ -460,7 +487,7 @@ struct DepAnalyzer::Impl {
       VarFacts& f = facts[static_cast<std::size_t>(hit->var)];
       if (f.first_store < 0) f.first_store = idx;
     }
-    if (at_header(r)) {
+    if (at_header(r.site)) {
       for (const auto& [svar, selem] : sources.sources) {
         (void)selem;
         if (svar == hit->var) result.induction.self_rmw.insert(hit->var);
@@ -476,30 +503,31 @@ struct DepAnalyzer::Impl {
     return arg_ids[static_cast<std::size_t>(n - 1)];
   }
 
-  void on_call(const PackedRecord& r, const PackedOperand* ops, bool with_body) {
-    const PackedOperand* callee = trace::find_operand(r, ops, OperandSlot::Callee);
-    if (!callee) throw AnalysisError("Call record without callee");
-    const PackedOperand* result_op = trace::find_operand(r, ops, OperandSlot::Result);
+  void on_call(const Rec& r, bool with_body) {
+    const int callee = r.find(OperandSlot::Callee);
+    if (callee < 0) throw AnalysisError("Call record without callee");
+    const int result_op = r.find(OperandSlot::Result);
+    const std::uint32_t n = r.site.op_count;
 
     if (!with_body) {
       // Form 1: treated like an arithmetic instruction — argument registers
       // feed the result; argument reads of MLI variables are data reads
       // (this is how Outcome consumption by e.g. print_float is observed).
       scratch_prov.sources.clear();
-      for (std::uint32_t i = 0; i < r.op_count; ++i) {
-        const PackedOperand& op = ops[i];
-        if (op.slot() != OperandSlot::Input) continue;
-        const Prov& p = prov_of_operand(op);
+      for (std::uint32_t i = 0; i < n; ++i) {
+        if (r.ops[i].slot() != OperandSlot::Input) continue;
+        const Prov& p = prov_of_operand(r, static_cast<int>(i));
         for (const auto& [svar, selem] : p.sources) {
-          push_event(svar, selem, /*is_write=*/false, r.line);
+          push_event(svar, selem, /*is_write=*/false, r.site.line);
         }
         scratch_prov.merge(p);
-        if (opts.build_ddg && result_op && op.is_reg() && op.name != SymbolPool::npos) {
-          result.complete.add_edge(ddg_reg_node(r.func, op.name),
-                                   ddg_reg_node(r.func, result_op->name));
+        const std::uint32_t reg = r.reg(static_cast<int>(i));
+        if (opts.build_ddg && result_op >= 0 && reg != SymbolPool::npos) {
+          result.complete.add_edge(ddg_reg_node(r.site.func, reg),
+                                   ddg_reg_node(r.site.func, r.name(result_op)));
         }
       }
-      if (result_op) write_reg(result_op->name, scratch_prov);
+      if (result_op >= 0) write_reg(r.name(result_op), scratch_prov);
       return;
     }
 
@@ -510,97 +538,108 @@ struct DepAnalyzer::Impl {
     // "argN" symbol means no record anywhere references it — the binding
     // would be dead, and write_reg() skips the sentinel.
     int arg_count = 0;
-    for (std::uint32_t i = 0; i < r.op_count; ++i) {
-      const PackedOperand& op = ops[i];
-      if (op.slot() != OperandSlot::Input) continue;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (r.ops[i].slot() != OperandSlot::Input) continue;
       if (static_cast<std::size_t>(arg_count) == arg_provs.size()) arg_provs.emplace_back();
-      arg_provs[static_cast<std::size_t>(arg_count++)].sources = prov_of_operand(op).sources;
+      arg_provs[static_cast<std::size_t>(arg_count++)].sources =
+          prov_of_operand(r, static_cast<int>(i)).sources;
     }
-    push_frame(callee->name, result_op ? result_op->name : SymbolPool::npos);
-    for (int n = 1; n <= arg_count; ++n) {
-      write_reg(arg_id(n), arg_provs[static_cast<std::size_t>(n - 1)]);
+    push_frame(r.name(callee), result_op >= 0 ? r.name(result_op) : SymbolPool::npos);
+    for (int k = 1; k <= arg_count; ++k) {
+      write_reg(arg_id(k), arg_provs[static_cast<std::size_t>(k - 1)]);
     }
   }
 
-  void on_ret(const PackedRecord& r, const PackedOperand* ops) {
+  void on_ret(const Rec& r) {
     if (frames.size() <= 1) return;
-    const PackedOperand* value = trace::find_input(r, ops, 1);
+    const int value = r.input(1);
     const std::uint32_t pending = frame().pending_dst;
     // Copied out before pop_frame() restores the callee's slots.
     scratch_prov.sources.clear();
-    if (value && pending != SymbolPool::npos) scratch_prov.sources = prov_of_operand(*value).sources;
+    if (value >= 0 && pending != SymbolPool::npos) {
+      scratch_prov.sources = prov_of_operand(r, value).sources;
+    }
     pop_frame();
     if (pending == SymbolPool::npos) return;
-    if (opts.build_ddg && value && value->is_reg() && value->name != SymbolPool::npos) {
+    const std::uint32_t reg = value >= 0 ? r.reg(value) : SymbolPool::npos;
+    if (opts.build_ddg && reg != SymbolPool::npos) {
       // Bind the callee's return register to the caller's result register
       // so dependency chains survive function boundaries in the DDG.
-      result.complete.add_edge(ddg_reg_node(r.func, value->name),
+      result.complete.add_edge(ddg_reg_node(r.site.func, reg),
                                ddg_reg_node(frame().func, pending));
     }
     write_reg(pending, scratch_prov);
   }
 
-  void on_br(const PackedRecord& r, const PackedOperand* ops) {
+  void on_br(const Rec& r) {
     // A conditional branch at the MCL header line delimits iterations.
-    if (at_header(r) && trace::find_input(r, ops, 1) != nullptr) ++iteration;
+    if (at_header(r.site) && r.input(1) >= 0) ++iteration;
   }
 
-  void dispatch(const PackedRecord& r, const PackedOperand* ops) {
+  void dispatch(const Rec& r) {
     ++idx;
-    note_region(r);
-    switch (r.opcode) {
-      case Opcode::Alloca: on_alloca(r, ops); break;
-      case Opcode::Load: on_load(r, ops); break;
-      case Opcode::Store: on_store(r, ops); break;
-      case Opcode::Call: break;  // handled by the lookahead buffer in add_packed()
+    note_region(r.site);
+    switch (r.site.opcode) {
+      case Opcode::Alloca: on_alloca(r); break;
+      case Opcode::Load: on_load(r); break;
+      case Opcode::Store: on_store(r); break;
+      case Opcode::Call: break;  // handled by the lookahead buffer in add_record()
       case Opcode::Ret:
         --call_depth;
-        on_ret(r, ops);
+        on_ret(r);
         break;
-      case Opcode::Br: on_br(r, ops); break;
+      case Opcode::Br: on_br(r); break;
       case Opcode::GetElementPtr:
       case Opcode::BitCast:
         break;  // pointer computations: resolution is by runtime address
       default:
-        if (trace::is_arithmetic(r.opcode)) on_arith(r, ops);
+        if (trace::is_arithmetic(r.site.opcode)) on_arith(r);
         break;
     }
   }
 
-  void add_packed(const PackedRecord& r, const PackedOperand* ops) {
+  /// A record of site `site_id` of the bound buffer (`site`, its templates at
+  /// `ops`) with its values at `values`.
+  void add_record(std::uint32_t site_id, const Site& site, const OperandTemplate* ops,
+                  const std::uint64_t* values) {
     if (have_pending_call) {
-      const PackedOperand* callee = trace::find_operand(pending_rec, pending_ops.data(), OperandSlot::Callee);
-      const bool with_body = callee && r.func == callee->name;
+      const Site& call = src->sites()[pending_site];
+      const OperandTemplate* call_ops = src->templates_of(call);
+      const int callee = trace::find_slot(call_ops, call.op_count, OperandSlot::Callee);
+      const bool with_body = callee >= 0 && site.func == call_ops[callee].name;
       have_pending_call = false;
-      dispatch_call(pending_rec, pending_ops.data(), with_body);
+      dispatch_call(with_body);
     }
-    if (r.opcode == Opcode::Call) {
-      pending_rec = r;
-      pending_ops.assign(ops, ops + r.op_count);
+    if (site.opcode == Opcode::Call) {
+      pending_site = site_id;
+      pending_values.assign(values, values + site.op_count);
       have_pending_call = true;
       return;
     }
-    dispatch(r, ops);
+    dispatch(Rec{site, ops, values});
   }
 
   void add(const trace::RecordView& rec) {
-    scratch.records().clear();
-    scratch.operands().clear();
+    scratch.clear_records();
     scratch.append(rec);
-    add_packed(scratch.records()[0], scratch.operands().data());
+    const std::uint32_t id = scratch.records()[0].site;
+    const Site& site = scratch.sites()[id];
+    add_record(id, site, scratch.templates_of(site), scratch.values().data());
   }
 
-  void dispatch_call(const PackedRecord& call, const PackedOperand* ops, bool with_body) {
+  void dispatch_call(bool with_body) {
+    const Site& call = src->sites()[pending_site];
+    const Rec r{call, src->templates_of(call), pending_values.data()};
     ++idx;
     note_region(call);
-    on_call(call, ops, with_body);
+    on_call(r, with_body);
     if (with_body) ++call_depth;
   }
 
   Replay finish() {
     if (have_pending_call) {
       have_pending_call = false;
-      dispatch_call(pending_rec, pending_ops.data(), /*with_body=*/false);
+      dispatch_call(/*with_body=*/false);
     }
     if (first_b < 0) {
       throw AnalysisError("main computation loop region never executes "
@@ -668,8 +707,13 @@ Replay DepAnalyzer::finish() { return impl_->finish(); }
 Replay dep_analysis(const TraceBuffer& buf, const MclRegion& region, const AnalysisOptions& opts) {
   DepAnalyzer::Impl impl(region, opts);
   impl.bind_buffer(buf);
-  const PackedOperand* ops = buf.operands().data();
-  for (const PackedRecord& rec : buf.records()) impl.add_packed(rec, ops + rec.op_offset);
+  const Site* sites = buf.sites().data();
+  const OperandTemplate* ops = buf.templates().data();
+  const std::uint64_t* values = buf.values().data();
+  for (const trace::RecordEntry& rec : buf.records()) {
+    const Site& site = sites[rec.site];
+    impl.add_record(rec.site, site, ops + site.op_offset, values + rec.value_offset);
+  }
   return impl.finish();
 }
 

@@ -24,8 +24,10 @@
 // MLI ones in place, so node ids and labels are what a replay that knew the
 // MLI set in advance would give.
 //
-// The replay runs natively on the interned packed representation, on dense
-// SymbolPool ids with no string traffic. Register provenance lives in one
+// The replay runs natively on the site-indexed representation, on dense
+// SymbolPool ids with no string traffic: each record is read in place, its
+// site's header and operand templates from the site table and its values
+// from the value column, with no per-record copy. Register provenance lives in one
 // flat table indexed by pool id, bound shallowly: a slot is visible only to
 // the frame that wrote it, a callee's first write saves the caller's slot to
 // an undo log, and Ret restores it. Provenance is read by reference, keeps
@@ -39,8 +41,9 @@
 // is its node's memo skips the lookups and Ddg::add_edge; any other record
 // runs the full add, so the DDG is built exactly as without the memo. One
 // implementation serves the batch path (a TraceBuffer replay) and the live
-// path (RecordViews remapped one at a time into a scratch TraceBuffer), so
-// batch and live results are identical by construction.
+// path (RecordViews appended one at a time, through a per-site remap, to a
+// scratch TraceBuffer), so batch and live results are identical by
+// construction.
 #pragma once
 
 #include <cstdint>
@@ -103,9 +106,9 @@ Replay dep_analysis(const trace::TraceBuffer& buf, const MclRegion& region,
                     const AnalysisOptions& opts = {});
 
 /// Incremental replay: the sink a live execution emits into (the paper's §IX
-/// trace-file-free mode). It remaps each view — over any pool — into a
-/// one-record scratch buffer over its own pool and runs the replay
-/// dep_analysis() runs, so batch and live results are identical by
+/// trace-file-free mode). It appends each view — over any buffer — to a
+/// one-record scratch buffer with its own pool and site table and runs the
+/// replay dep_analysis() runs, so batch and live results are identical by
 /// construction.
 class DepAnalyzer final : public trace::TraceSink {
  public:

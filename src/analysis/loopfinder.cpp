@@ -17,17 +17,13 @@ std::vector<LoopCandidate> suggest_loops(const trace::TraceBuffer& buf, std::siz
   std::map<std::pair<std::uint32_t, int>, Stats> headers;
 
   const auto& records = buf.records();
-  const trace::PackedOperand* ops = buf.operands().data();
-  auto has_input1 = [&](const trace::PackedRecord& r) {
-    for (std::uint32_t i = 0; i < r.op_count; ++i) {
-      const trace::PackedOperand& op = ops[r.op_offset + i];
-      if (op.slot() == trace::OperandSlot::Input && op.index == 1) return true;
-    }
-    return false;
+  const auto& sites = buf.sites();
+  auto has_input1 = [&](const trace::Site& s) {
+    return trace::find_input(buf.templates_of(s), s.op_count, 1) >= 0;
   };
 
   for (std::size_t i = 0; i < records.size(); ++i) {
-    const trace::PackedRecord& r = records[i];
+    const trace::Site& r = sites[records[i].site];
     // A loop header evaluation is a conditional branch (paper: the `for`
     // statement's condition); unconditional back-edges are not headers.
     if (r.opcode != trace::Opcode::Br || !has_input1(r)) continue;
@@ -51,7 +47,7 @@ std::vector<LoopCandidate> suggest_loops(const trace::TraceBuffer& buf, std::siz
     // loop's dynamic span at or after the header.
     int end_line = key.second;
     for (std::uint64_t i = st.first; i <= st.last; ++i) {
-      const trace::PackedRecord& r = records[static_cast<std::size_t>(i)];
+      const trace::Site& r = sites[records[static_cast<std::size_t>(i)].site];
       if (r.func == key.first && r.opcode != trace::Opcode::Alloca && r.line > end_line) {
         end_line = r.line;
       }

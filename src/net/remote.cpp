@@ -102,9 +102,9 @@ void RemoteSink::send_staged_chunk() {
   static auto& bytes = telemetry::metrics().counter("net.client.chunk_bytes_sent");
   chunks.add(1);
   bytes.add(container_.size());
-  // Fresh symbol table: chunk containers are self-contained (each carries
-  // its own), exactly like MCTB file chunks reset predictors. The arrays keep
-  // their capacity for the next chunk.
+  // Fresh symbol and site tables: chunk containers are self-contained (each
+  // carries its own), exactly like MCTB file chunks reset predictors. The
+  // arrays keep their capacity for the next chunk.
   staging_.clear();
 }
 

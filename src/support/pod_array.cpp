@@ -6,6 +6,8 @@
 #include <mutex>
 #include <utility>
 
+#include "support/metrics.hpp"
+
 namespace ac::detail {
 
 namespace {
@@ -15,6 +17,16 @@ namespace {
 std::mutex& spare_mutex() {
   static auto* const mu = new std::mutex;
   return *mu;
+}
+
+/// Bytes the spares of every element type hold, guarded by spare_mutex(),
+/// and the `pod_array.spare_bytes` gauge that reports them.
+std::size_t spare_total = 0;
+
+void note_spare(std::size_t taken, std::size_t kept) {
+  static auto& gauge = telemetry::metrics().gauge("pod_array.spare_bytes");
+  spare_total = spare_total - taken + kept;
+  gauge.set(static_cast<std::int64_t>(spare_total));
 }
 
 std::size_t page_round(std::size_t bytes) {
@@ -36,6 +48,7 @@ Mapping acquire_mapping(Mapping& spare, std::size_t bytes) {
   {
     std::lock_guard<std::mutex> lock(spare_mutex());
     m = std::exchange(spare, Mapping{});
+    if (m.base != nullptr) note_spare(m.bytes, 0);
   }
   try {
     return grow_mapping(m, bytes);
@@ -65,7 +78,10 @@ void release_mapping(Mapping& spare, Mapping m) noexcept {
   if (m.base == nullptr) return;
   if (m.bytes <= kSpareMaxBytes) {
     std::lock_guard<std::mutex> lock(spare_mutex());
-    if (m.bytes > spare.bytes) std::swap(m, spare);
+    if (m.bytes > spare.bytes) {
+      note_spare(spare.bytes, m.bytes);
+      std::swap(m, spare);
+    }
   }
   if (m.base != nullptr) munmap(m.base, m.bytes);
 }

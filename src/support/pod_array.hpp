@@ -13,6 +13,9 @@
 // the 14 mini-apps into memory took 22.5 K of them a pass while glibc handed
 // the freed arrays back to the kernel between programs (~2 K with the spare).
 //
+// The `pod_array.spare_bytes` gauge reports the bytes every element type's
+// spare holds: memory a process keeps after its traces are freed.
+//
 // Under AddressSanitizer the unused capacity is poisoned, so a read past
 // size() is caught.
 #pragma once
@@ -60,7 +63,8 @@ Mapping acquire_mapping(Mapping& spare, std::size_t bytes);
 /// is left as it was and std::bad_alloc is thrown.
 Mapping grow_mapping(Mapping m, std::size_t bytes);
 /// Keep `m` as the spare when it is larger than the spare and at most
-/// kSpareMaxBytes; unmap whichever of the two is not kept.
+/// kSpareMaxBytes; unmap whichever of the two is not kept. Acquiring and
+/// releasing keep the `pod_array.spare_bytes` gauge at the spares' total.
 void release_mapping(Mapping& spare, Mapping m) noexcept;
 
 inline void poison(const void* p, std::size_t bytes) {

@@ -23,7 +23,7 @@ namespace ac::trace {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x4254434Du;  // "MCTB" little-endian
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 constexpr std::size_t kHeaderSize = 40;
 constexpr std::size_t kSectionHeaderSize = 57;
 constexpr std::size_t kMaxStages = 4;
@@ -32,11 +32,15 @@ static_assert(kMctbFrameHeaderBytes == 4 + kSectionHeaderSize, "frame = magic + 
 // Section kinds.
 constexpr std::uint32_t kSecSymbols = 1;
 constexpr std::uint32_t kSecRecords = 2;
-constexpr std::uint32_t kSecOperands = 3;
+constexpr std::uint32_t kSecValues = 3;
+constexpr std::uint32_t kSecSites = 4;
 
-// Per-element raw column bytes (the decoder's layout check).
-constexpr std::size_t kRecordStride = 8 + 4 + 4 + 4 + 4 + 1;   // dyn,func,bb,opcnt,line,opcode
-constexpr std::size_t kOperandStride = 8 + 4 + 4 + 4 + 1;      // value,name,index,bits,flags
+// Per-element raw column bytes (the decoder's layout checks).
+constexpr std::size_t kSiteStride = 4 + 4 + 4 + 4 + 1;   // func, bb, line, op_count, opcode
+constexpr std::size_t kTemplateStride = 4 + 4 + 4 + 1;   // name, index, bits, flags
+constexpr std::size_t kRecordStride = 4;                 // site id
+constexpr std::size_t kBreakStride = 4 + 8;              // chunk-local record, dyn_id
+constexpr std::size_t kValueStride = 8;
 
 void put_u32(std::string& out, std::uint32_t v) {
   out.append(reinterpret_cast<const char*>(&v), 4);
@@ -77,7 +81,7 @@ struct SectionHeader {
   std::uint32_t kind = 0;
   std::uint32_t chunk = 0;
   std::uint64_t count = 0;     // elements in this section
-  std::uint64_t aux = 0;       // Symbols: arena bytes; Records: first operand index
+  std::uint64_t aux = 0;       // Symbols: arena bytes; Sites: templates; Records: first dyn_id
   std::uint64_t raw_size = 0;  // pre-codec payload bytes
   std::uint64_t payload_off = 0;
   std::uint64_t payload_size = 0;
@@ -126,12 +130,6 @@ SectionHeader read_section_header(Cursor& cur) {
   return s;
 }
 
-/// The operand-value predictor slot for a name id: one slot per symbol plus
-/// a trailing slot for unnamed operands (SymbolPool::npos).
-std::size_t predictor_slot(std::uint32_t name, std::size_t nsyms) {
-  return name == SymbolPool::npos ? nsyms : name;
-}
-
 // --- column encoders --------------------------------------------------------
 
 std::string encode_symbols(const SymbolPool& pool, std::uint64_t& arena_bytes) {
@@ -149,55 +147,88 @@ std::string encode_symbols(const SymbolPool& pool, std::uint64_t& arena_bytes) {
   return raw;
 }
 
-std::string encode_record_chunk(const PackedRecord* recs, std::size_t n) {
-  std::vector<std::uint64_t> dyn(n);
-  std::vector<std::uint32_t> func(n), bb(n), opcnt(n), line(n);
+/// The site table: the site columns, then the template column (the sites'
+/// templates in site order, so each site's span is implied by the counts).
+std::string encode_sites(const TraceBuffer& buf) {
+  const std::vector<Site>& sites = buf.sites();
+  const std::vector<OperandTemplate>& ops = buf.templates();
+  const std::size_t n = sites.size(), m = ops.size();
+  std::vector<std::uint32_t> func(n), bb(n), line(n), opcnt(n);
   std::string opcode(n, '\0');
   for (std::size_t i = 0; i < n; ++i) {
-    dyn[i] = recs[i].dyn_id;
-    func[i] = recs[i].func;
-    bb[i] = recs[i].bb;
-    opcnt[i] = recs[i].op_count;
-    line[i] = static_cast<std::uint32_t>(recs[i].line);
-    opcode[i] = static_cast<char>(recs[i].opcode);
+    func[i] = sites[i].func;
+    bb[i] = sites[i].bb;
+    line[i] = static_cast<std::uint32_t>(sites[i].line);
+    opcnt[i] = sites[i].op_count;
+    opcode[i] = static_cast<char>(sites[i].opcode);
   }
-  zigzag_delta_encode(dyn.data(), n);  // dyn[i] becomes the zigzag-folded delta
-  std::string raw;
-  raw.reserve(n * kRecordStride);
-  shuffle_planes(dyn.data(), n, 8, raw);
-  shuffle_planes(func.data(), n, 4, raw);
-  shuffle_planes(bb.data(), n, 4, raw);
-  shuffle_planes(opcnt.data(), n, 4, raw);
-  shuffle_planes(line.data(), n, 4, raw);
-  raw += opcode;
-  return raw;
-}
-
-std::string encode_operand_chunk(const PackedOperand* ops, std::size_t n, std::size_t nsyms) {
-  std::vector<std::uint64_t> value(n);
-  std::vector<std::uint32_t> name(n), index(n), bits(n);
-  std::string flags(n, '\0');
-  // Delta against the last value seen for the same operand name: per-variable
-  // address streams are near-monotone, so the zigzag-folded delta is almost
-  // always a couple of low bytes. The predictor resets per chunk, keeping
-  // chunks independently decodable.
-  std::vector<std::uint64_t> last(nsyms + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t slot = predictor_slot(ops[i].name, nsyms);
-    value[i] = zigzag_encode(ops[i].raw - last[slot]);
-    last[slot] = ops[i].raw;
+  std::vector<std::uint32_t> name(m), index(m), bits(m);
+  std::string flags(m, '\0');
+  for (std::size_t i = 0; i < m; ++i) {
     name[i] = ops[i].name;
     index[i] = static_cast<std::uint32_t>(ops[i].index);
     bits[i] = static_cast<std::uint32_t>(ops[i].bits);
     flags[i] = static_cast<char>(ops[i].flags);
   }
   std::string raw;
-  raw.reserve(n * kOperandStride);
-  shuffle_planes(value.data(), n, 8, raw);
-  shuffle_planes(name.data(), n, 4, raw);
-  shuffle_planes(index.data(), n, 4, raw);
-  shuffle_planes(bits.data(), n, 4, raw);
+  raw.reserve(n * kSiteStride + m * kTemplateStride);
+  shuffle_planes(func.data(), n, 4, raw);
+  shuffle_planes(bb.data(), n, 4, raw);
+  shuffle_planes(line.data(), n, 4, raw);
+  shuffle_planes(opcnt.data(), n, 4, raw);
+  raw += opcode;
+  shuffle_planes(name.data(), m, 4, raw);
+  shuffle_planes(index.data(), m, 4, raw);
+  shuffle_planes(bits.data(), m, 4, raw);
   raw += flags;
+  return raw;
+}
+
+/// Records [begin, begin + n): their site ids, then the dyn_id breaks inside
+/// the chunk as (chunk-local record, dyn_id) pairs. The chunk's first dyn_id
+/// travels in its section header, so each chunk stands alone.
+std::string encode_record_chunk(const TraceBuffer& buf, std::size_t begin, std::size_t n) {
+  std::vector<std::uint32_t> site(n);
+  for (std::size_t i = 0; i < n; ++i) site[i] = buf.records()[begin + i].site;
+  const std::vector<DynBreak>& breaks = buf.dyn_breaks();
+  auto it = std::upper_bound(breaks.begin(), breaks.end(), std::uint64_t{begin},
+                             [](std::uint64_t r, const DynBreak& b) { return r < b.record; });
+  std::vector<std::uint32_t> at;
+  std::vector<std::uint64_t> dyn;
+  for (; it != breaks.end() && it->record < begin + n; ++it) {
+    at.push_back(static_cast<std::uint32_t>(it->record - begin));
+    dyn.push_back(it->dyn_id);
+  }
+  std::string raw;
+  raw.reserve(n * kRecordStride + at.size() * kBreakStride);
+  shuffle_planes(site.data(), n, 4, raw);
+  shuffle_planes(at.data(), at.size(), 4, raw);
+  shuffle_planes(dyn.data(), dyn.size(), 8, raw);
+  return raw;
+}
+
+/// The values of records [begin, begin + n), each delta-encoded against the
+/// last value of the same site operand (addresses are near-monotone per
+/// operand, so deltas are tiny), zigzag-folded and plane-shuffled. The
+/// predictor resets per chunk, keeping chunks independently decodable.
+std::string encode_value_chunk(const TraceBuffer& buf, std::size_t begin, std::size_t n,
+                               std::size_t nvalues, std::vector<std::uint64_t>& last) {
+  last.assign(buf.templates().size(), 0);
+  std::vector<std::uint64_t> delta;
+  delta.reserve(nvalues);
+  for (std::size_t i = begin; i < begin + n; ++i) {
+    const RecordEntry& e = buf.records()[i];
+    const Site& s = buf.sites()[e.site];
+    const std::uint64_t* v = buf.values().data() + e.value_offset;
+    for (std::uint32_t k = 0; k < s.op_count; ++k) {
+      std::uint64_t& prev = last[s.op_offset + k];
+      delta.push_back(zigzag_encode(v[k] - prev));
+      prev = v[k];
+    }
+  }
+  std::string raw;
+  raw.reserve(delta.size() * kValueStride);
+  shuffle_planes(delta.data(), delta.size(), 8, raw);
   return raw;
 }
 
@@ -208,8 +239,9 @@ std::string encode_operand_chunk(const PackedOperand* ops, std::size_t n, std::s
 /// claims, so a million-chunk decode performs a handful of warm-up
 /// allocations instead of a few per chunk.
 struct DecodeScratch {
-  std::string rec_raw, op_raw, chain;
-  std::vector<std::uint64_t> last;  // operand value predictor slots
+  std::string rec_raw, val_raw, chain;
+  std::vector<std::uint32_t> sites;  // the chunk's container site ids
+  std::vector<std::uint64_t> last;   // value predictor slots
 };
 
 /// Columns are unshuffled this many elements at a time, into stack blocks
@@ -229,130 +261,162 @@ void emit_block(PodArray<T>& array, std::size_t at, const T* block, std::size_t 
   }
 }
 
-/// A container's symbol ids as the output stores them: ids below `nsyms`
-/// are valid, and `to` maps each to the output pool's id (empty: the output
-/// pool is the container's own).
-struct SymbolIds {
-  std::uint32_t nsyms;
-  const std::vector<std::uint32_t>& to;
-
-  std::uint32_t operator()(std::uint32_t id) const {
-    return to.empty() || id == SymbolPool::npos ? id : to[id];
-  }
+/// A decoded site table: the container's sites (op_offset set), their
+/// templates, and where each lands in the output buffer.
+struct SiteTable {
+  std::vector<Site> sites;
+  std::vector<OperandTemplate> templates;
+  std::vector<std::uint32_t> to;  // container site id -> output site id
 };
 
-void decode_record_chunk(std::string_view raw, const SectionHeader& sec,
-                         std::uint64_t record_base, std::uint64_t operand_base,
-                         std::uint64_t chunk_operands, const SymbolIds& ids,
-                         PodArray<PackedRecord>& out) {
+void decode_sites(std::string_view raw, const SectionHeader& sec, std::uint32_t nsyms,
+                  SiteTable& out) {
   const std::size_t n = static_cast<std::size_t>(sec.count);
-  // Column starts: dyn_id (8 bytes), func, bb, op_count, line (4 each), opcode.
-  const char* const dyn_col = raw.data();
-  const char* const func_col = dyn_col + 8 * n;
-  const char* const bb_col = func_col + 4 * n;
-  const char* const opcnt_col = bb_col + 4 * n;
-  const char* const line_col = opcnt_col + 4 * n;
-  const char* const opcode_col = line_col + 4 * n;
+  const std::size_t m = static_cast<std::size_t>(sec.aux);
+  std::vector<std::uint32_t> func(n), bb(n), line(n), opcnt(n);
+  std::size_t at = 0;
+  for (std::uint32_t* col : {func.data(), bb.data(), line.data(), opcnt.data()}) {
+    unshuffle_planes(raw.substr(at, 4 * n), n, 4, col);
+    at += 4 * n;
+  }
+  const char* const opcode_col = raw.data() + at;
+  at += n;
+  std::vector<std::uint32_t> name(m), index(m), bits(m);
+  for (std::uint32_t* col : {name.data(), index.data(), bits.data()}) {
+    unshuffle_planes(raw.substr(at, 4 * m), m, 4, col);
+    at += 4 * m;
+  }
+  const char* const flags_col = raw.data() + at;
 
-  const std::uint32_t nsyms = ids.nsyms;
-  const auto check_sym = [&](std::uint32_t id, const char* what) {
+  const auto check_sym = [&](std::uint32_t id, const char* what, std::size_t i) {
     if (id >= nsyms && id != SymbolPool::npos) {
-      throw TraceFormatError(strf("MCTB record chunk %u: %s symbol id %u out of range (%u "
-                                  "symbols)", sec.chunk, what, id, nsyms));
+      throw TraceFormatError(strf("MCTB site table: %s symbol id %u of entry %zu out of range "
+                                  "(%u symbols)", what, id, i, nsyms));
     }
   };
+  out.sites.resize(n);
+  std::uint64_t offset = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    Site& s = out.sites[i];
+    check_sym(func[i], "function", i);
+    check_sym(bb[i], "basic-block", i);
+    s.func = func[i];
+    s.bb = bb[i];
+    s.line = static_cast<std::int32_t>(line[i]);
+    const int opnum = static_cast<int>(static_cast<unsigned char>(opcode_col[i]));
+    if (!is_known_opcode(opnum)) {
+      throw TraceFormatError(strf("MCTB site table: site %zu has unknown opcode %d", i, opnum));
+    }
+    s.opcode = static_cast<Opcode>(opnum);
+    if (opcnt[i] > m - offset) {
+      throw TraceFormatError(strf("MCTB site table: site %zu's %u operands overrun the %zu-entry "
+                                  "template column", i, opcnt[i], m));
+    }
+    s.op_offset = static_cast<std::uint32_t>(offset);
+    s.op_count = opcnt[i];
+    offset += opcnt[i];
+  }
+  if (offset != m) {
+    throw TraceFormatError(strf("MCTB site table: its sites take %llu templates, the template "
+                                "column holds %zu", static_cast<unsigned long long>(offset), m));
+  }
+  out.templates.resize(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    OperandTemplate& t = out.templates[i];
+    check_sym(name[i], "operand name", i);
+    const auto f = static_cast<std::uint8_t>(flags_col[i]);
+    if ((f & 0xE0) != 0 || ((f >> 2) & 0x3) > 2) {
+      throw TraceFormatError(strf("MCTB site table: template %zu has malformed flags byte 0x%02x",
+                                  i, f));
+    }
+    t.name = name[i];
+    t.index = static_cast<std::int32_t>(index[i]);
+    t.bits = static_cast<std::int32_t>(bits[i]);
+    t.flags = f;
+  }
+}
 
-  std::uint64_t opsum = 0, dyn_prev = 0;
-  PackedRecord block[kDecodeBlock];
-  std::uint64_t dyn[kDecodeBlock];
-  std::uint32_t func[kDecodeBlock], bb[kDecodeBlock], opcnt[kDecodeBlock], line[kDecodeBlock];
+/// Decode chunk `sec` of the record column into `out` from index
+/// `record_base`, its values starting at `value_base`; the chunk's container
+/// site ids go to ds.sites and its dyn_id breaks, with output record indices,
+/// to `breaks`. `nvalues` is the chunk's value section count.
+void decode_record_chunk(std::string_view raw, const SectionHeader& sec, const SiteTable& table,
+                         std::uint64_t record_base, std::uint64_t value_base,
+                         std::uint64_t nvalues, PodArray<RecordEntry>& out, DecodeScratch& ds,
+                         std::vector<DynBreak>& breaks) {
+  const std::size_t n = static_cast<std::size_t>(sec.count);
+  const std::size_t nbreaks = (raw.size() - n * kRecordStride) / kBreakStride;
+  const std::size_t nsites = table.sites.size();
+  ds.sites.resize(n);
+  std::uint64_t opsum = 0;
+  RecordEntry block[kDecodeBlock];
+  std::uint32_t site[kDecodeBlock];
   for (std::size_t first = 0; first < n; first += kDecodeBlock) {
     const std::size_t m = std::min(kDecodeBlock, n - first);
-    unshuffle_block(dyn_col, n, first, m, 8, dyn);
-    unshuffle_block(func_col, n, first, m, 4, func);
-    unshuffle_block(bb_col, n, first, m, 4, bb);
-    unshuffle_block(opcnt_col, n, first, m, 4, opcnt);
-    unshuffle_block(line_col, n, first, m, 4, line);
-    zigzag_delta_decode(dyn, m, dyn_prev);  // dyn[i] becomes the absolute dyn_id
-    dyn_prev = dyn[m - 1];
+    unshuffle_block(raw.data(), n, first, m, 4, site);
     for (std::size_t i = 0; i < m; ++i) {
-      PackedRecord& rec = block[i];
-      rec.dyn_id = dyn[i];
-      check_sym(func[i], "function");
-      check_sym(bb[i], "basic-block");
-      rec.func = ids(func[i]);
-      rec.bb = ids(bb[i]);
-      const int opnum = static_cast<int>(static_cast<unsigned char>(opcode_col[first + i]));
-      if (!is_known_opcode(opnum)) {
-        throw TraceFormatError(
-            strf("MCTB record chunk %u: unknown opcode %d", sec.chunk, opnum));
+      if (site[i] >= nsites) {
+        throw TraceFormatError(strf("MCTB record chunk %u: site id %u out of range (%zu sites)",
+                                    sec.chunk, site[i], nsites));
       }
-      rec.opcode = static_cast<Opcode>(opnum);
-      rec.line = static_cast<std::int32_t>(line[i]);
-      rec.op_offset = static_cast<std::uint32_t>(operand_base + opsum);
-      rec.op_count = opcnt[i];
-      opsum += opcnt[i];
-      if (opsum > chunk_operands) {
-        throw TraceFormatError(strf("MCTB record chunk %u: operand counts overflow the chunk's "
-                                    "%llu operands", sec.chunk,
-                                    static_cast<unsigned long long>(chunk_operands)));
+      ds.sites[first + i] = site[i];
+      block[i] = RecordEntry{table.to[site[i]], static_cast<std::uint32_t>(value_base + opsum)};
+      opsum += table.sites[site[i]].op_count;
+      if (opsum > nvalues) {
+        throw TraceFormatError(strf("MCTB value chunk %u: the value column holds %llu values, "
+                                    "shorter than its records' sites need", sec.chunk,
+                                    static_cast<unsigned long long>(nvalues)));
       }
     }
     emit_block(out, record_base + first, block, m);
   }
-  if (opsum != chunk_operands) {
-    throw TraceFormatError(strf("MCTB record chunk %u: operand counts sum to %llu, operand "
-                                "section holds %llu", sec.chunk,
+  if (opsum != nvalues) {
+    throw TraceFormatError(strf("MCTB value chunk %u: its records' sites need %llu values, the "
+                                "value column holds %llu", sec.chunk,
                                 static_cast<unsigned long long>(opsum),
-                                static_cast<unsigned long long>(chunk_operands)));
+                                static_cast<unsigned long long>(nvalues)));
+  }
+  breaks.resize(nbreaks);
+  if (nbreaks == 0) return;
+  std::vector<std::uint32_t> at(nbreaks);
+  std::vector<std::uint64_t> dyn(nbreaks);
+  const std::string_view tail = raw.substr(n * kRecordStride);
+  unshuffle_planes(tail.substr(0, 4 * nbreaks), nbreaks, 4, at.data());
+  unshuffle_planes(tail.substr(4 * nbreaks), nbreaks, 8, dyn.data());
+  for (std::size_t i = 0; i < nbreaks; ++i) {
+    if (at[i] == 0 || at[i] >= n || (i > 0 && at[i] <= at[i - 1])) {
+      throw TraceFormatError(strf("MCTB record chunk %u: dyn_id break at record %u is out of "
+                                  "order or range", sec.chunk, at[i]));
+    }
+    breaks[i] = DynBreak{record_base + at[i], dyn[i]};
   }
 }
 
-void decode_operand_chunk(std::string_view raw, const SectionHeader& sec,
-                          std::uint64_t operand_base, const SymbolIds& ids,
-                          PodArray<PackedOperand>& out, DecodeScratch& ds) {
+/// Decode chunk `sec` of the value column into `out` from `value_base`,
+/// walking the chunk's records (ds.sites) for each value's predictor slot.
+void decode_value_chunk(std::string_view raw, const SectionHeader& sec, const SiteTable& table,
+                        std::uint64_t value_base, PodArray<std::uint64_t>& out,
+                        DecodeScratch& ds) {
   const std::size_t n = static_cast<std::size_t>(sec.count);
-  // Column starts: value (8 bytes), name, index, bits (4 each), flags.
-  const char* const value_col = raw.data();
-  const char* const name_col = value_col + 8 * n;
-  const char* const index_col = name_col + 4 * n;
-  const char* const bits_col = index_col + 4 * n;
-  const char* const flags_col = bits_col + 4 * n;
-
-  const std::size_t nsyms = ids.nsyms;
-  ds.last.assign(nsyms + 1, 0);
-  std::vector<std::uint64_t>& last = ds.last;
-  PackedOperand block[kDecodeBlock];
-  std::uint64_t value[kDecodeBlock];
-  std::uint32_t name[kDecodeBlock], index[kDecodeBlock], bits[kDecodeBlock];
-  for (std::size_t first = 0; first < n; first += kDecodeBlock) {
-    const std::size_t m = std::min(kDecodeBlock, n - first);
-    unshuffle_block(value_col, n, first, m, 8, value);
-    unshuffle_block(name_col, n, first, m, 4, name);
-    unshuffle_block(index_col, n, first, m, 4, index);
-    unshuffle_block(bits_col, n, first, m, 4, bits);
-    for (std::size_t i = 0; i < m; ++i) {
-      PackedOperand& op = block[i];
-      op.name = name[i];
-      if (op.name >= nsyms && op.name != SymbolPool::npos) {
-        throw TraceFormatError(strf("MCTB operand chunk %u: name symbol id %u out of range "
-                                    "(%zu symbols)", sec.chunk, op.name, nsyms));
+  ds.last.assign(table.templates.size(), 0);
+  std::uint64_t block[kDecodeBlock];
+  std::size_t have = 0, used = 0, first = 0;  // the block holds values [first, first + have)
+  for (const std::uint32_t id : ds.sites) {
+    const Site& s = table.sites[id];
+    for (std::uint32_t k = 0; k < s.op_count; ++k) {
+      if (used == have) {
+        if (have != 0) emit_block(out, value_base + first, block, have);
+        first += have;
+        have = std::min(kDecodeBlock, n - first);
+        unshuffle_block(raw.data(), n, first, have, 8, block);
+        used = 0;
       }
-      const auto f = static_cast<std::uint8_t>(flags_col[first + i]);
-      if ((f & 0xE0) != 0 || ((f >> 2) & 0x3) > 2) {
-        throw TraceFormatError(strf("MCTB operand chunk %u: malformed flags byte 0x%02x",
-                                    sec.chunk, f));
-      }
-      op.flags = f;
-      const std::size_t slot = predictor_slot(op.name, nsyms);
-      op.name = ids(op.name);
-      last[slot] += zigzag_decode(value[i]);
-      op.raw = last[slot];
-      op.index = static_cast<std::int32_t>(index[i]);
-      op.bits = static_cast<std::int32_t>(bits[i]);
+      std::uint64_t& prev = ds.last[s.op_offset + k];
+      prev += zigzag_decode(block[used]);
+      block[used++] = prev;
     }
-    emit_block(out, operand_base + first, block, m);
   }
+  if (have != 0) emit_block(out, value_base + first, block, have);
 }
 
 void decode_payload(std::string_view bytes, const SectionHeader& sec, const char* what,
@@ -457,7 +521,7 @@ std::uint64_t encode_container(const TraceBuffer& buf, const MctbOptions& opts, 
   const std::size_t chunk_records = opts.chunk_records > 0 ? opts.chunk_records : 1;
   const std::size_t nrecords = buf.size();
   const std::size_t nchunks = (nrecords + chunk_records - 1) / chunk_records;
-  const std::size_t nsections = 1 + 2 * nchunks;
+  const std::size_t nsections = 2 + 2 * nchunks;
 
   const std::size_t prefix = kHeaderSize + nsections * kSectionHeaderSize;
   {
@@ -508,25 +572,20 @@ std::uint64_t encode_container(const TraceBuffer& buf, const MctbOptions& opts, 
     const std::string sym_raw = encode_symbols(buf.pool(), arena_bytes);
     emit_section(kSecSymbols, 0, buf.pool().size(), arena_bytes, sym_raw);
   }
+  emit_section(kSecSites, 0, buf.sites().size(), buf.templates().size(), encode_sites(buf));
 
-  const PodArray<PackedRecord>& records = buf.records();
-  const PodArray<PackedOperand>& operands = buf.operands();
+  const PodArray<RecordEntry>& records = buf.records();
+  std::vector<std::uint64_t> last;
   for (std::size_t c = 0; c < nchunks; ++c) {
     const std::size_t begin = c * chunk_records;
     const std::size_t count = std::min(chunk_records, nrecords - begin);
-    const std::uint64_t op_base = records[begin].op_offset;
     const std::size_t end = begin + count;
-    const std::uint64_t op_end = end < nrecords ? records[end].op_offset : operands.size();
-    {
-      const std::string rec_raw = encode_record_chunk(records.data() + begin, count);
-      emit_section(kSecRecords, static_cast<std::uint32_t>(c), count, op_base, rec_raw);
-    }
-    {
-      const std::string op_raw =
-          encode_operand_chunk(operands.data() + op_base,
-                               static_cast<std::size_t>(op_end - op_base), buf.pool().size());
-      emit_section(kSecOperands, static_cast<std::uint32_t>(c), op_end - op_base, 0, op_raw);
-    }
+    const std::uint64_t value_begin = records[begin].value_offset;
+    const std::uint64_t value_end = end < nrecords ? records[end].value_offset : buf.values().size();
+    emit_section(kSecRecords, static_cast<std::uint32_t>(c), count, buf.dyn_id(begin),
+                 encode_record_chunk(buf, begin, count));
+    emit_section(kSecValues, static_cast<std::uint32_t>(c), value_end - value_begin, 0,
+                 encode_value_chunk(buf, begin, count, value_end - value_begin, last));
   }
 
   std::string head;
@@ -534,7 +593,7 @@ std::uint64_t encode_container(const TraceBuffer& buf, const MctbOptions& opts, 
   put_u32(head, kMagic);
   put_u32(head, kVersion);
   put_u64(head, nrecords);
-  put_u64(head, operands.size());
+  put_u64(head, buf.values().size());
   put_u32(head, static_cast<std::uint32_t>(buf.pool().size()));
   put_u32(head, static_cast<std::uint32_t>(nchunks));
   put_u32(head, static_cast<std::uint32_t>(nsections));
@@ -630,15 +689,15 @@ void read_mctb_into(std::string_view bytes, TraceBuffer& buf, const MctbReadOpti
                                 kVersion));
   }
   const std::uint64_t record_count = cur.u64();
-  const std::uint64_t operand_count = cur.u64();
+  const std::uint64_t value_count = cur.u64();
   const std::uint32_t symbol_count = cur.u32();
   const std::uint32_t chunk_count = cur.u32();
   const std::uint32_t section_count = cur.u32();
   const std::uint32_t table_crc = cur.u32();
-  if (operand_count > 0xffffffffull - buf.operands().size()) {
+  if (value_count > 0xffffffffull - buf.values().size()) {
     throw TraceFormatError("MCTB container exceeds the 4G-operand TraceBuffer capacity");
   }
-  if (section_count != 1 + 2 * static_cast<std::uint64_t>(chunk_count)) {
+  if (section_count != 2 + 2 * static_cast<std::uint64_t>(chunk_count)) {
     throw TraceFormatError(strf("MCTB header: %u sections inconsistent with %u chunks",
                                 section_count, chunk_count));
   }
@@ -647,23 +706,27 @@ void read_mctb_into(std::string_view bytes, TraceBuffer& buf, const MctbReadOpti
     throw TraceFormatError("MCTB section table CRC mismatch");
   }
 
-  SectionHeader symbols;
-  bool have_symbols = false;
-  std::vector<SectionHeader> rec_secs(chunk_count), op_secs(chunk_count);
-  std::vector<char> have_rec(chunk_count, 0), have_op(chunk_count, 0);
+  SectionHeader symbols, sites;
+  bool have_symbols = false, have_sites = false;
+  std::vector<SectionHeader> rec_secs(chunk_count), val_secs(chunk_count);
+  std::vector<char> have_rec(chunk_count, 0), have_val(chunk_count, 0);
   for (std::uint32_t i = 0; i < section_count; ++i) {
     SectionHeader s = read_section_header(cur);
-    if (s.kind == kSecSymbols) {
-      if (have_symbols) throw TraceFormatError("MCTB container holds two symbol sections");
-      symbols = std::move(s);
-      have_symbols = true;
-    } else if (s.kind == kSecRecords || s.kind == kSecOperands) {
+    if (s.kind == kSecSymbols || s.kind == kSecSites) {
+      bool& have = s.kind == kSecSymbols ? have_symbols : have_sites;
+      if (have) {
+        throw TraceFormatError(strf("MCTB container holds two %s sections",
+                                    s.kind == kSecSymbols ? "symbol" : "site"));
+      }
+      (s.kind == kSecSymbols ? symbols : sites) = std::move(s);
+      have = true;
+    } else if (s.kind == kSecRecords || s.kind == kSecValues) {
       if (s.chunk >= chunk_count) {
         throw TraceFormatError(strf("MCTB section addresses chunk %u of %u", s.chunk,
                                     chunk_count));
       }
-      auto& slot = s.kind == kSecRecords ? rec_secs[s.chunk] : op_secs[s.chunk];
-      auto& have = s.kind == kSecRecords ? have_rec[s.chunk] : have_op[s.chunk];
+      auto& slot = s.kind == kSecRecords ? rec_secs[s.chunk] : val_secs[s.chunk];
+      auto& have = s.kind == kSecRecords ? have_rec[s.chunk] : have_val[s.chunk];
       if (have) throw TraceFormatError(strf("MCTB chunk %u appears twice", s.chunk));
       slot = std::move(s);
       have = 1;
@@ -672,13 +735,14 @@ void read_mctb_into(std::string_view bytes, TraceBuffer& buf, const MctbReadOpti
     }
   }
   if (!have_symbols) throw TraceFormatError("MCTB container has no symbol section");
+  if (!have_sites) throw TraceFormatError("MCTB container has no site section");
   for (std::uint32_t c = 0; c < chunk_count; ++c) {
-    if (!have_rec[c] || !have_op[c]) {
-      throw TraceFormatError(strf("MCTB chunk %u is missing a record or operand section", c));
+    if (!have_rec[c] || !have_val[c]) {
+      throw TraceFormatError(strf("MCTB chunk %u is missing a record or value section", c));
     }
   }
 
-  // The chunks must tile the record and operand arrays exactly, and every
+  // The chunks must tile the record and value columns exactly, and every
   // section's raw size must match its declared element count — checked here,
   // before the output arrays are sized, so a forged header can neither
   // trigger a giant allocation nor hand the decoder mismatched columns.
@@ -688,35 +752,39 @@ void read_mctb_into(std::string_view bytes, TraceBuffer& buf, const MctbReadOpti
   if (symbols.raw_size != static_cast<std::uint64_t>(symbol_count) * 4 + symbols.aux) {
     throw TraceFormatError("MCTB symbol section raw size disagrees with its layout");
   }
-  std::vector<std::uint64_t> record_base(chunk_count, 0);
-  std::uint64_t rsum = 0, osum = 0, raw_total = symbols.raw_size;
+  if (sites.count > sites.raw_size / kSiteStride || sites.aux > sites.raw_size / kTemplateStride ||
+      sites.raw_size != sites.count * kSiteStride + sites.aux * kTemplateStride) {
+    throw TraceFormatError("MCTB site section raw size disagrees with its layout");
+  }
+  std::vector<std::uint64_t> record_base(chunk_count, 0), value_base(chunk_count, 0);
+  std::uint64_t rsum = 0, vsum = 0, raw_total = symbols.raw_size + sites.raw_size;
   for (std::uint32_t c = 0; c < chunk_count; ++c) {
-    if (rec_secs[c].raw_size != rec_secs[c].count * kRecordStride ||
-        op_secs[c].raw_size != op_secs[c].count * kOperandStride) {
+    const SectionHeader& rs = rec_secs[c];
+    const SectionHeader& vs = val_secs[c];
+    const bool records_fit = rs.count != 0 && rs.count <= rs.raw_size / kRecordStride;
+    const std::uint64_t breaks_raw = records_fit ? rs.raw_size - rs.count * kRecordStride : 0;
+    if (!records_fit || breaks_raw % kBreakStride != 0 || breaks_raw / kBreakStride >= rs.count ||
+        vs.raw_size % kValueStride != 0 || vs.raw_size / kValueStride != vs.count) {
       throw TraceFormatError(strf("MCTB chunk %u raw size disagrees with its element count",
                                   c));
     }
-    raw_total += rec_secs[c].raw_size + op_secs[c].raw_size;
+    raw_total += rs.raw_size + val_secs[c].raw_size;
     record_base[c] = rsum;
-    if (rec_secs[c].aux != osum) {
-      throw TraceFormatError(strf("MCTB chunk %u: operand base %llu does not tile (expected "
-                                  "%llu)", c, static_cast<unsigned long long>(rec_secs[c].aux),
-                                  static_cast<unsigned long long>(osum)));
-    }
-    rsum += rec_secs[c].count;
-    osum += op_secs[c].count;
-    if (rsum > record_count || osum > operand_count) {
-      throw TraceFormatError(strf("MCTB chunk %u overflows the declared record/operand counts",
+    value_base[c] = vsum;
+    rsum += rs.count;
+    vsum += val_secs[c].count;
+    if (rsum > record_count || vsum > value_count) {
+      throw TraceFormatError(strf("MCTB chunk %u overflows the declared record/value counts",
                                   c));
     }
   }
-  if (rsum != record_count || osum != operand_count) {
-    throw TraceFormatError(strf("MCTB chunks cover %llu records / %llu operands, header "
+  if (rsum != record_count || vsum != value_count) {
+    throw TraceFormatError(strf("MCTB chunks cover %llu records / %llu values, header "
                                 "declares %llu / %llu",
                                 static_cast<unsigned long long>(rsum),
-                                static_cast<unsigned long long>(osum),
+                                static_cast<unsigned long long>(vsum),
                                 static_cast<unsigned long long>(record_count),
-                                static_cast<unsigned long long>(operand_count)));
+                                static_cast<unsigned long long>(value_count)));
   }
   // Plausibility cap: even the fully stacked chains expand well under 2^12
   // per encoded byte, so a header demanding more is forged — reject before
@@ -725,11 +793,11 @@ void read_mctb_into(std::string_view bytes, TraceBuffer& buf, const MctbReadOpti
     throw TraceFormatError("MCTB header declares an implausibly large decoded size");
   }
 
-  // Symbols decode serially (every chunk needs the pool). Size and layout
-  // were validated against the header above, before any decode allocation.
-  // They join a non-empty output pool in container order, as append_buffer
-  // merges them, and the chunks store the merged ids.
-  std::vector<std::uint32_t> merged_ids;
+  // Symbols and sites decode serially (every chunk needs them). Size and
+  // layout were validated against the header above, before any decode
+  // allocation. They join a non-empty output buffer in container order, as
+  // append_buffer merges them, and the chunks store the merged ids.
+  SiteTable table;
   {
     AC_SPAN("decode.symbols");
     SymbolPool pool;
@@ -752,13 +820,17 @@ void read_mctb_into(std::string_view bytes, TraceBuffer& buf, const MctbReadOpti
     if (off != raw.size()) {
       throw TraceFormatError("MCTB symbol arena holds trailing bytes");
     }
+    decode_payload(bytes, sites, "site", raw, chain_scratch);
+    decode_sites(raw, sites, symbol_count, table);
+    std::vector<std::uint32_t> merged_ids;
     if (buf.pool().size() == 0) {
       buf.pool() = std::move(pool);
     } else {
       merged_ids = buf.pool().merge(pool);
     }
+    table.to = buf.merge_sites(table.sites, table.templates, merged_ids);
     if (progress) progress(static_cast<std::size_t>(symbols.payload_off),
-                           static_cast<std::size_t>(symbols.payload_off + symbols.payload_size));
+                           static_cast<std::size_t>(sites.payload_off + sites.payload_size));
   }
 
   // Parallel workers fill slots of arrays sized here, left unwritten because
@@ -766,47 +838,52 @@ void read_mctb_into(std::string_view bytes, TraceBuffer& buf, const MctbReadOpti
   // (emit_block), into arrays reserved exactly when the buffer is empty;
   // appends to a trace grow it geometrically, so a daemon connection's k
   // chunk frames move its arrays O(log k) times. Either way each element is
-  // written once.
+  // written once. Each chunk's dyn_ids join the buffer in chunk order.
   const std::size_t record_start = buf.size();
-  const std::size_t operand_start = buf.operands().size();
+  const std::size_t value_start = buf.values().size();
   const std::size_t records_end = record_start + static_cast<std::size_t>(record_count);
-  const std::size_t operands_end = operand_start + static_cast<std::size_t>(operand_count);
+  const std::size_t values_end = value_start + static_cast<std::size_t>(value_count);
   const int workers = resolve_threads(opts.num_threads, chunk_count);
   if (workers > 1) {
     buf.records().resize_uninitialized(records_end);
-    buf.operands().resize_uninitialized(operands_end);
-  } else if (record_start == 0 && operand_start == 0) {
+    buf.values().resize_uninitialized(values_end);
+  } else if (record_start == 0 && value_start == 0) {
     buf.records().reserve(records_end);
-    buf.operands().reserve(operands_end);
+    buf.values().reserve(values_end);
   }
-  const SymbolIds ids{symbol_count, merged_ids};
+  std::vector<std::vector<DynBreak>> chunk_breaks(chunk_count);
 
   const auto decode_chunk = [&](std::uint32_t c, DecodeScratch& ds) {
     AC_SPAN("decode.chunk");
     // Sizes were validated against the element counts up front; the codec
     // chain enforces the exact raw size on decode.
     decode_payload(bytes, rec_secs[c], "record", ds.rec_raw, ds.chain);
-    decode_payload(bytes, op_secs[c], "operand", ds.op_raw, ds.chain);
-    decode_record_chunk(ds.rec_raw, rec_secs[c], record_start + record_base[c],
-                        operand_start + rec_secs[c].aux, op_secs[c].count, ids, buf.records());
-    decode_operand_chunk(ds.op_raw, op_secs[c], operand_start + rec_secs[c].aux, ids,
-                         buf.operands(), ds);
+    decode_payload(bytes, val_secs[c], "value", ds.val_raw, ds.chain);
+    decode_record_chunk(ds.rec_raw, rec_secs[c], table, record_start + record_base[c],
+                        value_start + value_base[c], val_secs[c].count, buf.records(), ds,
+                        chunk_breaks[c]);
+    decode_value_chunk(ds.val_raw, val_secs[c], table, value_start + value_base[c],
+                       buf.values(), ds);
     static auto& recs = telemetry::metrics().counter("decode.records_decoded");
     recs.add(rec_secs[c].count);
   };
 
   // Chunks land in disjoint slots of the preallocated arrays, so workers
-  // share nothing but the read-only input and the finished pool. The shared
-  // executor claims chunks in order, cancels unclaimed ones after a first
-  // failure, and rethrows that failure with its original type + message —
-  // so a corrupt chunk raises the exact error the serial decode would. The
-  // ordered on_ready consumer replaces the old progress mutex.
+  // share nothing but the read-only input and the finished site table. The
+  // shared executor claims chunks in order, cancels unclaimed ones after a
+  // first failure, and rethrows that failure with its original type +
+  // message — so a corrupt chunk raises the exact error the serial decode
+  // would. The ordered on_ready consumer notes each chunk's dyn_ids and
+  // reports progress.
   ExecutorOptions eopts;
   eopts.threads = workers;
   const auto on_ready = [&](std::size_t c) {
+    buf.note_dyn(record_start + record_base[c], rec_secs[c].aux);
+    for (const DynBreak& b : chunk_breaks[c]) buf.note_dyn(b.record, b.dyn_id);
+    chunk_breaks[c] = {};
     if (progress) {
       progress(static_cast<std::size_t>(rec_secs[c].payload_off),
-               static_cast<std::size_t>(op_secs[c].payload_off + op_secs[c].payload_size));
+               static_cast<std::size_t>(val_secs[c].payload_off + val_secs[c].payload_size));
     }
   };
   // One scratch arena per worker thread, reused across every chunk that

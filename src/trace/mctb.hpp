@@ -1,31 +1,36 @@
 // MCTB ("MiniC Trace Binary") — the binary on-disk trace container.
 //
-// A trace file in this format is the interned SoA TraceBuffer
+// A trace file in this format is the site-indexed TraceBuffer
 // (trace/buffer.hpp) made durable: a self-describing header, a section table,
-// and one codec-chain-encoded payload per SoA column, so parsing is a
-// read + validate + unshuffle instead of text decoding. The layout:
+// and one codec-chain-encoded payload per column, so parsing is a read +
+// validate + unshuffle instead of text decoding. The layout (version 2):
 //
-//   FileHeader        magic "MCTB", version, record/operand/symbol counts,
-//                     chunk count, CRC of the section table
-//   SectionHeader[]   kind, chunk index, element count, raw/payload sizes,
-//                     absolute payload offset, payload CRC32, codec stage ids
+//   FileHeader        magic "MCTB", version, record/value/symbol counts,
+//                     chunk count, section count, CRC of the section table
+//   SectionHeader[]   kind, chunk index, element count, aux, raw/payload
+//                     sizes, absolute payload offset, payload CRC32, codec
+//                     stage ids
 //   payloads          each section's column data, run through the shared
 //                     support/codec.hpp CodecChain (the same implementation
 //                     the checkpoint engine uses)
 //
 // Sections:
 //   Symbols        the SymbolPool: a u32 length array + the arena bytes.
-//   RecordChunk c  PackedRecord columns of records [c*chunk, ...): dyn_id
-//                  (zigzag-delta vs the previous record — dynamic ids are
-//                  monotone), func/bb ids, op_count (op_offset is recomputed
-//                  on load), line, opcode. Fixed-stride columns are
-//                  byte-plane shuffled before the codec sees them.
-//   OperandChunk c the operand columns of those records: the 8-byte value
-//                  delta-encoded against the last value seen for the same
-//                  operand name (addresses are near-monotone per variable,
-//                  so deltas are tiny), zigzag-folded and plane-shuffled;
-//                  plus name ids, index, bits, flags.
+//   Sites          the site table: per site func/bb ids, line, operand count
+//                  and opcode; then the template column, every site's
+//                  operand templates in site order (name id, index, bits,
+//                  flags), so a site's span follows from the counts. count =
+//                  sites, aux = templates.
+//   Records c      records [c*chunk, ...): a u32 site id each, then the
+//                  dyn_id breaks inside the chunk as (chunk-local record,
+//                  dyn_id) pairs; aux = the chunk's first dyn_id, so a trace
+//                  whose dyn_ids rise by 1 stores no other.
+//   Values c       the records' operand values, each delta-encoded against
+//                  the last value of the same site operand (addresses are
+//                  near-monotone per operand, so deltas are tiny),
+//                  zigzag-folded.
 //
+// Fixed-stride columns are byte-plane shuffled before the codec sees them.
 // Chunks are self-contained (delta predictors reset per chunk) and land in
 // disjoint slots of the output arrays, so the parallel read decodes them
 // concurrently with no merge or concat step. Every decode path validates
@@ -113,9 +118,10 @@ struct MctbReadOptions {
 /// malformed input.
 TraceBuffer read_mctb(std::string_view bytes, const MctbReadOptions& opts = {});
 /// The same decode, appended to `buf`: the container's symbols join its pool
-/// in container order and its records and operands follow buf's with their
-/// ids remapped, the buffer buf.append_buffer(read_mctb(bytes, opts)) would
-/// give, without the decoded copy. A daemon connection decodes each chunk
+/// and its sites its site table in container order, and its records and
+/// values follow buf's with their ids remapped: the buffer
+/// buf.append_buffer(read_mctb(bytes, opts)) would give, without the decoded
+/// copy. A daemon connection decodes each chunk
 /// frame straight into its trace. On a TraceFormatError `buf` holds a part
 /// of the container.
 void read_mctb_into(std::string_view bytes, TraceBuffer& buf, const MctbReadOptions& opts = {});

@@ -99,10 +99,9 @@ class SymbolPool {
   /// Number of distinct symbols.
   std::size_t size() const { return refs_.size(); }
 
-  /// Arena + table footprint in bytes (memory accounting).
-  std::size_t byte_size() const {
-    return arena_.capacity() + refs_.capacity() * sizeof(Ref);
-  }
+  /// Bytes the symbols take: the arena and the table in use (memory
+  /// accounting).
+  std::size_t byte_size() const { return arena_.size() + refs_.size() * sizeof(Ref); }
 
   /// Bulk insert: interns every symbol of `other` into this pool in
   /// `other`'s id order and returns remap with remap[local_id] == the id in

@@ -107,6 +107,13 @@ class NameCache {
 /// a sixth field is what makes it a block header rather than a callee operand
 /// ("0,bits,value,is_reg,name"). Every malformed header, operand line or
 /// numeric field throws TraceFormatError naming the field.
+///
+/// Each record's site is found through a successor memo: the site that
+/// followed the previous record's site last time. Its header and operand
+/// templates are checked field by field as the record is read, names as
+/// bytes against the pool, so a hit interns nothing. The first field that
+/// differs ends the check; the record's site is then interned by content
+/// (TraceBuffer::intern_site) once the record ends.
 class TextScan {
  public:
   TextScan(std::string_view text, TraceBuffer& buf)
@@ -115,7 +122,6 @@ class TextScan {
   /// Append every block of the text to the buffer.
   void run() {
     bool open = false;  // a record is taking operands
-    PackedRecord rec;
     while (p_ != end_) {
       line_ = p_;
       counted_ = false;
@@ -137,8 +143,8 @@ class TextScan {
           p_ = field_end(p_ + 1, end_);
         }
         if (n == 4 && p_ != end_ && *p_ == ',') {
-          if (open) finish(rec);
-          header(f, rec);
+          if (open) finish();
+          header(f);
           open = true;
         } else if (n == 4 && open) {
           callee(f);
@@ -159,7 +165,7 @@ class TextScan {
       }
       if (p_ != end_) ++p_;  // the '\n'
     }
-    if (open) finish(rec);
+    if (open) finish();
   }
 
  private:
@@ -168,13 +174,13 @@ class TextScan {
   enum class Syntax { Signed, Unsigned, Value };
 
   /// "0,line,func,bb,opcode,dyn_id": fields 1-4 start at f, dyn_id after p_.
-  void header(const char* const f[4], PackedRecord& rec) {
+  void header(const char* const f[4]) {
     counted_ = true;
     const char* dyn = p_ + 1;
     p_ = f[0];
-    rec.line = int_field<std::int32_t>("source line");
-    rec.func = names_.intern(trimmed(f[1], f[2] - 1), last_func_);
-    rec.bb = names_.intern(trimmed(f[2], f[3] - 1), last_bb_);
+    key_.line = int_field<std::int32_t>("source line");
+    const std::string_view func = trimmed(f[1], f[2] - 1);
+    const std::string_view bb = trimmed(f[2], f[3] - 1);
     p_ = f[3];
     const auto opnum = int_field<std::int32_t>("opcode");
     if (!is_known_opcode(opnum)) {
@@ -182,61 +188,102 @@ class TextScan {
       throw TraceFormatError(strf("unknown opcode %d at dyn record '%.*s'", opnum,
                                   static_cast<int>(line.size()), line.data()));
     }
-    rec.opcode = static_cast<Opcode>(opnum);
+    key_.opcode = static_cast<Opcode>(opnum);
     p_ = dyn;
-    rec.dyn_id = u64_field("dyn_id");
-    if (buf_.operands().size() > 0xffffffffull) {
-      throw TraceFormatError("trace exceeds the 4G-operand TraceBuffer capacity");
+    dyn_id_ = u64_field("dyn_id");
+    value_offset_ = buf_.values().size();
+    key_ops_.clear();
+
+    cand_ = prev_ < succ_.size() ? succ_[prev_] : SymbolPool::npos;
+    const SymbolPool& pool = buf_.pool();
+    if (cand_ != SymbolPool::npos) {
+      const Site& c = buf_.sites()[cand_];
+      if (c.line == key_.line && c.opcode == key_.opcode && pool.view(c.func) == func &&
+          pool.view(c.bb) == bb) {
+        key_.func = c.func;
+        key_.bb = c.bb;
+        return;
+      }
+      cand_ = SymbolPool::npos;
     }
-    rec.op_offset = static_cast<std::uint32_t>(buf_.operands().size());
+    key_.func = names_.intern(func, last_func_);
+    key_.bb = names_.intern(bb, last_bb_);
+  }
+
+  /// The operand just read: checked against the candidate site's template,
+  /// else its name interned.
+  void add_operand(OperandSlot slot, std::int32_t index, std::int32_t bits, ValueKind kind,
+                   bool is_reg, std::string_view name, std::uint64_t raw) {
+    OperandTemplate t;
+    t.index = index;
+    t.bits = bits;
+    t.flags = OperandTemplate::pack_flags(slot, kind, is_reg);
+    const std::size_t k = key_ops_.size();
+    if (cand_ != SymbolPool::npos) {
+      const Site& c = buf_.sites()[cand_];
+      const OperandTemplate* ops = buf_.templates_of(c);
+      if (k < c.op_count && ops[k].index == t.index && ops[k].bits == t.bits &&
+          ops[k].flags == t.flags && buf_.pool().view(ops[k].name) == name) {
+        t.name = ops[k].name;
+      } else {
+        cand_ = SymbolPool::npos;
+      }
+    }
+    if (cand_ == SymbolPool::npos) t.name = names_.intern(name);
+    key_ops_.push_back(t);
+    buf_.values().push_back(raw);
   }
 
   /// "0,bits,value,is_reg,name": fields 1-4 start at f, and p_ ends the line.
   void callee(const char* const f[4]) {
     counted_ = true;
     const char* eol = p_;
-    PackedOperand op;
     p_ = f[0];
-    op.bits = int_field<std::int32_t>("operand bits");
+    const auto bits = int_field<std::int32_t>("operand bits");
     p_ = f[1];
     ValueKind kind;
-    op.raw = value_field(kind);
+    const std::uint64_t raw = value_field(kind);
     p_ = f[2];
     const bool is_reg = int_field<bool>("operand is_reg");
-    op.name = names_.intern(trimmed(f[3], eol));
-    op.flags = PackedOperand::pack_flags(OperandSlot::Callee, kind, is_reg);
     p_ = eol;
-    buf_.operands().push_back(op);
+    add_operand(OperandSlot::Callee, 0, bits, kind, is_reg, trimmed(f[3], eol), raw);
   }
 
   /// "slot,bits,value,is_reg,name", p_ past the slot unless it is an index.
   void operand(OperandSlot slot) {
-    PackedOperand op;
+    std::int32_t index = 0;
     if (slot == OperandSlot::Input) {
-      op.index = int_field<std::int32_t>("operand index");
-      if (op.index <= 0) {
+      index = int_field<std::int32_t>("operand index");
+      if (index <= 0) {
         check_count();
         fail("bad operand index in '");
       }
     }
     next_field();
-    op.bits = int_field<std::int32_t>("operand bits");
+    const auto bits = int_field<std::int32_t>("operand bits");
     next_field();
     ValueKind kind;
-    op.raw = value_field(kind);
+    const std::uint64_t raw = value_field(kind);
     next_field();
     const bool is_reg = int_field<bool>("operand is_reg");
     next_field();
     const char* name = p_;
     p_ = field_end(p_, end_);
-    op.name = names_.intern(trimmed(name, p_));
-    op.flags = PackedOperand::pack_flags(slot, kind, is_reg);
-    buf_.operands().push_back(op);
+    add_operand(slot, index, bits, kind, is_reg, trimmed(name, p_), raw);
   }
 
-  void finish(PackedRecord& rec) {
-    rec.op_count = static_cast<std::uint32_t>(buf_.operands().size()) - rec.op_offset;
-    buf_.records().push_back(rec);
+  void finish() {
+    key_.op_count = static_cast<std::uint32_t>(key_ops_.size());
+    std::uint32_t site = cand_;
+    if (site == SymbolPool::npos || buf_.sites()[site].op_count != key_.op_count) {
+      site = buf_.intern_site(key_, key_ops_.data());
+    }
+    buf_.push_record(site, value_offset_, dyn_id_);
+    if (prev_ != SymbolPool::npos) {
+      if (prev_ >= succ_.size()) succ_.resize(buf_.sites().size(), SymbolPool::npos);
+      succ_[prev_] = site;
+    }
+    prev_ = site;
   }
 
   /// Step over the ',' before the next field of an operand line.
@@ -271,7 +318,7 @@ class TextScan {
     return d.value;
   }
 
-  /// The value field at p_ as PackedOperand::raw, with its kind:
+  /// The value field at p_ as its 8-byte payload (raw_of), with its kind:
   /// value_from_text's dispatch. Addresses and integers parse in place;
   /// floats, and any field that does not parse in place, go through
   /// value_from_text.
@@ -300,7 +347,7 @@ class TextScan {
     }
     p_ = end;
     kind = v.kind;
-    return PackedOperand::raw_of(v);
+    return raw_of(v);
   }
 
   /// Parse a signed decimal (parse_i64's syntax) at p_ and move p_ to the
@@ -372,6 +419,16 @@ class TextScan {
   TraceBuffer& buf_;
   NameCache names_;
   std::uint32_t last_func_ = SymbolPool::npos, last_bb_ = SymbolPool::npos;
+  // The record being read: its header and templates, its first value, its
+  // dyn_id, and the site it still matches (npos: none).
+  Site key_;
+  std::vector<OperandTemplate> key_ops_;
+  std::size_t value_offset_ = 0;
+  std::uint64_t dyn_id_ = 0;
+  std::uint32_t cand_ = SymbolPool::npos;
+  // The successor memo: succ_[s] is the site that followed site s last time.
+  std::vector<std::uint32_t> succ_;
+  std::uint32_t prev_ = SymbolPool::npos;
 };
 
 /// Partition `text` into ~target-byte ranges that start on block-header
@@ -476,7 +533,7 @@ TraceBuffer read_trace_buffer(std::string_view text, int threads, const ParsePro
           const double scale = static_cast<double>(text.size()) /
                                static_cast<double>(chunks[0].second) * 1.05;
           out.reserve(static_cast<std::size_t>(static_cast<double>(out.size()) * scale) + 1,
-                      static_cast<std::size_t>(static_cast<double>(out.operands().size()) *
+                      static_cast<std::size_t>(static_cast<double>(out.values().size()) *
                                                scale) +
                           1);
         }

@@ -1,10 +1,11 @@
 // Trace parsing.
 //
-// read_trace_buffer parses LLVM-Tracer text into the compact interned
+// read_trace_buffer parses LLVM-Tracer text into the site-indexed
 // TraceBuffer (trace/buffer.hpp) straight off the input bytes: one forward
 // scan per line, each field parsed where it sits (integers by one
 // overflow-checked digit kernel, floats by std::from_chars, names through a
-// small cache in front of the symbol pool), and no per-record heap traffic.
+// small cache in front of the symbol pool), each record's site found through
+// a successor memo checked field by field, and no per-record heap traffic.
 // It is the paper's §V-A decomposition: the input is cut at
 // instruction-block headers, workers parse the chunks into private buffers,
 // and the calling thread merges each chunk's symbols and splices its records
@@ -32,15 +33,15 @@ namespace ac::trace {
 /// representation + whole file.
 using ParseProgress = std::function<void(std::size_t begin, std::size_t end)>;
 
-/// Text bytes per record and per operand that a chunk's first reserve
-/// assumes, so its arrays are sized once. The 14 mini-apps' default-knob
+/// Text bytes per record and per operand (value) that a chunk's first
+/// reserve assumes, so its columns are sized once. The 14 mini-apps' default-knob
 /// traces hold at least 57.3 bytes a record (IS) and 25.3 an operand (MG);
 /// an overestimate costs address space, not resident pages, once an array
 /// is mapped.
 inline constexpr std::size_t kTextBytesPerRecord = 54;
 inline constexpr std::size_t kTextBytesPerOperand = 24;
 
-/// Zero-copy parse of a whole trace into the interned SoA buffer on
+/// Zero-copy parse of a whole trace into the site-indexed buffer on
 /// `threads` workers (<= 1: inline on the calling thread, block-aligned
 /// chunks of at most 8 MiB parsed straight into the output). The output
 /// arrays are sized once, from the first chunk's record/operand density, and

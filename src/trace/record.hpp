@@ -14,7 +14,7 @@
 //
 // TraceRecord is the owning value form of one block: hand-built records in
 // tests, and what TraceBuffer::materialize() returns. Sinks, readers and the
-// analysis all work on the interned RecordView (trace/buffer.hpp), whose
+// analysis all work on the site-indexed RecordView (trace/buffer.hpp), whose
 // append_text() is the one renderer of the block format above.
 #pragma once
 

@@ -7,7 +7,7 @@
 // one interface. A live execution is not a source: Session::live() runs its
 // generator once into the streaming replay, and no trace is stored.
 //
-// The one materialized form is the interned SoA TraceBuffer
+// The one materialized form is the site-indexed TraceBuffer
 // (trace/buffer.hpp): buffer() is what the analysis pipeline replays, and a
 // TraceSource implementation only has to produce it. A caller that needs the
 // trace after the analysis (analysis::protect_calls resolves addresses in it)

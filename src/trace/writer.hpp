@@ -8,9 +8,11 @@
 //
 // A sink that stores records in a TraceBuffer of its own names it through
 // target(), and the VM then writes each record straight into that buffer:
-// site templates intern into its pool and operands land in its arrays, so
-// nothing is copied or remapped. Every other sink gets append(view) over a
-// one-record staging buffer the VM owns.
+// each static instruction's site is interned into its site table once, and
+// every execution pushes only a site id and the operand values, so nothing
+// is copied or remapped. Every other sink gets append(view) over a
+// one-record staging buffer the VM owns; a TraceBuffer appends such a view
+// through a cached per-site remap.
 #pragma once
 
 #include <cstdio>
@@ -22,7 +24,7 @@
 namespace ac::trace {
 
 /// On-disk trace formats the writers/readers speak: the LLVM-Tracer text
-/// block format, and the binary SoA container (trace/mctb.hpp).
+/// block format, and the binary columnar container (trace/mctb.hpp).
 enum class TraceFormat { Text, Mctb };
 
 /// "text" / "mctb"; throws ac::Error on anything else.
@@ -44,8 +46,9 @@ class TraceSink {
   /// trace size column of Table II for file sinks).
   virtual std::uint64_t bytes() const { return 0; }
   /// The buffer an emitter may append records to directly, bypassing
-  /// append(): the emitter interns into its pool and pushes onto its arrays,
-  /// and must leave it exactly as append(view) of each record would. nullptr
+  /// append(): the emitter interns into its pool and site table and pushes
+  /// onto its columns, and must leave it exactly as append(view) of each
+  /// record would. nullptr
   /// (the default) for a sink that does not keep a TraceBuffer.
   virtual TraceBuffer* target() { return nullptr; }
 };

@@ -53,38 +53,50 @@ void Interpreter::step() {
 }
 
 void Interpreter::trace_begin(std::size_t site, std::string_view func, int line, Opcode opcode) {
-  site_ = &sites_[site];
-  building_ = !site_->built;
+  site_ = &site_ids_[site];
+  value_begin_ = out_->values().size();
+  building_ = *site_ == trace::SymbolPool::npos;
   if (building_) {
     // First traced execution: intern in func, bb, operand-name order — the
     // operand names as trace_operand adds them.
     trace::SymbolPool& pool = out_->pool();
-    trace::PackedRecord& rec = site_->rec;
-    rec.func = pool.intern(func);
-    rec.bb = pool.intern(strf("%d:0", line));
-    rec.line = line;
-    rec.opcode = opcode;
-    rec.op_offset = static_cast<std::uint32_t>(site_ops_.size());
-    rec.op_count = 0;
+    key_.func = pool.intern(func);
+    key_.bb = pool.intern(strf("%d:0", line));
+    key_.line = line;
+    key_.opcode = opcode;
+    key_ops_.clear();
+    return;
   }
+  const trace::Site& s = out_->sites()[*site_];
+  site_ops_ = out_->templates_of(s);
+  site_op_count_ = s.op_count;
+}
+
+void Interpreter::start_building(std::size_t n) {
+  key_ = out_->sites()[*site_];
+  key_ops_.assign(site_ops_, site_ops_ + n);
+  building_ = true;
 }
 
 void Interpreter::trace_operand(OperandSlot slot, int index, bool is_reg,
                                 const OperandName& name, const Value& v) {
-  if (building_) {
-    trace::SymbolPool& pool = out_->pool();
-    trace::PackedOperand op;
-    op.name = name.number < 0 ? pool.intern(name.text)
-                              : pool.intern(strf("%s%ld", name.prefix, name.number));
-    op.index = index;
-    op.flags = trace::PackedOperand::pack_flags(slot, trace::ValueKind::Int, is_reg);
-    site_ops_.push_back(op);
-    ++site_->rec.op_count;
+  PodArray<std::uint64_t>& values = out_->values();
+  if (!building_) {
+    const std::size_t k = values.size() - value_begin_;
+    if (k < site_op_count_ && site_ops_[k].vkind() == v.kind) [[likely]] {
+      values.push_back(trace::raw_of(v));
+      return;
+    }
+    start_building(k);
   }
-  PodArray<trace::PackedOperand>& ops = out_->operands();
-  trace::PackedOperand op = site_ops_[site_->rec.op_offset + (ops.size() - op_begin_)];
-  op.set_value(v);
-  ops.push_back(op);
+  trace::SymbolPool& pool = out_->pool();
+  trace::OperandTemplate t;
+  t.name = name.number < 0 ? pool.intern(name.text)
+                           : pool.intern(strf("%s%ld", name.prefix, name.number));
+  t.index = index;
+  t.flags = trace::OperandTemplate::pack_flags(slot, v.kind, is_reg);
+  key_ops_.push_back(t);
+  values.push_back(trace::raw_of(v));
 }
 
 void Interpreter::trace_opnd(const Frame& f, const ir::Opnd& o, int index, const Value& v) {
@@ -93,20 +105,18 @@ void Interpreter::trace_opnd(const Frame& f, const ir::Opnd& o, int index, const
 }
 
 void Interpreter::trace_end() {
-  site_->built = true;
-  if (out_->operands().size() > 0xffffffffull) {
-    throw TraceFormatError("trace exceeds the 4G-operand TraceBuffer capacity");
+  const std::size_t n = out_->values().size() - value_begin_;
+  if (!building_ && n != site_op_count_) start_building(n);
+  if (building_) {
+    key_.op_count = static_cast<std::uint32_t>(n);
+    *site_ = out_->intern_site(key_, key_ops_.data());
   }
-  trace::PackedRecord rec = site_->rec;
-  rec.dyn_id = result_.steps - 1;
-  rec.op_offset = static_cast<std::uint32_t>(op_begin_);
-  out_->records().push_back(rec);
+  out_->push_record(*site_, value_begin_, result_.steps - 1);
   if (out_ == &staging_) {
     sink_->append(staging_.view(0));
-    staging_.records().clear();
-    staging_.operands().clear();
+    staging_.clear_records();
   }
-  op_begin_ = out_->operands().size();
+  value_begin_ = out_->values().size();
 }
 
 Interpreter::OperandName Interpreter::opnd_name(const Frame& f, const ir::Opnd& o) const {
@@ -618,9 +628,9 @@ RunResult Interpreter::run(const RunOptions& opts) {
   result_ = RunResult{};
   sink_ = opts.sink;
   if (sink_) {
-    sites_.assign(num_sites_, SiteTemplate{});
+    site_ids_.assign(num_sites_, trace::SymbolPool::npos);
     out_ = sink_->target() ? sink_->target() : &staging_;
-    op_begin_ = out_->operands().size();
+    value_begin_ = out_->values().size();
   }
   mcl_fn_ = opts.mcl ? module_.find_function(opts.mcl->function) : nullptr;
   mcl_line_ = opts.mcl ? opts.mcl->begin_line : 0;
@@ -655,8 +665,8 @@ RunResult Interpreter::run(const RunOptions& opts) {
     result_.failed = true;
     result_.iterations_started = fs.iteration - 1;
   } catch (...) {
-    // A record cut short by a throw leaves none of its operands behind.
-    if (out_) out_->operands().resize(op_begin_);
+    // A record cut short by a throw leaves none of its values behind.
+    if (out_) out_->values().resize(value_begin_);
     throw;
   }
   result_.peak_memory = std::max(result_.peak_memory, arena_.peak_bytes());

@@ -6,14 +6,15 @@
 // sink, a staging buffer whose one record is handed to sink->append(view)
 // and then dropped. Every static record site — one per (function,
 // instruction), one per (function, parameter) for the argument-binding
-// stores, one per global Alloca — gets a template on its first traced
-// execution. The template holds the record's static part (func and bb ids,
-// opcode, each operand's slot, index, is_reg flag and name id), interned into
-// the output buffer's pool in func, bb, operand-name order, which is the
-// order BufferSink's append(view) would intern them in. Every execution
-// pushes the template's operands with their values, then the record with its
-// dyn_id. Without a sink nothing of a record is built: the dispatch loop only
-// counts steps.
+// stores, one per global Alloca — is interned as a trace site on its first
+// traced execution: its names go into the output buffer's pool in func, bb,
+// operand-name order, which is the order BufferSink's append(view) would
+// intern them in, and its header and operand templates into the site table,
+// by content (TraceBuffer::intern_site). Every later execution pushes only
+// the operand values and the record's site id, after checking each value's
+// kind against the site's template; a kind that differs interns that
+// variant's site. Without a sink nothing of a record is built: the dispatch
+// loop only counts steps.
 //
 // Besides plain execution it provides the three capabilities the paper's
 // validation methodology needs (§VI-B):
@@ -127,12 +128,8 @@ class Interpreter {
   bool engine_regions_bound_ = false;
 
   // Trace emission (see the file comment).
-  struct SiteTemplate {
-    trace::PackedRecord rec;  // op_offset/op_count index site_ops_
-    bool built = false;
-  };
   /// A trace operand name: `text`, or `prefix` + `number` when number >= 0
-  /// ("7" for register 7, "arg2"). Formatted only when a template is built.
+  /// ("7" for register 7, "arg2"). Formatted only when a site is interned.
   struct OperandName {
     std::string_view text;
     const char* prefix = "";
@@ -143,18 +140,21 @@ class Interpreter {
   trace::TraceSink* sink_ = nullptr;  // opts_->sink
   // The buffer records are written into: sink_->target(), or staging_ when
   // the sink has none (trace_end forwards staging_'s one record, then
-  // clears it). Templates hold ids of out_'s pool.
+  // clears it). Site ids are out_'s.
   trace::TraceBuffer* out_ = nullptr;
   trace::TraceBuffer staging_;
-  // out_'s operand count at the end of its last complete record: the record
+  // out_'s value count at the end of its last complete record: the record
   // being emitted starts here, and a throw truncates back to it.
-  std::size_t op_begin_ = 0;
-  std::vector<std::size_t> site_base_;  // per function: its first site id
+  std::size_t value_begin_ = 0;
+  std::vector<std::size_t> site_base_;  // per function: its first static site
   std::size_t num_sites_ = 0;           // globals' sites come last
-  std::vector<SiteTemplate> sites_;
-  std::vector<trace::PackedOperand> site_ops_;
-  SiteTemplate* site_ = nullptr;  // the record being emitted
-  bool building_ = false;         // ... on its site's first traced execution
+  std::vector<std::uint32_t> site_ids_;  // per static site: its trace site (npos: none yet)
+  std::uint32_t* site_ = nullptr;        // the record being emitted: its static site's entry
+  const trace::OperandTemplate* site_ops_ = nullptr;  // ... and that site's templates
+  std::uint32_t site_op_count_ = 0;
+  bool building_ = false;  // interning the record's site: key_ and key_ops_ hold it
+  trace::Site key_;
+  std::vector<trace::OperandTemplate> key_ops_;
 
   Frame& top() { return frames_.back(); }
 
@@ -177,6 +177,9 @@ class Interpreter {
   /// Push the record (throwing TraceFormatError past 4G operands) and, when
   /// out_ is staging_, forward it to the sink.
   void trace_end();
+  /// Switch the record being emitted from its cached site to building one:
+  /// its header and first `n` templates are the cached site's.
+  void start_building(std::size_t n);
   OperandName opnd_name(const Frame& f, const ir::Opnd& o) const;
 
   void emit_global_allocas();

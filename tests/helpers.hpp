@@ -77,30 +77,37 @@ inline std::string trace_text(const trace::TraceBuffer& buf) {
   return text;
 }
 
-/// `b` is the same parse as `a`: equal pools (size and every id's bytes) and
-/// equal packed records and operands, field by field. Rendered text alone
-/// would hide a pool that assigns the same symbols different ids.
+/// `b` is the same buffer as `a`: equal pools (size and every id's bytes),
+/// equal site tables (headers and operand templates), and equal site ids,
+/// values and dyn_id breaks. Rendered text alone would hide a pool or a site
+/// table that assigns the same content different ids.
 inline void expect_same_buffer(const trace::TraceBuffer& a, const trace::TraceBuffer& b) {
   ASSERT_EQ(a.pool().size(), b.pool().size());
   for (std::uint32_t id = 0; id < a.pool().size(); ++id) {
     ASSERT_EQ(a.pool().view(id), b.pool().view(id)) << "symbol id " << id;
   }
+  ASSERT_EQ(a.sites().size(), b.sites().size());
+  for (std::size_t i = 0; i < a.sites().size(); ++i) {
+    const trace::Site& x = a.sites()[i];
+    const trace::Site& y = b.sites()[i];
+    ASSERT_TRUE(x.same_header(y) && x.op_offset == y.op_offset) << "site " << i;
+  }
+  ASSERT_TRUE(a.templates() == b.templates());
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    const trace::PackedRecord& x = a.records()[i];
-    const trace::PackedRecord& y = b.records()[i];
-    ASSERT_TRUE(x.dyn_id == y.dyn_id && x.func == y.func && x.bb == y.bb &&
-                x.op_offset == y.op_offset && x.op_count == y.op_count && x.line == y.line &&
-                x.opcode == y.opcode)
-        << "record " << i;
+    const trace::RecordEntry& x = a.records()[i];
+    const trace::RecordEntry& y = b.records()[i];
+    ASSERT_TRUE(x.site == y.site && x.value_offset == y.value_offset) << "record " << i;
   }
-  ASSERT_EQ(a.operands().size(), b.operands().size());
-  for (std::size_t i = 0; i < a.operands().size(); ++i) {
-    const trace::PackedOperand& x = a.operands()[i];
-    const trace::PackedOperand& y = b.operands()[i];
-    ASSERT_TRUE(x.raw == y.raw && x.name == y.name && x.index == y.index && x.bits == y.bits &&
-                x.flags == y.flags)
-        << "operand " << i;
+  ASSERT_EQ(a.values().size(), b.values().size());
+  for (std::size_t i = 0; i < a.values().size(); ++i) {
+    ASSERT_EQ(a.values()[i], b.values()[i]) << "value " << i;
+  }
+  ASSERT_EQ(a.dyn_breaks().size(), b.dyn_breaks().size());
+  for (std::size_t i = 0; i < a.dyn_breaks().size(); ++i) {
+    ASSERT_TRUE(a.dyn_breaks()[i].record == b.dyn_breaks()[i].record &&
+                a.dyn_breaks()[i].dyn_id == b.dyn_breaks()[i].dyn_id)
+        << "dyn_id break " << i;
   }
 }
 

@@ -1,9 +1,11 @@
 // The MCTB binary trace container: round-trip fidelity (serial + parallel
 // decode, every codec chain), FileSource auto-detection of written files,
-// and the malformed-input matrix — truncations, bad magic/version, CRC
-// mismatches, bad codec ids, operand-count overflow, out-of-range symbol ids,
-// malformed flags — all of which must raise clean TraceFormatErrors, never UB
-// (this suite runs under the ASan/UBSan CI job like every other test).
+// and the malformed-input matrix — truncations and byte flips in every
+// section, bad magic/version, bad codec ids, site ids past the site table,
+// sites that overrun the template column, value columns shorter than their
+// records need, out-of-range symbol ids, unknown opcodes, malformed flags —
+// all of which must raise clean TraceFormatErrors naming the section, never
+// UB (this suite runs under the ASan/UBSan CI job like every other test).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -26,7 +28,7 @@ namespace ac::trace {
 namespace {
 
 // Container layout constants mirrored from mctb.cpp — the tamper helpers
-// below patch specific fields, and these offsets are part of the v1 format.
+// below patch specific fields, and these offsets are part of the v2 format.
 constexpr std::size_t kHeaderSize = 40;
 constexpr std::size_t kSectionHeaderSize = 57;
 constexpr std::size_t kSectionCountOff = 32;
@@ -82,11 +84,15 @@ void fix_crcs(std::string& img) {
   write_le(img, kTableCrcOff, crc32(img.data() + kHeaderSize, nsec * kSectionHeaderSize));
 }
 
-/// Section-table entry lookup by kind (2 = records, 3 = operands), nth match.
+// Section kinds.
+constexpr std::uint32_t kSymbols = 1, kRecords = 2, kValues = 3, kSites = 4;
+
+/// Section-table entry lookup by kind, nth match.
 struct SecInfo {
   std::size_t header_base = 0;
   std::size_t payload_off = 0;
   std::uint64_t count = 0;
+  std::uint64_t aux = 0;
 };
 SecInfo find_section(const std::string& img, std::uint32_t kind, std::uint32_t nth = 0) {
   const auto nsec = read_le<std::uint32_t>(img, kSectionCountOff);
@@ -94,7 +100,8 @@ SecInfo find_section(const std::string& img, std::uint32_t kind, std::uint32_t n
     const std::size_t base = kHeaderSize + i * kSectionHeaderSize;
     if (read_le<std::uint32_t>(img, base) == kind && nth-- == 0) {
       return {base, static_cast<std::size_t>(read_le<std::uint64_t>(img, base + kSecPayloadOffOff)),
-              read_le<std::uint64_t>(img, base + kSecCountOff)};
+              read_le<std::uint64_t>(img, base + kSecCountOff),
+              read_le<std::uint64_t>(img, base + kSecCountOff + 8)};
     }
   }
   ADD_FAILURE() << "section of kind " << kind << " not found";
@@ -124,7 +131,7 @@ TEST(Mctb, EmptyBufferRoundTrips) {
   const std::string img = mctb_to_bytes(empty);
   const TraceBuffer back = read_mctb(img);
   EXPECT_EQ(back.size(), 0u);
-  EXPECT_EQ(back.operands().size(), 0u);
+  EXPECT_EQ(back.values().size(), 0u);
   EXPECT_EQ(back.pool().size(), 0u);
 }
 
@@ -178,10 +185,10 @@ TEST(Mctb, AppendingDecodesMatchAppendBuffer) {
   int record_moves = 0, operand_moves = 0;
   for (int k = 0; k < 300; ++k) {
     const std::size_t records = merged.records().capacity();
-    const std::size_t operands = merged.operands().capacity();
+    const std::size_t operands = merged.values().capacity();
     read_mctb_into(small, merged);
     record_moves += merged.records().capacity() != records;
-    operand_moves += merged.operands().capacity() != operands;
+    operand_moves += merged.values().capacity() != operands;
   }
   EXPECT_EQ(merged.size(), 300 * read_mctb(small).size());
   EXPECT_LE(record_moves, 12);
@@ -236,6 +243,29 @@ TEST(Mctb, TextAndMctbFilesReadBackAlike) {
 
 // --- malformed inputs --------------------------------------------------------
 
+/// Every section of `img`, in table order.
+std::vector<SecInfo> all_sections(const std::string& img) {
+  std::vector<SecInfo> out;
+  const auto nsec = read_le<std::uint32_t>(img, kSectionCountOff);
+  std::map<std::uint32_t, std::uint32_t> seen;
+  for (std::uint32_t i = 0; i < nsec; ++i) {
+    const auto kind = read_le<std::uint32_t>(img, kHeaderSize + i * kSectionHeaderSize);
+    out.push_back(find_section(img, kind, seen[kind]++));
+  }
+  return out;
+}
+
+/// `img` is rejected with a TraceFormatError whose message contains `what`.
+void expect_rejected(const std::string& img, const std::string& what) {
+  try {
+    read_mctb(img);
+    ADD_FAILURE() << "accepted a container that should fail with '" << what << "'";
+  } catch (const TraceFormatError& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << "'" << e.what() << "' does not name " << what;
+  }
+}
+
 TEST(MctbMalformed, TruncationsAtEveryLayer) {
   const std::string img = raw_codec_container(fig4_trace_text());
   // Shorter than the header, mid-table, mid-payload: every prefix must be
@@ -244,6 +274,12 @@ TEST(MctbMalformed, TruncationsAtEveryLayer) {
        {std::size_t{0}, std::size_t{3}, std::size_t{8}, kHeaderSize - 1, kHeaderSize + 10,
         kHeaderSize + kSectionHeaderSize + 5, img.size() - 1, img.size() / 2}) {
     EXPECT_THROW(read_mctb(img.substr(0, cut)), TraceFormatError) << "cut at " << cut;
+  }
+  // Inside every section: its header, its payload's first byte, its middle.
+  for (const SecInfo& sec : all_sections(img)) {
+    for (const std::size_t cut : {sec.header_base + 7, sec.payload_off, sec.payload_off + 1}) {
+      EXPECT_THROW(read_mctb(img.substr(0, cut)), TraceFormatError) << "cut at " << cut;
+    }
   }
 }
 
@@ -259,82 +295,127 @@ TEST(MctbMalformed, BadMagicAndVersion) {
     write_le<std::uint32_t>(bad, 4, 99);
     EXPECT_THROW(read_mctb(bad), TraceFormatError);
   }
+  {
+    // A version-1 container (records and operands in full) is refused.
+    std::string v1 = img;
+    write_le<std::uint32_t>(v1, 4, 1);
+    expect_rejected(v1, "unsupported MCTB version 1 (this reader speaks 2)");
+  }
 }
 
 TEST(MctbMalformed, CrcMismatches) {
   const std::string img = raw_codec_container(fig4_trace_text());
-  {
-    // Flip one byte of the first payload: section CRC must catch it.
-    std::string bad = img;
-    const SecInfo sec = find_section(bad, 2);
-    bad[sec.payload_off] = static_cast<char>(bad[sec.payload_off] ^ 0x5A);
-    EXPECT_THROW(read_mctb(bad), TraceFormatError);
-  }
-  {
-    // Flip one byte of the section table: table CRC must catch it.
-    std::string bad = img;
-    bad[kHeaderSize + 2] = static_cast<char>(bad[kHeaderSize + 2] ^ 0x5A);
-    EXPECT_THROW(read_mctb(bad), TraceFormatError);
+  // A flipped byte in any section's payload fails that section's CRC; one in
+  // any section's header fails the table CRC.
+  for (const SecInfo& sec : all_sections(img)) {
+    std::string payload = img;
+    payload[sec.payload_off] = static_cast<char>(payload[sec.payload_off] ^ 0x5A);
+    EXPECT_THROW(read_mctb(payload), TraceFormatError) << "payload at " << sec.payload_off;
+    std::string header = img;
+    header[sec.header_base + 2] = static_cast<char>(header[sec.header_base + 2] ^ 0x5A);
+    EXPECT_THROW(read_mctb(header), TraceFormatError) << "header at " << sec.header_base;
   }
 }
 
 TEST(MctbMalformed, BadCodecStageId) {
-  std::string img = raw_codec_container(fig4_trace_text());
-  const SecInfo sec = find_section(img, 2);
-  img[sec.header_base + kSecStagesOff - 1] = 1;  // stage_count = 1
-  img[sec.header_base + kSecStagesOff] = 9;      // unknown codec id
-  fix_crcs(img);
-  EXPECT_THROW(read_mctb(img), TraceFormatError);
+  for (const std::uint32_t kind : {kSymbols, kSites, kRecords, kValues}) {
+    std::string img = raw_codec_container(fig4_trace_text());
+    const SecInfo sec = find_section(img, kind);
+    img[sec.header_base + kSecStagesOff - 1] = 1;  // stage_count = 1
+    img[sec.header_base + kSecStagesOff] = 9;      // unknown codec id
+    fix_crcs(img);
+    EXPECT_THROW(read_mctb(img), TraceFormatError) << "section kind " << kind;
+  }
 }
 
-TEST(MctbMalformed, OperandCountOverflow) {
-  // Bump a record's operand count (raw codec, then re-fix the CRCs so the
-  // validation layer behind them is what rejects): the counts no longer sum
-  // to the operand section's size.
-  std::string img = raw_codec_container(fig4_trace_text());
-  const SecInfo sec = find_section(img, 2);
-  const std::size_t n = static_cast<std::size_t>(sec.count);
-  // op_count column plane 0 starts after dyn(8n) + func(4n) + bb(4n).
-  const std::size_t opcnt_off = sec.payload_off + 16 * n;
-  img[opcnt_off] = static_cast<char>(static_cast<unsigned char>(img[opcnt_off]) + 1);
-  fix_crcs(img);
-  EXPECT_THROW(read_mctb(img), TraceFormatError);
+/// Byte offsets of fields in the raw-codec site section of `img`: column
+/// `col` (0 func, 1 bb, 2 line, 3 op_count) plane `plane` of site `i`; the
+/// opcode byte of site i; the flags byte of template i.
+std::size_t site_field(const std::string& img, int col, int plane, std::size_t i) {
+  const SecInfo sec = find_section(img, kSites);
+  const auto n = static_cast<std::size_t>(sec.count);
+  return sec.payload_off + static_cast<std::size_t>(col) * 4 * n +
+         static_cast<std::size_t>(plane) * n + i;
+}
+std::size_t site_opcode(const std::string& img, std::size_t i) {
+  return site_field(img, 4, 0, i);
+}
+std::size_t template_flags(const std::string& img, std::size_t i) {
+  const SecInfo sec = find_section(img, kSites);
+  return sec.payload_off + 17 * static_cast<std::size_t>(sec.count) +
+         12 * static_cast<std::size_t>(sec.aux) + i;
+}
 
-  // The extreme version: plane 3 makes one count ~16M, overflowing the chunk
-  // mid-scan (the guard fires before any out-of-range operand is touched).
-  std::string huge = raw_codec_container(fig4_trace_text());
-  const SecInfo hsec = find_section(huge, 2);
-  huge[hsec.payload_off + 16 * n + 3 * n] = 0x01;  // plane 3 of op_count[0]
-  fix_crcs(huge);
-  EXPECT_THROW(read_mctb(huge), TraceFormatError);
+/// `img` with record `j` of record chunk `chunk` pointed at site `site`.
+void set_site_id(std::string& img, std::uint32_t chunk, std::size_t j, std::uint32_t site) {
+  const SecInfo sec = find_section(img, kRecords, chunk);
+  const auto n = static_cast<std::size_t>(sec.count);
+  for (int plane = 0; plane < 4; ++plane) {
+    img[sec.payload_off + static_cast<std::size_t>(plane) * n + j] =
+        static_cast<char>((site >> (8 * plane)) & 0xFF);
+  }
+}
+
+/// A container whose first chunk's record 0 now names a site with more
+/// operands than its own, so the chunk's value column is too short.
+std::string short_value_column(const std::string& text, std::size_t chunk_records) {
+  std::string img = raw_codec_container(text, chunk_records);
+  const TraceBuffer buf = read_trace_buffer(text);
+  const Site& first = buf.sites()[buf.records()[0].site];
+  for (std::uint32_t id = 0; id < buf.sites().size(); ++id) {
+    if (buf.sites()[id].op_count > first.op_count) {
+      set_site_id(img, 0, 0, id);
+      break;
+    }
+  }
+  fix_crcs(img);
+  return img;
+}
+
+TEST(MctbMalformed, SiteIdPastTheSiteTable) {
+  std::string img = raw_codec_container(fig4_trace_text());
+  set_site_id(img, 0, 0, 0x7F000000u);
+  fix_crcs(img);
+  expect_rejected(img, "MCTB record chunk 0: site id 2130706432 out of range");
+}
+
+TEST(MctbMalformed, SiteOperandsOverrunTheTemplateColumn) {
+  std::string img = raw_codec_container(fig4_trace_text());
+  img[site_field(img, 3, 3, 0)] = 0x01;  // site 0 takes ~16M templates
+  fix_crcs(img);
+  expect_rejected(img, "MCTB site table: site 0's");
+  // One template too many for the last site: the sites still fit, but they
+  // leave a template over.
+  std::string tail = raw_codec_container(fig4_trace_text());
+  const SecInfo sec = find_section(tail, kSites);
+  tail[site_field(tail, 3, 0, static_cast<std::size_t>(sec.count) - 1)] -= 1;
+  fix_crcs(tail);
+  expect_rejected(tail, "MCTB site table: its sites take");
+}
+
+TEST(MctbMalformed, ValueColumnShorterThanItsRecordsNeed) {
+  expect_rejected(short_value_column(fig4_trace_text(), 64), "MCTB value chunk 0");
 }
 
 TEST(MctbMalformed, SymbolIdOutOfRange) {
   std::string img = raw_codec_container(fig4_trace_text());
-  const SecInfo sec = find_section(img, 2);
-  const std::size_t n = static_cast<std::size_t>(sec.count);
-  // func column plane 3 (high byte) -> id in the hundreds of millions.
-  img[sec.payload_off + 8 * n + 3 * n] = 0x7F;
+  img[site_field(img, 0, 3, 0)] = 0x7F;  // site 0's func id in the billions
   fix_crcs(img);
-  EXPECT_THROW(read_mctb(img), TraceFormatError);
+  expect_rejected(img, "MCTB site table: function symbol id");
 }
 
 TEST(MctbMalformed, UnknownOpcodeAndFlags) {
   {
     std::string img = raw_codec_container(fig4_trace_text());
-    const SecInfo sec = find_section(img, 2);
-    const std::size_t n = static_cast<std::size_t>(sec.count);
-    img[sec.payload_off + 24 * n] = static_cast<char>(0xFA);  // opcode 250
+    img[site_opcode(img, 0)] = static_cast<char>(0xFA);  // opcode 250
     fix_crcs(img);
-    EXPECT_THROW(read_mctb(img), TraceFormatError);
+    expect_rejected(img, "MCTB site table: site 0 has unknown opcode 250");
   }
   {
     std::string img = raw_codec_container(fig4_trace_text());
-    const SecInfo sec = find_section(img, 3);
-    const std::size_t m = static_cast<std::size_t>(sec.count);
-    img[sec.payload_off + 20 * m] = static_cast<char>(0xFF);  // flags byte
+    img[template_flags(img, 0)] = static_cast<char>(0xFF);
     fix_crcs(img);
-    EXPECT_THROW(read_mctb(img), TraceFormatError);
+    expect_rejected(img, "MCTB site table: template 0 has malformed flags");
   }
 }
 
@@ -342,9 +423,7 @@ TEST(MctbMalformed, ParallelDecodeRejectsToo) {
   // The same corruption must surface as a clean error from the threaded
   // decode path (first error wins, workers join).
   std::string img = raw_codec_container(fig4_trace_text(), /*chunk_records=*/32);
-  const SecInfo sec = find_section(img, 2, /*nth=*/2);
-  const std::size_t n = static_cast<std::size_t>(sec.count);
-  img[sec.payload_off + 24 * n] = static_cast<char>(0xFA);
+  set_site_id(img, 2, 0, 0x7F000000u);
   fix_crcs(img);
   EXPECT_THROW(decode(img, 4), TraceFormatError);
 }
@@ -376,46 +455,32 @@ void expect_error_identity(const std::string& img, const char* label) {
 
 TEST(MctbErrorIdentity, SerialAndParallelRaiseTheSameError) {
   const std::string text = fig4_trace_text();
-  // chunk_records=32 gives several record/operand chunks, so the parallel
+  // chunk_records=32 gives several record/value chunks, so the parallel
   // decode genuinely fans out and cancellation/first-error logic is live.
   {
     std::string img = raw_codec_container(text, 32);
-    const SecInfo sec = find_section(img, 2);
+    const SecInfo sec = find_section(img, kRecords);
     img[sec.header_base + kSecStagesOff - 1] = 1;
     img[sec.header_base + kSecStagesOff] = 9;  // unknown codec id
     fix_crcs(img);
     expect_error_identity(img, "bad codec stage");
   }
+  expect_error_identity(short_value_column(text, 32), "value column too short");
   {
     std::string img = raw_codec_container(text, 32);
-    const SecInfo sec = find_section(img, 2);
-    const std::size_t n = static_cast<std::size_t>(sec.count);
-    const std::size_t opcnt_off = sec.payload_off + 16 * n;
-    img[opcnt_off] = static_cast<char>(static_cast<unsigned char>(img[opcnt_off]) + 1);
+    set_site_id(img, 0, 1, 0x7F000000u);
     fix_crcs(img);
-    expect_error_identity(img, "operand count overflow");
+    expect_error_identity(img, "site id out of range");
   }
   {
     std::string img = raw_codec_container(text, 32);
-    const SecInfo sec = find_section(img, 2);
-    const std::size_t n = static_cast<std::size_t>(sec.count);
-    img[sec.payload_off + 8 * n + 3 * n] = 0x7F;  // func id out of range
-    fix_crcs(img);
-    expect_error_identity(img, "symbol id out of range");
-  }
-  {
-    std::string img = raw_codec_container(text, 32);
-    const SecInfo sec = find_section(img, 2);
-    const std::size_t n = static_cast<std::size_t>(sec.count);
-    img[sec.payload_off + 24 * n] = static_cast<char>(0xFA);  // opcode 250
+    img[site_opcode(img, 0)] = static_cast<char>(0xFA);  // opcode 250
     fix_crcs(img);
     expect_error_identity(img, "unknown opcode");
   }
   {
     std::string img = raw_codec_container(text, 32);
-    const SecInfo sec = find_section(img, 3);
-    const std::size_t m = static_cast<std::size_t>(sec.count);
-    img[sec.payload_off + 20 * m] = static_cast<char>(0xFF);  // flags byte
+    img[template_flags(img, 0)] = static_cast<char>(0xFF);  // flags byte
     fix_crcs(img);
     expect_error_identity(img, "malformed flags");
   }
@@ -423,16 +488,14 @@ TEST(MctbErrorIdentity, SerialAndParallelRaiseTheSameError) {
     // Corruption in a *later* chunk: earlier chunks decode fine on every
     // path, and the error still matches byte for byte.
     std::string img = raw_codec_container(text, 32);
-    const SecInfo sec = find_section(img, 2, /*nth=*/2);
-    const std::size_t n = static_cast<std::size_t>(sec.count);
-    img[sec.payload_off + 24 * n] = static_cast<char>(0xFA);
+    set_site_id(img, 2, 0, 0x7F000000u);
     fix_crcs(img);
-    expect_error_identity(img, "later-chunk opcode");
+    expect_error_identity(img, "later-chunk site id");
   }
   {
     // CRC mismatch (no fix_crcs): caught at payload verification.
     std::string img = raw_codec_container(text, 32);
-    const SecInfo sec = find_section(img, 2, /*nth=*/1);
+    const SecInfo sec = find_section(img, kValues, /*nth=*/1);
     img[sec.payload_off] = static_cast<char>(static_cast<unsigned char>(img[sec.payload_off]) ^ 0x5A);
     expect_error_identity(img, "payload crc mismatch");
   }
@@ -560,7 +623,7 @@ TEST_P(MctbRoundTrip, StreamingEncodeDecodeByteIdentical) {
   for (const int threads : {1, 2, 4}) {
     const TraceBuffer streamed = decode(img, threads);
     EXPECT_EQ(buffer_text(streamed), text) << "threads=" << threads;
-    EXPECT_EQ(streamed.operands().size(), parsed.operands().size()) << threads;
+    EXPECT_EQ(streamed.values().size(), parsed.values().size()) << threads;
     EXPECT_EQ(streamed.pool().size(), parsed.pool().size()) << threads;
     // Canonical re-serialization equality pins every decoded column, not
     // just the text projection.

@@ -26,10 +26,12 @@
 #include "analysis/session.hpp"
 #include "apps/harness.hpp"
 #include "support/error.hpp"
+#include "support/metrics.hpp"
 #include "support/pod_array.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
 #include "trace/buffer.hpp"
+#include "trace/mctb.hpp"
 #include "trace/pool.hpp"
 #include "trace/reader.hpp"
 #include "trace/writer.hpp"
@@ -90,7 +92,7 @@ TEST(SymbolPool, CopyRebuildsIndependentIndex) {
 
 // --- PodArray -----------------------------------------------------------------
 
-/// A 24-byte element, PackedOperand's size. Each element type has a spare of
+/// A 24-byte element, a Site's size. Each element type has a spare of
 /// its own, so a test that needs to know the spare's state uses its own Tag.
 template <int Tag>
 struct Cell {
@@ -329,6 +331,32 @@ TEST(PodArray, ThreadsCreateAndFreeMappedArraysAtOnce) {
   EXPECT_EQ(wrong.load(), 0);
 }
 
+/// An 8-byte element: its mapped capacity is the mapping's bytes exactly.
+template <int Tag>
+struct Word {
+  std::uint64_t v = 0;
+};
+
+TEST(PodArray, SpareBytesGaugeTracksTheSpare) {
+  using W = Word<0>;  // no other test maps this type, so its spare starts empty
+  const telemetry::Gauge& gauge = telemetry::metrics().gauge("pod_array.spare_bytes");
+  const std::int64_t before = gauge.value();
+  std::size_t mapped = 0;
+  {
+    PodArray<W> first;
+    first.reserve(2 * kMappedElements<W>);
+    mapped = first.capacity() * sizeof(W);
+    EXPECT_EQ(gauge.value(), before);
+  }
+  // The freed array's mapping is its type's spare now...
+  EXPECT_EQ(gauge.value(), before + static_cast<std::int64_t>(mapped));
+  // ...until the next array to reach 1 MiB takes it.
+  PodArray<W> second;
+  second.reserve(kMappedElements<W> + 1);
+  EXPECT_EQ(second.capacity() * sizeof(W), mapped);
+  EXPECT_EQ(gauge.value(), before);
+}
+
 // --- TraceBuffer pack/materialize -------------------------------------------
 
 TraceRecord sample_record() {
@@ -370,7 +398,7 @@ TEST(TraceBuffer, EmptyNamesPackToNpos) {
   rec.operands[0].name.clear();
   TraceBuffer buf;
   buf.append(rec);
-  EXPECT_EQ(buf.view(0).operands_begin()[0].name, SymbolPool::npos);
+  EXPECT_EQ(buf.view(0).operand(0).name_id(), SymbolPool::npos);
   // to_text renders empty names as the " " placeholder.
   EXPECT_EQ(buf.view(0).to_text(),
             "0,42,kernel,42:1,28,7\n1,64,3.250000,1, \n2,64,0x1000,1,u\nr,32,-9,1,6\n");
@@ -418,19 +446,8 @@ TEST(TraceBuffer, ViewAppendMatchesMaterializedAppend) {
     }
     source.reset();
   }
-  ASSERT_EQ(via_view.size(), via_record.size());
-  ASSERT_EQ(via_view.pool().size(), via_record.pool().size());
-  for (std::uint32_t id = 0; id < via_view.pool().size(); ++id) {
-    EXPECT_EQ(via_view.pool().view(id), via_record.pool().view(id));
-  }
-  ASSERT_EQ(via_view.operands().size(), via_record.operands().size());
-  for (std::size_t i = 0; i < via_view.operands().size(); ++i) {
-    EXPECT_EQ(via_view.operands()[i].name, via_record.operands()[i].name);
-    EXPECT_EQ(via_view.operands()[i].raw, via_record.operands()[i].raw);
-    EXPECT_EQ(via_view.operands()[i].flags, via_record.operands()[i].flags);
-  }
+  test::expect_same_buffer(via_view, via_record);
   for (std::size_t i = 0; i < via_view.size(); ++i) {
-    EXPECT_EQ(via_view.records()[i].func, via_record.records()[i].func);
     EXPECT_EQ(via_view.view(i).to_text(), via_record.view(i).to_text());
   }
 }
@@ -445,15 +462,100 @@ TEST(TraceBuffer, ChunkAppendsReallocateLogarithmically) {
   int record_reallocs = 0, operand_reallocs = 0;
   for (int k = 0; k < kChunks; ++k) {
     const std::size_t rec_cap = merged.records().capacity();
-    const std::size_t op_cap = merged.operands().capacity();
+    const std::size_t op_cap = merged.values().capacity();
     merged.append_buffer(chunk);
     record_reallocs += merged.records().capacity() != rec_cap;
-    operand_reallocs += merged.operands().capacity() != op_cap;
+    operand_reallocs += merged.values().capacity() != op_cap;
   }
   EXPECT_EQ(merged.size(), 10u * kChunks);
   // Doubling from 16 elements: 10 reallocations for 10,000.
   EXPECT_LE(record_reallocs, 20);
   EXPECT_LE(operand_reallocs, 20);
+}
+
+TEST(TraceBuffer, ByteSizeIsWhatTheBufferHolds) {
+  // A large buffer, freed: its mappings become the spares...
+  {
+    TraceBuffer big;
+    for (int i = 0; i < 100000; ++i) big.append(sample_record());
+    ASSERT_GE(big.values().capacity() * sizeof(std::uint64_t), detail::kMapBytes);
+  }
+  // ...that a small buffer's first reserve past 1 MiB takes whole. Its size
+  // is still its own: 8 bytes a record and a value, its site table, its one
+  // stored dyn_id (7, not 0) and its pool's bytes.
+  TraceBuffer small;
+  small.reserve(detail::kMapBytes / sizeof(RecordEntry), detail::kMapBytes / sizeof(std::uint64_t));
+  small.append(sample_record());
+  EXPECT_EQ(small.byte_size(), sizeof(RecordEntry) + 3 * sizeof(std::uint64_t) + sizeof(Site) +
+                                   3 * sizeof(OperandTemplate) + sizeof(DynBreak) +
+                                   small.pool().byte_size());
+  EXPECT_EQ(small.pool().byte_size(), std::string("kernel42:156u").size() + 5 * 8);
+  EXPECT_LT(small.byte_size(), 200u);
+}
+
+/// A trace whose records exercise every case of the representation: a first
+/// dyn_id that is not 0, a gap, a repeated and a decreasing dyn_id; one
+/// (func, bb, line, opcode) with an Int input, then a Float input, then a
+/// differently named input; a record with no operands and an unnamed
+/// operand. Repeated `reps` times with its dyn_ids shifted, so a parallel
+/// parse splits it.
+std::string every_case_trace(int reps) {
+  std::string text;
+  for (int r = 0; r < reps; ++r) {
+    const int d = 10 * r;
+    text += strf("0,5,main,5:0,13,%d\n1,64,2,1,x\nr,64,4,1,8\n", 3 + d);
+    text += strf("0,5,main,5:0,13,%d\n1,64,2.500000,1,x\nr,64,4,1,8\n", 4 + d);
+    text += strf("0,5,main,5:0,13,%d\n1,64,2,1,y\nr,64,4,1,8\n", 9 + d);
+    text += strf("0,6,main,6:0,2,%d\n", 9 + d);
+    text += strf("0,7,main,7:0,8,%d\n1,64,5,0, \nr,64,6,1,9\n", 4 + d);
+    text += strf("0,5,main,5:0,13,%d\n1,64,3,1,x\nr,64,7,1,8\n", 5 + d);
+  }
+  return text;
+}
+
+TEST(TraceBuffer, OneBufferWhoeverWritesIt) {
+  for (const int reps : {1, 4000}) {
+    SCOPED_TRACE(strf("reps=%d", reps));
+    const std::string text = every_case_trace(reps);
+    const TraceBuffer whole = read_trace_buffer(text, 1);
+    ASSERT_EQ(whole.size(), 6u * static_cast<std::size_t>(reps));
+    EXPECT_EQ(whole.sites().size(), 5u);  // the Int, Float and y variants are three sites
+    EXPECT_FALSE(whole.dyn_breaks().empty());
+    EXPECT_EQ(test::trace_text(whole), text);
+    const TraceBuffer parallel = read_trace_buffer(text, 4);
+    EXPECT_EQ(test::trace_text(parallel), text);
+    test::expect_same_buffer(whole, parallel);
+
+    // Through MCTB, at every chunking and decode thread count.
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{3}, std::size_t{65536}}) {
+      MctbOptions opts;
+      opts.chunk_records = chunk;
+      const std::string img = mctb_to_bytes(whole, opts);
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE(strf("chunk_records=%zu threads=%d", chunk, threads));
+        MctbReadOptions ropts;
+        ropts.num_threads = threads;
+        const TraceBuffer decoded = read_mctb(img, ropts);
+        EXPECT_EQ(test::trace_text(decoded), text);
+        test::expect_same_buffer(whole, decoded);
+      }
+    }
+
+    // The two halves, appended.
+    const std::size_t half = text.find("\n0,6,main", text.size() / 2) + 1;
+    TraceBuffer halves = read_trace_buffer(text.substr(0, half));
+    halves.append_buffer(read_trace_buffer(text.substr(half)));
+    test::expect_same_buffer(whole, halves);
+
+    // Each record as a view, and each record materialized.
+    TraceBuffer viewed, owned;
+    for (std::size_t i = 0; i < whole.size(); ++i) {
+      viewed.append(whole.view(i));
+      owned.append(whole.materialize(i));
+    }
+    test::expect_same_buffer(whole, viewed);
+    test::expect_same_buffer(whole, owned);
+  }
 }
 
 // --- parser pinning ----------------------------------------------------------
@@ -501,11 +603,11 @@ TEST(TraceBufferParse, RejectsMalformedInput) {
       "0,-2147483648,foo,6:1,27,18446744073709551615\n"
       "2147483647,-1,0xffffffffffffffff,1,x\nr,64,-9223372036854775808,0,y\n");
   ASSERT_EQ(edge.size(), 1u);
-  EXPECT_EQ(edge.records()[0].line, INT32_MIN);
-  EXPECT_EQ(edge.records()[0].dyn_id, UINT64_MAX);
-  EXPECT_EQ(edge.operands()[0].index, INT32_MAX);
-  EXPECT_EQ(edge.operands()[0].raw, UINT64_MAX);
-  EXPECT_EQ(edge.operands()[1].value(), Value::make_int(INT64_MIN));
+  EXPECT_EQ(edge.view(0).line(), INT32_MIN);
+  EXPECT_EQ(edge.view(0).dyn_id(), UINT64_MAX);
+  EXPECT_EQ(edge.view(0).operand(0).index(), INT32_MAX);
+  EXPECT_EQ(edge.view(0).operand(0).raw(), UINT64_MAX);
+  EXPECT_EQ(edge.view(0).operand(1).value(), Value::make_int(INT64_MIN));
 }
 
 /// The bits std::strtod reads from `text`, the float reader the text format
@@ -543,8 +645,8 @@ TEST(TraceBufferParse, AcceptedSpellingsArePinned) {
   // A name keeps its inner blanks; a blank name is no name.
   const TraceBuffer names = read_trace_buffer("0,3, my func ,  ,27,215\n1,64,5,1, a b \n");
   EXPECT_EQ(names.view(0).func(), "my func");
-  EXPECT_EQ(names.records()[0].bb, SymbolPool::npos);
-  EXPECT_EQ(names.view(0).name(names.operands()[0]), "a b");
+  EXPECT_EQ(names.view(0).site().bb, SymbolPool::npos);
+  EXPECT_EQ(names.view(0).name(names.view(0).operand(0)), "a b");
   // dyn_id takes digits only: a sign is an error, not a no-op.
   expect_rejected("0,3,foo,6:1,27,+215\n", "dyn_id");
   // Every float spelling strtod reads — infinities, NaNs, out-of-range
@@ -558,15 +660,15 @@ TEST(TraceBufferParse, AcceptedSpellingsArePinned) {
   };
   for (const std::string& f : floats) text += "1,64," + f + ",1,x\n";
   const TraceBuffer parsed = read_trace_buffer(text);
-  ASSERT_EQ(parsed.operands().size(), floats.size());
+  ASSERT_EQ(parsed.values().size(), floats.size());
   for (std::size_t i = 0; i < floats.size(); ++i) {
-    EXPECT_EQ(parsed.operands()[i].vkind(), ValueKind::Float) << floats[i];
-    EXPECT_EQ(parsed.operands()[i].raw, strtod_bits(floats[i])) << floats[i];
-    EXPECT_EQ(PackedOperand::raw_of(value_from_text(floats[i])), strtod_bits(floats[i]))
+    EXPECT_EQ(parsed.view(0).operand(i).vkind(), ValueKind::Float) << floats[i];
+    EXPECT_EQ(parsed.values()[i], strtod_bits(floats[i])) << floats[i];
+    EXPECT_EQ(raw_of(value_from_text(floats[i])), strtod_bits(floats[i]))
         << floats[i];
   }
-  EXPECT_EQ(std::bit_cast<double>(parsed.operands()[7].raw), INFINITY);
-  EXPECT_EQ(std::bit_cast<double>(parsed.operands()[11].raw), -3.0);
+  EXPECT_EQ(std::bit_cast<double>(parsed.values()[7]), INFINITY);
+  EXPECT_EQ(std::bit_cast<double>(parsed.values()[11]), -3.0);
   // Spellings strtod does not read in full stay errors.
   for (const char* bad : {"1.5e", "1.5e+", "--1.5", "+-1.5", "-0x", "0x1.8p1", "1.5.", "inf x",
                           "1e5", "INF", "- 1.5"}) {
@@ -609,7 +711,7 @@ TEST_P(BufferRoundTrip, WriterFixpointAndGoldenCounts) {
   const TraceBuffer serial = read_trace_buffer(text);
   EXPECT_EQ(test::trace_text(serial), text);
   EXPECT_EQ(strf("records=%zu operands=%zu symbols=%zu", serial.size(),
-                 serial.operands().size(), serial.pool().size()),
+                 serial.values().size(), serial.pool().size()),
             golden_counts(app.name));
   for (const int threads : {2, 4}) {
     SCOPED_TRACE(strf("threads=%d", threads));
@@ -640,14 +742,14 @@ TEST(TraceBufferParse, FirstReserveHoldsHaccTrace) {
   TraceBuffer probe;
   probe.reserve(records, operands);
   const std::size_t record_capacity = probe.records().capacity();
-  const std::size_t operand_capacity = probe.operands().capacity();
+  const std::size_t operand_capacity = probe.values().capacity();
   probe = TraceBuffer();  // its mappings become the spares the parse's reserve takes
 
   const TraceBuffer parsed = read_trace_buffer(text, 1);
   EXPECT_LE(parsed.size(), records);
-  EXPECT_LE(parsed.operands().size(), operands);
+  EXPECT_LE(parsed.values().size(), operands);
   EXPECT_EQ(parsed.records().capacity(), record_capacity);
-  EXPECT_EQ(parsed.operands().capacity(), operand_capacity);
+  EXPECT_EQ(parsed.values().capacity(), operand_capacity);
 }
 
 /// A name is every byte between its commas, an embedded NUL included, so the
@@ -660,7 +762,7 @@ TEST(WriterFixpoint, NamesWithEmbeddedNulBytes) {
   const TraceBuffer buf = read_trace_buffer(text);
   ASSERT_EQ(buf.size(), 1u);
   EXPECT_EQ(buf.view(0).func(), std::string_view("m\0n", 3));
-  EXPECT_EQ(buf.view(0).name(buf.operands()[0]), std::string_view("x\0y", 3));
+  EXPECT_EQ(buf.view(0).name(buf.view(0).operand(0)), std::string_view("x\0y", 3));
   EXPECT_EQ(test::trace_text(buf), text);
 }
 

@@ -63,10 +63,11 @@ std::string snprintf_text(const RecordView& rec) {
   std::snprintf(line, sizeof line, "0,%d,%s,%s,%d,%" PRIu64 "\n", rec.line(), func.c_str(),
                 bb.c_str(), static_cast<int>(rec.opcode()), rec.dyn_id());
   out += line;
-  for (const PackedOperand* op = rec.operands_begin(); op != rec.operands_end(); ++op) {
+  for (std::size_t k = 0; k < rec.operand_count(); ++k) {
+    const OperandRef op = rec.operand(k);
     switch (op->slot()) {
       case OperandSlot::Input:
-        std::snprintf(line, sizeof line, "%d", op->index);
+        std::snprintf(line, sizeof line, "%d", op->index());
         out += line;
         break;
       case OperandSlot::Callee: out += '0'; break;
@@ -75,10 +76,10 @@ std::string snprintf_text(const RecordView& rec) {
     }
     const Value v = op->value();
     switch (v.kind) {
-      case ValueKind::Int: std::snprintf(line, sizeof line, ",%d,%" PRId64, op->bits, v.i); break;
-      case ValueKind::Float: std::snprintf(line, sizeof line, ",%d,%.6f", op->bits, v.f); break;
+      case ValueKind::Int: std::snprintf(line, sizeof line, ",%d,%" PRId64, op->bits(), v.i); break;
+      case ValueKind::Float: std::snprintf(line, sizeof line, ",%d,%.6f", op->bits(), v.f); break;
       case ValueKind::Addr:
-        std::snprintf(line, sizeof line, ",%d,0x%" PRIx64, op->bits, v.addr);
+        std::snprintf(line, sizeof line, ",%d,0x%" PRIx64, op->bits(), v.addr);
         break;
     }
     out += line;
@@ -153,18 +154,19 @@ TEST(Render, MatchesSnprintfAndReparsesToTheSameBytes) {
     const std::uint32_t func = buf.pool().intern("main");
     const std::uint32_t bb = buf.pool().intern("12:3");
     for (std::size_t r = 0; r < kRecordsPerBatch && next_double < doubles.size(); ++r, ++record) {
-      PackedRecord rec;
-      rec.line = record < std::size(kLines) ? kLines[record]
-                                             : static_cast<std::int32_t>(rng.next());
-      rec.func = func;
-      rec.bb = record % 5 == 0 ? SymbolPool::npos : bb;
-      rec.opcode = kOps[record % std::size(kOps)];
-      rec.dyn_id = record == 0 ? UINT64_MAX : rng.next();
-      rec.op_offset = static_cast<std::uint32_t>(buf.operands().size());
-      rec.op_count = kOperands;
+      Site site;
+      site.line = record < std::size(kLines) ? kLines[record]
+                                              : static_cast<std::int32_t>(rng.next());
+      site.func = func;
+      site.bb = record % 5 == 0 ? SymbolPool::npos : bb;
+      site.opcode = kOps[record % std::size(kOps)];
+      site.op_count = kOperands;
+      const std::uint64_t dyn_id = record == 0 ? UINT64_MAX : rng.next();
+      OperandTemplate ops[kOperands];
+      std::uint64_t values[kOperands];
       for (std::size_t k = 0; k < kOperands; ++k) {
         const std::size_t n = record * kOperands + k;
-        PackedOperand op;
+        OperandTemplate& op = ops[k];
         const auto slot = static_cast<OperandSlot>(n % 4);
         if (slot == OperandSlot::Input) {
           op.index = n < 64 ? kIndices[n % std::size(kIndices)]
@@ -181,12 +183,13 @@ TEST(Render, MatchesSnprintfAndReparsesToTheSameBytes) {
           // The last record wraps round to the first doubles.
           v = Value::make_float(doubles[next_double++ % doubles.size()]);
         }
-        op.raw = PackedOperand::raw_of(v);
+        values[k] = raw_of(v);
         op.name = names[n % std::size(names)];
-        op.flags = PackedOperand::pack_flags(slot, v.kind, n % 3 == 0);
-        buf.operands().push_back(op);
+        op.flags = OperandTemplate::pack_flags(slot, v.kind, n % 3 == 0);
       }
-      buf.records().push_back(rec);
+      const std::size_t offset = buf.values().size();
+      buf.values().insert(buf.values().end(), values, values + kOperands);
+      buf.push_record(buf.intern_site(site, ops), offset, dyn_id);
     }
 
     const std::string text = test::trace_text(buf);
@@ -208,11 +211,11 @@ TEST(Render, EdgeDoublesParseToStrtodBits) {
     text += "1,64," + spelled.back() + ",1,x\n";
   }
   const TraceBuffer buf = read_trace_buffer(text);
-  ASSERT_EQ(buf.operands().size(), doubles.size());
+  ASSERT_EQ(buf.values().size(), doubles.size());
   for (std::size_t i = 0; i < doubles.size(); ++i) {
     const std::uint64_t want =
         std::bit_cast<std::uint64_t>(std::strtod(spelled[i].c_str(), nullptr));
-    ASSERT_EQ(buf.operands()[i].raw, want) << spelled[i];
+    ASSERT_EQ(buf.values()[i], want) << spelled[i];
     ASSERT_EQ(std::bit_cast<std::uint64_t>(value_from_text(spelled[i]).f), want) << spelled[i];
   }
 }
@@ -263,9 +266,9 @@ TEST(Record, RoundTripThroughParser) {
   EXPECT_EQ(rec.opcode(), Opcode::Load);
   EXPECT_EQ(rec.dyn_id(), 215u);
   ASSERT_EQ(rec.operand_count(), 2u);
-  EXPECT_EQ(rec.name(rec.operands_begin()[0]), "p");
-  EXPECT_TRUE(rec.operands_begin()[0].is_addr());
-  EXPECT_EQ(rec.operands_begin()[1].slot(), OperandSlot::Result);
+  EXPECT_EQ(rec.name(rec.operand(0)), "p");
+  EXPECT_TRUE(rec.operand(0).is_addr());
+  EXPECT_EQ(rec.operand(1).slot(), OperandSlot::Result);
 }
 
 TEST(Record, CallFormOneLikeFig6a) {
@@ -309,11 +312,10 @@ TEST(Record, CallFormTwoLikeFig6b) {
   const RecordView call = parsed.view(0);
   // The two parameter-indicator rows follow the callee and argument rows.
   ASSERT_EQ(call.operand_count(), 5u);
-  const PackedOperand* ops = call.operands_begin();
-  EXPECT_EQ(call.find(OperandSlot::Param), &ops[3]);
-  EXPECT_EQ(ops[4].slot(), OperandSlot::Param);
-  EXPECT_EQ(call.name(ops[3]), "p");
-  EXPECT_EQ(call.name(ops[4]), "q");
+  EXPECT_EQ(&call.find(OperandSlot::Param).tmpl(), &call.operand(3).tmpl());
+  EXPECT_EQ(call.operand(4).slot(), OperandSlot::Param);
+  EXPECT_EQ(call.name(call.operand(3)), "p");
+  EXPECT_EQ(call.name(call.operand(4)), "q");
 }
 
 TEST(Record, MultiBlockStream) {
@@ -334,7 +336,7 @@ TEST(Record, MultiBlockStream) {
   const RecordView back = parsed.view(1);
   EXPECT_EQ(back.opcode(), Opcode::Mul);
   // Empty operand names serialize as a single space and parse back empty.
-  EXPECT_EQ(back.name(back.operands_begin()[1]), "");
+  EXPECT_EQ(back.name(back.operand(1)), "");
 }
 
 TEST(Record, SkipsBlankLines) {
@@ -374,7 +376,7 @@ TEST(Sinks, HugeFloatsSurviveAFileRoundTrip) {
   }
   TraceBuffer records = read_trace_buffer(blocks);
   for (std::size_t i = 0; i < values.size(); ++i) {
-    records.operands()[i].set_value(Value::make_float(values[i]));
+    records.values()[i] = raw_of(Value::make_float(values[i]));
   }
   const std::string path = testing::TempDir() + "/ac_trace_huge_floats.txt";
   {
@@ -389,7 +391,7 @@ TEST(Sinks, HugeFloatsSurviveAFileRoundTrip) {
   const TraceBuffer& parsed = source.buffer();
   ASSERT_EQ(parsed.size(), values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
-    const Value v = parsed.operands()[i].value();
+    const Value v = parsed.view(i).operand(0).value();
     ASSERT_TRUE(v.is_float()) << i;
     EXPECT_EQ(std::bit_cast<std::uint64_t>(v.f), std::bit_cast<std::uint64_t>(values[i])) << i;
   }

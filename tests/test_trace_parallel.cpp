@@ -1,5 +1,5 @@
 // The §V-A chunked trace read must yield the same buffer at every thread
-// count — same pool ids, same packed records and operands, same MCTB bytes
+// count — same pool ids, same sites, records and values, same MCTB bytes
 // when recoded — regardless of where chunk boundaries fall relative to
 // instruction blocks, and the same error when a block is malformed.
 #include <gtest/gtest.h>

@@ -24,7 +24,6 @@ namespace {
 
 using trace::Opcode;
 using trace::OperandSlot;
-using trace::PackedOperand;
 using trace::RecordView;
 using trace::TraceBuffer;
 
@@ -69,8 +68,8 @@ TEST(VmTrace, AllocaCarriesNameAndAddress) {
   const TraceBuffer recs = trace_of("int main() { int sum = 0; print_int(sum); return 0; }");
   const auto allocas = by_opcode(recs, Opcode::Alloca);
   ASSERT_EQ(allocas.size(), 1u);
-  const PackedOperand* result = allocas[0].find(OperandSlot::Result);
-  ASSERT_NE(result, nullptr);
+  const trace::OperandRef result = allocas[0].find(OperandSlot::Result);
+  ASSERT_TRUE(result);
   EXPECT_EQ(allocas[0].name(*result), "sum");
   EXPECT_TRUE(result->is_addr());
 }
@@ -145,12 +144,12 @@ int main() {
   // Fig. 6(b): argument rows carry the addresses; the parameter-indicator
   // rows that follow them bind the same addresses to parameter names p and q.
   ASSERT_EQ(foo_call.operand_count(), 5u);
-  const PackedOperand* ops = foo_call.operands_begin();
-  EXPECT_EQ(foo_call.find(OperandSlot::Param), &ops[3]);
-  EXPECT_EQ(ops[4].slot(), OperandSlot::Param);
-  EXPECT_EQ(foo_call.name(ops[3]), "p");
-  EXPECT_EQ(foo_call.name(ops[4]), "q");
-  EXPECT_EQ(ops[3].addr(), foo_call.input(1)->addr());
+  EXPECT_EQ(foo_call.operand(3).slot(), OperandSlot::Param);
+  EXPECT_EQ(&foo_call.find(OperandSlot::Param).tmpl(), &foo_call.operand(3).tmpl());
+  EXPECT_EQ(foo_call.operand(4).slot(), OperandSlot::Param);
+  EXPECT_EQ(foo_call.name(foo_call.operand(3)), "p");
+  EXPECT_EQ(foo_call.name(foo_call.operand(4)), "q");
+  EXPECT_EQ(foo_call.operand(3).addr(), foo_call.input(1)->addr());
 
   // The record after the Call executes inside foo (its body follows).
   ASSERT_LT(foo_index + 1, recs.size());
@@ -245,7 +244,7 @@ std::uint32_t crc_of(std::string_view s, std::uint32_t seed = 0) {
 TraceDigest digest_buffer(const trace::TraceBuffer& buf) {
   TraceDigest d;
   d.records = buf.size();
-  d.operands = buf.operands().size();
+  d.operands = buf.values().size();
   d.symbols = buf.pool().size();
   for (std::size_t i = 0; i < buf.size(); ++i) d.text_crc = crc_of(buf.view(i).to_text(), d.text_crc);
   for (std::uint32_t id = 0; id < buf.pool().size(); ++id) {
@@ -269,12 +268,22 @@ RunResult run_app(const ir::Module& module, trace::TraceSink* sink) {
 TEST(VmTraceGolden, EverySinkMatchesTheDigests) {
   const auto golden = test::load_golden("vm_trace_digests.txt");
   std::string computed;  // the full file, printed on any mismatch
+  std::size_t trace_bytes = 0;
   for (const apps::App& app : apps::registry()) {
     SCOPED_TRACE(app.name);
     const ir::Module module = minic::compile(app.source());
 
     trace::BufferSink buffer_sink;
     const RunResult buffered_run = run_app(module, &buffer_sink);
+    const TraceBuffer& buf = buffer_sink.buffer();
+    // The VM's dyn_ids rise by 1 from 0, so none is stored, and the trace
+    // holds 8 bytes a record and a value beside its site table and pool.
+    EXPECT_TRUE(buf.dyn_breaks().empty());
+    EXPECT_EQ(buf.byte_size(), 8 * buf.size() + 8 * buf.values().size() +
+                                   sizeof(trace::Site) * buf.sites().size() +
+                                   sizeof(trace::OperandTemplate) * buf.templates().size() +
+                                   buf.pool().byte_size());
+    trace_bytes += buf.byte_size();
     TraceDigest buffered = digest_buffer(buffer_sink.buffer());
     set_run(buffered, buffered_run);
     const std::string want = buffered.line(app.name);
@@ -315,6 +324,8 @@ TEST(VmTraceGolden, EverySinkMatchesTheDigests) {
     set_run(owning, buffered_run);
     EXPECT_EQ(owning.line(app.name), want);
   }
+  // 133.3 MB as 32-byte records and 24-byte operands; 40.4 MB site-indexed.
+  EXPECT_LE(trace_bytes, 42'000'000u);
   if (HasFailure()) std::printf("computed digests:\n%s", computed.c_str());
 }
 
@@ -335,12 +346,12 @@ class ViewSink final : public trace::TraceSink {
   TraceBuffer buffer_;
 };
 
-/// The last record ends where the operands end: a stopped run left no
-/// operands of an unfinished record behind.
+/// The last record ends where the values end: a stopped run left no values
+/// of an unfinished record behind.
 void expect_whole_records(const TraceBuffer& buf) {
   ASSERT_FALSE(buf.empty());
-  const trace::PackedRecord& last = buf.records()[buf.size() - 1];
-  EXPECT_EQ(std::size_t{last.op_offset} + last.op_count, buf.operands().size());
+  const RecordView last = buf.view(buf.size() - 1);
+  EXPECT_EQ(buf.records()[last.index()].value_offset + last.operand_count(), buf.values().size());
 }
 
 /// Run `opts` into a BufferSink and into a ViewSink; both must hold the same
